@@ -8,13 +8,18 @@ uncomputes the primal values (restoring the original arguments) and
 accumulates cotangents. Hessians come from running the same pipeline over
 Dual-number leaves (forward over reverse). A central finite-difference
 estimator serves as the independent oracle.
+
+Each public call compiles the program once per direction: one Interpreter
+runs the forward passes under the caller's options, one in gradient mode
+runs the backward passes, and both serve every pass of the call. A
+Jacobian shares a single forward pass among its rows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import KindError, RevError
+from .errors import KindError, RevError, UnknownFunction
 from .interpreter import ExecOptions, Interpreter
 from .numerics import unwrap_gvar, wrap_gvar
 from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
@@ -133,6 +138,52 @@ def _grad_structure(value):
     return None
 
 
+def _interpreter(program, fname, opts):
+    """The Interpreter for forward runs under the caller's options, and
+    `fname`'s parameter names."""
+    interp = Interpreter(program, opts or ExecOptions())
+    fdef = interp.defs.get(fname)
+    if fdef is None:
+        raise UnknownFunction(f"no function named {fname!r}")
+    return interp, fdef.param_names()
+
+
+def _gradient_interpreter(interp):
+    """The Interpreter for backward passes: the same options in gradient
+    mode."""
+    return Interpreter(interp.program,
+                       replace(interp.opts, gradient_mode=True))
+
+
+def _gradient(ginterp, fname, names, args, outputs, seeds, wrt):
+    """One backward pass from the forward results `outputs` of `args`:
+    wrap a copy of the results in GVars, seed them, uncall, check that the
+    arguments' primal parts are restored, and collect the cotangents by
+    parameter name. `outputs` is left untouched, so several seeds can
+    share one forward pass."""
+    wrapped = [wrap_gvar(deep_copy(v)) for v in outputs]
+    for pname, path, seed in seeds:
+        if pname not in names:
+            raise KindError(f"seed names unknown parameter {pname!r}")
+        _apply_seed(wrapped[names.index(pname)], path, seed)
+
+    back = ginterp.uncall_function(fname, wrapped)
+
+    tol = ginterp.opts.float_tolerance
+    for orig, bk in zip(args, back):
+        if not values_close(orig, unwrap_gvar(bk), tol):
+            raise RevError(
+                "backward pass failed to restore an argument's primal value")
+
+    report = wrt if wrt is not None else names
+    grads = {}
+    for pname in report:
+        if pname not in names:
+            raise KindError(f"wrt names unknown parameter {pname!r}")
+        grads[pname] = _grad_structure(back[names.index(pname)])
+    return grads
+
+
 def gradient(program, req, opts=None):
     """Returns (primal outputs, gradients-by-parameter-name).
 
@@ -140,44 +191,13 @@ def gradient(program, req, opts=None):
     primal parts must equal their pre-forward values to within the float
     tolerance, which is verified here.
     """
-    base = opts or ExecOptions()
-    interp = Interpreter(program, base)
-    fdef = interp.defs.get(req.fname)
-    if fdef is None:
-        from .errors import UnknownFunction
-        raise UnknownFunction(f"no function named {req.fname!r}")
-    names = fdef.param_names()
-
-    pre_args = [deep_copy(a) for a in req.args]
+    interp, names = _interpreter(program, req.fname, opts)
+    ginterp = _gradient_interpreter(interp)
     outputs = interp.run_function(req.fname, [deep_copy(a) for a in req.args])
-    primal_outputs = [deep_copy(v) for v in outputs]
-
-    wrapped = [wrap_gvar(deep_copy(v)) for v in outputs]
     seeds = req.seeds if req.seeds is not None else default_seeds(outputs, names)
-    for pname, path, seed in seeds:
-        if pname not in names:
-            raise KindError(f"seed names unknown parameter {pname!r}")
-        _apply_seed(wrapped[names.index(pname)], path, seed)
-
-    gopts = ExecOptions(
-        invcheck=base.invcheck, float_tolerance=base.float_tolerance,
-        max_steps=base.max_steps, trace=base.trace, gradient_mode=True,
-        float_dtype=base.float_dtype, trace_sink=base.trace_sink)
-    ginterp = Interpreter(program, gopts)
-    back = ginterp.uncall_function(req.fname, wrapped)
-
-    for orig, bk in zip(pre_args, back):
-        if not values_close(orig, unwrap_gvar(bk), base.float_tolerance):
-            raise RevError(
-                "backward pass failed to restore an argument's primal value")
-
-    report = req.wrt if req.wrt is not None else names
-    grads = {}
-    for pname in report:
-        if pname not in names:
-            raise KindError(f"wrt names unknown parameter {pname!r}")
-        grads[pname] = _grad_structure(back[names.index(pname)])
-    return primal_outputs, grads
+    grads = _gradient(ginterp, req.fname, names, req.args, outputs, seeds,
+                      req.wrt)
+    return outputs, grads
 
 
 def _flatten(value_by_param, params, structure_args):
@@ -196,30 +216,26 @@ def _strip_dual(v):
 
 def jacobian(program, fname, args, opts=None):
     """Sensitivities of every differentiable output leaf with respect to
-    every differentiable input leaf: one gradient pass per output row."""
-    base = opts or ExecOptions()
-    interp = Interpreter(program, base)
-    names = interp.defs[fname].param_names()
-    out_rows = []
+    every differentiable input leaf: one forward pass, then one backward
+    pass per output row, all from that pass's results."""
+    interp, names = _interpreter(program, fname, opts)
+    ginterp = _gradient_interpreter(interp)
+    outputs = interp.run_function(fname, [deep_copy(a) for a in args])
+    rows = []
     for pi, pname in enumerate(names):
         for path in leaf_paths(args[pi]):
-            out_rows.append((pname, path))
-    rows = []
-    for pname, path in out_rows:
-        _, grads = gradient(
-            program, GradRequest(fname, args, seeds=[(pname, path, 1.0)]),
-            opts=base)
-        rows.append(_flatten(grads, names, args))
+            grads = _gradient(ginterp, fname, names, args, outputs,
+                              [(pname, path, 1.0)], None)
+            rows.append(_flatten(grads, names, args))
     return np.array(rows, dtype=float)
 
 
 def hessian(program, fname, args, opts=None):
     """Forward-over-reverse: gradient passes over Dual-number leaves, one
-    unit tangent per input column. Returns the raw matrix and its
-    asymmetry max |H - H^T|."""
-    base = opts or ExecOptions()
-    interp = Interpreter(program, base)
-    names = interp.defs[fname].param_names()
+    unit tangent per input column, each with its own forward pass. Returns
+    the raw matrix and its asymmetry max |H - H^T|."""
+    interp, names = _interpreter(program, fname, opts)
+    ginterp = _gradient_interpreter(interp)
     in_leaves = []
     for pi, pname in enumerate(names):
         for path in leaf_paths(args[pi]):
@@ -242,8 +258,10 @@ def hessian(program, fname, args, opts=None):
     n = len(in_leaves)
     H = np.zeros((n, n))
     for j in range(n):
-        _, grads = gradient(
-            program, GradRequest(fname, dualized(j)), opts=base)
+        dargs = dualized(j)
+        outputs = interp.run_function(fname, [deep_copy(a) for a in dargs])
+        grads = _gradient(ginterp, fname, names, dargs, outputs,
+                          default_seeds(outputs, names), None)
         for k, (pi, pname, path) in enumerate(in_leaves):
             g = grads[pname]
             leaf = get_leaf(g, path) if path else g
@@ -274,16 +292,13 @@ def finite_difference(program, fname, args, h, seeds=None, opts=None):
     estimate divides by the step actually taken."""
     if not h > 0:
         raise KindError("finite differences need h > 0")
-    base = opts or ExecOptions()
-    interp = Interpreter(program, base)
-    names = interp.defs[fname].param_names()
+    interp, names = _interpreter(program, fname, opts)
     if seeds is None:
         outs = interp.run_function(fname, [deep_copy(a) for a in args])
         seeds = default_seeds(outs, names)
 
     def run_at(pargs):
-        outs = Interpreter(program, base).run_function(
-            fname, [deep_copy(a) for a in pargs])
+        outs = interp.run_function(fname, pargs)
         return seeded_scalar(outs, seeds, names)
 
     grads = {}

@@ -58,17 +58,13 @@ class ExecStats:
 
 
 class Frame:
-    """The environment: name -> value bindings plus ancilla bookkeeping."""
+    """The environment: name -> value bindings of one function call."""
 
-    __slots__ = ("bindings", "ancillas", "fname")
+    __slots__ = ("bindings", "fname")
 
     def __init__(self, fname="<frame>"):
         self.bindings = {}
-        self.ancillas = set()
         self.fname = fname
-
-
-Env = Frame
 
 
 # --- resolved views and the public view operations --------------------------
@@ -369,7 +365,7 @@ def _ancilla_residual(current, declared, tol):
     release is the sensitivity to its pinned initial value and is
     discarded with it. Discrete kinds must match exactly; float-backed
     kinds within the tolerance (the remainder is then zero-cleared by the
-    release itself)."""
+    release itself). A NaN residual is never within the tolerance."""
     try:
         pairs = list(_leaf_pairs(current, declared))
     except KindError:
@@ -384,11 +380,11 @@ def _ancilla_residual(current, declared, tol):
                 return deviation(cur, dec)
         elif isinstance(cur, ULog) and isinstance(dec, ULog):
             d = abs(float(_dual_primal(cur.log_x)) - float(_dual_primal(dec.log_x)))
-            if d > tol:
+            if not d <= tol:
                 return d
         elif is_float(cur) and is_float(dec):
             d = abs(float(_dual_primal(cur)) - float(_dual_primal(dec)))
-            if d > tol:
+            if not d <= tol:
                 return d
         else:
             return float("inf")
@@ -428,7 +424,11 @@ class Interpreter:
                             f"got {len(args)}")
         frame = Frame(fname)
         frame.bindings.update(zip(names, args))
-        body(frame)
+        try:
+            body(frame)
+        except RecursionError:
+            raise FuelExhausted(f"call depth exceeded in {fname}", span) \
+                from None
         if len(frame.bindings) != len(names):
             leftover = sorted(set(frame.bindings) - set(names))
             raise DirtyAncilla(f"bindings leaked from {fname}: {leftover}", span)
@@ -725,7 +725,6 @@ class Interpreter:
                     if wrap:
                         v = wrap_gvar(v)
                     frame.bindings[name] = v
-                    frame.ancillas.add(name)
                 return run
             case AncillaDealloc(name=name, expr=e, span=span):
                 val = self._compile_expr(e)
@@ -744,7 +743,6 @@ class Interpreter:
                                 span, name=name, residual=residual)
                         stats.checks_passed["ancilla"] += 1
                     del frame.bindings[name]
-                    frame.ancillas.discard(name)
                 return run
             case FnCall(fname=fname, args=args, span=span):
                 return self._compile_call(fname, args, span, uncall=False)

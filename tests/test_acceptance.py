@@ -7,6 +7,7 @@ criterion. Criteria 1-4 also assert their stated wall-clock budgets.
 import math
 import random
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_criterion_03_round_trip_reversibility():
         program = load_example(name)
         fname = entry_function(name)
         for trial in range(20):
-            rng = random.Random(7919 * trial + hash(name) % 65521)
+            rng = random.Random(7919 * trial + zlib.crc32(name.encode()) % 65521)
             rep = check_reversibility(program, fname, sample_args(name, rng))
             assert rep.ok, f"{name} trial {trial}: {rep.error}"
             if name in exact_kinds:
@@ -136,7 +137,7 @@ def test_criterion_04_gradient_oracle_agreement():
         fname = entry_function(name)
         worst = 0.0
         for trial in range(20):
-            rng = random.Random(104729 * trial + hash(name) % 65521)
+            rng = random.Random(104729 * trial + zlib.crc32(name.encode()) % 65521)
             args = sample_args(name, rng)
             _, grads = gradient(
                 program, GradRequest(fname, args, seeds=seeds, wrt=wrt))
@@ -158,7 +159,7 @@ def test_criterion_05_adjoint_inverse_identity():
     for name in CATALOG:
         program = load_example(name)
         fname = entry_function(name)
-        rng = random.Random(hash(name) % 65521)
+        rng = random.Random(zlib.crc32(name.encode()) % 65521)
         args = sample_args(name, rng)
         interp = Interpreter(program)
         outs = interp.run_function(fname, [deep_copy(a) for a in args])
@@ -196,7 +197,7 @@ def test_criterion_07_primal_restoration():
     for name, (seeds, wrt) in GRAD_CASES.items():
         program = load_example(name)
         fname = entry_function(name)
-        rng = random.Random(hash(name) % 4099)
+        rng = random.Random(zlib.crc32(name.encode()) % 4099)
         args = sample_args(name, rng)
         before = [deep_copy(a) for a in args]
         gradient(program, GradRequest(fname, args, seeds=seeds, wrt=wrt))
@@ -267,7 +268,7 @@ end""")
     for name in CATALOG:
         program = load_example(name)
         fname = entry_function(name)
-        rng1, rng2 = random.Random(name.__hash__() % 997), None
+        rng1, rng2 = random.Random(zlib.crc32(name.encode()) % 997), None
         args = sample_args(name, rng1)
         a = run(program, fname, [deep_copy(v) for v in args])
         b = run(program, fname, [deep_copy(v) for v in args],

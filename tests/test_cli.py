@@ -116,6 +116,23 @@ end
         assert rc == 3
         assert "DirtyAncilla" in capsys.readouterr().err
 
+    def test_nan_ancilla_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "nan.rnl"
+        bad.write_text("fn f(y, x)\nn <- 0.0\nn += sqrt(x)\ny += n\n"
+                       "n -= sqrt(x)\nn -> 0.0\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "-a", "0.0,inf"])
+        assert rc == 3
+        assert "DirtyAncilla" in capsys.readouterr().err
+
+    def test_deep_recursion_exit_code(self, tmp_path, capsys):
+        deep = tmp_path / "deep.rnl"
+        deep.write_text("fn down(n, k)\nif (k > 0, ~)\nn += 1\n"
+                        "down(n, k |> addconst(-1))\nend\nend\n")
+        rc = main(["run", str(deep), "-f", "down", "-a", "0,3000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "FuelExhausted" in err and "Traceback" not in err
+
     def test_no_invcheck_flag(self, tmp_path, capsys):
         bad = tmp_path / "dirty.rnl"
         bad.write_text("fn f(x)\nn <- 0.0\nn += x\nn -> 0.0\nend\n")

@@ -119,6 +119,18 @@ end""")
             run(p, "f", [1.0])
         assert run(p, "f", [0.0]) == [0.0]
 
+    def test_nan_residual_is_dirty(self):
+        p = prog("""fn f(y, x)
+n <- 0.0
+n += sqrt(x)
+y += n
+n -= sqrt(x)
+n -> 0.0
+end""")
+        with pytest.raises(DirtyAncilla):
+            run(p, "f", [0.0, float("inf")])
+        assert run(p, "f", [0.0, 4.0]) == [2.0, 4.0]
+
     def test_discrete_ancilla_requires_exact(self):
         p = prog("""fn f(x)
 n <- 0
@@ -211,6 +223,17 @@ end
 end""")
         with pytest.raises(FuelExhausted):
             run(p, "f", [0], ExecOptions(max_steps=1000))
+
+    def test_call_depth_exceeded_is_typed(self):
+        p = prog("""fn down(n, k)
+if (k > 0, ~)
+    n += 1
+    down(n, k |> addconst(-1))
+end
+end""")
+        with pytest.raises(FuelExhausted, match="call depth"):
+            run(p, "down", [0, 3000])
+        assert run(p, "down", [0, 50]) == [50, 50]
 
     def test_zero_step_loop(self):
         p = prog("fn f(x!)\nfor i = 1:0:3\nx! += 1\nend\nend")

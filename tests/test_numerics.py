@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import pytest
 
@@ -68,7 +69,7 @@ class TestInverse:
         ("xor=", "identity", lambda r: [r.randrange(1 << 16), r.randrange(1 << 16)]),
     ])
     def test_apply_then_inverse_is_identity(self, kind, fname, argmaker):
-        rng = random.Random(hash((kind, fname)) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((kind, fname)).encode()) & 0xFFFF)
         instr = PI(kind, fname)
         for _ in range(100):
             args = argmaker(rng)
@@ -135,7 +136,7 @@ class TestAdjointRules:
     def test_partials_match_central_differences(self, fname):
         arity, sample = SMOOTH_FNS[fname]
         spec = INSTR_FNS[fname]
-        rng = random.Random(hash(fname) & 0xFFFF)
+        rng = random.Random(zlib.crc32(fname.encode()) & 0xFFFF)
         for _ in range(100):
             xs = sample(rng)
             got = spec.partials(*xs)

@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 from decimal import Decimal, getcontext
 
 import pytest
@@ -44,7 +45,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("trial", range(20))
     def test_round_trip_20_random_inputs(self, catalog_name, trial):
-        rng = random.Random(1000 * trial + hash(catalog_name) % 997)
+        rng = random.Random(1000 * trial + zlib.crc32(catalog_name.encode()) % 997)
         program = load_example(catalog_name)
         args = sample_args(catalog_name, rng)
         rep = check_reversibility(program, entry_function(catalog_name), args)
