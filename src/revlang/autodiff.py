@@ -82,7 +82,7 @@ def get_leaf(value, path):
     return value
 
 
-def set_leaf(value, path, new, _depth=0):
+def set_leaf(value, path, new):
     if not path:
         raise KindError("cannot replace a whole argument leaflessly")
     parent = get_leaf(value, path[:-1])

@@ -21,7 +21,8 @@ import re
 import sys
 
 from .autodiff import GradRequest, gradient, hessian
-from .errors import RevLangError, RnlSyntaxError, ValidationFailed
+from .errors import (RevLangError, RnlSyntaxError, UnknownFunction,
+                     ValidationFailed)
 from .interpreter import ExecOptions, Interpreter, check_reversibility
 from .ir import Program, validate
 from .parser import parse_program, pretty_print
@@ -131,13 +132,10 @@ def encode_value(v):
 
 
 def _load(path):
+    """Parse only: `Interpreter` validates the programs it runs."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    program = parse_program(text, path)
-    diags = validate(program)
-    if diags:
-        raise ValidationFailed(diags)
-    return program
+    return parse_program(text, path)
 
 
 def _exec_options(ns):
@@ -236,6 +234,11 @@ def _dispatch(ns):
 
     if ns.cmd == "invert":
         program = _load(ns.file)
+        diags = validate(program)
+        if diags:
+            raise ValidationFailed(diags)
+        if ns.function and ns.function not in program:
+            raise UnknownFunction(f"no function named {ns.function!r}")
         names = [ns.function] if ns.function else list(program.functions)
         inverted = Program([invert_function(program.get(n)) for n in names])
         sys.stdout.write(pretty_print(inverted))

@@ -7,7 +7,10 @@ there is one evaluator and no runtime stack. Reversibility checks
 alias rejection) are observers: on a passing program, disabling them
 changes nothing but speed.
 
-Function bodies are compiled once into Python closures. Aliasing between
+Function bodies are compiled once into Python closures, and these
+closures are the only evaluator: the public view helpers `read_view`,
+`write_view` and `canonical_view_identity` compile their view with the
+same functions and run it on the given environment. Aliasing between
 argument views is decided statically when their root names differ; only
 same-root pairs are compared at run time.
 """
@@ -16,8 +19,8 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
-                     DuplicateBinding, FuelExhausted, IndexOutOfBounds,
-                     KindError, LoopIteratorMutated, PostconditionMismatch,
+                     DuplicateBinding, FuelExhausted, KindError,
+                     LoopIteratorMutated, PostconditionMismatch,
                      RevDomainError, RevLangError, UnboundVariable,
                      UnknownFunction, ValidationFailed)
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
@@ -67,63 +70,11 @@ class Frame:
         self.fname = fname
 
 
-# --- resolved views and the public view operations --------------------------
-
-class ResolvedView:
-    """A view with its index expressions evaluated: a concrete lens."""
-
-    __slots__ = ("root", "steps")
-
-    def __init__(self, root, steps):
-        self.root = root
-        self.steps = steps  # ('field', name) | ('idx', idx) | ('bij', name, args)
-
-    def storage_id(self):
-        return (self.root,) + tuple(s for s in self.steps if s[0] != "bij")
-
-
-def resolve_view(env, view, opts=None):
-    opts = opts or ExecOptions()
-    chain = []
-    v = view
-    while not isinstance(v, VarView):
-        chain.append(v)
-        v = v.base
-    root = v.name
-    if root not in env.bindings:
-        raise UnboundVariable(f"{root!r} is not bound", v.span)
-    steps = []
-    for node in reversed(chain):
-        if isinstance(node, FieldView):
-            steps.append(("field", node.field_name))
-        elif isinstance(node, IndexView):
-            idx = tuple(_index_value(eval_expr(env, e, opts))
-                        for e in node.indices)
-            steps.append(("idx", idx))
-        else:
-            steps.append(("bij", node.bij, node.args))
-    return ResolvedView(root, tuple(steps))
-
-
-def canonical_view_identity(env, view, opts=None):
-    """StorageId of a view in an environment: equal ids denote the same
-    mutable cell; bijectors do not change identity."""
-    return resolve_view(env, view, opts).storage_id()
-
-
 def ids_overlap(id_a, id_b):
     """True when two storage ids denote overlapping memory (equal, or one
     a prefix of the other, e.g. a whole array and one of its cells)."""
     n = min(len(id_a), len(id_b))
     return id_a[:n] == id_b[:n]
-
-
-def _index_value(v):
-    if isinstance(v, GVar):
-        v = v.x
-    if not is_int(v):
-        raise IndexOutOfBounds(f"index must be an Int, got {kind_name(v)}")
-    return int(v)
 
 
 def _read_field(v, name):
@@ -152,49 +103,7 @@ def _write_field(v, name, new):
         raise KindError(f"field write on {kind_name(v)}")
 
 
-def read_resolved(env, rv):
-    v = env.bindings[rv.root]
-    for s in rv.steps:
-        if s[0] == "field":
-            v = _read_field(v, s[1])
-        elif s[0] == "idx":
-            if not isinstance(v, Array):
-                raise KindError(f"indexing into {kind_name(v)}")
-            v = v.get(s[1])
-        else:
-            v = BIJECTORS[s[1]].fwd(v, s[2])
-    return v
-
-
-def write_resolved(env, rv, value):
-    steps = list(rv.steps)
-    v = value
-    while steps and steps[-1][0] == "bij":
-        s = steps.pop()
-        v = BIJECTORS[s[1]].inv(v, s[2])
-    if not steps:
-        env.bindings[rv.root] = v
-        return
-    parent = read_resolved(env, ResolvedView(rv.root, tuple(steps[:-1])))
-    last = steps[-1]
-    if last[0] == "idx":
-        if not isinstance(parent, Array):
-            raise KindError(f"indexing into {kind_name(parent)}")
-        parent.set(last[1], v)
-    else:
-        _write_field(parent, last[1], v)
-
-
-def read_view(env, view, opts=None):
-    return read_resolved(env, resolve_view(env, view, opts))
-
-
-def write_view(env, view, value, opts=None):
-    write_resolved(env, resolve_view(env, view, opts), value)
-    return env
-
-
-# --- expression evaluation (walker form, shared by the public API) ---------
+# --- expression helpers captured by the compiled closures --------------------
 
 def _bool_of(v):
     if isinstance(v, GVar):
@@ -292,45 +201,182 @@ def _negate_value(v):
     raise KindError(f"cannot negate {kind_name(v)}")
 
 
-def eval_expr(env, e, opts=None):
-    """Reference expression evaluator (the compiled engine mirrors it)."""
-    opts = opts or ExecOptions()
+# --- expression and view compilation ----------------------------------------
+
+def _compile_expr(e, float_dtype):
     if isinstance(e, Lit):
         v = e.value
-        if isinstance(v, float) and opts.float_dtype is not None:
-            return opts.float_dtype(v)
-        if isinstance(v, complex):
-            z = opts.float_dtype or float
-            return Complex(z(v.real), z(v.imag))
-        return v
+        if isinstance(v, float) and float_dtype is not None:
+            v = float_dtype(v)
+        elif isinstance(v, complex):
+            z = float_dtype or float
+            re_, im_ = z(v.real), z(v.imag)
+            return lambda frame: Complex(re_, im_)
+        return lambda frame, _v=v: _v
     if isinstance(e, ViewRef):
-        v = read_resolved(env, resolve_view(env, e.view, opts))
-        return v.x if isinstance(v, GVar) else v
+        rd = _compile_reader(e.view, float_dtype)
+
+        def run(frame, _rd=rd):
+            v = _rd(frame)
+            return v.x if isinstance(v, GVar) else v
+        return run
     if isinstance(e, Un):
-        return _negate_value(eval_expr(env, e.operand, opts))
+        inner = _compile_expr(e.operand, float_dtype)
+        return lambda frame: _negate_value(inner(frame))
     if isinstance(e, Bin):
-        if e.op == "&&":
-            return _bool_of(eval_expr(env, e.left, opts)) \
-                and _bool_of(eval_expr(env, e.right, opts))
-        if e.op == "||":
-            return _bool_of(eval_expr(env, e.left, opts)) \
-                or _bool_of(eval_expr(env, e.right, opts))
-        a = eval_expr(env, e.left, opts)
-        b = eval_expr(env, e.right, opts)
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            return _compare(e.op, a, b)
-        return _num_bin(e.op, a, b)
+        op = e.op
+        lf = _compile_expr(e.left, float_dtype)
+        rf = _compile_expr(e.right, float_dtype)
+        if op == "&&":
+            return lambda frame: _bool_of(lf(frame)) and _bool_of(rf(frame))
+        if op == "||":
+            return lambda frame: _bool_of(lf(frame)) or _bool_of(rf(frame))
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            return lambda frame, _op=op: _compare(_op, lf(frame), rf(frame))
+        return lambda frame, _op=op: _num_bin(_op, lf(frame), rf(frame))
     if isinstance(e, Call):
         fn = EXPR_FNS.get(e.fname)
         if fn is None:
-            raise UnknownFunction(f"{e.fname!r} is not a registered pure function",
-                                  e.span)
-        vals = []
-        for a in e.args:
-            v = eval_expr(env, a, opts)
-            vals.append(v.x if isinstance(v, GVar) else v)
-        return fn(*vals)
+            raise UnknownFunction(
+                f"{e.fname!r} is not a registered pure function", e.span)
+        arg_fns = [_compile_expr(a, float_dtype) for a in e.args]
+
+        def run(frame, _fn=fn, _args=arg_fns):
+            vals = []
+            for af in _args:
+                v = af(frame)
+                vals.append(v.x if isinstance(v, GVar) else v)
+            return _fn(*vals)
+        return run
     raise KindError(f"not an expression: {e!r}")
+
+
+def _compile_int_expr(e, what, float_dtype):
+    inner = _compile_expr(e, float_dtype)
+
+    def run(frame):
+        v = inner(frame)
+        if isinstance(v, GVar):
+            v = v.x
+        if not is_int(v):
+            raise KindError(f"{what} must be an Int, got {kind_name(v)}")
+        return v
+    return run
+
+
+def _compile_reader(view, float_dtype):
+    if isinstance(view, VarView):
+        name = view.name
+
+        def read(frame):
+            try:
+                return frame.bindings[name]
+            except KeyError:
+                raise UnboundVariable(f"{name!r} is not bound",
+                                      view.span) from None
+        return read
+    if isinstance(view, FieldView):
+        base = _compile_reader(view.base, float_dtype)
+        fname = view.field_name
+        return lambda frame: _read_field(base(frame), fname)
+    if isinstance(view, IndexView):
+        base = _compile_reader(view.base, float_dtype)
+        idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
+                   for ix in view.indices]
+
+        def read(frame):
+            arr = base(frame)
+            if not isinstance(arr, Array):
+                raise KindError(f"indexing into {kind_name(arr)}")
+            return arr.get(tuple(f(frame) for f in idx_fns))
+        return read
+    if isinstance(view, BijView):
+        base = _compile_reader(view.base, float_dtype)
+        bij = BIJECTORS[view.bij]
+        args = view.args
+        return lambda frame: bij.fwd(base(frame), args)
+    raise KindError(f"not a view: {view!r}")
+
+
+def _compile_writer(view, float_dtype):
+    if isinstance(view, VarView):
+        name = view.name
+
+        def write(frame, v):
+            frame.bindings[name] = v
+        return write
+    if isinstance(view, BijView):
+        inner = _compile_writer(view.base, float_dtype)
+        bij = BIJECTORS[view.bij]
+        args = view.args
+        return lambda frame, v: inner(frame, bij.inv(v, args))
+    if isinstance(view, FieldView):
+        base = _compile_reader(view.base, float_dtype)
+        fname = view.field_name
+        return lambda frame, v: _write_field(base(frame), fname, v)
+    if isinstance(view, IndexView):
+        base = _compile_reader(view.base, float_dtype)
+        idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
+                   for ix in view.indices]
+
+        def write(frame, v):
+            arr = base(frame)
+            if not isinstance(arr, Array):
+                raise KindError(f"indexing into {kind_name(arr)}")
+            arr.set(tuple(f(frame) for f in idx_fns), v)
+        return write
+    raise KindError(f"not a view: {view!r}")
+
+
+def _compile_id(view, float_dtype):
+    """Storage-id closure (root name + concrete non-bijector path)."""
+    parts = []
+    v = view
+    while not isinstance(v, VarView):
+        parts.append(v)
+        v = v.base
+    root = v.name
+    step_fns = []
+    for node in reversed(parts):
+        if isinstance(node, FieldView):
+            step_fns.append(lambda frame, _n=node.field_name: ("field", _n))
+        elif isinstance(node, IndexView):
+            idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
+                       for ix in node.indices]
+            step_fns.append(
+                lambda frame, _fs=idx_fns:
+                    ("idx", tuple(f(frame) for f in _fs)))
+        # bijectors do not contribute to identity
+    if not step_fns:
+        return lambda frame: (root,)
+    return lambda frame: (root,) + tuple(sf(frame) for sf in step_fns)
+
+
+# --- public view operations ------------------------------------------------
+# Each compiles its view with the functions above and runs it with the
+# environment as the frame.
+
+def _check_root(env, view):
+    root = view_root(view)
+    if root not in env.bindings:
+        raise UnboundVariable(f"{root!r} is not bound", view.span)
+
+
+def read_view(env, view, opts=None):
+    return _compile_reader(view, opts and opts.float_dtype)(env)
+
+
+def write_view(env, view, value, opts=None):
+    _check_root(env, view)
+    _compile_writer(view, opts and opts.float_dtype)(env, value)
+    return env
+
+
+def canonical_view_identity(env, view, opts=None):
+    """StorageId of a view in an environment: equal ids denote the same
+    mutable cell; bijectors do not change identity."""
+    _check_root(env, view)
+    return _compile_id(view, opts and opts.float_dtype)(env)
 
 
 # --- ancilla release comparison ---------------------------------------------
@@ -472,155 +518,6 @@ class Interpreter:
         else:
             print(line)
 
-    # --- expression compilation ---
-
-    def _compile_expr(self, e):
-        opts = self.opts
-        if isinstance(e, Lit):
-            v = e.value
-            if isinstance(v, float) and opts.float_dtype is not None:
-                v = opts.float_dtype(v)
-            elif isinstance(v, complex):
-                z = opts.float_dtype or float
-                re_, im_ = z(v.real), z(v.imag)
-                return lambda frame: Complex(re_, im_)
-            return lambda frame, _v=v: _v
-        if isinstance(e, ViewRef):
-            rd = self._compile_reader(e.view)
-
-            def run(frame, _rd=rd):
-                v = _rd(frame)
-                return v.x if isinstance(v, GVar) else v
-            return run
-        if isinstance(e, Un):
-            inner = self._compile_expr(e.operand)
-            return lambda frame: _negate_value(inner(frame))
-        if isinstance(e, Bin):
-            op = e.op
-            lf = self._compile_expr(e.left)
-            rf = self._compile_expr(e.right)
-            if op == "&&":
-                return lambda frame: _bool_of(lf(frame)) and _bool_of(rf(frame))
-            if op == "||":
-                return lambda frame: _bool_of(lf(frame)) or _bool_of(rf(frame))
-            if op in ("==", "!=", "<", "<=", ">", ">="):
-                return lambda frame, _op=op: _compare(_op, lf(frame), rf(frame))
-            return lambda frame, _op=op: _num_bin(_op, lf(frame), rf(frame))
-        if isinstance(e, Call):
-            fn = EXPR_FNS.get(e.fname)
-            if fn is None:
-                raise UnknownFunction(
-                    f"{e.fname!r} is not a registered pure function", e.span)
-            arg_fns = [self._compile_expr(a) for a in e.args]
-
-            def run(frame, _fn=fn, _args=arg_fns):
-                vals = []
-                for af in _args:
-                    v = af(frame)
-                    vals.append(v.x if isinstance(v, GVar) else v)
-                return _fn(*vals)
-            return run
-        raise KindError(f"not an expression: {e!r}")
-
-    def _compile_int_expr(self, e, what):
-        inner = self._compile_expr(e)
-
-        def run(frame):
-            v = inner(frame)
-            if isinstance(v, GVar):
-                v = v.x
-            if not is_int(v):
-                raise KindError(f"{what} must be an Int, got {kind_name(v)}")
-            return v
-        return run
-
-    # --- view compilation ---
-
-    def _compile_reader(self, view):
-        if isinstance(view, VarView):
-            name = view.name
-
-            def read(frame):
-                try:
-                    return frame.bindings[name]
-                except KeyError:
-                    raise UnboundVariable(f"{name!r} is not bound",
-                                          view.span) from None
-            return read
-        if isinstance(view, FieldView):
-            base = self._compile_reader(view.base)
-            fname = view.field_name
-            return lambda frame: _read_field(base(frame), fname)
-        if isinstance(view, IndexView):
-            base = self._compile_reader(view.base)
-            idx_fns = [self._compile_int_expr(ix, "array index")
-                       for ix in view.indices]
-
-            def read(frame):
-                arr = base(frame)
-                if not isinstance(arr, Array):
-                    raise KindError(f"indexing into {kind_name(arr)}")
-                return arr.get(tuple(f(frame) for f in idx_fns))
-            return read
-        if isinstance(view, BijView):
-            base = self._compile_reader(view.base)
-            bij = BIJECTORS[view.bij]
-            args = view.args
-            return lambda frame: bij.fwd(base(frame), args)
-        raise KindError(f"not a view: {view!r}")
-
-    def _compile_writer(self, view):
-        if isinstance(view, VarView):
-            name = view.name
-
-            def write(frame, v):
-                frame.bindings[name] = v
-            return write
-        if isinstance(view, BijView):
-            inner = self._compile_writer(view.base)
-            bij = BIJECTORS[view.bij]
-            args = view.args
-            return lambda frame, v: inner(frame, bij.inv(v, args))
-        if isinstance(view, FieldView):
-            base = self._compile_reader(view.base)
-            fname = view.field_name
-            return lambda frame, v: _write_field(base(frame), fname, v)
-        if isinstance(view, IndexView):
-            base = self._compile_reader(view.base)
-            idx_fns = [self._compile_int_expr(ix, "array index")
-                       for ix in view.indices]
-
-            def write(frame, v):
-                arr = base(frame)
-                if not isinstance(arr, Array):
-                    raise KindError(f"indexing into {kind_name(arr)}")
-                arr.set(tuple(f(frame) for f in idx_fns), v)
-            return write
-        raise KindError(f"not a view: {view!r}")
-
-    def _compile_id(self, view):
-        """Storage-id closure (root name + concrete non-bijector path)."""
-        parts = []
-        v = view
-        while not isinstance(v, VarView):
-            parts.append(v)
-            v = v.base
-        root = v.name
-        step_fns = []
-        for node in reversed(parts):
-            if isinstance(node, FieldView):
-                step_fns.append(lambda frame, _n=node.field_name: ("field", _n))
-            elif isinstance(node, IndexView):
-                idx_fns = [self._compile_int_expr(ix, "array index")
-                           for ix in node.indices]
-                step_fns.append(
-                    lambda frame, _fs=idx_fns:
-                        ("idx", tuple(f(frame) for f in _fs)))
-            # bijectors do not contribute to identity
-        if not step_fns:
-            return lambda frame: (root,)
-        return lambda frame: (root,) + tuple(sf(frame) for sf in step_fns)
-
     def _alias_checks(self, arg_views, span, strict_pairs, grad_pairs):
         """Compile runtime alias checks. Only pairs of views rooted at the
         same name can ever overlap; pairs listed in `strict_pairs` raise in
@@ -631,11 +528,12 @@ class Interpreter:
 
         def idf(i):
             if i not in id_fns:
-                id_fns[i] = self._compile_id(arg_views[i])
+                id_fns[i] = _compile_id(arg_views[i], self.opts.float_dtype)
             return id_fns[i]
 
+        pairs = strict_pairs + (grad_pairs if self.opts.gradient_mode else [])
         checks = []
-        for (i, j, message) in strict_pairs:
+        for (i, j, message) in pairs:
             if roots[i] is None or roots[j] is None or roots[i] != roots[j]:
                 continue
             fi, fj = idf(i), idf(j)
@@ -644,18 +542,7 @@ class Interpreter:
                 if ids_overlap(_fi(frame), _fj(frame)):
                     raise AliasedArguments(_m, span)
             checks.append(chk)
-        grad_checks = []
-        if self.opts.gradient_mode:
-            for (i, j, message) in grad_pairs:
-                if roots[i] is None or roots[j] is None or roots[i] != roots[j]:
-                    continue
-                fi, fj = idf(i), idf(j)
-
-                def chk(frame, _fi=fi, _fj=fj, _m=message):
-                    if ids_overlap(_fi(frame), _fj(frame)):
-                        raise AliasedArguments(_m, span)
-                grad_checks.append(chk)
-        return checks + grad_checks
+        return checks
 
     # --- statement compilation ---
 
@@ -715,7 +602,7 @@ class Interpreter:
             case InstrCall():
                 return self._compile_instr(s)
             case AncillaAlloc(name=name, expr=e, span=span):
-                val = self._compile_expr(e)
+                val = _compile_expr(e, self.opts.float_dtype)
                 wrap = self.opts.gradient_mode
 
                 def run(frame):
@@ -727,7 +614,7 @@ class Interpreter:
                     frame.bindings[name] = v
                 return run
             case AncillaDealloc(name=name, expr=e, span=span):
-                val = self._compile_expr(e)
+                val = _compile_expr(e, self.opts.float_dtype)
                 tol = self.opts.float_tolerance
                 stats = self.stats
 
@@ -749,9 +636,9 @@ class Interpreter:
             case UncallFn(fname=fname, args=args, span=span):
                 return self._compile_call(fname, args, span, uncall=True)
             case If(pre=pre, post=post, then_block=tb, else_block=eb, span=span):
-                pre_f = self._compile_expr(pre)
+                pre_f = _compile_expr(pre, self.opts.float_dtype)
                 post_f = pre_f if post is SAME_AS_PRE \
-                    else self._compile_expr(post)
+                    else _compile_expr(post, self.opts.float_dtype)
                 then_f = self._compile_block(tb) if tb.stmts else _noop
                 else_f = self._compile_block(eb) if eb.stmts else _noop
                 stats = self.stats
@@ -768,8 +655,8 @@ class Interpreter:
                         stats.checks_passed["postcondition"] += 1
                 return run
             case While(pre=pre, post=post, body=body, span=span):
-                pre_f = self._compile_expr(pre)
-                post_f = self._compile_expr(post)
+                pre_f = _compile_expr(pre, self.opts.float_dtype)
+                post_f = _compile_expr(post, self.opts.float_dtype)
                 body_f = self._compile_block(body) if body.stmts else _noop
                 stats = self.stats
                 tick = self._tick
@@ -796,7 +683,8 @@ class Interpreter:
             case For(var=var, start=a, step=st, stop=b, body=body, span=span):
                 return self._compile_for(var, a, st, b, body, span)
             case Safe(kind=kind, exprs=exprs, span=span):
-                arg_fns = [self._compile_expr(e) for e in exprs]
+                arg_fns = [_compile_expr(e, self.opts.float_dtype)
+                           for e in exprs]
                 if kind == "assert":
                     from .parser import fmt_expr
                     texts = [fmt_expr(e) for e in exprs]
@@ -835,9 +723,9 @@ class Interpreter:
         return self.opts.invcheck and self._nocheck_depth == 0
 
     def _compile_for(self, var, a, st, b, body, span):
-        a_f = self._compile_int_expr(a, "loop start")
-        st_f = self._compile_int_expr(st, "loop step")
-        b_f = self._compile_int_expr(b, "loop stop")
+        a_f = _compile_int_expr(a, "loop start", self.opts.float_dtype)
+        st_f = _compile_int_expr(st, "loop step", self.opts.float_dtype)
+        b_f = _compile_int_expr(b, "loop stop", self.opts.float_dtype)
         body_f = self._compile_block(body) if body.stmts else _noop
         stats = self.stats
         tick = self._tick
@@ -883,20 +771,10 @@ class Interpreter:
         return run
 
     def _compile_instr(self, s):
-        opts = self.opts
-        readers = []
-        for a in s.args:
-            if isinstance(a, Lit):
-                v = a.value
-                if isinstance(v, float) and opts.float_dtype is not None:
-                    v = opts.float_dtype(v)
-                elif isinstance(v, complex):
-                    z = opts.float_dtype or float
-                    v = Complex(z(v.real), z(v.imag))
-                readers.append(lambda frame, _v=v: _v)
-            else:
-                readers.append(self._compile_reader(a))
-        target_writer = self._compile_writer(s.args[0])
+        dtype = self.opts.float_dtype
+        readers = [_compile_expr(a, dtype) if isinstance(a, Lit)
+                   else _compile_reader(a, dtype) for a in s.args]
+        target_writer = _compile_writer(s.args[0], dtype)
         strict = [(0, i, "an instruction's target may not alias its inputs")
                   for i in range(1, len(s.args))]
         grad = [(i, j, "shared reads are rejected under differentiation: "
@@ -954,8 +832,9 @@ class Interpreter:
             callee = fname[1:] if fname.startswith("~") else "~" + fname
         if callee not in self.defs:
             raise UnknownFunction(f"no function named {callee!r}", span)
-        readers = [self._compile_reader(a) for a in arg_views]
-        writers = [self._compile_writer(a) for a in arg_views]
+        dtype = self.opts.float_dtype
+        readers = [_compile_reader(a, dtype) for a in arg_views]
+        writers = [_compile_writer(a, dtype) for a in arg_views]
         strict = [(i, j, "call arguments may not share memory")
                   for i in range(len(arg_views))
                   for j in range(i + 1, len(arg_views))]
@@ -992,8 +871,9 @@ class Interpreter:
         if len(arg_views) != PRIM_STATEMENTS[fname]:
             raise KindError(
                 f"{fname} takes {PRIM_STATEMENTS[fname]} arguments", span)
-        readers = [self._compile_reader(a) for a in arg_views]
-        writers = [self._compile_writer(a) for a in arg_views]
+        dtype = self.opts.float_dtype
+        readers = [_compile_reader(a, dtype) for a in arg_views]
+        writers = [_compile_writer(a, dtype) for a in arg_views]
         strict = [(i, j, f"{fname} arguments may not share memory")
                   for i in range(len(arg_views))
                   for j in range(i + 1, len(arg_views))]

@@ -407,10 +407,16 @@ def validate(program):
                     diags.append(Diagnostic(
                         "BadInstructionTarget",
                         "instruction target must be a data view", span))
-                if fname not in numerics.INSTR_FNS:
+                spec = numerics.INSTR_FNS.get(fname)
+                if spec is None:
                     diags.append(Diagnostic(
                         "UnknownFunction",
                         f"{fname!r} is not a registered instruction function", span))
+                elif not spec.min_arity <= len(args) - 1 <= spec.max_arity:
+                    diags.append(Diagnostic(
+                        "ArityMismatch",
+                        f"{fname!r} expects {spec.min_arity} arguments, "
+                        f"got {len(args) - 1}", span))
                 for a in args:
                     if isinstance(a, VIEW_TYPES):
                         check_view(a)

@@ -571,26 +571,6 @@ def apply_instr(instr, vals):
     return _prim_plain(kind, vals)
 
 
-def adjoint_instr(instr, vals):
-    """Gradient-rule application (the spec-level entry point); identical to
-    apply_instr on GVar-bearing values."""
-    if not any(_is_gvar_bearing(v) for v in vals):
-        raise MissingAdjoint("adjoint_instr needs GVar arguments")
-    return apply_instr(instr, vals)
-
-
-# --- reversibility helpers for property tests ---
-
-def fixed_roundtrip(v, w):
-    """(v + w) - w for Fixed values; bit-exact for every v, w."""
-    return (v + w) - w
-
-
-def ulog_roundtrip(v, w):
-    """(v * w) / w in the logarithmic system: exponent add then subtract."""
-    return ULog((v.log_x + w.log_x) - w.log_x)
-
-
 def wrap_gvar(v):
     """Wrap the differentiable leaves of a value in GVar cells with zero
     gradients. Int and Bool leaves are gradient-free and stay bare."""

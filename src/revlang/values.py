@@ -445,10 +445,6 @@ def is_float(v):
     return isinstance(v, (float, np.floating)) or isinstance(v, Dual)
 
 
-def is_scalar_leaf(v):
-    return is_int(v) or is_bool(v) or is_float(v) or isinstance(v, (Fixed, ULog))
-
-
 def kind_name(v):
     if isinstance(v, GVar):
         return "gvar[" + kind_name(v.x) + "]"
@@ -484,23 +480,6 @@ def to_real(v):
     if is_int(v) or is_float(v):
         return v
     raise KindError(f"expected a scalar, got {kind_name(v)}")
-
-
-def primal_value(v):
-    """Strip GVar and Dual wrappers down to the plain value, structurally."""
-    if isinstance(v, GVar):
-        return primal_value(v.x)
-    if isinstance(v, Dual):
-        return primal_value(v.primal)
-    if isinstance(v, Complex):
-        return Complex(primal_value(v.re), primal_value(v.im))
-    if isinstance(v, Array):
-        return Array([primal_value(e) for e in v.data], v.shape)
-    if isinstance(v, Record):
-        return Record(**{k: primal_value(x) for k, x in v.fields().items()})
-    if isinstance(v, ULog):
-        return ULog(primal_value(v.log_x))
-    return v
 
 
 def deep_copy(v):

@@ -109,6 +109,19 @@ end
         assert rc == 2
         assert capsys.readouterr().err
 
+    def test_instruction_arity_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "arity.rnl"
+        bad.write_text("fn f(x, a, b)\nx += sin(a, b)\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "-a", "0.0,1.0,2.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ArityMismatch" in err and "Traceback" not in err
+
+    def test_invert_unknown_function_exit_code(self, asset, capsys):
+        rc = main(["invert", asset("multiplier"), "-f", "nope"])
+        assert rc == 3
+        assert "UnknownFunction" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "dirty.rnl"
         bad.write_text("fn f(x)\nn <- 0.0\nn += x\nn -> 0.0\nend\n")

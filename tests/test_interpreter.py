@@ -1,7 +1,7 @@
 import pytest
 
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
-                            DuplicateBinding, FuelExhausted,
+                            DuplicateBinding, FuelExhausted, KindError,
                             LoopIteratorMutated, PostconditionMismatch,
                             RevDomainError, UnknownFunction, ValidationFailed)
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
@@ -305,6 +305,35 @@ class TestViews:
         assert read_view(env, v) == -3.5
         write_view(env, v, read_view(env, v))
         assert env.bindings["x"] == 3.5
+
+    # read_view runs the same compiled reader as `q += <view>` in a program
+    VIEW_PARAMS = ("q", "x", "a", "m", "p", "i", "j")
+
+    def _view_args(self):
+        return [0.0, 2.5, Array.vector([1.0, 2.0, 3.0]),
+                Array.matrix([[1.0, 2.0], [3.0, 4.0]]), Complex(1.5, -0.5),
+                2, 1]
+
+    @pytest.mark.parametrize("text", ["x", "p.re", "a[i]", "m[i, j]",
+                                      "x |> addconst(1) |> neg"])
+    def test_read_view_matches_execution(self, text):
+        p = prog(f"fn t({', '.join(self.VIEW_PARAMS)})\nq += {text}\nend")
+        view = p.get("t").body.stmts[0].args[1]
+        env = self._env(**dict(zip(self.VIEW_PARAMS, self._view_args())))
+        expected = read_view(env, view)
+        assert run(p, "t", self._view_args())[0] == expected
+        assert expected == {"x": 2.5, "p.re": 1.5, "a[i]": 2.0,
+                            "m[i, j]": 3.0,
+                            "x |> addconst(1) |> neg": -3.5}[text]
+
+    def test_non_int_index_is_a_kind_error(self):
+        p = prog("fn t(q, a, i)\nq += a[i]\nend")
+        args = [0.0, Array.vector([1.0, 2.0, 3.0]), 1.5]
+        env = self._env(**dict(zip(("q", "a", "i"), args)))
+        with pytest.raises(KindError):
+            read_view(env, p.get("t").body.stmts[0].args[1])
+        with pytest.raises(KindError):
+            run(p, "t", args)
 
 
 class TestEnvironmentHygiene:

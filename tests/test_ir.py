@@ -58,6 +58,7 @@ end"""
         assert "UnknownFunction" in rules("fn f(y)\ng(y)\nend")
         assert "ArityMismatch" in rules(
             "fn g(a, b)\na += b\nend\nfn f(y)\ng(y)\nend")
+        assert "ArityMismatch" in rules("fn f(x, a, b)\nx += sin(a, b)\nend")
 
     def test_unknown_bijector(self):
         assert "UnknownBijector" in rules("fn f(y, x)\ny += x |> wiggle\nend")
