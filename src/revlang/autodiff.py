@@ -9,13 +9,13 @@ accumulates cotangents. Hessians come from running the same pipeline over
 Dual-number leaves (forward over reverse). A central finite-difference
 estimator serves as the independent oracle.
 
-Each public call compiles the program once per direction: one Interpreter
-runs the forward passes under the caller's options, one in gradient mode
-runs the backward passes, and both serve every pass of the call. A
+Each public call builds one Interpreter under the caller's options, which
+validates, inverts and compiles the program once and runs every pass of
+the call: a pass whose arguments carry GVar values is a gradient pass. A
 Jacobian shares a single forward pass among its rows.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,8 +139,8 @@ def _grad_structure(value):
 
 
 def _interpreter(program, fname, opts):
-    """The Interpreter for forward runs under the caller's options, and
-    `fname`'s parameter names."""
+    """The Interpreter for every pass of one call, under the caller's
+    options, and `fname`'s parameter names."""
     interp = Interpreter(program, opts or ExecOptions())
     fdef = interp.defs.get(fname)
     if fdef is None:
@@ -148,14 +148,7 @@ def _interpreter(program, fname, opts):
     return interp, fdef.param_names()
 
 
-def _gradient_interpreter(interp):
-    """The Interpreter for backward passes: the same options in gradient
-    mode."""
-    return Interpreter(interp.program,
-                       replace(interp.opts, gradient_mode=True))
-
-
-def _gradient(ginterp, fname, names, args, outputs, seeds, wrt):
+def _gradient(interp, fname, names, args, outputs, seeds, wrt):
     """One backward pass from the forward results `outputs` of `args`:
     wrap a copy of the results in GVars, seed them, uncall, check that the
     arguments' primal parts are restored, and collect the cotangents by
@@ -167,9 +160,9 @@ def _gradient(ginterp, fname, names, args, outputs, seeds, wrt):
             raise KindError(f"seed names unknown parameter {pname!r}")
         _apply_seed(wrapped[names.index(pname)], path, seed)
 
-    back = ginterp.uncall_function(fname, wrapped)
+    back = interp.uncall_function(fname, wrapped)
 
-    tol = ginterp.opts.float_tolerance
+    tol = interp.opts.float_tolerance
     for orig, bk in zip(args, back):
         if not values_close(orig, unwrap_gvar(bk), tol):
             raise RevError(
@@ -192,10 +185,9 @@ def gradient(program, req, opts=None):
     tolerance, which is verified here.
     """
     interp, names = _interpreter(program, req.fname, opts)
-    ginterp = _gradient_interpreter(interp)
     outputs = interp.run_function(req.fname, [deep_copy(a) for a in req.args])
     seeds = req.seeds if req.seeds is not None else default_seeds(outputs, names)
-    grads = _gradient(ginterp, req.fname, names, req.args, outputs, seeds,
+    grads = _gradient(interp, req.fname, names, req.args, outputs, seeds,
                       req.wrt)
     return outputs, grads
 
@@ -219,12 +211,11 @@ def jacobian(program, fname, args, opts=None):
     every differentiable input leaf: one forward pass, then one backward
     pass per output row, all from that pass's results."""
     interp, names = _interpreter(program, fname, opts)
-    ginterp = _gradient_interpreter(interp)
     outputs = interp.run_function(fname, [deep_copy(a) for a in args])
     rows = []
     for pi, pname in enumerate(names):
         for path in leaf_paths(args[pi]):
-            grads = _gradient(ginterp, fname, names, args, outputs,
+            grads = _gradient(interp, fname, names, args, outputs,
                               [(pname, path, 1.0)], None)
             rows.append(_flatten(grads, names, args))
     return np.array(rows, dtype=float)
@@ -235,7 +226,6 @@ def hessian(program, fname, args, opts=None):
     unit tangent per input column, each with its own forward pass. Returns
     the raw matrix and its asymmetry max |H - H^T|."""
     interp, names = _interpreter(program, fname, opts)
-    ginterp = _gradient_interpreter(interp)
     in_leaves = []
     for pi, pname in enumerate(names):
         for path in leaf_paths(args[pi]):
@@ -260,7 +250,7 @@ def hessian(program, fname, args, opts=None):
     for j in range(n):
         dargs = dualized(j)
         outputs = interp.run_function(fname, [deep_copy(a) for a in dargs])
-        grads = _gradient(ginterp, fname, names, dargs, outputs,
+        grads = _gradient(interp, fname, names, dargs, outputs,
                           default_seeds(outputs, names), None)
         for k, (pi, pname, path) in enumerate(in_leaves):
             g = grads[pname]

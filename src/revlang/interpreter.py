@@ -25,11 +25,11 @@ from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
                      UnknownFunction, ValidationFailed)
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, If, IndexView,
-                 InstrCall, InvCheckOff, Lit, RoutineBegin, RoutineEnd, Safe,
-                 Un, UncallFn, VarView, ViewRef, While, validate, view_root)
+                 InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
+                 ViewRef, While, validate, view_root)
 from .numerics import (BIJECTORS, EXPR_FNS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, apply_instr,
-                       wrap_gvar)
+                       carries_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
 from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
                      deep_copy, deviation, is_bool, is_float, is_int,
@@ -42,7 +42,6 @@ class ExecOptions:
     float_tolerance: float = 1e-9
     max_steps: int = 500_000_000
     trace: bool = False
-    gradient_mode: bool = False
     float_dtype: object = None      # e.g. numpy.float32 for binary32 runs
     trace_sink: object = None       # list to append trace lines to
 
@@ -61,13 +60,16 @@ class ExecStats:
 
 
 class Frame:
-    """The environment: name -> value bindings of one function call."""
+    """The environment: name -> value bindings of one function call.
+    `grad` marks a frame of a gradient pass, one whose arguments carry
+    GVar values; callee frames inherit it."""
 
-    __slots__ = ("bindings", "fname")
+    __slots__ = ("bindings", "fname", "grad")
 
-    def __init__(self, fname="<frame>"):
+    def __init__(self, fname="<frame>", grad=False):
         self.bindings = {}
         self.fname = fname
+        self.grad = grad
 
 
 def ids_overlap(id_a, id_b):
@@ -411,7 +413,8 @@ def _ancilla_residual(current, declared, tol):
     release is the sensitivity to its pinned initial value and is
     discarded with it. Discrete kinds must match exactly; float-backed
     kinds within the tolerance (the remainder is then zero-cleared by the
-    release itself). A NaN residual is never within the tolerance."""
+    release itself). A NaN residual is never within the tolerance, and a
+    discrete ancilla released against another kind has none: it is dirty."""
     try:
         pairs = list(_leaf_pairs(current, declared))
     except KindError:
@@ -423,6 +426,8 @@ def _ancilla_residual(current, declared, tol):
             dec = dec.x
         if isinstance(cur, (Fixed,)) or is_int(cur) or is_bool(cur):
             if not values_close(cur, dec, 0.0):
+                if kind_name(cur) != kind_name(dec):
+                    return float("inf")
                 return deviation(cur, dec)
         elif isinstance(cur, ULog) and isinstance(dec, ULog):
             d = abs(float(_dual_primal(cur.log_x)) - float(_dual_primal(dec.log_x)))
@@ -442,7 +447,13 @@ def _ancilla_residual(current, declared, tol):
 class Interpreter:
     """Validates and compiles a Program, then runs its functions in either
     direction. One instance per execution context; instances share only
-    the (read-only) Program."""
+    the (read-only) Program.
+
+    A pass whose arguments carry a GVar leaf is a gradient pass: the
+    instruction rules dispatch on the GVar values, its frames wrap new
+    ancillas in GVars, and an instruction may not read one cell twice.
+    Forward and gradient passes run the same compiled closures, so one
+    instance serves every pass of an autodiff call."""
 
     def __init__(self, program, opts=None):
         diags = validate(program)
@@ -468,7 +479,7 @@ class Interpreter:
         if len(args) != len(names):
             raise KindError(f"{fname} takes {len(names)} arguments, "
                             f"got {len(args)}")
-        frame = Frame(fname)
+        frame = Frame(fname, any(carries_gvar(a) for a in args))
         frame.bindings.update(zip(names, args))
         try:
             body(frame)
@@ -518,10 +529,10 @@ class Interpreter:
         else:
             print(line)
 
-    def _alias_checks(self, arg_views, span, strict_pairs, grad_pairs):
-        """Compile runtime alias checks. Only pairs of views rooted at the
-        same name can ever overlap; pairs listed in `strict_pairs` raise in
-        every mode, `grad_pairs` only in gradient mode."""
+    def _alias_checks(self, arg_views, span, pairs):
+        """Compile runtime alias checks for (i, j, message) pairs of
+        argument views. Only views rooted at the same name can ever
+        overlap, so other pairs get no check."""
         roots = [view_root(v) if not isinstance(v, Lit) else None
                  for v in arg_views]
         id_fns = {}
@@ -531,7 +542,6 @@ class Interpreter:
                 id_fns[i] = _compile_id(arg_views[i], self.opts.float_dtype)
             return id_fns[i]
 
-        pairs = strict_pairs + (grad_pairs if self.opts.gradient_mode else [])
         checks = []
         for (i, j, message) in pairs:
             if roots[i] is None or roots[j] is None or roots[i] != roots[j]:
@@ -603,13 +613,12 @@ class Interpreter:
                 return self._compile_instr(s)
             case AncillaAlloc(name=name, expr=e, span=span):
                 val = _compile_expr(e, self.opts.float_dtype)
-                wrap = self.opts.gradient_mode
 
                 def run(frame):
                     if name in frame.bindings:
                         raise DuplicateBinding(f"{name!r} is already bound", span)
                     v = val(frame)
-                    if wrap:
+                    if frame.grad:
                         v = wrap_gvar(v)
                     frame.bindings[name] = v
                 return run
@@ -713,9 +722,6 @@ class Interpreter:
                 if not s.stmts:
                     return _noop
                 return self._compile_block(s)
-            case RoutineBegin() | RoutineEnd():
-                raise KindError("routine markers must be expanded before "
-                                "execution", s.span)
         raise KindError(f"cannot execute {type(s).__name__}", s.span)
 
     @property
@@ -775,14 +781,16 @@ class Interpreter:
         readers = [_compile_expr(a, dtype) if isinstance(a, Lit)
                    else _compile_reader(a, dtype) for a in s.args]
         target_writer = _compile_writer(s.args[0], dtype)
-        strict = [(0, i, "an instruction's target may not alias its inputs")
-                  for i in range(1, len(s.args))]
-        grad = [(i, j, "shared reads are rejected under differentiation: "
-                       "their gradient update would be a shared write "
-                       "(rewrite y += x * x as y += x ^ 2)")
-                for i in range(1, len(s.args))
-                for j in range(i + 1, len(s.args))]
-        checks = self._alias_checks(s.args, s.span, strict, grad)
+        strict = self._alias_checks(s.args, s.span, [
+            (0, i, "an instruction's target may not alias its inputs")
+            for i in range(1, len(s.args))])
+        # gradient passes also reject shared reads
+        grad = strict + self._alias_checks(s.args, s.span, [
+            (i, j, "shared reads are rejected under differentiation: "
+                   "their gradient update would be a shared write "
+                   "(rewrite y += x * x as y += x ^ 2)")
+            for i in range(1, len(s.args))
+            for j in range(i + 1, len(s.args))])
         instr = PrimitiveInstr(s.op, s.fname)
         fast = None
         if s.op in ("+=", "-=") and s.fname not in ("convert", "angle"):
@@ -790,10 +798,24 @@ class Interpreter:
             if spec.apply is not None:
                 fast = (spec.apply, 1 if s.op == "+=" else -1)
 
-        if fast and not checks:
+        stats = self.stats
+
+        def checked(frame):
+            vals = [r(frame) for r in readers]
+            checks = grad if frame.grad else strict
+            for chk in checks:
+                chk(frame)
+            if checks:
+                stats.checks_passed["alias"] += 1
+            out = apply_instr(instr, vals)
+            target_writer(frame, out[0])
+
+        if fast and not strict:
             apply_fn, sign = fast
 
             def run(frame):
+                if grad and frame.grad:
+                    return checked(frame)
                 vals = [r(frame) for r in readers]
                 t = vals[0]
                 if type(t) is float:
@@ -811,18 +833,7 @@ class Interpreter:
                 out = apply_instr(instr, vals)
                 target_writer(frame, out[0])
             return run
-
-        stats = self.stats
-
-        def run(frame):
-            vals = [r(frame) for r in readers]
-            for chk in checks:
-                chk(frame)
-            if checks:
-                stats.checks_passed["alias"] += 1
-            out = apply_instr(instr, vals)
-            target_writer(frame, out[0])
-        return run
+        return checked
 
     def _compile_call(self, fname, arg_views, span, uncall):
         if fname in PRIM_STATEMENTS:
@@ -830,30 +841,23 @@ class Interpreter:
         callee = fname
         if uncall:
             callee = fname[1:] if fname.startswith("~") else "~" + fname
-        if callee not in self.defs:
-            raise UnknownFunction(f"no function named {callee!r}", span)
         dtype = self.opts.float_dtype
         readers = [_compile_reader(a, dtype) for a in arg_views]
         writers = [_compile_writer(a, dtype) for a in arg_views]
         strict = [(i, j, "call arguments may not share memory")
                   for i in range(len(arg_views))
                   for j in range(i + 1, len(arg_views))]
-        checks = self._alias_checks(arg_views, span, strict, [])
+        checks = self._alias_checks(arg_views, span, strict)
         get_function = self._function
-        n_args = len(arg_views)
         stats = self.stats
 
         def run(frame):
             body, names, fspan = get_function(callee)
-            if n_args != len(names):
-                raise KindError(
-                    f"{callee} takes {len(names)} arguments, got {n_args}",
-                    span)
             for chk in checks:
                 chk(frame)
             if checks:
                 stats.checks_passed["alias"] += 1
-            sub = Frame(callee)
+            sub = Frame(callee, frame.grad)
             b = sub.bindings
             for n, rd in zip(names, readers):
                 b[n] = rd(frame)
@@ -868,16 +872,13 @@ class Interpreter:
 
     def _compile_prim(self, fname, arg_views, span, uncall):
         kind = PRIM_INVERSE[fname] if uncall else fname
-        if len(arg_views) != PRIM_STATEMENTS[fname]:
-            raise KindError(
-                f"{fname} takes {PRIM_STATEMENTS[fname]} arguments", span)
         dtype = self.opts.float_dtype
         readers = [_compile_reader(a, dtype) for a in arg_views]
         writers = [_compile_writer(a, dtype) for a in arg_views]
         strict = [(i, j, f"{fname} arguments may not share memory")
                   for i in range(len(arg_views))
                   for j in range(i + 1, len(arg_views))]
-        checks = self._alias_checks(arg_views, span, strict, [])
+        checks = self._alias_checks(arg_views, span, strict)
         instr = PrimitiveInstr(kind)
 
         def run(frame):

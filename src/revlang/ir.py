@@ -319,7 +319,6 @@ def validate(program):
     from . import numerics  # registries only
 
     diags = []
-    seen_fn = set()
 
     def check_view(view):
         for v in _subviews(view):
@@ -417,6 +416,11 @@ def validate(program):
                         "ArityMismatch",
                         f"{fname!r} expects {spec.min_arity} arguments, "
                         f"got {len(args) - 1}", span))
+                elif op in ("*=", "/=") and len(args) != 2:
+                    diags.append(Diagnostic(
+                        "ArityMismatch",
+                        f"{op} takes exactly one argument, got {len(args) - 1}",
+                        span))
                 for a in args:
                     if isinstance(a, VIEW_TYPES):
                         check_view(a)
@@ -519,11 +523,6 @@ def validate(program):
             "DuplicateFunction", f"function {name!r} defined twice",
             program.get(name).span))
     for fdef in program:
-        if fdef.name in seen_fn:
-            diags.append(Diagnostic(
-                "DuplicateFunction", f"function {fdef.name!r} defined twice",
-                fdef.span))
-        seen_fn.add(fdef.name)
         pnames = set()
         for p in fdef.params:
             if p.name in pnames:

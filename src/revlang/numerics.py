@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindError, MissingAdjoint, RevDomainError
-from .values import (Complex, Dual, Fixed, GVar, ULog, is_bool, is_float,
-                     is_int, kind_name, s_abs, s_atan2, s_cos, s_div, s_exp,
-                     s_log, s_pow, s_sin, s_sqrt, to_real, zero_like)
+from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog, is_bool,
+                     is_float, is_int, kind_name, s_abs, s_atan2, s_cos, s_div,
+                     s_exp, s_log, s_pow, s_sin, s_sqrt, to_real, zero_like)
 
 INSTR_OPS = ("+=", "-=", "*=", "/=", "xor=")
 
@@ -254,6 +254,15 @@ def _is_gvar_bearing(v):
     if isinstance(v, Complex):
         return isinstance(v.re, GVar) or isinstance(v.im, GVar)
     return False
+
+
+def carries_gvar(v):
+    """True when a value has a GVar leaf, i.e. it is being differentiated."""
+    if isinstance(v, Array):
+        return any(carries_gvar(e) for e in v.data)
+    if isinstance(v, Record):
+        return any(carries_gvar(e) for e in v.fields().values())
+    return _is_gvar_bearing(v)
 
 
 def _arg_real(v):
@@ -574,7 +583,6 @@ def apply_instr(instr, vals):
 def wrap_gvar(v):
     """Wrap the differentiable leaves of a value in GVar cells with zero
     gradients. Int and Bool leaves are gradient-free and stay bare."""
-    from .values import Array, Record
     if isinstance(v, GVar):
         return v
     if isinstance(v, Complex):
@@ -589,7 +597,6 @@ def wrap_gvar(v):
 
 
 def unwrap_gvar(v):
-    from .values import Array, Record
     if isinstance(v, GVar):
         return unwrap_gvar(v.x)
     if isinstance(v, Complex):

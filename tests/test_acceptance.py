@@ -18,6 +18,7 @@ from revlang.errors import (AliasedArguments, DirtyAncilla,
                             LoopIteratorMutated, PostconditionMismatch)
 from revlang.interpreter import (ExecOptions, Interpreter,
                                  check_reversibility, run)
+from revlang.numerics import wrap_gvar
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import invert_function
 from revlang.stdlib import (CATALOG, _leapfrog_args, entry_function,
@@ -154,7 +155,6 @@ def test_criterion_04_gradient_oracle_agreement():
 
 def test_criterion_05_adjoint_inverse_identity():
     from revlang.autodiff import _apply_seed
-    from revlang.numerics import wrap_gvar
 
     for name in CATALOG:
         program = load_example(name)
@@ -168,9 +168,8 @@ def test_criterion_05_adjoint_inverse_identity():
         if paths:
             _apply_seed(wrapped[0], paths[0], 1.0)
         start = [deep_copy(v) for v in wrapped]
-        g = Interpreter(program, ExecOptions(gradient_mode=True))
-        mid = g.uncall_function(fname, wrapped)
-        back = g.run_function(fname, mid)
+        mid = interp.uncall_function(fname, wrapped)
+        back = interp.run_function(fname, mid)
         worst = max(deviation(s, b) for s, b in zip(start, back))
         assert worst <= 1e-9, f"{name}: {worst}"
     _ok(5, "gradient pass of f then of ~f restores values and cotangents "
@@ -260,7 +259,7 @@ end""")
 
     shared_read = parse_program("fn f(y, x)\ny += x * x\nend")
     with pytest.raises(AliasedArguments):
-        run(shared_read, "f", [0.0, 3.0], ExecOptions(gradient_mode=True))
+        run(shared_read, "f", [wrap_gvar(0.0), wrap_gvar(3.0)])
     assert run(shared_read, "f", [0.0, 3.0]) == [9.0, 3.0]
 
     # checks are observers: with/without invcheck bit-identical on the

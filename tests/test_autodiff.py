@@ -9,7 +9,7 @@ from revlang.autodiff import (GradRequest, _flatten, finite_difference,
                               get_leaf, gradient, hessian, jacobian,
                               leaf_paths, set_leaf)
 from revlang.errors import AliasedArguments, KindError, RevError
-from revlang.interpreter import ExecOptions, Interpreter
+from revlang.interpreter import Interpreter
 from revlang.parser import parse_program
 from revlang.stdlib import entry_function, load_example, sample_args
 from revlang.values import (Array, Complex, Dual, Fixed, deep_copy,
@@ -210,13 +210,13 @@ class TestSharedForwardPass:
         args = sample_args("i_affine", random.Random(7))
         n_leaves = sum(len(list(leaf_paths(a))) for a in args)
         jacobian(p, "i_affine", args)
-        assert pass_counter == {"interpreters": 2, "forward": 1,
+        assert pass_counter == {"interpreters": 1, "forward": 1,
                                 "backward": n_leaves}
 
         pass_counter.update(interpreters=0, forward=0, backward=0)
         q = parse_program("fn f(y, a, b)\ny += a * b\nend")
         hessian(q, "f", [0.0, 3.0, 5.0])
-        assert pass_counter == {"interpreters": 2, "forward": 3,
+        assert pass_counter == {"interpreters": 1, "forward": 3,
                                 "backward": 3}
 
         pass_counter.update(interpreters=0, forward=0, backward=0)
@@ -267,8 +267,7 @@ class TestAdjointInverseIdentity:
         rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         p = load_example(name)
         args = sample_args(name, rng)
-        opts = ExecOptions()
-        interp = Interpreter(p, opts)
+        interp = Interpreter(p)
         outs = interp.run_function(fname, [deep_copy(a) for a in args])
         wrapped = [wrap_gvar(deep_copy(v)) for v in outs]
         # seed the first differentiable leaf of the first output
@@ -276,9 +275,7 @@ class TestAdjointInverseIdentity:
         _apply_seed(wrapped[0], first_path, 1.0)
         start = [deep_copy(v) for v in wrapped]
 
-        gopts = ExecOptions(gradient_mode=True)
-        ginterp = Interpreter(p, gopts)
-        mid = ginterp.uncall_function(fname, wrapped)
-        back = ginterp.run_function(fname, mid)
+        mid = interp.uncall_function(fname, wrapped)
+        back = interp.run_function(fname, mid)
         for s, b in zip(start, back):
             assert deviation(s, b) <= 1e-9

@@ -117,6 +117,13 @@ end
         err = capsys.readouterr().err
         assert "ArityMismatch" in err and "Traceback" not in err
 
+    def test_mul_assign_arity_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "mul.rnl"
+        bad.write_text("fn f(y, a, b)\ny *= mul(a, b)\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "-a", "1.0ul,2.0,3.0"])
+        assert rc == 2
+        assert "ArityMismatch" in capsys.readouterr().err
+
     def test_invert_unknown_function_exit_code(self, asset, capsys):
         rc = main(["invert", asset("multiplier"), "-f", "nope"])
         assert rc == 3
@@ -136,6 +143,14 @@ end
         rc = main(["run", str(bad), "-f", "f", "-a", "0.0,inf"])
         assert rc == 3
         assert "DirtyAncilla" in capsys.readouterr().err
+
+    def test_fixed_ancilla_kind_mismatch_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "fixed.rnl"
+        bad.write_text("fn f(x)\nn <- fixed(0.0)\nn -> 0.0\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "-a", "1.0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "DirtyAncilla" in err and "Traceback" not in err
 
     def test_deep_recursion_exit_code(self, tmp_path, capsys):
         deep = tmp_path / "deep.rnl"

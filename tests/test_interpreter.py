@@ -7,9 +7,10 @@ from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  check_reversibility, read_view, run, uncall,
                                  write_view)
+from revlang.numerics import wrap_gvar
 from revlang.parser import parse_program
 from revlang.stdlib import load_example
-from revlang.values import Array, Complex, deviation
+from revlang.values import Array, Complex, GVar, deviation
 
 
 def prog(src):
@@ -140,6 +141,14 @@ n -> 0
 end""")
         assert run(p, "f", [7]) == [7]
 
+    def test_fixed_ancilla_released_as_float_is_dirty(self):
+        # either direction judges the kind mismatch dirty, clean or not
+        p = prog("fn f(x)\nn <- fixed(0.0)\nn -> 0.0\nend")
+        with pytest.raises(DirtyAncilla):
+            run(p, "f", [1.0])
+        with pytest.raises(DirtyAncilla):
+            uncall(p, "f", [1.0])
+
     def test_mutated_for_iterator(self):
         p = prog("""fn f(x!, n)
 for i = 1:1:n
@@ -206,7 +215,30 @@ end""")
         p = prog("fn f(y, x)\ny += x * x\nend")
         assert run(p, "f", [0.0, 3.0]) == [9.0, 3.0]
         with pytest.raises(AliasedArguments):
-            run(p, "f", [0.0, 3.0], ExecOptions(gradient_mode=True))
+            run(p, "f", [wrap_gvar(0.0), wrap_gvar(3.0)])
+
+    def test_gvar_arguments_make_a_gradient_pass(self):
+        # one Interpreter: plain values run forward, GVar values backward
+        interp = Interpreter(prog("""fn sq(y, x)
+y += x * x
+end
+fn shift(y, x)
+n <- 0.0
+n += x
+y += n
+n -= x
+n -> 0.0
+end
+fn f(y, x)
+shift(y, x)
+end"""))
+        assert interp.run_function("sq", [0.0, 3.0]) == [9.0, 3.0]
+        with pytest.raises(AliasedArguments):
+            interp.uncall_function("sq", [GVar(9.0, 1.0), GVar(3.0, 0.0)])
+        assert interp.run_function("f", [0.0, 3.0]) == [3.0, 3.0]
+        # the callee's ancilla is a GVar, so y's cotangent reaches x
+        y, x = interp.uncall_function("f", [GVar(3.0, 1.0), GVar(3.0, 0.0)])
+        assert (y.x, y.g, x.x, x.g) == (0.0, 1.0, 3.0, 1.0)
 
     def test_safe_assert_fires_even_unchecked(self):
         p = prog("""fn f(x)
