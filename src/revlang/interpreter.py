@@ -414,7 +414,8 @@ def _ancilla_residual(current, declared, tol):
     discarded with it. Discrete kinds must match exactly; float-backed
     kinds within the tolerance (the remainder is then zero-cleared by the
     release itself). A NaN residual is never within the tolerance, and a
-    discrete ancilla released against another kind has none: it is dirty."""
+    discrete ancilla that is not `values_close` to a value of another kind
+    has residual inf."""
     try:
         pairs = list(_leaf_pairs(current, declared))
     except KindError:

@@ -523,6 +523,12 @@ def validate(program):
             "DuplicateFunction", f"function {name!r} defined twice",
             program.get(name).span))
     for fdef in program:
+        # an explicit inverse ~f is called with f's arguments
+        primal = program.get(fdef.name[1:]) if fdef.name[:1] == "~" else None
+        if primal is not None and len(primal.params) != len(fdef.params):
+            diags.append(Diagnostic(
+                "ArityMismatch",
+                f"{fdef.name!r} and {primal.name!r} differ in arity", fdef.span))
         pnames = set()
         for p in fdef.params:
             if p.name in pnames:

@@ -350,8 +350,6 @@ def _plus_minus_plain(op, fname, vals):
 
 def _log_contribution(fname, argvals):
     """Exponent-space contribution of the single *=//= argument."""
-    if len(argvals) != 1:
-        raise KindError("*= and /= take exactly one argument")
     a = _strip_gvar(argvals[0])
     if fname == "identity":
         if isinstance(a, ULog):

@@ -60,6 +60,13 @@ class TestGradient:
         _, g = gradient(p2, GradRequest("f", [0.0, 3.0]))
         assert g["x"] == 6.0
 
+    def test_int_arguments_run_a_plain_pass(self):
+        # no argument carries a GVar leaf, so nothing can reach a gradient:
+        # the backward pass is a plain uncall and accepts the shared read
+        p = parse_program("fn f(y, x)\ny += x * x\nend")
+        out, g = gradient(p, GradRequest("f", [0, 3], seeds=[]))
+        assert out == [9, 3] and g == {"y": None, "x": None}
+
     def test_primal_restoration_enforced(self):
         p = load_example("i_affine")
         args = sample_args("i_affine", random.Random(3))

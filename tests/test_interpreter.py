@@ -471,6 +471,25 @@ end""")
         with pytest.raises(ValueError):
             ExecOptions(max_steps=0)
 
+    def test_explicit_inverse_must_match_arity(self):
+        # ~g(x, y) and the uncall of h both run the explicit ~g
+        p = prog("""fn g(a, b)
+a += b
+end
+fn ~g(a)
+a -= 1
+end
+fn f(x, y)
+~g(x, y)
+end
+fn h(x, y)
+g(x, y)
+end""")
+        with pytest.raises(ValidationFailed, match="ArityMismatch"):
+            run(p, "f", [5, 2])
+        with pytest.raises(ValidationFailed, match="ArityMismatch"):
+            uncall(p, "h", [5, 2])
+
     def test_uncall_of_textual_inverse_name(self):
         p = prog("fn f(x)\nx += 1\nend")
         # calling the generated inverse by its name works

@@ -60,6 +60,8 @@ end"""
             "fn g(a, b)\na += b\nend\nfn f(y)\ng(y)\nend")
         assert "ArityMismatch" in rules("fn f(x, a, b)\nx += sin(a, b)\nend")
         assert "ArityMismatch" in rules("fn f(y, a, b)\ny *= mul(a, b)\nend")
+        assert "ArityMismatch" in rules(
+            "fn g(a, b)\na += b\nend\nfn ~g(a)\na -= 1\nend")
 
     def test_unknown_bijector(self):
         assert "UnknownBijector" in rules("fn f(y, x)\ny += x |> wiggle\nend")
