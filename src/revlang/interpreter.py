@@ -13,6 +13,11 @@ closures are the only evaluator: the public view helpers `read_view`,
 same functions and run it on the given environment. Aliasing between
 argument views is decided statically when their root names differ; only
 same-root pairs are compared at run time.
+
+An instruction and a statement primitive compile to the same update
+closure: read the arguments, check them for aliasing, apply the rule
+`numerics.instr_rule` resolved for the statement, and write back. The
+numeric semantics of every instruction live in `numerics`.
 """
 
 import json
@@ -26,14 +31,14 @@ from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, If, IndexView,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
-                 ViewRef, While, validate, view_root)
-from .numerics import (BIJECTORS, EXPR_FNS, INSTR_FNS, PRIM_INVERSE,
-                       PRIM_STATEMENTS, PrimitiveInstr, apply_instr,
-                       carries_gvar, wrap_gvar)
+                 ViewRef, While, inverse_name, validate, view_root)
+from .numerics import (BIJECTORS, EXPR_FNS, PRIM_INVERSE, PRIM_STATEMENTS,
+                       PrimitiveInstr, carries_gvar, instr_rule, unwrap_gvar,
+                       wrap_gvar)
 from .reverser import expand_routines, invert_function
-from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
-                     deep_copy, deviation, is_bool, is_float, is_int,
-                     kind_name, s_div, s_pow, to_real, values_close)
+from .values import (Array, Complex, Fixed, GVar, Record, deep_copy,
+                     deviation, is_bool, is_float, is_int, kind_name, s_div,
+                     s_pow, to_real, values_close)
 
 
 @dataclass
@@ -383,64 +388,22 @@ def canonical_view_identity(env, view, opts=None):
 
 # --- ancilla release comparison ---------------------------------------------
 
-def _leaf_pairs(a, b):
-    if isinstance(a, Complex) and isinstance(b, Complex):
-        yield from _leaf_pairs(a.re, b.re)
-        yield from _leaf_pairs(a.im, b.im)
-    elif isinstance(a, Array) and isinstance(b, Array):
-        if a.shape != b.shape:
-            raise KindError("shape mismatch")
-        for x, y in zip(a.data, b.data):
-            yield from _leaf_pairs(x, y)
-    elif isinstance(a, Record) and isinstance(b, Record):
-        fa, fb = a.fields(), b.fields()
-        if fa.keys() != fb.keys():
-            raise KindError("record shape mismatch")
-        for k in fa:
-            yield from _leaf_pairs(fa[k], fb[k])
-    else:
-        yield a, b
-
-
-def _dual_primal(v):
-    return v.primal if isinstance(v, Dual) else v
-
-
 def _ancilla_residual(current, declared, tol):
     """None when the ancilla may be released; otherwise the residual.
 
-    Only primal content is checked: a tracked ancilla's cotangent at
+    Only primal content is compared: a tracked ancilla's cotangent at
     release is the sensitivity to its pinned initial value and is
-    discarded with it. Discrete kinds must match exactly; float-backed
-    kinds within the tolerance (the remainder is then zero-cleared by the
-    release itself). A NaN residual is never within the tolerance, and a
-    discrete ancilla that is not `values_close` to a value of another kind
-    has residual inf."""
+    discarded with it. The release passes when the two are `values_close`
+    (discrete kinds exactly, float-backed kinds within the tolerance, NaN
+    never); the residual is their `deviation`, inf when `deviation` cannot
+    compare their kinds."""
+    current, declared = unwrap_gvar(current), unwrap_gvar(declared)
+    if values_close(current, declared, tol):
+        return None
     try:
-        pairs = list(_leaf_pairs(current, declared))
-    except KindError:
+        return deviation(current, declared)
+    except (KindError, TypeError):
         return float("inf")
-    for cur, dec in pairs:
-        if isinstance(cur, GVar):
-            cur = cur.x
-        if isinstance(dec, GVar):
-            dec = dec.x
-        if isinstance(cur, (Fixed,)) or is_int(cur) or is_bool(cur):
-            if not values_close(cur, dec, 0.0):
-                if kind_name(cur) != kind_name(dec):
-                    return float("inf")
-                return deviation(cur, dec)
-        elif isinstance(cur, ULog) and isinstance(dec, ULog):
-            d = abs(float(_dual_primal(cur.log_x)) - float(_dual_primal(dec.log_x)))
-            if not d <= tol:
-                return d
-        elif is_float(cur) and is_float(dec):
-            d = abs(float(_dual_primal(cur)) - float(_dual_primal(dec)))
-            if not d <= tol:
-                return d
-        else:
-            return float("inf")
-    return None
 
 
 # --- the compiling interpreter ----------------------------------------------
@@ -464,13 +427,10 @@ class Interpreter:
         self.opts = opts or ExecOptions()
         self.stats = ExecStats()
         self._nocheck_depth = 0
-        self.defs = {}
-        for fdef in program:
-            self.defs[fdef.name] = expand_routines(fdef)
-        for fdef in list(program):
+        self.defs = {f.name: expand_routines(f) for f in program}
+        for fdef in list(self.defs.values()):
             inv = invert_function(fdef)
-            if inv.name not in self.defs:
-                self.defs[inv.name] = expand_routines(inv)
+            self.defs.setdefault(inv.name, inv)
         self._compiled = {}
 
     # --- entry points ---
@@ -494,8 +454,7 @@ class Interpreter:
         return [b[n] for n in names]
 
     def uncall_function(self, fname, args):
-        inverse = fname[1:] if fname.startswith("~") else "~" + fname
-        return self.run_function(inverse, args)
+        return self.run_function(inverse_name(fname), args)
 
     def _function(self, fname):
         entry = self._compiled.get(fname)
@@ -610,8 +569,17 @@ class Interpreter:
 
     def _compile_stmt_inner(self, s):
         match s:
-            case InstrCall():
-                return self._compile_instr(s)
+            case InstrCall(op=op, fname=fname, args=args, span=span):
+                n = len(args)
+                return self._compile_update(
+                    PrimitiveInstr(op, fname), args, span,
+                    [(0, i, "an instruction's target may not alias its inputs")
+                     for i in range(1, n)],
+                    # gradient passes also reject shared reads
+                    [(i, j, "shared reads are rejected under differentiation: "
+                            "their gradient update would be a shared write "
+                            "(rewrite y += x * x as y += x ^ 2)")
+                     for i in range(1, n) for j in range(i + 1, n)])
             case AncillaAlloc(name=name, expr=e, span=span):
                 val = _compile_expr(e, self.opts.float_dtype)
 
@@ -777,71 +745,42 @@ class Interpreter:
                 stats.checks_passed["iterator"] += 1
         return run
 
-    def _compile_instr(self, s):
+    def _compile_update(self, instr, arg_views, span, pairs, grad_pairs=()):
+        """The closure of an instruction or a statement primitive: read the
+        arguments, check the alias `pairs` (in gradient frames also
+        `grad_pairs`), apply the instruction's numerics rule and write back
+        the updated views: an instruction's target, or every argument of a
+        primitive."""
         dtype = self.opts.float_dtype
         readers = [_compile_expr(a, dtype) if isinstance(a, Lit)
-                   else _compile_reader(a, dtype) for a in s.args]
-        target_writer = _compile_writer(s.args[0], dtype)
-        strict = self._alias_checks(s.args, s.span, [
-            (0, i, "an instruction's target may not alias its inputs")
-            for i in range(1, len(s.args))])
-        # gradient passes also reject shared reads
-        grad = strict + self._alias_checks(s.args, s.span, [
-            (i, j, "shared reads are rejected under differentiation: "
-                   "their gradient update would be a shared write "
-                   "(rewrite y += x * x as y += x ^ 2)")
-            for i in range(1, len(s.args))
-            for j in range(i + 1, len(s.args))])
-        instr = PrimitiveInstr(s.op, s.fname)
-        fast = None
-        if s.op in ("+=", "-=") and s.fname not in ("convert", "angle"):
-            spec = INSTR_FNS[s.fname]
-            if spec.apply is not None:
-                fast = (spec.apply, 1 if s.op == "+=" else -1)
+                   else _compile_reader(a, dtype) for a in arg_views]
+        updated = arg_views if instr.fname is None else arg_views[:1]
+        writers = [_compile_writer(a, dtype) for a in updated]
+        strict = self._alias_checks(arg_views, span, pairs)
+        grad = strict + self._alias_checks(arg_views, span, grad_pairs)
+        rule = instr_rule(instr)
+        checks_passed = self.stats.checks_passed
 
-        stats = self.stats
-
-        def checked(frame):
+        def run(frame):
             vals = [r(frame) for r in readers]
             checks = grad if frame.grad else strict
-            for chk in checks:
-                chk(frame)
             if checks:
-                stats.checks_passed["alias"] += 1
-            out = apply_instr(instr, vals)
-            target_writer(frame, out[0])
-
-        if fast and not strict:
-            apply_fn, sign = fast
-
-            def run(frame):
-                if grad and frame.grad:
-                    return checked(frame)
-                vals = [r(frame) for r in readers]
-                t = vals[0]
-                if type(t) is float:
-                    ok = True
-                    for a2 in vals[1:]:
-                        ta = type(a2)
-                        if ta is not float and ta is not int:
-                            ok = False
-                            break
-                    if ok:
-                        fv = apply_fn(*vals[1:])
-                        if type(fv) is float or type(fv) is int:
-                            target_writer(frame, t + fv if sign > 0 else t - fv)
-                            return
-                out = apply_instr(instr, vals)
-                target_writer(frame, out[0])
-            return run
-        return checked
+                for chk in checks:
+                    chk(frame)
+                checks_passed["alias"] += 1
+            for wr, nv in zip(writers, rule(vals)):
+                wr(frame, nv)
+        return run
 
     def _compile_call(self, fname, arg_views, span, uncall):
         if fname in PRIM_STATEMENTS:
-            return self._compile_prim(fname, arg_views, span, uncall)
-        callee = fname
-        if uncall:
-            callee = fname[1:] if fname.startswith("~") else "~" + fname
+            return self._compile_update(
+                PrimitiveInstr(PRIM_INVERSE[fname] if uncall else fname),
+                arg_views, span,
+                [(i, j, f"{fname} arguments may not share memory")
+                 for i in range(len(arg_views))
+                 for j in range(i + 1, len(arg_views))])
+        callee = inverse_name(fname) if uncall else fname
         dtype = self.opts.float_dtype
         readers = [_compile_reader(a, dtype) for a in arg_views]
         writers = [_compile_writer(a, dtype) for a in arg_views]
@@ -869,26 +808,6 @@ class Interpreter:
                     f"bindings leaked from {callee}: {leftover}", span)
             for n, wr in zip(names, writers):
                 wr(frame, b[n])
-        return run
-
-    def _compile_prim(self, fname, arg_views, span, uncall):
-        kind = PRIM_INVERSE[fname] if uncall else fname
-        dtype = self.opts.float_dtype
-        readers = [_compile_reader(a, dtype) for a in arg_views]
-        writers = [_compile_writer(a, dtype) for a in arg_views]
-        strict = [(i, j, f"{fname} arguments may not share memory")
-                  for i in range(len(arg_views))
-                  for j in range(i + 1, len(arg_views))]
-        checks = self._alias_checks(arg_views, span, strict)
-        instr = PrimitiveInstr(kind)
-
-        def run(frame):
-            for chk in checks:
-                chk(frame)
-            vals = [r(frame) for r in readers]
-            out = apply_instr(instr, vals)
-            for wr, nv in zip(writers, out):
-                wr(frame, nv)
         return run
 
 

@@ -232,6 +232,11 @@ class FunctionDef:
         return [p.name for p in self.params]
 
 
+def inverse_name(name):
+    """The name of a function's inverse: f <-> ~f."""
+    return name[1:] if name.startswith("~") else "~" + name
+
+
 class Program:
     """An ordered collection of function definitions."""
 
@@ -426,13 +431,16 @@ def validate(program):
                         check_view(a)
             case FnCall(fname=fname, args=args, span=span) | \
                     UncallFn(fname=fname, args=args, span=span):
-                if fname not in program and fname not in numerics.PRIM_STATEMENTS:
+                # a name resolves as in the interpreter: to its definition,
+                # or to the inverse generated from its ~-twin
+                callee = program.get(fname) or program.get(inverse_name(fname))
+                if callee is None and fname not in numerics.PRIM_STATEMENTS:
                     diags.append(Diagnostic(
                         "UnknownFunction", f"call to undefined {fname!r}", span))
                 else:
                     spec_arity = (numerics.PRIM_STATEMENTS[fname]
                                   if fname in numerics.PRIM_STATEMENTS
-                                  else len(program.get(fname).params))
+                                  else len(callee.params))
                     if len(args) != spec_arity:
                         diags.append(Diagnostic(
                             "ArityMismatch",

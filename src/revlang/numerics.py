@@ -6,6 +6,12 @@ has a registered inverse, and every differentiable instruction function has
 registered partial derivatives, used both for the gradient rules (reverse
 accumulation while uncomputing) and for Dual-number forward propagation.
 
+`apply_instr` is the one generic rule: it dispatches on the instruction
+kind and the value kinds, GVar values to the gradient rules.
+`instr_rule` resolves an instruction once per statement and runs a +=/-=
+on plain real scalars inline, with the rounding `apply_instr` uses; the
+interpreter applies every instruction through it.
+
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod
     2^64), so invert(apply(x)) == x bitwise.
@@ -302,6 +308,14 @@ def _strip_gvar(v):
     return v.x if isinstance(v, GVar) else v
 
 
+def _float_update(target, fv, plus):
+    """target + fv (or - fv) on a Float target: a numpy target first rounds
+    a real fv to its own precision."""
+    if isinstance(target, np.floating) and not isinstance(fv, Dual):
+        fv = type(target)(fv)
+    return target + fv if plus else target - fv
+
+
 def _plus_minus_plain(op, fname, vals):
     target = vals[0]
     if fname == "convert":
@@ -340,9 +354,7 @@ def _plus_minus_plain(op, fname, vals):
             fv = to_real(fv)
         if isinstance(fv, complex):
             raise KindError("Float target updated with a complex value")
-        if isinstance(target, np.floating) and not isinstance(fv, Dual):
-            fv = type(target)(fv)
-        new = target + fv if sign > 0 else target - fv
+        new = _float_update(target, fv, sign > 0)
     else:
         raise KindError(f"cannot apply {op} to {kind_name(target)}")
     return [new] + list(vals[1:])
@@ -576,6 +588,41 @@ def apply_instr(instr, vals):
     if kind in ("ROT", "IROT") and grad:
         return _rot_adjoint(kind, vals)
     return _prim_plain(kind, vals)
+
+
+# exact scalar types that the inline +=/-= arm of `instr_rule` accepts
+_ARM_TARGETS = (float, np.float32, np.float64)
+_ARM_ARGS = (float, int, np.float32, np.float64)
+
+
+def instr_rule(instr):
+    """The update rule of one instruction, `vals -> updated values` with
+    the contract of `apply_instr`, resolved once per statement.
+
+    A +=/-= of a function with `apply` runs inline when the exact types of
+    the target (`_ARM_TARGETS`), the arguments and the function's value
+    (`_ARM_ARGS`) are plain reals: it computes what `apply_instr` does,
+    with the same rounding (`_float_update`). Everything else, GVar values
+    included, calls the module-level `apply_instr`, looked up at call
+    time."""
+    spec = INSTR_FNS.get(instr.fname)
+    if instr.kind not in ("+=", "-=") or spec is None or spec.apply is None:
+        return lambda vals: apply_instr(instr, vals)
+    fn, plus = spec.apply, instr.kind == "+="
+
+    def rule(vals):
+        t = vals[0]
+        if type(t) in _ARM_TARGETS:
+            args = vals[1:]
+            for a in args:
+                if type(a) not in _ARM_ARGS:
+                    break
+            else:
+                fv = fn(*args)
+                if type(fv) in _ARM_ARGS:
+                    return [_float_update(t, fv, plus), *args]
+        return apply_instr(instr, vals)
+    return rule
 
 
 def wrap_gvar(v):

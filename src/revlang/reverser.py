@@ -12,7 +12,8 @@ IR-to-IR transforms; no runtime stack is ever introduced.
 from .errors import RevLangError
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, Block,
                  FnCall, For, FunctionDef, If, InstrCall, InvCheckOff, Lit,
-                 RoutineBegin, RoutineEnd, Safe, Un, UncallFn, While)
+                 RoutineBegin, RoutineEnd, Safe, Un, UncallFn, While,
+                 inverse_name)
 from .numerics import OP_INVERSE, PRIM_INVERSE
 
 
@@ -159,5 +160,5 @@ def invert_function(fdef):
     """Produce the inverse function: same signature, name toggled with a
     `~` prefix, body inverted (routines stay paired, so inverting twice
     restores the original definition)."""
-    name = fdef.name[1:] if fdef.name.startswith("~") else "~" + fdef.name
-    return FunctionDef(name, fdef.params, invert_block(fdef.body), fdef.span)
+    return FunctionDef(inverse_name(fdef.name), fdef.params,
+                       invert_block(fdef.body), fdef.span)

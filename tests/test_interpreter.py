@@ -1,15 +1,21 @@
+import math
+
 import pytest
 
+from revlang import interpreter
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
-                            DuplicateBinding, FuelExhausted, KindError,
-                            LoopIteratorMutated, PostconditionMismatch,
-                            RevDomainError, UnknownFunction, ValidationFailed)
+                            DuplicateBinding, FuelExhausted, IndexOutOfBounds,
+                            KindError, LoopIteratorMutated,
+                            PostconditionMismatch, RevDomainError,
+                            UnknownFunction, ValidationFailed)
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  check_reversibility, read_view, run, uncall,
                                  write_view)
+from revlang.ir import Program
 from revlang.numerics import wrap_gvar
-from revlang.parser import parse_program
-from revlang.stdlib import load_example
+from revlang.parser import parse_program, pretty_print
+from revlang.reverser import expand_routines, invert_function
+from revlang.stdlib import CATALOG, load_example
 from revlang.values import Array, Complex, GVar, deviation
 
 
@@ -116,8 +122,9 @@ n <- 0.0
 n += x
 n -> 0.0
 end""")
-        with pytest.raises(DirtyAncilla):
+        with pytest.raises(DirtyAncilla) as err:
             run(p, "f", [1.0])
+        assert err.value.residual == 1.0
         assert run(p, "f", [0.0]) == [0.0]
 
     def test_nan_residual_is_dirty(self):
@@ -128,8 +135,9 @@ y += n
 n -= sqrt(x)
 n -> 0.0
 end""")
-        with pytest.raises(DirtyAncilla):
+        with pytest.raises(DirtyAncilla) as err:
             run(p, "f", [0.0, float("inf")])
+        assert math.isnan(err.value.residual)
         assert run(p, "f", [0.0, 4.0]) == [2.0, 4.0]
 
     def test_discrete_ancilla_requires_exact(self):
@@ -144,10 +152,29 @@ end""")
     def test_fixed_ancilla_released_as_float_is_dirty(self):
         # either direction judges the kind mismatch dirty, clean or not
         p = prog("fn f(x)\nn <- fixed(0.0)\nn -> 0.0\nend")
-        with pytest.raises(DirtyAncilla):
+        with pytest.raises(DirtyAncilla) as err:
             run(p, "f", [1.0])
+        assert err.value.residual == float("inf")
         with pytest.raises(DirtyAncilla):
             uncall(p, "f", [1.0])
+
+    def test_int_ancilla_released_as_float_passes_both_directions(self):
+        # the uncall releases the Float 0.0 against the Int 0
+        p = prog("fn f(y, x)\nn <- 0\nn -> 0.0\nend")
+        assert run(p, "f", [0.0, 1.0]) == [0.0, 1.0]
+        report = check_reversibility(p, "f", [0.0, 1.0])
+        assert report.ok and report.error is None
+
+    def test_primitive_alias_check_is_counted(self):
+        interp = Interpreter(prog("fn f(a)\nSWAP(a[1], a[2])\nend"))
+        out = interp.run_function("f", [Array.vector([1.0, 2.0])])
+        assert out[0].data == [2.0, 1.0]
+        assert interp.stats.checks_passed["alias"] == 1
+
+    def test_primitive_read_error_precedes_alias_error(self):
+        p = prog("fn f(a)\nSWAP(a[3], a[3])\nend")
+        with pytest.raises(IndexOutOfBounds):
+            run(p, "f", [Array.vector([1.0, 2.0])])
 
     def test_mutated_for_iterator(self):
         p = prog("""fn f(x!, n)
@@ -489,6 +516,59 @@ end""")
             run(p, "f", [5, 2])
         with pytest.raises(ValidationFailed, match="ArityMismatch"):
             uncall(p, "h", [5, 2])
+
+    def test_call_resolves_to_generated_inverse(self):
+        # only ~g is written; g is its generated inverse
+        p = prog("""fn ~g(a)
+a -= 1
+end
+fn f(x)
+g(x)
+end
+fn h(x)
+~g(x)
+end""")
+        assert run(p, "f", [5]) == [6]
+        assert run(p, "h", [5]) == [4]
+        assert uncall(p, "f", [6]) == [5]
+
+    @pytest.mark.parametrize("name", [*sorted(CATALOG), "explicit-inverse"])
+    def test_each_definition_expanded_once(self, name, monkeypatch):
+        # the generated inverses are the inverted expanded definitions,
+        # equal in text to the expansions of the inverted sources
+        p = load_example(name) if name in CATALOG else prog("""fn f(y, x)
+@routine begin
+    n <- 0.0
+    n += 2.0 * x
+end
+y += n
+~@routine
+end
+fn ~f(y, x)
+y -= 2.0 * x
+end
+fn g(y, x)
+@routine begin
+    f(y, x)
+end
+y += x
+~@routine
+end""")
+        expected = {f.name: expand_routines(f) for f in p}
+        for f in p:
+            inv = invert_function(f)
+            expected.setdefault(inv.name, expand_routines(inv))
+        calls = []
+        monkeypatch.setattr(interpreter, "expand_routines",
+                            lambda f: calls.append(f) or expand_routines(f))
+        defs = Interpreter(p).defs
+        assert len(calls) == len(list(p))
+        text = lambda f: pretty_print(Program([f]))
+        assert list(defs) == list(expected)
+        assert [text(f) for f in defs.values()] == \
+            [text(f) for f in expected.values()]
+        if name not in CATALOG:   # the written ~f is kept
+            assert text(defs["~f"]) == "fn ~f(y, x)\n    y -= 2.0 * x\nend\n"
 
     def test_uncall_of_textual_inverse_name(self):
         p = prog("fn f(x)\nx += 1\nend")

@@ -62,6 +62,10 @@ end"""
         assert "ArityMismatch" in rules("fn f(y, a, b)\ny *= mul(a, b)\nend")
         assert "ArityMismatch" in rules(
             "fn g(a, b)\na += b\nend\nfn ~g(a)\na -= 1\nend")
+        # g is the inverse generated from ~g, with ~g's arity
+        assert rules("fn ~g(a)\na -= 1\nend\nfn f(y)\ng(y)\nend") == []
+        assert "ArityMismatch" in rules(
+            "fn ~g(a)\na -= 1\nend\nfn f(y, z)\ng(y, z)\nend")
 
     def test_unknown_bijector(self):
         assert "UnknownBijector" in rules("fn f(y, x)\ny += x |> wiggle\nend")

@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from revlang.errors import KindError, MissingAdjoint
-from revlang.numerics import (INSTR_FNS, PrimitiveInstr, apply_instr,
-                              invert_instr)
-from revlang.values import Complex, Fixed, GVar, ULog, to_real
+from revlang.numerics import (INSTR_FNS, PrimitiveInstr, _plus_minus_plain,
+                              apply_instr, instr_rule, invert_instr)
+from revlang.values import Complex, Dual, Fixed, GVar, ULog, to_real
 
 
 def PI(kind, fname=None):
@@ -247,3 +249,53 @@ class TestAdjointRules:
         apply_instr(PI("/=", "convert"), [t, x])
         assert t.x.log_x == pytest.approx(2.0 - math.log(4.0))
         assert x.g == pytest.approx(0.5 / 4.0)
+
+
+# the inline +=/-= arm of instr_rule against the generic Float rule
+ARM_TARGETS = (float, np.float32, np.float64)
+ARM_ARG_KINDS = {
+    "float": lambda v: float(v),
+    "int": lambda v: int(v),
+    "float32": np.float32,
+    "float64": np.float64,
+    "bool": lambda v: v != 0,
+    "fixed": lambda v: Fixed.from_real(v),
+    "dual": lambda v: Dual(float(v), 1.0),
+}
+ARM_ARG_VALUES = (3.0, -2.0, 0.0, 0.5)
+
+
+def _bits(v):
+    if isinstance(v, Dual):
+        return ("Dual", _bits(v.primal), _bits(v.tangent))
+    if isinstance(v, Fixed):
+        return ("Fixed", v.raw)
+    return (type(v), np.asarray(v).tobytes() if not isinstance(v, int)
+            else v)
+
+
+def _outcome(fn, vals):
+    try:
+        out = fn(list(vals))
+    except Exception as err:
+        return type(err)
+    return [_bits(v) for v in out]
+
+
+class TestInstrRule:
+    @pytest.mark.parametrize(
+        "fname", sorted(f for f, s in INSTR_FNS.items() if s.apply))
+    def test_inline_arm_matches_generic_rule(self, fname):
+        arity = INSTR_FNS[fname].min_arity
+        args = [ARM_ARG_KINDS[k](v) for k in ARM_ARG_KINDS
+                for v in ARM_ARG_VALUES]
+        with np.errstate(all="ignore"):
+            for op in ("+=", "-="):
+                rule = instr_rule(PI(op, fname))
+                for ttype in ARM_TARGETS:
+                    t = ttype(1.25)
+                    for xs in itertools.product(args, repeat=arity):
+                        vals = [t, *xs]
+                        generic = _outcome(
+                            lambda v: _plus_minus_plain(op, fname, v), vals)
+                        assert _outcome(rule, vals) == generic, (op, vals)
