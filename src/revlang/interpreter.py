@@ -17,7 +17,12 @@ same-root pairs are compared at run time.
 An instruction and a statement primitive compile to the same update
 closure: read the arguments, check them for aliasing, apply the rule
 `numerics.instr_rule` resolved for the statement, and write back. The
-numeric semantics of every instruction live in `numerics`.
+numeric semantics of every instruction live in `numerics`. An expression
+(ancilla initialiser, condition, loop bound, index) compiles each
+arithmetic operator and call to the function `numerics.expr_fn` resolves
+for it; only comparisons and `&&`/`||` are evaluated here. A host math
+error inside a statement (an overflow, `math.sin(inf)`) is raised as
+`RevDomainError` at that statement.
 """
 
 import json
@@ -32,13 +37,13 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, If, IndexView,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
                  ViewRef, While, inverse_name, validate, view_root)
-from .numerics import (BIJECTORS, EXPR_FNS, PRIM_INVERSE, PRIM_STATEMENTS,
-                       PrimitiveInstr, carries_gvar, instr_rule, unwrap_gvar,
-                       wrap_gvar)
+from .numerics import (BIJECTORS, INSTR_BIN_OPS, PRIM_INVERSE,
+                       PRIM_STATEMENTS, PrimitiveInstr, carries_gvar, expr_fn,
+                       instr_rule, unwrap_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
 from .values import (Array, Complex, Fixed, GVar, Record, deep_copy,
-                     deviation, is_bool, is_float, is_int, kind_name, s_div,
-                     s_pow, to_real, values_close)
+                     deviation, is_bool, is_int, kind_name, to_real,
+                     values_close)
 
 
 @dataclass
@@ -111,69 +116,15 @@ def _write_field(v, name, new):
 
 
 # --- expression helpers captured by the compiled closures --------------------
+# Expression values are GVar-free: a ViewRef reads the primal value.
 
 def _bool_of(v):
-    if isinstance(v, GVar):
-        v = v.x
     if not is_bool(v):
         raise KindError(f"condition must be Bool, got {kind_name(v)}")
     return v
 
 
-def _num_bin(op, a, b):
-    if isinstance(a, Complex) or isinstance(b, Complex):
-        ca = complex(float(to_real(a.re)), float(to_real(a.im))) \
-            if isinstance(a, Complex) else complex(float(to_real(a)), 0.0)
-        cb = complex(float(to_real(b.re)), float(to_real(b.im))) \
-            if isinstance(b, Complex) else complex(float(to_real(b)), 0.0)
-        if op == "+":
-            r = ca + cb
-        elif op == "-":
-            r = ca - cb
-        elif op == "*":
-            r = ca * cb
-        elif op == "/":
-            r = ca / cb
-        else:
-            raise KindError(f"operator {op} undefined on complex values")
-        return Complex(r.real, r.imag)
-    if isinstance(a, Fixed) or isinstance(b, Fixed):
-        if isinstance(a, Fixed) and isinstance(b, Fixed):
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-        fa = a.to_float() if isinstance(a, Fixed) else to_real(a)
-        fb = b.to_float() if isinstance(b, Fixed) else to_real(b)
-        return Fixed.from_real(_real_bin(op, fa, fb))
-    return _real_bin(op, to_real(a), to_real(b))
-
-
-def _real_bin(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return s_div(a, b)
-    if op == "^":
-        return s_pow(a, b)
-    if op == "%":
-        if not (is_int(a) and is_int(b)):
-            raise KindError("% needs Int operands")
-        if b == 0:
-            raise RevDomainError("modulo by zero")
-        return a % b
-    raise KindError(f"unknown operator {op}")
-
-
 def _compare(op, a, b):
-    if isinstance(a, GVar):
-        a = a.x
-    if isinstance(b, GVar):
-        b = b.x
     if isinstance(a, Complex) or isinstance(b, Complex):
         if op not in ("==", "!="):
             raise KindError("complex values only compare with == and !=")
@@ -182,9 +133,7 @@ def _compare(op, a, b):
               and to_real(a.im) == to_real(b.im))
         return eq if op == "==" else not eq
     if isinstance(a, Fixed) or isinstance(b, Fixed):
-        fa = a if isinstance(a, Fixed) else Fixed.from_real(to_real(a))
-        fb = b if isinstance(b, Fixed) else Fixed.from_real(to_real(b))
-        a, b = fa.raw, fb.raw
+        a, b = Fixed.from_real(a).raw, Fixed.from_real(b).raw
     else:
         a, b = to_real(a), to_real(b)
     if op == "==":
@@ -198,14 +147,6 @@ def _compare(op, a, b):
     if op == ">":
         return bool(a > b)
     return bool(a >= b)
-
-
-def _negate_value(v):
-    if isinstance(v, (Fixed,)) or is_int(v) or is_float(v):
-        return -v
-    if isinstance(v, Complex):
-        return Complex(-to_real(v.re), -to_real(v.im))
-    raise KindError(f"cannot negate {kind_name(v)}")
 
 
 # --- expression and view compilation ----------------------------------------
@@ -227,35 +168,35 @@ def _compile_expr(e, float_dtype):
             v = _rd(frame)
             return v.x if isinstance(v, GVar) else v
         return run
-    if isinstance(e, Un):
-        inner = _compile_expr(e.operand, float_dtype)
-        return lambda frame: _negate_value(inner(frame))
+    if isinstance(e, Un):    # unary minus
+        return _compile_fn("neg", (e.operand,), e.span, float_dtype)
     if isinstance(e, Bin):
         op = e.op
+        if op in INSTR_BIN_OPS:
+            return _compile_fn(INSTR_BIN_OPS[op], (e.left, e.right), e.span,
+                               float_dtype)
         lf = _compile_expr(e.left, float_dtype)
         rf = _compile_expr(e.right, float_dtype)
         if op == "&&":
             return lambda frame: _bool_of(lf(frame)) and _bool_of(rf(frame))
         if op == "||":
             return lambda frame: _bool_of(lf(frame)) or _bool_of(rf(frame))
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return lambda frame, _op=op: _compare(_op, lf(frame), rf(frame))
-        return lambda frame, _op=op: _num_bin(_op, lf(frame), rf(frame))
+        return lambda frame, _op=op: _compare(_op, lf(frame), rf(frame))
     if isinstance(e, Call):
-        fn = EXPR_FNS.get(e.fname)
-        if fn is None:
-            raise UnknownFunction(
-                f"{e.fname!r} is not a registered pure function", e.span)
-        arg_fns = [_compile_expr(a, float_dtype) for a in e.args]
-
-        def run(frame, _fn=fn, _args=arg_fns):
-            vals = []
-            for af in _args:
-                v = af(frame)
-                vals.append(v.x if isinstance(v, GVar) else v)
-            return _fn(*vals)
-        return run
+        return _compile_fn(e.fname, e.args, e.span, float_dtype)
     raise KindError(f"not an expression: {e!r}")
+
+
+def _compile_fn(fname, arg_exprs, span, float_dtype):
+    """A function application in an expression, resolved once by
+    `numerics.expr_fn`."""
+    spec = expr_fn(fname)
+    if spec is None:
+        raise UnknownFunction(
+            f"{fname!r} is not a registered pure function", span)
+    fn = spec.apply
+    arg_fns = [_compile_expr(a, float_dtype) for a in arg_exprs]
+    return lambda frame: fn(*[af(frame) for af in arg_fns])
 
 
 def _compile_int_expr(e, what, float_dtype):
@@ -263,8 +204,6 @@ def _compile_int_expr(e, what, float_dtype):
 
     def run(frame):
         v = inner(frame)
-        if isinstance(v, GVar):
-            v = v.x
         if not is_int(v):
             raise KindError(f"{what} must be an Int, got {kind_name(v)}")
         return v
@@ -388,16 +327,17 @@ def canonical_view_identity(env, view, opts=None):
 
 # --- ancilla release comparison ---------------------------------------------
 
-def _ancilla_residual(current, declared, tol):
+def _ancilla_residual(current, declared, tol, grad):
     """None when the ancilla may be released; otherwise the residual.
 
-    Only primal content is compared: a tracked ancilla's cotangent at
-    release is the sensitivity to its pinned initial value and is
-    discarded with it. The release passes when the two are `values_close`
-    (discrete kinds exactly, float-backed kinds within the tolerance, NaN
-    never); the residual is their `deviation`, inf when `deviation` cannot
-    compare their kinds."""
-    current, declared = unwrap_gvar(current), unwrap_gvar(declared)
+    Only primal content is compared: in a gradient frame (`grad`) a
+    tracked ancilla's cotangent at release is the sensitivity to its
+    pinned initial value and is discarded with it. The release passes
+    when the two are `values_close` (discrete kinds exactly, float-backed
+    kinds within the tolerance, NaN never); the residual is their
+    `deviation`, inf when `deviation` cannot compare their kinds."""
+    if grad:
+        current, declared = unwrap_gvar(current), unwrap_gvar(declared)
     if values_close(current, declared, tol):
         return None
     try:
@@ -531,19 +471,11 @@ class Interpreter:
         span = s.span
         tick = self._tick
         if self.opts.trace:
-            kind = type(s).__name__
-            detail = self._touched(s)
+            kind, detail, traced = type(s).__name__, self._touched(s), inner
 
-            def run(frame):
-                tick(span)
+            def inner(frame):
                 self._trace_line(span, kind, detail)
-                try:
-                    inner(frame)
-                except RevLangError as err:
-                    if err.span is NO_SPAN:
-                        err.span = span
-                    raise
-            return run
+                traced(frame)
 
         def run(frame):
             tick(span)
@@ -553,6 +485,9 @@ class Interpreter:
                 if err.span is NO_SPAN:
                     err.span = span
                 raise
+            except (ArithmeticError, ValueError) as err:
+                # a host math error: an overflow, or math.sin(inf)
+                raise RevDomainError(str(err), span) from None
         return run
 
     def _touched(self, s):
@@ -601,7 +536,7 @@ class Interpreter:
                         raise UnboundVariable(f"{name!r} is not bound", span)
                     if self._checking:
                         residual = _ancilla_residual(
-                            frame.bindings[name], val(frame), tol)
+                            frame.bindings[name], val(frame), tol, frame.grad)
                         if residual is not None:
                             raise DirtyAncilla(
                                 f"{name!r} released with residual {residual}",

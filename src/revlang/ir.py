@@ -343,13 +343,28 @@ def validate(program):
                         "BadBijectorArgs",
                         f"invalid arguments for bijector {v.bij!r}", v.span))
 
+    def check_fn(spec, fname, n_args, what, span):
+        """Diagnose a call of `fname` with n_args arguments that `spec`
+        (None when unknown) does not accept; True when it resolves."""
+        if spec is None:
+            diags.append(Diagnostic(
+                "UnknownFunction", f"{fname!r} is not a registered {what}",
+                span))
+        elif not spec.min_arity <= n_args <= spec.max_arity:
+            diags.append(Diagnostic(
+                "ArityMismatch",
+                f"{fname!r} expects {spec.min_arity} arguments, got {n_args}",
+                span))
+        else:
+            return True
+        return False
+
     def check_expr(e):
         for v in _walk_views_in_expr(e):
             check_view(v)
-        if isinstance(e, Call) and e.fname not in numerics.EXPR_FNS:
-            diags.append(Diagnostic(
-                "UnknownFunction",
-                f"{e.fname!r} is not a registered pure function", e.span))
+        if isinstance(e, Call):
+            check_fn(numerics.expr_fn(e.fname), e.fname, len(e.args),
+                     "pure function", e.span)
         if isinstance(e, Un):
             check_expr(e.operand)
         elif isinstance(e, Bin):
@@ -411,17 +426,9 @@ def validate(program):
                     diags.append(Diagnostic(
                         "BadInstructionTarget",
                         "instruction target must be a data view", span))
-                spec = numerics.INSTR_FNS.get(fname)
-                if spec is None:
-                    diags.append(Diagnostic(
-                        "UnknownFunction",
-                        f"{fname!r} is not a registered instruction function", span))
-                elif not spec.min_arity <= len(args) - 1 <= spec.max_arity:
-                    diags.append(Diagnostic(
-                        "ArityMismatch",
-                        f"{fname!r} expects {spec.min_arity} arguments, "
-                        f"got {len(args) - 1}", span))
-                elif op in ("*=", "/=") and len(args) != 2:
+                if check_fn(numerics.INSTR_FNS.get(fname), fname,
+                            len(args) - 1, "instruction function", span) \
+                        and op in ("*=", "/=") and len(args) != 2:
                     diags.append(Diagnostic(
                         "ArityMismatch",
                         f"{op} takes exactly one argument, got {len(args) - 1}",

@@ -8,6 +8,9 @@ accumulation while uncomputing) and for Dual-number forward propagation.
 
 `apply_instr` is the one generic rule: it dispatches on the instruction
 kind and the value kinds, GVar values to the gradient rules.
+Expressions share the function table: `expr_fn` resolves an operator or a
+call to an expression-only function (`EXPR_FNS`) or to the primal value
+of the instruction function, as `y += f(args)` computes it.
 `instr_rule` resolves an instruction once per statement and runs a +=/-=
 on plain real scalars inline, with the rounding `apply_instr` uses; the
 interpreter applies every instruction through it.
@@ -73,6 +76,12 @@ class FnSpec:
     partials: object = None    # (*reals) -> tuple of (value | None)
 
 
+def _mod(a, b):
+    if b == 0:
+        raise RevDomainError("modulo by zero")
+    return a % b
+
+
 def _p_mul(a, b):
     return (b, a)
 
@@ -109,7 +118,7 @@ INSTR_FNS = {
     "mul": FnSpec(2, 2, lambda a, b: a * b, _p_mul),
     "div": FnSpec(2, 2, s_div, _p_div),
     "pow": FnSpec(2, 2, s_pow, _p_pow),
-    "mod": FnSpec(2, 2, lambda a, b: a % b, None),
+    "mod": FnSpec(2, 2, _mod, None),
     "neg": FnSpec(1, 1, lambda x: -x, lambda x: (-1.0,)),
     "abs": FnSpec(1, 1, s_abs, _p_abs),
     "abs2": FnSpec(1, 1, lambda x: x * x, lambda x: (2.0 * x,)),
@@ -200,56 +209,37 @@ BIJECTORS = {
 }
 
 
-# --- pure functions usable inside expressions (conditions, bounds, allocs) ---
+# --- functions callable in expressions (conditions, bounds, allocs) ---
 
-def _expr_length(x):
-    from .values import Array
+def _array_arg(x, fname):
     if not isinstance(x, Array):
-        raise KindError(f"length() needs an array, got {kind_name(x)}")
-    n = 1
-    for s in x.shape:
-        n *= s
-    return n
+        raise KindError(f"{fname}() needs an array, got {kind_name(x)}")
+    return x
 
 
-def _expr_size(x, dim):
-    from .values import Array
-    if not isinstance(x, Array):
-        raise KindError(f"size() needs an array, got {kind_name(x)}")
-    return x.size(int(dim))
-
-
+# the expression-only functions; see `expr_fn`
 EXPR_FNS = {
-    "abs": lambda x: _complex_aware("abs", x),
-    "abs2": lambda x: _complex_aware("abs2", x),
-    "angle": lambda x: _complex_aware("angle", x),
-    "sqrt": lambda x: s_sqrt(to_real(x)),
-    "exp": lambda x: s_exp(to_real(x)),
-    "log": lambda x: s_log(to_real(x)),
-    "sin": lambda x: s_sin(to_real(x)),
-    "cos": lambda x: s_cos(to_real(x)),
-    "atan2": lambda y, x: s_atan2(to_real(y), to_real(x)),
-    "min": lambda a, b: min(a, b),
-    "max": lambda a, b: max(a, b),
-    "length": _expr_length,
-    "size": _expr_size,
-    "ulog": lambda x: ULog.from_real(x),
-    "fixed": lambda x: Fixed.from_real(to_real(x)),
-    "float": lambda x: float(to_real(x)),
+    "min": FnSpec(2, 2, min),
+    "max": FnSpec(2, 2, max),
+    "length": FnSpec(1, 1, lambda x: len(_array_arg(x, "length").data)),
+    "size": FnSpec(2, 2, lambda x, d: _array_arg(x, "size").size(int(d))),
+    "ulog": FnSpec(1, 1, ULog.from_real),
+    "fixed": FnSpec(1, 1, Fixed.from_real),
+    "float": FnSpec(1, 1, lambda x: float(to_real(x))),
 }
 
 
-def _complex_aware(fname, x):
-    if isinstance(x, Complex):
-        fn, _ = _COMPLEX_FNS[fname]
-        return fn(_leaf_real(x.re), _leaf_real(x.im))
-    return INSTR_FNS[fname].apply(to_real(x))
-
-
-def _leaf_real(v):
-    if isinstance(v, GVar):
-        v = v.x
-    return to_real(v)
+def expr_fn(fname):
+    """The FnSpec an expression call `fname(...)` resolves to, or None: an
+    expression-only function, else the primal value of the instruction
+    function (`_fn_value`), so expressions and instructions share one
+    arithmetic."""
+    spec = EXPR_FNS.get(fname)
+    if spec is None and fname in INSTR_FNS:
+        s = INSTR_FNS[fname]
+        spec = FnSpec(s.min_arity, s.max_arity,
+                      lambda *args: _fn_value(fname, args))
+    return spec
 
 
 # --- instruction application ---
@@ -281,27 +271,43 @@ def _arg_real(v):
 
 
 def _fn_value(fname, argvals):
-    """Evaluate the instruction function over argument values (primal)."""
+    """Evaluate the instruction function over argument values (primal).
+    Fixed operands of add, sub and neg stay exact; a complex result is a
+    Complex, and a real-only function given one raises KindError."""
     spec = INSTR_FNS.get(fname)
     if spec is None:
         raise KindError(f"unknown instruction function {fname!r}")
     if not spec.min_arity <= len(argvals) <= spec.max_arity:
         raise KindError(f"{fname} expects {spec.min_arity} arguments")
-    if fname in _COMPLEX_FNS and len(argvals) == 1 \
-            and isinstance(_strip_gvar(argvals[0]), Complex):
-        c = _strip_gvar(argvals[0])
-        return _COMPLEX_FNS[fname][0](_leaf_real(c.re), _leaf_real(c.im))
+    vals = [a.x if isinstance(a, GVar) else a for a in argvals]
+    for v in vals:
+        if type(v) not in _ARM_ARGS:
+            break
+    else:   # plain reals, as in the inline arm of `instr_rule`
+        if spec.apply is not None:
+            return spec.apply(*vals)
+    if fname in _COMPLEX_FNS and isinstance(vals[0], Complex):
+        c = vals[0]
+        return _COMPLEX_FNS[fname][0](to_real(c.re), to_real(c.im))
     if fname == "angle":
         raise KindError("angle takes a complex argument")
-    xs = [_arg_real(a) for a in argvals]
-    if fname == "identity" and isinstance(_strip_gvar(argvals[0]),
-                                          (Fixed, ULog, Complex)):
-        return _strip_gvar(argvals[0])
-    if all(isinstance(_strip_gvar(a), Fixed) for a in argvals) \
-            and fname in ("add", "sub"):
-        a, b = (_strip_gvar(v) for v in argvals)
-        return a + b if fname == "add" else a - b
-    return spec.apply(*xs)
+    if fname == "convert":
+        return to_real(vals[0])
+    if fname == "identity" and isinstance(vals[0], (Fixed, ULog, Complex)):
+        return vals[0]
+    if fname in ("add", "sub", "neg") and \
+            all(isinstance(v, Fixed) for v in vals):
+        return spec.apply(*vals)
+    if any(isinstance(v, Complex) for v in vals):
+        if fname not in _COMPLEX_ARITH:
+            raise KindError(f"{fname} is undefined on complex values")
+        r = spec.apply(*(complex(_arg_real(v)) for v in vals))
+        return Complex(r.real, r.imag)
+    return spec.apply(*(_arg_real(v) for v in vals))
+
+
+# the functions whose `apply` also computes on Python complex numbers
+_COMPLEX_ARITH = ("add", "sub", "mul", "div", "pow", "neg")
 
 
 def _strip_gvar(v):
@@ -318,30 +324,23 @@ def _float_update(target, fv, plus):
 
 def _plus_minus_plain(op, fname, vals):
     target = vals[0]
-    if fname == "convert":
-        if len(vals) != 2:
-            raise KindError("convert takes exactly one argument")
-        fv = to_real(_strip_gvar(vals[1]))
-    else:
-        fv = _fn_value(fname, vals[1:])
+    fv = _fn_value(fname, vals[1:])
     sign = 1 if op == "+=" else -1
     if isinstance(target, Fixed):
-        inc = fv if isinstance(fv, Fixed) else Fixed.from_real(float(fv))
+        inc = Fixed.from_real(fv)
         new = target + inc if sign > 0 else target - inc
     elif isinstance(target, Complex):
         if isinstance(fv, Complex):
             fre, fim = to_real(fv.re), to_real(fv.im)
-        elif isinstance(fv, complex):
-            fre, fim = fv.real, fv.imag
         else:
-            fre, fim = fv, type(to_real(target.re))(0.0) \
+            fre, fim = to_real(fv), type(to_real(target.re))(0.0) \
                 if isinstance(to_real(target.re), np.floating) else 0.0
         new = Complex(to_real(target.re) + sign * fre,
                       to_real(target.im) + sign * fim)
     elif is_bool(target):
         raise KindError("+=/-= target cannot be Bool (use xor=)")
     elif is_int(target):
-        if isinstance(fv, Fixed) or isinstance(fv, ULog):
+        if isinstance(fv, (Fixed, ULog, Complex)):
             raise KindError(f"Int target updated with {kind_name(fv)}")
         if is_float(fv):
             f = float(fv)
@@ -350,31 +349,19 @@ def _plus_minus_plain(op, fname, vals):
             fv = int(f)
         new = target + sign * fv
     elif is_float(target):
-        if isinstance(fv, (Fixed, ULog)):
-            fv = to_real(fv)
-        if isinstance(fv, complex):
+        if isinstance(fv, Complex):
             raise KindError("Float target updated with a complex value")
-        new = _float_update(target, fv, sign > 0)
+        new = _float_update(target, to_real(fv), sign > 0)
     else:
         raise KindError(f"cannot apply {op} to {kind_name(target)}")
     return [new] + list(vals[1:])
 
 
 def _log_contribution(fname, argvals):
-    """Exponent-space contribution of the single *=//= argument."""
-    a = _strip_gvar(argvals[0])
-    if fname == "identity":
-        if isinstance(a, ULog):
-            return a.log_x
-        return s_log(to_real(a))
-    if fname == "convert":
-        if isinstance(a, ULog):
-            return a.log_x
-        return s_log(to_real(a))
-    fv = _fn_value(fname, argvals)
-    if isinstance(fv, ULog):
-        return fv.log_x
-    return s_log(to_real(fv))
+    """Exponent-space contribution of the single *=//= argument: convert
+    keeps a logarithmic argument's exponent, as identity does."""
+    fv = _fn_value("identity" if fname == "convert" else fname, argvals)
+    return fv.log_x if isinstance(fv, ULog) else s_log(to_real(fv))
 
 
 def _mul_div_plain(op, fname, vals):
@@ -475,10 +462,10 @@ def _plus_minus_adjoint(op, fname, vals):
         return vals
 
     spec = INSTR_FNS[fname]
-    if fname in _COMPLEX_FNS and len(args) == 1 \
-            and isinstance(_strip_gvar(args[0]), Complex):
+    # the primal update above checked the arity
+    if fname in _COMPLEX_FNS and isinstance(_strip_gvar(args[0]), Complex):
         c = _strip_gvar(args[0])
-        a_re, a_im = _leaf_real(c.re), _leaf_real(c.im)
+        a_re, a_im = to_real(c.re), to_real(c.im)
         r = _COMPLEX_FNS[fname][0](a_re, a_im)
         dre, dim = _COMPLEX_FNS[fname][1](a_re, a_im, r)
         if isinstance(c.re, GVar):

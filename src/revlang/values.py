@@ -38,7 +38,7 @@ class Fixed:
     def from_real(cls, v):
         if isinstance(v, Fixed):
             return v
-        return cls(round(float(v) * _SCALE))
+        return cls(round(float(to_real(v)) * _SCALE))
 
     def to_float(self):
         return self.raw / _SCALE
@@ -416,9 +416,14 @@ def s_pow(a, b):
             t = t + r * s_log(ad.primal) * bd.tangent
         return Dual(r, t)
     try:
-        return a ** b
-    except (ValueError, ZeroDivisionError) as e:
+        r = a ** b
+    except (ArithmeticError, ValueError) as e:
         raise RevDomainError(f"power {a} ^ {b}: {e}") from None
+    # a real power with a complex result: a Python complex, or a NaN
+    real = not (isinstance(a, complex) or isinstance(b, complex))
+    if real and (isinstance(r, complex) or r != r) and a == a and b == b:
+        raise RevDomainError(f"power {a} ^ {b} is not real")
+    return r
 
 
 def s_div(a, b):
@@ -533,7 +538,9 @@ def deviation(a, b):
         return abs(float(_prim(a.log_x)) - float(_prim(b.log_x)))
     if isinstance(a, Fixed) and isinstance(b, Fixed):
         return abs(a.raw - b.raw) / _SCALE
-    if is_bool(a) or is_bool(b):
+    if is_bool(a) != is_bool(b):
+        raise KindError("deviation of a bool and a non-bool")
+    if is_bool(a):
         return 0.0 if a == b else 1.0
     return abs(float(_prim(a)) - float(_prim(b)))
 
@@ -560,7 +567,7 @@ def values_close(a, b, float_tol):
     if isinstance(a, Fixed) or isinstance(b, Fixed):
         return isinstance(a, Fixed) and isinstance(b, Fixed) and a.raw == b.raw
     if is_bool(a) or is_bool(b):
-        return a == b
+        return is_bool(a) and is_bool(b) and a == b
     if is_int(a) and is_int(b):
         return a == b
     if is_float(a) and is_float(b):

@@ -117,6 +117,34 @@ end
         err = capsys.readouterr().err
         assert "ArityMismatch" in err and "Traceback" not in err
 
+    def test_expression_arity_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "arity.rnl"
+        bad.write_text("fn f(y, a, b)\nn <- sqrt(a, b)\nn -> 0.0\nend\n")
+        rc = main(["check", str(bad), "-f", "f", "-a", "0.0,4.0,1.0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ArityMismatch" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("body, args, error", [
+        ("y += mod(a, b)", "0.0,5,0", "RevDomainError"),
+        ("y += sqrt(a)", "0.0,1+2im,0", "KindError"),
+        ("y += identity(a)", "0.0,1+2im,0", "KindError"),
+        ("n <- a ^ b\nn -> a ^ b", "0.0,-8.0,0.5", "RevDomainError"),
+        ("y += exp(a)", "0.0,1000.0,0", "RevDomainError"),
+        ("n <- 0\nn -> false", "0,0,0", "DirtyAncilla"),
+    ])
+    def test_value_errors_exit_code(self, tmp_path, capsys, body, args,
+                                    error):
+        bad = tmp_path / "bad.rnl"
+        bad.write_text(f"fn f(y, a, b)\n{body}\nend\n")
+        rc = main(["run", str(bad), "-f", "f", f"--args={args}"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
+        rc = main(["check", str(bad), "-f", "f", f"--args={args}"])
+        assert rc == 3
+        assert error in capsys.readouterr().out
+
     def test_mul_assign_arity_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "mul.rnl"
         bad.write_text("fn f(y, a, b)\ny *= mul(a, b)\nend\n")

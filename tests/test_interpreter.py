@@ -1,22 +1,26 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revlang import interpreter
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
                             DuplicateBinding, FuelExhausted, IndexOutOfBounds,
                             KindError, LoopIteratorMutated,
                             PostconditionMismatch, RevDomainError,
-                            UnknownFunction, ValidationFailed)
+                            RevLangError, UnknownFunction, ValidationFailed)
+from revlang.autodiff import GradRequest, gradient
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  check_reversibility, read_view, run, uncall,
                                  write_view)
 from revlang.ir import Program
-from revlang.numerics import wrap_gvar
+from revlang.numerics import INSTR_FNS, wrap_gvar
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.stdlib import CATALOG, load_example
-from revlang.values import Array, Complex, GVar, deviation
+from revlang.values import Array, Complex, Fixed, GVar, deep_copy, deviation
 
 
 def prog(src):
@@ -164,6 +168,34 @@ end""")
         assert run(p, "f", [0.0, 1.0]) == [0.0, 1.0]
         report = check_reversibility(p, "f", [0.0, 1.0])
         assert report.ok and report.error is None
+
+    def test_int_ancilla_released_as_bool_is_dirty(self):
+        # 0 == False in Python, but a release compares kinds too
+        p = prog("fn f(x)\nn <- 0\nn -> false\nend")
+        with pytest.raises(DirtyAncilla) as err:
+            run(p, "f", [1])
+        assert err.value.residual == float("inf")
+        assert not check_reversibility(p, "f", [1]).ok
+        assert run(prog("fn f(x)\nn <- false\nn -> false\nend"), "f",
+                   [1]) == [1]
+
+    def test_plain_release_does_not_unwrap(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return unwrap(v)
+        unwrap = interpreter.unwrap_gvar
+        monkeypatch.setattr(interpreter, "unwrap_gvar", counting)
+        p = prog("fn f(y, x)\nn <- 0.0\nn += x\ny += n * x\n"
+                 "n -= x\nn -> 0.0\nend")
+        assert run(p, "f", [0.0, 3.0]) == [9.0, 3.0]
+        assert calls == []
+        # n has cotangent 3.0 at its release in the backward pass, which
+        # passes because a gradient frame compares primal values only
+        _, grads = gradient(p, GradRequest("f", [0.0, 3.0]))
+        assert grads["x"] == 6.0
+        assert calls
 
     def test_primitive_alias_check_is_counted(self):
         interp = Interpreter(prog("fn f(a)\nSWAP(a[1], a[2])\nend"))
@@ -574,3 +606,147 @@ end""")
         p = prog("fn f(x)\nx += 1\nend")
         # calling the generated inverse by its name works
         assert Interpreter(p).run_function("~f", [3]) == [2]
+
+
+def _bits(v):
+    if isinstance(v, Complex):
+        return ("Complex", _bits(v.re), _bits(v.im))
+    if isinstance(v, Fixed):
+        return ("Fixed", v.raw)
+    if isinstance(v, (bool, int)):
+        return (type(v), v)
+    return (type(v), np.asarray(v).tobytes())
+
+
+def _outcome(interp, fname, args):
+    """The bits and type of the first result, or the error type."""
+    try:
+        with np.errstate(all="ignore"):
+            out = interp.run_function(fname, [deep_copy(a) for a in args])
+    except Exception as err:
+        return type(err)
+    return _bits(out[0])
+
+
+_floats = st.floats()
+_binary32 = st.floats(width=32).map(np.float32)
+# Int operands stay small so that Int `pow` results stay small
+OPERANDS = st.one_of(
+    st.integers(-1000, 1000), _floats, _binary32,
+    st.integers(-2**63, 2**63 - 1).map(Fixed), st.booleans(),
+    st.builds(Complex, _floats, _floats),
+    st.builds(Complex, _binary32, _binary32))
+DIFF_FNS = sorted(f for f, spec in INSTR_FNS.items() if spec.apply)
+
+
+@functools.cache
+def _diff_interp(fname):
+    """`direct` applies f as an instruction; `via` evaluates it as an
+    ancilla initialiser and adds the ancilla. The release is unchecked:
+    the property is about values, and a NaN never releases."""
+    params = ", ".join("ab"[:INSTR_FNS[fname].min_arity])
+    call = f"{fname}({params})"
+    return Interpreter(prog(
+        f"fn direct(y, {params})\ny += {call}\nend\n"
+        f"fn via(y, {params})\nn <- {call}\ny += identity(n)\n"
+        f"@invcheckoff n -> {call}\nend\n"))
+
+
+def _via_expr(text, *args):
+    """Evaluate expression `text` over args a, b as an ancilla initialiser
+    and return its value (the ancilla is swapped into the target y)."""
+    params = ", ".join("ab"[:len(args)])
+    p = prog(f"fn f(y, {params})\nn <- {text}\nSWAP(y, n)\n"
+             f"@invcheckoff n -> 0\nend")
+    return run(p, "f", [0.0, *args])[0]
+
+
+class TestOneArithmetic:
+    """Expressions and instructions share one arithmetic: the numerics
+    function table."""
+
+    @pytest.mark.parametrize("fname", DIFF_FNS)
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_expression_matches_instruction(self, fname, data):
+        n_args = INSTR_FNS[fname].min_arity
+        args = [data.draw(OPERANDS, label="y")] + \
+            [data.draw(OPERANDS) for _ in range(n_args)]
+        interp = _diff_interp(fname)
+        direct = _outcome(interp, "direct", args)
+        assert _outcome(interp, "via", args) == direct
+        if isinstance(direct, type):
+            assert issubclass(direct, RevLangError), direct
+
+    def test_complex_sum_with_binary32_operand(self):
+        # numpy made float32 + complex a complex64 that an Int target took
+        interp = _diff_interp("add")
+        args = [0, np.float32(0.0), Complex(1.0, 2.0)]
+        assert _outcome(interp, "direct", args) is KindError
+        assert _via_expr("a + b", np.float32(0.5), Complex(1.0, 2.0)) == \
+            Complex(1.5, 2.0)
+
+    @pytest.mark.parametrize("y, fname, args", [
+        (0, "exp", [710.0]),
+        (0, "pow", [6, 397.0]),
+        (0, "sin", [float("inf")]),
+        (Fixed(0), "abs", [4.185580496821357e+298]),
+    ])
+    def test_host_math_errors_are_domain_errors(self, y, fname, args):
+        interp = _diff_interp(fname)
+        assert _outcome(interp, "direct", [y, *args]) is RevDomainError
+        assert _outcome(interp, "via", [y, *args]) is RevDomainError
+
+    def test_fixed_product_is_float(self):
+        fx = Fixed.from_real
+        out = _via_expr("a * b", fx(1.5), fx(2.0))
+        assert type(out) is float and out == 3.0
+        assert _via_expr("a / b", fx(3.0), fx(2.0)) == 1.5
+        assert _via_expr("a + b", fx(1.5), fx(2.0)) == fx(3.5)
+        assert _via_expr("-a", fx(1.5)) == fx(-1.5)
+
+    def test_fixed_neg_instruction_is_exact(self):
+        p = prog("fn f(y, a)\ny += neg(a)\nend")
+        big = Fixed(2**62 + 1)
+        assert run(p, "f", [Fixed(0), big])[0].raw == -(2**62 + 1)
+
+    def test_mod_takes_reals_and_rejects_zero(self):
+        assert _via_expr("a % b", 5.5, 2.0) == 1.5
+        assert _via_expr("a % b", 7, 3) == 1
+        for text in ("n <- a % b\nn -> a % b",
+                     "n <- 0\nn += mod(a, b)\nn -= mod(a, b)\nn -> 0"):
+            p = prog(f"fn f(a, b)\n{text}\nend")
+            with pytest.raises(RevDomainError):
+                run(p, "f", [5, 0])
+
+    def test_instruction_functions_are_expression_calls(self):
+        assert _via_expr("mul(a, b)", 3.0, 2.0) == 6.0
+        assert _via_expr("identity(a)", 2.5) == 2.5
+        assert _via_expr("atan2(a, b)", 1.0, 1.0) == math.atan2(1.0, 1.0)
+        assert _via_expr("abs(a)", Complex(3.0, 4.0)) == 5.0
+
+    def test_complex_power_expression(self):
+        assert _via_expr("a ^ b", Complex(1.0, 2.0), 2) == \
+            Complex(-3.0, 4.0)
+
+    def test_real_only_function_rejects_complex(self):
+        for text in ("y += sqrt(a)", "n <- sqrt(a)\nn -> sqrt(a)",
+                     "y += mod(a, b)", "y += identity(a)"):
+            p = prog(f"fn f(y, a, b)\n{text}\nend")
+            with pytest.raises(KindError):
+                run(p, "f", [0.0, Complex(1.0, 2.0), 2.0])
+
+    def test_real_power_with_complex_result_is_domain_error(self):
+        p = prog("fn f(y, a, b)\nn <- a ^ b\nn -> a ^ b\nend")
+        with pytest.raises(RevDomainError):
+            run(p, "f", [0.0, -8.0, 0.5])
+        with pytest.raises(RevDomainError):
+            run(prog("fn f(y, a, b)\ny += pow(a, b)\nend"), "f",
+                [0.0, -8.0, 0.5])
+        assert run(p, "f", [0.0, -8.0, 2.0]) == [0.0, -8.0, 2.0]
+        # binary32 spells the complex result NaN
+        f32 = ExecOptions(float_dtype=np.float32)
+        with np.errstate(invalid="ignore"), pytest.raises(RevDomainError):
+            run(p, "f", [np.float32(0.0), np.float32(-8.0), np.float32(0.5)],
+                f32)

@@ -60,6 +60,15 @@ end"""
             "fn g(a, b)\na += b\nend\nfn f(y)\ng(y)\nend")
         assert "ArityMismatch" in rules("fn f(x, a, b)\nx += sin(a, b)\nend")
         assert "ArityMismatch" in rules("fn f(y, a, b)\ny *= mul(a, b)\nend")
+        # expression calls take their arity from the same table
+        assert "ArityMismatch" in rules(
+            "fn f(y, a, b)\nn <- sqrt(a, b)\nn -> 0.0\nend")
+        assert "ArityMismatch" in rules(
+            "fn f(y, a)\nif (max(a) > 0.0, ~)\ny += a\nend\nend")
+        assert "UnknownFunction" in rules(
+            "fn f(y, a)\nn <- wiggle(a)\nn -> 0.0\nend")
+        assert rules("fn f(y, a, b)\nn <- mul(a, b) + min(a, b)\n"
+                     "n -> mul(a, b) + min(a, b)\nend") == []
         assert "ArityMismatch" in rules(
             "fn g(a, b)\na += b\nend\nfn ~g(a)\na -= 1\nend")
         # g is the inverse generated from ~g, with ~g's arity

@@ -237,6 +237,13 @@ class TestAdjointRules:
                     assert cell.x == pytest.approx(vx, abs=1e-9)
                     assert cell.g == pytest.approx(vg, abs=1e-9)
 
+    def test_real_valued_kinds_convert_for_complex_and_fixed_targets(self):
+        out = apply_instr(PI("+=", "identity"),
+                          [Complex(1.0, 2.0), Fixed.from_real(0.5)])
+        assert out[0] == Complex(1.5, 2.0)
+        out = apply_instr(PI("+=", "identity"), [Fixed(0), ULog(0.0)])
+        assert out[0] == Fixed.from_real(1.0)
+
     def test_missing_adjoint(self):
         with pytest.raises(MissingAdjoint):
             apply_instr(PI("+=", "mod"), [GVar(1.0, 0.0), GVar(5.0, 0.0),
