@@ -10,9 +10,12 @@ changes nothing but speed.
 Function bodies are compiled once into Python closures, and these
 closures are the only evaluator: the public view helpers `read_view`,
 `write_view` and `canonical_view_identity` compile their view with the
-same functions and run it on the given environment. Aliasing between
-argument views is decided statically when their root names differ; only
-same-root pairs are compared at run time.
+same functions and run it on the given environment. An index view
+compiles to one closure per rank that computes the flat offset inline;
+other cases go to `Array.get`/`Array.set`. Aliasing between argument
+views is decided statically when their root names differ or their paths
+index one position with distinct Int literals (`v[i, 1]`, `v[i, 2]`);
+only the other same-root pairs are compared at run time.
 
 An instruction and a statement primitive compile to the same update
 closure: read the arguments, check them for aliasing, apply the rule
@@ -20,7 +23,7 @@ closure: read the arguments, check them for aliasing, apply the rule
 numeric semantics of every instruction live in `numerics`. An expression
 (ancilla initialiser, condition, loop bound, index) compiles each
 arithmetic operator and call to the function `numerics.expr_fn` resolves
-for it; only comparisons and `&&`/`||` are evaluated here. A host math
+for it, and each comparison to `numerics.compare`. A host math
 error inside a statement (an overflow, `math.sin(inf)`) is raised as
 `RevDomainError` at that statement.
 """
@@ -38,12 +41,11 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
                  ViewRef, While, inverse_name, validate, view_root)
 from .numerics import (BIJECTORS, INSTR_BIN_OPS, PRIM_INVERSE,
-                       PRIM_STATEMENTS, PrimitiveInstr, carries_gvar, expr_fn,
-                       instr_rule, unwrap_gvar, wrap_gvar)
+                       PRIM_STATEMENTS, PrimitiveInstr, carries_gvar, compare,
+                       expr_fn, instr_rule, unwrap_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
-from .values import (Array, Complex, Fixed, GVar, Record, deep_copy,
-                     deviation, is_bool, is_int, kind_name, to_real,
-                     values_close)
+from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
+                     is_bool, is_int, kind_name, values_close)
 
 
 @dataclass
@@ -124,31 +126,6 @@ def _bool_of(v):
     return v
 
 
-def _compare(op, a, b):
-    if isinstance(a, Complex) or isinstance(b, Complex):
-        if op not in ("==", "!="):
-            raise KindError("complex values only compare with == and !=")
-        eq = (isinstance(a, Complex) and isinstance(b, Complex)
-              and to_real(a.re) == to_real(b.re)
-              and to_real(a.im) == to_real(b.im))
-        return eq if op == "==" else not eq
-    if isinstance(a, Fixed) or isinstance(b, Fixed):
-        a, b = Fixed.from_real(a).raw, Fixed.from_real(b).raw
-    else:
-        a, b = to_real(a), to_real(b)
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return bool(a < b)
-    if op == "<=":
-        return bool(a <= b)
-    if op == ">":
-        return bool(a > b)
-    return bool(a >= b)
-
-
 # --- expression and view compilation ----------------------------------------
 
 def _compile_expr(e, float_dtype):
@@ -181,7 +158,7 @@ def _compile_expr(e, float_dtype):
             return lambda frame: _bool_of(lf(frame)) and _bool_of(rf(frame))
         if op == "||":
             return lambda frame: _bool_of(lf(frame)) or _bool_of(rf(frame))
-        return lambda frame, _op=op: _compare(_op, lf(frame), rf(frame))
+        return lambda frame, _op=op: compare(_op, lf(frame), rf(frame))
     if isinstance(e, Call):
         return _compile_fn(e.fname, e.args, e.span, float_dtype)
     raise KindError(f"not an expression: {e!r}")
@@ -210,6 +187,54 @@ def _compile_int_expr(e, what, float_dtype):
     return run
 
 
+def _compile_index(e, float_dtype):
+    """An array index, checked to be an Int: an Int literal is a constant,
+    and a variable bound to a plain `int` is read directly."""
+    if isinstance(e, Lit) and is_int(e.value):
+        v = e.value
+        return lambda frame: v
+    checked = _compile_int_expr(e, "array index", float_dtype)
+    if isinstance(e, ViewRef) and isinstance(e.view, VarView):
+        name = e.view.name
+
+        def index(frame):
+            v = frame.bindings.get(name)
+            return v if type(v) is int else checked(frame)
+        return index
+    return checked
+
+
+def _compile_offset(fs):
+    """`offset(array, frame)` for the index closures `fs`, one closure per
+    rank: the flat offset of the cell when the array has that rank and
+    every index is in bounds, else None. The caller then evaluates the
+    (pure) indices again and hands them to `Array.get`/`Array.set`, which
+    index with any Int and raise `IndexOutOfBounds`."""
+    if len(fs) == 1:
+        f1, = fs
+
+        def offset(arr, frame):
+            i, shape = f1(frame), arr.shape
+            if len(shape) == 1 and 0 < i <= shape[0]:
+                return i - 1
+        return offset
+    if len(fs) == 2:
+        f1, f2 = fs
+
+        def offset(arr, frame):
+            i, j, shape = f1(frame), f2(frame), arr.shape
+            if len(shape) == 2 and 0 < i <= shape[0] and 0 < j <= shape[1]:
+                return (i - 1) * shape[1] + j - 1
+        return offset
+    return lambda arr, frame: None
+
+
+def _indexed(v):
+    if not isinstance(v, Array):
+        raise KindError(f"indexing into {kind_name(v)}")
+    return v
+
+
 def _compile_reader(view, float_dtype):
     if isinstance(view, VarView):
         name = view.name
@@ -227,14 +252,15 @@ def _compile_reader(view, float_dtype):
         return lambda frame: _read_field(base(frame), fname)
     if isinstance(view, IndexView):
         base = _compile_reader(view.base, float_dtype)
-        idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
-                   for ix in view.indices]
+        fs = [_compile_index(ix, float_dtype) for ix in view.indices]
+        offset = _compile_offset(fs)
 
         def read(frame):
-            arr = base(frame)
-            if not isinstance(arr, Array):
-                raise KindError(f"indexing into {kind_name(arr)}")
-            return arr.get(tuple(f(frame) for f in idx_fns))
+            arr = _indexed(base(frame))
+            k = offset(arr, frame)
+            if k is None:
+                return arr.get(tuple([f(frame) for f in fs]))
+            return arr.data[k]
         return read
     if isinstance(view, BijView):
         base = _compile_reader(view.base, float_dtype)
@@ -262,40 +288,57 @@ def _compile_writer(view, float_dtype):
         return lambda frame, v: _write_field(base(frame), fname, v)
     if isinstance(view, IndexView):
         base = _compile_reader(view.base, float_dtype)
-        idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
-                   for ix in view.indices]
+        fs = [_compile_index(ix, float_dtype) for ix in view.indices]
+        offset = _compile_offset(fs)
 
         def write(frame, v):
-            arr = base(frame)
-            if not isinstance(arr, Array):
-                raise KindError(f"indexing into {kind_name(arr)}")
-            arr.set(tuple(f(frame) for f in idx_fns), v)
+            arr = _indexed(base(frame))
+            k = offset(arr, frame)
+            if k is None:
+                arr.set(tuple([f(frame) for f in fs]), v)
+            else:
+                arr.data[k] = v
         return write
     raise KindError(f"not a view: {view!r}")
 
 
+def _id_path(view):
+    """Root name and the non-bijector steps of a view, root first."""
+    steps = []
+    while not isinstance(view, VarView):
+        if not isinstance(view, BijView):   # bijectors keep identity
+            steps.append(view)
+        view = view.base
+    return view.name, steps[::-1]
+
+
 def _compile_id(view, float_dtype):
     """Storage-id closure (root name + concrete non-bijector path)."""
-    parts = []
-    v = view
-    while not isinstance(v, VarView):
-        parts.append(v)
-        v = v.base
-    root = v.name
+    root, steps = _id_path(view)
     step_fns = []
-    for node in reversed(parts):
+    for node in steps:
         if isinstance(node, FieldView):
-            step_fns.append(lambda frame, _n=node.field_name: ("field", _n))
-        elif isinstance(node, IndexView):
-            idx_fns = [_compile_int_expr(ix, "array index", float_dtype)
-                       for ix in node.indices]
+            step_fns.append(lambda frame, _s=("field", node.field_name): _s)
+        else:
+            fs = [_compile_index(ix, float_dtype) for ix in node.indices]
             step_fns.append(
-                lambda frame, _fs=idx_fns:
-                    ("idx", tuple(f(frame) for f in _fs)))
-        # bijectors do not contribute to identity
-    if not step_fns:
-        return lambda frame: (root,)
-    return lambda frame: (root,) + tuple(sf(frame) for sf in step_fns)
+                lambda frame, _fs=fs: ("idx", tuple([f(frame) for f in _fs])))
+    return lambda frame: (root,) + tuple([sf(frame) for sf in step_fns])
+
+
+def _disjoint(view_a, view_b):
+    """True when two views of one root can never overlap: at some depth
+    both paths take an index step with distinct Int literals at the same
+    position, so their storage ids differ for every runtime value."""
+    steps_a, steps_b = _id_path(view_a)[1], _id_path(view_b)[1]
+    for sa, sb in zip(steps_a, steps_b):
+        if isinstance(sa, IndexView) and isinstance(sb, IndexView):
+            for ea, eb in zip(sa.indices, sb.indices):
+                if (isinstance(ea, Lit) and isinstance(eb, Lit)
+                        and is_int(ea.value) and is_int(eb.value)
+                        and ea.value != eb.value):
+                    return True
+    return False
 
 
 # --- public view operations ------------------------------------------------
@@ -431,8 +474,10 @@ class Interpreter:
 
     def _alias_checks(self, arg_views, span, pairs):
         """Compile runtime alias checks for (i, j, message) pairs of
-        argument views. Only views rooted at the same name can ever
-        overlap, so other pairs get no check."""
+        argument views; None when no pair shares a root name. Only views
+        rooted at the same name can ever overlap, so other pairs get no
+        check, and a same-root pair that is `_disjoint` is discharged
+        here: it is counted as a passed check with the others."""
         roots = [view_root(v) if not isinstance(v, Lit) else None
                  for v in arg_views]
         id_fns = {}
@@ -442,9 +487,13 @@ class Interpreter:
                 id_fns[i] = _compile_id(arg_views[i], self.opts.float_dtype)
             return id_fns[i]
 
-        checks = []
+        checks = None
         for (i, j, message) in pairs:
             if roots[i] is None or roots[j] is None or roots[i] != roots[j]:
+                continue
+            if checks is None:
+                checks = []
+            if _disjoint(arg_views[i], arg_views[j]):
                 continue
             fi, fj = idf(i), idf(j)
 
@@ -469,7 +518,7 @@ class Interpreter:
     def _compile_stmt(self, s):
         inner = self._compile_stmt_inner(s)
         span = s.span
-        tick = self._tick
+        stats, max_steps = self.stats, self.opts.max_steps
         if self.opts.trace:
             kind, detail, traced = type(s).__name__, self._touched(s), inner
 
@@ -478,7 +527,10 @@ class Interpreter:
                 traced(frame)
 
         def run(frame):
-            tick(span)
+            stats.steps += 1    # the fuel count of `_tick`, inline
+            if stats.steps > max_steps:
+                raise FuelExhausted(
+                    f"exceeded {max_steps} statement executions", span)
             try:
                 inner(frame)
             except RevLangError as err:
@@ -692,14 +744,18 @@ class Interpreter:
         updated = arg_views if instr.fname is None else arg_views[:1]
         writers = [_compile_writer(a, dtype) for a in updated]
         strict = self._alias_checks(arg_views, span, pairs)
-        grad = strict + self._alias_checks(arg_views, span, grad_pairs)
+        grad = self._alias_checks(arg_views, span, [*pairs, *grad_pairs]) \
+            if grad_pairs else strict
         rule = instr_rule(instr)
         checks_passed = self.stats.checks_passed
+        if strict is None and grad is None and len(writers) == 1:
+            wr, = writers
+            return lambda frame: wr(frame, rule([r(frame) for r in readers])[0])
 
         def run(frame):
             vals = [r(frame) for r in readers]
             checks = grad if frame.grad else strict
-            if checks:
+            if checks is not None:
                 for chk in checks:
                     chk(frame)
                 checks_passed["alias"] += 1
@@ -728,9 +784,9 @@ class Interpreter:
 
         def run(frame):
             body, names, fspan = get_function(callee)
-            for chk in checks:
-                chk(frame)
-            if checks:
+            if checks is not None:
+                for chk in checks:
+                    chk(frame)
                 stats.checks_passed["alias"] += 1
             sub = Frame(callee, frame.grad)
             b = sub.bindings

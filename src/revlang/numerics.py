@@ -23,6 +23,7 @@ Exactness contract:
     configured tolerance.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,8 @@ class FnSpec:
 
 
 def _mod(a, b):
+    if isinstance(a, Dual) or isinstance(b, Dual):   # a Hessian pass
+        raise MissingAdjoint("no gradient rule for 'mod'")
     if b == 0:
         raise RevDomainError("modulo by zero")
     return a % b
@@ -217,10 +220,33 @@ def _array_arg(x, fname):
     return x
 
 
+_ORDER = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+          "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compare(op, a, b):
+    """`a op b` on two GVar-free scalars, as a bool. Complex values only
+    compare with == and !=; a Fixed operand compares as Q31.32."""
+    if type(a) is int and type(b) is int:
+        return _ORDER[op](a, b)
+    if isinstance(a, Complex) or isinstance(b, Complex):
+        if op not in ("==", "!="):
+            raise KindError("complex values only compare with == and !=")
+        eq = (isinstance(a, Complex) and isinstance(b, Complex)
+              and to_real(a.re) == to_real(b.re)
+              and to_real(a.im) == to_real(b.im))
+        return eq if op == "==" else not eq
+    if isinstance(a, Fixed) or isinstance(b, Fixed):
+        a, b = Fixed.from_real(a).raw, Fixed.from_real(b).raw
+    else:
+        a, b = to_real(a), to_real(b)
+    return bool(_ORDER[op](a, b))
+
+
 # the expression-only functions; see `expr_fn`
 EXPR_FNS = {
-    "min": FnSpec(2, 2, min),
-    "max": FnSpec(2, 2, max),
+    "min": FnSpec(2, 2, lambda a, b: b if compare("<", b, a) else a),
+    "max": FnSpec(2, 2, lambda a, b: b if compare(">", b, a) else a),
     "length": FnSpec(1, 1, lambda x: len(_array_arg(x, "length").data)),
     "size": FnSpec(2, 2, lambda x, d: _array_arg(x, "size").size(int(d))),
     "ulog": FnSpec(1, 1, ULog.from_real),

@@ -535,19 +535,28 @@ def deviation(a, b):
             raise KindError("deviation of differently shaped records")
         return max((deviation(fa[k], fb[k]) for k in fa), default=0.0)
     if isinstance(a, ULog) and isinstance(b, ULog):
-        return abs(float(_prim(a.log_x)) - float(_prim(b.log_x)))
+        return _float_distance(a.log_x, b.log_x)
     if isinstance(a, Fixed) and isinstance(b, Fixed):
         return abs(a.raw - b.raw) / _SCALE
     if is_bool(a) != is_bool(b):
         raise KindError("deviation of a bool and a non-bool")
     if is_bool(a):
         return 0.0 if a == b else 1.0
-    return abs(float(_prim(a)) - float(_prim(b)))
+    return _float_distance(a, b)
+
+
+def _float_distance(a, b):
+    """|a - b| as a float; 0 for equal values, infinities included."""
+    fa, fb = float(_prim(a)), float(_prim(b))
+    return 0.0 if fa == fb else abs(fa - fb)
 
 
 def values_close(a, b, float_tol):
     """Componentwise equality: exact for discrete kinds, within float_tol
-    for float-backed kinds (Float, ULog exponents)."""
+    for float-backed kinds (Float, ULog exponents). Equal values are close,
+    infinities included; NaN is close to nothing."""
+    if type(a) is float and type(b) is float:
+        return a == b or abs(a - b) <= float_tol
     if isinstance(a, GVar) or isinstance(b, GVar):
         if not (isinstance(a, GVar) and isinstance(b, GVar)):
             return False
@@ -563,7 +572,7 @@ def values_close(a, b, float_tol):
         return fa.keys() == fb.keys() and all(
             values_close(fa[k], fb[k], float_tol) for k in fa)
     if isinstance(a, ULog) and isinstance(b, ULog):
-        return abs(float(_prim(a.log_x)) - float(_prim(b.log_x))) <= float_tol
+        return _float_distance(a.log_x, b.log_x) <= float_tol
     if isinstance(a, Fixed) or isinstance(b, Fixed):
         return isinstance(a, Fixed) and isinstance(b, Fixed) and a.raw == b.raw
     if is_bool(a) or is_bool(b):
@@ -571,7 +580,7 @@ def values_close(a, b, float_tol):
     if is_int(a) and is_int(b):
         return a == b
     if is_float(a) and is_float(b):
-        return abs(float(_prim(a)) - float(_prim(b))) <= float_tol
+        return _float_distance(a, b) <= float_tol
     return a == b
 
 

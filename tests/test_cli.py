@@ -172,6 +172,38 @@ end
         assert rc == 3
         assert "DirtyAncilla" in capsys.readouterr().err
 
+    def test_infinite_ancilla_releases(self, tmp_path, capsys):
+        f = tmp_path / "inf.rnl"
+        f.write_text("fn f(y, x)\nn <- x\nn -> x\nend\n")
+        for value in ("inf", "-inf"):
+            rc = main(["run", str(f), "-f", "f", f"--args=0.0,{value}"])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["args"][0] == 0.0
+            rc = main(["check", str(f), "-f", "f", f"--args=0.0,{value}",
+                       "--json"])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["ok"] is True
+        rc = main(["run", str(f), "-f", "f", "--args=0.0,nan"])
+        assert rc == 3
+        assert "DirtyAncilla" in capsys.readouterr().err
+
+    def test_complex_min_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "min.rnl"
+        bad.write_text("fn f(y, a, b)\nif (min(a, b) == a, ~)\ny += 1.0\n"
+                       "end\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "--args=0.0,1+2im,3+1im"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "KindError" in err and "Traceback" not in err
+
+    def test_hessian_without_partials_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "mod.rnl"
+        bad.write_text("fn f(y, a, b)\ny += mod(a, b)\nend\n")
+        rc = main(["hessian", str(bad), "-f", "f", "--args=0.0,5.0,3.0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "MissingAdjoint" in err and "Traceback" not in err
+
     def test_fixed_ancilla_kind_mismatch_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "fixed.rnl"
         bad.write_text("fn f(x)\nn <- fixed(0.0)\nn -> 0.0\nend\n")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,14 +14,15 @@ from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
                             RevLangError, UnknownFunction, ValidationFailed)
 from revlang.autodiff import GradRequest, gradient
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
-                                 check_reversibility, read_view, run, uncall,
-                                 write_view)
-from revlang.ir import Program
-from revlang.numerics import INSTR_FNS, wrap_gvar
+                                 canonical_view_identity, check_reversibility,
+                                 read_view, run, uncall, write_view)
+from revlang.ir import Bin, IndexView, Lit, Program, VarView, ViewRef
+from revlang.numerics import INSTR_FNS, expr_fn, wrap_gvar
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.stdlib import CATALOG, load_example
-from revlang.values import Array, Complex, Fixed, GVar, deep_copy, deviation
+from revlang.values import (Array, Complex, Fixed, GVar, deep_copy, deviation,
+                            is_int)
 
 
 def prog(src):
@@ -750,3 +752,236 @@ class TestOneArithmetic:
         with np.errstate(invalid="ignore"), pytest.raises(RevDomainError):
             run(p, "f", [np.float32(0.0), np.float32(-8.0), np.float32(0.5)],
                 f32)
+
+
+# --- index closures: one per rank, against the generic rule ---------------
+
+# index kinds: in bounds, 0, n+1, negative, Bool, np.int64, Float, and
+# values bound to GVars (as in a gradient frame); the literal form takes
+# only the kinds a program can spell
+INDEX_KINDS = ("in", "zero", "over", "neg", "bool", "np_int", "float",
+               "gvar_int", "gvar_float")
+LITERAL_KINDS = ("in", "zero", "over", "neg", "bool", "float")
+
+
+@st.composite
+def index_cases(draw):
+    """(root, index expressions, bindings, index values as the rule sees
+    them): a 1-D or 2-D array or a non-Array root, with one to three
+    indices, so that some have the wrong rank."""
+    rank = draw(st.sampled_from((1, 2)))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    size = shape[0] * (shape[1] if rank == 2 else 1)
+    root = draw(st.sampled_from((
+        Array([float(k) for k in range(size)], shape),) * 4
+        + (1.5, Complex(1.0, 2.0))))
+    n_idx = draw(st.sampled_from((rank,) * 4 + (1, 2, 3)))
+    exprs, bindings, values = [], {}, []
+    for k in range(n_idx):
+        n = shape[k] if k < rank else 1
+        kind = draw(st.sampled_from(INDEX_KINDS))
+        cell = draw(st.integers(1, n))
+        v = {"in": cell, "zero": 0, "over": n + 1,
+             "neg": -draw(st.integers(1, 3)), "bool": draw(st.booleans()),
+             "np_int": np.int64(draw(st.integers(0, n + 1))),
+             "float": float(cell), "gvar_int": GVar(cell, 0.0),
+             "gvar_float": GVar(float(cell), 0.0)}[kind]
+        form = draw(st.sampled_from(
+            ("lit", "var", "expr") if kind in LITERAL_KINDS
+            else ("var", "expr")))
+        name = f"k{k}"
+        primal = v.x if isinstance(v, GVar) else v
+        if form == "lit":
+            exprs.append(Lit(v))
+        else:
+            bindings[name] = v
+            ref = ViewRef(VarView(name))
+            if form == "var":
+                exprs.append(ref)
+            else:   # a computed index takes the general expression path
+                exprs.append(Bin("+", ref, Lit(0)))
+                primal = expr_fn("add").apply(primal, 0)
+        values.append(primal)
+    return root, exprs, bindings, values
+
+
+def _ref_index(values):
+    for v in values:
+        if not is_int(v):
+            raise KindError(f"array index must be an Int, got {v!r}")
+    return tuple(values)
+
+
+def _ref_cell(op, root, values, new=None):
+    """The generic rule: the root must be an Array and every index an
+    Int; then `Array.get`/`Array.set` decide, bounds and rank included."""
+    if op == "id":
+        return ("a", ("idx", _ref_index(values)))
+    if not isinstance(root, Array):
+        raise KindError("indexing into a non-array")
+    idx = _ref_index(values)
+    if op == "read":
+        return root.get(idx)
+    root.set(idx, new)
+    return root
+
+
+def _outcome_of(fn):
+    try:
+        return ("ok", fn())
+    except RevLangError as err:
+        return ("error", type(err))
+
+
+class TestIndexClosures:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(case=index_cases(), op=st.sampled_from(("read", "write", "id")))
+    def test_closures_match_generic_rule(self, case, op):
+        root, exprs, bindings, values = case
+        view = IndexView(VarView("a"), tuple(exprs))
+        env = Frame("t", grad=any(isinstance(v, GVar)
+                                  for v in bindings.values()))
+        env.bindings.update(bindings, a=deep_copy(root))
+        ref_root = deep_copy(root)
+        if op == "read":
+            got = _outcome_of(lambda: read_view(env, view))
+            want = _outcome_of(lambda: _ref_cell("read", ref_root, values))
+        elif op == "write":
+            got = _outcome_of(lambda: write_view(env, view, -1.0)
+                              .bindings["a"])
+            want = _outcome_of(lambda: _ref_cell("write", ref_root, values,
+                                                 -1.0))
+        else:
+            got = _outcome_of(lambda: canonical_view_identity(env, view))
+            want = _outcome_of(lambda: _ref_cell("id", ref_root, values))
+        assert got == want
+
+    @pytest.mark.parametrize("n_idx", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (3, 1), (2, 3)])
+    def test_every_int_cell_and_its_neighbours(self, shape, n_idx):
+        """Exhaustive over small shapes and one to three indices: each
+        plain Int index from -1 to n + 2, read and written."""
+        size = math.prod(shape)
+        dims = (shape + (2, 2))[:n_idx]
+        for idx in itertools.product(*(range(-1, n + 3) for n in dims)):
+            view = IndexView(VarView("a"), tuple(Lit(i) for i in idx))
+            env = Frame()
+            env.bindings["a"] = Array([float(k) for k in range(size)], shape)
+            ref = Array([float(k) for k in range(size)], shape)
+            assert _outcome_of(lambda: read_view(env, view)) == \
+                _outcome_of(lambda: _ref_cell("read", ref, idx))
+            assert _outcome_of(lambda: write_view(env, view, -1.0)
+                               .bindings["a"]) == \
+                _outcome_of(lambda: _ref_cell("write", ref, idx, -1.0))
+
+    def test_cases_reach_every_outcome(self):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
+        @given(case=index_cases())
+        def collect(case):
+            root, _, _, values = case
+            out = _outcome_of(lambda: _ref_cell("read", root, values))
+            seen.add(out if out[0] == "error" else ("ok",))
+        collect()
+        assert seen == {("ok",), ("error", KindError),
+                        ("error", IndexOutOfBounds)}
+
+
+# --- alias pairs discharged at compile time -------------------------------
+
+def _alias_program(call):
+    return prog(f"fn g(a, b)\na += b\nend\nfn f(v, i, j)\n{call}\nend")
+
+
+def _arg_views(text):
+    return prog(f"fn f(v, x!, i, j)\n{text}\nend").get("f").body.stmts[0].args
+
+
+class TestStaticAliasDischarge:
+    @pytest.mark.parametrize("call", ["g(v[i, 1], v[i, 2])",
+                                      "v[i, 1] += v[i, 2]"])
+    def test_distinct_literal_cells_pass_and_count(self, call):
+        interp = Interpreter(_alias_program(call))
+        out = interp.run_function("f", [Array.matrix([[1.0, 2.0]]), 1, 1])
+        assert out[0].data == [3.0, 2.0]
+        assert interp.stats.checks_passed["alias"] == 1
+
+    @pytest.mark.parametrize("call", ["g(v[i, 1], v[j, 1])", "g(v, v[1, 2])",
+                                      "g(v[1, 2], v[1, 2])",
+                                      "v[i, 1] += v[j, 1]"])
+    def test_possible_overlaps_are_still_rejected(self, call):
+        with pytest.raises(AliasedArguments):
+            run(_alias_program(call), "f",
+                [Array.matrix([[1.0, 2.0]]), 1, 1])
+
+    def test_runtime_check_passes_distinct_rows(self):
+        interp = Interpreter(_alias_program("g(v[i, 1], v[j, 1])"))
+        out = interp.run_function("f", [Array.matrix([[1.0], [2.0]]), 1, 2])
+        assert out[0].data == [3.0, 2.0]
+        assert interp.stats.checks_passed["alias"] == 1
+
+    @pytest.mark.parametrize("text, disjoint", [
+        ("g(v[i, 1], v[i, 2])", True),
+        ("g(x![i, 1], x![i, 3] |> neg)", True),
+        ("g(v[1, i], v[2, j])", True),
+        ("g(v[i, 1], v[j, 1])", False),
+        ("g(v, v[1, 2])", False),
+        ("g(v[1, 2], v[1, 2])", False),
+        ("g(v[i, 1], v[i, j])", False),
+        ("x![j, 1] -= x![i, 1]", False),    # only an `if` keeps i, j apart
+    ])
+    def test_disjoint_needs_distinct_literals(self, text, disjoint):
+        a, b = _arg_views(text)[:2]
+        assert interpreter._disjoint(a, b) is disjoint
+
+    # ExecStats of four leapfrog steps forward and back, as recorded before
+    # the static discharge: no check count may move
+    LEAPFROG_STATS = {
+        "clean": (1182, {"postcondition": 42, "ancilla": 182,
+                         "iterator": 56, "alias": 20}),
+        "cumulative": (1062, {"postcondition": 42, "ancilla": 122,
+                              "iterator": 56, "alias": 140}),
+    }
+
+    @pytest.mark.parametrize("variant", ["clean", "cumulative"])
+    @pytest.mark.parametrize("dtype, invcheck", [
+        (None, True), (np.float32, True), (None, False)])
+    def test_leapfrog_stats_unchanged(self, variant, dtype, invcheck):
+        from revlang.stdlib import two_body_config
+        cfg, z = two_body_config(steps=4), dtype or float
+        args = [Array.matrix([[z(c) for c in x] for _, x, _ in cfg.bodies]),
+                Array.matrix([[z(c) for c in v] for _, _, v in cfg.bodies]),
+                Array.vector([z(m) for m, _, _ in cfg.bodies]),
+                z(cfg.gravity), z(cfg.dt), cfg.steps]
+        interp = Interpreter(load_example("leapfrog_clean"), ExecOptions(
+            invcheck=invcheck, float_dtype=dtype,
+            float_tolerance=1e-3 if dtype else 1e-9))
+        out = interp.run_function(f"leapfrog_{variant}", args)
+        interp.uncall_function(f"leapfrog_{variant}", out)
+        steps, checks = self.LEAPFROG_STATS[variant]
+        if not invcheck:    # alias checks are not reversibility checks
+            checks = dict.fromkeys(checks, 0) | {"alias": checks["alias"]}
+        assert interp.stats.steps == steps
+        assert interp.stats.checks_passed == checks
+
+
+class TestCompare:
+    def test_binary32_equality_is_a_condition(self):
+        p = prog("fn f(y, a, b)\nif (a == b, ~)\ny += 1.0\nend\nend")
+        f32 = [np.float32(0.0), np.float32(1.5), np.float32(1.5)]
+        out = run(p, "f", f32, ExecOptions(float_dtype=np.float32))
+        assert out[0] == np.float32(1.0)
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2.5, -1), (Fixed(3), 2.0),
+                                      (Fixed(1), Fixed(-5)), (True, 0)])
+    def test_min_max_follow_python_order(self, a, b):
+        assert _via_expr("min(a, b)", a, b) == min(a, b)
+        assert _via_expr("max(a, b)", a, b) == max(a, b)
+
+    def test_complex_min_is_a_kind_error(self):
+        p = prog("fn f(y, a, b)\nif (min(a, b) == a, ~)\ny += 1.0\nend\nend")
+        with pytest.raises(KindError):
+            run(p, "f", [0.0, Complex(1.0, 2.0), Complex(3.0, 1.0)])

@@ -126,6 +126,20 @@ class TestComposites:
         assert not values_close(a, b, 1e-15)
         assert deviation(GVar(1.0, 0.5), GVar(1.0, 0.75)) == 0.25
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf,
+                                   ULog(math.inf), Dual(math.inf, 1.0)])
+    def test_equal_infinities_are_close(self, x):
+        assert values_close(x, x, 1e-9)
+        assert deviation(x, x) == 0.0
+        assert values_close(Array.vector([x]), Array.vector([x]), 0.0)
+
+    def test_nan_and_opposite_infinities_are_not_close(self):
+        nan = float("nan")
+        assert not values_close(nan, nan, 1e-9)
+        assert not values_close(math.inf, -math.inf, 1e-9)
+        assert not values_close(math.inf, 1e308, 1e-9)
+        assert math.isnan(deviation(nan, nan))
+
     def test_zero_like_kinds(self):
         assert zero_like(1.5) == 0.0
         assert zero_like(Fixed.from_real(2.0)) == Fixed(0)
