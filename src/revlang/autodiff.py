@@ -23,7 +23,7 @@ from .errors import KindError, RevError, UnknownFunction
 from .interpreter import ExecOptions, Interpreter
 from .numerics import unwrap_gvar, wrap_gvar
 from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
-                     coerce_to_kind, deep_copy, is_float, to_real,
+                     coerce_to_kind, deep_copy, is_float, kind_name, to_real,
                      values_close)
 
 
@@ -69,16 +69,20 @@ def leaf_paths(value, _prefix=()):
 
 
 def get_leaf(value, path):
-    for step in path:
+    """The component of `value` at `path`; KindError when a step does not
+    fit the value it selects from (an index outside an array raises
+    IndexOutOfBounds, as in a program)."""
+    for kind, key in path:
         if isinstance(value, GVar):
             value = value.x
-        if step[0] == "field":
-            if isinstance(value, Complex):
-                value = value.re if step[1] == "re" else value.im
-            else:
-                value = value.fields()[step[1]]
+        if kind == "field" and isinstance(value, (Complex, Record)) \
+                and key in value.fields():
+            value = value.fields()[key]
+        elif kind == "idx" and isinstance(value, Array):
+            value = value.get(key)
         else:
-            value = value.get(step[1])
+            raise KindError(f"path step {kind} {key!r} does not fit "
+                            f"a {kind_name(value)} value")
     return value
 
 

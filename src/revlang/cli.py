@@ -308,13 +308,12 @@ def _dispatch(ns):
         else:
             prog = StepProgram(length=ns.T, step=lambda i, s: s + 1, initial=0)
             _, counters = treeverse_run(prog, ns.d, lambda i, s, acc: acc)
-            t = 1
-            while eta(t, ns.d) < ns.T:
-                t += 1
+            bound = treeverse_time_bound(ns.T, ns.d)
+            t = bound // ns.T
             print(json.dumps({
                 "scheme": "treeverse", "T": ns.T, "d": ns.d,
                 "measured": counters.to_dict(),
-                "analytic": {"t": t, "forward_bound": treeverse_time_bound(ns.T, ns.d),
+                "analytic": {"t": t, "forward_bound": bound,
                              "eta": eta(t, ns.d)},
             }, sort_keys=True))
         return 0

@@ -176,13 +176,11 @@ class For:
 
 
 @dataclass(frozen=True)
-class RoutineBegin:
-    block: object
-    span: SourceSpan = _span_field()
-
-
-@dataclass(frozen=True)
-class RoutineEnd:
+class Routine:
+    """`@routine compute` ... `~@routine`: runs `compute`, then `body` (the
+    statements between the markers), then `compute` inverted."""
+    compute: object
+    body: object
     span: SourceSpan = _span_field()
 
 
@@ -206,7 +204,7 @@ class Block:
 
 
 STMT_TYPES = (AncillaAlloc, AncillaDealloc, InstrCall, FnCall, UncallFn, If,
-              While, For, RoutineBegin, RoutineEnd, InvCheckOff, Safe, Block)
+              While, For, Routine, InvCheckOff, Safe, Block)
 
 
 # --- functions and programs ---
@@ -297,19 +295,6 @@ def is_affine_index(e):
     return walk(e) is not None
 
 
-def _walk_views_in_expr(e):
-    if isinstance(e, ViewRef):
-        yield e.view
-    elif isinstance(e, Un):
-        yield from _walk_views_in_expr(e.operand)
-    elif isinstance(e, Bin):
-        yield from _walk_views_in_expr(e.left)
-        yield from _walk_views_in_expr(e.right)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from _walk_views_in_expr(a)
-
-
 def _subviews(view):
     while isinstance(view, VIEW_TYPES):
         yield view
@@ -321,7 +306,7 @@ def _subviews(view):
 def validate(program):
     """Check program well-formedness; returns a list of Diagnostics (empty
     when the program is valid). Pure: never raises for invalid input."""
-    from . import numerics  # registries only
+    from . import numerics, reverser  # deferred: reverser imports this module
 
     diags = []
 
@@ -360,52 +345,29 @@ def validate(program):
         return False
 
     def check_expr(e):
-        for v in _walk_views_in_expr(e):
-            check_view(v)
-        if isinstance(e, Call):
-            check_fn(numerics.expr_fn(e.fname), e.fname, len(e.args),
-                     "pure function", e.span)
-        if isinstance(e, Un):
+        if isinstance(e, ViewRef):
+            check_view(e.view)
+        elif isinstance(e, Un):
             check_expr(e.operand)
         elif isinstance(e, Bin):
             check_expr(e.left)
             check_expr(e.right)
         elif isinstance(e, Call):
+            check_fn(numerics.expr_fn(e.fname), e.fname, len(e.args),
+                     "pure function", e.span)
             for a in e.args:
                 check_expr(a)
 
     def check_stmts(stmts):
         live = []            # ancilla names allocated in this block, in order
-        routine_stack = []   # pending routine net-deltas
         for s in stmts:
-            check_stmt(s, live, routine_stack)
-        if routine_stack:
-            diags.append(Diagnostic(
-                "UnmatchedRoutine", "routine block is never closed",
-                routine_stack[-1][1]))
+            check_stmt(s, live)
         for name, span in live:
             diags.append(Diagnostic(
                 "UnbalancedAncilla",
                 f"{name!r} is allocated but not released in the same scope", span))
 
-    def block_delta(stmts):
-        # net ancilla effect of a statement list (for routine bookkeeping)
-        delta = []
-        for s in stmts:
-            if isinstance(s, AncillaAlloc):
-                delta.append(("+", s.name))
-            elif isinstance(s, AncillaDealloc):
-                if ("+", s.name) in delta:
-                    delta.remove(("+", s.name))
-                else:
-                    delta.append(("-", s.name))
-            elif isinstance(s, Block):
-                delta.extend(block_delta(s.stmts))
-            elif isinstance(s, InvCheckOff):
-                delta.extend(block_delta([s.stmt]))
-        return delta
-
-    def check_stmt(s, live, routine_stack):
+    def check_stmt(s, live):
         match s:
             case AncillaAlloc(name=name, expr=e, span=span):
                 check_expr(e)
@@ -475,63 +437,18 @@ def validate(program):
                 check_expr(step)
                 check_expr(stop)
                 check_stmts(body.stmts)
-            case RoutineBegin(block=block, span=span):
-                check_stmts_routine(block.stmts)
-                delta = block_delta(block.stmts)
-                routine_stack.append((delta, span))
-                # the routine body's allocations stay live until the mirror
-                for sign, name in delta:
-                    if sign == "+":
-                        live.append((name, span))
-                    else:
-                        for entry in reversed(live):
-                            if entry[0] == name:
-                                live.remove(entry)
-                                break
-            case RoutineEnd(span=span):
-                if not routine_stack:
-                    diags.append(Diagnostic(
-                        "UnmatchedRoutine",
-                        "routine close without a matching open", span))
-                else:
-                    delta, _ = routine_stack.pop()
-                    # the mirrored inverse releases what the routine allocated
-                    for sign, name in reversed(delta):
-                        if sign == "+":
-                            for entry in reversed(live):
-                                if entry[0] == name:
-                                    live.remove(entry)
-                                    break
-                            else:
-                                diags.append(Diagnostic(
-                                    "UnbalancedAncilla",
-                                    f"routine close releases unknown {name!r}",
-                                    span))
-                        else:
-                            live.append((name, span))
+            case Routine(compute=compute, body=body):
+                # checked as the statements it expands to, in this scope
+                for t in (*compute.stmts, *body.stmts,
+                          *reverser.invert_block(compute).stmts):
+                    check_stmt(t, live)
             case InvCheckOff(stmt=stmt):
-                check_stmt(stmt, live, routine_stack)
+                check_stmt(stmt, live)
             case Safe(exprs=exprs):
                 for e in exprs:
                     check_expr(e)
             case Block(stmts=stmts):
                 check_stmts(stmts)
-
-    def check_stmts_routine(stmts):
-        # validate the inside of a routine; its own ancilla imbalance is
-        # fine (the mirrored inverse balances it), so drop only those
-        saved = len(diags)
-        inner_live = []
-        inner_stack = []
-        for s in stmts:
-            check_stmt(s, inner_live, inner_stack)
-        if inner_stack:
-            diags.append(Diagnostic(
-                "UnmatchedRoutine", "routine block is never closed",
-                inner_stack[-1][1]))
-        new = diags[saved:]
-        del diags[saved:]
-        diags.extend(d for d in new if d.rule != "UnbalancedAncilla")
 
     for name in getattr(program, "duplicate_names", ()):
         diags.append(Diagnostic(
@@ -553,4 +470,5 @@ def validate(program):
             pnames.add(p.name)
         check_stmts(fdef.body.stmts)
 
-    return diags
+    # a routine's compute block and its replay share spans: report once
+    return list({(d.rule, d.message, d.span): d for d in diags}.values())

@@ -220,6 +220,12 @@ def _array_arg(x, fname):
     return x
 
 
+def _dim(d):
+    if not is_int(d):
+        raise KindError(f"size() needs an Int dimension, got {kind_name(d)}")
+    return d
+
+
 _ORDER = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -248,7 +254,7 @@ EXPR_FNS = {
     "min": FnSpec(2, 2, lambda a, b: b if compare("<", b, a) else a),
     "max": FnSpec(2, 2, lambda a, b: b if compare(">", b, a) else a),
     "length": FnSpec(1, 1, lambda x: len(_array_arg(x, "length").data)),
-    "size": FnSpec(2, 2, lambda x, d: _array_arg(x, "size").size(int(d))),
+    "size": FnSpec(2, 2, lambda x, d: _array_arg(x, "size").size(_dim(d))),
     "ulog": FnSpec(1, 1, ULog.from_real),
     "fixed": FnSpec(1, 1, Fixed.from_real),
     "float": FnSpec(1, 1, lambda x: float(to_real(x))),

@@ -22,8 +22,7 @@ from .errors import RnlSyntaxError, SourceSpan
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, FunctionDef, If,
                  IndexView, InstrCall, InvCheckOff, Lit, Param, Program,
-                 RoutineBegin, RoutineEnd, Safe, Un, UncallFn, VarView,
-                 ViewRef, While)
+                 Routine, Safe, Un, UncallFn, VarView, ViewRef, While)
 from .numerics import INSTR_BIN_NAMES, INSTR_BIN_OPS
 from .values import Fixed
 
@@ -102,26 +101,29 @@ def tokenize(text, filename="<string>"):
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        # ASCII digits only: str.isdigit also takes '²' and other scripts
+        if "0" <= c <= "9" or (
+                c == "." and i + 1 < n and "0" <= text[i + 1] <= "9"):
             j = i
             is_float = False
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == "." and (j + 1 >= n or text[j + 1] != "."):
                 nxt = text[j + 1] if j + 1 < n else ""
-                if nxt.isdigit():
+                if "0" <= nxt <= "9":
                     is_float = True
                     j += 1
-                    while j < n and text[j].isdigit():
+                    while j < n and "0" <= text[j] <= "9":
                         j += 1
             if j < n and text[j] in "eE" and (
-                    (j + 1 < n and text[j + 1].isdigit()) or
-                    (j + 2 < n and text[j + 1] in "+-" and text[j + 2].isdigit())):
+                    (j + 1 < n and "0" <= text[j + 1] <= "9") or
+                    (j + 2 < n and text[j + 1] in "+-"
+                     and "0" <= text[j + 2] <= "9")):
                 is_float = True
                 j += 1
                 if text[j] in "+-":
                     j += 1
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
             k = j
             while k < n and text[k].isalpha():
@@ -267,26 +269,36 @@ class _Parser:
             self.err(f"expected {kw!r}, found {self.cur.value!r}")
         return self.advance()
 
-    def stmt_block(self, stop_keywords):
+    def stmt_block(self, stop_keywords, in_routine=False):
+        """Statements up to one of `stop_keywords` or, in a routine body,
+        up to the `~@routine` that closes it: a close marker pairs with the
+        innermost open routine of the same statement list."""
         stmts = []
         while not (self.cur.kind == "eof"
-                   or (self.cur.kind == "name" and self.cur.value in stop_keywords)):
-            stmts.append(self.stmt())
+                   or (self.cur.kind == "name" and self.cur.value in stop_keywords)
+                   or (in_routine and self.cur.kind == "macro"
+                       and self.cur.value == "~@routine")):
+            stmts.append(self.stmt(stop_keywords))
         return Block(tuple(stmts))
 
-    def stmt(self):
+    def stmt(self, stop_keywords):
+        """One statement of a block that ends at one of `stop_keywords`."""
         t0 = self.cur
         sp = self.span(t0)
         if t0.kind == "macro":
             self.advance()
             if t0.value == "@routine":
-                inner = self.stmt()
-                block = inner if isinstance(inner, Block) else Block((inner,))
-                return RoutineBegin(block, sp)
+                inner = self.stmt(stop_keywords)
+                compute = inner if isinstance(inner, Block) else Block((inner,))
+                body = self.stmt_block(stop_keywords, in_routine=True)
+                if self.cur.value != "~@routine":
+                    self.err("routine block is never closed", t0)
+                self.advance()
+                return Routine(compute, body, sp)
             if t0.value == "~@routine":
-                return RoutineEnd(sp)
+                self.err("routine close without a matching open", t0)
             if t0.value == "@invcheckoff":
-                return InvCheckOff(self.stmt(), sp)
+                return InvCheckOff(self.stmt(stop_keywords), sp)
             if t0.value == "@safe":
                 kt = self.expect_name()
                 if kt.value not in ("assert", "print"):
@@ -707,12 +719,13 @@ def _fmt_stmt(s, out, depth):
             for st in body.stmts:
                 _fmt_stmt(st, out, depth + 1)
             out.append(f"{pad}end")
-        case RoutineBegin(block=block):
+        case Routine(compute=compute, body=body):
             out.append(f"{pad}@routine begin")
-            for st in block.stmts:
+            for st in compute.stmts:
                 _fmt_stmt(st, out, depth + 1)
             out.append(f"{pad}end")
-        case RoutineEnd():
+            for st in body.stmts:
+                _fmt_stmt(st, out, depth)
             out.append(f"{pad}~@routine")
         case InvCheckOff(stmt=stmt):
             inner = []

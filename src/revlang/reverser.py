@@ -1,24 +1,19 @@
 """Compilation passes that symmetrize and invert reversible IR.
 
-`expand_routines` replaces every routine-close marker with the inverse of
-its matching routine block (compute-copy-uncompute), leaving marker-free
-IR. `invert_statement` / `invert_function` then produce the mechanical
-inverse: blocks reverse order, updates flip operator, allocations swap
-with releases, calls swap with uncalls, branch conditions swap with their
-postconditions, and loop ranges run backwards. Both passes are pure
-IR-to-IR transforms; no runtime stack is ever introduced.
+`expand_routines` replaces every `Routine` (compute-copy-uncompute) with
+its compute block, its body and the compute block inverted, leaving
+routine-free IR. `invert_statement` / `invert_function` then produce the
+mechanical inverse: blocks reverse order, updates flip operator,
+allocations swap with releases, calls swap with uncalls, branch
+conditions swap with their postconditions, and loop ranges run
+backwards; a routine keeps its compute block and inverts its body. Both
+passes are pure IR-to-IR transforms; no runtime stack is ever introduced.
 """
 
-from .errors import RevLangError
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, Block,
                  FnCall, For, FunctionDef, If, InstrCall, InvCheckOff, Lit,
-                 RoutineBegin, RoutineEnd, Safe, Un, UncallFn, While,
-                 inverse_name)
+                 Routine, Safe, Un, UncallFn, While, inverse_name)
 from .numerics import OP_INVERSE, PRIM_INVERSE
-
-
-class UnmatchedRoutine(RevLangError):
-    pass
 
 
 def expand_routines(fdef):
@@ -30,22 +25,17 @@ def expand_routines(fdef):
 
 def _expand_stmts(stmts):
     out = []
-    pending = []
     for s in stmts:
-        if isinstance(s, RoutineBegin):
-            body = _expand_stmts(s.block.stmts)
-            pending.append((body, s.span))
-            out.extend(body)
-        elif isinstance(s, RoutineEnd):
-            if not pending:
-                raise UnmatchedRoutine(
-                    "routine close without a matching open", s.span)
-            body, _ = pending.pop()
-            out.extend(_invert_stmts(body))
+        if isinstance(s, Routine):
+            compute = _expand_stmts(s.compute.stmts)
+            out.extend(compute)
+            out.extend(_expand_stmts(s.body.stmts))
+            out.extend(_invert_stmts(compute))
+        elif isinstance(s, InvCheckOff):
+            # each statement a routine expands to stays in this scope
+            out.extend(InvCheckOff(t, s.span) for t in _expand_stmts((s.stmt,)))
         else:
             out.append(_expand_in_stmt(s))
-    if pending:
-        raise UnmatchedRoutine("routine block is never closed", pending[-1][1])
     return tuple(out)
 
 
@@ -60,10 +50,6 @@ def _expand_in_stmt(s):
         case For(var=var, start=a, step=st, stop=b, body=body, span=span):
             return For(var, a, st, b, Block(_expand_stmts(body.stmts), body.span),
                        span)
-        case InvCheckOff(stmt=stmt, span=span):
-            inner = _expand_stmts((stmt,))
-            wrapped = inner[0] if len(inner) == 1 else Block(inner, span)
-            return InvCheckOff(wrapped, span)
         case Block(stmts=stmts, span=span):
             return Block(_expand_stmts(stmts), span)
         case _:
@@ -85,8 +71,7 @@ def negate_expr(e):
 
 
 def invert_statement(s):
-    """The statement-level inverse; requires routine-free input and
-    satisfies invert(invert(s)) == s."""
+    """The statement-level inverse; satisfies invert(invert(s)) == s."""
     match s:
         case AncillaAlloc(name=name, expr=e, span=span):
             return AncillaDealloc(name, e, span)
@@ -115,41 +100,14 @@ def invert_statement(s):
             return s  # irreversible external statement: re-executed as-is
         case Block():
             return invert_block(s)
-        case RoutineBegin() | RoutineEnd():
-            raise UnmatchedRoutine(
-                "routine markers invert only as matched pairs", s.span)
+        case Routine(compute=compute, body=body, span=span):
+            return Routine(compute, invert_block(body), span)
         case _:
             raise TypeError(f"not a statement: {s!r}")
 
 
 def _invert_stmts(stmts):
-    """Reverse a statement list, inverting each element. A matched
-    @routine ... ~@routine trio inverts to @routine ... ~@routine with the
-    same opening block (only the statements between the markers flip), so
-    inversion stays an involution on routine-bearing code."""
-    opens = {}
-    stack = []
-    for pos, s in enumerate(stmts):
-        if isinstance(s, RoutineBegin):
-            stack.append(pos)
-        elif isinstance(s, RoutineEnd):
-            if not stack:
-                raise UnmatchedRoutine(
-                    "routine close without a matching open", s.span)
-            opens[pos] = stack.pop()
-    if stack:
-        raise UnmatchedRoutine("routine block is never closed",
-                               stmts[stack[-1]].span)
-    out = []
-    for pos in range(len(stmts) - 1, -1, -1):
-        s = stmts[pos]
-        if isinstance(s, RoutineEnd):
-            out.append(RoutineBegin(stmts[opens[pos]].block, s.span))
-        elif isinstance(s, RoutineBegin):
-            out.append(RoutineEnd(s.span))
-        else:
-            out.append(invert_statement(s))
-    return tuple(out)
+    return tuple(invert_statement(s) for s in reversed(stmts))
 
 
 def invert_block(block):
@@ -158,7 +116,7 @@ def invert_block(block):
 
 def invert_function(fdef):
     """Produce the inverse function: same signature, name toggled with a
-    `~` prefix, body inverted (routines stay paired, so inverting twice
-    restores the original definition)."""
+    `~` prefix, body inverted (inverting twice restores the original
+    definition)."""
     return FunctionDef(inverse_name(fdef.name), fdef.params,
                        invert_block(fdef.body), fdef.span)

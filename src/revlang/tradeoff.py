@@ -14,6 +14,8 @@ import math
 from copy import deepcopy
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidBudget, InvalidPartition, NonConformingLength, \
     RevDomainError, ScheduleError
 
@@ -65,25 +67,20 @@ def bennett_counts(k, n):
     return (2 * k - 1) ** n, n * (k - 1) + 2
 
 
-def bennett_run(prog, k, base=1, length=None, strict=False):
-    """Advance the chain from state `base` to state `base + length` with
-    the k-way recursive compute/uncompute schedule, erasing every
+def bennett_run(prog, k, strict=False):
+    """Advance the chain its `prog.length` steps from the initial state
+    with the k-way recursive compute/uncompute schedule, erasing every
     intermediate state as it goes.
 
     States live in a dict keyed by 1-based chain position; `peak_states`
-    is the largest number of simultaneously stored states. For base > 1
-    the starting state is derived by uncounted forward replay (the
-    schedule's own bookkeeping starts at the sector head).
+    is the largest number of simultaneously stored states.
     Returns (final_state, counters).
     """
     if k < 2:
         raise InvalidPartition(f"need k >= 2, got {k}")
-    if length is None:
-        length = prog.length - (base - 1)
+    length = prog.length
     if length < 1:
         raise ScheduleError(f"need length >= 1, got {length}")
-    if base < 1 or base + length - 1 > prog.length:
-        raise ScheduleError("sector exceeds the program length")
     if strict:
         m = length
         while m % k == 0:
@@ -92,10 +89,7 @@ def bennett_run(prog, k, base=1, length=None, strict=False):
             raise NonConformingLength(
                 f"length {length} is not a power of {k}")
 
-    head = prog.copy(prog.initial)
-    for i in range(1, base):
-        head = prog.step(i, head)
-    states = {base: head}
+    states = {1: prog.copy(prog.initial)}
     counters = ScheduleCounters(peak_states=1, snapshots_peak=1)
 
     def note_peak():
@@ -135,17 +129,13 @@ def bennett_run(prog, k, base=1, length=None, strict=False):
             for off in reversed(starts):
                 bennett(b + off, min(sector, ln - off), True)
 
-    bennett(base, length, False)
-    return states[base + length], counters
+    bennett(1, length, False)
+    return states[1 + length], counters
 
 
 def _states_equal(a, b):
-    try:
-        import numpy as np
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np.array_equal(a, b)
-    except ImportError:
-        pass
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
     return a == b
 
 

@@ -64,6 +64,30 @@ class TestCommands:
         assert d["grads"] == {"a": 5.0, "b": 3.0, "y!": 1.0}
         assert d["primal"] == [15.0, 3.0, 5.0]
 
+    def test_grad_seed_selectors(self, asset, capsys):
+        rc = main(["grad", asset("multiplier"), "-f", "multiplier",
+                   "-a", "0.0,3.0,5.0", "--seed", "y!=2.0"])
+        assert rc == 0
+        grads = json.loads(capsys.readouterr().out)["grads"]
+        assert grads == {"a": 10.0, "b": 6.0, "y!": 2.0}
+        rc = main(["grad", asset("complex_log"), "-f", "complex_log",
+                   "-a", "0.0+0.0im,1.0+2.0im", "--seed", "y!.im"])
+        assert rc == 0
+        grads = json.loads(capsys.readouterr().out)["grads"]
+        # the imaginary part is angle(x): d/dre = -im/|x|^2, d/dim = re/|x|^2
+        assert grads["x"]["re"] == pytest.approx(-0.4)
+        assert grads["x"]["im"] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("name, seed", [
+        ("multiplier", "y![2]"), ("multiplier", "y!.re"),
+        ("complex_log", "y!.foo"), ("complex_log", "y![1]")])
+    def test_grad_seed_mismatch_exit_code(self, asset, capsys, name, seed):
+        args = "0.0,3.0,5.0" if name == "multiplier" else "0.0+0.0im,1.0+2.0im"
+        rc = main(["grad", asset(name), "-f", name, "-a", args, "--seed", seed])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "KindError" in err and "Traceback" not in err
+
     def test_grad_deterministic_key_order(self, asset, capsys):
         main(["grad", asset("multiplier"), "-f", "multiplier",
               "-a", "0.0,3.0,5.0"])
@@ -108,6 +132,34 @@ end
         rc = main(["run", str(bad), "-f", "f", "-a", "1"])
         assert rc == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_exit_code(self, tmp_path, capsys, literal):
+        bad = tmp_path / "digit.rnl"
+        bad.write_text(f"fn f(y)\ny += {literal}\nend\n", encoding="utf-8")
+        rc = main(["run", str(bad), "-f", "f", "-a", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unexpected character" in err and "Traceback" not in err
+
+    def test_allocation_in_compute_loop_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "loop.rnl"
+        bad.write_text("fn f(y)\n@routine begin\nfor i = 1:2\nn <- 0.0\n"
+                       "end\nend\n~@routine\nend\n")
+        rc = main(["run", str(bad), "-f", "f", "-a", "1.0"])
+        assert rc == 2
+        assert "UnbalancedAncilla" in capsys.readouterr().err
+
+    def test_invcheckoff_routine_commands_agree(self, tmp_path, capsys):
+        f = tmp_path / "ico.rnl"
+        f.write_text("fn f(y!, x)\n@invcheckoff @routine begin\nn <- 0.0\n"
+                     "n += abs(x)\nend\ny! += n\n~@routine\nend\n")
+        assert main(["run", str(f), "-f", "f", "-a", "1.0,-2.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["args"] == [3.0, -2.0]
+        assert main(["check", str(f), "-f", "f", "-a", "1.0,-2.0"]) == 0
+        assert "ok" in capsys.readouterr().out
+        assert main(["invert", str(f)]) == 0
+        assert "y! -= n" in capsys.readouterr().out
 
     def test_instruction_arity_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "arity.rnl"

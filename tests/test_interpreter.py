@@ -526,6 +526,14 @@ end
 end""")
         assert run(p, "f", [2.5]) == [2.5]
 
+    def test_size_needs_an_int_dimension(self):
+        src = "fn f(y, a)\nn <- size(a, {d})\ny += n\nn -> size(a, {d})\nend"
+        a = Array.matrix([[1.0, 2.0, 3.0]])
+        assert run(prog(src.format(d="2")), "f", [0, a])[0] == 3
+        for d in ("1.5", "true"):
+            with pytest.raises(KindError, match="Int dimension"):
+                run(prog(src.format(d=d)), "f", [0, a])
+
     def test_exec_options_validation(self):
         with pytest.raises(ValueError):
             ExecOptions(float_tolerance=-1.0)

@@ -1,5 +1,6 @@
 import pytest
 
+from revlang.errors import RnlSyntaxError
 from revlang.interpreter import Frame, canonical_view_identity
 from revlang.ir import validate
 from revlang.parser import parse_program
@@ -35,9 +36,10 @@ end"""
         assert "UnbalancedAncilla" in rules(src)
 
     def test_unmatched_routine(self):
-        assert "UnmatchedRoutine" in rules("fn f(y)\n~@routine\nend")
-        assert "UnmatchedRoutine" in rules(
-            "fn f(y)\n@routine begin\ny += 1\nend\nend")
+        with pytest.raises(RnlSyntaxError, match="without a matching open"):
+            rules("fn f(y)\n~@routine\nend")
+        with pytest.raises(RnlSyntaxError, match="never closed"):
+            rules("fn f(y)\n@routine begin\ny += 1\nend\nend")
 
     def test_routine_internal_allocs_are_balanced_by_mirror(self):
         src = """fn f(y, x)
@@ -50,9 +52,36 @@ y += n
 end"""
         assert diags_of(src) == []
 
+    @pytest.mark.parametrize("head", ["for i = 1:2", "if (x > 0, ~)"])
+    def test_routine_is_checked_as_its_expansion(self, head):
+        # an allocation left open in a block of a compute block is not
+        # balanced by the replay, as it is not outside a routine
+        inner = f"{head}\nn <- 0.0\nend"
+        outside = rules(f"fn f(y, x)\n{inner}\nend")
+        inside = rules(f"fn f(y, x)\n@routine begin\n{inner}\nend\n"
+                       "y += 1.0\n~@routine\nend")
+        assert outside == inside == ["UnbalancedAncilla"]
+
+    def test_invcheckoff_routine_is_valid(self):
+        assert diags_of("""fn f(y, x)
+@invcheckoff @routine begin
+    n <- 0.0
+    n += abs(x)
+end
+y += n
+~@routine
+end""") == []
+
+    def test_compute_and_replay_report_once(self):
+        src = "fn f(y, x)\n@routine begin\ny += wiggle(x)\nend\n~@routine\nend"
+        assert [d.rule for d in diags_of(src)] == ["UnknownFunction"]
+
     def test_non_affine_index(self):
         assert "NonAffineIndex" in rules("fn f(a, i)\na[i * i] += 1\nend")
         assert "NonAffineIndex" not in rules("fn f(a, i, j)\na[2*i + j - 1] += 1\nend")
+        # each view is checked once, however deep in an expression
+        src = "fn f(x, a, i)\nn <- a + a * (a + x[i * i])\nn -> 0.0\nend"
+        assert [d.rule for d in diags_of(src)] == ["NonAffineIndex"]
 
     def test_unknown_function_and_arity(self):
         assert "UnknownFunction" in rules("fn f(y)\ng(y)\nend")

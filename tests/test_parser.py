@@ -2,7 +2,8 @@ import pytest
 
 from revlang.errors import RnlSyntaxError
 from revlang.ir import (SAME_AS_PRE, AncillaAlloc, BijView, FnCall, If,
-                        IndexView, InstrCall, Lit, UncallFn)
+                        IndexView, InstrCall, InvCheckOff, Lit, Routine,
+                        UncallFn)
 from revlang.parser import parse_program, pretty_print
 from revlang.stdlib import CATALOG, asset_text, load_example
 from revlang.values import Fixed
@@ -98,6 +99,37 @@ class TestStatements:
     def test_rhs_must_be_single_application(self):
         with pytest.raises(RnlSyntaxError):
             first_stmt("y += a * b + 1")
+
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0663", "1\u00b2", ".\u0663"])
+    def test_numbers_take_ascii_digits_only(self, text):
+        with pytest.raises(RnlSyntaxError, match="unexpected character"):
+            first_stmt(f"y += {text}")
+
+
+class TestRoutines:
+    def test_close_pairs_with_innermost_open(self):
+        s = first_stmt("@routine begin\nend\n@routine x += 1\ny += x\n"
+                       "~@routine\na += 1\n~@routine")
+        assert isinstance(s, Routine) and s.compute.stmts == ()
+        inner, after = s.body.stmts
+        assert isinstance(inner, Routine) and after == first_stmt("a += 1")
+        assert inner.compute.stmts == (first_stmt("x += 1"),)
+        assert inner.body.stmts == (first_stmt("y += x"),)
+
+    def test_close_pairs_within_its_statement_list(self):
+        with pytest.raises(RnlSyntaxError, match="without a matching open"):
+            first_stmt("@routine begin\nend\nif (x > 0, ~)\n~@routine\nend")
+        with pytest.raises(RnlSyntaxError, match="never closed"):
+            first_stmt("if (x > 0, ~)\n@routine begin\nend\nend\n~@routine")
+        with pytest.raises(RnlSyntaxError, match="never closed"):
+            first_stmt("if (x > 0, ~)\n@routine x += 1\nelse\n~@routine\nend")
+
+    def test_invcheckoff_covers_the_routine(self):
+        p = parse_program("fn f(y, x)\n@invcheckoff @routine x += 1\n"
+                          "y += x\n~@routine\nend")
+        s, = p.get("f").body.stmts
+        assert isinstance(s, InvCheckOff) and isinstance(s.stmt, Routine)
+        assert parse_program(pretty_print(p)) == p
 
 
 class TestRoundTrip:

@@ -1,9 +1,11 @@
 import pytest
 
-from revlang.ir import Block, For, If, InstrCall, Lit, UncallFn, Un
+from revlang.errors import RnlSyntaxError
+from revlang.ir import (Block, For, If, InstrCall, InvCheckOff, Lit, UncallFn,
+                        Un)
 from revlang.parser import parse_program, pretty_print
-from revlang.reverser import (UnmatchedRoutine, expand_routines,
-                              invert_function, invert_statement, negate_expr)
+from revlang.reverser import (expand_routines, invert_function,
+                              invert_statement, negate_expr)
 from revlang.stdlib import CATALOG, entry_function, load_example
 
 
@@ -96,13 +98,21 @@ y += a
 end"""
         f = expand_routines(fn_of(src))
         kinds = [type(s).__name__ for s in f.body.stmts]
-        assert "RoutineBegin" not in kinds and "RoutineEnd" not in kinds
+        assert "Routine" not in kinds
         # inner block expanded before the outer mirror reversed it
         assert len(f.body.stmts) == 13
 
+    def test_invcheckoff_routine_expands_in_place(self):
+        # no block, so no scope: the body may release what an enclosing
+        # compute block allocated
+        f = expand_routines(fn_of(
+            "fn t(y, x)\n@invcheckoff @routine x += 1\ny += x\n~@routine\nend"))
+        plain = fn_of("fn t(y, x)\nx += 1\ny += x\nx -= 1\nend")
+        assert f.body.stmts == tuple(InvCheckOff(s) for s in plain.body.stmts)
+
     def test_unmatched_raises(self):
-        with pytest.raises(UnmatchedRoutine):
-            expand_routines(fn_of("fn t(y)\n~@routine\nend"))
+        with pytest.raises(RnlSyntaxError):
+            fn_of("fn t(y)\n~@routine\nend")
 
 
 class TestInvertFunction:
