@@ -9,10 +9,11 @@ accumulates cotangents. Hessians come from running the same pipeline over
 Dual-number leaves (forward over reverse). A central finite-difference
 estimator serves as the independent oracle.
 
-Each public call builds one Interpreter under the caller's options, which
-validates, inverts and compiles the program once and runs every pass of
-the call: a pass whose arguments carry GVar values is a gradient pass. A
-Jacobian shares a single forward pass among its rows.
+Each public call builds one Interpreter under the caller's options and
+runs every pass of the call on it: a pass whose arguments carry GVar
+values is a gradient pass. The program is validated, inverted and lowered
+once per option set and kept with it, so repeated calls reuse that work.
+A Jacobian shares a single forward pass among its rows.
 """
 
 from dataclasses import dataclass

@@ -15,6 +15,7 @@ Argument literals carry kind suffixes: `5` Int, `2.0` Float, `3fx` Fixed,
 """
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -38,8 +39,11 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_value(text):
-    """One CLI value literal -> runtime value."""
+    """One CLI value literal -> runtime value. Digits are ASCII only, as in
+    `.rnl` literals (Python's `int` and `float` take any Unicode digit)."""
     s = text.strip()
+    if not s.isascii():
+        raise ValueError(f"bad value literal {s!r}: ASCII characters only")
     if s.startswith("["):
         return _parse_array(s)
     if s in ("true", "false"):
@@ -143,7 +147,9 @@ def _exec_options(ns):
 
 
 def _parse_seed(spec):
-    # PARAM or PARAM=VALUE (path selectors: name.re / name[3])
+    # PARAM or PARAM=VALUE (path selectors: name.re / name[3]); ASCII only
+    if not spec.isascii():
+        raise ValueError(f"bad seed selector {spec!r}")
     name, _, val = spec.partition("=")
     seed = float(val) if val else 1.0
     path = ()
@@ -161,7 +167,10 @@ def _parse_seed(spec):
     return (pname, path, seed)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: a parse fills a new
+    namespace, so calls share no state."""
     ap = argparse.ArgumentParser(prog="revlang", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -203,9 +212,12 @@ def main(argv=None):
     p_ro = sub.add_parser("roundoff", help="leapfrog reversal-error table (CSV)")
     p_ro.add_argument("--steps", type=int, default=10_000)
     p_ro.add_argument("--precision", choices=("32", "64"), default="64")
+    return ap
 
+
+def main(argv=None):
     try:
-        ns = ap.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
 

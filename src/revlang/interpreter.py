@@ -7,30 +7,41 @@ there is one evaluator and no runtime stack. Reversibility checks
 alias rejection) are observers: on a passing program, disabling them
 changes nothing but speed.
 
-Function bodies are compiled once into Python closures, and these
-closures are the only evaluator: the public view helpers `read_view`,
-`write_view` and `canonical_view_identity` compile their view with the
-same functions and run it on the given environment. An index view
-compiles to one closure per rank that computes the flat offset inline;
-other cases go to `Array.get`/`Array.set`. Aliasing between argument
-views is decided statically when their root names differ or their paths
-index one position with distinct Int literals (`v[i, 1]`, `v[i, 2]`);
-only the other same-root pairs are compared at run time.
+Each function and each inverse is lowered, on its first call, to one
+Python function (`_Lowering` emits its source; `compile` and `exec` make
+it). Variables are Python locals, bound statically: `validate` balances
+every allocation in its block, so an allocation of a bound name, or a read
+or release of an unbound one, is emitted as the error it raises. Where
+checks are off statically (`invcheck=False`, or inside `@invcheckoff`) no
+check code is emitted; alias checks always run. A `+=`/`-=` gets an
+inline arm for operands of the run's exact float type (`float`, or
+`float_dtype`), array cells at flat offsets behind `_offset`'s type and
+bounds guard; every other case calls the rule `numerics.instr_rule`
+resolves for the statement, which ends in `numerics.apply_instr`, and
+`Array.get`/`set`, so each value kind keeps one semantics. Expressions
+call what `numerics.expr_fn` resolves, and `numerics.compare`. An error
+carries the span of the statement whose line it escaped from; a host math
+error there becomes `RevDomainError`. A compound statement nested deeper
+than CPython compiles in one function becomes a function of its own
+(`_Lowering.region`). The view helpers (`read_view`,
+`write_view`, `canonical_view_identity`) lower their view the same way.
 
-An instruction and a statement primitive compile to the same update
-closure: read the arguments, check them for aliasing, apply the rule
-`numerics.instr_rule` resolved for the statement, and write back. The
-numeric semantics of every instruction live in `numerics`. An expression
-(ancilla initialiser, condition, loop bound, index) compiles each
-arithmetic operator and call to the function `numerics.expr_fn` resolves
-for it, and each comparison to `numerics.compare`. A host math
-error inside a statement (an overflow, `math.sin(inf)`) is raised as
-`RevDomainError` at that statement.
+A Program keeps its units (`Program.compiled`, dropped by `Program.add`):
+the validated, expanded and inverted definitions and their lowered
+functions, one unit per option set the lowered code depends on.
 """
 
-import json
-from dataclasses import dataclass, field
 
+import json
+import math
+import re
+from dataclasses import dataclass, field
+from operator import length_hint
+
+import numpy as np
+
+# the lowered code runs with this module's globals and names some of these
+# imports (errors it raises, `compare`, `Complex`) and the helpers below
 from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
                      DuplicateBinding, FuelExhausted, KindError,
                      LoopIteratorMutated, PostconditionMismatch,
@@ -40,7 +51,7 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, If, IndexView,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
                  ViewRef, While, inverse_name, validate, view_root)
-from .numerics import (BIJECTORS, INSTR_BIN_OPS, PRIM_INVERSE,
+from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, carries_gvar, compare,
                        expr_fn, instr_rule, unwrap_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
@@ -72,9 +83,7 @@ class ExecStats:
 
 
 class Frame:
-    """The environment: name -> value bindings of one function call.
-    `grad` marks a frame of a gradient pass, one whose arguments carry
-    GVar values; callee frames inherit it."""
+    """An environment for the view helpers: name -> value bindings."""
 
     __slots__ = ("bindings", "fname", "grad")
 
@@ -90,6 +99,8 @@ def ids_overlap(id_a, id_b):
     n = min(len(id_a), len(id_b))
     return id_a[:n] == id_b[:n]
 
+
+# --- runtime helpers called by the lowered code ------------------------------
 
 def _read_field(v, name):
     if isinstance(v, Complex):
@@ -117,8 +128,10 @@ def _write_field(v, name, new):
         raise KindError(f"field write on {kind_name(v)}")
 
 
-# --- expression helpers captured by the compiled closures --------------------
-# Expression values are GVar-free: a ViewRef reads the primal value.
+def _pv(v):
+    """The primal value: expressions are GVar-free."""
+    return v.x if isinstance(v, GVar) else v
+
 
 def _bool_of(v):
     if not is_bool(v):
@@ -126,107 +139,15 @@ def _bool_of(v):
     return v
 
 
-# --- expression and view compilation ----------------------------------------
-
-def _compile_expr(e, float_dtype):
-    if isinstance(e, Lit):
-        v = e.value
-        if isinstance(v, float) and float_dtype is not None:
-            v = float_dtype(v)
-        elif isinstance(v, complex):
-            z = float_dtype or float
-            re_, im_ = z(v.real), z(v.imag)
-            return lambda frame: Complex(re_, im_)
-        return lambda frame, _v=v: _v
-    if isinstance(e, ViewRef):
-        rd = _compile_reader(e.view, float_dtype)
-
-        def run(frame, _rd=rd):
-            v = _rd(frame)
-            return v.x if isinstance(v, GVar) else v
-        return run
-    if isinstance(e, Un):    # unary minus
-        return _compile_fn("neg", (e.operand,), e.span, float_dtype)
-    if isinstance(e, Bin):
-        op = e.op
-        if op in INSTR_BIN_OPS:
-            return _compile_fn(INSTR_BIN_OPS[op], (e.left, e.right), e.span,
-                               float_dtype)
-        lf = _compile_expr(e.left, float_dtype)
-        rf = _compile_expr(e.right, float_dtype)
-        if op == "&&":
-            return lambda frame: _bool_of(lf(frame)) and _bool_of(rf(frame))
-        if op == "||":
-            return lambda frame: _bool_of(lf(frame)) or _bool_of(rf(frame))
-        return lambda frame, _op=op: compare(_op, lf(frame), rf(frame))
-    if isinstance(e, Call):
-        return _compile_fn(e.fname, e.args, e.span, float_dtype)
-    raise KindError(f"not an expression: {e!r}")
+def _int(v, what):
+    if not is_int(v):
+        raise KindError(f"{what} must be an Int, got {kind_name(v)}")
+    return v
 
 
-def _compile_fn(fname, arg_exprs, span, float_dtype):
-    """A function application in an expression, resolved once by
-    `numerics.expr_fn`."""
-    spec = expr_fn(fname)
-    if spec is None:
-        raise UnknownFunction(
-            f"{fname!r} is not a registered pure function", span)
-    fn = spec.apply
-    arg_fns = [_compile_expr(a, float_dtype) for a in arg_exprs]
-    return lambda frame: fn(*[af(frame) for af in arg_fns])
-
-
-def _compile_int_expr(e, what, float_dtype):
-    inner = _compile_expr(e, float_dtype)
-
-    def run(frame):
-        v = inner(frame)
-        if not is_int(v):
-            raise KindError(f"{what} must be an Int, got {kind_name(v)}")
-        return v
-    return run
-
-
-def _compile_index(e, float_dtype):
-    """An array index, checked to be an Int: an Int literal is a constant,
-    and a variable bound to a plain `int` is read directly."""
-    if isinstance(e, Lit) and is_int(e.value):
-        v = e.value
-        return lambda frame: v
-    checked = _compile_int_expr(e, "array index", float_dtype)
-    if isinstance(e, ViewRef) and isinstance(e.view, VarView):
-        name = e.view.name
-
-        def index(frame):
-            v = frame.bindings.get(name)
-            return v if type(v) is int else checked(frame)
-        return index
-    return checked
-
-
-def _compile_offset(fs):
-    """`offset(array, frame)` for the index closures `fs`, one closure per
-    rank: the flat offset of the cell when the array has that rank and
-    every index is in bounds, else None. The caller then evaluates the
-    (pure) indices again and hands them to `Array.get`/`Array.set`, which
-    index with any Int and raise `IndexOutOfBounds`."""
-    if len(fs) == 1:
-        f1, = fs
-
-        def offset(arr, frame):
-            i, shape = f1(frame), arr.shape
-            if len(shape) == 1 and 0 < i <= shape[0]:
-                return i - 1
-        return offset
-    if len(fs) == 2:
-        f1, f2 = fs
-
-        def offset(arr, frame):
-            i, j, shape = f1(frame), f2(frame), arr.shape
-            if len(shape) == 2 and 0 < i <= shape[0] and 0 < j <= shape[1]:
-                return (i - 1) * shape[1] + j - 1
-        return offset
-    return lambda arr, frame: None
+def _ix(v):
+    """A variable's value as an array index."""
+    return _int(_pv(v), "array index")
 
 
 def _indexed(v):
@@ -235,140 +156,111 @@ def _indexed(v):
     return v
 
 
-def _compile_reader(view, float_dtype):
-    if isinstance(view, VarView):
-        name = view.name
-
-        def read(frame):
-            try:
-                return frame.bindings[name]
-            except KeyError:
-                raise UnboundVariable(f"{name!r} is not bound",
-                                      view.span) from None
-        return read
-    if isinstance(view, FieldView):
-        base = _compile_reader(view.base, float_dtype)
-        fname = view.field_name
-        return lambda frame: _read_field(base(frame), fname)
-    if isinstance(view, IndexView):
-        base = _compile_reader(view.base, float_dtype)
-        fs = [_compile_index(ix, float_dtype) for ix in view.indices]
-        offset = _compile_offset(fs)
-
-        def read(frame):
-            arr = _indexed(base(frame))
-            k = offset(arr, frame)
-            if k is None:
-                return arr.get(tuple([f(frame) for f in fs]))
-            return arr.data[k]
-        return read
-    if isinstance(view, BijView):
-        base = _compile_reader(view.base, float_dtype)
-        bij = BIJECTORS[view.bij]
-        args = view.args
-        return lambda frame: bij.fwd(base(frame), args)
-    raise KindError(f"not a view: {view!r}")
+def _lookup(bindings, name, span):
+    try:
+        return bindings[name]
+    except KeyError:
+        raise UnboundVariable(f"{name!r} is not bound", span) from None
 
 
-def _compile_writer(view, float_dtype):
-    if isinstance(view, VarView):
-        name = view.name
-
-        def write(frame, v):
-            frame.bindings[name] = v
-        return write
-    if isinstance(view, BijView):
-        inner = _compile_writer(view.base, float_dtype)
-        bij = BIJECTORS[view.bij]
-        args = view.args
-        return lambda frame, v: inner(frame, bij.inv(v, args))
-    if isinstance(view, FieldView):
-        base = _compile_reader(view.base, float_dtype)
-        fname = view.field_name
-        return lambda frame, v: _write_field(base(frame), fname, v)
-    if isinstance(view, IndexView):
-        base = _compile_reader(view.base, float_dtype)
-        fs = [_compile_index(ix, float_dtype) for ix in view.indices]
-        offset = _compile_offset(fs)
-
-        def write(frame, v):
-            arr = _indexed(base(frame))
-            k = offset(arr, frame)
-            if k is None:
-                arr.set(tuple([f(frame) for f in fs]), v)
-            else:
-                arr.data[k] = v
-        return write
-    raise KindError(f"not a view: {view!r}")
+def _unbound(name, span):
+    raise UnboundVariable(f"{name!r} is not bound", span)
 
 
-def _id_path(view):
-    """Root name and the non-bijector steps of a view, root first."""
-    steps = []
-    while not isinstance(view, VarView):
-        if not isinstance(view, BijView):   # bijectors keep identity
-            steps.append(view)
-        view = view.base
-    return view.name, steps[::-1]
+def _offset(a, *ixs):
+    """The flat offset of `a[ixs...]` when `a` is an Array of rank 1 or 2
+    and every index a plain in-bounds int of it, else -1."""
+    if type(a) is Array:
+        shape = a.shape
+        if len(ixs) == len(shape) == 1:
+            i, = ixs
+            if type(i) is int and 0 < i <= shape[0]:
+                return i - 1
+        elif len(ixs) == len(shape) == 2:
+            i, j = ixs
+            if type(i) is int and type(j) is int and 0 < i <= shape[0] \
+                    and 0 < j <= shape[1]:
+                return (i - 1) * shape[1] + j - 1
+    return -1
 
 
-def _compile_id(view, float_dtype):
-    """Storage-id closure (root name + concrete non-bijector path)."""
-    root, steps = _id_path(view)
-    step_fns = []
-    for node in steps:
-        if isinstance(node, FieldView):
-            step_fns.append(lambda frame, _s=("field", node.field_name): _s)
-        else:
-            fs = [_compile_index(ix, float_dtype) for ix in node.indices]
-            step_fns.append(
-                lambda frame, _fs=fs: ("idx", tuple([f(frame) for f in _fs])))
-    return lambda frame: (root,) + tuple([sf(frame) for sf in step_fns])
+def _get(a, *ixs):
+    """Read `a[ixs...]`, the indices being Int literals or variables."""
+    k = _offset(a, *ixs)
+    return a.data[k] if k >= 0 else \
+        _indexed(a).get(tuple([_ix(i) for i in ixs]))
 
 
-def _disjoint(view_a, view_b):
-    """True when two views of one root can never overlap: at some depth
-    both paths take an index step with distinct Int literals at the same
-    position, so their storage ids differ for every runtime value."""
-    steps_a, steps_b = _id_path(view_a)[1], _id_path(view_b)[1]
-    for sa, sb in zip(steps_a, steps_b):
-        if isinstance(sa, IndexView) and isinstance(sb, IndexView):
-            for ea, eb in zip(sa.indices, sb.indices):
-                if (isinstance(ea, Lit) and isinstance(eb, Lit)
-                        and is_int(ea.value) and is_int(eb.value)
-                        and ea.value != eb.value):
-                    return True
-    return False
+def _set(a, v, *ixs):
+    k = _offset(a, *ixs)
+    if k >= 0:
+        a.data[k] = v
+    else:
+        _indexed(a).set(tuple([_ix(i) for i in ixs]), v)
 
 
-# --- public view operations ------------------------------------------------
-# Each compiles its view with the functions above and runs it with the
-# environment as the frame.
-
-def _check_root(env, view):
-    root = view_root(view)
-    if root not in env.bindings:
-        raise UnboundVariable(f"{root!r} is not bound", view.span)
+def _alloc(grad, v):
+    """A new ancilla's value: GVar-wrapped in a gradient frame."""
+    return wrap_gvar(v) if grad else v
 
 
-def read_view(env, view, opts=None):
-    return _compile_reader(view, opts and opts.float_dtype)(env)
+def _release(cp, name, current, declared, tol, grad):
+    """The release check of ancilla `name` (two plain floats are decided
+    here as `values_close` decides them)."""
+    if grad or type(current) is not float or type(declared) is not float \
+            or not (current == declared or abs(current - declared) <= tol):
+        residual = _ancilla_residual(current, declared, tol, grad)
+        if residual is not None:
+            raise DirtyAncilla(f"{name!r} released with residual {residual}",
+                               name=name, residual=residual)
+    cp["ancilla"] += 1
 
 
-def write_view(env, view, value, opts=None):
-    _check_root(env, view)
-    _compile_writer(view, opts and opts.float_dtype)(env, value)
-    return env
+def _branch(cp, after, took):
+    if after != took:
+        raise PostconditionMismatch(
+            f"branch postcondition is {after}, expected {took}")
+    cp["postcondition"] += 1
 
 
-def canonical_view_identity(env, view, opts=None):
-    """StorageId of a view in an environment: equal ids denote the same
-    mutable cell; bijectors do not change identity."""
-    _check_root(env, view)
-    return _compile_id(view, opts and opts.float_dtype)(env)
+def _loop_post(cp, ok, when):
+    if not ok:
+        raise PostconditionMismatch(f"loop postcondition {when}")
+    cp["postcondition"] += 1
 
 
-# --- ancilla release comparison ---------------------------------------------
+def _loop_range(cp, changed):
+    if changed:
+        raise LoopIteratorMutated("loop range changed while the loop ran")
+    cp["iterator"] += 1
+
+
+def _trace(interp, line):
+    sink = interp.opts.trace_sink
+    if sink is not None:
+        sink.append(line)
+    else:
+        print(line)
+
+
+def _fail(err, spans, interp):
+    """Called in the except clause of a lowered function: gives a
+    RevLangError without a span the span of the statement it escaped from
+    (found by its line), and raises there a `FuelExhausted` for the fuel
+    iterator's StopIteration and a `RevDomainError` for a host math
+    error."""
+    span = spans[err.__traceback__.tb_lineno]
+    if isinstance(err, RevLangError):
+        if err.span is NO_SPAN:
+            err.span = span
+    elif type(err) is StopIteration:   # this statement found no fuel left
+        interp.stats.steps += 1
+        raise FuelExhausted(f"exceeded {interp.unit.max_steps} statement "
+                            f"executions", span) from None
+    elif isinstance(err, (ArithmeticError, ValueError)):
+        # a host math error: an overflow, or math.sin(inf)
+        raise RevDomainError(str(err), span) from None
+
 
 def _ancilla_residual(current, declared, tol, grad):
     """None when the ancilla may be released; otherwise the residual.
@@ -389,177 +281,234 @@ def _ancilla_residual(current, declared, tol, grad):
         return float("inf")
 
 
-# --- the compiling interpreter ----------------------------------------------
+# --- static view analysis ------------------------------------------------------
 
-class Interpreter:
-    """Validates and compiles a Program, then runs its functions in either
-    direction. One instance per execution context; instances share only
-    the (read-only) Program.
+def _id_path(view):
+    """Root name and the non-bijector steps of a view, root first."""
+    steps = []
+    while not isinstance(view, VarView):
+        if not isinstance(view, BijView):   # bijectors keep identity
+            steps.append(view)
+        view = view.base
+    return view.name, steps[::-1]
 
-    A pass whose arguments carry a GVar leaf is a gradient pass: the
-    instruction rules dispatch on the GVar values, its frames wrap new
-    ancillas in GVars, and an instruction may not read one cell twice.
-    Forward and gradient passes run the same compiled closures, so one
-    instance serves every pass of an autodiff call."""
 
-    def __init__(self, program, opts=None):
-        diags = validate(program)
-        if diags:
-            raise ValidationFailed(diags)
-        self.program = program
-        self.opts = opts or ExecOptions()
-        self.stats = ExecStats()
-        self._nocheck_depth = 0
-        self.defs = {f.name: expand_routines(f) for f in program}
-        for fdef in list(self.defs.values()):
-            inv = invert_function(fdef)
-            self.defs.setdefault(inv.name, inv)
-        self._compiled = {}
+def _disjoint(view_a, view_b):
+    """True when two views of one root can never overlap: at some depth
+    both paths take an index step with distinct Int literals at the same
+    position, so their storage ids differ for every runtime value."""
+    steps_a, steps_b = _id_path(view_a)[1], _id_path(view_b)[1]
+    for sa, sb in zip(steps_a, steps_b):
+        if isinstance(sa, IndexView) and isinstance(sb, IndexView):
+            for ea, eb in zip(sa.indices, sb.indices):
+                if (isinstance(ea, Lit) and isinstance(eb, Lit)
+                        and is_int(ea.value) and is_int(eb.value)
+                        and ea.value != eb.value):
+                    return True
+    return False
 
-    # --- entry points ---
 
-    def run_function(self, fname, args):
-        body, names, span = self._function(fname)
-        if len(args) != len(names):
-            raise KindError(f"{fname} takes {len(names)} arguments, "
-                            f"got {len(args)}")
-        frame = Frame(fname, any(carries_gvar(a) for a in args))
-        frame.bindings.update(zip(names, args))
-        try:
-            body(frame)
-        except RecursionError:
-            raise FuelExhausted(f"call depth exceeded in {fname}", span) \
-                from None
-        if len(frame.bindings) != len(names):
-            leftover = sorted(set(frame.bindings) - set(names))
-            raise DirtyAncilla(f"bindings leaked from {fname}: {leftover}", span)
-        b = frame.bindings
-        return [b[n] for n in names]
+def _alias_pairs(views, pairs):
+    """The (i, j, message) pairs of argument views that need a run-time
+    alias check; None when no pair shares a root name. Only views rooted
+    at the same name can ever overlap, and a same-root pair that is
+    `_disjoint` is discharged here: it is counted as a passed check with
+    the others."""
+    roots = [None if isinstance(v, Lit) else view_root(v) for v in views]
+    checks = None
+    for (i, j, message) in pairs:
+        if roots[i] is None or roots[i] != roots[j]:
+            continue
+        checks = checks or []
+        if not _disjoint(views[i], views[j]):
+            checks.append((i, j, message))
+    return checks
 
-    def uncall_function(self, fname, args):
-        return self.run_function(inverse_name(fname), args)
 
-    def _function(self, fname):
-        entry = self._compiled.get(fname)
+def _is_int_lit(e):
+    return isinstance(e, Lit) and type(e.value) is int
+
+
+def _touched(s):
+    from .parser import fmt_view
+    if isinstance(s, InstrCall):
+        return ",".join(fmt_view(a) for a in s.args if not isinstance(a, Lit))
+    if isinstance(s, (FnCall, UncallFn)):
+        return ",".join(fmt_view(a) for a in s.args)
+    if isinstance(s, (AncillaAlloc, AncillaDealloc)):
+        return s.name
+    if isinstance(s, For):
+        return s.var
+    return ""
+
+
+# the instruction functions the inline arm computes with operators: on
+# operands of one float type their value has that type
+_INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
+           "mul": "{0} * {1}", "neg": "-{0}", "abs2": "{0} * {0}"}
+
+
+# --- the emitter ---------------------------------------------------------------
+
+class _Lowering:
+    """Emits the Python source of one lowered function and compiles it.
+
+    `unit` supplies the options the code depends on; without a unit the
+    code reads and writes variables in a bindings dict `B` (the view
+    helpers), with no checks, fuel or trace."""
+
+    def __init__(self, unit=None, float_dtype=None):
+        self.unit = unit
+        self.dtype = float_dtype if unit is None else unit.dtype
+        self.consts = {}         # id(value) -> (name, value)
+        self.float = "float" if self.dtype is None else self.const(self.dtype)
+        self.checks = unit is not None and unit.invcheck   # statically on
+        self.lines = []          # (indent, text, span)
+        self.depth = 0
+        self.span = NO_SPAN      # of the statement being emitted
+        self.names = {}          # .rnl variable -> Python local
+        self.bound = set()       # .rnl variables bound at this point
+        self.ntemp = 0
+        self.counts = False      # the code counts passed checks
+        self.loops = 0           # loops around the point of emission
+        self.regions, self.nregions = [], 0   # see `region`
+
+    # --- bookkeeping ---
+
+    def emit(self, text):
+        self.lines.append((self.depth, text, self.span))
+
+    def const(self, value, name=None):
+        # numbers and tuples of them by value (repr tells -0.0 from 0.0)
+        key = (type(value), repr(value)) \
+            if isinstance(value, (tuple, float, np.floating)) else id(value)
+        entry = self.consts.get(key)
         if entry is None:
-            fdef = self.defs.get(fname)
-            if fdef is None:
-                raise UnknownFunction(f"no function named {fname!r}")
-            # placeholder enables recursion during compilation
-            cell = [None, fdef.param_names(), fdef.span]
+            entry = self.consts[key] = \
+                (name or f"_k{len(self.consts)}", value)
+        return entry[0]
 
-            def body(frame, _cell=cell):
-                return _cell[0](frame)
+    def temp(self):
+        self.ntemp += 1
+        return f"_t{self.ntemp}"
 
-            self._compiled[fname] = (body, cell[1], cell[2])
-            cell[0] = self._compile_block(fdef.body)
-            entry = self._compiled[fname]
-        return entry
+    def local(self, name):
+        if name not in self.names:
+            self.names[name] = \
+                f"v{len(self.names)}_" + re.sub(r"[^A-Za-z0-9_]", "_", name)
+        return self.names[name]
 
-    # --- shared runtime helpers captured by the closures ---
+    def count(self, kind):
+        self.counts = True
+        self.emit(f"cp[{kind!r}] += 1")
 
-    def _tick(self, span):
-        st = self.stats
-        st.steps += 1
-        if st.steps > self.opts.max_steps:
-            raise FuelExhausted(
-                f"exceeded {self.opts.max_steps} statement executions", span)
+    def build(self, defs):
+        """Compile the function definitions `defs` (lines at depth 1 and
+        deeper) inside `_make`, which closes over the constants and the
+        span of each line (that of the statement it was emitted for), and
+        return its `f`."""
+        lines = [(0, "def _make(" + ", ".join(
+            [name for name, _ in self.consts.values()] + ["_LS"]) + "):",
+                  NO_SPAN), *defs, (1, "return f", NO_SPAN)]
+        src = "\n".join(" " * d + t for d, t, _ in lines) + "\n"
+        spans = (NO_SPAN,) + tuple(s for _, _, s in lines)
+        ns = {}
+        exec(compile(src, "<revlang>", "exec"), globals(), ns)
+        return ns["_make"](*[v for _, v in self.consts.values()], spans)
 
-    def _trace_line(self, span, kind, detail):
-        line = f"{span.line}:{span.col}\t{kind}\t{detail}"
-        if self.opts.trace_sink is not None:
-            self.opts.trace_sink.append(line)
-        else:
-            print(line)
+    def view(self, params):
+        """`f(params)` running the emitted lines (the view helpers)."""
+        return self.build([(1, f"def f({params}):", NO_SPAN),
+                           *[(d + 2, t, s) for d, t, s in self.lines]])
 
-    def _alias_checks(self, arg_views, span, pairs):
-        """Compile runtime alias checks for (i, j, message) pairs of
-        argument views; None when no pair shares a root name. Only views
-        rooted at the same name can ever overlap, so other pairs get no
-        check, and a same-root pair that is `_disjoint` is discharged
-        here: it is counted as a passed check with the others."""
-        roots = [view_root(v) if not isinstance(v, Lit) else None
-                 for v in arg_views]
-        id_fns = {}
+    @staticmethod
+    def wrapped(name, params, body, results):
+        """`def name(params)` running the emitted lines `body` under the
+        handler that calls `_fail`, then returning `results`."""
+        return [(1, f"def {name}({', '.join(params)}):", NO_SPAN),
+                (2, "try:", NO_SPAN), *[(d + 3, t, s) for d, t, s in body],
+                (2, "except BaseException as e:", NO_SPAN),
+                (3, "_fail(e, _LS, I)", NO_SPAN), (3, "raise", NO_SPAN),
+                (2, f"return ({''.join(r + ', ' for r in results)})",
+                 NO_SPAN)]
 
-        def idf(i):
-            if i not in id_fns:
-                id_fns[i] = _compile_id(arg_views[i], self.opts.float_dtype)
-            return id_fns[i]
+    # --- functions ---
 
-        checks = None
-        for (i, j, message) in pairs:
-            if roots[i] is None or roots[j] is None or roots[i] != roots[j]:
-                continue
-            if checks is None:
-                checks = []
-            if _disjoint(arg_views[i], arg_views[j]):
-                continue
-            fi, fj = idf(i), idf(j)
+    def function(self, fdef):
+        """`f(I, chk, grad, F, *args) -> args`: `F` is the run's fuel, an
+        iterator that each statement executed takes one item from."""
+        self.const(self.unit, "_fns")
+        params = [self.local(p) for p in fdef.param_names()]
+        self.bound = set(fdef.param_names())
+        self.body(fdef.body)
+        head = [(0, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
+        return self.build([
+            *self.wrapped("f", ["I", "chk", "grad", "F", *params],
+                          head + self.lines, params), *self.regions])
 
-            def chk(frame, _fi=fi, _fj=fj, _m=message):
-                if ids_overlap(_fi(frame), _fj(frame)):
-                    raise AliasedArguments(_m, span)
-            checks.append(chk)
-        return checks
+    def region(self, s):
+        """Emit the compound statement `s` as a function of its own, called
+        here with the bound variables and returning them: CPython compiles
+        at most 20 nested loop and try blocks, and 100 indentation levels,
+        in one function."""
+        name, names = f"_g{self.nregions}", \
+            [self.names[n] for n in sorted(self.bound)]
+        self.nregions += 1
+        outer = self.lines, self.depth, self.loops
+        self.lines, self.depth, self.loops = [], 0, 0
+        self.stmt(s, region=False)
+        body = self.lines
+        self.lines, self.depth, self.loops = outer
+        self.regions += self.wrapped(
+            name, ["I", "chk", "grad", "F", "cp", *names], body, names)
+        self.counts = True
+        outer, self.span = self.span, s.span
+        call = f"{name}(I, chk, grad, F, cp{''.join(', ' + n for n in names)})"
+        self.emit(f"{''.join(n + ', ' for n in names)}= {call}" if names
+                  else call)
+        self.span = outer
 
-    # --- statement compilation ---
+    def body(self, block):
+        """The statements of a block, at the current depth, in a scope of
+        their own."""
+        saved = set(self.bound)
+        if not block.stmts:
+            self.emit("pass")
+        for s in block.stmts:
+            self.stmt(s)
+        self.bound = saved
 
-    def _compile_block(self, block):
-        fns = [self._compile_stmt(s) for s in block.stmts]
-        if len(fns) == 1:
-            return fns[0]
+    def indented(self, block):
+        self.depth += 1
+        self.body(block)
+        self.depth -= 1
 
-        def run(frame, _fns=tuple(fns)):
-            for f in _fns:
-                f(frame)
-        return run
+    def tick(self):
+        self.emit("next(F)")
 
-    def _compile_stmt(self, s):
-        inner = self._compile_stmt_inner(s)
-        span = s.span
-        stats, max_steps = self.stats, self.opts.max_steps
-        if self.opts.trace:
-            kind, detail, traced = type(s).__name__, self._touched(s), inner
+    def raise_(self, cls, message):
+        self.emit(f"raise {cls.__name__}({message!r})")
 
-            def inner(frame):
-                self._trace_line(span, kind, detail)
-                traced(frame)
+    # --- statements ---
+    # A check raises its error without a span: `_fail` gives it the span of
+    # the line's statement.
 
-        def run(frame):
-            stats.steps += 1    # the fuel count of `_tick`, inline
-            if stats.steps > max_steps:
-                raise FuelExhausted(
-                    f"exceeded {max_steps} statement executions", span)
-            try:
-                inner(frame)
-            except RevLangError as err:
-                if err.span is NO_SPAN:
-                    err.span = span
-                raise
-            except (ArithmeticError, ValueError) as err:
-                # a host math error: an overflow, or math.sin(inf)
-                raise RevDomainError(str(err), span) from None
-        return run
-
-    def _touched(self, s):
-        from .parser import fmt_view
-        if isinstance(s, InstrCall):
-            return ",".join(fmt_view(a) for a in s.args if not isinstance(a, Lit))
-        if isinstance(s, (FnCall, UncallFn)):
-            return ",".join(fmt_view(a) for a in s.args)
-        if isinstance(s, (AncillaAlloc, AncillaDealloc)):
-            return s.name
-        if isinstance(s, For):
-            return s.var
-        return ""
-
-    def _compile_stmt_inner(self, s):
+    def stmt(self, s, region=True):
+        if region and isinstance(s, (If, While, For, Block)) and (
+                self.loops >= 16 or self.depth >= 64):
+            self.region(s)
+            return
+        outer, self.span, ntemp = self.span, s.span, self.ntemp
+        self.tick()
+        if self.unit.trace:
+            line = f"{s.span.line}:{s.span.col}\t{type(s).__name__}\t" \
+                   f"{_touched(s)}"
+            self.emit(f"_trace(I, {line!r})")
         match s:
-            case InstrCall(op=op, fname=fname, args=args, span=span):
+            case InstrCall(op=op, fname=fname, args=args):
                 n = len(args)
-                return self._compile_update(
-                    PrimitiveInstr(op, fname), args, span,
+                self.update(
+                    PrimitiveInstr(op, fname), args,
                     [(0, i, "an instruction's target may not alias its inputs")
                      for i in range(1, n)],
                     # gradient passes also reject shared reads
@@ -567,243 +516,526 @@ class Interpreter:
                             "their gradient update would be a shared write "
                             "(rewrite y += x * x as y += x ^ 2)")
                      for i in range(1, n) for j in range(i + 1, n)])
-            case AncillaAlloc(name=name, expr=e, span=span):
-                val = _compile_expr(e, self.opts.float_dtype)
-
-                def run(frame):
-                    if name in frame.bindings:
-                        raise DuplicateBinding(f"{name!r} is already bound", span)
-                    v = val(frame)
-                    if frame.grad:
-                        v = wrap_gvar(v)
-                    frame.bindings[name] = v
-                return run
-            case AncillaDealloc(name=name, expr=e, span=span):
-                val = _compile_expr(e, self.opts.float_dtype)
-                tol = self.opts.float_tolerance
-                stats = self.stats
-
-                def run(frame):
-                    if name not in frame.bindings:
-                        raise UnboundVariable(f"{name!r} is not bound", span)
-                    if self._checking:
-                        residual = _ancilla_residual(
-                            frame.bindings[name], val(frame), tol, frame.grad)
-                        if residual is not None:
-                            raise DirtyAncilla(
-                                f"{name!r} released with residual {residual}",
-                                span, name=name, residual=residual)
-                        stats.checks_passed["ancilla"] += 1
-                    del frame.bindings[name]
-                return run
-            case FnCall(fname=fname, args=args, span=span):
-                return self._compile_call(fname, args, span, uncall=False)
-            case UncallFn(fname=fname, args=args, span=span):
-                return self._compile_call(fname, args, span, uncall=True)
-            case If(pre=pre, post=post, then_block=tb, else_block=eb, span=span):
-                pre_f = _compile_expr(pre, self.opts.float_dtype)
-                post_f = pre_f if post is SAME_AS_PRE \
-                    else _compile_expr(post, self.opts.float_dtype)
-                then_f = self._compile_block(tb) if tb.stmts else _noop
-                else_f = self._compile_block(eb) if eb.stmts else _noop
-                stats = self.stats
-
-                def run(frame):
-                    took = _bool_of(pre_f(frame))
-                    (then_f if took else else_f)(frame)
-                    if self._checking:
-                        after = _bool_of(post_f(frame))
-                        if after != took:
-                            raise PostconditionMismatch(
-                                f"branch postcondition is {after}, "
-                                f"expected {took}", span)
-                        stats.checks_passed["postcondition"] += 1
-                return run
-            case While(pre=pre, post=post, body=body, span=span):
-                pre_f = _compile_expr(pre, self.opts.float_dtype)
-                post_f = _compile_expr(post, self.opts.float_dtype)
-                body_f = self._compile_block(body) if body.stmts else _noop
-                stats = self.stats
-                tick = self._tick
-
-                def run(frame):
-                    if self._checking:
-                        if _bool_of(post_f(frame)):
-                            raise PostconditionMismatch(
-                                "loop postcondition already true at entry", span)
-                        stats.checks_passed["postcondition"] += 1
-                        while _bool_of(pre_f(frame)):
-                            tick(span)
-                            body_f(frame)
-                            if self._checking and not _bool_of(post_f(frame)):
-                                raise PostconditionMismatch(
-                                    "loop postcondition false after an "
-                                    "iteration", span)
-                            stats.checks_passed["postcondition"] += 1
-                    else:
-                        while _bool_of(pre_f(frame)):
-                            tick(span)
-                            body_f(frame)
-                return run
-            case For(var=var, start=a, step=st, stop=b, body=body, span=span):
-                return self._compile_for(var, a, st, b, body, span)
-            case Safe(kind=kind, exprs=exprs, span=span):
-                arg_fns = [_compile_expr(e, self.opts.float_dtype)
-                           for e in exprs]
-                if kind == "assert":
-                    from .parser import fmt_expr
-                    texts = [fmt_expr(e) for e in exprs]
-
-                    def run(frame):
-                        for f, text in zip(arg_fns, texts):
-                            if not _bool_of(f(frame)):
-                                raise AssertFailed(f"assertion failed: {text}",
-                                                   span)
-                    return run
-
-                def run(frame):
-                    print(*(f(frame) for f in arg_fns))
-                return run
-            case InvCheckOff(stmt=stmt):
-                inner = self._compile_stmt(stmt)
-
-                def run(frame):
-                    self._nocheck_depth += 1
-                    try:
-                        inner(frame)
-                    finally:
-                        self._nocheck_depth -= 1
-                return run
-            case Block():
-                if not s.stmts:
-                    return _noop
-                return self._compile_block(s)
-        raise KindError(f"cannot execute {type(s).__name__}", s.span)
-
-    @property
-    def _checking(self):
-        return self.opts.invcheck and self._nocheck_depth == 0
-
-    def _compile_for(self, var, a, st, b, body, span):
-        a_f = _compile_int_expr(a, "loop start", self.opts.float_dtype)
-        st_f = _compile_int_expr(st, "loop step", self.opts.float_dtype)
-        b_f = _compile_int_expr(b, "loop stop", self.opts.float_dtype)
-        body_f = self._compile_block(body) if body.stmts else _noop
-        stats = self.stats
-        tick = self._tick
-
-        def run(frame):
-            n1, n2, n3 = a_f(frame), st_f(frame), b_f(frame)
-            if n2 == 0:
-                raise RevDomainError("loop step is zero", span)
-            bindings = frame.bindings
-            if var in bindings:
-                raise DuplicateBinding(
-                    f"loop variable {var!r} shadows an existing binding", span)
-            x = n1
-            checking = self._checking
-            try:
-                if n2 > 0:
-                    while x <= n3:
-                        tick(span)
-                        bindings[var] = x
-                        body_f(frame)
-                        if checking and bindings.get(var) != x:
-                            raise LoopIteratorMutated(
-                                f"loop variable {var!r} was modified in the "
-                                f"body", span)
-                        x += n2
+            case AncillaAlloc(name=name, expr=e):
+                if name in self.bound:
+                    self.raise_(DuplicateBinding, f"{name!r} is already bound")
                 else:
-                    while x >= n3:
-                        tick(span)
-                        bindings[var] = x
-                        body_f(frame)
-                        if checking and bindings.get(var) != x:
-                            raise LoopIteratorMutated(
-                                f"loop variable {var!r} was modified in the "
-                                f"body", span)
-                        x += n2
-            finally:
-                bindings.pop(var, None)
-            if self._checking:
-                if a_f(frame) != n1 or st_f(frame) != n2 or b_f(frame) != n3:
-                    raise LoopIteratorMutated(
-                        "loop range changed while the loop ran", span)
-                stats.checks_passed["iterator"] += 1
-        return run
+                    value = self.expr(e)
+                    self.bound.add(name)
+                    self.emit(f"{self.local(name)} = _alloc(grad, {value})")
+            case AncillaDealloc(name=name, expr=e):
+                if name not in self.bound:
+                    self.raise_(UnboundVariable, f"{name!r} is not bound")
+                elif self.checks:
+                    self.counts = True
+                    self.emit(f"if chk: _release(cp, {name!r}, "
+                              f"{self.names[name]}, {self.expr(e)}, "
+                              f"{self.const(self.unit.tolerance)}, grad)")
+                self.bound.discard(name)
+            case FnCall(fname=fname, args=args):
+                self.call(fname, args, uncall=False)
+            case UncallFn(fname=fname, args=args):
+                self.call(fname, args, uncall=True)
+            case If():
+                self.if_(s)
+            case While():
+                self.while_(s)
+            case For():
+                self.for_(s)
+            case Safe(kind="assert", exprs=exprs):
+                from .parser import fmt_expr
+                for e in exprs:
+                    self.emit(f"if not {self.cond(e)}: raise AssertFailed("
+                              f"{'assertion failed: ' + fmt_expr(e)!r})")
+            case Safe(exprs=exprs):
+                self.emit(f"print({', '.join(map(self.expr, exprs))})")
+            case InvCheckOff(stmt=inner):
+                checks, self.checks = self.checks, False
+                self.stmt(inner)
+                self.checks = checks
+            case Block():
+                self.body(s)
+            case _:
+                raise KindError(f"cannot execute {type(s).__name__}", s.span)
+        # a statement's temporaries are free again after it: fewer distinct
+        # names make `compile` cheaper
+        self.span, self.ntemp = outer, ntemp
 
-    def _compile_update(self, instr, arg_views, span, pairs, grad_pairs=()):
-        """The closure of an instruction or a statement primitive: read the
-        arguments, check the alias `pairs` (in gradient frames also
-        `grad_pairs`), apply the instruction's numerics rule and write back
-        the updated views: an instruction's target, or every argument of a
-        primitive."""
-        dtype = self.opts.float_dtype
-        readers = [_compile_expr(a, dtype) if isinstance(a, Lit)
-                   else _compile_reader(a, dtype) for a in arg_views]
-        updated = arg_views if instr.fname is None else arg_views[:1]
-        writers = [_compile_writer(a, dtype) for a in updated]
-        strict = self._alias_checks(arg_views, span, pairs)
-        grad = self._alias_checks(arg_views, span, [*pairs, *grad_pairs]) \
-            if grad_pairs else strict
-        rule = instr_rule(instr)
-        checks_passed = self.stats.checks_passed
-        if strict is None and grad is None and len(writers) == 1:
-            wr, = writers
-            return lambda frame: wr(frame, rule([r(frame) for r in readers])[0])
+    def if_(self, s):
+        took = self.temp()
+        self.emit(f"{took} = {self.cond(s.pre)}")
+        self.emit(f"if {took}:")
+        self.indented(s.then_block)
+        if s.else_block.stmts:
+            self.emit("else:")
+            self.indented(s.else_block)
+        if self.checks:
+            self.counts = True
+            post = s.pre if s.post is SAME_AS_PRE else s.post
+            self.emit(f"if chk: _branch(cp, {self.cond(post)}, {took})")
 
-        def run(frame):
-            vals = [r(frame) for r in readers]
-            checks = grad if frame.grad else strict
-            if checks is not None:
-                for chk in checks:
-                    chk(frame)
-                checks_passed["alias"] += 1
-            for wr, nv in zip(writers, rule(vals)):
-                wr(frame, nv)
-        return run
+    def while_(self, s):
+        pre, post = self.cond(s.pre), self.cond(s.post)
+        if self.checks:
+            self.counts = True
+            self.emit(f"if chk: _loop_post(cp, not {post}, "
+                      f"'already true at entry')")
+        self.emit(f"while {pre}:")
+        self.depth += 1
+        self.loops += 1
+        self.tick()
+        self.body(s.body)
+        if self.checks:
+            self.emit(f"if chk: _loop_post(cp, {post}, "
+                      f"'false after an iteration')")
+        self.depth -= 1
+        self.loops -= 1
 
-    def _compile_call(self, fname, arg_views, span, uncall):
+    def for_(self, s):
+        bounds = []    # (code, expression, what): an Int literal is code
+        for e, what in ((s.start, "loop start"), (s.step, "loop step"),
+                        (s.stop, "loop stop")):
+            if _is_int_lit(e):
+                bounds.append((repr(e.value), None, what))
+            else:
+                t = self.temp()
+                self.emit(f"{t} = _int({self.expr(e)}, {what!r})")
+                bounds.append((t, e, what))
+        (a, _, _), (st, step_e, _), (b, _, _) = bounds
+        if step_e is not None:
+            self.emit(f"if {st} == 0: raise RevDomainError('loop step is "
+                      f"zero')")
+        elif s.step.value == 0:
+            self.raise_(RevDomainError, "loop step is zero")
+        if s.var in self.bound:
+            self.raise_(DuplicateBinding, f"loop variable {s.var!r} shadows "
+                                          f"an existing binding")
+            return
+        x, v = self.temp(), self.local(s.var)
+        self.emit(f"{x} = {a}")
+        if step_e is None:
+            self.emit(f"while {x} {'<=' if s.step.value > 0 else '>='} {b}:")
+        else:
+            self.emit(f"while ({x} <= {b} if {st} > 0 else {x} >= {b}):")
+        self.depth += 1
+        self.loops += 1
+        self.tick()
+        self.emit(f"{v} = {x}")
+        self.bound.add(s.var)
+        self.body(s.body)
+        if self.checks:
+            self.emit(f"if chk and {v} != {x}: raise LoopIteratorMutated("
+                      f"{f'loop variable {s.var!r} was modified in the body'!r}"
+                      f")")
+        self.emit(f"{x} += {st}")
+        self.depth -= 1
+        self.loops -= 1
+        self.bound.discard(s.var)
+        if self.checks:
+            # Int literal bounds cannot change; the others are evaluated again
+            changed = [f"_int({self.expr(e)}, {what!r}) != {t}"
+                       for t, e, what in bounds if e is not None]
+            if changed:
+                self.counts = True
+                self.emit(f"if chk: _loop_range(cp, {' or '.join(changed)})")
+            else:
+                self.emit("if chk:")
+                self.depth += 1
+                self.count("iterator")
+                self.depth -= 1
+
+    def call(self, fname, views, uncall):
         if fname in PRIM_STATEMENTS:
-            return self._compile_update(
+            self.update(
                 PrimitiveInstr(PRIM_INVERSE[fname] if uncall else fname),
-                arg_views, span,
-                [(i, j, f"{fname} arguments may not share memory")
-                 for i in range(len(arg_views))
-                 for j in range(i + 1, len(arg_views))])
+                views, [(i, j, f"{fname} arguments may not share memory")
+                        for i in range(len(views))
+                        for j in range(i + 1, len(views))])
+            return
         callee = inverse_name(fname) if uncall else fname
-        dtype = self.opts.float_dtype
-        readers = [_compile_reader(a, dtype) for a in arg_views]
-        writers = [_compile_writer(a, dtype) for a in arg_views]
-        strict = [(i, j, "call arguments may not share memory")
-                  for i in range(len(arg_views))
-                  for j in range(i + 1, len(arg_views))]
-        checks = self._alias_checks(arg_views, span, strict)
-        get_function = self._function
-        stats = self.stats
+        checks = _alias_pairs(views, [
+            (i, j, "call arguments may not share memory")
+            for i in range(len(views)) for j in range(i + 1, len(views))])
+        fn = f"_fns[{callee!r}]"
+        if checks is not None:   # the callee is found before the checks
+            self.emit(f"_f = {fn}")
+            fn = "_f"
+            self.alias_checks(views, checks)
+        results = [self.local(v.name) if isinstance(v, VarView)
+                   else self.temp() for v in views]
+        self.emit(f"{''.join(r + ', ' for r in results)}= {fn}(I, "
+                  f"{'chk' if self.checks else 'False'}, grad, F"
+                  f"{''.join(', ' + self.read(v) for v in views)})")
+        for v, r in zip(views, results):
+            if not isinstance(v, VarView):
+                self.write(v, r)
 
-        def run(frame):
-            body, names, fspan = get_function(callee)
-            if checks is not None:
-                for chk in checks:
-                    chk(frame)
-                stats.checks_passed["alias"] += 1
-            sub = Frame(callee, frame.grad)
-            b = sub.bindings
-            for n, rd in zip(names, readers):
-                b[n] = rd(frame)
-            body(sub)
-            if len(b) != len(names):
-                leftover = sorted(set(b) - set(names))
-                raise DirtyAncilla(
-                    f"bindings leaked from {callee}: {leftover}", span)
-            for n, wr in zip(names, writers):
-                wr(frame, b[n])
-        return run
+    def update(self, instr, views, pairs, grad_pairs=()):
+        """An instruction or a statement primitive: read the arguments,
+        check the alias `pairs` (in gradient frames also `grad_pairs`),
+        apply the rule `numerics.instr_rule` resolves and write back the
+        updated views: an instruction's target, or every argument of a
+        primitive."""
+        strict = _alias_pairs(views, pairs)
+        grad = _alias_pairs(views, [*pairs, *grad_pairs]) if grad_pairs \
+            else strict
+        arm = self.arm(instr, views, strict, grad)
+        reads = ", ".join(self.lit(v.value) if isinstance(v, Lit)
+                          else self.read(v) for v in views)
+        rule = self.const(self.unit.rules.setdefault(instr, instr_rule(instr)))
+        updated = views if instr.fname is None else views[:1]
+        if strict is None and grad is None and len(updated) == 1:
+            self.write(updated[0], f"{rule}([{reads}])[0]")
+        else:
+            self.emit(f"_v = [{reads}]")
+            if grad is strict:
+                self.alias_checks(views, strict)
+            else:
+                self.emit("if grad:")
+                self.depth += 1
+                self.alias_checks(views, grad)
+                self.depth -= 1
+                if strict is not None:
+                    self.emit("else:")
+                    self.depth += 1
+                    self.alias_checks(views, strict)
+                    self.depth -= 1
+            results = [self.temp() for _ in updated]
+            self.emit(f"{''.join(r + ', ' for r in results)}*_ = {rule}(_v)")
+            for v, r in zip(updated, results):
+                self.write(v, r)
+        self.depth -= arm
+
+    def arm(self, instr, views, strict, grad):
+        """Emit the inline arm of a +=/-= when its operands allow one, and
+        open its `else:`; returns whether it did."""
+        spec = INSTR_FNS.get(instr.fname)
+        if instr.kind not in ("+=", "-=") or spec is None \
+                or spec.apply is None:
+            return False
+        guards, types, ops = [], [], []
+        exact = True      # every operand has the run's float type
+        for k, v in enumerate(views):
+            if isinstance(v, Lit):
+                if k == 0 or type(v.value) not in (int, float):
+                    return False
+                exact = exact and type(v.value) is float
+                ops.append(self.lit(v.value))
+            elif isinstance(v, VarView) and v.name in self.bound:
+                ops.append(self.names[v.name])
+                types.append(f"type({ops[-1]})")
+                cell = ops[-1]
+            else:
+                fast = self.fast_index(v)
+                if fast is None:
+                    return False
+                guard, cell = fast
+                guards.append(guard)
+                ops.append(self.temp())
+                types.append(f"type({ops[-1]} := {cell})")
+            if k == 0:
+                target = cell
+        fn = _INLINE.get(instr.fname)
+        value = fn.format(*ops[1:]) if fn else \
+            f"{self.const(spec.apply)}({', '.join(ops[1:])})"
+        if not (fn and exact):   # the value's type is checked too
+            if strict is not None:   # it would precede the alias checks
+                return False
+            t = self.temp()
+            types.append(f"type({t} := {value})")
+            value = t
+        guards.append(f"{self.float} is {' is '.join(types)}")
+        if grad is not strict:
+            guards.insert(0, "not grad")
+        self.emit(f"if {' and '.join(guards)}:")
+        self.depth += 1
+        self.alias_checks(views, strict)
+        sign = "+" if instr.kind == "+=" else "-"
+        self.emit(f"{target} = {ops[0]} {sign} ({value})")
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        return True
+
+    def alias_checks(self, views, pairs):
+        if pairs is None:
+            return
+        for i, j, message in pairs:
+            a, b = views[i], views[j]
+            if all(isinstance(v, IndexView) and isinstance(v.base, VarView)
+                   for v in (a, b)):
+                # one index step each on one root: their storage ids
+                # overlap when the index tuples are equal
+                test = f"{self.indices(a)} == {self.indices(b)}"
+            else:
+                test = f"ids_overlap({self.ident(a)}, {self.ident(b)})"
+            self.emit(f"if {test}: raise AliasedArguments({message!r})")
+        self.count("alias")
+
+    # --- views ---
+
+    def var(self, name, span):
+        if self.unit is None:
+            return f"_lookup(B, {name!r}, {self.const(span)})"
+        if name in self.bound:
+            return self.names[name]
+        return f"_unbound({name!r}, {self.const(span)})"
+
+    def fast_index(self, view):
+        """(guard, cell) for an index view of rank 1 or 2 on a bound local
+        with Int literal or bound local indices: `guard` holds when `_offset`
+        finds the cell, and `cell` reads it at that flat offset. None
+        otherwise."""
+        simple = self.simple_indices(view) \
+            if isinstance(view, IndexView) and len(view.indices) <= 2 else None
+        if simple is None or not isinstance(view.base, VarView) \
+                or view.base.name not in self.bound:
+            return None
+        a, k = self.names[view.base.name], self.temp()
+        return f"({k} := _offset({a}{simple})) >= 0", f"{a}.data[{k}]"
+
+    def index(self, e):
+        if _is_int_lit(e):
+            return repr(e.value)
+        if isinstance(e, ViewRef) and isinstance(e.view, VarView):
+            return f"_ix({self.read(e.view)})"
+        return f"_int({self.expr(e)}, 'array index')"
+
+    def simple_indices(self, view):
+        """The indices as `_get`/`_set` arguments, when every one is an Int
+        literal or a bound variable (evaluating them cannot fail); else
+        None."""
+        ixs = view.indices
+        if all(_is_int_lit(ix) or isinstance(ix, ViewRef) and isinstance(
+                ix.view, VarView) and (self.unit is None or ix.view.name in
+                                       self.bound) for ix in ixs):
+            return "".join(", " + (repr(ix.value) if isinstance(ix, Lit) else
+                                   self.read(ix.view)) for ix in ixs)
+        return None
+
+    def indices(self, view):
+        return "(" + "".join(self.index(ix) + ", " for ix in view.indices) \
+            + ")"
+
+    def read(self, view):
+        """The expression of a view's value, GVars kept."""
+        if isinstance(view, VarView):
+            return self.var(view.name, view.span)
+        if isinstance(view, FieldView):
+            return f"_read_field({self.read(view.base)}, " \
+                   f"{view.field_name!r})"
+        if isinstance(view, IndexView):
+            simple = self.simple_indices(view)
+            return f"_get({self.read(view.base)}{simple})" if simple else \
+                f"_indexed({self.read(view.base)}).get({self.indices(view)})"
+        if isinstance(view, BijView):
+            bij = BIJECTORS[view.bij]
+            return f"{self.const(bij)}.fwd({self.read(view.base)}, " \
+                   f"{self.const(view.args)})"
+        raise KindError(f"not a view: {view!r}")
+
+    def write(self, view, value):
+        """Emit the write of `value` (an expression) to a view. Beyond a
+        variable the value is bound to a temporary first, so it is computed
+        before the view's base and indices are."""
+        if isinstance(view, VarView):
+            if self.unit is None:
+                self.emit(f"B[{view.name!r}] = {value}")
+            else:
+                self.emit(f"{self.local(view.name)} = {value}")
+            return
+        if not value.isidentifier():
+            t = self.temp()
+            self.emit(f"{t} = {value}")
+            value = t
+        if isinstance(view, BijView):
+            bij = BIJECTORS[view.bij]
+            self.write(view.base, f"{self.const(bij)}.inv({value}, "
+                                  f"{self.const(view.args)})")
+        elif isinstance(view, FieldView):
+            self.emit(f"_write_field({self.read(view.base)}, "
+                      f"{view.field_name!r}, {value})")
+        elif isinstance(view, IndexView):
+            simple = self.simple_indices(view)
+            self.emit(f"_set({self.read(view.base)}, {value}{simple})"
+                      if simple else f"_indexed({self.read(view.base)}).set("
+                                     f"{self.indices(view)}, {value})")
+        else:
+            raise KindError(f"not a view: {view!r}")
+
+    def ident(self, view):
+        """The expression of a view's storage id: the root name and the
+        concrete non-bijector path."""
+        root, steps = _id_path(view)
+        parts = [repr(root)]
+        for node in steps:
+            if isinstance(node, FieldView):
+                parts.append(repr(("field", node.field_name)))
+            else:
+                parts.append(f"('idx', {self.indices(node)})")
+        return "(" + "".join(p + ", " for p in parts) + ")"
+
+    # --- expressions (GVar-free values) ---
+
+    def lit(self, v):
+        if type(v) in (int, bool):
+            return repr(v)
+        if isinstance(v, complex):
+            z = self.dtype or float
+            return f"Complex({self.lit(z(v.real))}, {self.lit(z(v.imag))})"
+        if isinstance(v, float) and self.dtype is not None:
+            v = self.dtype(v)
+        if type(v) is float and math.isfinite(v):
+            return repr(v)
+        return self.const(v)
+
+    def expr(self, e):
+        if isinstance(e, Lit):
+            return self.lit(e.value)
+        if isinstance(e, ViewRef):
+            return f"_pv({self.read(e.view)})"
+        if isinstance(e, Un):    # unary minus
+            return self.apply("neg", (e.operand,), e.span)
+        if isinstance(e, Bin):
+            if e.op in INSTR_BIN_OPS:
+                return self.apply(INSTR_BIN_OPS[e.op], (e.left, e.right),
+                                  e.span)
+            left, right = self.expr(e.left), self.expr(e.right)
+            if e.op == "&&":
+                return f"(_bool_of({left}) and _bool_of({right}))"
+            if e.op == "||":
+                return f"(_bool_of({left}) or _bool_of({right}))"
+            return f"compare({e.op!r}, {left}, {right})"
+        if isinstance(e, Call):
+            return self.apply(e.fname, e.args, e.span)
+        raise KindError(f"not an expression: {e!r}")
+
+    def cond(self, e):
+        """A condition: comparisons and &&/|| are Bool already."""
+        if isinstance(e, Bin) and e.op not in INSTR_BIN_OPS:
+            return self.expr(e)
+        return f"_bool_of({self.expr(e)})"
+
+    def apply(self, fname, args, span):
+        """A function application, resolved by `numerics.expr_fn`."""
+        spec = expr_fn(fname)
+        if spec is None:
+            raise UnknownFunction(
+                f"{fname!r} is not a registered pure function", span)
+        if self.unit is not None:
+            spec = self.unit.expr_fns.setdefault(fname, spec)
+        return f"{self.const(spec.apply)}({', '.join(map(self.expr, args))})"
 
 
-def _noop(frame):
-    return None
+# --- compiled units --------------------------------------------------------------
+
+class _Unit(dict):
+    """A Program validated, with its definitions expanded and inverted
+    once, under one set of the options the lowered code depends on: maps a
+    function's name to its lowered function, lowering it on first lookup."""
+
+    def __init__(self, program, opts):
+        super().__init__()
+        diags = validate(program)
+        if diags:
+            raise ValidationFailed(diags)
+        self.invcheck, self.tolerance = opts.invcheck, opts.float_tolerance
+        self.max_steps, self.trace = opts.max_steps, opts.trace
+        self.dtype = opts.float_dtype
+        self.defs = {f.name: expand_routines(f) for f in program}
+        for fdef in list(self.defs.values()):
+            inv = invert_function(fdef)
+            self.defs.setdefault(inv.name, inv)
+        self.rules, self.expr_fns = {}, {}   # shared by the lowered code
+
+    def __missing__(self, fname):
+        fdef = self.defs.get(fname)
+        if fdef is None:
+            raise UnknownFunction(f"no function named {fname!r}")
+        fn = self[fname] = _Lowering(self).function(fdef)
+        return fn
+
+
+def _unit(program, opts):
+    key = (opts.invcheck, opts.float_tolerance, opts.max_steps, opts.trace,
+           opts.float_dtype)
+    if key not in program.compiled:
+        program.compiled[key] = _Unit(program, opts)
+    return program.compiled[key]
+
+
+# --- public view operations ------------------------------------------------
+# Each lowers its view over the environment's bindings and runs it.
+
+def _check_root(env, view):
+    root = view_root(view)
+    if root not in env.bindings:
+        raise UnboundVariable(f"{root!r} is not bound", view.span)
+
+
+def read_view(env, view, opts=None):
+    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low.emit(f"return {low.read(view)}")
+    return low.view("B")(env.bindings)
+
+
+def write_view(env, view, value, opts=None):
+    _check_root(env, view)
+    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low.write(view, "V")
+    low.view("B, V")(env.bindings, value)
+    return env
+
+
+def canonical_view_identity(env, view, opts=None):
+    """StorageId of a view in an environment: equal ids denote the same
+    mutable cell; bijectors do not change identity."""
+    _check_root(env, view)
+    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low.emit(f"return {low.ident(view)}")
+    return low.view("B")(env.bindings)
+
+
+# --- the interpreter ----------------------------------------------------------
+
+class Interpreter:
+    """Runs the functions of a Program in either direction, with its own
+    `stats`. Instances built on one Program with options that lower to
+    the same code share one validated and lowered unit.
+
+    A pass whose arguments carry a GVar leaf is a gradient pass: the
+    instruction rules dispatch on the GVar values, its frames wrap new
+    ancillas in GVars, and an instruction may not read one cell twice.
+    Forward and gradient passes run the same lowered functions, so one
+    instance serves every pass of an autodiff call."""
+
+    def __init__(self, program, opts=None):
+        self.program = program
+        self.opts = opts or ExecOptions()
+        self.stats = ExecStats()
+        self.unit = _unit(program, self.opts)
+        self.defs = self.unit.defs
+
+    def run_function(self, fname, args):
+        fn = self.unit[fname]
+        fdef = self.unit.defs[fname]
+        if len(args) != len(fdef.params):
+            raise KindError(f"{fname} takes {len(fdef.params)} arguments, "
+                            f"got {len(args)}")
+        grad = any(carries_gvar(a) for a in args)
+        # the fuel left: max_steps counts over every run of this instance
+        budget = max(0, self.unit.max_steps - self.stats.steps)
+        fuel = iter(range(budget))
+        try:
+            return list(fn(self, self.unit.invcheck, grad, fuel, *args))
+        except RecursionError:
+            raise FuelExhausted(f"call depth exceeded in {fname}",
+                                fdef.span) from None
+        finally:
+            self.stats.steps += budget - length_hint(fuel)
+
+    def uncall_function(self, fname, args):
+        return self.run_function(inverse_name(fname), args)
 
 
 # --- public operations --------------------------------------------------

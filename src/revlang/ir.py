@@ -236,15 +236,19 @@ def inverse_name(name):
 
 
 class Program:
-    """An ordered collection of function definitions."""
+    """An ordered collection of function definitions. `compiled` holds
+    what the interpreter derives from them (validated and lowered units,
+    by option set); `add` drops it."""
 
     def __init__(self, functions=()):
         self.functions = {}
         self.duplicate_names = []
+        self.compiled = {}
         for f in functions:
             self.add(f)
 
     def add(self, fdef):
+        self.compiled.clear()
         if fdef.name in self.functions:
             self.duplicate_names.append(fdef.name)
         self.functions[fdef.name] = fdef

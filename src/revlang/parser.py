@@ -36,13 +36,14 @@ _PUNCT1 = "()[],.:+-*/^%<>=~"
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "span")
 
     def __init__(self, kind, value, line, col):
         self.kind = kind      # 'name' | 'num' | 'punct' | 'macro' | 'eof'
         self.value = value
         self.line = line
         self.col = col
+        self.span = None      # its SourceSpan, made when first asked for
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
@@ -185,19 +186,18 @@ class _Parser:
         self.filename = filename
         self.toks = tokenize(text, filename)
         self.pos = 0
+        self.cur = self.toks[0]     # the token at `pos`
 
     # --- token plumbing ---
-
-    @property
-    def cur(self):
-        return self.toks[self.pos]
 
     def peek(self, k=1):
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
     def span(self, tok=None):
         t = tok or self.cur
-        return SourceSpan(self.filename, t.line, t.col, t.line, t.col)
+        if t.span is None:
+            t.span = SourceSpan(self.filename, t.line, t.col, t.line, t.col)
+        return t.span
 
     def err(self, msg, tok=None):
         raise RnlSyntaxError(msg, self.span(tok))
@@ -206,13 +206,16 @@ class _Parser:
         t = self.cur
         if t.kind != "eof":
             self.pos += 1
+            self.cur = self.toks[self.pos]
         return t
 
     def at_punct(self, *vals):
-        return self.cur.kind == "punct" and self.cur.value in vals
+        t = self.cur
+        return t.kind == "punct" and t.value in vals
 
     def at_name(self, *vals):
-        return self.cur.kind == "name" and (not vals or self.cur.value in vals)
+        t = self.cur
+        return t.kind == "name" and (not vals or t.value in vals)
 
     def expect_punct(self, val):
         if not self.at_punct(val):

@@ -36,7 +36,8 @@ def asset_text(filename):
 
 def load_example(name):
     """Parse a catalog program (cached per asset file); returns the
-    Program. An Interpreter built from it validates it."""
+    Program. An Interpreter built from it validates and lowers it, once
+    per option set."""
     if name not in CATALOG:
         raise UnknownExample(f"no example named {name!r}; "
                              f"known: {', '.join(sorted(CATALOG))}")

@@ -34,6 +34,14 @@ class TestLiterals:
     def test_split_honors_brackets(self):
         assert split_args("[1,2],3,[4,5]") == ["[1,2]", "3", "[4,5]"]
 
+    @pytest.mark.parametrize("text", [
+        "\u0663", "1\u0663", "\u0663.5", "\u0663fx", "\u0663ul",
+        "\u0663+2im", "[\u0663]", "\u00b2"])
+    def test_non_ascii_digits_rejected(self, text):
+        # int() and float() take any Unicode decimal digit; literals do not
+        with pytest.raises(ValueError):
+            parse_value(text)
+
     def test_encode_roundtrip_kinds(self):
         assert encode_value(Fixed.from_real(1.5)) == {"kind": "fixed",
                                                       "value": "1.5"}
@@ -87,6 +95,43 @@ class TestCommands:
         assert rc == 3
         err = capsys.readouterr().err
         assert "KindError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "-a", "\u0663,2,1"],
+        ["grad", "-a", "0.0,3.0,5.0", "--seed", "y![\u0663]"],
+        ["grad", "-a", "0.0,3.0,5.0", "--seed", "y!=\u0663.0"],
+        ["grad", "-a", "0.0,3.0,5.0", "--seed", "y!.r\u00e9"]])
+    def test_non_ascii_cli_literals_exit_code(self, asset, capsys, argv):
+        rc = main([argv[0], asset("multiplier"), "-f", "multiplier",
+                   *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_consecutive_calls_share_no_state(self, asset, capsys):
+        # the argument parser is built once per process: a parse fills a
+        # new namespace, so an option given once does not stay
+        path = asset("multiplier")
+        grad = ["grad", path, "-f", "multiplier", "-a", "0.0,3.0,5.0"]
+        outputs = []
+        for argv in (grad, [*grad, "--seed", "y!=2.0"], grad,
+                     ["check", path, "-f", "multiplier", "-a", "1.0,2.0,3.0",
+                      "--trials", "3", "--json"],
+                     ["run", path, "-f", "multiplier", "-a", "2,3,5"],
+                     ["check", path, "-f", "multiplier", "-a", "1.0,2.0,3.0",
+                      "--json"],
+                     ["invert", path], grad):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        default, seeded, again, trials, ran, check, inverted, last = outputs
+        assert json.loads(default)["grads"] == {"a": 5.0, "b": 3.0,
+                                                "y!": 1.0}
+        assert json.loads(seeded)["grads"]["y!"] == 2.0
+        assert again == default == last
+        assert len(json.loads(trials)["trials"]) == 3
+        assert json.loads(ran) == {"args": [17, 3, 5]}
+        assert len(json.loads(check)["trials"]) == 1
+        assert "~multiplier" in inverted
 
     def test_grad_deterministic_key_order(self, asset, capsys):
         main(["grad", asset("multiplier"), "-f", "multiplier",

@@ -10,11 +10,17 @@ a valid program runs and uncalls cleanly. Now and then a stray
 allocation or release makes the program invalid, as does an allocation
 inside a block nested in a compute block (which its replay cannot
 balance).
+
+A second generator writes valid programs of several such functions over
+Int or Float values, where a function may call or uncall the ones before
+it, and adds counted `while` loops. Float programs add, subtract and scale
+by 2.0 or 0.5 values that are multiples of 0.5, so their runs are exact
+too.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from revlang.interpreter import run, uncall
+from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Program, validate
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
@@ -26,9 +32,12 @@ class _Gen:
     update, and the list that collects a compute block's ancillas (None
     where an allocation would not be balanced by a replay)."""
 
-    def __init__(self, draw):
+    def __init__(self, draw, real=False, callees=(), valid=False):
         self.draw = draw
         self.count = 0
+        self.real = real            # Float values instead of Int
+        self.callees = callees      # functions a statement may (un)call
+        self.valid = valid          # no stray statements; `while` loops
 
     def fresh(self, prefix):
         self.count += 1
@@ -45,27 +54,44 @@ class _Gen:
 
     def stmt(self, ctx, depth, kinds=None):
         stable, mutable, own = ctx
+        zero = "0.0" if self.real else "0"
         if kinds is None:
-            kinds = ["update"] * 4 + ["stray"] + ["own"] * 2 * (own is not None)
+            kinds = ["update"] * 4 + ["stray"] * (not self.valid) \
+                + ["own"] * 2 * (own is not None) + ["call"] * 2 * bool(
+                    self.callees)
             if depth < 3:
                 kinds += ["pair", "routine", "routine", "if", "for",
-                          "invcheckoff"]
+                          "invcheckoff"] + ["while"] * self.valid
         kind = self.pick(kinds)
         if kind == "update" and mutable:
             t = self.pick(mutable)
             srcs = [n for n in (*stable, *mutable) if n != t] + ["2"]
-            form = self.pick(["{a}", "{a} + {b}", "{a} * {b}", "{a} - {b}"])
-            rhs = form.format(a=self.pick(srcs), b=self.pick(srcs))
+            forms = ["{a}", "{a} + {b}", "{a} - {b}"] + (
+                ["{a} * 2.0", "{a} * 0.5"] if self.real else ["{a} * {b}"])
+            rhs = self.pick(forms).format(a=self.pick(srcs),
+                                          b=self.pick(srcs))
             return [f"{t} {self.pick(['+=', '-='])} {rhs}"]
+        if kind == "call" and self.callees and len(mutable) >= 2:
+            y, z = self.draw(st.permutations(mutable))[:2]
+            callee = self.pick(list(self.callees) +
+                               ["~" + c for c in self.callees])
+            return [f"{callee}({y}, {z}, {self.pick(stable)})"]
+        if kind == "while":
+            # k counts to n and back; its postcondition holds after each
+            # iteration and not at entry, in both directions
+            k, n = self.fresh("k"), self.pick([0, 1, 2])
+            body = self.block((stable, mutable, None), depth + 1)
+            return [f"{k} <- 0", f"while ({k} < {n}, {k} > 0)", f"{k} += 1",
+                    *body, "end", f"{k} -= {n}", f"{k} -> 0"]
         if kind == "own":
             c = self.fresh("c")
             own.append(c)
-            return [f"{c} <- {self.pick(['0', *stable])}"]
+            return [f"{c} <- {self.pick([zero, *stable])}"]
         if kind == "stray":
             return [f"{self.fresh('q')} {self.pick(['<-', '->'])} 0"]
         if kind == "pair":
             p = self.fresh("p")
-            value = self.pick(["0", *stable])
+            value = self.pick([zero, *stable])
             inner = self.block(((*stable, p), mutable, own), depth + 1)
             return [f"{p} <- {value}", *inner, f"{p} -> {value}"]
         if kind == "routine":
@@ -84,7 +110,9 @@ class _Gen:
             return [f"for {i} = 1:{self.pick([0, 1, 2])}", *body, "end"]
         if kind == "invcheckoff":
             inner = self.stmt(ctx, depth + 1,
-                              ["update", "routine", "if", "for", "block"])
+                              ["update", "routine", "if", "for", "block"]
+                              + ["while"] * self.valid
+                              + ["call"] * bool(self.callees))
             return ["@invcheckoff " + inner[0], *inner[1:]] if inner else []
         if kind == "block":
             return ["begin", *self.block((stable, mutable, None), depth + 1),
@@ -131,3 +159,60 @@ def test_generator_reaches_both_verdicts():
 
     collect()
     assert verdicts == {True, False}
+
+
+@st.composite
+def called_programs(draw):
+    """Functions g0..gn over Int or Float values, each of which may call or
+    uncall the ones before it; gn is the entry point."""
+    real = draw(st.booleans())
+    n = draw(st.integers(0, 3))
+    fns = []
+    for k in range(n + 1):
+        gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True)
+        body = gen.block((("x",), ["y", "z"], None), 0)
+        fns.append(f"fn g{k}(y, z, x)\n" + "\n".join(body) + "\nend\n")
+    values = st.integers(-6, 6).map(lambda v: v / 2) if real \
+        else st.integers(-3, 3)
+    args = draw(st.lists(values, min_size=3, max_size=3))
+    return "".join(fns), f"g{n}", args
+
+
+def _run(program, fname, args, opts=None):
+    interp = Interpreter(program, opts)
+    out = interp.run_function(fname, list(args))
+    return repr(out), interp.stats
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          database=None)
+@given(case=called_programs())
+def test_generated_calls_loops_and_floats(case):
+    src, entry, args = case
+    program = parse_program(src)
+    assert not validate(program)
+    interp = Interpreter(program)
+    out = interp.run_function(entry, list(args))
+    assert interp.uncall_function(entry, out) == args
+    # checks are observers: without them the bits are the same
+    text, stats = _run(program, entry, args)
+    assert _run(program, entry, args, ExecOptions(invcheck=False))[0] == text
+    # a second Interpreter runs the Program's cached unit: it computes
+    # what a fresh parse computes, with the same steps and checks
+    assert _run(parse_program(src), entry, args) == (text, stats)
+    assert text == repr(interp.run_function(entry, list(args)))
+
+
+def test_called_programs_reach_calls_loops_and_floats():
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(case=called_programs())
+    def collect(case):
+        src = case[0]
+        seen.update(w for w in ("(y, z", "(z, y", "~g", "while", "0.5",
+                                "@invcheckoff") if w in src)
+
+    collect()
+    assert seen == {"(y, z", "(z, y", "~g", "while", "0.5", "@invcheckoff"}

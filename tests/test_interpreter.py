@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from revlang import interpreter
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
@@ -16,11 +16,12 @@ from revlang.autodiff import GradRequest, gradient
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  canonical_view_identity, check_reversibility,
                                  read_view, run, uncall, write_view)
-from revlang.ir import Bin, IndexView, Lit, Program, VarView, ViewRef
+from revlang.ir import (Bin, Block, FunctionDef, IndexView, InstrCall, Lit,
+                        Param, Program, VarView, ViewRef, validate)
 from revlang.numerics import INSTR_FNS, expr_fn, wrap_gvar
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
-from revlang.stdlib import CATALOG, load_example
+from revlang.stdlib import CATALOG, asset_text, load_example
 from revlang.values import (Array, Complex, Fixed, GVar, deep_copy, deviation,
                             is_int)
 
@@ -227,6 +228,21 @@ end""")
         with pytest.raises(LoopIteratorMutated):
             run(p2, "f", [0, 3])
 
+    @pytest.mark.parametrize("header", ["for i = n:1:3", "for i = 1:n:3",
+                                        "for i = 1:1:n", "for i = 3:-n:1"])
+    def test_variable_loop_bounds_are_checked_again(self, header):
+        p = prog(f"fn f(x!, n)\n{header}\nn += 1\nend\nend")
+        with pytest.raises(LoopIteratorMutated, match="range changed"):
+            run(p, "f", [0, 1])
+        assert run(p, "f", [0, 1], ExecOptions(invcheck=False))[1] > 1
+
+    def test_literal_loop_bounds_count_one_check_per_loop(self):
+        p = prog("fn f(x!)\nfor i = 1:1:3\nx! += 1\nend\n"
+                 "for j = 3:-1:1\nx! -= j\nend\nend")
+        interp = Interpreter(p)
+        assert interp.run_function("f", [0]) == [-3]
+        assert interp.stats.checks_passed["iterator"] == 2
+
     def test_mutated_loop_variable(self):
         p = prog("""fn f(x!)
 for i = 1:1:3
@@ -300,6 +316,38 @@ end"""))
         # the callee's ancilla is a GVar, so y's cotangent reaches x
         y, x = interp.uncall_function("f", [GVar(3.0, 1.0), GVar(3.0, 0.0)])
         assert (y.x, y.g, x.x, x.g) == (0.0, 1.0, 3.0, 1.0)
+
+    def test_call_inside_invcheckoff_runs_unchecked(self):
+        # the callee's release is dirty: unchecked, it neither raises nor
+        # counts, and neither do the checks of a call from inside it
+        p = prog("""fn h(y, x)
+n <- 0.0
+n += x
+n -> 0.0
+end
+fn g(y, x)
+h(y, x)
+end
+fn f(y, x)
+@invcheckoff g(y, x)
+end""")
+        interp = Interpreter(p)
+        assert interp.run_function("f", [0.0, 1.0]) == [0.0, 1.0]
+        assert interp.stats.checks_passed["ancilla"] == 0
+        with pytest.raises(DirtyAncilla):
+            interp.run_function("g", [0.0, 1.0])
+
+    @pytest.mark.parametrize("x, clean", [
+        (1e-9, True), (1.0000001e-9, False), (1.9e-9, False),
+        (-1.5e-9, False), (float("inf"), False)])
+    def test_float_release_tolerance_boundary(self, x, clean):
+        # a release is clean when the residual is at most float_tolerance
+        p = prog("fn f(y, x)\nn <- 0.0\nn += x\nn -> 0.0\nend")
+        if clean:
+            assert run(p, "f", [0.0, x]) == [0.0, x]
+        else:
+            with pytest.raises(DirtyAncilla):
+                run(p, "f", [0.0, x])
 
     def test_safe_assert_fires_even_unchecked(self):
         p = prog("""fn f(x)
@@ -399,7 +447,7 @@ class TestViews:
         write_view(env, v, read_view(env, v))
         assert env.bindings["x"] == 3.5
 
-    # read_view runs the same compiled reader as `q += <view>` in a program
+    # read_view lowers the view as `q += <view>` reads it in a program
     VIEW_PARAMS = ("q", "x", "a", "m", "p", "i", "j")
 
     def _view_args(self):
@@ -577,8 +625,10 @@ end""")
     @pytest.mark.parametrize("name", [*sorted(CATALOG), "explicit-inverse"])
     def test_each_definition_expanded_once(self, name, monkeypatch):
         # the generated inverses are the inverted expanded definitions,
-        # equal in text to the expansions of the inverted sources
-        p = load_example(name) if name in CATALOG else prog("""fn f(y, x)
+        # equal in text to the expansions of the inverted sources; a fresh
+        # parse, since a Program keeps its compiled units
+        p = prog(asset_text(CATALOG[name][0])) if name in CATALOG \
+            else prog("""fn f(y, x)
 @routine begin
     n <- 0.0
     n += 2.0 * x
@@ -762,7 +812,8 @@ class TestOneArithmetic:
                 f32)
 
 
-# --- index closures: one per rank, against the generic rule ---------------
+# --- index views (flat offsets where `_offset` finds the cell) against the
+# generic rule ------------------------------------------------------------
 
 # index kinds: in bounds, 0, n+1, negative, Bool, np.int64, Float, and
 # values bound to GVars (as in a gradient frame); the literal form takes
@@ -993,3 +1044,196 @@ class TestCompare:
         p = prog("fn f(y, a, b)\nif (min(a, b) == a, ~)\ny += 1.0\nend\nend")
         with pytest.raises(KindError):
             run(p, "f", [0.0, Complex(1.0, 2.0), Complex(3.0, 1.0)])
+
+
+# --- lowering to Python functions -------------------------------------------
+
+# .rnl names that are Python keywords, builtins or names the lowered code
+# uses for its own parameters, temporaries and constants
+EMITTER_NAMES = ["lambda", "None", "True", "return", "def", "class",
+                 "import", "not", "print", "next", "type", "float", "len",
+                 "Array", "frame", "b", "_k", "_k0", "_t1", "_v", "_r", "_f",
+                 "_LS", "_fns", "_make", "I", "chk", "grad", "F", "cp", "e",
+                 "f", "B", "V", "n", "k"]
+
+
+class TestLowering:
+    @pytest.mark.parametrize("name", EMITTER_NAMES)
+    def test_names_of_the_lowered_code(self, name):
+        p = prog(f"""fn {name}(a!, {name})
+t <- {name}
+a! += t * 2
+t -> {name}
+for i = 1:2
+    a! += i
+end
+end
+fn caller(x!, {name}!)
+{name}(x!, {name}!)
+~{name}(x!, {name}!)
+{name}(x!, {name}!)
+{name}! += 1
+end""")
+        sink = []
+        for opts in (None, ExecOptions(invcheck=False),
+                     ExecOptions(trace=True, trace_sink=sink)):
+            assert run(p, "caller", [1, 5], opts) == [14, 6]
+            assert uncall(p, "caller", [14, 6], opts) == [1, 5]
+        assert sink[0] == f"10:1\tFnCall\tx!,{name}!"
+        assert check_reversibility(p, name, [1.5, 2.0]).ok
+
+    @pytest.mark.parametrize("header, depth, steps, check", [
+        ("for i{k} = 1:1", 25, 51, "iterator"),
+        ("if (x < 5.0, ~)", 120, 121, "postcondition")])
+    def test_deep_nesting(self, header, depth, steps, check):
+        # deeper than CPython compiles in one function (20 nested loops,
+        # 100 indentation levels): inner statements become functions of
+        # their own, and an error still carries its statement's span
+        src = "fn f(y, x)\n" + "\n".join(
+            header.format(k=k) for k in range(depth)) + \
+            "\ny += log(x)\n" + "end\n" * depth + "end"
+        interp = Interpreter(prog(src))
+        assert interp.run_function("f", [0.0, 1.0]) == [0.0, 1.0]
+        assert interp.stats.steps == steps
+        assert interp.stats.checks_passed[check] == depth
+        with pytest.raises(RevDomainError) as err:
+            interp.run_function("f", [0.0, -1.0])
+        assert err.value.span.line == depth + 2
+
+    def test_one_python_function_per_definition(self):
+        p = prog("fn g(a, b)\na += b\nend\nfn f(x, y)\ng(x, y)\n~g(x, y)\n"
+                 "end")
+        interp = Interpreter(p)
+        assert interp.run_function("f", [1, 2]) == [1, 2]
+        # lowered on the first call: f and the two it calls
+        assert sorted(interp.unit) == ["f", "g", "~g"]
+        assert all(callable(fn) for fn in interp.unit.values())
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=index_cases(), target=st.booleans(), f32=st.booleans())
+    def test_update_arms_match_generic_rule(self, case, target, f32):
+        """`y += a[ix]` and `a[ix] += y` take the inline arm (and its flat
+        offsets) when the operands allow, else the generic rule; both
+        agree with `Array.get`/`Array.set`."""
+        root, exprs, bindings, values = case
+        assume(not any(isinstance(v, GVar) for v in bindings.values()))
+        z = np.float32 if f32 else float
+        if isinstance(root, Array):
+            root = Array([z(v) for v in root.data], root.shape)
+        cell = IndexView(VarView("a"), tuple(exprs))
+        views = (cell, VarView("y")) if target else (VarView("y"), cell)
+        names = ["a", "y", *bindings]
+        fdef = FunctionDef("f", tuple(Param(n) for n in names),
+                           Block((InstrCall("+=", "identity", views),)))
+        assume(not validate(Program([fdef])))   # Int literal indices only
+        opts = ExecOptions(float_dtype=np.float32 if f32 else None)
+        args = [deep_copy(root), z(0.5), *bindings.values()]
+        got = _outcome_of(
+            lambda: Interpreter(Program([fdef]), opts).run_function(
+                "f", args)[:2])
+        ref = deep_copy(root)
+
+        def want():
+            old = _ref_cell("read", ref, values)
+            if not target:
+                return [ref, old + z(0.5)]
+            _ref_cell("write", ref, values, old + z(0.5))
+            return [ref, z(0.5)]
+        assert got == _outcome_of(want)
+
+
+class TestUnitCache:
+    """Interpreters on one Program share its validated and lowered unit
+    per option set the lowered code depends on."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"validate": 0, "lower": []}
+        validate, function = interpreter.validate, \
+            interpreter._Lowering.function
+
+        def counting_validate(program):
+            counts["validate"] += 1
+            return validate(program)
+
+        def counting_function(self, fdef):
+            counts["lower"].append(fdef.name)
+            return function(self, fdef)
+        monkeypatch.setattr(interpreter, "validate", counting_validate)
+        monkeypatch.setattr(interpreter._Lowering, "function",
+                            counting_function)
+        return counts
+
+    SRC = "fn f(y, x)\nn <- 0.0\nn += x\ny += n * 2.0\nn -= x\nn -> 0.0\nend"
+
+    def test_equal_options_validate_and_lower_once(self, counts):
+        p = prog(self.SRC)
+        a, b = Interpreter(p), Interpreter(p, ExecOptions())
+        assert a.run_function("f", [0.0, 1.5]) == [3.0, 1.5]
+        assert b.run_function("f", [0.0, 1.5]) == [3.0, 1.5]
+        assert b.uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
+        assert a.unit is b.unit
+        assert counts == {"validate": 1, "lower": ["f", "~f"]}
+
+    @pytest.mark.parametrize("opts", [
+        ExecOptions(float_dtype=np.float32), ExecOptions(invcheck=False),
+        ExecOptions(trace=True, trace_sink=[]), ExecOptions(max_steps=99),
+        ExecOptions(float_tolerance=1e-3)])
+    def test_options_of_the_lowered_code_get_their_own_unit(self, counts,
+                                                             opts):
+        p = prog(self.SRC)
+        base = Interpreter(p)
+        other = Interpreter(p, opts)
+        assert other.unit is not base.unit
+        assert Interpreter(p, opts).unit is other.unit
+        assert counts["validate"] == 2
+        x = np.float32(1.5) if opts.float_dtype else 1.5
+        assert other.run_function("f", [x * 0, x]) == [x * 2, x]
+
+    def test_trace_sinks_stay_per_interpreter(self):
+        p = prog(self.SRC)
+        first, second = [], []
+        Interpreter(p, ExecOptions(trace=True, trace_sink=first)) \
+            .run_function("f", [0.0, 1.0])
+        Interpreter(p, ExecOptions(trace=True, trace_sink=second)) \
+            .run_function("f", [0.0, 1.0])
+        assert len(first) == 5 and first == second
+
+    def test_program_add_drops_the_units(self, counts):
+        p = prog(self.SRC)
+        before = Interpreter(p)
+        p.add(prog("fn g(y)\ny += 1.0\nend").get("g"))
+        after = Interpreter(p)
+        assert counts["validate"] == 2 and after.unit is not before.unit
+        assert after.run_function("g", [1.0]) == [2.0]
+        with pytest.raises(UnknownFunction):
+            before.run_function("g", [1.0])
+        assert before.run_function("f", [0.0, 1.0]) == [2.0, 1.0]
+
+    def test_stats_are_per_interpreter(self):
+        p = prog(self.SRC)
+        a, b = Interpreter(p), Interpreter(p)
+        a.run_function("f", [0.0, 1.0])
+        a.run_function("f", [0.0, 1.0])
+        b.run_function("f", [0.0, 1.0])
+        assert a.stats.steps == 2 * b.stats.steps == 10
+        assert a.stats.checks_passed["ancilla"] == 2
+        assert b.stats.checks_passed["ancilla"] == 1
+
+    def test_fuel_counts_over_the_runs_of_an_interpreter(self):
+        p = prog(self.SRC)
+        interp = Interpreter(p, ExecOptions(max_steps=7))
+        interp.run_function("f", [0.0, 1.0])
+        with pytest.raises(FuelExhausted) as err:
+            interp.run_function("f", [0.0, 1.0])
+        # 5 statements a run: the 8th is the third of the second run
+        assert interp.stats.steps == 8
+        assert err.value.span.line == 4
+
+    def test_invalid_program_is_never_cached(self, counts):
+        p = prog("fn f(x)\nn <- 0\nend")
+        for _ in range(2):
+            with pytest.raises(ValidationFailed):
+                Interpreter(p)
+        assert counts["validate"] == 2 and p.compiled == {}
