@@ -2,18 +2,20 @@
 
 The pipeline: run the function forward, wrap every differentiable leaf of
 the results in a GVar with a zero cotangent, seed the chosen outputs, and
-execute the mechanically inverted function. Instruction dispatch sees the
-GVar values and applies the gradient rules, so the backward pass both
-uncomputes the primal values (restoring the original arguments) and
-accumulates cotangents. Hessians come from running the same pipeline over
-Dual-number leaves (forward over reverse). A central finite-difference
-estimator serves as the independent oracle.
+execute the mechanically inverted function. That pass carries GVars, so
+it runs the gradient variant of the lowered code, whose updates apply the
+gradient rules (inline for binary64 GVars): it both uncomputes the primal
+values (restoring the original arguments) and accumulates cotangents.
+Hessians come from running the same pipeline over Dual-number leaves
+(forward over reverse). A central finite-difference estimator serves as
+the independent oracle.
 
 Each public call builds one Interpreter under the caller's options and
 runs every pass of the call on it: a pass whose arguments carry GVar
 values is a gradient pass. The program is validated, inverted and lowered
 once per option set and kept with it, so repeated calls reuse that work.
-A Jacobian shares a single forward pass among its rows.
+A Jacobian shares a single forward pass among its rows, and walks its
+arguments' leaf paths once.
 """
 
 from dataclasses import dataclass
@@ -168,10 +170,10 @@ def _gradient(interp, fname, names, args, outputs, seeds, wrt):
     back = interp.uncall_function(fname, wrapped)
 
     tol = interp.opts.float_tolerance
-    for orig, bk in zip(args, back):
+    for pname, orig, bk in zip(names, args, back):
         if not values_close(orig, unwrap_gvar(bk), tol):
-            raise RevError(
-                "backward pass failed to restore an argument's primal value")
+            raise RevError(f"backward pass failed to restore the primal "
+                           f"value of {pname!r}", interp.defs[fname].span)
 
     report = wrt if wrt is not None else names
     grads = {}
@@ -197,13 +199,13 @@ def gradient(program, req, opts=None):
     return outputs, grads
 
 
-def _flatten(value_by_param, params, structure_args):
+def _flatten(value_by_param, leaves):
+    """The float at each (parameter name, leaf path) of `leaves`."""
     out = []
-    for pname, arg in zip(params, structure_args):
+    for pname, path in leaves:
         g = value_by_param[pname]
-        for path in leaf_paths(arg):
-            leaf = get_leaf(g, path) if path else g
-            out.append(0.0 if leaf is None else float(to_real(_strip_dual(leaf))))
+        leaf = get_leaf(g, path) if path else g
+        out.append(0.0 if leaf is None else float(to_real(_strip_dual(leaf))))
     return out
 
 
@@ -217,12 +219,14 @@ def jacobian(program, fname, args, opts=None):
     pass per output row, all from that pass's results."""
     interp, names = _interpreter(program, fname, opts)
     outputs = interp.run_function(fname, [deep_copy(a) for a in args])
+    # walked once: each leaf seeds a row and is a column of every row
+    leaves = [(pname, path) for pname, arg in zip(names, args)
+              for path in leaf_paths(arg)]
     rows = []
-    for pi, pname in enumerate(names):
-        for path in leaf_paths(args[pi]):
-            grads = _gradient(interp, fname, names, args, outputs,
-                              [(pname, path, 1.0)], None)
-            rows.append(_flatten(grads, names, args))
+    for pname, path in leaves:
+        grads = _gradient(interp, fname, names, args, outputs,
+                          [(pname, path, 1.0)], None)
+        rows.append(_flatten(grads, leaves))
     return np.array(rows, dtype=float)
 
 

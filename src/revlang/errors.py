@@ -43,6 +43,8 @@ class RevLangError(Exception):
         return type(self).__name__
 
     def __str__(self):
+        if self.span == NO_SPAN:   # no location is known
+            return f"{self.name}: {self.message}"
         return f"{self.name} at {self.span}: {self.message}"
 
 

@@ -9,14 +9,18 @@ changes nothing but speed.
 
 Each function and each inverse is lowered, on its first call, to one
 Python function (`_Lowering` emits its source; `compile` and `exec` make
-it). Variables are Python locals, bound statically: `validate` balances
-every allocation in its block, so an allocation of a bound name, or a read
-or release of an unbound one, is emitted as the error it raises. Where
-checks are off statically (`invcheck=False`, or inside `@invcheckoff`) no
-check code is emitted; alias checks always run. A `+=`/`-=` gets an
-inline arm for operands of the run's exact float type (`float`, or
-`float_dtype`), array cells at flat offsets behind `_offset`'s type and
-bounds guard; every other case calls the rule `numerics.instr_rule`
+it), in two variants: the gradient variant serves the passes whose
+arguments carry a GVar, and the forward variant, which holds no gradient
+code, the others. Variables are Python locals, bound statically:
+`validate` balances every allocation in its block, so an allocation of a
+bound name, or a read or release of an unbound one, is emitted as the
+error it raises. Where checks are off statically (`invcheck=False`, or
+inside `@invcheckoff`) no check code is emitted; alias checks always run.
+A `+=`/`-=` gets an inline arm, array cells at flat offsets behind
+`_offset`'s type and bounds guard: for operands of the run's exact float
+type (`float`, or `float_dtype`) in the forward variant, and for binary64
+GVars (`adjoint_arm`) in the gradient variant. Every other case calls the
+rule `numerics.instr_rule`
 resolves for the statement, which ends in `numerics.apply_instr`, and
 `Array.get`/`set`, so each value kind keeps one semantics. Expressions
 call what `numerics.expr_fn` resolves, and `numerics.compare`. An error
@@ -52,8 +56,9 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
                  ViewRef, While, inverse_name, validate, view_root)
 from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
-                       PRIM_STATEMENTS, PrimitiveInstr, carries_gvar, compare,
-                       expr_fn, instr_rule, unwrap_gvar, wrap_gvar)
+                       PRIM_STATEMENTS, PrimitiveInstr, adjoint_accumulate,
+                       carries_gvar, compare, expr_fn, instr_rule,
+                       unwrap_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
                      is_bool, is_int, kind_name, values_close)
@@ -85,12 +90,10 @@ class ExecStats:
 class Frame:
     """An environment for the view helpers: name -> value bindings."""
 
-    __slots__ = ("bindings", "fname", "grad")
+    __slots__ = ("bindings",)
 
-    def __init__(self, fname="<frame>", grad=False):
+    def __init__(self):
         self.bindings = {}
-        self.fname = fname
-        self.grad = grad
 
 
 def ids_overlap(id_a, id_b):
@@ -199,11 +202,6 @@ def _set(a, v, *ixs):
         _indexed(a).set(tuple([_ix(i) for i in ixs]), v)
 
 
-def _alloc(grad, v):
-    """A new ancilla's value: GVar-wrapped in a gradient frame."""
-    return wrap_gvar(v) if grad else v
-
-
 def _release(cp, name, current, declared, tol, grad):
     """The release check of ancilla `name` (two plain floats are decided
     here as `values_close` decides them)."""
@@ -265,7 +263,7 @@ def _fail(err, spans, interp):
 def _ancilla_residual(current, declared, tol, grad):
     """None when the ancilla may be released; otherwise the residual.
 
-    Only primal content is compared: in a gradient frame (`grad`) a
+    Only primal content is compared: in the gradient variant (`grad`) a
     tracked ancilla's cotangent at release is the sensitivity to its
     pinned initial value and is discarded with it. The release passes
     when the two are `values_close` (discrete kinds exactly, float-backed
@@ -353,12 +351,12 @@ _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
-    `unit` supplies the options the code depends on; without a unit the
-    code reads and writes variables in a bindings dict `B` (the view
-    helpers), with no checks, fuel or trace."""
+    `unit` supplies the options the code depends on (`grad`: the gradient
+    variant); without a unit the code reads and writes variables in a
+    bindings dict `B` (the view helpers), with no checks, fuel or trace."""
 
-    def __init__(self, unit=None, float_dtype=None):
-        self.unit = unit
+    def __init__(self, unit=None, float_dtype=None, grad=False):
+        self.unit, self.grad = unit, grad
         self.dtype = float_dtype if unit is None else unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -435,15 +433,16 @@ class _Lowering:
     # --- functions ---
 
     def function(self, fdef):
-        """`f(I, chk, grad, F, *args) -> args`: `F` is the run's fuel, an
-        iterator that each statement executed takes one item from."""
-        self.const(self.unit, "_fns")
+        """`f(I, chk, F, *args) -> args`: `F` is the run's fuel, an
+        iterator that each statement executed takes one item from. Calls
+        go to the callee's lowered function of the same variant."""
+        self.const(self.unit.gradient if self.grad else self.unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
         self.body(fdef.body)
         head = [(0, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
         return self.build([
-            *self.wrapped("f", ["I", "chk", "grad", "F", *params],
+            *self.wrapped("f", ["I", "chk", "F", *params],
                           head + self.lines, params), *self.regions])
 
     def region(self, s):
@@ -460,10 +459,10 @@ class _Lowering:
         body = self.lines
         self.lines, self.depth, self.loops = outer
         self.regions += self.wrapped(
-            name, ["I", "chk", "grad", "F", "cp", *names], body, names)
+            name, ["I", "chk", "F", "cp", *names], body, names)
         self.counts = True
         outer, self.span = self.span, s.span
-        call = f"{name}(I, chk, grad, F, cp{''.join(', ' + n for n in names)})"
+        call = f"{name}(I, chk, F, cp{''.join(', ' + n for n in names)})"
         self.emit(f"{''.join(n + ', ' for n in names)}= {call}" if names
                   else call)
         self.span = outer
@@ -511,7 +510,7 @@ class _Lowering:
                     PrimitiveInstr(op, fname), args,
                     [(0, i, "an instruction's target may not alias its inputs")
                      for i in range(1, n)],
-                    # gradient passes also reject shared reads
+                    # the gradient variant also rejects shared reads
                     [(i, j, "shared reads are rejected under differentiation: "
                             "their gradient update would be a shared write "
                             "(rewrite y += x * x as y += x ^ 2)")
@@ -522,7 +521,8 @@ class _Lowering:
                 else:
                     value = self.expr(e)
                     self.bound.add(name)
-                    self.emit(f"{self.local(name)} = _alloc(grad, {value})")
+                    self.emit(f"{self.local(name)} = " + (
+                        f"wrap_gvar({value})" if self.grad else value))
             case AncillaDealloc(name=name, expr=e):
                 if name not in self.bound:
                     self.raise_(UnboundVariable, f"{name!r} is not bound")
@@ -530,7 +530,8 @@ class _Lowering:
                     self.counts = True
                     self.emit(f"if chk: _release(cp, {name!r}, "
                               f"{self.names[name]}, {self.expr(e)}, "
-                              f"{self.const(self.unit.tolerance)}, grad)")
+                              f"{self.const(self.unit.tolerance)}, "
+                              f"{self.grad})")
                 self.bound.discard(name)
             case FnCall(fname=fname, args=args):
                 self.call(fname, args, uncall=False)
@@ -664,7 +665,7 @@ class _Lowering:
         results = [self.local(v.name) if isinstance(v, VarView)
                    else self.temp() for v in views]
         self.emit(f"{''.join(r + ', ' for r in results)}= {fn}(I, "
-                  f"{'chk' if self.checks else 'False'}, grad, F"
+                  f"{'chk' if self.checks else 'False'}, F"
                   f"{''.join(', ' + self.read(v) for v in views)})")
         for v, r in zip(views, results):
             if not isinstance(v, VarView):
@@ -672,41 +673,30 @@ class _Lowering:
 
     def update(self, instr, views, pairs, grad_pairs=()):
         """An instruction or a statement primitive: read the arguments,
-        check the alias `pairs` (in gradient frames also `grad_pairs`),
-        apply the rule `numerics.instr_rule` resolves and write back the
-        updated views: an instruction's target, or every argument of a
-        primitive."""
-        strict = _alias_pairs(views, pairs)
-        grad = _alias_pairs(views, [*pairs, *grad_pairs]) if grad_pairs \
-            else strict
-        arm = self.arm(instr, views, strict, grad)
+        check the alias `pairs` (in the gradient variant also
+        `grad_pairs`), apply the rule `numerics.instr_rule` resolves and
+        write back the updated views: an instruction's target, or every
+        argument of a primitive."""
+        checks = _alias_pairs(views, [*pairs, *grad_pairs] if self.grad
+                              else pairs)
+        arm = (self.adjoint_arm if self.grad else self.arm)(instr, views,
+                                                            checks)
         reads = ", ".join(self.lit(v.value) if isinstance(v, Lit)
                           else self.read(v) for v in views)
         rule = self.const(self.unit.rules.setdefault(instr, instr_rule(instr)))
         updated = views if instr.fname is None else views[:1]
-        if strict is None and grad is None and len(updated) == 1:
+        if checks is None and len(updated) == 1:
             self.write(updated[0], f"{rule}([{reads}])[0]")
         else:
             self.emit(f"_v = [{reads}]")
-            if grad is strict:
-                self.alias_checks(views, strict)
-            else:
-                self.emit("if grad:")
-                self.depth += 1
-                self.alias_checks(views, grad)
-                self.depth -= 1
-                if strict is not None:
-                    self.emit("else:")
-                    self.depth += 1
-                    self.alias_checks(views, strict)
-                    self.depth -= 1
+            self.alias_checks(views, checks)
             results = [self.temp() for _ in updated]
             self.emit(f"{''.join(r + ', ' for r in results)}*_ = {rule}(_v)")
             for v, r in zip(updated, results):
                 self.write(v, r)
         self.depth -= arm
 
-    def arm(self, instr, views, strict, grad):
+    def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
         open its `else:`; returns whether it did."""
         spec = INSTR_FNS.get(instr.fname)
@@ -739,19 +729,83 @@ class _Lowering:
         value = fn.format(*ops[1:]) if fn else \
             f"{self.const(spec.apply)}({', '.join(ops[1:])})"
         if not (fn and exact):   # the value's type is checked too
-            if strict is not None:   # it would precede the alias checks
+            if checks is not None:   # it would precede the alias checks
                 return False
             t = self.temp()
             types.append(f"type({t} := {value})")
             value = t
         guards.append(f"{self.float} is {' is '.join(types)}")
-        if grad is not strict:
-            guards.insert(0, "not grad")
         self.emit(f"if {' and '.join(guards)}:")
         self.depth += 1
-        self.alias_checks(views, strict)
+        self.alias_checks(views, checks)
         sign = "+" if instr.kind == "+=" else "-"
         self.emit(f"{target} = {ops[0]} {sign} ({value})")
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        return True
+
+    def adjoint_arm(self, instr, views, checks):
+        """`arm` for the gradient variant of a binary64 unit: a +=/-= of a
+        function with `partials`, on a GVar target and arguments that are
+        GVars, floats or Ints (a GVar's `x` and `g` being floats). It
+        computes what `numerics._plus_minus_adjoint` does, and calls its
+        cotangent step `adjoint_accumulate` when a partial is None."""
+        spec = INSTR_FNS.get(instr.fname)
+        if instr.kind not in ("+=", "-=") or spec is None \
+                or spec.partials is None or self.dtype is not None \
+                or not spec.min_arity < len(views) <= spec.max_arity + 1:
+            return False
+        guards, xs, args = [], [], []   # primal values, argument values
+        for k, v in enumerate(views):
+            if isinstance(v, Lit):
+                if k == 0 or type(v.value) not in (int, float):
+                    return False
+                xs.append(self.lit(v.value))
+                args.append(xs[-1])
+                continue
+            if isinstance(v, VarView) and v.name in self.bound:
+                o = ref = self.names[v.name]
+            else:
+                fast = self.fast_index(v)
+                if fast is None:
+                    return False
+                guards.append(fast[0])
+                o = self.temp()
+                ref = f"({o} := {fast[1]})"
+            x = self.temp()
+            if k == 0:   # the target, with its cotangent `gy`
+                y, yx, gy = o, x, self.temp()
+                guards.append(f"type({ref}) is GVar and type({x} := {o}.x) "
+                              f"is float and type({gy} := {o}.g) is float")
+            else:
+                guards.append(f"(type({ref}) is GVar and type({x} := {o}.x) "
+                              f"is float and type({o}.g) is float or type("
+                              f"{x} := {o}) is float or type({x}) is int)")
+                xs.append(x)
+                args.append(o)
+        fn = _INLINE.get(instr.fname)
+        value = fn.format(*xs) if fn else \
+            f"{self.const(spec.apply)}({', '.join(xs)})"
+        self.emit(f"if {' and '.join(guards)}:")
+        self.depth += 1
+        self.alias_checks(views, checks)
+        sign = "+" if instr.kind == "+=" else "-"
+        self.emit(f"{y}.x = {yx} {sign} ({value})")
+        self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs)})")
+        # the rule's `sign * gy`, computed as it computes it
+        self.emit(f"_c = {'1.0' if sign == '-' else '-1.0'} * {gy}")
+        tracked = [(i, a) for i, (a, v) in enumerate(zip(args, views[1:]))
+                   if not isinstance(v, Lit)]
+        if tracked:
+            self.emit(f"if None in _p: adjoint_accumulate({instr.fname!r}, "
+                      f"({''.join(a + ', ' for a in args)}), _p, _c)")
+            self.emit("else:")
+            self.depth += 1
+            for i, a in tracked:
+                self.emit(f"if type({a}) is GVar: {a}.g = {a}.g + _c * "
+                          f"_p[{i}]")
+            self.depth -= 1
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
@@ -929,13 +983,30 @@ class _Lowering:
 
 # --- compiled units --------------------------------------------------------------
 
-class _Unit(dict):
+class _Variant(dict):
+    """Maps a function's name to its lowered function in one variant of a
+    unit (forward, or gradient when `grad`), lowering it on first
+    lookup."""
+
+    def __init__(self, unit, grad):
+        super().__init__()
+        self.unit, self.grad = unit, grad
+
+    def __missing__(self, fname):
+        fdef = self.unit.defs.get(fname)
+        if fdef is None:
+            raise UnknownFunction(f"no function named {fname!r}")
+        fn = self[fname] = _Lowering(self.unit, grad=self.grad).function(fdef)
+        return fn
+
+
+class _Unit(_Variant):
     """A Program validated, with its definitions expanded and inverted
-    once, under one set of the options the lowered code depends on: maps a
-    function's name to its lowered function, lowering it on first lookup."""
+    once, under one set of the options the lowered code depends on. It is
+    the forward variant; `gradient` is the gradient variant."""
 
     def __init__(self, program, opts):
-        super().__init__()
+        super().__init__(self, False)
         diags = validate(program)
         if diags:
             raise ValidationFailed(diags)
@@ -947,13 +1018,7 @@ class _Unit(dict):
             inv = invert_function(fdef)
             self.defs.setdefault(inv.name, inv)
         self.rules, self.expr_fns = {}, {}   # shared by the lowered code
-
-    def __missing__(self, fname):
-        fdef = self.defs.get(fname)
-        if fdef is None:
-            raise UnknownFunction(f"no function named {fname!r}")
-        fn = self[fname] = _Lowering(self).function(fdef)
-        return fn
+        self.gradient = _Variant(self, True)
 
 
 def _unit(program, opts):
@@ -1003,11 +1068,13 @@ class Interpreter:
     `stats`. Instances built on one Program with options that lower to
     the same code share one validated and lowered unit.
 
-    A pass whose arguments carry a GVar leaf is a gradient pass: the
-    instruction rules dispatch on the GVar values, its frames wrap new
-    ancillas in GVars, and an instruction may not read one cell twice.
-    Forward and gradient passes run the same lowered functions, so one
-    instance serves every pass of an autodiff call."""
+    A pass whose arguments carry a GVar leaf is a gradient pass: it runs
+    the gradient variant of the unit, lowered on a function's first
+    gradient pass, which wraps new ancillas in GVars, rejects an
+    instruction that reads one cell twice, and updates binary64 GVars in
+    an inline adjoint arm. Other passes run the forward variant, which
+    holds no gradient code. One instance serves every pass of an autodiff
+    call."""
 
     def __init__(self, program, opts=None):
         self.program = program
@@ -1017,17 +1084,17 @@ class Interpreter:
         self.defs = self.unit.defs
 
     def run_function(self, fname, args):
-        fn = self.unit[fname]
+        grad = any(carries_gvar(a) for a in args)
+        fn = (self.unit.gradient if grad else self.unit)[fname]
         fdef = self.unit.defs[fname]
         if len(args) != len(fdef.params):
             raise KindError(f"{fname} takes {len(fdef.params)} arguments, "
                             f"got {len(args)}")
-        grad = any(carries_gvar(a) for a in args)
         # the fuel left: max_steps counts over every run of this instance
         budget = max(0, self.unit.max_steps - self.stats.steps)
         fuel = iter(range(budget))
         try:
-            return list(fn(self, self.unit.invcheck, grad, fuel, *args))
+            return list(fn(self, self.unit.invcheck, fuel, *args))
         except RecursionError:
             raise FuelExhausted(f"call depth exceeded in {fname}",
                                 fdef.span) from None

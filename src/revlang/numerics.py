@@ -13,7 +13,10 @@ call to an expression-only function (`EXPR_FNS`) or to the primal value
 of the instruction function, as `y += f(args)` computes it.
 `instr_rule` resolves an instruction once per statement and runs a +=/-=
 on plain real scalars inline, with the rounding `apply_instr` uses; the
-interpreter applies every instruction through it.
+interpreter applies every instruction through it that its own inline arms
+do not take. The interpreter's adjoint arm (binary64 GVars) computes the
++=/-= gradient rule with the partials of `INSTR_FNS` and, when a partial is
+None, the rule's own cotangent step, `adjoint_accumulate`.
 
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod
@@ -514,14 +517,20 @@ def _plus_minus_adjoint(op, fname, vals):
             raise MissingAdjoint(f"no gradient rule for {fname!r}")
         return vals
     xs = [_arg_real(a) for a in args]
-    parts = spec.partials(*xs)
+    adjoint_accumulate(fname, args, spec.partials(*xs), sign * gy)
+    return vals
+
+
+def adjoint_accumulate(fname, args, parts, c):
+    """The cotangent step of a +=/-= adjoint: `a.g += c * p` for each GVar
+    argument `a` and its partial `p`, in order, where `c` is the signed
+    cotangent of the target; a GVar whose partial is None raises."""
     for a, p in zip(args, parts):
         if isinstance(a, GVar):
             if p is None:
                 raise RevDomainError(
                     f"gradient of {fname!r} undefined at this point")
-            _g_accum(a, sign * gy * p)
-    return vals
+            _g_accum(a, c * p)
 
 
 def _mul_div_adjoint(op, fname, vals):

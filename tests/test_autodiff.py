@@ -188,7 +188,7 @@ class TestSharedForwardPass:
             _, g = gradient(p, GradRequest(fname, args,
                                            seeds=[(pname, path, 1.0)]))
             assert row.tobytes() == np.array(
-                _flatten(g, names, args), dtype=float).tobytes()
+                _flatten(g, rows), dtype=float).tobytes()
 
     def test_hessian_columns_equal_standalone_gradients(self):
         p = load_example("r_norm")

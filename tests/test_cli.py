@@ -318,6 +318,33 @@ end
         err = capsys.readouterr().err
         assert "FuelExhausted" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "-f", "f", "--args=0.0,1.5"],
+         "KindError: f takes 3 arguments, got 2"),
+        (["run", "-f", "zz", "--args=0.0,1.5,2.0"],
+         "UnknownFunction: no function named 'zz'"),
+        (["grad", "-f", "f", "--args=0.0,1.5,2.0", "--seed", "q"],
+         "KindError: seed names unknown parameter 'q'"),
+    ])
+    def test_error_without_a_location_prints_none(self, tmp_path, capsys,
+                                                  argv, message):
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y, a, b)\ny += a * b\nend\n")
+        rc = main([argv[0], str(f), *argv[1:]])
+        assert rc == 3
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_restore_failure_names_function_and_parameter(self, tmp_path,
+                                                          capsys):
+        f = tmp_path / "a.rnl"
+        f.write_text("fn g(x)\nx += 1.0\nend\n\nfn f(y, a, b)\n"
+                     "y += a * b\nend\n")
+        rc = main(["grad", str(f), "-f", "f", "--args=0.0,nan,2.0"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"RevError at {f}:5:1: backward pass failed to restore the "
+            f"primal value of 'y'\n")
+
     def test_no_invcheck_flag(self, tmp_path, capsys):
         bad = tmp_path / "dirty.rnl"
         bad.write_text("fn f(x)\nn <- 0.0\nn += x\nn -> 0.0\nend\n")

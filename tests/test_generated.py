@@ -20,6 +20,8 @@ too.
 
 from hypothesis import given, settings, strategies as st
 
+from revlang.autodiff import GradRequest, finite_difference, gradient
+from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Program, validate
 from revlang.parser import parse_program, pretty_print
@@ -32,12 +34,14 @@ class _Gen:
     update, and the list that collects a compute block's ancillas (None
     where an allocation would not be balanced by a replay)."""
 
-    def __init__(self, draw, real=False, callees=(), valid=False):
+    def __init__(self, draw, real=False, callees=(), valid=False,
+                 int_conds=False):
         self.draw = draw
         self.count = 0
         self.real = real            # Float values instead of Int
         self.callees = callees      # functions a statement may (un)call
         self.valid = valid          # no stray statements; `while` loops
+        self.int_conds = int_conds  # `if` reads loop variables only
 
     def fresh(self, prefix):
         self.count += 1
@@ -102,7 +106,9 @@ class _Gen:
         if kind == "if":
             then = self.block((stable, mutable, None), depth + 1)
             orelse = self.block((stable, mutable, None), depth + 1)
-            return [f"if ({self.pick(stable)} > 0, ~)", *then,
+            names = [n for n in stable if n.startswith("i")] \
+                if self.int_conds else stable
+            return [f"if ({self.pick(names) if names else 0} > 0, ~)", *then,
                     *(["else", *orelse] if orelse else []), "end"]
         if kind == "for":
             i = self.fresh("i")
@@ -162,14 +168,17 @@ def test_generator_reaches_both_verdicts():
 
 
 @st.composite
-def called_programs(draw):
-    """Functions g0..gn over Int or Float values, each of which may call or
-    uncall the ones before it; gn is the entry point."""
-    real = draw(st.booleans())
+def called_programs(draw, real=None, int_conds=False):
+    """Functions g0..gn over Int or Float values (`real`, drawn when None),
+    each of which may call or uncall the ones before it; gn is the entry
+    point. With `int_conds` no condition reads a Float variable."""
+    if real is None:
+        real = draw(st.booleans())
     n = draw(st.integers(0, 3))
     fns = []
     for k in range(n + 1):
-        gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True)
+        gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
+                   int_conds=int_conds)
         body = gen.block((("x",), ["y", "z"], None), 0)
         fns.append(f"fn g{k}(y, z, x)\n" + "\n".join(body) + "\nend\n")
     values = st.integers(-6, 6).map(lambda v: v / 2) if real \
@@ -216,3 +225,35 @@ def test_called_programs_reach_calls_loops_and_floats():
 
     collect()
     assert seen == {"(y, z", "(z, y", "~g", "while", "0.5", "@invcheckoff"}
+
+
+def test_generated_gradients_match_finite_differences():
+    """On Float programs whose conditions read no Float variable,
+    `gradient` equals `finite_difference` on every float leaf, exactly.
+    Such a program is linear in its arguments: its updates add, subtract
+    and scale by 2.0 or 0.5, and its branches and loop counts do not
+    depend on them. Its arguments are multiples of 0.5 and the step is
+    h = 0.5, so every value, step and coefficient both computations meet
+    is a dyadic rational far inside binary64's range, and every operation
+    on them is exact: the tolerance is zero. A program may be rejected
+    under differentiation (an update that reads one variable twice), but
+    only by a typed RevLangError."""
+    outcomes = []
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(case=called_programs(real=True, int_conds=True))
+    def check(case):
+        src, entry, args = case
+        program = parse_program(src)
+        try:
+            _, grads = gradient(program, GradRequest(entry, args))
+        except RevLangError:
+            outcomes.append("rejected")
+            return
+        assert grads == finite_difference(program, entry, args, 0.5)
+        outcomes.append("equal")
+
+    check()
+    assert outcomes.count("equal") >= len(outcomes) // 2 \
+        and "rejected" in outcomes

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  read_view, run, uncall, write_view)
 from revlang.ir import (Bin, Block, FunctionDef, IndexView, InstrCall, Lit,
                         Param, Program, VarView, ViewRef, validate)
-from revlang.numerics import INSTR_FNS, expr_fn, wrap_gvar
+from revlang.numerics import (INSTR_FNS, PrimitiveInstr, apply_instr, expr_fn,
+                              wrap_gvar)
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.stdlib import CATALOG, asset_text, load_example
 from revlang.values import (Array, Complex, Fixed, GVar, deep_copy, deviation,
-                            is_int)
+                            is_int, kind_name)
 
 
 def prog(src):
@@ -899,8 +901,7 @@ class TestIndexClosures:
     def test_closures_match_generic_rule(self, case, op):
         root, exprs, bindings, values = case
         view = IndexView(VarView("a"), tuple(exprs))
-        env = Frame("t", grad=any(isinstance(v, GVar)
-                                  for v in bindings.values()))
+        env = Frame()
         env.bindings.update(bindings, a=deep_copy(root))
         ref_root = deep_copy(root)
         if op == "read":
@@ -1231,9 +1232,237 @@ class TestUnitCache:
         assert interp.stats.steps == 8
         assert err.value.span.line == 4
 
+    def test_forward_runs_lower_no_gradient_variant(self, counts):
+        interp = Interpreter(prog(self.SRC))
+        assert interp.run_function("f", [0.0, 1.5]) == [3.0, 1.5]
+        assert interp.uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
+        assert counts["lower"] == ["f", "~f"]
+        assert interp.unit.gradient == {}
+
+    def test_second_gradient_call_lowers_nothing(self, counts):
+        p = prog(self.SRC)
+        first = gradient(p, GradRequest("f", [0.0, 1.5]))
+        # the forward pass runs f, the backward pass ~f's gradient variant
+        assert counts["lower"] == ["f", "~f"]
+        assert sorted(Interpreter(p).unit) == ["f"]
+        assert sorted(Interpreter(p).unit.gradient) == ["~f"]
+        assert gradient(p, GradRequest("f", [0.0, 1.5])) == first
+        assert counts == {"validate": 1, "lower": ["f", "~f"]}
+
+    def test_gradient_variant_calls_gradient_variants(self):
+        p = prog("fn g(a, b)\na += b * 2.0\nend\nfn f(y, x)\ng(y, x)\n"
+                 "end")
+        interp = Interpreter(p)
+        y, x = GVar(0.0, 1.0), GVar(1.5, 0.0)
+        assert interp.run_function("f", [y, x]) == [GVar(3.0, 1.0),
+                                                    GVar(1.5, -2.0)]
+        assert sorted(interp.unit.gradient) == ["f", "g"]
+        assert interp.unit == {}
+
     def test_invalid_program_is_never_cached(self, counts):
         p = prog("fn f(x)\nn <- 0\nend")
         for _ in range(2):
             with pytest.raises(ValidationFailed):
                 Interpreter(p)
         assert counts["validate"] == 2 and p.compiled == {}
+
+
+# --- the adjoint arm of the gradient variant against the generic rule ------
+
+ADJOINT_FNS = sorted(f for f, spec in INSTR_FNS.items()
+                     if spec.apply and spec.partials)
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
+               -1.7976931348623157e308, 5e-324, 1.5, -2.0, 0.5, 3.0)
+# Int operands stay small so that Int `pow` results stay small; a float
+# plus 1000 ** 1000 still overflows
+EDGE_INTS = (0, 1, -1, 2, -3, 1000)
+
+
+@st.composite
+def adjoint_cases(draw, arity):
+    """(layout, args): how each operand of `y op= f(...)` is placed, and
+    the function's arguments. An operand is a GVar, a float or an Int; it
+    is a literal ("lit", value), a parameter ("local", position), or a
+    cell of a 1-D or 2-D array parameter ("cell", position, indices), an
+    index being ("lit", int) or ("var", position of an Int or GVar
+    parameter), in bounds or not."""
+    floats = st.sampled_from(EDGE_FLOATS)
+    layout, args = [], []
+    for k in range(arity + 1):
+        kind = draw(st.sampled_from(("gvar", "gvar", "float", "int")))
+        value = {"gvar": lambda: GVar(draw(floats), draw(floats)),
+                 "float": lambda: draw(floats),
+                 "int": lambda: draw(st.sampled_from(EDGE_INTS))}[kind]()
+        place = draw(st.sampled_from(("local", "local", "cell1", "cell2",
+                                      "lit")[:None if k else 4]))
+        if place == "lit" and kind != "gvar":
+            layout.append(("lit", value))
+        elif place in ("lit", "local"):
+            layout.append(("local", len(args)))
+            args.append(value)
+        else:
+            shape = (3,) if place == "cell1" else (2, 2)
+            pos, idx, cell = len(args), [], []
+            args.append(Array([GVar(0.5, 0.0) for _ in range(math.prod(
+                shape))], shape))
+            for n in shape:
+                i = draw(st.sampled_from((1, n, 1, n, 0, n + 1)))
+                form = draw(st.sampled_from(("lit", "var") * 2 + ("gvar",)))
+                if form == "lit":
+                    idx.append(("lit", i))
+                else:
+                    idx.append(("var", len(args)))
+                    args.append(i if form == "var" else GVar(float(i), 0.0))
+                cell.append(i if form != "gvar" else None)
+            layout.append(("cell", pos, tuple(idx)))
+            if all(i is not None and 1 <= i <= n
+                   for i, n in zip(cell, shape)):
+                args[pos].set(tuple(cell), value)
+    return tuple(layout), args
+
+
+_ADJOINT_INTERPS = {}
+
+
+def _adjoint_interp(fname, op, layout, nparams):
+    """`f(p0, p1, ...)` runs the one statement `layout` describes."""
+    key = (fname, op, repr(layout))   # repr tells a -0.0 literal from 0.0
+    if key not in _ADJOINT_INTERPS:
+        _ADJOINT_INTERPS[key] = _lower_adjoint(fname, op, layout, nparams)
+    return _ADJOINT_INTERPS[key]
+
+
+def _lower_adjoint(fname, op, layout, nparams):
+    names = [f"p{k}" for k in range(nparams)]
+    views = []
+    for entry in layout:
+        if entry[0] == "lit":
+            views.append(Lit(entry[1]))
+        elif entry[0] == "local":
+            views.append(VarView(names[entry[1]]))
+        else:
+            views.append(IndexView(VarView(names[entry[1]]), tuple(
+                Lit(i) if form == "lit" else ViewRef(VarView(names[i]))
+                for form, i in entry[2])))
+    fdef = FunctionDef("f", tuple(Param(n) for n in names),
+                       Block((InstrCall(op, fname, tuple(views)),)))
+    return Interpreter(Program([fdef]))
+
+
+def _state(v):
+    """Every bit of a value, GVar primal and cotangent parts included,
+    except a NaN's: when both operands of a float operator are NaNs,
+    CPython's specialised operators and its generic ones return different
+    ones, so which one a run returns depends on how warm its bytecode
+    is."""
+    if isinstance(v, GVar):
+        return ("GVar", _state(v.x), _state(v.g))
+    if isinstance(v, Array):
+        return ("Array", v.shape, tuple(_state(e) for e in v.data))
+    if type(v) is float:
+        return ("float", "nan" if v != v else struct.pack("<d", v))
+    if isinstance(v, list):
+        return tuple(_state(e) for e in v)
+    return (type(v).__name__, v)
+
+
+def _reference_adjoint(fname, op, layout, args):
+    """The generic rule: read the operands as the generic reads do,
+    `apply_instr`, write the target back."""
+    def read(entry):
+        if entry[0] == "lit":
+            return entry[1]
+        if entry[0] == "local":
+            return args[entry[1]]
+        idx = []
+        for form, i in entry[2]:
+            v = i if form == "lit" else args[i]
+            v = v.x if isinstance(v, GVar) else v
+            if not is_int(v):
+                raise KindError(f"array index must be an Int, got "
+                                f"{kind_name(v)}")
+            idx.append(v)
+        return args[entry[1]].get(tuple(idx))
+    try:
+        vals = [read(entry) for entry in layout]
+        new = apply_instr(PrimitiveInstr(op, fname), vals)[0]
+        if layout[0][0] == "local":
+            args[layout[0][1]] = new
+        else:
+            args[layout[0][1]].set(tuple(
+                i if form == "lit" else args[i] for form, i in layout[0][2]),
+                new)
+        return ("ok", _state(args))
+    except RevLangError as err:
+        return ("error", type(err), err.message, _state(args))
+    except (ArithmeticError, ValueError) as err:
+        return ("error", RevDomainError, str(err), _state(args))
+
+
+def _adjoint_outcomes(fname, op, layout, args):
+    """(lowered, generic): the outcome of the one-statement pass and of
+    the generic rule, each on its own deep copy of `args`."""
+    mine = [deep_copy(a) for a in args]
+    try:
+        got = ("ok", _state(_adjoint_interp(fname, op, layout, len(args))
+                            .run_function("f", mine)))
+    except RevLangError as err:
+        got = ("error", type(err), err.message, _state(mine))
+    return got, _reference_adjoint(fname, op, layout,
+                                   [deep_copy(a) for a in args])
+
+
+class TestAdjointArm:
+    """A gradient pass of one `y op= f(...)` computes what the generic
+    rule `apply_instr` computes, bit for bit and error for error, whether
+    it takes the inline adjoint arm or falls back to the rule."""
+
+    @pytest.mark.parametrize("op", ["+=", "-="])
+    @pytest.mark.parametrize("fname", ADJOINT_FNS)
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_matches_generic_rule(self, fname, op, data):
+        layout, args = data.draw(adjoint_cases(INSTR_FNS[fname].min_arity))
+        got, want = _adjoint_outcomes(fname, op, layout, args)
+        assert got == want
+
+    @pytest.mark.parametrize("fname, layout, args, error", [
+        # abs at 0 has no partial
+        ("abs", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "gradient of 'abs' undefined"),
+        # pow's exponent partial needs a positive base
+        ("pow", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(-2.0, 0.0), GVar(2.0, 0.0)],
+         "gradient of 'pow' undefined"),
+        ("pow", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0), GVar(2.0, 0.0)],
+         "gradient of 'pow' undefined"),
+        # sqrt's partial divides by sqrt(0)
+        ("sqrt", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "division by zero"),
+        ("sqrt", (("local", 0), ("lit", 0.0)), [GVar(1.0, 1.0)],
+         "division by zero"),
+        ("log", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), 0.0], "log of non-positive value"),
+    ])
+    @pytest.mark.parametrize("op", ["+=", "-="])
+    def test_errors_match(self, fname, op, layout, args, error):
+        got, want = _adjoint_outcomes(fname, op, layout, args)
+        assert got == want
+        assert got[0] == "error" and got[2].startswith(error)
+
+    @pytest.mark.parametrize("exponent", [("lit", 2), ("lit", 2.0),
+                                          ("local", 3)])
+    def test_the_arm_takes_binary64_gvars(self, monkeypatch, exponent):
+        """A GVar cell at a variable index, to an Int or float power
+        (a literal, or the Int parameter `p3`), with no generic rule."""
+        from revlang import numerics
+        calls = []
+        monkeypatch.setattr(numerics, "apply_instr",
+                            lambda i, v: calls.append(i))
+        layout = (("local", 0), ("cell", 1, (("var", 2),)), exponent)
+        args = [GVar(1.0, 1.0), Array([GVar(3.0, 0.0)], (1,)), 1, 2]
+        got, _ = _adjoint_outcomes("pow", "-=", layout, args)
+        assert calls == [] and got == ("ok", _state(
+            [GVar(-8.0, 1.0), Array([GVar(3.0, 6.0)], (1,)), 1, 2]))

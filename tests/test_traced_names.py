@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from revlang import numerics
-from revlang.autodiff import GradRequest, gradient
+from revlang.autodiff import GradRequest, gradient, hessian
 from revlang.interpreter import ExecOptions, Interpreter
 from revlang.parser import parse_program
 from revlang.values import Fixed
@@ -42,8 +42,9 @@ def test_every_traced_name_resolves():
 
 def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
     """The benchmark counts `numerics.generic_dispatch_calls` by wrapping
-    `revlang.numerics.apply_instr`: Float updates of Float-kind scalars
-    stay off it, other kinds and gradient passes go through it."""
+    `revlang.numerics.apply_instr`: Float updates of Float-kind scalars,
+    and binary64 gradient updates, stay off it; other kinds and the
+    binary32, Fixed and Hessian (Dual) gradient passes go through it."""
     calls = []
     generic = numerics.apply_instr
     monkeypatch.setattr(numerics, "apply_instr",
@@ -62,4 +63,10 @@ def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
                  .run_function("f", [f32(0.0), f32(1.5), f32(2.0)])) == 0
     assert count(lambda: Interpreter(p).run_function(
         "f", [Fixed.from_real(x) for x in (0.0, 1.5, 2.0)])) >= 1
-    assert count(lambda: gradient(p, GradRequest("f", [0.0, 1.5, 2.0]))) >= 1
+    assert count(lambda: gradient(p, GradRequest("f", [0.0, 1.5, 2.0]))) == 0
+    assert count(lambda: gradient(p, GradRequest(
+        "f", [Fixed.from_real(x) for x in (0.0, 1.5, 2.0)]))) >= 1
+    assert count(lambda: gradient(
+        p, GradRequest("f", [f32(0.0), f32(1.5), f32(2.0)]),
+        ExecOptions(float_dtype=f32))) >= 1
+    assert count(lambda: hessian(p, "f", [0.0, 1.5, 2.0])) >= 1
