@@ -301,7 +301,8 @@ def _dispatch(ns):
             }, sort_keys=True))
         else:
             for i, r in enumerate(reports):
-                status = "ok" if r.ok else f"FAILED ({r.error})"
+                status = "ok" if r.ok else \
+                    f"FAILED ({r.error or 'not restored within tolerance'})"
                 print(f"trial {i}: {status}, max deviation {r.max_deviation}")
         return 0 if ok else 3
 

@@ -19,11 +19,11 @@ inside `@invcheckoff`) no check code is emitted; alias checks always run.
 A `+=`/`-=` gets an inline arm, array cells at flat offsets behind
 `_offset`'s type and bounds guard: for operands of the run's exact float
 type (`float`, or `float_dtype`) in the forward variant, and for binary64
-GVars (`adjoint_arm`) in the gradient variant. Every other case calls the
-rule `numerics.instr_rule`
-resolves for the statement, which ends in `numerics.apply_instr`, and
-`Array.get`/`set`, so each value kind keeps one semantics. Expressions
-call what `numerics.expr_fn` resolves, and `numerics.compare`. An error
+GVars (`adjoint_arm`) in the gradient variant; `operands` decides which
+operands an arm can read. Every other case calls the generic rule,
+looked up as `numerics.apply_instr` when it runs, and `Array.get`/`set`,
+so each value kind keeps one semantics. Expressions call what
+`numerics.expr_fn` resolves, and `numerics.compare`. An error
 carries the span of the statement whose line it escaped from; a host math
 error there becomes `RevDomainError`. A compound statement nested deeper
 than CPython compiles in one function becomes a function of its own
@@ -32,7 +32,8 @@ than CPython compiles in one function becomes a function of its own
 
 A Program keeps its units (`Program.compiled`, dropped by `Program.add`):
 the validated, expanded and inverted definitions and their lowered
-functions, one unit per option set the lowered code depends on.
+functions, one unit per option set the lowered code depends on (not
+`max_steps`: the fuel is counted per interpreter).
 """
 
 
@@ -45,7 +46,9 @@ from operator import length_hint
 import numpy as np
 
 # the lowered code runs with this module's globals and names some of these
-# imports (errors it raises, `compare`, `Complex`) and the helpers below
+# imports (errors it raises, `compare`, `Complex`, `numerics`) and the
+# helpers below
+from . import numerics
 from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
                      DuplicateBinding, FuelExhausted, KindError,
                      LoopIteratorMutated, PostconditionMismatch,
@@ -57,11 +60,11 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  ViewRef, While, inverse_name, validate, view_root)
 from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, adjoint_accumulate,
-                       carries_gvar, compare, expr_fn, instr_rule,
+                       carries_gvar, compare, expr_fn, strip_gvar,
                        unwrap_gvar, wrap_gvar)
 from .reverser import expand_routines, invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
-                     is_bool, is_int, kind_name, values_close)
+                     is_bool, is_int, kind_name, values_close, worst_deviation)
 
 
 @dataclass
@@ -131,11 +134,6 @@ def _write_field(v, name, new):
         raise KindError(f"field write on {kind_name(v)}")
 
 
-def _pv(v):
-    """The primal value: expressions are GVar-free."""
-    return v.x if isinstance(v, GVar) else v
-
-
 def _bool_of(v):
     if not is_bool(v):
         raise KindError(f"condition must be Bool, got {kind_name(v)}")
@@ -150,7 +148,7 @@ def _int(v, what):
 
 def _ix(v):
     """A variable's value as an array index."""
-    return _int(_pv(v), "array index")
+    return _int(strip_gvar(v), "array index")
 
 
 def _indexed(v):
@@ -253,7 +251,7 @@ def _fail(err, spans, interp):
             err.span = span
     elif type(err) is StopIteration:   # this statement found no fuel left
         interp.stats.steps += 1
-        raise FuelExhausted(f"exceeded {interp.unit.max_steps} statement "
+        raise FuelExhausted(f"exceeded {interp.opts.max_steps} statement "
                             f"executions", span) from None
     elif isinstance(err, (ArithmeticError, ValueError)):
         # a host math error: an overflow, or math.sin(inf)
@@ -377,9 +375,10 @@ class _Lowering:
         self.lines.append((self.depth, text, self.span))
 
     def const(self, value, name=None):
-        # numbers and tuples of them by value (repr tells -0.0 from 0.0)
-        key = (type(value), repr(value)) \
-            if isinstance(value, (tuple, float, np.floating)) else id(value)
+        # numbers, tuples of them and instructions by value (repr tells
+        # -0.0 from 0.0)
+        key = (type(value), repr(value)) if isinstance(
+            value, (tuple, float, np.floating, PrimitiveInstr)) else id(value)
         entry = self.consts.get(key)
         if entry is None:
             entry = self.consts[key] = \
@@ -674,60 +673,70 @@ class _Lowering:
     def update(self, instr, views, pairs, grad_pairs=()):
         """An instruction or a statement primitive: read the arguments,
         check the alias `pairs` (in the gradient variant also
-        `grad_pairs`), apply the rule `numerics.instr_rule` resolves and
-        write back the updated views: an instruction's target, or every
-        argument of a primitive."""
+        `grad_pairs`), apply `numerics.apply_instr` and write back the
+        updated views: an instruction's target, or every argument of a
+        primitive."""
         checks = _alias_pairs(views, [*pairs, *grad_pairs] if self.grad
                               else pairs)
         arm = (self.adjoint_arm if self.grad else self.arm)(instr, views,
                                                             checks)
         reads = ", ".join(self.lit(v.value) if isinstance(v, Lit)
                           else self.read(v) for v in views)
-        rule = self.const(self.unit.rules.setdefault(instr, instr_rule(instr)))
+        rule = f"numerics.apply_instr({self.const(instr)}, {{}})"
         updated = views if instr.fname is None else views[:1]
         if checks is None and len(updated) == 1:
-            self.write(updated[0], f"{rule}([{reads}])[0]")
+            self.write(updated[0], rule.format(f"[{reads}]") + "[0]")
         else:
             self.emit(f"_v = [{reads}]")
             self.alias_checks(views, checks)
             results = [self.temp() for _ in updated]
-            self.emit(f"{''.join(r + ', ' for r in results)}*_ = {rule}(_v)")
+            self.emit(f"{''.join(r + ', ' for r in results)}*_ = "
+                      f"{rule.format('_v')}")
             for v, r in zip(updated, results):
                 self.write(v, r)
         self.depth -= arm
+
+    def operands(self, instr, views):
+        """How an inline arm reads the operands of a +=/-=: per view
+        `(guard, value, read, cell)`, or None when it cannot. A literal
+        (int or float, not the target) is its `value`; a bound local is
+        read and written by name; an array cell behind `_offset`'s `guard`
+        is read by `read` into the temporary `value` and written at
+        `cell`."""
+        if instr.kind not in ("+=", "-="):
+            return None
+        ops = []
+        for k, v in enumerate(views):
+            if isinstance(v, Lit):
+                if k == 0 or type(v.value) not in (int, float):
+                    return None
+                ops.append((None, self.lit(v.value), None, None))
+            elif isinstance(v, VarView) and v.name in self.bound:
+                name = self.names[v.name]
+                ops.append((None, name, name, name))
+            elif (fast := self.fast_index(v)) is not None:
+                t = self.temp()
+                ops.append((fast[0], t, f"({t} := {fast[1]})", fast[1]))
+            else:
+                return None
+        return ops
 
     def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
         open its `else:`; returns whether it did."""
         spec = INSTR_FNS.get(instr.fname)
-        if instr.kind not in ("+=", "-=") or spec is None \
-                or spec.apply is None:
+        ops = self.operands(instr, views) if spec and spec.apply else None
+        if ops is None:
             return False
-        guards, types, ops = [], [], []
-        exact = True      # every operand has the run's float type
-        for k, v in enumerate(views):
-            if isinstance(v, Lit):
-                if k == 0 or type(v.value) not in (int, float):
-                    return False
-                exact = exact and type(v.value) is float
-                ops.append(self.lit(v.value))
-            elif isinstance(v, VarView) and v.name in self.bound:
-                ops.append(self.names[v.name])
-                types.append(f"type({ops[-1]})")
-                cell = ops[-1]
-            else:
-                fast = self.fast_index(v)
-                if fast is None:
-                    return False
-                guard, cell = fast
-                guards.append(guard)
-                ops.append(self.temp())
-                types.append(f"type({ops[-1]} := {cell})")
-            if k == 0:
-                target = cell
+        guards = [guard for guard, _, _, _ in ops if guard]
+        types = [f"type({read})" for _, _, read, _ in ops if read]
+        xs = [x for _, x, _, _ in ops[1:]]
+        # `types` checks the operands' float type, except the literals'
+        exact = all(type(v.value) is float for v in views
+                    if isinstance(v, Lit))
         fn = _INLINE.get(instr.fname)
-        value = fn.format(*ops[1:]) if fn else \
-            f"{self.const(spec.apply)}({', '.join(ops[1:])})"
+        value = fn.format(*xs) if fn else \
+            f"{self.const(spec.apply)}({', '.join(xs)})"
         if not (fn and exact):   # the value's type is checked too
             if checks is not None:   # it would precede the alias checks
                 return False
@@ -739,7 +748,7 @@ class _Lowering:
         self.depth += 1
         self.alias_checks(views, checks)
         sign = "+" if instr.kind == "+=" else "-"
-        self.emit(f"{target} = {ops[0]} {sign} ({value})")
+        self.emit(f"{ops[0][3]} = {ops[0][1]} {sign} ({value})")
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
@@ -752,27 +761,19 @@ class _Lowering:
         computes what `numerics._plus_minus_adjoint` does, and calls its
         cotangent step `adjoint_accumulate` when a partial is None."""
         spec = INSTR_FNS.get(instr.fname)
-        if instr.kind not in ("+=", "-=") or spec is None \
-                or spec.partials is None or self.dtype is not None \
+        if spec is None or spec.partials is None or self.dtype is not None \
                 or not spec.min_arity < len(views) <= spec.max_arity + 1:
             return False
-        guards, xs, args = [], [], []   # primal values, argument values
-        for k, v in enumerate(views):
-            if isinstance(v, Lit):
-                if k == 0 or type(v.value) not in (int, float):
-                    return False
-                xs.append(self.lit(v.value))
-                args.append(xs[-1])
+        ops = self.operands(instr, views)
+        if ops is None:
+            return False
+        guards, xs = [], []   # xs: the arguments' primal values
+        for k, (guard, o, ref, _) in enumerate(ops):
+            if guard:
+                guards.append(guard)
+            if ref is None:   # a literal
+                xs.append(o)
                 continue
-            if isinstance(v, VarView) and v.name in self.bound:
-                o = ref = self.names[v.name]
-            else:
-                fast = self.fast_index(v)
-                if fast is None:
-                    return False
-                guards.append(fast[0])
-                o = self.temp()
-                ref = f"({o} := {fast[1]})"
             x = self.temp()
             if k == 0:   # the target, with its cotangent `gy`
                 y, yx, gy = o, x, self.temp()
@@ -783,7 +784,7 @@ class _Lowering:
                               f"is float and type({o}.g) is float or type("
                               f"{x} := {o}) is float or type({x}) is int)")
                 xs.append(x)
-                args.append(o)
+        args = [o for _, o, _, _ in ops[1:]]
         fn = _INLINE.get(instr.fname)
         value = fn.format(*xs) if fn else \
             f"{self.const(spec.apply)}({', '.join(xs)})"
@@ -947,7 +948,7 @@ class _Lowering:
         if isinstance(e, Lit):
             return self.lit(e.value)
         if isinstance(e, ViewRef):
-            return f"_pv({self.read(e.view)})"
+            return f"strip_gvar({self.read(e.view)})"
         if isinstance(e, Un):    # unary minus
             return self.apply("neg", (e.operand,), e.span)
         if isinstance(e, Bin):
@@ -976,8 +977,6 @@ class _Lowering:
         if spec is None:
             raise UnknownFunction(
                 f"{fname!r} is not a registered pure function", span)
-        if self.unit is not None:
-            spec = self.unit.expr_fns.setdefault(fname, spec)
         return f"{self.const(spec.apply)}({', '.join(map(self.expr, args))})"
 
 
@@ -1011,19 +1010,16 @@ class _Unit(_Variant):
         if diags:
             raise ValidationFailed(diags)
         self.invcheck, self.tolerance = opts.invcheck, opts.float_tolerance
-        self.max_steps, self.trace = opts.max_steps, opts.trace
-        self.dtype = opts.float_dtype
+        self.trace, self.dtype = opts.trace, opts.float_dtype
         self.defs = {f.name: expand_routines(f) for f in program}
         for fdef in list(self.defs.values()):
             inv = invert_function(fdef)
             self.defs.setdefault(inv.name, inv)
-        self.rules, self.expr_fns = {}, {}   # shared by the lowered code
         self.gradient = _Variant(self, True)
 
 
 def _unit(program, opts):
-    key = (opts.invcheck, opts.float_tolerance, opts.max_steps, opts.trace,
-           opts.float_dtype)
+    key = (opts.invcheck, opts.float_tolerance, opts.trace, opts.float_dtype)
     if key not in program.compiled:
         program.compiled[key] = _Unit(program, opts)
     return program.compiled[key]
@@ -1091,7 +1087,7 @@ class Interpreter:
             raise KindError(f"{fname} takes {len(fdef.params)} arguments, "
                             f"got {len(args)}")
         # the fuel left: max_steps counts over every run of this instance
-        budget = max(0, self.unit.max_steps - self.stats.steps)
+        budget = max(0, self.opts.max_steps - self.stats.steps)
         fuel = iter(range(budget))
         try:
             return list(fn(self, self.unit.invcheck, fuel, *args))
@@ -1147,11 +1143,10 @@ def check_reversibility(program, fname, args, opts=None):
         mid = interp.run_function(fname, [deep_copy(a) for a in args])
         back = interp.uncall_function(fname, mid)
         per_arg = [deviation(o, r) for o, r in zip(original, back)]
-        worst = max(per_arg, default=0.0)
         ok = all(
             values_close(o, r, opts.float_tolerance)
             for o, r in zip(original, back))
-        return CheckReport(fname, ok, worst, None, per_arg,
+        return CheckReport(fname, ok, worst_deviation(per_arg), None, per_arg,
                            dict(interp.stats.checks_passed))
     except RevLangError as err:
         return CheckReport(fname, False, float("inf"), str(err), None,

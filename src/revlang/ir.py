@@ -51,9 +51,6 @@ class Call:
     span: SourceSpan = _span_field()
 
 
-EXPR_TYPES = (Lit, ViewRef, Un, Bin, Call)
-
-
 # --- data views ---
 
 @dataclass(frozen=True)
@@ -203,19 +200,12 @@ class Block:
     span: SourceSpan = _span_field()
 
 
-STMT_TYPES = (AncillaAlloc, AncillaDealloc, InstrCall, FnCall, UncallFn, If,
-              While, For, Routine, InvCheckOff, Safe, Block)
-
-
 # --- functions and programs ---
-
-PARAM_KINDS = ("scalar", "array", "any")
-
 
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str = "any"
+    kind: str = "any"    # "scalar", "array" or "any"
     span: SourceSpan = _span_field()
 
 

@@ -7,16 +7,15 @@ registered partial derivatives, used both for the gradient rules (reverse
 accumulation while uncomputing) and for Dual-number forward propagation.
 
 `apply_instr` is the one generic rule: it dispatches on the instruction
-kind and the value kinds, GVar values to the gradient rules.
+kind and the value kinds, GVar values to the gradient rules. The
+interpreter's lowered code calls it, looked up as `numerics.apply_instr`
+at call time, for every instruction its inline arms do not take.
 Expressions share the function table: `expr_fn` resolves an operator or a
 call to an expression-only function (`EXPR_FNS`) or to the primal value
-of the instruction function, as `y += f(args)` computes it.
-`instr_rule` resolves an instruction once per statement and runs a +=/-=
-on plain real scalars inline, with the rounding `apply_instr` uses; the
-interpreter applies every instruction through it that its own inline arms
-do not take. The interpreter's adjoint arm (binary64 GVars) computes the
-+=/-= gradient rule with the partials of `INSTR_FNS` and, when a partial is
-None, the rule's own cotangent step, `adjoint_accumulate`.
+of the instruction function, as `y += f(args)` computes it. The
+interpreter's adjoint arm (binary64 GVars) computes the +=/-= gradient
+rule with the partials of `INSTR_FNS` and, when a partial is None, the
+rule's own cotangent step, `adjoint_accumulate`.
 
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod
@@ -264,17 +263,21 @@ EXPR_FNS = {
 }
 
 
+def _primal_spec(fname, s):
+    return FnSpec(s.min_arity, s.max_arity,
+                  lambda *args: _fn_value(fname, args))
+
+
+# an expression call resolves to an expression-only function, else to the
+# primal value of the instruction function (`_fn_value`), so expressions
+# and instructions share one arithmetic
+_EXPR_SPECS = {**{f: _primal_spec(f, s) for f, s in INSTR_FNS.items()},
+               **EXPR_FNS}
+
+
 def expr_fn(fname):
-    """The FnSpec an expression call `fname(...)` resolves to, or None: an
-    expression-only function, else the primal value of the instruction
-    function (`_fn_value`), so expressions and instructions share one
-    arithmetic."""
-    spec = EXPR_FNS.get(fname)
-    if spec is None and fname in INSTR_FNS:
-        s = INSTR_FNS[fname]
-        spec = FnSpec(s.min_arity, s.max_arity,
-                      lambda *args: _fn_value(fname, args))
-    return spec
+    """The FnSpec an expression call `fname(...)` resolves to, or None."""
+    return _EXPR_SPECS.get(fname)
 
 
 # --- instruction application ---
@@ -316,9 +319,9 @@ def _fn_value(fname, argvals):
         raise KindError(f"{fname} expects {spec.min_arity} arguments")
     vals = [a.x if isinstance(a, GVar) else a for a in argvals]
     for v in vals:
-        if type(v) not in _ARM_ARGS:
+        if type(v) not in _PLAIN_REALS:
             break
-    else:   # plain reals, as in the inline arm of `instr_rule`
+    else:
         if spec.apply is not None:
             return spec.apply(*vals)
     if fname in _COMPLEX_FNS and isinstance(vals[0], Complex):
@@ -341,20 +344,16 @@ def _fn_value(fname, argvals):
     return spec.apply(*(_arg_real(v) for v in vals))
 
 
+# the exact argument types `_fn_value` hands to `apply` unchanged
+_PLAIN_REALS = (float, int, np.float32, np.float64)
+
 # the functions whose `apply` also computes on Python complex numbers
 _COMPLEX_ARITH = ("add", "sub", "mul", "div", "pow", "neg")
 
 
-def _strip_gvar(v):
+def strip_gvar(v):
+    """The primal value of a GVar; any other value as it is."""
     return v.x if isinstance(v, GVar) else v
-
-
-def _float_update(target, fv, plus):
-    """target + fv (or - fv) on a Float target: a numpy target first rounds
-    a real fv to its own precision."""
-    if isinstance(target, np.floating) and not isinstance(fv, Dual):
-        fv = type(target)(fv)
-    return target + fv if plus else target - fv
 
 
 def _plus_minus_plain(op, fname, vals):
@@ -386,7 +385,10 @@ def _plus_minus_plain(op, fname, vals):
     elif is_float(target):
         if isinstance(fv, Complex):
             raise KindError("Float target updated with a complex value")
-        new = _float_update(target, to_real(fv), sign > 0)
+        fv = to_real(fv)
+        if isinstance(target, np.floating) and not isinstance(fv, Dual):
+            fv = type(target)(fv)   # rounded to the target's precision
+        new = target + fv if sign > 0 else target - fv
     else:
         raise KindError(f"cannot apply {op} to {kind_name(target)}")
     return [new] + list(vals[1:])
@@ -431,9 +433,6 @@ def _rotate(a, b, theta):
 
 
 def _prim_plain(kind, vals):
-    if kind == "SWAP":
-        a, b = vals
-        return [b, a]
     if kind == "NEG":
         (x,) = vals
         if isinstance(x, (Fixed,)) or is_int(x) or is_float(x):
@@ -469,10 +468,6 @@ def _g_accum(gv, delta):
     return gv
 
 
-def _gy_real(y):
-    return to_real(y.g) if not isinstance(y.g, Dual) else y.g
-
-
 def _plus_minus_adjoint(op, fname, vals):
     y = vals[0]
     if not isinstance(y, GVar):
@@ -483,7 +478,7 @@ def _plus_minus_adjoint(op, fname, vals):
     new_target = _plus_minus_plain(op, fname, [y.x] + [a for a in args])[0]
     y.x = new_target
     sign = 1.0 if op == "-=" else -1.0
-    gy = _gy_real(y)
+    gy = to_real(y.g)
 
     if fname == "convert":
         (a,) = args
@@ -498,8 +493,8 @@ def _plus_minus_adjoint(op, fname, vals):
 
     spec = INSTR_FNS[fname]
     # the primal update above checked the arity
-    if fname in _COMPLEX_FNS and isinstance(_strip_gvar(args[0]), Complex):
-        c = _strip_gvar(args[0])
+    if fname in _COMPLEX_FNS and isinstance(strip_gvar(args[0]), Complex):
+        c = strip_gvar(args[0])
         a_re, a_im = to_real(c.re), to_real(c.im)
         r = _COMPLEX_FNS[fname][0](a_re, a_im)
         dre, dim = _COMPLEX_FNS[fname][1](a_re, a_im, r)
@@ -509,7 +504,7 @@ def _plus_minus_adjoint(op, fname, vals):
             _g_accum(c.im, sign * gy * dim)
         return vals
 
-    if any(isinstance(_strip_gvar(a), Complex) and _is_gvar_bearing(a)
+    if any(isinstance(strip_gvar(a), Complex) and _is_gvar_bearing(a)
            for a in args):
         raise MissingAdjoint(f"no complex-argument gradient rule for {fname!r}")
     if spec.partials is None:
@@ -541,7 +536,7 @@ def _mul_div_adjoint(op, fname, vals):
     contrib = _log_contribution(fname, args)
     sign = 1.0 if op == "/=" else -1.0
     y.x = ULog(y.x.log_x - contrib if op == "/=" else y.x.log_x + contrib)
-    gy = _gy_real(y)   # exponent-space cotangent
+    gy = to_real(y.g)   # exponent-space cotangent
     (a,) = args
     if isinstance(a, GVar):
         if isinstance(a.x, ULog):
@@ -557,7 +552,7 @@ def _rot_adjoint(kind, vals):
     if not (isinstance(a, GVar) and isinstance(b, GVar)):
         raise MissingAdjoint("gradient pass reached a rotation on untracked cells")
     ax, bx = to_real(a.x), to_real(b.x)
-    ga, gb = _gy_real(a), _gy_real(b)
+    ga, gb = to_real(a.g), to_real(b.g)
     if kind == "IROT":
         # reverse of a forward rotation by theta
         th_delta = -bx * ga + ax * gb
@@ -616,41 +611,6 @@ def apply_instr(instr, vals):
     if kind in ("ROT", "IROT") and grad:
         return _rot_adjoint(kind, vals)
     return _prim_plain(kind, vals)
-
-
-# exact scalar types that the inline +=/-= arm of `instr_rule` accepts
-_ARM_TARGETS = (float, np.float32, np.float64)
-_ARM_ARGS = (float, int, np.float32, np.float64)
-
-
-def instr_rule(instr):
-    """The update rule of one instruction, `vals -> updated values` with
-    the contract of `apply_instr`, resolved once per statement.
-
-    A +=/-= of a function with `apply` runs inline when the exact types of
-    the target (`_ARM_TARGETS`), the arguments and the function's value
-    (`_ARM_ARGS`) are plain reals: it computes what `apply_instr` does,
-    with the same rounding (`_float_update`). Everything else, GVar values
-    included, calls the module-level `apply_instr`, looked up at call
-    time."""
-    spec = INSTR_FNS.get(instr.fname)
-    if instr.kind not in ("+=", "-=") or spec is None or spec.apply is None:
-        return lambda vals: apply_instr(instr, vals)
-    fn, plus = spec.apply, instr.kind == "+="
-
-    def rule(vals):
-        t = vals[0]
-        if type(t) in _ARM_TARGETS:
-            args = vals[1:]
-            for a in args:
-                if type(a) not in _ARM_ARGS:
-                    break
-            else:
-                fv = fn(*args)
-                if type(fv) in _ARM_ARGS:
-                    return [_float_update(t, fv, plus), *args]
-        return apply_instr(instr, vals)
-    return rule
 
 
 def wrap_gvar(v):

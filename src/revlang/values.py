@@ -519,21 +519,28 @@ def zero_like(v):
     raise KindError(f"no zero for kind {kind_name(v)}")
 
 
+def worst_deviation(ds):
+    """The largest of some deviations, 0.0 of none; NaN when any is NaN,
+    in whatever order they come."""
+    ds = list(ds)
+    return math.nan if any(d != d for d in ds) else max(ds, default=0.0)
+
+
 def deviation(a, b):
     """Max componentwise |a - b| between two structurally equal values."""
     if isinstance(a, GVar) and isinstance(b, GVar):
-        return max(deviation(a.x, b.x), deviation(a.g, b.g))
+        return worst_deviation((deviation(a.x, b.x), deviation(a.g, b.g)))
     if isinstance(a, Complex) and isinstance(b, Complex):
-        return max(deviation(a.re, b.re), deviation(a.im, b.im))
+        return worst_deviation((deviation(a.re, b.re), deviation(a.im, b.im)))
     if isinstance(a, Array) and isinstance(b, Array):
         if a.shape != b.shape:
             raise KindError("deviation of differently shaped arrays")
-        return max((deviation(x, y) for x, y in zip(a.data, b.data)), default=0.0)
+        return worst_deviation(map(deviation, a.data, b.data))
     if isinstance(a, Record) and isinstance(b, Record):
         fa, fb = a.fields(), b.fields()
         if fa.keys() != fb.keys():
             raise KindError("deviation of differently shaped records")
-        return max((deviation(fa[k], fb[k]) for k in fa), default=0.0)
+        return worst_deviation(deviation(fa[k], fb[k]) for k in fa)
     if isinstance(a, ULog) and isinstance(b, ULog):
         return _float_distance(a.log_x, b.log_x)
     if isinstance(a, Fixed) and isinstance(b, Fixed):

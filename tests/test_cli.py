@@ -164,6 +164,15 @@ end
         assert rc == 3
         assert "PostconditionMismatch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", ["1.0,nan", "nan,1.0"])
+    def test_check_names_an_unrestored_nan(self, tmp_path, capsys, args):
+        f = tmp_path / "nan.rnl"
+        f.write_text("fn f(a, b)\na += 1.0\nend\n")
+        rc = main(["check", str(f), "-f", "f", "-a", args])
+        assert rc == 3
+        assert capsys.readouterr().out == "trial 0: FAILED (not restored " \
+            "within tolerance), max deviation nan\n"
+
     def test_check_trials_json(self, asset, capsys):
         rc = main(["check", asset("multiplier"), "-f", "multiplier",
                    "-a", "1.0,2.0,3.0", "--trials", "4", "--json"])

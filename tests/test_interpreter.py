@@ -520,6 +520,22 @@ end""")
         assert not rep.ok
         assert "DirtyAncilla" in rep.error
 
+    @pytest.mark.parametrize("args", [[1.0, math.nan], [math.nan, 1.0]])
+    def test_a_nan_deviation_is_the_maximum(self, args):
+        """NaN is never restored, and the maximum does not depend on where
+        the NaN argument stands."""
+        rep = check_reversibility(prog("fn f(a, b)\na += 1.0\nend"), "f",
+                                  args)
+        assert not rep.ok and rep.error is None
+        assert math.isnan(rep.max_deviation)
+        assert sorted(map(math.isnan, rep.per_arg_deviation)) == [False, True]
+
+    def test_a_nan_component_is_the_deviation(self):
+        for pair in ([1.0, math.nan], [math.nan, 1.0]):
+            a = Array(list(pair), (2,))
+            assert math.isnan(deviation(a, deep_copy(a)))
+        assert math.isnan(deviation(GVar(1.0, math.nan), GVar(1.0, math.nan)))
+
     def test_report_json_stable(self):
         rep = check_reversibility(load_example("multiplier"), "multiplier",
                                   [2, 3, 5])
@@ -1179,7 +1195,7 @@ class TestUnitCache:
 
     @pytest.mark.parametrize("opts", [
         ExecOptions(float_dtype=np.float32), ExecOptions(invcheck=False),
-        ExecOptions(trace=True, trace_sink=[]), ExecOptions(max_steps=99),
+        ExecOptions(trace=True, trace_sink=[]),
         ExecOptions(float_tolerance=1e-3)])
     def test_options_of_the_lowered_code_get_their_own_unit(self, counts,
                                                              opts):
@@ -1191,6 +1207,27 @@ class TestUnitCache:
         assert counts["validate"] == 2
         x = np.float32(1.5) if opts.float_dtype else 1.5
         assert other.run_function("f", [x * 0, x]) == [x * 2, x]
+
+    def test_statement_budgets_share_a_unit(self, counts):
+        """The lowered code does not depend on `max_steps`: each
+        interpreter's budget is its own, and so is its error."""
+        p = prog(self.SRC)
+        small = Interpreter(p, ExecOptions(max_steps=7))
+        large = Interpreter(p, ExecOptions(max_steps=50))
+        assert small.unit is large.unit is Interpreter(p).unit
+        # 5 statements a run: the 8th is the third statement of run 2, the
+        # 51st the first of run 11
+        for interp, budget, runs, line in ((small, 7, 1, 4),
+                                           (large, 50, 10, 2)):
+            for _ in range(runs):
+                interp.run_function("f", [0.0, 1.0])
+            with pytest.raises(FuelExhausted) as err:
+                interp.run_function("f", [0.0, 1.0])
+            assert err.value.message == \
+                f"exceeded {budget} statement executions"
+            assert err.value.span.line == line
+            assert interp.stats.steps == budget + 1
+        assert counts == {"validate": 1, "lower": ["f"]}
 
     def test_trace_sinks_stay_per_interpreter(self):
         p = prog(self.SRC)

@@ -6,9 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
-from revlang.errors import KindError, MissingAdjoint
+from revlang import numerics
+from revlang.errors import (KindError, MissingAdjoint, RevDomainError,
+                            RevLangError)
+from revlang.interpreter import ExecOptions, Interpreter
+from revlang.ir import Block, FunctionDef, InstrCall, Param, Program, VarView
 from revlang.numerics import (INSTR_FNS, PrimitiveInstr, _plus_minus_plain,
-                              apply_instr, instr_rule, invert_instr)
+                              apply_instr, invert_instr)
 from revlang.values import Complex, Dual, Fixed, GVar, ULog, to_real
 
 
@@ -258,7 +262,8 @@ class TestAdjointRules:
         assert x.g == pytest.approx(0.5 / 4.0)
 
 
-# the inline +=/-= arm of instr_rule against the generic Float rule
+# the emitted +=/-= arm of a lowered `y op= f(...)` against the generic
+# Float rule
 ARM_TARGETS = (float, np.float32, np.float64)
 ARM_ARG_KINDS = {
     "float": lambda v: float(v),
@@ -273,36 +278,68 @@ ARM_ARG_VALUES = (3.0, -2.0, 0.0, 0.5)
 
 
 def _bits(v):
+    """Every bit of a value and its type, except a NaN's (which NaN an
+    operator returns depends on how warm CPython's bytecode is)."""
     if isinstance(v, Dual):
         return ("Dual", _bits(v.primal), _bits(v.tangent))
     if isinstance(v, Fixed):
         return ("Fixed", v.raw)
-    return (type(v), np.asarray(v).tobytes() if not isinstance(v, int)
-            else v)
+    if isinstance(v, int):
+        return (type(v), v)
+    return (type(v), "nan" if v != v else np.asarray(v).tobytes())
 
 
 def _outcome(fn, vals):
+    """The bits of `fn(vals)`, or the type of the error it raises, a host
+    math error as the `RevDomainError` a lowered function raises for it."""
     try:
         out = fn(list(vals))
+    except RevLangError as err:
+        return type(err)
+    except (ArithmeticError, ValueError):
+        return RevDomainError
     except Exception as err:
         return type(err)
     return [_bits(v) for v in out]
 
 
+def _lowered_update(op, fname, arity, dtype):
+    """An Interpreter whose `f(y, a0, ...)` runs `y op= fname(a0, ...)`."""
+    names = [f"a{k}" for k in range(arity)]
+    stmt = InstrCall(op, fname, tuple(VarView(n) for n in ["y", *names]))
+    fdef = FunctionDef("f", tuple(Param(n) for n in ["y", *names]),
+                       Block((stmt,)))
+    return Interpreter(Program([fdef]), ExecOptions(float_dtype=dtype))
+
+
 class TestInstrRule:
+    """A lowered `y op= f(...)` on a Float target updates it as the generic
+    rule does, whether the emitted arm takes its operands or it falls back
+    to `numerics.apply_instr`."""
+
     @pytest.mark.parametrize(
         "fname", sorted(f for f, s in INSTR_FNS.items() if s.apply))
-    def test_inline_arm_matches_generic_rule(self, fname):
+    def test_inline_arm_matches_generic_rule(self, monkeypatch, fname):
         arity = INSTR_FNS[fname].min_arity
         args = [ARM_ARG_KINDS[k](v) for k in ARM_ARG_KINDS
                 for v in ARM_ARG_VALUES]
+        fallbacks, runs = [], 0
+        generic = numerics.apply_instr
+        monkeypatch.setattr(numerics, "apply_instr",
+                            lambda i, v: fallbacks.append(i) or generic(i, v))
         with np.errstate(all="ignore"):
-            for op in ("+=", "-="):
-                rule = instr_rule(PI(op, fname))
+            for op, dtype in itertools.product(("+=", "-="),
+                                               (None, np.float32)):
+                interp = _lowered_update(op, fname, arity, dtype)
                 for ttype in ARM_TARGETS:
                     t = ttype(1.25)
                     for xs in itertools.product(args, repeat=arity):
                         vals = [t, *xs]
-                        generic = _outcome(
+                        want = _outcome(
                             lambda v: _plus_minus_plain(op, fname, v), vals)
-                        assert _outcome(rule, vals) == generic, (op, vals)
+                        got = _outcome(
+                            lambda v: interp.run_function("f", v), vals)
+                        assert got == want, (op, dtype, vals)
+                        runs += 1
+        # the arm takes some updates and leaves the others to the rule
+        assert 0 < len(fallbacks) < runs

@@ -5,6 +5,7 @@ imported."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from revlang import numerics
 from revlang.autodiff import GradRequest, gradient, hessian
 from revlang.interpreter import ExecOptions, Interpreter
 from revlang.parser import parse_program
-from revlang.values import Fixed
+from revlang.values import Array, Complex, Fixed
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,8 +44,9 @@ def test_every_traced_name_resolves():
 def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
     """The benchmark counts `numerics.generic_dispatch_calls` by wrapping
     `revlang.numerics.apply_instr`: Float updates of Float-kind scalars,
-    and binary64 gradient updates, stay off it; other kinds and the
-    binary32, Fixed and Hessian (Dual) gradient passes go through it."""
+    and binary64 gradient updates, stay off it; other kinds, the Float
+    updates the emitted arm cannot read and the binary32, Fixed and
+    Hessian (Dual) gradient passes go through it."""
     calls = []
     generic = numerics.apply_instr
     monkeypatch.setattr(numerics, "apply_instr",
@@ -70,3 +72,12 @@ def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
         p, GradRequest("f", [f32(0.0), f32(1.5), f32(2.0)]),
         ExecOptions(float_dtype=f32))) >= 1
     assert count(lambda: hessian(p, "f", [0.0, 1.5, 2.0])) >= 1
+    # an operand at an index expression, and one behind a field view
+    q = parse_program("fn g(y, x, i)\ny += sqrt(x[i + 1])\nend\n"
+                      "fn h(y, c)\ny += sqrt(c.re)\nend")
+    for fname, args in (("g", [0.25, Array([1.0, 2.0], (2,)), 1]),
+                        ("h", [0.25, Complex(2.0, 3.0)])):
+        out = []
+        assert count(lambda: out.extend(
+            Interpreter(q).run_function(fname, args))) == 1
+        assert type(out[0]) is float and out[0] == 0.25 + math.sqrt(2.0)
