@@ -14,8 +14,11 @@ Each public call builds one Interpreter under the caller's options and
 runs every pass of the call on it: a pass whose arguments carry GVar
 values is a gradient pass. The program is validated, inverted and lowered
 once per option set and kept with it, so repeated calls reuse that work.
-A Jacobian shares a single forward pass among its rows, and walks its
-arguments' leaf paths once.
+A Jacobian shares a single forward pass among its rows. `jacobian`,
+`hessian` and `finite_difference` list their arguments' differentiable
+leaves once, as a table of (parameter index, name, path), and read every
+leaf out as a float through `_leaf_float`. Leaves and their paths are the
+ones `values` defines; `get_leaf` and `set_leaf` are re-exported here.
 """
 
 from dataclasses import dataclass
@@ -24,10 +27,10 @@ import numpy as np
 
 from .errors import KindError, RevError, UnknownFunction
 from .interpreter import ExecOptions, Interpreter
-from .numerics import unwrap_gvar, wrap_gvar
-from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
-                     coerce_to_kind, deep_copy, is_float, kind_name, to_real,
-                     values_close)
+from .numerics import strip_gvar, unwrap_gvar, wrap_gvar
+from .values import (Complex, Dual, Fixed, GVar, ULog, coerce_to_kind,
+                     deep_copy, get_leaf, is_differentiable, leaves,
+                     map_leaves, set_leaf, to_real, values_close)
 
 
 @dataclass
@@ -46,72 +49,17 @@ class HessianResult:
     symmetry_error: float
 
 
-def leaf_paths(value, _prefix=()):
-    """Paths of all differentiable leaves inside a value, in a stable order.
-    Int and Bool components are gradient-free and never listed."""
-    if isinstance(value, GVar):
-        yield from leaf_paths(value.x, _prefix)
-    elif isinstance(value, Complex):
-        yield _prefix + (("field", "re"),)
-        yield _prefix + (("field", "im"),)
-    elif isinstance(value, Array):
-        if len(value.shape) == 1:
-            for i in range(1, value.shape[0] + 1):
-                yield from leaf_paths(value.get((i,)), _prefix + (("idx", (i,)),))
-        else:
-            rows, cols = value.shape
-            for i in range(1, rows + 1):
-                for j in range(1, cols + 1):
-                    yield from leaf_paths(value.get((i, j)),
-                                          _prefix + (("idx", (i, j)),))
-    elif isinstance(value, Record):
-        for k in value.fields():
-            yield from leaf_paths(value.fields()[k], _prefix + (("field", k),))
-    elif isinstance(value, (Fixed, ULog)) or is_float(value):
-        yield _prefix
-
-
-def get_leaf(value, path):
-    """The component of `value` at `path`; KindError when a step does not
-    fit the value it selects from (an index outside an array raises
-    IndexOutOfBounds, as in a program)."""
-    for kind, key in path:
-        if isinstance(value, GVar):
-            value = value.x
-        if kind == "field" and isinstance(value, (Complex, Record)) \
-                and key in value.fields():
-            value = value.fields()[key]
-        elif kind == "idx" and isinstance(value, Array):
-            value = value.get(key)
-        else:
-            raise KindError(f"path step {kind} {key!r} does not fit "
-                            f"a {kind_name(value)} value")
-    return value
-
-
-def set_leaf(value, path, new):
-    if not path:
-        raise KindError("cannot replace a whole argument leaflessly")
-    parent = get_leaf(value, path[:-1])
-    if isinstance(parent, GVar):
-        parent = parent.x
-    step = path[-1]
-    if step[0] == "field":
-        if isinstance(parent, Complex):
-            if step[1] == "re":
-                parent.re = new
-            else:
-                parent.im = new
-        else:
-            parent.fields()[step[1]] = new
-    else:
-        parent.set(step[1], new)
+def leaf_paths(value):
+    """Paths of the differentiable leaves of a value, bare or in a GVar, in
+    `leaves` order. Int and Bool components are gradient-free and never
+    listed."""
+    return [p for p, x in leaves(value) if is_differentiable(strip_gvar(x))]
 
 
 def default_seeds(args, param_names):
     """Seed the first argument: its scalar leaf, or its real part."""
     first = args[0]
-    paths = list(leaf_paths(first))
+    paths = leaf_paths(first)
     if not paths:
         raise KindError(
             f"first argument {param_names[0]!r} has no differentiable leaf; "
@@ -123,7 +71,7 @@ def default_seeds(args, param_names):
 
 
 def _apply_seed(wrapped_arg, path, seed_value):
-    leaf = get_leaf(wrapped_arg, path) if path else wrapped_arg
+    leaf = get_leaf(wrapped_arg, path)
     if not isinstance(leaf, GVar):
         raise KindError("seed target is not a differentiable leaf")
     if isinstance(seed_value, complex):
@@ -133,16 +81,7 @@ def _apply_seed(wrapped_arg, path, seed_value):
 
 def _grad_structure(value):
     """Same-shaped value holding cotangents; gradient-free leaves -> None."""
-    if isinstance(value, GVar):
-        return value.g
-    if isinstance(value, Complex):
-        return Complex(_grad_structure(value.re), _grad_structure(value.im))
-    if isinstance(value, Array):
-        return Array([_grad_structure(e) for e in value.data], value.shape)
-    if isinstance(value, Record):
-        return Record(**{k: _grad_structure(v)
-                         for k, v in value.fields().items()})
-    return None
+    return map_leaves(value, lambda x: x.g if isinstance(x, GVar) else None)
 
 
 def _interpreter(program, fname, opts):
@@ -199,18 +138,23 @@ def gradient(program, req, opts=None):
     return outputs, grads
 
 
-def _flatten(value_by_param, leaves):
-    """The float at each (parameter name, leaf path) of `leaves`."""
-    out = []
-    for pname, path in leaves:
-        g = value_by_param[pname]
-        leaf = get_leaf(g, path) if path else g
-        out.append(0.0 if leaf is None else float(to_real(_strip_dual(leaf))))
-    return out
+def _leaf_table(names, args):
+    """(parameter index, parameter name, path) of each differentiable leaf
+    of `args`, in parameter order."""
+    return [(pi, pname, path) for pi, pname in enumerate(names)
+            for path in leaf_paths(args[pi])]
 
 
-def _strip_dual(v):
-    return v.primal if isinstance(v, Dual) else v
+def _leaf_float(value, path, tangent=False):
+    """The float at `path` of `value`: its real content (a Dual's primal),
+    or with `tangent` a Dual's tangent. A gradient-free (None) leaf, and
+    the tangent of any other leaf, read 0.0."""
+    leaf = get_leaf(value, path)
+    if isinstance(leaf, Dual):
+        leaf = leaf.tangent if tangent else leaf.primal
+    elif leaf is None or tangent:
+        return 0.0
+    return float(to_real(leaf))
 
 
 def jacobian(program, fname, args, opts=None):
@@ -219,14 +163,13 @@ def jacobian(program, fname, args, opts=None):
     pass per output row, all from that pass's results."""
     interp, names = _interpreter(program, fname, opts)
     outputs = interp.run_function(fname, [deep_copy(a) for a in args])
-    # walked once: each leaf seeds a row and is a column of every row
-    leaves = [(pname, path) for pname, arg in zip(names, args)
-              for path in leaf_paths(arg)]
+    # each leaf seeds a row and is a column of every row
+    table = _leaf_table(names, args)
     rows = []
-    for pname, path in leaves:
+    for _, pname, path in table:
         grads = _gradient(interp, fname, names, args, outputs,
                           [(pname, path, 1.0)], None)
-        rows.append(_flatten(grads, leaves))
+        rows.append([_leaf_float(grads[n], p) for _, n, p in table])
     return np.array(rows, dtype=float)
 
 
@@ -235,52 +178,32 @@ def hessian(program, fname, args, opts=None):
     unit tangent per input column, each with its own forward pass. Returns
     the raw matrix and its asymmetry max |H - H^T|."""
     interp, names = _interpreter(program, fname, opts)
-    in_leaves = []
-    for pi, pname in enumerate(names):
-        for path in leaf_paths(args[pi]):
-            leaf = get_leaf(args[pi], path) if path else args[pi]
-            if isinstance(leaf, (Fixed, ULog)):
-                raise KindError("Hessians need Float inputs")
-            in_leaves.append((pi, pname, path))
-
-    def dualized(tangent_index):
-        dargs = [deep_copy(a) for a in args]
-        for k, (pi, _, path) in enumerate(in_leaves):
-            t = 1.0 if k == tangent_index else 0.0
-            if path:
-                leaf = get_leaf(dargs[pi], path)
-                set_leaf(dargs[pi], path, Dual(float(leaf), t))
-            else:
-                dargs[pi] = Dual(float(dargs[pi]), t)
-        return dargs
-
-    n = len(in_leaves)
+    table = _leaf_table(names, args)
+    if any(isinstance(get_leaf(args[pi], path), (Fixed, ULog))
+           for pi, _, path in table):
+        raise KindError("Hessians need Float inputs")
+    n = len(table)
     H = np.zeros((n, n))
     for j in range(n):
-        dargs = dualized(j)
+        dargs = [deep_copy(a) for a in args]
+        for k, (pi, _, path) in enumerate(table):
+            dual = Dual(float(get_leaf(dargs[pi], path)), 1.0 if k == j else 0.0)
+            dargs[pi] = set_leaf(dargs[pi], path, dual)
         outputs = interp.run_function(fname, [deep_copy(a) for a in dargs])
         grads = _gradient(interp, fname, names, dargs, outputs,
                           default_seeds(outputs, names), None)
-        for k, (pi, pname, path) in enumerate(in_leaves):
-            g = grads[pname]
-            leaf = get_leaf(g, path) if path else g
-            if leaf is None:
-                H[k, j] = 0.0
-            elif isinstance(leaf, Dual):
-                H[k, j] = float(leaf.tangent)
-            else:
-                H[k, j] = 0.0
+        H[:, j] = [_leaf_float(grads[pname], path, tangent=True)
+                   for _, pname, path in table]
     sym_err = float(np.max(np.abs(H - H.T))) if n else 0.0
     return HessianResult(H, sym_err)
 
 
 def seeded_scalar(outputs, seeds, param_names):
     """The scalar the seeds select: sum of seed * output-leaf values."""
-    total = 0.0
+    total = 0.0    # summed in order: `sum` compensates on Python 3.12+
     for pname, path, seed in seeds:
         v = outputs[param_names.index(pname)]
-        leaf = get_leaf(v, path) if path else v
-        total += float(seed) * float(to_real(_strip_dual(leaf)))
+        total += float(seed) * _leaf_float(v, path)
     return total
 
 
@@ -300,36 +223,24 @@ def finite_difference(program, fname, args, h, seeds=None, opts=None):
         outs = interp.run_function(fname, pargs)
         return seeded_scalar(outs, seeds, names)
 
-    grads = {}
-    for pi, pname in enumerate(names):
-        g = deep_copy(args[pi])
-        paths = list(leaf_paths(args[pi]))
-        for path in paths:
-            leaf = get_leaf(args[pi], path) if path else args[pi]
-            if isinstance(leaf, ULog):
-                raise KindError("finite differences over ULog inputs "
-                                "are not defined here")
-            x = to_real(leaf)
-            if isinstance(leaf, Fixed):
-                up, dn = Fixed.from_real(x + h), Fixed.from_real(x - h)
-                measured = up.to_float() - dn.to_float()
-            else:
-                up, dn = x + h, x - h
-                measured = up - dn
-            plus = [deep_copy(a) for a in args]
-            minus = [deep_copy(a) for a in args]
-            if path:
-                set_leaf(plus[pi], path, up)
-                set_leaf(minus[pi], path, dn)
-            else:
-                plus[pi] = up
-                minus[pi] = dn
-            grad = (run_at(plus) - run_at(minus)) / measured
-            if path:
-                set_leaf(g, path, grad)
-            else:
-                g = grad
-        if not paths:
-            g = None
-        grads[pname] = g
+    grads = {pname: deep_copy(a) if leaf_paths(a) else None
+             for pname, a in zip(names, args)}
+    for pi, pname, path in _leaf_table(names, args):
+        leaf = get_leaf(args[pi], path)
+        if isinstance(leaf, ULog):
+            raise KindError("finite differences over ULog inputs "
+                            "are not defined here")
+        x = to_real(leaf)
+        if isinstance(leaf, Fixed):
+            up, dn = Fixed.from_real(x + h), Fixed.from_real(x - h)
+            measured = up.to_float() - dn.to_float()
+        else:
+            up, dn = x + h, x - h
+            measured = up - dn
+        plus = [deep_copy(a) for a in args]
+        minus = [deep_copy(a) for a in args]
+        plus[pi] = set_leaf(plus[pi], path, up)
+        minus[pi] = set_leaf(minus[pi], path, dn)
+        grad = (run_at(plus) - run_at(minus)) / measured
+        grads[pname] = set_leaf(grads[pname], path, grad)
     return grads

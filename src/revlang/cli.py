@@ -76,6 +76,10 @@ def parse_value(text):
 def _parse_array(s):
     data = json.loads(s)
     if data and isinstance(data[0], list):
+        if any(not isinstance(row, list) or len(row) != len(data[0])
+               for row in data):
+            raise ValueError(f"matrix literal rows must be lists of equal "
+                             f"length: {s}")
         return Array.matrix([[_coerce_num(v) for v in row] for row in data])
     return Array.vector([_coerce_num(v) for v in data])
 

@@ -27,8 +27,9 @@ so each value kind keeps one semantics. Expressions call what
 carries the span of the statement whose line it escaped from; a host math
 error there becomes `RevDomainError`. A compound statement nested deeper
 than CPython compiles in one function becomes a function of its own
-(`_Lowering.region`). The view helpers (`read_view`,
-`write_view`, `canonical_view_identity`) lower their view the same way.
+(`_Lowering.region`). The view helpers (`read_view`, `write_view`,
+`canonical_view_identity`) lower their view the same way, a Frame's
+bindings as locals.
 
 A Program keeps its units (`Program.compiled`, dropped by `Program.add`):
 the validated, expanded and inverted definitions and their lowered
@@ -109,29 +110,15 @@ def ids_overlap(id_a, id_b):
 # --- runtime helpers called by the lowered code ------------------------------
 
 def _read_field(v, name):
-    if isinstance(v, Complex):
-        if name == "re":
-            return v.re
-        if name == "im":
-            return v.im
-        raise KindError(f"complex values have fields re/im, not {name!r}")
-    if isinstance(v, Record):
+    if isinstance(v, (Complex, Record)):
         return v.get(name)
     raise KindError(f"field access on {kind_name(v)}")
 
 
 def _write_field(v, name, new):
-    if isinstance(v, Complex):
-        if name == "re":
-            v.re = new
-        elif name == "im":
-            v.im = new
-        else:
-            raise KindError(f"complex values have fields re/im, not {name!r}")
-    elif isinstance(v, Record):
-        v.set(name, new)
-    else:
+    if not isinstance(v, (Complex, Record)):
         raise KindError(f"field write on {kind_name(v)}")
+    v.set(name, new)
 
 
 def _bool_of(v):
@@ -155,13 +142,6 @@ def _indexed(v):
     if not isinstance(v, Array):
         raise KindError(f"indexing into {kind_name(v)}")
     return v
-
-
-def _lookup(bindings, name, span):
-    try:
-        return bindings[name]
-    except KeyError:
-        raise UnboundVariable(f"{name!r} is not bound", span) from None
 
 
 def _unbound(name, span):
@@ -350,8 +330,8 @@ class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
     `unit` supplies the options the code depends on (`grad`: the gradient
-    variant); without a unit the code reads and writes variables in a
-    bindings dict `B` (the view helpers), with no checks, fuel or trace."""
+    variant); without a unit (the view helpers) the code has no checks,
+    fuel or trace."""
 
     def __init__(self, unit=None, float_dtype=None, grad=False):
         self.unit, self.grad = unit, grad
@@ -830,8 +810,6 @@ class _Lowering:
     # --- views ---
 
     def var(self, name, span):
-        if self.unit is None:
-            return f"_lookup(B, {name!r}, {self.const(span)})"
         if name in self.bound:
             return self.names[name]
         return f"_unbound({name!r}, {self.const(span)})"
@@ -862,8 +840,7 @@ class _Lowering:
         None."""
         ixs = view.indices
         if all(_is_int_lit(ix) or isinstance(ix, ViewRef) and isinstance(
-                ix.view, VarView) and (self.unit is None or ix.view.name in
-                                       self.bound) for ix in ixs):
+                ix.view, VarView) and ix.view.name in self.bound for ix in ixs):
             return "".join(", " + (repr(ix.value) if isinstance(ix, Lit) else
                                    self.read(ix.view)) for ix in ixs)
         return None
@@ -894,10 +871,7 @@ class _Lowering:
         variable the value is bound to a temporary first, so it is computed
         before the view's base and indices are."""
         if isinstance(view, VarView):
-            if self.unit is None:
-                self.emit(f"B[{view.name!r}] = {value}")
-            else:
-                self.emit(f"{self.local(view.name)} = {value}")
+            self.emit(f"{self.local(view.name)} = {value}")
             return
         if not value.isidentifier():
             t = self.temp()
@@ -1026,25 +1000,37 @@ def _unit(program, opts):
 
 
 # --- public view operations ------------------------------------------------
-# Each lowers its view over the environment's bindings and runs it.
+# Each lowers its view with the environment's bindings as the bound locals
+# of the function it runs, as a program's variables are.
 
 def _check_root(env, view):
     root = view_root(view)
     if root not in env.bindings:
         raise UnboundVariable(f"{root!r} is not bound", view.span)
+    return root
+
+
+def _view_lowering(env, opts):
+    """A lowering with the environment's bindings bound, and the list of
+    their locals, in binding order."""
+    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low.bound = set(env.bindings)
+    return low, ", ".join(low.local(name) for name in env.bindings)
 
 
 def read_view(env, view, opts=None):
-    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low, params = _view_lowering(env, opts)
     low.emit(f"return {low.read(view)}")
-    return low.view("B")(env.bindings)
+    return low.view(params)(*env.bindings.values())
 
 
 def write_view(env, view, value, opts=None):
-    _check_root(env, view)
-    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    root = _check_root(env, view)
+    low, params = _view_lowering(env, opts)
     low.write(view, "V")
-    low.view("B, V")(env.bindings, value)
+    low.emit(f"return {low.local(root)}")
+    env.bindings[root] = low.view(params + ", V")(*env.bindings.values(),
+                                                   value)
     return env
 
 
@@ -1052,9 +1038,9 @@ def canonical_view_identity(env, view, opts=None):
     """StorageId of a view in an environment: equal ids denote the same
     mutable cell; bijectors do not change identity."""
     _check_root(env, view)
-    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low, params = _view_lowering(env, opts)
     low.emit(f"return {low.ident(view)}")
-    return low.view("B")(env.bindings)
+    return low.view(params)(*env.bindings.values())
 
 
 # --- the interpreter ----------------------------------------------------------

@@ -431,11 +431,6 @@ def validate(program):
                 check_expr(step)
                 check_expr(stop)
                 check_stmts(body.stmts)
-            case Routine(compute=compute, body=body):
-                # checked as the statements it expands to, in this scope
-                for t in (*compute.stmts, *body.stmts,
-                          *reverser.invert_block(compute).stmts):
-                    check_stmt(t, live)
             case InvCheckOff(stmt=stmt):
                 check_stmt(stmt, live)
             case Safe(exprs=exprs):
@@ -462,7 +457,8 @@ def validate(program):
                     "DuplicateParam",
                     f"parameter {p.name!r} repeated in {fdef.name!r}", p.span))
             pnames.add(p.name)
-        check_stmts(fdef.body.stmts)
+        # a routine is checked as the statements it expands to
+        check_stmts(reverser.expand_routines(fdef).body.stmts)
 
     # a routine's compute block and its replay share spans: report once
     return list({(d.rule, d.message, d.span): d for d in diags}.values())

@@ -15,7 +15,9 @@ call to an expression-only function (`EXPR_FNS`) or to the primal value
 of the instruction function, as `y += f(args)` computes it. The
 interpreter's adjoint arm (binary64 GVars) computes the +=/-= gradient
 rule with the partials of `INSTR_FNS` and, when a partial is None, the
-rule's own cotangent step, `adjoint_accumulate`.
+rule's own cotangent step, `adjoint_accumulate`. `wrap_gvar`,
+`unwrap_gvar` and `carries_gvar` act on a value's leaves as
+`values.map_leaves` and `values.leaves` find them.
 
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindError, MissingAdjoint, RevDomainError
-from .values import (Array, Complex, Dual, Fixed, GVar, Record, ULog, is_bool,
-                     is_float, is_int, kind_name, s_abs, s_atan2, s_cos, s_div,
-                     s_exp, s_log, s_pow, s_sin, s_sqrt, to_real, zero_like)
+from .values import (Array, Complex, Dual, Fixed, GVar, ULog, is_bool,
+                     is_differentiable, is_float, is_int, kind_name, leaves,
+                     map_leaves, s_abs, s_atan2, s_cos, s_div, s_exp, s_log,
+                     s_pow, s_sin, s_sqrt, to_real, zero_like)
 
 INSTR_OPS = ("+=", "-=", "*=", "/=", "xor=")
 
@@ -292,11 +295,7 @@ def _is_gvar_bearing(v):
 
 def carries_gvar(v):
     """True when a value has a GVar leaf, i.e. it is being differentiated."""
-    if isinstance(v, Array):
-        return any(carries_gvar(e) for e in v.data)
-    if isinstance(v, Record):
-        return any(carries_gvar(e) for e in v.fields().values())
-    return _is_gvar_bearing(v)
+    return any(isinstance(x, GVar) for _, x in leaves(v))
 
 
 def _arg_real(v):
@@ -616,26 +615,13 @@ def apply_instr(instr, vals):
 def wrap_gvar(v):
     """Wrap the differentiable leaves of a value in GVar cells with zero
     gradients. Int and Bool leaves are gradient-free and stay bare."""
-    if isinstance(v, GVar):
-        return v
-    if isinstance(v, Complex):
-        return Complex(wrap_gvar(v.re), wrap_gvar(v.im))
-    if isinstance(v, Array):
-        return Array([wrap_gvar(e) for e in v.data], v.shape)
-    if isinstance(v, Record):
-        return Record(**{k: wrap_gvar(x) for k, x in v.fields().items()})
-    if isinstance(v, (Fixed, ULog)) or is_float(v):
-        return GVar(v, zero_like(v))
-    return v
+    return map_leaves(v, _wrap_leaf)
+
+
+def _wrap_leaf(x):
+    return GVar(x, zero_like(x)) if is_differentiable(x) else x
 
 
 def unwrap_gvar(v):
-    if isinstance(v, GVar):
-        return unwrap_gvar(v.x)
-    if isinstance(v, Complex):
-        return Complex(unwrap_gvar(v.re), unwrap_gvar(v.im))
-    if isinstance(v, Array):
-        return Array([unwrap_gvar(e) for e in v.data], v.shape)
-    if isinstance(v, Record):
-        return Record(**{k: unwrap_gvar(x) for k, x in v.fields().items()})
-    return v
+    """The value with each GVar leaf replaced by its primal value."""
+    return map_leaves(v, strip_gvar)

@@ -6,8 +6,13 @@ Complex (mutable re/im pair). Composites: Array (1-D/2-D, 1-based), Record.
 Gradient and tangent carriers: GVar (value + cotangent) and Dual
 (value + tangent). GVar wraps scalar leaves only; composites hold wrapped
 leaves inside.
+
+Leaf traversal lives here (`map_leaves`, `leaves`, `get_leaf`,
+`set_leaf`); `deep_copy`, the GVar wrappers in `numerics` and autodiff's
+walkers are built on it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +140,21 @@ class Complex:
 
     def fields(self):
         return {"re": self.re, "im": self.im}
+
+    def get(self, name):
+        if name == "re":
+            return self.re
+        if name == "im":
+            return self.im
+        raise KindError(f"complex values have fields re/im, not {name!r}")
+
+    def set(self, name, v):
+        if name == "re":
+            self.re = v
+        elif name == "im":
+            self.im = v
+        else:
+            raise KindError(f"complex values have fields re/im, not {name!r}")
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self.re == other.re and self.im == other.im
@@ -450,6 +470,11 @@ def is_float(v):
     return isinstance(v, (float, np.floating)) or isinstance(v, Dual)
 
 
+def is_differentiable(v):
+    """A leaf that carries a gradient: Float (Dual included), Fixed or ULog."""
+    return isinstance(v, (float, np.floating, Dual, Fixed, ULog))
+
+
 def kind_name(v):
     if isinstance(v, GVar):
         return "gvar[" + kind_name(v.x) + "]"
@@ -487,18 +512,76 @@ def to_real(v):
     raise KindError(f"expected a scalar, got {kind_name(v)}")
 
 
-def deep_copy(v):
-    if isinstance(v, (Complex,)):
-        return Complex(deep_copy(v.re), deep_copy(v.im))
+# --- leaves ---
+# Complex, Array and Record values are composites; every other value, GVar
+# and Dual included, is a leaf. A path addresses a leaf by its steps from
+# the root: ("idx", (i,)) or ("idx", (i, j)) into an array (1-based) and
+# ("field", name) into a record or a complex value ("re", "im").
+
+_COMPOSITES = (Array, Complex, Record)
+
+
+def map_leaves(v, f):
+    """`v` rebuilt with `f` applied to each of its leaves."""
+    if not isinstance(v, _COMPOSITES):
+        return f(v)
     if isinstance(v, Array):
-        return Array([deep_copy(e) for e in v.data], v.shape)
-    if isinstance(v, Record):
-        return Record(**{k: deep_copy(x) for k, x in v.fields().items()})
+        # a cell is most often a leaf: apply `f` without a call of this
+        return Array([map_leaves(e, f) if isinstance(e, _COMPOSITES) else
+                      f(e) for e in v.data], v.shape)
+    if isinstance(v, Complex):
+        return Complex(map_leaves(v.re, f), map_leaves(v.im, f))
+    return Record(**{k: map_leaves(x, f) for k, x in v.fields().items()})
+
+
+def leaves(v, _prefix=()):
+    """(path, leaf) of each leaf of `v`: array cells in row-major order,
+    fields in their order (re before im)."""
+    if isinstance(v, Array):
+        cells = itertools.product(*(range(1, n + 1) for n in v.shape))
+        for idx, e in zip(cells, v.data):
+            yield from leaves(e, _prefix + (("idx", idx),))
+    elif isinstance(v, (Complex, Record)):
+        for k, x in v.fields().items():
+            yield from leaves(x, _prefix + (("field", k),))
+    else:
+        yield _prefix, v
+
+
+def get_leaf(v, path):
+    """The component of `v` at `path` (`v` for the empty path); KindError
+    when a step does not fit the value it selects from (an index outside
+    an array raises IndexOutOfBounds, as in a program)."""
+    for kind, key in path:
+        if kind == "idx" and isinstance(v, Array) or kind == "field" and \
+                isinstance(v, (Complex, Record)) and key in v.fields():
+            v = v.get(key)
+        else:
+            raise KindError(f"path step {kind} {key!r} does not fit "
+                            f"a {kind_name(v)} value")
+    return v
+
+
+def set_leaf(v, path, new):
+    """`v` with its component at `path` replaced by `new`, in place; for
+    the empty path that is `new` itself."""
+    if not path:
+        return new
+    get_leaf(v, path)  # every step must fit, the last one too
+    get_leaf(v, path[:-1]).set(path[-1][1], new)
+    return v
+
+
+def _copy_leaf(v):
     if isinstance(v, GVar):
-        return GVar(deep_copy(v.x), deep_copy(v.g))
+        return GVar(_copy_leaf(v.x), _copy_leaf(v.g))
     if isinstance(v, Dual):
         return Dual(v.primal, v.tangent)
     return v  # scalars are immutable
+
+
+def deep_copy(v):
+    return map_leaves(v, _copy_leaf)
 
 
 def zero_like(v):

@@ -122,8 +122,8 @@ def _compare_grad_structure(got, want, args, names, wrt):
         if g is None or f is None:
             continue
         for path in leaf_paths(arg):
-            gv = get_leaf(g, path) if path else g
-            fv = get_leaf(f, path) if path else f
+            gv = get_leaf(g, path)
+            fv = get_leaf(f, path)
             if gv is None:
                 continue
             gvf, fvf = float(to_real(gv)), float(to_real(fv))

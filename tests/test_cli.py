@@ -108,6 +108,16 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("matrix", ["[[1,2],3]", "[[1],[2,3]]"])
+    def test_malformed_matrix_literal_exit_code(self, asset, capsys, matrix):
+        # mixed rows, ragged rows: the literal is at fault, not the program
+        rc = main(["run", asset("multiplier"), "-f", "multiplier",
+                   "-a", f"{matrix},3,5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "matrix literal" in captured.err
+
     def test_consecutive_calls_share_no_state(self, asset, capsys):
         # the argument parser is built once per process: a parse fills a
         # new namespace, so an option given once does not stay

@@ -469,6 +469,15 @@ class TestViews:
                             "m[i, j]": 3.0,
                             "x |> addconst(1) |> neg": -3.5}[text]
 
+    def test_unbound_index_on_a_scalar_fails_as_in_a_program(self):
+        # the base is evaluated before the index, in a run and in the helper
+        p = prog("fn f(y, a)\ny += a[i]\nend")
+        view = p.get("f").body.stmts[0].args[1]
+        with pytest.raises(KindError, match="indexing into float"):
+            run(p, "f", [0.0, 1.0])
+        with pytest.raises(KindError, match="indexing into float"):
+            read_view(self._env(y=0.0, a=1.0), view)
+
     def test_non_int_index_is_a_kind_error(self):
         p = prog("fn t(q, a, i)\nq += a[i]\nend")
         args = [0.0, Array.vector([1.0, 2.0, 3.0]), 1.5]

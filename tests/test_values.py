@@ -1,12 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from revlang.autodiff import leaf_paths
 from revlang.errors import RevDomainError
+from revlang.numerics import carries_gvar, unwrap_gvar, wrap_gvar
 from revlang.values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
-                            deep_copy, deviation, s_atan2, s_exp, s_log,
-                            s_pow, s_sqrt, values_close, zero_like)
+                            deep_copy, deviation, get_leaf, leaves,
+                            map_leaves, s_atan2, s_exp, s_log, s_pow, s_sqrt,
+                            set_leaf, values_close, zero_like)
 
 fixeds = st.integers(min_value=-(2**63), max_value=2**63 - 1).map(Fixed)
 
@@ -32,6 +35,7 @@ class TestFixed:
         w = Fixed.from_real(123.456)
         assert (big + w) - w == big
 
+    @settings(deadline=None, derandomize=True, database=None)
     @given(fixeds, fixeds)
     def test_roundtrip_bit_exact(self, v, w):
         assert (v + w) - w == v
@@ -57,6 +61,7 @@ class TestULog:
         v, w = ULog(2.0), ULog(3.0)
         assert ULog((v.log_x + w.log_x) - w.log_x) == v
 
+    @settings(deadline=None, derandomize=True, database=None)
     @given(dyadic_exponents, dyadic_exponents)
     def test_roundtrip_exact_on_dyadic_grid(self, a, b):
         # (v * w) / w in the log domain: exponent add then subtract
@@ -153,3 +158,89 @@ class TestComposites:
         from revlang.errors import NoSuchField
         with pytest.raises(NoSuchField):
             r.get("c")
+
+
+# --- the leaf model over generated nested values ---
+
+floats = st.floats(allow_nan=False, width=64)
+cell_kinds = st.sampled_from([
+    st.integers(-9, 9), floats, fixeds, st.builds(Complex, floats, floats)])
+
+
+@st.composite
+def arrays(draw):
+    cell = draw(cell_kinds)
+    shape = draw(st.sampled_from([(0,), (1,), (3,), (1, 1), (2, 3), (3, 2)]))
+    n = math.prod(shape)
+    return Array(draw(st.lists(cell, min_size=n, max_size=n)), shape)
+
+
+nested_values = st.one_of(
+    cell_kinds.flatmap(lambda cell: cell), arrays(),
+    st.dictionaries(st.sampled_from("abc"), st.one_of(
+        arrays(), cell_kinds.flatmap(lambda cell: cell)), max_size=3).map(
+            lambda fields: Record(**fields)))
+
+
+def _containers(v):
+    """Every mutable container inside `v`."""
+    if isinstance(v, Array):
+        return [v, v.data, *(c for e in v.data for c in _containers(e))]
+    if isinstance(v, Record):
+        return [v, v.fields(),
+                *(c for e in v.fields().values() for c in _containers(e))]
+    return [v] if isinstance(v, Complex) else []
+
+
+def _cells(v):
+    """The leaves of `v` in storage order: row-major cells, then fields."""
+    if isinstance(v, Array):
+        return [x for e in v.data for x in _cells(e)]
+    if isinstance(v, (Complex, Record)):
+        return [x for e in v.fields().values() for x in _cells(e)]
+    return [v]
+
+
+def _step_fits(step):
+    kind, key = step
+    return kind == "field" and isinstance(key, str) or kind == "idx" and \
+        len(key) in (1, 2) and all(type(i) is int and i >= 1 for i in key)
+
+
+class TestLeaves:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(v=nested_values, data=st.data())
+    def test_leaf_model(self, v, data):
+        found = list(leaves(v))
+        assert len(found) == len(_cells(v))
+        for (path, leaf), cell in zip(found, _cells(v)):
+            assert leaf is cell and get_leaf(v, path) is leaf
+            assert all(_step_fits(step) for step in path)
+        assert unwrap_gvar(wrap_gvar(v)) == v
+
+        copy = deep_copy(v)
+        assert copy == v
+        assert not {id(c) for c in _containers(v)} & \
+            {id(c) for c in _containers(copy)}
+
+        # Int leaves carry no gradient; Float and Fixed leaves do
+        assert leaf_paths(v) == [p for p, x in found if not isinstance(x, int)]
+
+        for path in [()] + [p for p, _ in found]:
+            new = object()
+            assert get_leaf(set_leaf(deep_copy(v), path, new), path) is new
+
+        # wrap a drawn subset of the leaves, skipping Int ones
+        picks = data.draw(st.lists(st.booleans(), min_size=len(found),
+                                   max_size=len(found)))
+        it = iter(picks)
+        mixed = map_leaves(v, lambda x: GVar(x, zero_like(x))
+                           if next(it) and not isinstance(x, int) else x)
+        assert carries_gvar(mixed) == any(
+            pick and not isinstance(x, int)
+            for pick, (_, x) in zip(picks, found))
+        assert carries_gvar(wrap_gvar(v)) == bool(leaf_paths(v))
+        assert not carries_gvar(v)
+        assert leaf_paths(mixed) == leaf_paths(v)
+        assert unwrap_gvar(mixed) == v
