@@ -40,10 +40,12 @@ _COMPLEX_RE = re.compile(
 
 def parse_value(text):
     """One CLI value literal -> runtime value. Digits are ASCII only, as in
-    `.rnl` literals (Python's `int` and `float` take any Unicode digit)."""
+    `.rnl` literals (Python's `int` and `float` also take any Unicode digit
+    and '_' separators)."""
     s = text.strip()
-    if not s.isascii():
-        raise ValueError(f"bad value literal {s!r}: ASCII characters only")
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"bad value literal {s!r}: ASCII digits only, "
+                         f"without '_'")
     if s.startswith("["):
         return _parse_array(s)
     if s in ("true", "false"):
@@ -151,10 +153,11 @@ def _exec_options(ns):
 
 
 def _parse_seed(spec):
-    # PARAM or PARAM=VALUE (path selectors: name.re / name[3]); ASCII only
-    if not spec.isascii():
-        raise ValueError(f"bad seed selector {spec!r}")
+    # PARAM or PARAM=VALUE (path selectors: name.re / name[3]); ASCII only,
+    # and no '_' in the value
     name, _, val = spec.partition("=")
+    if not spec.isascii() or "_" in val:
+        raise ValueError(f"bad seed selector {spec!r}")
     seed = float(val) if val else 1.0
     path = ()
     m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*!*)((\.\w+)|(\[\d+(,\d+)*\]))?$", name)

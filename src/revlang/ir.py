@@ -31,7 +31,7 @@ class ViewRef:
 
 @dataclass(frozen=True)
 class Un:
-    op: str  # '-' | '!'
+    op: str  # '-'
     operand: object
     span: SourceSpan = _span_field()
 

@@ -16,7 +16,16 @@ allocation arrows and `xor=` for the xor update. An instruction's
 right-hand side is a single application of a registered function to atoms
 (views or literals), written as a call or with one infix operator; richer
 expressions belong in conditions, loop bounds, and allocation values.
+
+The scanner is one regular expression of named alternatives. Expressions
+parse by precedence climbing over one operator table (BINARY and UNARY),
+and the printer reads the same table to place parentheses, so printed
+text parses back to an equal Program.
 """
+
+import itertools
+import math
+import re
 
 from .errors import RnlSyntaxError, SourceSpan
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
@@ -30,9 +39,25 @@ KEYWORDS = {"fn", "end", "if", "else", "while", "for", "begin", "true", "false"}
 
 ASSIGN_OPS = {"+=", "-=", "*=", "/=", "xor="}
 
-_PUNCT2 = ("<-", "->", "+=", "-=", "*=", "/=", "==", "!=", "<=", ">=",
-           "&&", "||", "|>", "::")
-_PUNCT1 = "()[],.:+-*/^%<>=~"
+MACROS = {"@routine", "~@routine", "@invcheckoff", "@safe"}
+
+# One alternative per token kind, tried in order; a match with no group is
+# a blank or a comment. Digits are ASCII only (`\d` and str.isdigit also
+# take '٣' and other scripts). A name may end in '!'s that mark it mutated,
+# but a '!' before '=' is the start of '!='. `[^\W\d]` is a letter, '_' or
+# a digit such as '²' that is not decimal; `tokenize` rejects the last.
+_TOKEN = re.compile(r"""
+    (?P<nl>\n) | [ \t\r]+ | \#[^\n]*
+  | (?P<macro>~?@\w*)
+  | (?P<num>(?P<body>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+            (?P<suffix>[^\W\d_]*))
+  | (?P<punct>xor=(?!=) | ⊻= | [←→▷] | <- | -> | [-+*/=!<>]= | && | \|\| | \|>
+            | :: | [()\[\],.:+\-*/^%<>=~])
+  | (?P<name>[^\W\d]\w*(?:!(?!=))*)
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+_ALIASES = {"⊻=": "xor=", "←": "<-", "→": "->", "▷": "|>"}
 
 
 class Token:
@@ -51,134 +76,65 @@ class Token:
 
 def tokenize(text, filename="<string>"):
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
+    line, line_start = 1, 0     # line_start: the offset of column 1
 
-    def err(msg):
+    def err(msg, offset):
+        col = offset - line_start + 1
         raise RnlSyntaxError(msg, SourceSpan(filename, line, col, line, col))
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "@" or (c == "~" and i + 1 < n and text[i + 1] == "@"):
-            j = i + (2 if c == "~" else 1)
-            k = j
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            word = text[i:k]
-            if word not in ("@routine", "~@routine", "@invcheckoff", "@safe"):
-                err(f"unknown macro {word!r}")
-            toks.append(Token("macro", word, start_line, start_col))
-            col += k - i
-            i = k
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            # trailing '!' marks mutated names; '!=' stays an operator
-            while j < n and text[j] == "!" and not (j + 1 < n and text[j + 1] == "="):
-                j += 1
-            word = text[i:j]
-            if word == "xor" and j < n and text[j] == "=" \
-                    and not (j + 1 < n and text[j + 1] == "="):
-                toks.append(Token("punct", "xor=", start_line, start_col))
-                j += 1
-            else:
-                toks.append(Token("name", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        # ASCII digits only: str.isdigit also takes '²' and other scripts
-        if "0" <= c <= "9" or (
-                c == "." and i + 1 < n and "0" <= text[i + 1] <= "9"):
-            j = i
-            is_float = False
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == "." and (j + 1 >= n or text[j + 1] != "."):
-                nxt = text[j + 1] if j + 1 < n else ""
-                if "0" <= nxt <= "9":
-                    is_float = True
-                    j += 1
-                    while j < n and "0" <= text[j] <= "9":
-                        j += 1
-            if j < n and text[j] in "eE" and (
-                    (j + 1 < n and "0" <= text[j + 1] <= "9") or
-                    (j + 2 < n and text[j + 1] in "+-"
-                     and "0" <= text[j + 2] <= "9")):
-                is_float = True
-                j += 1
-                if text[j] in "+-":
-                    j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-            k = j
-            while k < n and text[k].isalpha():
-                k += 1
-            suffix = text[j:k]
-            body = text[i:j]
+        word, start = m.group(), m.start()
+        if kind == "num":
+            body, suffix = m.group("body", "suffix")
             if suffix == "":
-                value = float(body) if is_float else int(body)
+                value = int(body) if body.isdigit() else float(body)
             elif suffix == "fx":
                 value = Fixed.from_real(float(body))
             elif suffix == "im":
                 value = complex(0.0, float(body))
             else:
-                err(f"unknown numeric suffix {suffix!r}")
-            toks.append(Token("num", value, start_line, start_col))
-            col += k - i
-            i = k
-            continue
-        if c == "←":   # ←
-            toks.append(Token("punct", "<-", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "→":   # →
-            toks.append(Token("punct", "->", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "⊻":   # ⊻
-            if i + 1 < n and text[i + 1] == "=":
-                toks.append(Token("punct", "xor=", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            err("expected '=' after the xor sign")
-        if c == "▷":   # ▷
-            toks.append(Token("punct", "|>", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            toks.append(Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {c!r}")
-    toks.append(Token("eof", None, line, col))
+                # the suffix is the run of letters; a digit such as '²'
+                # ends it and starts no token
+                letters = "".join(itertools.takewhile(str.isalpha, suffix))
+                if letters in ("", "fx", "im"):
+                    err(f"unexpected character {suffix[len(letters)]!r}",
+                        m.start("suffix") + len(letters))
+                err(f"unknown numeric suffix {letters!r}", start)
+            word = value
+        elif kind == "name":
+            if not (word[0].isalpha() or word[0] == "_"):
+                err(f"unexpected character {word[0]!r}", start)
+        elif kind == "punct":
+            word = _ALIASES.get(word, word)
+        elif kind == "macro":
+            if word not in MACROS:
+                err(f"unknown macro {word!r}", start)
+        elif word == "⊻":
+            err("expected '=' after the xor sign", start)
+        else:
+            err(f"unexpected character {word!r}", start)
+        toks.append(Token(kind, word, line, start - line_start + 1))
+    toks.append(Token("eof", None, line, len(text) - line_start + 1))
     return toks
+
+
+# Operator precedence, loosest first: every binary operator with its own
+# precedence and the lowest precedence its left and right operands may
+# have. The parser and the printer both read this table. Comparisons do not
+# chain, and '^' groups to the right and takes a primary on its left.
+UNARY = 6       # unary '-'
+PRIMARY = 8     # literals, views, calls and parenthesised expressions
+BINARY = {"||": (1, 1, 2), "&&": (2, 2, 3),
+          **dict.fromkeys(("==", "!=", "<", "<=", ">", ">="), (3, 4, 4)),
+          "+": (4, 4, 5), "-": (4, 4, 5),
+          "*": (5, 5, UNARY), "/": (5, 5, UNARY), "%": (5, 5, UNARY),
+          "^": (7, PRIMARY, UNARY)}
 
 
 class _Parser:
@@ -202,6 +158,10 @@ class _Parser:
     def err(self, msg, tok=None):
         raise RnlSyntaxError(msg, self.span(tok))
 
+    def found(self, tok=None):
+        t = tok or self.cur
+        return "end of input" if t.kind == "eof" else repr(t.value)
+
     def advance(self):
         t = self.cur
         if t.kind != "eof":
@@ -219,13 +179,26 @@ class _Parser:
 
     def expect_punct(self, val):
         if not self.at_punct(val):
-            self.err(f"expected {val!r}, found {self.cur.value!r}")
+            self.err(f"expected {val!r}, found {self.found()}")
         return self.advance()
 
     def expect_name(self):
         if self.cur.kind != "name" or self.cur.value in KEYWORDS:
-            self.err(f"expected a name, found {self.cur.value!r}")
+            self.err(f"expected a name, found {self.found()}")
         return self.advance()
+
+    def comma_list(self, item, what):
+        """`( item, item, ... )` as a tuple; a trailing comma is allowed."""
+        self.expect_punct("(")
+        items = []
+        while not self.at_punct(")"):
+            items.append(item())
+            if self.at_punct(","):
+                self.advance()
+            elif not self.at_punct(")"):
+                self.err(f"expected ',' or ')' in {what}, found {self.found()}")
+        self.advance()
+        return tuple(items)
 
     # --- grammar ---
 
@@ -238,38 +211,33 @@ class _Parser:
     def fndef(self):
         t0 = self.cur
         if not self.at_name("fn"):
-            self.err(f"expected 'fn', found {self.cur.value!r}")
+            self.err(f"expected 'fn', found {self.found()}")
         self.advance()
         name = ""
         if self.at_punct("~"):
             self.advance()
             name = "~"
         name += self.expect_name().value
-        self.expect_punct("(")
-        params = []
-        while not self.at_punct(")"):
-            pt = self.cur
-            pname = self.expect_name().value
-            kind = "any"
-            if self.at_punct("::"):
-                self.advance()
-                kt = self.expect_name()
-                if kt.value not in ("scalar", "array", "any"):
-                    self.err(f"unknown parameter kind {kt.value!r}", kt)
-                kind = kt.value
-            params.append(Param(pname, kind, self.span(pt)))
-            if self.at_punct(","):
-                self.advance()
-            elif not self.at_punct(")"):
-                self.err("expected ',' or ')' in parameter list")
-        self.advance()
+        params = self.comma_list(self.param, "parameter list")
         body = self.stmt_block(("end",))
         self.expect_keyword("end")
-        return FunctionDef(name, tuple(params), body, self.span(t0))
+        return FunctionDef(name, params, body, self.span(t0))
+
+    def param(self):
+        pt = self.cur
+        pname = self.expect_name().value
+        kind = "any"
+        if self.at_punct("::"):
+            self.advance()
+            kt = self.expect_name()
+            if kt.value not in ("scalar", "array", "any"):
+                self.err(f"unknown parameter kind {kt.value!r}", kt)
+            kind = kt.value
+        return Param(pname, kind, self.span(pt))
 
     def expect_keyword(self, kw):
         if not self.at_name(kw):
-            self.err(f"expected {kw!r}, found {self.cur.value!r}")
+            self.err(f"expected {kw!r}, found {self.found()}")
         return self.advance()
 
     def stmt_block(self, stop_keywords, in_routine=False):
@@ -306,14 +274,8 @@ class _Parser:
                 kt = self.expect_name()
                 if kt.value not in ("assert", "print"):
                     self.err("@safe takes assert(...) or print(...)", kt)
-                self.expect_punct("(")
-                exprs = []
-                while not self.at_punct(")"):
-                    exprs.append(self.expr())
-                    if self.at_punct(","):
-                        self.advance()
-                self.advance()
-                return Safe(kt.value, tuple(exprs), sp)
+                return Safe(kt.value, self.comma_list(self.expr, "@safe list"),
+                            sp)
         if self.at_name("if"):
             return self.if_stmt()
         if self.at_name("while"):
@@ -328,11 +290,11 @@ class _Parser:
         if self.at_punct("~"):
             self.advance()
             fname = self.expect_name().value
-            views = self.call_args()
+            views = self.comma_list(self.view, "call arguments")
             return UncallFn(fname, views, sp)
         if t0.kind == "name" and t0.value not in KEYWORDS:
             return self.simple_stmt()
-        self.err(f"unexpected token {t0.value!r}")
+        self.err(f"unexpected token {self.found(t0)}")
 
     def if_stmt(self):
         sp = self.span()
@@ -392,7 +354,7 @@ class _Parser:
         # function or primitive statement call
         if self.peek().kind == "punct" and self.peek().value == "(":
             fname = self.advance().value
-            views = self.call_args()
+            views = self.comma_list(self.view, "call arguments")
             if fname == "XOR":
                 if len(views) != 2:
                     self.err("XOR takes two arguments", t0)
@@ -415,34 +377,13 @@ class _Parser:
             return InstrCall(op, fname, (view,) + args, sp)
         self.err(f"expected an update operator after the view", t0)
 
-    def call_args(self):
-        self.expect_punct("(")
-        views = []
-        while not self.at_punct(")"):
-            views.append(self.view())
-            if self.at_punct(","):
-                self.advance()
-            elif not self.at_punct(")"):
-                self.err("expected ',' or ')' in call arguments")
-        self.advance()
-        return tuple(views)
-
     def instr_rhs(self):
         """One function application over atoms: call form, one infix
         operator, a unary minus, or a bare atom."""
         if self.cur.kind == "name" and self.cur.value not in KEYWORDS \
                 and self.peek().kind == "punct" and self.peek().value == "(":
             fname = self.advance().value
-            self.expect_punct("(")
-            atoms = []
-            while not self.at_punct(")"):
-                atoms.append(self.atom())
-                if self.at_punct(","):
-                    self.advance()
-                elif not self.at_punct(")"):
-                    self.err("expected ',' or ')'")
-            self.advance()
-            return fname, tuple(atoms)
+            return fname, self.comma_list(self.atom, "call arguments")
         if self.at_punct("-"):
             self.advance()
             a = self.atom()
@@ -473,7 +414,7 @@ class _Parser:
             return Lit(False, self.span(t))
         if t.kind == "name" and t.value not in KEYWORDS:
             return self.view()
-        self.err(f"expected a view or literal, found {t.value!r}")
+        self.err(f"expected a view or literal, found {self.found(t)}")
 
     def view(self):
         t0 = self.cur
@@ -495,85 +436,45 @@ class _Parser:
             elif self.at_punct("|>"):
                 self.advance()
                 bt = self.expect_name()
-                args = []
+                args = ()
                 if self.at_punct("("):
-                    self.advance()
-                    while not self.at_punct(")"):
-                        neg = False
-                        if self.at_punct("-"):
-                            self.advance()
-                            neg = True
-                        at = self.cur
-                        if at.kind != "num":
-                            self.err("bijector arguments are numeric constants")
-                        self.advance()
-                        args.append(-at.value if neg else at.value)
-                        if self.at_punct(","):
-                            self.advance()
-                        elif not self.at_punct(")"):
-                            self.err("expected ',' or ')'")
-                    self.advance()
-                v = BijView(v, bt.value, tuple(args), self.span(bt))
+                    args = self.comma_list(self.bij_arg, "bijector arguments")
+                v = BijView(v, bt.value, args, self.span(bt))
             else:
                 return v
 
+    def bij_arg(self):
+        neg = self.at_punct("-")
+        if neg:
+            self.advance()
+        if self.cur.kind != "num":
+            self.err("bijector arguments are numeric constants")
+        value = self.advance().value
+        return -value if neg else value
+
     # --- expressions (conditions, bounds, allocation values) ---
 
-    def expr(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.at_punct("||"):
-            t = self.advance()
-            left = Bin("||", left, self.and_expr(), self.span(t))
-        return left
-
-    def and_expr(self):
-        left = self.cmp_expr()
-        while self.at_punct("&&"):
-            t = self.advance()
-            left = Bin("&&", left, self.cmp_expr(), self.span(t))
-        return left
-
-    def cmp_expr(self):
-        left = self.add_expr()
-        if self.cur.kind == "punct" and self.cur.value in (
-                "==", "!=", "<", "<=", ">", ">="):
-            t = self.advance()
-            return Bin(t.value, left, self.add_expr(), self.span(t))
-        return left
-
-    def add_expr(self):
-        left = self.mul_expr()
-        while self.cur.kind == "punct" and self.cur.value in ("+", "-"):
-            t = self.advance()
-            left = Bin(t.value, left, self.mul_expr(), self.span(t))
-        return left
-
-    def mul_expr(self):
-        left = self.unary_expr()
-        while self.cur.kind == "punct" and self.cur.value in ("*", "/", "%"):
-            t = self.advance()
-            left = Bin(t.value, left, self.unary_expr(), self.span(t))
-        return left
-
-    def unary_expr(self):
+    def expr(self, min_prec=0):
+        """An expression whose operators bind at least as tightly as
+        `min_prec`, by precedence climbing over BINARY and UNARY."""
+        t = self.cur
         if self.at_punct("-"):
+            self.advance()
+            e, prec = self.expr(UNARY), UNARY
+            if isinstance(e, Lit) and isinstance(e.value, (int, float)) \
+                    and not isinstance(e.value, bool):
+                e = Lit(-e.value, self.span(t))
+            else:
+                e = Un("-", e, self.span(t))
+        else:
+            e, prec = self.primary(), PRIMARY
+        while self.cur.kind == "punct" and self.cur.value in BINARY:
+            p, left_min, right_min = BINARY[self.cur.value]
+            if p < min_prec or prec < left_min:
+                break
             t = self.advance()
-            inner = self.unary_expr()
-            if isinstance(inner, Lit) and isinstance(inner.value, (int, float)) \
-                    and not isinstance(inner.value, bool):
-                return Lit(-inner.value, self.span(t))
-            return Un("-", inner, self.span(t))
-        return self.pow_expr()
-
-    def pow_expr(self):
-        base = self.primary()
-        if self.at_punct("^"):
-            t = self.advance()
-            return Bin("^", base, self.unary_expr(), self.span(t))
-        return base
+            e, prec = Bin(t.value, e, self.expr(right_min), self.span(t)), p
+        return e
 
     def primary(self):
         t = self.cur
@@ -591,18 +492,10 @@ class _Parser:
         if t.kind == "name" and t.value not in KEYWORDS:
             if self.peek().kind == "punct" and self.peek().value == "(":
                 fname = self.advance().value
-                self.expect_punct("(")
-                args = []
-                while not self.at_punct(")"):
-                    args.append(self.expr())
-                    if self.at_punct(","):
-                        self.advance()
-                    elif not self.at_punct(")"):
-                        self.err("expected ',' or ')'")
-                self.advance()
-                return Call(fname, tuple(args), self.span(t))
+                return Call(fname, self.comma_list(self.expr, "call arguments"),
+                            self.span(t))
             return ViewRef(self.view(), self.span(t))
-        self.err(f"unexpected token {t.value!r} in expression")
+        self.err(f"unexpected token {self.found(t)} in expression")
 
 
 def parse_program(text, filename="<string>"):
@@ -612,21 +505,10 @@ def parse_program(text, filename="<string>"):
 
 # --- pretty printing ---
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def _prec(e):
-    if isinstance(e, Bin):
-        if e.op == "||":
-            return 1
-        if e.op == "&&":
-            return 2
-        if e.op in _CMP_OPS:
-            return 3
-        return {"+": 4, "-": 4, "*": 5, "/": 5, "%": 5, "^": 7}[e.op]
-    if isinstance(e, Un):
-        return 6
-    return 9
+def _fmt_float(x):
+    if math.isinf(x):   # an overflowing literal; 1e999 parses back to it
+        return "1e999" if x > 0 else "-1e999"
+    return repr(x)
 
 
 def fmt_literal(v):
@@ -635,29 +517,31 @@ def fmt_literal(v):
     if isinstance(v, Fixed):
         return v.decimal_str() + "fx"
     if isinstance(v, complex):
-        return f"{v.imag:g}im"
+        return _fmt_float(v.imag) + "im"
     if isinstance(v, float):
-        return repr(v)
+        return _fmt_float(v)
     return repr(v)
 
 
-def fmt_expr(e, parent_prec=0):
+def fmt_expr(e, min_prec=0):
+    """Expression text, in parentheses when it binds looser than `min_prec`;
+    a negative number literal binds as unary '-' does."""
     if isinstance(e, Lit):
         s = fmt_literal(e.value)
+        prec = UNARY if s.startswith("-") else PRIMARY
     elif isinstance(e, ViewRef):
-        s = fmt_view(e.view)
+        s, prec = fmt_view(e.view), PRIMARY
     elif isinstance(e, Un):
-        s = "-" + fmt_expr(e.operand, 6)
+        s, prec = "-" + fmt_expr(e.operand, UNARY), UNARY
     elif isinstance(e, Bin):
-        p = _prec(e)
-        s = f"{fmt_expr(e.left, p)} {e.op} {fmt_expr(e.right, p + 1)}"
+        prec, left_min, right_min = BINARY[e.op]
+        s = f"{fmt_expr(e.left, left_min)} {e.op} {fmt_expr(e.right, right_min)}"
     elif isinstance(e, Call):
         s = e.fname + "(" + ", ".join(fmt_expr(a) for a in e.args) + ")"
+        prec = PRIMARY
     else:
         raise TypeError(f"not an expression: {e!r}")
-    if _prec(e) < parent_prec:
-        return "(" + s + ")"
-    return s
+    return "(" + s + ")" if prec < min_prec else s
 
 
 def fmt_view(v):
@@ -680,13 +564,17 @@ def _fmt_atom(a):
 
 
 def _fmt_rhs(fname, atoms):
-    if fname == "identity" and len(atoms) == 1:
-        return _fmt_atom(atoms[0])
-    if fname == "neg" and len(atoms) == 1:
-        return "-" + _fmt_atom(atoms[0])
-    if fname in INSTR_BIN_NAMES and len(atoms) == 2:
-        return f"{_fmt_atom(atoms[0])} {INSTR_BIN_NAMES[fname]} {_fmt_atom(atoms[1])}"
-    return fname + "(" + ", ".join(_fmt_atom(a) for a in atoms) + ")"
+    texts = [_fmt_atom(a) for a in atoms]
+    if len(atoms) == 1:
+        # `-t` reads as neg(t), but as the literal -t where t is an int or float
+        folds = isinstance(atoms[0], Lit) and isinstance(atoms[0].value, (int, float))
+        if fname == "identity" and (folds or texts[0][0] != "-"):
+            return texts[0]
+        if fname == "neg" and not folds:
+            return "-" + texts[0]
+    if len(atoms) == 2 and fname in INSTR_BIN_NAMES and texts[0][0] != "-":
+        return f"{texts[0]} {INSTR_BIN_NAMES[fname]} {texts[1]}"
+    return fname + "(" + ", ".join(texts) + ")"
 
 
 def _fmt_stmt(s, out, depth):

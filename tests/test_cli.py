@@ -3,6 +3,8 @@ import json
 import pytest
 
 from revlang.cli import encode_value, main, parse_value, split_args
+from revlang.parser import parse_program
+from revlang.reverser import invert_function
 from revlang.values import Array, Complex, Fixed, ULog
 
 
@@ -107,6 +109,31 @@ class TestCommands:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "-a", "1_000,2,3"],
+        ["run", "-a", "1_0.5,2.0,3.0"],
+        ["run", "-a", "1_0fx,2,3"],
+        ["grad", "-a", "0.0,3.0,5.0", "--seed", "y!=1_0"]])
+    def test_digit_separators_exit_code(self, asset, capsys, argv):
+        # int() and float() take '_' between digits; .rnl literals do not
+        rc = main([argv[0], asset("multiplier"), "-f", "multiplier",
+                   *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_invert_keeps_power_parentheses(self, tmp_path, capsys):
+        f = tmp_path / "pow.rnl"
+        f.write_text("fn f(y)\nn <- (2 ^ 3) ^ 2\ny += n\nn -> (2 ^ 3) ^ 2\nend\n")
+        assert main(["invert", str(f)]) == 0
+        inverse = tmp_path / "inv.rnl"
+        inverse.write_text(capsys.readouterr().out)
+        assert "n <- (2 ^ 3) ^ 2" in inverse.read_text()
+        assert parse_program(inverse.read_text()).get("~f") == \
+            invert_function(parse_program(f.read_text()).get("f"))
+        assert main(["run", str(inverse), "-f", "~f", "-a", "64"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"args": [0]}
 
     @pytest.mark.parametrize("matrix", ["[[1,2],3]", "[[1],[2,3]]"])
     def test_malformed_matrix_literal_exit_code(self, asset, capsys, matrix):
