@@ -22,8 +22,8 @@ import re
 import sys
 
 from .autodiff import GradRequest, gradient, hessian
-from .errors import (RevLangError, RnlSyntaxError, UnknownFunction,
-                     ValidationFailed)
+from .errors import (RevDomainError, RevLangError, RnlSyntaxError,
+                     UnknownFunction, ValidationFailed)
 from .interpreter import ExecOptions, Interpreter, check_reversibility
 from .ir import Program, validate
 from .parser import parse_program, pretty_print
@@ -50,10 +50,13 @@ def parse_value(text):
         return _parse_array(s)
     if s in ("true", "false"):
         return s == "true"
-    if s.endswith("fx"):
-        return Fixed.from_real(float(s[:-2]))
-    if s.endswith("ul"):
-        return ULog.from_real(float(s[:-2]))
+    if s.endswith(("fx", "ul")):
+        try:
+            return (Fixed if s.endswith("fx") else ULog).from_real(
+                float(s[:-2]))
+        except RevDomainError as err:   # a value its kind cannot hold
+            raise ValueError(f"bad value literal {s!r}: {err.message}") \
+                from None
     if s.endswith("im"):
         m = _COMPLEX_RE.match(s)
         if not m:

@@ -14,15 +14,16 @@ arguments carry a GVar, and the forward variant, which holds no gradient
 code, the others. Variables are Python locals, bound statically:
 `validate` balances every allocation in its block, so an allocation of a
 bound name, or a read or release of an unbound one, is emitted as the
-error it raises. Where checks are off statically (`invcheck=False`, or
-inside `@invcheckoff`) no check code is emitted; alias checks always run.
-A `+=`/`-=` gets an inline arm, array cells at flat offsets behind
-`_offset`'s type and bounds guard: for operands of the run's exact float
-type (`float`, or `float_dtype`) in the forward variant, and for binary64
-GVars (`adjoint_arm`) in the gradient variant; `operands` decides which
-operands an arm can read. Every other case calls the generic rule,
-looked up as `numerics.apply_instr` when it runs, and `Array.get`/`set`,
-so each value kind keeps one semantics. Expressions call what
+error it raises. Check code runs when the flag `chk` is set: the
+interpreter's `invcheck`, passed on to callees, and False inside
+`@invcheckoff`, where none is emitted; alias checks always run. Every
+array cell is reached at the flat offset `_offset` computes, which raises
+what `Array.get` raises. A `+=`/`-=` gets an inline arm: for operands of
+the run's exact float type (`float`, or `float_dtype`) in the forward
+variant, and for binary64 GVars (`adjoint_arm`) in the gradient variant;
+`operands` decides which operands an arm can read. Every other case calls
+the generic rule, looked up as `numerics.apply_instr` when it runs, so
+each value kind keeps one semantics. Expressions call what
 `numerics.expr_fn` resolves, and `numerics.compare`. An error
 carries the span of the statement whose line it escaped from; a host math
 error there becomes `RevDomainError`. A compound statement nested deeper
@@ -33,8 +34,8 @@ bindings as locals.
 
 A Program keeps its units (`Program.compiled`, dropped by `Program.add`):
 the validated, expanded and inverted definitions and their lowered
-functions, one unit per option set the lowered code depends on (not
-`max_steps`: the fuel is counted per interpreter).
+functions, one unit per float type and trace setting (the lowered code
+reads `invcheck`, `float_tolerance` and `max_steps` when it runs).
 """
 
 
@@ -109,16 +110,10 @@ def ids_overlap(id_a, id_b):
 
 # --- runtime helpers called by the lowered code ------------------------------
 
-def _read_field(v, name):
-    if isinstance(v, (Complex, Record)):
-        return v.get(name)
-    raise KindError(f"field access on {kind_name(v)}")
-
-
-def _write_field(v, name, new):
+def _fielded(v, what):
     if not isinstance(v, (Complex, Record)):
-        raise KindError(f"field write on {kind_name(v)}")
-    v.set(name, new)
+        raise KindError(f"{what} on {kind_name(v)}")
+    return v
 
 
 def _bool_of(v):
@@ -149,8 +144,9 @@ def _unbound(name, span):
 
 
 def _offset(a, *ixs):
-    """The flat offset of `a[ixs...]` when `a` is an Array of rank 1 or 2
-    and every index a plain in-bounds int of it, else -1."""
+    """The flat offset of the cell `a[ixs...]`, raising what `Array.get`
+    raises after `_indexed` and `_ix`; plain in-bounds ints at rank 1 and
+    2 take the fast path."""
     if type(a) is Array:
         shape = a.shape
         if len(ixs) == len(shape) == 1:
@@ -162,22 +158,17 @@ def _offset(a, *ixs):
             if type(i) is int and type(j) is int and 0 < i <= shape[0] \
                     and 0 < j <= shape[1]:
                 return (i - 1) * shape[1] + j - 1
-    return -1
+    return _indexed(a)._offset(tuple([_ix(i) for i in ixs]))
 
 
 def _get(a, *ixs):
-    """Read `a[ixs...]`, the indices being Int literals or variables."""
     k = _offset(a, *ixs)
-    return a.data[k] if k >= 0 else \
-        _indexed(a).get(tuple([_ix(i) for i in ixs]))
+    return a.data[k]
 
 
-def _set(a, v, *ixs):
+def _set(v, a, *ixs):
     k = _offset(a, *ixs)
-    if k >= 0:
-        a.data[k] = v
-    else:
-        _indexed(a).set(tuple([_ix(i) for i in ixs]), v)
+    a.data[k] = v
 
 
 def _release(cp, name, current, declared, tol, grad):
@@ -338,7 +329,7 @@ class _Lowering:
         self.dtype = float_dtype if unit is None else unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
-        self.checks = unit is not None and unit.invcheck   # statically on
+        self.checks = unit is not None   # check code is emitted
         self.lines = []          # (indent, text, span)
         self.depth = 0
         self.span = NO_SPAN      # of the statement being emitted
@@ -509,8 +500,7 @@ class _Lowering:
                     self.counts = True
                     self.emit(f"if chk: _release(cp, {name!r}, "
                               f"{self.names[name]}, {self.expr(e)}, "
-                              f"{self.const(self.unit.tolerance)}, "
-                              f"{self.grad})")
+                              f"I.opts.float_tolerance, {self.grad})")
                 self.bound.discard(name)
             case FnCall(fname=fname, args=args):
                 self.call(fname, args, uncall=False)
@@ -678,57 +668,64 @@ class _Lowering:
 
     def operands(self, instr, views):
         """How an inline arm reads the operands of a +=/-=: per view
-        `(guard, value, read, cell)`, or None when it cannot. A literal
-        (int or float, not the target) is its `value`; a bound local is
-        read and written by name; an array cell behind `_offset`'s `guard`
-        is read by `read` into the temporary `value` and written at
-        `cell`."""
+        `(value, read, cell)`, or None when it cannot. A literal (int or
+        float, not the target) is its `value`; a bound local is read and
+        written by name; a cell of a bound local, indexed by at most two
+        Int literals and bound variables, is read by `read` into the
+        temporary `value` and written at `cell`. When it can, it emits the
+        statements that bind the cells' flat offsets, in order: a cell
+        that `Array.get` cannot read raises there."""
         if instr.kind not in ("+=", "-="):
             return None
-        ops = []
+        ops, offsets = [], []
         for k, v in enumerate(views):
             if isinstance(v, Lit):
                 if k == 0 or type(v.value) not in (int, float):
                     return None
-                ops.append((None, self.lit(v.value), None, None))
+                ops.append((self.lit(v.value), None, None))
             elif isinstance(v, VarView) and v.name in self.bound:
                 name = self.names[v.name]
-                ops.append((None, name, name, name))
-            elif (fast := self.fast_index(v)) is not None:
-                t = self.temp()
-                ops.append((fast[0], t, f"({t} := {fast[1]})", fast[1]))
+                ops.append((name, name, name))
+            elif isinstance(v, IndexView) and len(v.indices) <= 2 \
+                    and isinstance(v.base, VarView) \
+                    and v.base.name in self.bound \
+                    and not (ixs := self.indices(v))[1]:
+                a, off, t = self.names[v.base.name], self.temp(), self.temp()
+                offsets.append(f"{off} = _offset({a}, {ixs[0]})")
+                ops.append((t, f"({t} := {a}.data[{off}])",
+                            f"{a}.data[{off}]"))
             else:
                 return None
+        for offset in offsets:
+            self.emit(offset)
         return ops
 
     def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
         open its `else:`; returns whether it did."""
-        spec = INSTR_FNS.get(instr.fname)
-        ops = self.operands(instr, views) if spec and spec.apply else None
+        spec, fn = INSTR_FNS.get(instr.fname), _INLINE.get(instr.fname)
+        # the operands' types are checked, except the literals'; the
+        # value's too unless `fn` computes it from floats alone, but that
+        # check would precede the alias checks
+        exact = fn and all(type(v.value) is float for v in views
+                           if isinstance(v, Lit))
+        ops = self.operands(instr, views) if spec and spec.apply and (
+            exact or checks is None) else None
         if ops is None:
             return False
-        guards = [guard for guard, _, _, _ in ops if guard]
-        types = [f"type({read})" for _, _, read, _ in ops if read]
-        xs = [x for _, x, _, _ in ops[1:]]
-        # `types` checks the operands' float type, except the literals'
-        exact = all(type(v.value) is float for v in views
-                    if isinstance(v, Lit))
-        fn = _INLINE.get(instr.fname)
+        types = [f"type({read})" for _, read, _ in ops if read]
+        xs = [x for x, _, _ in ops[1:]]
         value = fn.format(*xs) if fn else \
             f"{self.const(spec.apply)}({', '.join(xs)})"
-        if not (fn and exact):   # the value's type is checked too
-            if checks is not None:   # it would precede the alias checks
-                return False
+        if not exact:
             t = self.temp()
             types.append(f"type({t} := {value})")
             value = t
-        guards.append(f"{self.float} is {' is '.join(types)}")
-        self.emit(f"if {' and '.join(guards)}:")
+        self.emit(f"if {self.float} is {' is '.join(types)}:")
         self.depth += 1
         self.alias_checks(views, checks)
         sign = "+" if instr.kind == "+=" else "-"
-        self.emit(f"{ops[0][3]} = {ops[0][1]} {sign} ({value})")
+        self.emit(f"{ops[0][2]} = {ops[0][0]} {sign} ({value})")
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
@@ -748,9 +745,7 @@ class _Lowering:
         if ops is None:
             return False
         guards, xs = [], []   # xs: the arguments' primal values
-        for k, (guard, o, ref, _) in enumerate(ops):
-            if guard:
-                guards.append(guard)
+        for k, (o, ref, _) in enumerate(ops):
             if ref is None:   # a literal
                 xs.append(o)
                 continue
@@ -764,7 +759,7 @@ class _Lowering:
                               f"is float and type({o}.g) is float or type("
                               f"{x} := {o}) is float or type({x}) is int)")
                 xs.append(x)
-        args = [o for _, o, _, _ in ops[1:]]
+        args = [o for o, _, _ in ops[1:]]
         fn = _INLINE.get(instr.fname)
         value = fn.format(*xs) if fn else \
             f"{self.const(spec.apply)}({', '.join(xs)})"
@@ -801,7 +796,8 @@ class _Lowering:
                    for v in (a, b)):
                 # one index step each on one root: their storage ids
                 # overlap when the index tuples are equal
-                test = f"{self.indices(a)} == {self.indices(b)}"
+                test = f"({self.indices(a, True)[0]},) == " \
+                       f"({self.indices(b, True)[0]},)"
             else:
                 test = f"ids_overlap({self.ident(a)}, {self.ident(b)})"
             self.emit(f"if {test}: raise AliasedArguments({message!r})")
@@ -814,52 +810,45 @@ class _Lowering:
             return self.names[name]
         return f"_unbound({name!r}, {self.const(span)})"
 
-    def fast_index(self, view):
-        """(guard, cell) for an index view of rank 1 or 2 on a bound local
-        with Int literal or bound local indices: `guard` holds when `_offset`
-        finds the cell, and `cell` reads it at that flat offset. None
-        otherwise."""
-        simple = self.simple_indices(view) \
-            if isinstance(view, IndexView) and len(view.indices) <= 2 else None
-        if simple is None or not isinstance(view.base, VarView) \
-                or view.base.name not in self.bound:
-            return None
-        a, k = self.names[view.base.name], self.temp()
-        return f"({k} := _offset({a}{simple})) >= 0", f"{a}.data[{k}]"
+    def indices(self, view, strict=False):
+        """The index arguments of the cell `view`, comma-separated, and
+        whether evaluating one can fail: each is an Int literal, a
+        variable as it is read, or an expression that `_int` checks. Where
+        one can fail (one not an Int literal or a bound variable), and
+        with `strict`, `_ix` checks each variable as it is read, so the
+        first index at fault raises."""
+        strict = strict or not all(
+            _is_int_lit(e) or isinstance(e, ViewRef) and isinstance(
+                e.view, VarView) and e.view.name in self.bound
+            for e in view.indices)
+        args = []
+        for e in view.indices:
+            if _is_int_lit(e):
+                args.append(repr(e.value))
+            elif isinstance(e, ViewRef) and isinstance(e.view, VarView):
+                read = self.read(e.view)
+                args.append(f"_ix({read})" if strict else read)
+            else:
+                args.append(f"_int({self.expr(e)}, 'array index')")
+        return ", ".join(args), strict
 
-    def index(self, e):
-        if _is_int_lit(e):
-            return repr(e.value)
-        if isinstance(e, ViewRef) and isinstance(e.view, VarView):
-            return f"_ix({self.read(e.view)})"
-        return f"_int({self.expr(e)}, 'array index')"
-
-    def simple_indices(self, view):
-        """The indices as `_get`/`_set` arguments, when every one is an Int
-        literal or a bound variable (evaluating them cannot fail); else
-        None."""
-        ixs = view.indices
-        if all(_is_int_lit(ix) or isinstance(ix, ViewRef) and isinstance(
-                ix.view, VarView) and ix.view.name in self.bound for ix in ixs):
-            return "".join(", " + (repr(ix.value) if isinstance(ix, Lit) else
-                                   self.read(ix.view)) for ix in ixs)
-        return None
-
-    def indices(self, view):
-        return "(" + "".join(self.index(ix) + ", " for ix in view.indices) \
-            + ")"
+    def cell(self, view):
+        """The `_offset`, `_get` and `_set` arguments of the cell `view`:
+        its base, then its indices. Where an index can fail the base goes
+        through `_indexed` first, as it is evaluated first."""
+        ixs, fallible = self.indices(view)
+        base = self.read(view.base)
+        return f"{f'_indexed({base})' if fallible else base}, {ixs}"
 
     def read(self, view):
         """The expression of a view's value, GVars kept."""
         if isinstance(view, VarView):
             return self.var(view.name, view.span)
         if isinstance(view, FieldView):
-            return f"_read_field({self.read(view.base)}, " \
-                   f"{view.field_name!r})"
+            return f"_fielded({self.read(view.base)}, 'field access')" \
+                   f".get({view.field_name!r})"
         if isinstance(view, IndexView):
-            simple = self.simple_indices(view)
-            return f"_get({self.read(view.base)}{simple})" if simple else \
-                f"_indexed({self.read(view.base)}).get({self.indices(view)})"
+            return f"_get({self.cell(view)})"
         if isinstance(view, BijView):
             bij = BIJECTORS[view.bij]
             return f"{self.const(bij)}.fwd({self.read(view.base)}, " \
@@ -882,13 +871,10 @@ class _Lowering:
             self.write(view.base, f"{self.const(bij)}.inv({value}, "
                                   f"{self.const(view.args)})")
         elif isinstance(view, FieldView):
-            self.emit(f"_write_field({self.read(view.base)}, "
-                      f"{view.field_name!r}, {value})")
+            self.emit(f"_fielded({self.read(view.base)}, 'field write')"
+                      f".set({view.field_name!r}, {value})")
         elif isinstance(view, IndexView):
-            simple = self.simple_indices(view)
-            self.emit(f"_set({self.read(view.base)}, {value}{simple})"
-                      if simple else f"_indexed({self.read(view.base)}).set("
-                                     f"{self.indices(view)}, {value})")
+            self.emit(f"_set({value}, {self.cell(view)})")
         else:
             raise KindError(f"not a view: {view!r}")
 
@@ -901,7 +887,7 @@ class _Lowering:
             if isinstance(node, FieldView):
                 parts.append(repr(("field", node.field_name)))
             else:
-                parts.append(f"('idx', {self.indices(node)})")
+                parts.append(f"('idx', ({self.indices(node, True)[0]},))")
         return "(" + "".join(p + ", " for p in parts) + ")"
 
     # --- expressions (GVar-free values) ---
@@ -975,15 +961,14 @@ class _Variant(dict):
 
 class _Unit(_Variant):
     """A Program validated, with its definitions expanded and inverted
-    once, under one set of the options the lowered code depends on. It is
-    the forward variant; `gradient` is the gradient variant."""
+    once, lowered for one float type and trace setting. It is the forward
+    variant; `gradient` is the gradient variant."""
 
     def __init__(self, program, opts):
         super().__init__(self, False)
         diags = validate(program)
         if diags:
             raise ValidationFailed(diags)
-        self.invcheck, self.tolerance = opts.invcheck, opts.float_tolerance
         self.trace, self.dtype = opts.trace, opts.float_dtype
         self.defs = {f.name: expand_routines(f) for f in program}
         for fdef in list(self.defs.values()):
@@ -993,7 +978,7 @@ class _Unit(_Variant):
 
 
 def _unit(program, opts):
-    key = (opts.invcheck, opts.float_tolerance, opts.trace, opts.float_dtype)
+    key = (opts.trace, opts.float_dtype)
     if key not in program.compiled:
         program.compiled[key] = _Unit(program, opts)
     return program.compiled[key]
@@ -1076,7 +1061,7 @@ class Interpreter:
         budget = max(0, self.opts.max_steps - self.stats.steps)
         fuel = iter(range(budget))
         try:
-            return list(fn(self, self.unit.invcheck, fuel, *args))
+            return list(fn(self, self.opts.invcheck, fuel, *args))
         except RecursionError:
             raise FuelExhausted(f"call depth exceeded in {fname}",
                                 fdef.span) from None

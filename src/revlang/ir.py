@@ -228,7 +228,7 @@ def inverse_name(name):
 class Program:
     """An ordered collection of function definitions. `compiled` holds
     what the interpreter derives from them (validated and lowered units,
-    by option set); `add` drops it."""
+    by float type and trace setting); `add` drops it."""
 
     def __init__(self, functions=()):
         self.functions = {}

@@ -169,22 +169,16 @@ class Bijector:
         return self._valid(args) if self._valid else True
 
     def fwd(self, v, args):
-        return self._fwd(v, *args)
+        return self._fwd(self._untracked(v), *args)
 
     def inv(self, v, args):
-        return self._inv(v, *args)
+        return self._inv(self._untracked(v), *args)
 
-
-def _add_const(v, c):
-    if isinstance(v, Fixed):
-        return v + Fixed.from_real(c)
-    return v + c
-
-
-def _sub_const(v, c):
-    if isinstance(v, Fixed):
-        return v - Fixed.from_real(c)
-    return v - c
+    def _untracked(self, v):
+        if _is_gvar_bearing(v):
+            raise MissingAdjoint(f"no gradient rule for bijector "
+                                 f"{self.name!r}")
+        return v
 
 
 def _mul_const(v, c):
@@ -211,7 +205,8 @@ def _div_const(v, c):
 
 BIJECTORS = {
     "neg": Bijector("neg", 0, lambda v: -v, lambda v: -v),
-    "addconst": Bijector("addconst", 1, _add_const, _sub_const),
+    # a Fixed cell adds and subtracts the constant as a Fixed
+    "addconst": Bijector("addconst", 1, operator.add, operator.sub),
     "mulconst": Bijector("mulconst", 1, _mul_const, _div_const,
                          valid=lambda args: args[0] != 0),
 }
@@ -330,7 +325,8 @@ def _fn_value(fname, argvals):
         raise KindError("angle takes a complex argument")
     if fname == "convert":
         return to_real(vals[0])
-    if fname == "identity" and isinstance(vals[0], (Fixed, ULog, Complex)):
+    if fname == "identity" and isinstance(vals[0],
+                                          (bool, Fixed, ULog, Complex)):
         return vals[0]
     if fname in ("add", "sub", "neg") and \
             all(isinstance(v, Fixed) for v in vals):

@@ -27,7 +27,7 @@ import itertools
 import math
 import re
 
-from .errors import RnlSyntaxError, SourceSpan
+from .errors import RevDomainError, RnlSyntaxError, SourceSpan
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  Block, Call, FieldView, FnCall, For, FunctionDef, If,
                  IndexView, InstrCall, InvCheckOff, Lit, Param, Program,
@@ -95,7 +95,10 @@ def tokenize(text, filename="<string>"):
             if suffix == "":
                 value = int(body) if body.isdigit() else float(body)
             elif suffix == "fx":
-                value = Fixed.from_real(float(body))
+                try:
+                    value = Fixed.from_real(float(body))
+                except RevDomainError:
+                    err(f"fixed-point literal {word!r} is out of range", start)
             elif suffix == "im":
                 value = complex(0.0, float(body))
             else:

@@ -10,9 +10,9 @@ backwards; a routine keeps its compute block and inverts its body. Both
 passes are pure IR-to-IR transforms; no runtime stack is ever introduced.
 """
 
-from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, Block,
-                 FnCall, For, FunctionDef, If, InstrCall, InvCheckOff, Lit,
-                 Routine, Safe, Un, UncallFn, While, inverse_name)
+from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Block, FnCall,
+                 For, FunctionDef, If, InstrCall, InvCheckOff, Lit, Routine,
+                 Safe, Un, UncallFn, While, inverse_name)
 from .numerics import OP_INVERSE, PRIM_INVERSE
 
 
@@ -64,10 +64,7 @@ def negate_expr(e):
     if isinstance(e, Lit) and isinstance(e.value, (int, float)) \
             and not isinstance(e.value, bool):
         return Lit(-e.value, e.span)
-    if isinstance(e, Bin) and e.op == "-" and isinstance(e.left, Lit) \
-            and e.left.value == 0:
-        return e.right
-    return Un("-", e, getattr(e, "span", None) or e.span)
+    return Un("-", e, e.span)
 
 
 def invert_statement(s):

@@ -37,7 +37,7 @@ def asset_text(filename):
 def load_example(name):
     """Parse a catalog program (cached per asset file); returns the
     Program. An Interpreter built from it validates and lowers it, once
-    per option set."""
+    per float type and trace setting."""
     if name not in CATALOG:
         raise UnknownExample(f"no example named {name!r}; "
                              f"known: {', '.join(sorted(CATALOG))}")

@@ -43,7 +43,10 @@ class Fixed:
     def from_real(cls, v):
         if isinstance(v, Fixed):
             return v
-        return cls(round(float(to_real(v)) * _SCALE))
+        x = float(to_real(v))
+        if not math.isfinite(x * _SCALE):
+            raise RevDomainError(f"fixed point cannot hold {x}")
+        return cls(round(x * _SCALE))
 
     def to_float(self):
         return self.raw / _SCALE

@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from revlang.stdlib import CATALOG, entry_function
+
+# every property test is deterministic: a fixed sequence of examples, no
+# example database and no deadline; a test sets only its `max_examples`
+settings.register_profile("revlang", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("revlang")
 
 
 @pytest.fixture

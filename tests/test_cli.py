@@ -418,3 +418,72 @@ end
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "steps,error_clean,error_cumulative,precision"
         assert lines[1].startswith("10,")
+
+
+class TestLiteralsTheirKindCannotHold:
+    """A literal that its kind cannot hold is a typed error: a usage error
+    on the command line, a syntax error in a program, a RevDomainError at
+    run time."""
+
+    @pytest.mark.parametrize("literal, message", [
+        ("inffx", "fixed point cannot hold inf"),
+        ("1e400fx", "fixed point cannot hold inf"),
+        ("0ul", "logarithmic numbers are positive; got 0.0"),
+        ("-1ul", "logarithmic numbers are positive; got -1.0"),
+    ])
+    def test_cli_literal_is_a_usage_error(self, tmp_path, capsys, literal,
+                                          message):
+        with pytest.raises(ValueError, match="bad value literal"):
+            parse_value(literal)
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y, x)\ny += x\nend\n")
+        rc = main(["run", str(f), "-f", "f", f"--args={literal},1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"bad value literal {literal!r}: {message}\n"
+
+    def test_program_literal_is_a_syntax_error(self, tmp_path, capsys):
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y)\ny += 1e400fx\nend\n")
+        rc = main(["run", str(f), "-f", "f", "-a", "0fx"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"RnlSyntaxError at {f}:2:6: fixed-point literal '1e400fx' is "
+            f"out of range\n")
+
+    def test_infinite_seed_of_a_fixed_output(self, tmp_path, capsys):
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y, x)\ny += x\nend\n")
+        rc = main(["grad", str(f), "-f", "f", "-a", "0fx,1.5fx",
+                   "--seed", "y=inf"])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "RevDomainError: fixed point cannot hold inf\n"
+
+    @pytest.mark.parametrize("x", ["1e400", "nan"])
+    def test_runtime_fixed_keeps_its_domain_error(self, tmp_path, capsys, x):
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y, x)\nt <- fixed(x)\ny += t\ny -= t\n"
+                     "t -> fixed(x)\nend\n")
+        rc = main(["run", str(f), "-f", "f", f"--args=0fx,{x}"])
+        assert rc == 3
+        expected = "inf" if x == "1e400" else "nan"
+        assert capsys.readouterr().err == (
+            f"RevDomainError at {f}:2:1: fixed point cannot hold "
+            f"{expected}\n")
+
+
+@pytest.mark.parametrize("cmd", ["grad", "hessian"])
+@pytest.mark.parametrize("bij", ["neg", "addconst(1.5)", "mulconst(2)"])
+@pytest.mark.parametrize("stmt", ["y += x |> {}", "x |> {} += y"])
+def test_bijector_view_in_a_gradient_pass(tmp_path, capsys, cmd, bij, stmt):
+    """A bijector has no gradient rule: a gradient or Hessian pass that
+    reaches one, read or written, ends in MissingAdjoint (exit 3)."""
+    f = tmp_path / "a.rnl"
+    f.write_text(f"fn f(y, x)\n{stmt.format(bij)}\nend\n")
+    rc = main([cmd, str(f), "-f", "f", "-a", "0.5,1.5"])
+    assert rc == 3
+    name = bij.split("(")[0]
+    assert capsys.readouterr().err == (
+        f"MissingAdjoint at {f}:2:1: no gradient rule for bijector "
+        f"{name!r}\n")

@@ -136,8 +136,7 @@ def _diags(program):
     return [(d.rule, d.message, d.span) for d in validate(program)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          database=None)
+@settings(max_examples=300)
 @given(src=routine_programs(),
        args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
 def test_generated_routine_programs(src, args):
@@ -157,8 +156,7 @@ def test_generated_routine_programs(src, args):
 def test_generator_reaches_both_verdicts():
     verdicts = set()
 
-    @settings(max_examples=100, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=100)
     @given(src=routine_programs())
     def collect(src):
         verdicts.add(not validate(parse_program(src)))
@@ -193,8 +191,7 @@ def _run(program, fname, args, opts=None):
     return repr(out), interp.stats
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          database=None)
+@settings(max_examples=150)
 @given(case=called_programs())
 def test_generated_calls_loops_and_floats(case):
     src, entry, args = case
@@ -215,8 +212,7 @@ def test_generated_calls_loops_and_floats(case):
 def test_called_programs_reach_calls_loops_and_floats():
     seen = set()
 
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=150)
     @given(case=called_programs())
     def collect(case):
         src = case[0]
@@ -240,8 +236,7 @@ def test_generated_gradients_match_finite_differences():
     only by a typed RevLangError."""
     outcomes = []
 
-    @settings(max_examples=120, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=120)
     @given(case=called_programs(real=True, int_conds=True))
     def check(case):
         src, entry, args = case

@@ -18,7 +18,8 @@ from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  canonical_view_identity, check_reversibility,
                                  read_view, run, uncall, write_view)
 from revlang.ir import (Bin, Block, FunctionDef, IndexView, InstrCall, Lit,
-                        Param, Program, VarView, ViewRef, validate)
+                        Param, Program, VarView, ViewRef, inverse_name,
+                        validate)
 from revlang.numerics import (INSTR_FNS, PrimitiveInstr, apply_instr, expr_fn,
                               wrap_gvar)
 from revlang.parser import parse_program, pretty_print
@@ -753,8 +754,7 @@ class TestOneArithmetic:
     function table."""
 
     @pytest.mark.parametrize("fname", DIFF_FNS)
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_expression_matches_instruction(self, fname, data):
         n_args = INSTR_FNS[fname].min_arity
@@ -920,8 +920,7 @@ def _outcome_of(fn):
 
 
 class TestIndexClosures:
-    @settings(max_examples=400, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=400)
     @given(case=index_cases(), op=st.sampled_from(("read", "write", "id")))
     def test_closures_match_generic_rule(self, case, op):
         root, exprs, bindings, values = case
@@ -963,8 +962,7 @@ class TestIndexClosures:
     def test_cases_reach_every_outcome(self):
         seen = set()
 
-        @settings(max_examples=400, deadline=None, derandomize=True,
-                  database=None)
+        @settings(max_examples=400)
         @given(case=index_cases())
         def collect(case):
             root, _, _, values = case
@@ -1135,8 +1133,7 @@ end""")
         assert sorted(interp.unit) == ["f", "g", "~g"]
         assert all(callable(fn) for fn in interp.unit.values())
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=300)
     @given(case=index_cases(), target=st.booleans(), f32=st.booleans())
     def test_update_arms_match_generic_rule(self, case, target, f32):
         """`y += a[ix]` and `a[ix] += y` take the inline arm (and its flat
@@ -1203,9 +1200,9 @@ class TestUnitCache:
         assert counts == {"validate": 1, "lower": ["f", "~f"]}
 
     @pytest.mark.parametrize("opts", [
-        ExecOptions(float_dtype=np.float32), ExecOptions(invcheck=False),
-        ExecOptions(trace=True, trace_sink=[]),
-        ExecOptions(float_tolerance=1e-3)])
+        ExecOptions(float_dtype=np.float32),
+        ExecOptions(float_dtype=np.float32, trace=True, trace_sink=[]),
+        ExecOptions(trace=True, trace_sink=[])])
     def test_options_of_the_lowered_code_get_their_own_unit(self, counts,
                                                              opts):
         p = prog(self.SRC)
@@ -1216,6 +1213,37 @@ class TestUnitCache:
         assert counts["validate"] == 2
         x = np.float32(1.5) if opts.float_dtype else 1.5
         assert other.run_function("f", [x * 0, x]) == [x * 2, x]
+
+    @pytest.mark.parametrize("opts", [
+        ExecOptions(invcheck=False), ExecOptions(float_tolerance=1e-3)])
+    def test_checks_and_tolerance_share_the_unit(self, counts, opts):
+        """The lowered code reads `invcheck` and `float_tolerance` when it
+        runs, so they do not split the unit."""
+        p = prog(self.SRC)
+        base = Interpreter(p)
+        other = Interpreter(p, opts)
+        assert other.unit is base.unit
+        assert other.run_function("f", [0.0, 1.5]) == [3.0, 1.5]
+        assert counts == {"validate": 1, "lower": ["f"]}
+
+    def test_a_shared_unit_honours_each_interpreters_options(self, counts):
+        p = prog("fn r(y, x)\nn <- 0.0\nn += x\nn -> 0.0\nend\n"
+                 "fn q(x)\nif (x > 0, x > 2)\nx += 1\nend\nend")
+        strict, loose = Interpreter(p), \
+            Interpreter(p, ExecOptions(float_tolerance=1e-3))
+        checked, unchecked = Interpreter(p), \
+            Interpreter(p, ExecOptions(invcheck=False))
+        assert strict.unit is loose.unit is checked.unit is unchecked.unit
+        with pytest.raises(DirtyAncilla) as err:
+            strict.run_function("r", [0.0, 1e-6])
+        assert err.value.residual == 1e-6
+        assert loose.run_function("r", [0.0, 1e-6]) == [0.0, 1e-6]
+        assert loose.stats.checks_passed["ancilla"] == 1
+        with pytest.raises(PostconditionMismatch):
+            checked.run_function("q", [0.5])
+        assert unchecked.run_function("q", [0.5]) == [1.5]
+        assert unchecked.stats.checks_passed["postcondition"] == 0
+        assert counts == {"validate": 1, "lower": ["r", "q"]}
 
     def test_statement_budgets_share_a_unit(self, counts):
         """The lowered code does not depend on `max_steps`: each
@@ -1465,8 +1493,7 @@ class TestAdjointArm:
 
     @pytest.mark.parametrize("op", ["+=", "-="])
     @pytest.mark.parametrize("fname", ADJOINT_FNS)
-    @settings(max_examples=30, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_matches_generic_rule(self, fname, op, data):
         layout, args = data.draw(adjoint_cases(INSTR_FNS[fname].min_arity))
@@ -1512,3 +1539,113 @@ class TestAdjointArm:
         got, _ = _adjoint_outcomes("pow", "-=", layout, args)
         assert calls == [] and got == ("ok", _state(
             [GVar(-8.0, 1.0), Array([GVar(3.0, 6.0)], (1,)), 1, 2]))
+
+
+# --- paths that the other tests do not run ---------------------------------
+
+class TestLessTravelledPaths:
+    def test_neg_forward_uncall_and_gradient(self):
+        p = prog("fn f(x, y)\nNEG(x)\ny += x\nend")
+        assert run(p, "f", [1.5, 0.0]) == [-1.5, -1.5]
+        assert uncall(p, "f", [-1.5, -1.5]) == [1.5, 0.0]
+        out, grads = gradient(p, GradRequest("f", [1.5, 0.0]))
+        assert out == [-1.5, -1.5] and grads == {"x": -1.0, "y": 0.0}
+
+    def test_inc_and_dec_on_fixed_point(self):
+        p = prog("fn f(x)\nINC(x)\nINC(x)\nDEC(x)\nend")
+        x = Fixed.from_real(1.25)
+        assert run(p, "f", [x]) == [Fixed.from_real(2.25)]
+        assert uncall(p, "f", [Fixed.from_real(2.25)]) == [x]
+
+    @pytest.mark.parametrize("stmt, args, out", [
+        ("y += x |> addconst(2)", [0, 3], [5, 3]),
+        ("y += x |> mulconst(2)", [0, 3], [6, 3]),
+        ("x |> addconst(2) += y", [1, 3], [1, 4]),
+        ("x |> mulconst(2) += y", [2, 3], [2, 4]),
+        ("y += x |> addconst(0.5)", [Fixed.from_real(0), Fixed.from_real(1.5)],
+         [Fixed.from_real(2.0), Fixed.from_real(1.5)]),
+        ("y += x |> mulconst(2)", [Fixed.from_real(0), Fixed.from_real(1.5)],
+         [Fixed.from_real(3.0), Fixed.from_real(1.5)]),
+        ("x |> addconst(2) += y", [Fixed.from_real(1), Fixed.from_real(1.5)],
+         [Fixed.from_real(1), Fixed.from_real(2.5)]),
+        ("x |> mulconst(2) += y", [Fixed.from_real(1), Fixed.from_real(1.5)],
+         [Fixed.from_real(1), Fixed.from_real(2.0)]),
+    ])
+    def test_bijectors_on_int_and_fixed_cells(self, stmt, args, out):
+        p = prog(f"fn f(y, x)\n{stmt}\nend")
+        assert run(p, "f", list(args)) == out
+        assert uncall(p, "f", out) == args
+
+    @pytest.mark.parametrize("stmt, message", [
+        ("y += x |> mulconst(0.5)",
+         "mulconst produced a non-integer for an Int cell"),
+        ("x |> mulconst(2) += y",
+         "mulconst write-back needs an integer-divisible value"),
+    ])
+    def test_mulconst_on_an_int_needs_an_integer(self, stmt, message):
+        p = prog(f"fn f(y, x)\n{stmt}\nend")
+        with pytest.raises(KindError) as err:
+            run(p, "f", [1, 3])
+        assert err.value.message == message and err.value.span.line == 2
+
+    def test_or_in_a_condition(self):
+        p = prog("fn f(y, a, b)\nif (a > 1 || b > 1, ~)\ny += 1\nend\nend")
+        assert run(p, "f", [0, 0, 2]) == [1, 0, 2]
+        assert run(p, "f", [0, 0, 0]) == [0, 0, 0]
+        assert uncall(p, "f", [1, 0, 2]) == [0, 0, 2]
+
+    def test_bool_variable_as_a_condition(self):
+        p = prog("fn f(y, p)\nif (p, ~)\ny += 1\nend\nend")
+        assert run(p, "f", [0, True]) == [1, True]
+        assert run(p, "f", [0, False]) == [0, False]
+        with pytest.raises(KindError) as err:
+            run(p, "f", [0, 1])
+        assert err.value.message == "condition must be Bool, got int"
+        assert err.value.span.line == 2
+
+    def test_field_access_and_write_on_a_scalar(self):
+        p = prog("fn f(y, x)\ny += x.re\nend")
+        env = Frame()
+        env.bindings.update(y=0.0, x=1.5)
+        view = p.get("f").body.stmts[0].args[1]
+        for act, message in (
+                (lambda: run(p, "f", [0.0, 1.5]), "field access on float"),
+                (lambda: read_view(env, view), "field access on float"),
+                (lambda: write_view(env, view, 2.0), "field write on float")):
+            with pytest.raises(KindError) as err:
+                act()
+            assert err.value.message == message
+
+    def test_loop_variable_shadowing_a_binding(self):
+        p = prog("fn f(y, i)\nfor i = 1:3\ny += 1\nend\nend")
+        with pytest.raises(DuplicateBinding) as err:
+            run(p, "f", [0, 1])
+        assert err.value.message == \
+            "loop variable 'i' shadows an existing binding"
+
+    def test_complex_literal(self):
+        p = prog("fn f(y)\ny += 1.5 + 2.0im\nend")
+        assert run(p, "f", [Complex(0.0, 0.0)]) == [Complex(1.5, 2.0)]
+        f32 = ExecOptions(float_dtype=np.float32)
+        out = run(p, "f", [Complex(np.float32(0.0), np.float32(0.0))], f32)
+        assert out == [Complex(1.5, 2.0)] and type(out[0].re) is np.float32
+
+    @pytest.mark.parametrize("c, y", [(Complex(1.0, 2.0), 1),
+                                      (Complex(1.0, -2.0), 10)])
+    def test_complex_equality_in_a_condition(self, c, y):
+        p = prog("fn f(y, c)\nif (c == 1.0 + 2.0im, ~)\ny += 1\nend\n"
+                 "if (c != 1.0 + 2.0im, ~)\ny += 10\nend\nend")
+        assert run(p, "f", [0, c]) == [y, c]
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32])
+def test_every_bundled_function_lowers(dtype):
+    """Each function of the bundled programs, and its inverse, lowers in
+    both variants for both float types."""
+    programs = {id(p): p for p in map(load_example, CATALOG)}.values()
+    for p in programs:
+        unit = Interpreter(p, ExecOptions(float_dtype=dtype)).unit
+        names = [f.name for f in p]
+        assert set(unit.defs) == {*names, *map(inverse_name, names)}
+        for fname in unit.defs:
+            assert callable(unit[fname]) and callable(unit.gradient[fname])

@@ -9,10 +9,11 @@ import pytest
 from revlang import numerics
 from revlang.errors import (KindError, MissingAdjoint, RevDomainError,
                             RevLangError)
-from revlang.interpreter import ExecOptions, Interpreter
+from revlang.interpreter import ExecOptions, Interpreter, check_reversibility
 from revlang.ir import Block, FunctionDef, InstrCall, Param, Program, VarView
 from revlang.numerics import (INSTR_FNS, PrimitiveInstr, _plus_minus_plain,
                               apply_instr, invert_instr)
+from revlang.parser import parse_program
 from revlang.values import Complex, Dual, Fixed, GVar, ULog, to_real
 
 
@@ -343,3 +344,43 @@ class TestInstrRule:
                         runs += 1
         # the arm takes some updates and leaves the others to the rule
         assert 0 < len(fallbacks) < runs
+
+
+class TestBoolXor:
+    """`identity` passes a Bool through, so `xor=` updates a Bool target;
+    `+=` on one still points to `xor=`."""
+
+    def test_identity_keeps_a_bool(self):
+        assert numerics._fn_value("identity", [True]) is True
+        assert numerics.expr_fn("identity").apply(False) is False
+
+    @pytest.mark.parametrize("p, q", itertools.product((False, True),
+                                                       repeat=2))
+    @pytest.mark.parametrize("stmt", ["p xor= q", "XOR(p, q)"])
+    def test_xor_of_two_bools(self, stmt, p, q):
+        program = parse_program(f"fn f(p, q)\n{stmt}\nend")
+        out = Interpreter(program).run_function("f", [p, q])
+        assert out == [p ^ q, q] and type(out[0]) is bool
+        assert Interpreter(program).uncall_function("f", out) == [p, q]
+        assert check_reversibility(program, "f", [p, q]).ok
+
+    @pytest.mark.parametrize("p", [False, True])
+    def test_xor_with_a_literal(self, p):
+        program = parse_program("fn f(p)\np xor= true\nend")
+        assert Interpreter(program).run_function("f", [p]) == [not p]
+
+    def test_plus_on_a_bool_points_to_xor(self):
+        with pytest.raises(KindError, match="use xor="):
+            apply_instr(PI("+=", "identity"), [True, False])
+
+
+@pytest.mark.parametrize("name, args", [("neg", ()), ("addconst", (1.5,)),
+                                        ("mulconst", (2,))])
+@pytest.mark.parametrize("value", [GVar(1.0, 0.0), GVar(Dual(1.0, 1.0), 0.0),
+                                   Complex(GVar(1.0, 0.0), 0.0)])
+def test_bijectors_refuse_tracked_values(name, args, value):
+    bij = numerics.BIJECTORS[name]
+    for direction in (bij.fwd, bij.inv):
+        with pytest.raises(MissingAdjoint, match=f"bijector '{name}'"):
+            direction(value, args)
+    assert bij.inv(bij.fwd(3.0, args), args) == 3.0

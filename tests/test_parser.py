@@ -198,6 +198,7 @@ class TestScanner:
         (".\u0663", "unexpected character '\u0663'", 2),
         ("a ! b", "unexpected character '!'", 3),
         ("\t\tx $", "unexpected character '$'", 5),   # a tab is one column
+        ("y += 1e400fx", "fixed-point literal '1e400fx' is out of range", 6),
     ])
     def test_errors(self, text, message, col):
         with pytest.raises(RnlSyntaxError) as ei:
@@ -355,7 +356,7 @@ def _programs(draw):
     return "fn f(y, a, b, x)\n" + "\n".join(body) + "\nend\n"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(src=_programs())
 def test_generated_text_round_trip(src):
     program = parse_program(src)

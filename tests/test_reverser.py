@@ -121,6 +121,11 @@ class TestInvertFunction:
         f = load_example(name).get(entry_function(name))
         assert invert_function(invert_function(f)) == f
 
+    @pytest.mark.parametrize("step", ["0 - x", "-x", "x", "-2", "2 - x"])
+    def test_involution_on_loop_steps(self, step):
+        f = fn_of(f"fn t(y, x)\nfor i = 1:{step}:5\ny += 1\nend\nend")
+        assert invert_function(invert_function(f)) == f
+
     def test_inverse_multiplier_text(self):
         from revlang.ir import Program
         f = invert_function(load_example("multiplier").get("multiplier"))

@@ -35,7 +35,6 @@ class TestFixed:
         w = Fixed.from_real(123.456)
         assert (big + w) - w == big
 
-    @settings(deadline=None, derandomize=True, database=None)
     @given(fixeds, fixeds)
     def test_roundtrip_bit_exact(self, v, w):
         assert (v + w) - w == v
@@ -49,6 +48,11 @@ class TestFixed:
         assert Fixed.from_real(1.0) < Fixed.from_real(1.5)
         assert Fixed.from_real(-1.0) < Fixed.from_real(0.5)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308])
+    def test_a_value_it_cannot_hold_is_a_domain_error(self, x):
+        with pytest.raises(RevDomainError, match="fixed point cannot hold"):
+            Fixed.from_real(x)
+
 
 class TestULog:
     def test_cannot_be_zero(self):
@@ -61,7 +65,6 @@ class TestULog:
         v, w = ULog(2.0), ULog(3.0)
         assert ULog((v.log_x + w.log_x) - w.log_x) == v
 
-    @settings(deadline=None, derandomize=True, database=None)
     @given(dyadic_exponents, dyadic_exponents)
     def test_roundtrip_exact_on_dyadic_grid(self, a, b):
         # (v * w) / w in the log domain: exponent add then subtract
@@ -208,8 +211,7 @@ def _step_fits(step):
 
 
 class TestLeaves:
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              database=None)
+    @settings(max_examples=200)
     @given(v=nested_values, data=st.data())
     def test_leaf_model(self, v, data):
         found = list(leaves(v))
