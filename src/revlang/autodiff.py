@@ -12,9 +12,9 @@ the independent oracle.
 
 Each public call builds one Interpreter under the caller's options and
 runs every pass of the call on it: a pass whose arguments carry GVar
-values is a gradient pass. The program is validated, inverted and lowered
-once per float type and trace setting and kept with it, so repeated calls
-reuse that work.
+values is a gradient pass. The program is validated, expanded and
+inverted once, and lowered once per float type, trace setting and
+variant; it keeps that work, so repeated calls reuse it.
 A Jacobian shares a single forward pass among its rows. `jacobian`,
 `hessian` and `finite_difference` list their arguments' differentiable
 leaves once, as a table of (parameter index, name, path), and read every

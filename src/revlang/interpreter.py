@@ -18,9 +18,10 @@ error it raises. Check code runs when the flag `chk` is set: the
 interpreter's `invcheck`, passed on to callees, and False inside
 `@invcheckoff`, where none is emitted; alias checks always run. Every
 array cell is reached at the flat offset `_offset` computes, which raises
-what `Array.get` raises. A `+=`/`-=` gets an inline arm: for operands of
-the run's exact float type (`float`, or `float_dtype`) in the forward
-variant, and for binary64 GVars (`adjoint_arm`) in the gradient variant;
+what `Array.get` raises. A `+=`/`-=` gets an inline arm, emitted by
+`arm` for both variants: for operands of the run's exact float type
+(`float`, or `float_dtype`) in the forward variant, and for binary64
+GVars in the gradient variant; only its guard and update lines differ.
 `operands` decides which operands an arm can read. Every other case calls
 the generic rule, looked up as `numerics.apply_instr` when it runs, so
 each value kind keeps one semantics. Expressions call what
@@ -30,12 +31,13 @@ error there becomes `RevDomainError`. A compound statement nested deeper
 than CPython compiles in one function becomes a function of its own
 (`_Lowering.region`). The view helpers (`read_view`, `write_view`,
 `canonical_view_identity`) lower their view the same way, a Frame's
-bindings as locals.
+bindings as locals; they and the gradient variant alone emit `strip_gvar`.
 
-A Program keeps its units (`Program.compiled`, dropped by `Program.add`):
-the validated, expanded and inverted definitions and their lowered
-functions, one unit per float type and trace setting (the lowered code
-reads `invcheck`, `float_tolerance` and `max_steps` when it runs).
+A Program keeps (`Program.compiled`, dropped by `Program.add`) the
+definitions its first unit validates, expands and inverts, once, and
+its units, one per float type and trace setting, which lower them (the
+lowered code reads `invcheck`, `float_tolerance` and `max_steps` when
+it runs).
 """
 
 
@@ -64,7 +66,7 @@ from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, adjoint_accumulate,
                        carries_gvar, compare, expr_fn, strip_gvar,
                        unwrap_gvar, wrap_gvar)
-from .reverser import expand_routines, invert_function
+from .reverser import invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
                      is_bool, is_int, kind_name, values_close, worst_deviation)
 
@@ -320,12 +322,12 @@ _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
-    `unit` supplies the options the code depends on (`grad`: the gradient
-    variant); without a unit (the view helpers) the code has no checks,
-    fuel or trace."""
+    `unit`, a `_Variant`, supplies the options the code depends on
+    (`grad`: the gradient variant); without one (the view helpers) the
+    code has no checks, fuel or trace."""
 
-    def __init__(self, unit=None, float_dtype=None, grad=False):
-        self.unit, self.grad = unit, grad
+    def __init__(self, unit=None, float_dtype=None):
+        self.unit, self.grad = unit, unit is not None and unit.grad
         self.dtype = float_dtype if unit is None else unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -406,7 +408,7 @@ class _Lowering:
         """`f(I, chk, F, *args) -> args`: `F` is the run's fuel, an
         iterator that each statement executed takes one item from. Calls
         go to the callee's lowered function of the same variant."""
-        self.const(self.unit.gradient if self.grad else self.unit, "_fns")
+        self.const(self.unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
         self.body(fdef.body)
@@ -648,8 +650,7 @@ class _Lowering:
         primitive."""
         checks = _alias_pairs(views, [*pairs, *grad_pairs] if self.grad
                               else pairs)
-        arm = (self.adjoint_arm if self.grad else self.arm)(instr, views,
-                                                            checks)
+        arm = self.arm(instr, views, checks)
         reads = ", ".join(self.lit(v.value) if isinstance(v, Lit)
                           else self.read(v) for v in views)
         rule = f"numerics.apply_instr({self.const(instr)}, {{}})"
@@ -702,86 +703,73 @@ class _Lowering:
 
     def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
-        open its `else:`; returns whether it did."""
-        spec, fn = INSTR_FNS.get(instr.fname), _INLINE.get(instr.fname)
-        # the operands' types are checked, except the literals'; the
-        # value's too unless `fn` computes it from floats alone, but that
-        # check would precede the alias checks
-        exact = fn and all(type(v.value) is float for v in views
-                           if isinstance(v, Lit))
-        ops = self.operands(instr, views) if spec and spec.apply and (
-            exact or checks is None) else None
-        if ops is None:
-            return False
-        types = [f"type({read})" for _, read, _ in ops if read]
-        xs = [x for x, _, _ in ops[1:]]
-        value = fn.format(*xs) if fn else \
-            f"{self.const(spec.apply)}({', '.join(xs)})"
-        if not exact:
-            t = self.temp()
-            types.append(f"type({t} := {value})")
-            value = t
-        self.emit(f"if {self.float} is {' is '.join(types)}:")
-        self.depth += 1
-        self.alias_checks(views, checks)
-        sign = "+" if instr.kind == "+=" else "-"
-        self.emit(f"{ops[0][2]} = {ops[0][0]} {sign} ({value})")
-        self.depth -= 1
-        self.emit("else:")
-        self.depth += 1
-        return True
-
-    def adjoint_arm(self, instr, views, checks):
-        """`arm` for the gradient variant of a binary64 unit: a +=/-= of a
+        open its `else:`; returns whether it did. Forward: on operands of
+        the run's exact float type. Gradient, in a binary64 unit: for a
         function with `partials`, on a GVar target and arguments that are
-        GVars, floats or Ints (a GVar's `x` and `g` being floats). It
-        computes what `numerics._plus_minus_adjoint` does, and calls its
-        cotangent step `adjoint_accumulate` when a partial is None."""
-        spec = INSTR_FNS.get(instr.fname)
-        if spec is None or spec.partials is None or self.dtype is not None \
-                or not spec.min_arity < len(views) <= spec.max_arity + 1:
-            return False
-        ops = self.operands(instr, views)
+        GVars, floats or Ints (a GVar's `x` and `g` being floats), as
+        `numerics._plus_minus_adjoint` computes, calling its cotangent
+        step `adjoint_accumulate` when a partial is None."""
+        spec, fn = INSTR_FNS.get(instr.fname), _INLINE.get(instr.fname)
+        if self.grad:
+            exact = ok = spec and spec.partials and self.dtype is None
+        else:
+            # the operands' types are checked, except the literals'; the
+            # value's too unless `fn` computes it from floats alone, but
+            # that check would precede the alias checks
+            exact = fn and all(type(v.value) is float for v in views
+                               if isinstance(v, Lit))
+            ok = spec and spec.apply and (exact or checks is None)
+        ops = self.operands(instr, views) if ok else None
         if ops is None:
             return False
-        guards, xs = [], []   # xs: the arguments' primal values
-        for k, (o, ref, _) in enumerate(ops):
-            if ref is None:   # a literal
-                xs.append(o)
+        guards, xs = [], []   # xs: the operands' (primal) values
+        for k, (o, read, _) in enumerate(ops):
+            x = self.temp() if read and self.grad else o
+            xs.append(x)
+            if read is None:   # a literal
                 continue
-            x = self.temp()
-            if k == 0:   # the target, with its cotangent `gy`
-                y, yx, gy = o, x, self.temp()
-                guards.append(f"type({ref}) is GVar and type({x} := {o}.x) "
+            if not self.grad:
+                guards.append(f"type({read})")
+            elif k == 0:   # the target, with its cotangent `gy`
+                gy = self.temp()
+                guards.append(f"type({read}) is GVar and type({x} := {o}.x) "
                               f"is float and type({gy} := {o}.g) is float")
             else:
-                guards.append(f"(type({ref}) is GVar and type({x} := {o}.x) "
+                guards.append(f"(type({read}) is GVar and type({x} := {o}.x) "
                               f"is float and type({o}.g) is float or type("
                               f"{x} := {o}) is float or type({x}) is int)")
-                xs.append(x)
-        args = [o for o, _, _ in ops[1:]]
-        fn = _INLINE.get(instr.fname)
-        value = fn.format(*xs) if fn else \
-            f"{self.const(spec.apply)}({', '.join(xs)})"
-        self.emit(f"if {' and '.join(guards)}:")
+        value = fn.format(*xs[1:]) if fn else \
+            f"{self.const(spec.apply)}({', '.join(xs[1:])})"
+        if not exact:
+            t = self.temp()
+            guards.append(f"type({t} := {value})")
+            value = t
+        self.emit(f"if {' and '.join(guards)}:" if self.grad
+                  else f"if {self.float} is {' is '.join(guards)}:")
         self.depth += 1
         self.alias_checks(views, checks)
         sign = "+" if instr.kind == "+=" else "-"
-        self.emit(f"{y}.x = {yx} {sign} ({value})")
-        self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs)})")
-        # the rule's `sign * gy`, computed as it computes it
-        self.emit(f"_c = {'1.0' if sign == '-' else '-1.0'} * {gy}")
-        tracked = [(i, a) for i, (a, v) in enumerate(zip(args, views[1:]))
-                   if not isinstance(v, Lit)]
-        if tracked:
-            self.emit(f"if None in _p: adjoint_accumulate({instr.fname!r}, "
-                      f"({''.join(a + ', ' for a in args)}), _p, _c)")
-            self.emit("else:")
-            self.depth += 1
-            for i, a in tracked:
-                self.emit(f"if type({a}) is GVar: {a}.g = {a}.g + _c * "
-                          f"_p[{i}]")
-            self.depth -= 1
+        y, _, cell = ops[0]
+        if self.grad:
+            self.emit(f"{y}.x = {xs[0]} {sign} ({value})")
+            self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs[1:])})")
+            # the rule's `sign * gy`, computed as it computes it
+            self.emit(f"_c = {'1.0' if sign == '-' else '-1.0'} * {gy}")
+            args = [o for o, _, _ in ops[1:]]
+            tracked = [(i, o) for i, (o, read, _) in enumerate(ops[1:])
+                       if read]
+            if tracked:
+                self.emit(f"if None in _p: adjoint_accumulate("
+                          f"{instr.fname!r}, "
+                          f"({''.join(a + ', ' for a in args)}), _p, _c)")
+                self.emit("else:")
+                self.depth += 1
+                for i, a in tracked:
+                    self.emit(f"if type({a}) is GVar: {a}.g = {a}.g + _c * "
+                              f"_p[{i}]")
+                self.depth -= 1
+        else:
+            self.emit(f"{cell} = {y} {sign} ({value})")
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
@@ -907,8 +895,10 @@ class _Lowering:
     def expr(self, e):
         if isinstance(e, Lit):
             return self.lit(e.value)
-        if isinstance(e, ViewRef):
-            return f"strip_gvar({self.read(e.view)})"
+        if isinstance(e, ViewRef):   # a GVar reaches no forward variant
+            read = self.read(e.view)
+            return f"strip_gvar({read})" if self.unit is None or self.grad \
+                else read
         if isinstance(e, Un):    # unary minus
             return self.apply("neg", (e.operand,), e.span)
         if isinstance(e, Bin):
@@ -943,45 +933,41 @@ class _Lowering:
 # --- compiled units --------------------------------------------------------------
 
 class _Variant(dict):
-    """Maps a function's name to its lowered function in one variant of a
-    unit (forward, or gradient when `grad`), lowering it on first
-    lookup."""
+    """Maps a function's name to its lowered function for one float type
+    and trace setting, in the forward variant or, when `grad`, the
+    gradient variant, lowering it on first lookup. A forward variant is a
+    unit: it holds its gradient twin as `gradient`."""
 
-    def __init__(self, unit, grad):
+    def __init__(self, defs, trace, dtype, grad=False):
         super().__init__()
-        self.unit, self.grad = unit, grad
+        self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
+        if not grad:
+            self.gradient = _Variant(defs, trace, dtype, True)
 
     def __missing__(self, fname):
-        fdef = self.unit.defs.get(fname)
+        fdef = self.defs.get(fname)
         if fdef is None:
             raise UnknownFunction(f"no function named {fname!r}")
-        fn = self[fname] = _Lowering(self.unit, grad=self.grad).function(fdef)
+        fn = self[fname] = _Lowering(self).function(fdef)
         return fn
 
 
-class _Unit(_Variant):
-    """A Program validated, with its definitions expanded and inverted
-    once, lowered for one float type and trace setting. It is the forward
-    variant; `gradient` is the gradient variant."""
-
-    def __init__(self, program, opts):
-        super().__init__(self, False)
-        diags = validate(program)
-        if diags:
-            raise ValidationFailed(diags)
-        self.trace, self.dtype = opts.trace, opts.float_dtype
-        self.defs = {f.name: expand_routines(f) for f in program}
-        for fdef in list(self.defs.values()):
-            inv = invert_function(fdef)
-            self.defs.setdefault(inv.name, inv)
-        self.gradient = _Variant(self, True)
-
-
 def _unit(program, opts):
-    key = (opts.trace, opts.float_dtype)
-    if key not in program.compiled:
-        program.compiled[key] = _Unit(program, opts)
-    return program.compiled[key]
+    """`program`'s unit for `opts`; the first one also generates the inverse
+    of each expansion `validate` checked, for every unit to lower."""
+    compiled, key = program.compiled, (opts.trace, opts.float_dtype)
+    if key not in compiled:
+        defs = compiled.get("defs")
+        if defs is None:
+            diags = validate(program)
+            if diags:
+                raise ValidationFailed(diags)
+            defs = compiled["defs"] = dict(compiled["expanded"])
+            for fdef in compiled["expanded"].values():
+                inv = invert_function(fdef)
+                defs.setdefault(inv.name, inv)
+        compiled[key] = _Variant(defs, *key)
+    return compiled[key]
 
 
 # --- public view operations ------------------------------------------------

@@ -227,8 +227,9 @@ def inverse_name(name):
 
 class Program:
     """An ordered collection of function definitions. `compiled` holds
-    what the interpreter derives from them (validated and lowered units,
-    by float type and trace setting); `add` drops it."""
+    what is derived from them, and `add` drops it: `validate` keeps there
+    a valid program's routine expansions, the interpreter its inverses
+    and its lowered units, by float type and trace setting."""
 
     def __init__(self, functions=()):
         self.functions = {}
@@ -299,9 +300,13 @@ def _subviews(view):
 
 def validate(program):
     """Check program well-formedness; returns a list of Diagnostics (empty
-    when the program is valid). Pure: never raises for invalid input."""
+    when the program is valid); never raises for invalid input. A routine
+    is checked as what it expands to: a valid program keeps these
+    expansions (`compiled["expanded"]`) for the interpreter to lower."""
     from . import numerics, reverser  # deferred: reverser imports this module
 
+    expanded = program.compiled.get("expanded") or {
+        f.name: reverser.expand_routines(f) for f in program}
     diags = []
 
     def check_view(view):
@@ -439,7 +444,7 @@ def validate(program):
             case Block(stmts=stmts):
                 check_stmts(stmts)
 
-    for name in getattr(program, "duplicate_names", ()):
+    for name in program.duplicate_names:
         diags.append(Diagnostic(
             "DuplicateFunction", f"function {name!r} defined twice",
             program.get(name).span))
@@ -457,8 +462,10 @@ def validate(program):
                     "DuplicateParam",
                     f"parameter {p.name!r} repeated in {fdef.name!r}", p.span))
             pnames.add(p.name)
-        # a routine is checked as the statements it expands to
-        check_stmts(reverser.expand_routines(fdef).body.stmts)
+        check_stmts(expanded[fdef.name].body.stmts)
 
     # a routine's compute block and its replay share spans: report once
-    return list({(d.rule, d.message, d.span): d for d in diags}.values())
+    diags = list({(d.rule, d.message, d.span): d for d in diags}.values())
+    if not diags:
+        program.compiled["expanded"] = expanded
+    return diags

@@ -169,15 +169,18 @@ class Bijector:
         return self._valid(args) if self._valid else True
 
     def fwd(self, v, args):
-        return self._fwd(self._untracked(v), *args)
+        return self._fwd(self._held(v), *args)
 
     def inv(self, v, args):
-        return self._inv(self._untracked(v), *args)
+        return self._inv(self._held(v), *args)
 
-    def _untracked(self, v):
+    def _held(self, v):
         if _is_gvar_bearing(v):
             raise MissingAdjoint(f"no gradient rule for bijector "
                                  f"{self.name!r}")
+        if not (is_int(v) or is_float(v) or isinstance(v, Fixed)):
+            raise KindError(f"bijector {self.name!r} cannot view "
+                            f"{kind_name(v)}")
         return v
 
 

@@ -36,8 +36,8 @@ def asset_text(filename):
 
 def load_example(name):
     """Parse a catalog program (cached per asset file); returns the
-    Program. An Interpreter built from it validates and lowers it, once
-    per float type and trace setting."""
+    Program. The first Interpreter built from it validates, expands and
+    inverts it, once; each float type and trace setting lowers it once."""
     if name not in CATALOG:
         raise UnknownExample(f"no example named {name!r}; "
                              f"known: {', '.join(sorted(CATALOG))}")

@@ -487,3 +487,27 @@ def test_bijector_view_in_a_gradient_pass(tmp_path, capsys, cmd, bij, stmt):
     assert capsys.readouterr().err == (
         f"MissingAdjoint at {f}:2:1: no gradient rule for bijector "
         f"{name!r}\n")
+
+
+@pytest.mark.parametrize("cmd", ["run", "grad", "check"])
+@pytest.mark.parametrize("bij", ["neg", "addconst(1.5)", "mulconst(2)"])
+@pytest.mark.parametrize("stmt", ["y += x |> {}", "x |> {} += y"])
+@pytest.mark.parametrize("x, kind", [("true", "bool"), ("2.0ul", "ulog"),
+                                     ("1+2im", "complex"),
+                                     ("[1.0,2.0]", "array")])
+def test_bijector_view_of_a_kind_it_cannot_hold(tmp_path, capsys, cmd, bij,
+                                                 stmt, x, kind):
+    """A bijector views Int, Float and fixed-point values only: any other
+    kind, read or written, ends in KindError (exit 3), never in a
+    traceback."""
+    f = tmp_path / "a.rnl"
+    f.write_text(f"fn f(y, x)\n{stmt.format(bij)}\nend\n")
+    rc = main([cmd, str(f), "-f", "f", f"--args=0.5,{x}"])
+    assert rc == 3
+    out = capsys.readouterr()
+    error = (f"KindError at {f}:2:1: bijector {bij.split('(')[0]!r} "
+             f"cannot view {kind}")
+    if cmd == "check":
+        assert out.out == f"trial 0: FAILED ({error}), max deviation inf\n"
+    else:
+        assert out.err == error + "\n"

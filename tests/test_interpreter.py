@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from revlang import interpreter
+from revlang import interpreter, reverser
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
                             DuplicateBinding, FuelExhausted, IndexOutOfBounds,
                             KindError, LoopIteratorMutated,
@@ -679,7 +679,7 @@ end""")
             inv = invert_function(f)
             expected.setdefault(inv.name, expand_routines(inv))
         calls = []
-        monkeypatch.setattr(interpreter, "expand_routines",
+        monkeypatch.setattr(reverser, "expand_routines",
                             lambda f: calls.append(f) or expand_routines(f))
         defs = Interpreter(p).defs
         assert len(calls) == len(list(p))
@@ -1210,7 +1210,7 @@ class TestUnitCache:
         other = Interpreter(p, opts)
         assert other.unit is not base.unit
         assert Interpreter(p, opts).unit is other.unit
-        assert counts["validate"] == 2
+        assert counts["validate"] == 1
         x = np.float32(1.5) if opts.float_dtype else 1.5
         assert other.run_function("f", [x * 0, x]) == [x * 2, x]
 
@@ -1332,6 +1332,36 @@ class TestUnitCache:
                                                     GVar(1.5, -2.0)]
         assert sorted(interp.unit.gradient) == ["f", "g"]
         assert interp.unit == {}
+
+    def test_the_front_end_runs_once_per_program(self, counts, monkeypatch):
+        """Validation, routine expansion and the generated inverses are
+        made once per Program and shared by every unit and variant;
+        `Program.add` makes them again."""
+        made = {"expand": [], "invert": []}
+        expand, invert = reverser.expand_routines, interpreter.invert_function
+        monkeypatch.setattr(reverser, "expand_routines",
+                            lambda f: made["expand"].append(f.name)
+                            or expand(f))
+        monkeypatch.setattr(interpreter, "invert_function",
+                            lambda f: made["invert"].append(f.name)
+                            or invert(f))
+        p = prog("fn g(a, b)\na += b * 2.0\nend\nfn f(y, x)\n"
+                 "@routine begin\nn <- 0.0\nn += x\nend\ng(y, n)\n"
+                 "~@routine\nend")
+        f32 = np.float32
+        assert Interpreter(p).run_function("f", [0.0, 1.5]) == [3.0, 1.5]
+        assert Interpreter(p, ExecOptions(float_dtype=f32)).run_function(
+            "f", [f32(0.0), f32(1.5)]) == [f32(3.0), f32(1.5)]
+        assert Interpreter(p, ExecOptions(trace=True, trace_sink=[])) \
+            .uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
+        assert gradient(p, GradRequest("f", [0.0, 1.5]))[1]["x"] == 2.0
+        assert counts["validate"] == 1
+        assert made == {"expand": ["g", "f"], "invert": ["g", "f"]}
+        p.add(prog("fn h(y)\ny += 1.0\nend").get("h"))
+        assert Interpreter(p).run_function("h", [1.0]) == [2.0]
+        assert counts["validate"] == 2
+        assert made == {"expand": ["g", "f"] * 2 + ["h"],
+                        "invert": ["g", "f"] * 2 + ["h"]}
 
     def test_invalid_program_is_never_cached(self, counts):
         p = prog("fn f(x)\nn <- 0\nend")

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from revlang import numerics
+from revlang import cli, interpreter, ir, numerics
 from revlang.autodiff import GradRequest, gradient, hessian
 from revlang.interpreter import ExecOptions, Interpreter
 from revlang.parser import parse_program
 from revlang.values import Array, Complex, Fixed
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SELFTEST = TRACER.with_name("selftest.py")
 
 
 def traced_layers():
@@ -39,6 +40,27 @@ def test_every_traced_name_resolves():
             if not callable(obj):
                 missing.append(f"revlang.{layer}.{name}")
     assert not missing, missing
+
+
+def test_every_binding_the_selftest_reads_resolves():
+    """`perfbench/selftest.py` reads the bindings in its `originals` tuple
+    directly, so `--selftest` stops with an AttributeError when one is
+    gone. The `validate` each module calls is the one `ir` defines, which
+    the tracer wraps."""
+    tree = ast.parse(SELFTEST.read_text())
+    names = [ast.unparse(e) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and any(
+                 getattr(t, "id", None) == "originals" for t in node.targets)
+             for e in node.value.elts]
+    assert {"interpreter.validate", "cli.validate",
+            "interpreter.Interpreter.__init__"} <= set(names)
+    for name in names:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"revlang.{module}")
+        for part in path:
+            obj = getattr(obj, part)
+        assert callable(obj), name
+    assert interpreter.validate is cli.validate is ir.validate
 
 
 def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
