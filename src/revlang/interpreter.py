@@ -246,7 +246,7 @@ def _ancilla_residual(current, declared, tol, grad):
         return None
     try:
         return deviation(current, declared)
-    except (KindError, TypeError):
+    except KindError:
         return float("inf")
 
 

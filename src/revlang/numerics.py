@@ -15,9 +15,10 @@ call to an expression-only function (`EXPR_FNS`) or to the primal value
 of the instruction function, as `y += f(args)` computes it. The
 interpreter's adjoint arm (binary64 GVars) computes the +=/-= gradient
 rule with the partials of `INSTR_FNS` and, when a partial is None, the
-rule's own cotangent step, `adjoint_accumulate`. `wrap_gvar`,
-`unwrap_gvar` and `carries_gvar` act on a value's leaves as
-`values.map_leaves` and `values.leaves` find them.
+rule's own cotangent step, `adjoint_accumulate`, which rounds each step
+to the kind of the cotangent with `values.coerce_to_kind`. `wrap_gvar`
+and `unwrap_gvar` act on a value's leaves as `values.map_leaves` finds
+them; `carries_gvar` walks the parts of composites in `values._KINDS`.
 
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod
@@ -33,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KindError, MissingAdjoint, RevDomainError
-from .values import (Array, Complex, Dual, Fixed, GVar, ULog, is_bool,
-                     is_differentiable, is_float, is_int, kind_name, leaves,
-                     map_leaves, s_abs, s_atan2, s_cos, s_div, s_exp, s_log,
-                     s_pow, s_sin, s_sqrt, to_real, zero_like)
+from .values import (_KINDS, Array, Complex, Dual, Fixed, GVar, ULog,
+                     coerce_to_kind, is_bool, is_differentiable, is_float,
+                     is_int, kind_name, map_leaves, s_abs, s_atan2, s_cos,
+                     s_div, s_exp, s_log, s_pow, s_sin, s_sqrt, to_real,
+                     zero_like)
 
 INSTR_OPS = ("+=", "-=", "*=", "/=", "xor=")
 
@@ -284,16 +286,16 @@ def expr_fn(fname):
 # --- instruction application ---
 
 def _is_gvar_bearing(v):
-    if isinstance(v, GVar):
-        return True
-    if isinstance(v, Complex):
-        return isinstance(v.re, GVar) or isinstance(v.im, GVar)
-    return False
+    return type(v) is GVar or type(v) is Complex and carries_gvar(v)
 
 
 def carries_gvar(v):
-    """True when a value has a GVar leaf, i.e. it is being differentiated."""
-    return any(isinstance(x, GVar) for _, x in leaves(v))
+    """True when a value has a GVar leaf, i.e. it is being differentiated:
+    a walk of the parts of its composites (`values._KINDS`)."""
+    if type(v) is GVar:
+        return True
+    parts = _KINDS[type(v)].parts
+    return parts is not None and any(map(carries_gvar, parts(v)))
 
 
 def _arg_real(v):
@@ -445,25 +447,24 @@ def _prim_plain(kind, vals):
             return [x + Fixed.from_real(d)] if d > 0 else [x - Fixed.from_real(1)]
         raise KindError(f"{kind} on {kind_name(x)}")
     if kind in ("ROT", "IROT"):
-        a, b, theta = (to_real(v) for v in vals)
-        th = theta if kind == "ROT" else -theta
-        na, nb = _rotate(a, b, th)
+        a, b = _rotated(kind, vals[0], vals[1])
+        theta = to_real(vals[2])
+        na, nb = _rotate(a, b, theta if kind == "ROT" else -theta)
         return [na, nb, vals[2]]
     raise KindError(f"unknown primitive {kind}")
 
 
-# --- gradient rules ---
+def _rotated(kind, a, b):
+    """The two cells a rotation turns, which must be Float cells."""
+    for x in (a, b):
+        if not is_float(x):
+            raise KindError(f"{kind} on {kind_name(x)}")
+    return a, b
 
-def _g_accum(gv, delta):
-    """gv.g += delta, coercing the real-valued delta to the g field's kind."""
-    g = gv.g
-    if isinstance(g, Fixed):
-        gv.g = g + Fixed.from_real(float(delta))
-    elif isinstance(g, np.floating) and not isinstance(delta, Dual):
-        gv.g = g + type(g)(delta)
-    else:
-        gv.g = g + delta
-    return gv
+
+# --- gradient rules ---
+# a cotangent step `a.g += coerce_to_kind(a.g, delta)` rounds the real
+# delta to the kind of the g field
 
 
 def _plus_minus_adjoint(op, fname, vals):
@@ -484,9 +485,9 @@ def _plus_minus_adjoint(op, fname, vals):
             inner = a.x
             if isinstance(inner, ULog):
                 # d value / d exponent = value
-                _g_accum(a, sign * gy * s_exp(inner.log_x))
+                a.g += coerce_to_kind(a.g, sign * gy * s_exp(inner.log_x))
             else:
-                _g_accum(a, sign * gy)
+                a.g += coerce_to_kind(a.g, sign * gy)
         return vals
 
     spec = INSTR_FNS[fname]
@@ -497,9 +498,9 @@ def _plus_minus_adjoint(op, fname, vals):
         r = _COMPLEX_FNS[fname][0](a_re, a_im)
         dre, dim = _COMPLEX_FNS[fname][1](a_re, a_im, r)
         if isinstance(c.re, GVar):
-            _g_accum(c.re, sign * gy * dre)
+            c.re.g += coerce_to_kind(c.re.g, sign * gy * dre)
         if isinstance(c.im, GVar):
-            _g_accum(c.im, sign * gy * dim)
+            c.im.g += coerce_to_kind(c.im.g, sign * gy * dim)
         return vals
 
     if any(isinstance(strip_gvar(a), Complex) and _is_gvar_bearing(a)
@@ -523,7 +524,7 @@ def adjoint_accumulate(fname, args, parts, c):
             if p is None:
                 raise RevDomainError(
                     f"gradient of {fname!r} undefined at this point")
-            _g_accum(a, c * p)
+            a.g += coerce_to_kind(a.g, c * p)
 
 
 def _mul_div_adjoint(op, fname, vals):
@@ -538,10 +539,10 @@ def _mul_div_adjoint(op, fname, vals):
     (a,) = args
     if isinstance(a, GVar):
         if isinstance(a.x, ULog):
-            _g_accum(a, sign * gy)
+            a.g += coerce_to_kind(a.g, sign * gy)
         else:
             # exponent contribution is log(value(a))
-            _g_accum(a, sign * gy / to_real(a.x))
+            a.g += coerce_to_kind(a.g, sign * gy / to_real(a.x))
     return vals
 
 
@@ -549,7 +550,7 @@ def _rot_adjoint(kind, vals):
     a, b, theta = vals
     if not (isinstance(a, GVar) and isinstance(b, GVar)):
         raise MissingAdjoint("gradient pass reached a rotation on untracked cells")
-    ax, bx = to_real(a.x), to_real(b.x)
+    ax, bx = _rotated(kind, a.x, b.x)
     ga, gb = to_real(a.g), to_real(b.g)
     if kind == "IROT":
         # reverse of a forward rotation by theta
@@ -560,19 +561,13 @@ def _rot_adjoint(kind, vals):
         th_delta = bx * ga - ax * gb
         back = 1
     if isinstance(theta, GVar):
-        _g_accum(theta, th_delta)
+        theta.g += coerce_to_kind(theta.g, th_delta)
     th = to_real(theta.x if isinstance(theta, GVar) else theta)
     na, nb = _rotate(ax, bx, back * th)
     nga, ngb = _rotate(ga, gb, back * th)
-    a.x, b.x = _retype(a.x, na), _retype(b.x, nb)
-    a.g, b.g = _retype(a.g, nga), _retype(b.g, ngb)
+    a.x, b.x = coerce_to_kind(a.x, na), coerce_to_kind(b.x, nb)
+    a.g, b.g = coerce_to_kind(a.g, nga), coerce_to_kind(b.g, ngb)
     return vals
-
-
-def _retype(template, v):
-    if isinstance(template, np.floating) and not isinstance(v, Dual):
-        return type(template)(v)
-    return v
 
 
 def _neg_adjoint(vals):

@@ -7,6 +7,14 @@ Gradient and tangent carriers: GVar (value + cotangent) and Dual
 (value + tangent). GVar wraps scalar leaves only; composites hold wrapped
 leaves inside.
 
+Each kind lives in one record of `_KINDS`, found by a value's exact type:
+`kind_name`, `to_real`, `zero_like`, `is_differentiable`, `is_int`,
+`is_float`, the leaf copy and `coerce_to_kind` read it, and `deviation`
+and `values_close` walk the `parts` it gives composites and GVars, with
+one rule for a pair of leaves. A type with no record of its own (np.float64,
+np.int32, a subclass) takes the record of its nearest base in its MRO,
+once; `object` holds the record of a value the table does not know.
+
 Leaf traversal lives here (`map_leaves`, `leaves`, `get_leaf`,
 `set_leaf`); `deep_copy`, the GVar wrappers in `numerics` and autodiff's
 walkers are built on it.
@@ -95,9 +103,7 @@ class Fixed:
 
 
 def _coerce_fixed(v):
-    if isinstance(v, Fixed):
-        return v
-    if isinstance(v, (int, float)):
+    if isinstance(v, (Fixed, int, float)):
         return Fixed.from_real(v)
     raise KindError(f"cannot mix Fixed with {type(v).__name__}")
 
@@ -174,10 +180,7 @@ class Array:
     def __init__(self, data, shape):
         self.data = data
         self.shape = tuple(shape)
-        n = 1
-        for s in self.shape:
-            n *= s
-        if len(data) != n:
+        if len(data) != math.prod(self.shape):
             raise KindError(f"array data length {len(data)} != shape {shape}")
 
     @classmethod
@@ -369,22 +372,16 @@ def s_sqrt(x):
             raise RevDomainError("sqrt tangent undefined at <= 0")
         r = s_sqrt(x.primal)
         return Dual(r, x.tangent / (2.0 * r))
-    if isinstance(x, np.floating):
-        if x < 0:
-            raise RevDomainError(f"sqrt of negative value {x}")
-        return np.sqrt(x)
     if x < 0:
         raise RevDomainError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.floating) else math.sqrt(x)
 
 
 def s_exp(x):
     if isinstance(x, Dual):
         r = s_exp(x.primal)
         return Dual(r, x.tangent * r)
-    if isinstance(x, np.floating):
-        return np.exp(x)
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.floating) else math.exp(x)
 
 
 def s_log(x):
@@ -392,9 +389,7 @@ def s_log(x):
         return Dual(s_log(x.primal), x.tangent / x.primal)
     if not x > 0:
         raise RevDomainError(f"log of non-positive value {x}")
-    if isinstance(x, np.floating):
-        return np.log(x)
-    return math.log(x)
+    return np.log(x) if isinstance(x, np.floating) else math.log(x)
 
 
 def s_sin(x):
@@ -452,67 +447,118 @@ def s_pow(a, b):
 def s_div(a, b):
     if _prim(b) == 0:
         raise RevDomainError("division by zero")
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)) \
-            and not isinstance(a, bool) and not isinstance(b, bool):
+    if is_int(a) and is_int(b):
         q, r = divmod(a, b)
         return q if r == 0 else a / b
     return a / b
 
 
-# --- kind helpers ---
+# --- the kind table (see the module docstring) ---
+
+class _Kind:
+    """One kind of value: its kind_name (`name`, "" for the type's own);
+    its real content, a zero of its kind, a copy of a mutable leaf and a
+    real rounded to its kind (`real`, `zero`, `copy`, `coerce`; None where
+    it has none); whether it carries a gradient (`diff`). Composites and
+    GVars are made of `parts`, compared pairwise when their `layout`
+    agrees; two leaves compare when they share a `gap` (their distance),
+    within a tolerance when both are `tolerant`, by == otherwise."""
+
+    __slots__ = ("name", "diff", "tolerant", "real", "zero", "copy",
+                 "coerce", "gap", "parts", "layout")
+
+    def __init__(self, name, diff=False, tolerant=False, **fields):
+        self.name, self.diff, self.tolerant = name, diff, tolerant
+        for slot in self.__slots__[3:]:
+            setattr(self, slot, fields.get(slot))
+
+
+class _Table(dict):
+    def __missing__(self, t):
+        kind = self[t] = next(self[base] for base in t.__mro__ if base in self)
+        return kind
+
+
+def _float_distance(a, b):
+    """|a - b| as a float; 0 for equal values, infinities included. The gap
+    of real kinds, and of values the table does not know (read by float())."""
+    try:
+        fa, fb = float(_prim(a)), float(_prim(b))
+    except TypeError:
+        raise KindError(f"deviation of {kind_name(a)} and "
+                        f"{kind_name(b)}") from None
+    return 0.0 if fa == fb else abs(fa - fb)
+
+
+_INT = _Kind("int", real=lambda v: v, zero=lambda v: 0,
+             coerce=lambda t, x: x if is_int(x) else round(float(x)),
+             gap=_float_distance)
+_BOOL = _Kind("bool", real=int, coerce=lambda t, x: bool(x),
+              gap=lambda a, b: 0.0 if a == b else 1.0)
+_FLOAT_FIELDS = dict(real=lambda v: v, diff=True, gap=_float_distance,
+                     tolerant=True)
+
+_KINDS = _Table({
+    int: _INT,
+    np.integer: _INT,
+    bool: _BOOL,
+    float: _Kind("float", zero=lambda v: 0.0, coerce=lambda t, x: float(x),
+                 **_FLOAT_FIELDS),
+    np.floating: _Kind("float", zero=lambda v: type(v)(0.0),
+                       coerce=lambda t, x: type(t)(x), **_FLOAT_FIELDS),
+    Dual: _Kind("float", zero=lambda v: Dual(zero_like(v.primal),
+                                             zero_like(v.primal)),
+                copy=lambda v: Dual(v.primal, v.tangent),
+                coerce=lambda t, x: Dual(x, 0.0), **_FLOAT_FIELDS),
+    Fixed: _Kind("fixed", real=Fixed.to_float, zero=lambda v: Fixed(0),
+                 coerce=lambda t, x: Fixed.from_real(float(_prim(x))),
+                 diff=True, gap=lambda a, b: abs(a.raw - b.raw) / _SCALE),
+    # the zero is an exponent-space cotangent, which must hold zero
+    ULog: _Kind("ulog", real=ULog.to_float, zero=lambda v: zero_like(v.log_x),
+                diff=True, gap=lambda a, b: _float_distance(a.log_x, b.log_x),
+                tolerant=True),
+    Complex: _Kind("complex", parts=lambda v: (v.re, v.im)),
+    Array: _Kind("array", parts=lambda v: v.data, layout=lambda v: v.shape),
+    # fields pair up by name, whatever their order
+    Record: _Kind("record", parts=lambda v: [v.fields()[k]
+                                             for k in sorted(v.fields())],
+                  layout=lambda v: v.fields().keys()),
+    GVar: _Kind("gvar", real=lambda v: to_real(v.x),
+                copy=lambda v: GVar(_copy_leaf(v.x), _copy_leaf(v.g)),
+                parts=lambda v: (v.x, v.g)),
+    object: _Kind("", gap=_float_distance),
+})
+
 
 def is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return _KINDS[type(v)] is _INT
 
 
 def is_bool(v):
-    return isinstance(v, bool)
+    return _KINDS[type(v)] is _BOOL
 
 
 def is_float(v):
-    return isinstance(v, (float, np.floating)) or isinstance(v, Dual)
+    return _KINDS[type(v)].name == "float"
 
 
 def is_differentiable(v):
     """A leaf that carries a gradient: Float (Dual included), Fixed or ULog."""
-    return isinstance(v, (float, np.floating, Dual, Fixed, ULog))
+    return _KINDS[type(v)].diff
 
 
 def kind_name(v):
-    if isinstance(v, GVar):
+    if type(v) is GVar:
         return "gvar[" + kind_name(v.x) + "]"
-    if is_bool(v):
-        return "bool"
-    if is_int(v):
-        return "int"
-    if is_float(v):
-        return "float"
-    if isinstance(v, Fixed):
-        return "fixed"
-    if isinstance(v, ULog):
-        return "ulog"
-    if isinstance(v, Complex):
-        return "complex"
-    if isinstance(v, Array):
-        return "array"
-    if isinstance(v, Record):
-        return "record"
-    return type(v).__name__
+    return _KINDS[type(v)].name or type(v).__name__
 
 
 def to_real(v):
     """Numeric (real) content of a scalar value; Duals stay Dual."""
-    if isinstance(v, GVar):
-        return to_real(v.x)
-    if isinstance(v, Fixed):
-        return v.to_float()
-    if isinstance(v, ULog):
-        return v.to_float()
-    if is_bool(v):
-        return int(v)
-    if is_int(v) or is_float(v):
-        return v
-    raise KindError(f"expected a scalar, got {kind_name(v)}")
+    real = _KINDS[type(v)].real
+    if real is None:
+        raise KindError(f"expected a scalar, got {kind_name(v)}")
+    return real(v)
 
 
 # --- leaves ---
@@ -576,11 +622,8 @@ def set_leaf(v, path, new):
 
 
 def _copy_leaf(v):
-    if isinstance(v, GVar):
-        return GVar(_copy_leaf(v.x), _copy_leaf(v.g))
-    if isinstance(v, Dual):
-        return Dual(v.primal, v.tangent)
-    return v  # scalars are immutable
+    copy = _KINDS[type(v)].copy
+    return v if copy is None else copy(v)   # other scalars are immutable
 
 
 def deep_copy(v):
@@ -589,20 +632,10 @@ def deep_copy(v):
 
 def zero_like(v):
     """A zero of the same scalar kind (used for fresh gradient fields)."""
-    if isinstance(v, Dual):
-        return Dual(zero_like(v.primal), zero_like(v.primal))
-    if isinstance(v, np.floating):
-        return type(v)(0.0)
-    if isinstance(v, Fixed):
-        return Fixed(0)
-    if isinstance(v, ULog):
-        # exponent-space cotangent; must be able to represent zero
-        return zero_like(v.log_x)
-    if is_float(v):
-        return 0.0
-    if is_int(v):
-        return 0
-    raise KindError(f"no zero for kind {kind_name(v)}")
+    zero = _KINDS[type(v)].zero
+    if zero is None:
+        raise KindError(f"no zero for kind {kind_name(v)}")
+    return zero(v)
 
 
 def worst_deviation(ds):
@@ -612,85 +645,55 @@ def worst_deviation(ds):
     return math.nan if any(d != d for d in ds) else max(ds, default=0.0)
 
 
+def _compared(a, b):
+    """(leaf of `a`, leaf of `b` in its place, their gap, whether it is
+    tolerant) for each pair of corresponding leaves in order, walking the
+    parts of composites and GVars; KindError where the two differ in kind
+    or layout, or two leaves share no gap."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        ka = _KINDS[type(a)]
+        kb = ka if type(b) is type(a) else _KINDS[type(b)]
+        if ka.parts is None and kb.parts is None and ka.gap is kb.gap:
+            yield a, b, ka.gap, ka.tolerant and kb.tolerant
+        elif ka is not kb:
+            raise KindError(f"deviation of {kind_name(a)} and {kind_name(b)}")
+        elif ka.layout is not None and ka.layout(a) != ka.layout(b):
+            raise KindError(f"deviation of differently shaped {ka.name}s")
+        else:
+            todo += zip(reversed(ka.parts(a)), reversed(ka.parts(b)))
+
+
 def deviation(a, b):
-    """Max componentwise |a - b| between two structurally equal values."""
-    if isinstance(a, GVar) and isinstance(b, GVar):
-        return worst_deviation((deviation(a.x, b.x), deviation(a.g, b.g)))
-    if isinstance(a, Complex) and isinstance(b, Complex):
-        return worst_deviation((deviation(a.re, b.re), deviation(a.im, b.im)))
-    if isinstance(a, Array) and isinstance(b, Array):
-        if a.shape != b.shape:
-            raise KindError("deviation of differently shaped arrays")
-        return worst_deviation(map(deviation, a.data, b.data))
-    if isinstance(a, Record) and isinstance(b, Record):
-        fa, fb = a.fields(), b.fields()
-        if fa.keys() != fb.keys():
-            raise KindError("deviation of differently shaped records")
-        return worst_deviation(deviation(fa[k], fb[k]) for k in fa)
-    if isinstance(a, ULog) and isinstance(b, ULog):
-        return _float_distance(a.log_x, b.log_x)
-    if isinstance(a, Fixed) and isinstance(b, Fixed):
-        return abs(a.raw - b.raw) / _SCALE
-    if is_bool(a) != is_bool(b):
-        raise KindError("deviation of a bool and a non-bool")
-    if is_bool(a):
-        return 0.0 if a == b else 1.0
-    return _float_distance(a, b)
-
-
-def _float_distance(a, b):
-    """|a - b| as a float; 0 for equal values, infinities included."""
-    fa, fb = float(_prim(a)), float(_prim(b))
-    return 0.0 if fa == fb else abs(fa - fb)
+    """Max componentwise |a - b| between two structurally equal values;
+    KindError for two values it cannot compare."""
+    return worst_deviation(gap(x, y) for x, y, gap, _ in _compared(a, b))
 
 
 def values_close(a, b, float_tol):
     """Componentwise equality: exact for discrete kinds, within float_tol
     for float-backed kinds (Float, ULog exponents). Equal values are close,
-    infinities included; NaN is close to nothing."""
+    infinities included; NaN is close to nothing, and neither are values
+    `deviation` cannot compare."""
     if type(a) is float and type(b) is float:
         return a == b or abs(a - b) <= float_tol
-    if isinstance(a, GVar) or isinstance(b, GVar):
-        if not (isinstance(a, GVar) and isinstance(b, GVar)):
-            return False
-        return values_close(a.x, b.x, float_tol) and values_close(a.g, b.g, float_tol)
-    if isinstance(a, Complex) and isinstance(b, Complex):
-        return (values_close(a.re, b.re, float_tol)
-                and values_close(a.im, b.im, float_tol))
-    if isinstance(a, Array) and isinstance(b, Array):
-        return a.shape == b.shape and all(
-            values_close(x, y, float_tol) for x, y in zip(a.data, b.data))
-    if isinstance(a, Record) and isinstance(b, Record):
-        fa, fb = a.fields(), b.fields()
-        return fa.keys() == fb.keys() and all(
-            values_close(fa[k], fb[k], float_tol) for k in fa)
-    if isinstance(a, ULog) and isinstance(b, ULog):
-        return _float_distance(a.log_x, b.log_x) <= float_tol
-    if isinstance(a, Fixed) or isinstance(b, Fixed):
-        return isinstance(a, Fixed) and isinstance(b, Fixed) and a.raw == b.raw
-    if is_bool(a) or is_bool(b):
-        return is_bool(a) and is_bool(b) and a == b
-    if is_int(a) and is_int(b):
-        return a == b
-    if is_float(a) and is_float(b):
-        return _float_distance(a, b) <= float_tol
-    return a == b
+    try:
+        for x, y, gap, tolerant in _compared(a, b):
+            if not (x == y or tolerant and gap(x, y) <= float_tol):
+                return False
+    except KindError:
+        return False
+    return True
 
 
 def coerce_to_kind(template, x):
-    """Round a computed real to the kind of `template` (deterministically)."""
-    if isinstance(template, Fixed):
-        return Fixed.from_real(float(_prim(x)))
-    if isinstance(template, Dual) or isinstance(x, Dual):
-        return _as_dual(x)
-    if isinstance(template, np.floating):
-        return type(template)(x)
-    if is_float(template):
-        return float(x)
-    if is_bool(template):
-        return bool(x)
-    if is_int(template):
-        if is_int(x):
-            return x
-        return round(float(x))
-    raise KindError(f"cannot coerce to kind {kind_name(template)}")
+    """Round a computed real to the kind of `template` (deterministically).
+    A Dual stays a Dual, but in a fixed-point template, which holds no
+    tangent."""
+    kind = _KINDS[type(template)]
+    if type(x) is Dual and type(template) is not Fixed:
+        return x
+    if kind.coerce is None:
+        raise KindError(f"cannot coerce to kind {kind_name(template)}")
+    return kind.coerce(template, x)

@@ -511,3 +511,26 @@ def test_bijector_view_of_a_kind_it_cannot_hold(tmp_path, capsys, cmd, bij,
         assert out.out == f"trial 0: FAILED ({error}), max deviation inf\n"
     else:
         assert out.err == error + "\n"
+
+
+@pytest.mark.parametrize("cmd", ["run", "check", "grad"])
+@pytest.mark.parametrize("prim", ["ROT", "IROT"])
+@pytest.mark.parametrize("cells, kind", [
+    ("1,2", "int"), ("true,false", "bool"), ("1fx,2fx", "fixed"),
+    ("1ul,2ul", "ulog")])
+def test_rotation_of_a_cell_that_is_not_float(tmp_path, capsys, cmd, prim,
+                                              cells, kind):
+    """ROT and IROT turn Float cells only: an Int, Bool, fixed-point or
+    logarithmic cell ends in KindError (exit 3), never in a silent change
+    of kind or a traceback."""
+    f = tmp_path / "rot.rnl"
+    f.write_text(f"fn f(a, b, t)\n{prim}(a, b, t)\nend\n")
+    rc = main([cmd, str(f), "-f", "f", "-a", f"{cells},0.5"])
+    assert rc == 3
+    out = capsys.readouterr()
+    error = f"KindError at {f}:2:1: {prim} on {kind}"
+    if cmd == "check":
+        assert out.out == f"trial 0: FAILED ({error}), max deviation inf\n"
+    else:
+        assert out.err == error + "\n"
+    assert "Traceback" not in out.out + out.err

@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revlang.autodiff import leaf_paths
-from revlang.errors import RevDomainError
+from revlang.errors import KindError, RevDomainError
 from revlang.numerics import carries_gvar, unwrap_gvar, wrap_gvar
 from revlang.values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
-                            deep_copy, deviation, get_leaf, leaves,
-                            map_leaves, s_atan2, s_exp, s_log, s_pow, s_sqrt,
-                            set_leaf, values_close, zero_like)
+                            coerce_to_kind, deep_copy, deviation, get_leaf,
+                            is_differentiable, is_float, is_int, kind_name,
+                            leaves, map_leaves, s_atan2, s_exp, s_log, s_pow,
+                            s_sqrt, set_leaf, to_real, values_close,
+                            zero_like)
 
 fixeds = st.integers(min_value=-(2**63), max_value=2**63 - 1).map(Fixed)
 
@@ -212,6 +215,13 @@ def _step_fits(step):
 
 class TestLeaves:
     @settings(max_examples=200)
+    @given(v=nested_values)
+    def test_carries_gvar_finds_a_gvar_leaf(self, v):
+        for value in (v, wrap_gvar(v)):
+            assert carries_gvar(value) == any(
+                type(x) is GVar for _, x in leaves(value))
+
+    @settings(max_examples=200)
     @given(v=nested_values, data=st.data())
     def test_leaf_model(self, v, data):
         found = list(leaves(v))
@@ -246,3 +256,145 @@ class TestLeaves:
         assert not carries_gvar(v)
         assert leaf_paths(mixed) == leaf_paths(v)
         assert unwrap_gvar(mixed) == v
+
+
+# --- the kind matrix: one sample of each registered kind, some subtypes the
+# table does not list, and None, with every answer pinned ---
+
+SAMPLES = {
+    "int": 2, "bool": True, "float": 2.0, "float32": np.float32(1.0),
+    "int64": np.int64(2), "fixed": Fixed.from_real(2.0),
+    "ulog": ULog.from_real(1.0), "complex": Complex(1.0, -1.0),
+    "array": Array.vector([1.0, 2.0]), "record": Record(a=1, b=2.0),
+    "gvar": GVar(0.5, 0.0), "dual": Dual(2.0, 1.0), "int32": np.int32(1),
+    "float16": np.float16(1.5), "bool_": np.bool_(True), "none": None,
+}
+
+COERCED = (7, -2.5, Dual(1.5, 1.0))
+
+# kind_name, to_real, zero_like, is_differentiable, is_int, is_float and
+# coerce_to_kind(sample, x) for each x of COERCED; a result is written as
+# its type and repr, an error by its type
+KINDS = {
+    "int": ("int", "int 2", "int 0", False, True, False,
+            ("int 7", "int -2", "Dual Dual(1.5, 1.0)")),
+    "bool": ("bool", "int 1", "KindError", False, False, False,
+             ("bool True", "bool True", "Dual Dual(1.5, 1.0)")),
+    "float": ("float", "float 2.0", "float 0.0", True, False, True,
+              ("float 7.0", "float -2.5", "Dual Dual(1.5, 1.0)")),
+    "float32": ("float", "float32 np.float32(1.0)",
+                "float32 np.float32(0.0)", True, False, True,
+                ("float32 np.float32(7.0)", "float32 np.float32(-2.5)",
+                 "Dual Dual(1.5, 1.0)")),
+    "int64": ("int", "int64 np.int64(2)", "int 0", False, True, False,
+              ("int 7", "int -2", "Dual Dual(1.5, 1.0)")),
+    "fixed": ("fixed", "float 2.0", "Fixed Fixed(0.0)", True, False, False,
+              ("Fixed Fixed(7.0)", "Fixed Fixed(-2.5)", "Fixed Fixed(1.5)")),
+    "ulog": ("ulog", "float 1.0", "float 0.0", True, False, False,
+             ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "complex": ("complex", "KindError", "KindError", False, False, False,
+                ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "array": ("array", "KindError", "KindError", False, False, False,
+              ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "record": ("record", "KindError", "KindError", False, False, False,
+               ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "gvar": ("gvar[float]", "float 0.5", "KindError", False, False, False,
+             ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "dual": ("float", "Dual Dual(2.0, 1.0)", "Dual Dual(0.0, 0.0)", True,
+             False, True,
+             ("Dual Dual(7, 0.0)", "Dual Dual(-2.5, 0.0)",
+              "Dual Dual(1.5, 1.0)")),
+    "int32": ("int", "int32 np.int32(1)", "int 0", False, True, False,
+              ("int 7", "int -2", "Dual Dual(1.5, 1.0)")),
+    "float16": ("float", "float16 np.float16(1.5)",
+                "float16 np.float16(0.0)", True, False, True,
+                ("float16 np.float16(7.0)", "float16 np.float16(-2.5)",
+                 "Dual Dual(1.5, 1.0)")),
+    "bool_": ("bool", "KindError", "KindError", False, False, False,
+              ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+    "none": ("NoneType", "KindError", "KindError", False, False, False,
+             ("KindError", "KindError", "Dual Dual(1.5, 1.0)")),
+}
+
+# values_close(row, column, 1e-9), rows and columns in SAMPLES order
+CLOSE = """
+T F T F T F F F F F F T F F F F
+F T F F F F F F F F F F F F F F
+T F T F T F F F F F F T F F F F
+F F F T F F F F F F F F T F T F
+T F T F T F F F F F F T F F F F
+F F F F F T F F F F F F F F F F
+F F F F F F T F F F F F F F F F
+F F F F F F F T F F F F F F F F
+F F F F F F F F T F F F F F F F
+F F F F F F F F F T F F F F F F
+F F F F F F F F F F T F F F F F
+T F T F T F F F F F F T F F F F
+F F F T F F F F F F F F T F T F
+F F F F F F F F F F F F F T F F
+F F F T F F F F F F F F T F T F
+F F F F F F F F F F F F F F F T
+"""
+
+# deviation(row, column): the float, or K for a KindError
+DEVIATION = """
+0.0   K 0.0 1.0 0.0   K   K   K   K   K   K 0.0 1.0 0.5 1.0   K
+  K 0.0   K   K   K   K   K   K   K   K   K   K   K   K   K   K
+0.0   K 0.0 1.0 0.0   K   K   K   K   K   K 0.0 1.0 0.5 1.0   K
+1.0   K 1.0 0.0 1.0   K   K   K   K   K   K 1.0 0.0 0.5 0.0   K
+0.0   K 0.0 1.0 0.0   K   K   K   K   K   K 0.0 1.0 0.5 1.0   K
+  K   K   K   K   K 0.0   K   K   K   K   K   K   K   K   K   K
+  K   K   K   K   K   K 0.0   K   K   K   K   K   K   K   K   K
+  K   K   K   K   K   K   K 0.0   K   K   K   K   K   K   K   K
+  K   K   K   K   K   K   K   K 0.0   K   K   K   K   K   K   K
+  K   K   K   K   K   K   K   K   K 0.0   K   K   K   K   K   K
+  K   K   K   K   K   K   K   K   K   K 0.0   K   K   K   K   K
+0.0   K 0.0 1.0 0.0   K   K   K   K   K   K 0.0 1.0 0.5 1.0   K
+1.0   K 1.0 0.0 1.0   K   K   K   K   K   K 1.0 0.0 0.5 0.0   K
+0.5   K 0.5 0.5 0.5   K   K   K   K   K   K 0.5 0.5 0.0 0.5   K
+1.0   K 1.0 0.0 1.0   K   K   K   K   K   K 1.0 0.0 0.5 0.0   K
+  K   K   K   K   K   K   K   K   K   K   K   K   K   K   K   K
+"""
+
+
+def _outcome(f):
+    try:
+        r = f()
+    except KindError:
+        return "KindError"
+    return f"{type(r).__name__} {r!r}"
+
+
+def _grid(text):
+    rows = text.strip().splitlines()
+    return dict(zip(SAMPLES, (row.split() for row in rows)))
+
+
+class TestKindMatrix:
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_kind_questions(self, name):
+        v = SAMPLES[name]
+        assert (kind_name(v), _outcome(lambda: to_real(v)),
+                _outcome(lambda: zero_like(v)), is_differentiable(v),
+                is_int(v), is_float(v),
+                tuple(_outcome(lambda: coerce_to_kind(v, x))
+                      for x in COERCED)) == KINDS[name]
+        copy = deep_copy(v)
+        assert copy == v or v is None or is_float(v) and v != v
+        # composites, GVar and Dual values are mutable, and so copied
+        assert (copy is v) == (type(v) not in (Array, Complex, Dual, GVar,
+                                               Record))
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_pairs(self, name):
+        a = SAMPLES[name]
+        close, dev = _grid(CLOSE)[name], _grid(DEVIATION)[name]
+        for b, want_close, want_dev in zip(SAMPLES.values(), close, dev):
+            got = values_close(a, b, 1e-9)
+            assert type(got) is bool and got == (want_close == "T")
+            if want_dev == "K":
+                with pytest.raises(KindError):
+                    deviation(a, b)
+            else:
+                d = deviation(a, b)
+                assert type(d) is float and d == float(want_dev)
