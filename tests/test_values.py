@@ -1,12 +1,17 @@
+import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revlang.autodiff import leaf_paths
+from revlang.cli import _jitter, encode_value
 from revlang.errors import KindError, RevDomainError
-from revlang.numerics import carries_gvar, unwrap_gvar, wrap_gvar
+from revlang.numerics import (BIJECTORS, PrimitiveInstr, apply_instr,
+                              carries_gvar, compare, unwrap_gvar, wrap_gvar)
 from revlang.values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
                             coerce_to_kind, deep_copy, deviation, get_leaf,
                             is_differentiable, is_float, is_int, kind_name,
@@ -398,3 +403,66 @@ class TestKindMatrix:
             else:
                 d = deviation(a, b)
                 assert type(d) is float and d == float(want_dev)
+
+
+# --- the generic rule's kind matrix: instructions, comparisons, bijectors
+# and the CLI's encoding and sampling over SAMPLES; the outcomes are
+# pinned in kind_matrix.txt, one `case => outcome` line each, in the order
+# `_generic_cases` makes them ---
+
+MATRIX = Path(__file__).with_name("kind_matrix.txt")
+
+BIJECTOR_ARGS = (("neg", ()), ("addconst", (1.5,)), ("addconst", (2,)),
+                 ("mulconst", (3,)), ("mulconst", (0.5,)))
+
+
+def _result(f):
+    """A result as its type and repr (each value of a list, in order), or
+    an error as its type and message."""
+    try:
+        r = f()
+    except Exception as err:
+        return f"{type(err).__name__}: {getattr(err, 'message', err)}"
+    if type(r) is list:
+        return "; ".join(f"{type(x).__name__} {x!r}" for x in r)
+    return f"{type(r).__name__} {r!r}"
+
+
+def _generic_cases():
+    def fresh(name):   # the instructions update GVar and Dual samples
+        return deep_copy(SAMPLES[name])
+
+    pairs = list(itertools.product(SAMPLES, repeat=2))
+    for op in ("+=", "-=", "xor=", "*="):
+        instr = PrimitiveInstr(op, "identity")
+        for t, x in pairs:
+            yield f"{op} {t} {x}", _result(
+                lambda: apply_instr(instr, [fresh(t), fresh(x)]))
+    for prim in ("NEG", "INC", "DEC"):
+        for x in SAMPLES:
+            yield f"{prim} {x}", _result(
+                lambda: apply_instr(PrimitiveInstr(prim), [fresh(x)]))
+    for op in ("<", "=="):
+        for a, b in pairs:
+            yield f"{a} {op} {b}", _result(
+                lambda: compare(op, SAMPLES[a], SAMPLES[b]))
+    for name, args in BIJECTOR_ARGS:
+        bij = BIJECTORS[name]
+        for x in SAMPLES:
+            view = f"{name}{args}".replace(",)", ")")
+            yield f"{view}.fwd {x}", _result(
+                lambda: bij.fwd(fresh(x), args))
+            yield f"{view}.inv {x}", _result(
+                lambda: bij.inv(fresh(x), args))
+    for x in SAMPLES:
+        yield f"encode {x}", _result(lambda: encode_value(SAMPLES[x]))
+        yield f"jitter {x}", _result(
+            lambda: _jitter(SAMPLES[x], random.Random(0)))
+
+
+def test_generic_kind_matrix():
+    want = dict(line.split(" => ", 1)
+                for line in MATRIX.read_text().splitlines())
+    got = dict(_generic_cases())
+    assert list(got) == list(want)
+    assert [f"{c} => {got[c]}" for c in got if got[c] != want[c]] == []
