@@ -29,8 +29,8 @@ import numpy as np
 from .errors import KindError, RevError, UnknownFunction
 from .interpreter import ExecOptions, Interpreter
 from .numerics import strip_gvar, unwrap_gvar, wrap_gvar
-from .values import (Complex, Dual, Fixed, GVar, ULog, coerce_to_kind,
-                     deep_copy, get_leaf, is_differentiable, leaves,
+from .values import (Complex, Dual, GVar, coerce_to_kind, deep_copy,
+                     get_leaf, is_differentiable, is_float, kind_name, leaves,
                      map_leaves, set_leaf, to_real, values_close)
 
 
@@ -65,7 +65,7 @@ def default_seeds(args, param_names):
         raise KindError(
             f"first argument {param_names[0]!r} has no differentiable leaf; "
             "pass explicit seeds")
-    if len(paths) > 1 and not isinstance(first, Complex):
+    if len(paths) > 1 and type(first) is not Complex:
         raise KindError(
             f"first argument {param_names[0]!r} is not scalar; pass explicit seeds")
     return [(param_names[0], paths[0], 1.0)]
@@ -73,7 +73,7 @@ def default_seeds(args, param_names):
 
 def _apply_seed(wrapped_arg, path, seed_value):
     leaf = get_leaf(wrapped_arg, path)
-    if not isinstance(leaf, GVar):
+    if type(leaf) is not GVar:
         raise KindError("seed target is not a differentiable leaf")
     if isinstance(seed_value, complex):
         raise KindError("seed complex outputs per component (re/im paths)")
@@ -82,7 +82,7 @@ def _apply_seed(wrapped_arg, path, seed_value):
 
 def _grad_structure(value):
     """Same-shaped value holding cotangents; gradient-free leaves -> None."""
-    return map_leaves(value, lambda x: x.g if isinstance(x, GVar) else None)
+    return map_leaves(value, lambda x: x.g if type(x) is GVar else None)
 
 
 def _interpreter(program, fname, opts):
@@ -151,11 +151,9 @@ def _leaf_float(value, path, tangent=False):
     or with `tangent` a Dual's tangent. A gradient-free (None) leaf, and
     the tangent of any other leaf, read 0.0."""
     leaf = get_leaf(value, path)
-    if isinstance(leaf, Dual):
-        leaf = leaf.tangent if tangent else leaf.primal
-    elif leaf is None or tangent:
-        return 0.0
-    return float(to_real(leaf))
+    if tangent:
+        return float(leaf.tangent) if type(leaf) is Dual else 0.0
+    return 0.0 if leaf is None else float(to_real(leaf))
 
 
 def jacobian(program, fname, args, opts=None):
@@ -180,8 +178,7 @@ def hessian(program, fname, args, opts=None):
     the raw matrix and its asymmetry max |H - H^T|."""
     interp, names = _interpreter(program, fname, opts)
     table = _leaf_table(names, args)
-    if any(isinstance(get_leaf(args[pi], path), (Fixed, ULog))
-           for pi, _, path in table):
+    if not all(is_float(get_leaf(args[pi], path)) for pi, _, path in table):
         raise KindError("Hessians need Float inputs")
     n = len(table)
     H = np.zeros((n, n))
@@ -228,16 +225,12 @@ def finite_difference(program, fname, args, h, seeds=None, opts=None):
              for pname, a in zip(names, args)}
     for pi, pname, path in _leaf_table(names, args):
         leaf = get_leaf(args[pi], path)
-        if isinstance(leaf, ULog):
+        if kind_name(leaf) == "ulog":
             raise KindError("finite differences over ULog inputs "
                             "are not defined here")
         x = to_real(leaf)
-        if isinstance(leaf, Fixed):
-            up, dn = Fixed.from_real(x + h), Fixed.from_real(x - h)
-            measured = up.to_float() - dn.to_float()
-        else:
-            up, dn = x + h, x - h
-            measured = up - dn
+        up, dn = coerce_to_kind(leaf, x + h), coerce_to_kind(leaf, x - h)
+        measured = to_real(up) - to_real(dn)
         plus = [deep_copy(a) for a in args]
         minus = [deep_copy(a) for a in args]
         plus[pi] = set_leaf(plus[pi], path, up)

@@ -31,8 +31,7 @@ from .reverser import invert_function
 from .stdlib import roundoff_table
 from .tradeoff import (StepProgram, bennett_counts, bennett_run, eta,
                        treeverse_run, treeverse_time_bound)
-from .values import (Array, Complex, Fixed, GVar, Record, ULog, deep_copy,
-                     is_bool, is_float, is_int)
+from .values import _KINDS, Array, Complex, Fixed, ULog, deep_copy
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?([+-]\d*(?:\.\d+)?(?:[eE][+-]?\d+)?)?im$")
@@ -90,7 +89,7 @@ def _parse_array(s):
 
 
 def _coerce_num(v):
-    if isinstance(v, bool) or isinstance(v, (int, float)):
+    if isinstance(v, (int, float)):   # a bool too
         return v
     raise ValueError(f"array literals hold numbers, got {v!r}")
 
@@ -115,33 +114,10 @@ def split_args(text):
 
 def encode_value(v):
     """Deterministic JSON encoding of a runtime value."""
-    if isinstance(v, GVar):
-        return encode_value(v.x)
-    if v is None:
-        return None
-    if is_bool(v):
-        return bool(v)
-    if is_int(v):
-        return int(v)
-    if is_float(v):
-        return float(v)
-    if isinstance(v, Fixed):
-        return {"kind": "fixed", "value": v.decimal_str()}
-    if isinstance(v, ULog):
-        return {"kind": "ulog", "log": float(v.log_x)}
-    if isinstance(v, Complex):
-        return {"kind": "complex", "re": encode_value(v.re),
-                "im": encode_value(v.im)}
-    if isinstance(v, Array):
-        if len(v.shape) == 1:
-            return [encode_value(e) for e in v.data]
-        rows, cols = v.shape
-        return [[encode_value(v.get((i, j))) for j in range(1, cols + 1)]
-                for i in range(1, rows + 1)]
-    if isinstance(v, Record):
-        return {"kind": "record",
-                **{k: encode_value(x) for k, x in sorted(v.fields().items())}}
-    raise ValueError(f"cannot encode {v!r}")
+    encode = _KINDS[type(v)].encode
+    if encode is None:
+        raise ValueError(f"cannot encode {v!r}")
+    return encode(v, encode_value)
 
 
 def _load(path):
@@ -245,9 +221,10 @@ def main(argv=None):
 
 
 def _dispatch(ns):
-    if ns.cmd == "run":
+    if ns.cmd in ("run", "grad", "hessian", "check"):
         program = _load(ns.file)
         args = [parse_value(t) for t in split_args(ns.args)]
+    if ns.cmd == "run":
         out = Interpreter(program, _exec_options(ns)).run_function(
             ns.function, args)
         print(json.dumps({"args": [encode_value(v) for v in out]},
@@ -267,8 +244,6 @@ def _dispatch(ns):
         return 0
 
     if ns.cmd == "grad":
-        program = _load(ns.file)
-        args = [parse_value(t) for t in split_args(ns.args)]
         seeds = [_parse_seed(s) for s in ns.seed] if ns.seed else None
         wrt = ns.wrt.split(",") if ns.wrt else None
         primal, grads = gradient(
@@ -281,8 +256,6 @@ def _dispatch(ns):
         return 0
 
     if ns.cmd == "hessian":
-        program = _load(ns.file)
-        args = [parse_value(t) for t in split_args(ns.args)]
         res = hessian(program, ns.function, args, opts=_exec_options(ns))
         print(json.dumps({
             "hessian": [[float(x) for x in row] for row in res.matrix],
@@ -291,15 +264,13 @@ def _dispatch(ns):
         return 0
 
     if ns.cmd == "check":
-        program = _load(ns.file)
-        base_args = [parse_value(t) for t in split_args(ns.args)]
         rng = random.Random(ns.rng_seed)
         reports = []
         ok = True
         for trial in range(max(1, ns.trials)):
-            args = base_args if trial == 0 else \
-                [_jitter(a, rng) for a in base_args]
-            rep = check_reversibility(program, ns.function, args,
+            trial_args = args if trial == 0 else \
+                [_jitter(a, rng) for a in args]
+            rep = check_reversibility(program, ns.function, trial_args,
                                       _exec_options(ns))
             ok = ok and rep.ok
             reports.append(rep)
@@ -355,24 +326,8 @@ def _dispatch(ns):
 
 def _jitter(value, rng):
     """Fresh random values of the same shape/kind as the example input."""
-    if isinstance(value, Fixed):
-        return Fixed.from_real(rng.uniform(0.25, 2.0))
-    if is_bool(value):
-        return value
-    if is_int(value):
-        return rng.randint(0, 6)
-    if is_float(value):
-        return rng.uniform(-2.0, 2.0)
-    if isinstance(value, ULog):
-        return ULog.from_real(rng.uniform(0.25, 4.0))
-    if isinstance(value, Complex):
-        return Complex(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]),
-                       rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))
-    if isinstance(value, Array):
-        return Array([_jitter(e, rng) for e in value.data], value.shape)
-    if isinstance(value, Record):
-        return Record(**{k: _jitter(x, rng) for k, x in value.fields().items()})
-    return deep_copy(value)
+    sample = _KINDS[type(value)].sample
+    return deep_copy(value) if sample is None else sample(value, rng, _jitter)
 
 
 if __name__ == "__main__":

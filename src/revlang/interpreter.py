@@ -854,10 +854,11 @@ class _Lowering:
             t = self.temp()
             self.emit(f"{t} = {value}")
             value = t
-        if isinstance(view, BijView):
+        if isinstance(view, BijView):   # the base's kind is kept
             bij = BIJECTORS[view.bij]
             self.write(view.base, f"{self.const(bij)}.inv({value}, "
-                                  f"{self.const(view.args)})")
+                                  f"{self.const(view.args)}, "
+                                  f"{self.read(view.base)})")
         elif isinstance(view, FieldView):
             self.emit(f"_fielded({self.read(view.base)}, 'field write')"
                       f".set({view.field_name!r}, {value})")

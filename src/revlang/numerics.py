@@ -3,11 +3,15 @@
 Instructions have the shape `target op= f(args...)` for op in {+ - * / xor}
 plus the statement primitives SWAP/ROT/IROT/NEG/INC/DEC. Every instruction
 has a registered inverse, and every differentiable instruction function has
-registered partial derivatives, used both for the gradient rules (reverse
-accumulation while uncomputing) and for Dual-number forward propagation.
+registered partial derivatives, used by the gradient rules (reverse
+accumulation while uncomputing). Dual numbers propagate forward through
+the Dual branches of the `values.s_*` functions and Dual's operators.
 
 `apply_instr` is the one generic rule: it dispatches on the instruction
-kind and the value kinds, GVar values to the gradient rules. The
+kind, GVar values to the gradient rules. What it does with each value
+kind it reads from that kind's record in `values._KINDS`, as do
+`compare` and the bijectors: how a target takes an update (`cast`), and
+the kind's `name`, `real` content and `parts`. The
 interpreter's lowered code calls it, looked up as `numerics.apply_instr`
 at call time, for every instruction its inline arms do not take.
 Expressions share the function table: `expr_fn` resolves an operator or a
@@ -35,12 +39,9 @@ import numpy as np
 
 from .errors import KindError, MissingAdjoint, RevDomainError
 from .values import (_KINDS, Array, Complex, Dual, Fixed, GVar, ULog,
-                     coerce_to_kind, is_bool, is_differentiable, is_float,
-                     is_int, kind_name, map_leaves, s_abs, s_atan2, s_cos,
-                     s_div, s_exp, s_log, s_pow, s_sin, s_sqrt, to_real,
-                     zero_like)
-
-INSTR_OPS = ("+=", "-=", "*=", "/=", "xor=")
+                     coerce_to_kind, is_differentiable, is_int, kind_name,
+                     map_leaves, s_abs, s_atan2, s_cos, s_div, s_exp, s_log,
+                     s_pow, s_sin, s_sqrt, to_real, zero_like)
 
 OP_INVERSE = {"+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=", "xor=": "xor="}
 
@@ -60,7 +61,7 @@ class PrimitiveInstr:
     """An instruction kind: an update operator with its scalar function, or
     a statement primitive (fname is None for those)."""
 
-    kind: str            # one of INSTR_OPS or PRIM_STATEMENTS
+    kind: str            # one of OP_INVERSE or PRIM_STATEMENTS
     fname: str = None
 
     def __repr__(self):
@@ -85,7 +86,7 @@ class FnSpec:
 
 
 def _mod(a, b):
-    if isinstance(a, Dual) or isinstance(b, Dual):   # a Hessian pass
+    if type(a) is Dual or type(b) is Dual:   # a Hessian pass
         raise MissingAdjoint("no gradient rule for 'mod'")
     if b == 0:
         raise RevDomainError("modulo by zero")
@@ -102,7 +103,7 @@ def _p_div(a, b):
 
 def _p_pow(a, b):
     first = b * s_pow(a, b - 1)
-    if (a if not isinstance(a, Dual) else a.primal) > 0:
+    if (a.primal if type(a) is Dual else a) > 0:
         second = s_pow(a, b) * s_log(a)
     else:
         second = None
@@ -110,7 +111,7 @@ def _p_pow(a, b):
 
 
 def _p_abs(x):
-    p = x.primal if isinstance(x, Dual) else x
+    p = x.primal if type(x) is Dual else x
     if p == 0:
         return (None,)
     return (1.0 if p > 0 else -1.0,)
@@ -154,58 +155,70 @@ _COMPLEX_FNS = {
 }
 
 
+# the kinds of cell each statement primitive takes; a bijector views the
+# kinds NEG negates
+_CELLS = {"NEG": ("int", "float", "fixed"), "INC": ("int", "fixed"),
+          "DEC": ("int", "fixed"), "ROT": ("float",), "IROT": ("float",)}
+
+
+@dataclass(frozen=True)
 class Bijector:
-    def __init__(self, name, n_args, fwd, inv, valid=None):
-        self.name = name
-        self.n_args = n_args
-        self._fwd = fwd
-        self._inv = inv
-        self._valid = valid
+    """A view `x |> name(args...)`: `forward` computes the view's value
+    from the viewed cell's, `inverse` the cell's from the view's."""
+
+    name: str
+    n_args: int
+    forward: object
+    inverse: object
+    valid: object = None
 
     def valid_args(self, args):
-        if len(args) != self.n_args:
-            return False
-        if any(not isinstance(a, (int, float)) or isinstance(a, bool)
-               for a in args):
-            return False
-        return self._valid(args) if self._valid else True
+        return len(args) == self.n_args and \
+            all(_KINDS[type(a)].name in ("int", "float") for a in args) \
+            and (self.valid is None or self.valid(args))
 
     def fwd(self, v, args):
-        return self._fwd(self._held(v), *args)
+        self._held(v)
+        return self.forward(v, *args)
 
-    def inv(self, v, args):
-        return self._inv(self._held(v), *args)
+    def inv(self, v, args, cell):
+        """The value the viewed `cell` takes when the view takes `v`: of
+        the cell's kind, as a `+=` on the cell would make it."""
+        self._held(v)
+        return self._held(cell).cast(cell, self.inverse(v, *args))
 
     def _held(self, v):
+        """The kind of a value the bijector can view."""
         if _is_gvar_bearing(v):
             raise MissingAdjoint(f"no gradient rule for bijector "
                                  f"{self.name!r}")
-        if not (is_int(v) or is_float(v) or isinstance(v, Fixed)):
+        kind = _KINDS[type(v)]
+        if kind.name not in _CELLS["NEG"]:
             raise KindError(f"bijector {self.name!r} cannot view "
                             f"{kind_name(v)}")
-        return v
+        return kind
 
 
 def _mul_const(v, c):
-    if isinstance(v, Fixed):
-        return Fixed.from_real(v.to_float() * c)
-    if is_int(v):
-        r = v * c
-        if isinstance(r, float) and not r.is_integer():
-            raise KindError("mulconst produced a non-integer for an Int cell")
-        return int(r) if isinstance(r, float) else r
-    return v * c
+    kind = _KINDS[type(v)]
+    r = kind.real(v) * c
+    try:
+        return kind.cast(v, r)
+    except KindError:   # an Int's view is an Int
+        raise KindError("mulconst produced a non-integer for an Int cell") \
+            from None
 
 
 def _div_const(v, c):
-    if isinstance(v, Fixed):
-        return Fixed.from_real(v.to_float() / c)
-    if is_int(v):
-        q = v / c
-        if not float(q).is_integer():
-            raise KindError("mulconst write-back needs an integer-divisible value")
-        return int(q)
-    return v / c
+    """v / c; `Bijector.inv` casts it to the cell's kind."""
+    kind = _KINDS[type(v)]
+    if kind.name == "int" and type(c) is int:   # exact, however large
+        q, r = divmod(v, c)
+        if r:
+            raise KindError("mulconst write-back needs an integer-divisible "
+                            "value")
+        return q
+    return kind.real(v) / c
 
 
 BIJECTORS = {
@@ -220,7 +233,7 @@ BIJECTORS = {
 # --- functions callable in expressions (conditions, bounds, allocs) ---
 
 def _array_arg(x, fname):
-    if not isinstance(x, Array):
+    if type(x) is not Array:
         raise KindError(f"{fname}() needs an array, got {kind_name(x)}")
     return x
 
@@ -240,14 +253,15 @@ def compare(op, a, b):
     compare with == and !=; a Fixed operand compares as Q31.32."""
     if type(a) is int and type(b) is int:
         return _ORDER[op](a, b)
-    if isinstance(a, Complex) or isinstance(b, Complex):
+    kinds = (_KINDS[type(a)].name, _KINDS[type(b)].name)
+    if "complex" in kinds:
         if op not in ("==", "!="):
             raise KindError("complex values only compare with == and !=")
-        eq = (isinstance(a, Complex) and isinstance(b, Complex)
+        eq = (kinds == ("complex", "complex")
               and to_real(a.re) == to_real(b.re)
               and to_real(a.im) == to_real(b.im))
         return eq if op == "==" else not eq
-    if isinstance(a, Fixed) or isinstance(b, Fixed):
+    if "fixed" in kinds:
         a, b = Fixed.from_real(a).raw, Fixed.from_real(b).raw
     else:
         a, b = to_real(a), to_real(b)
@@ -300,9 +314,9 @@ def carries_gvar(v):
 
 def _arg_real(v):
     """Real content of an instruction argument (primal part for GVars)."""
-    if isinstance(v, GVar):
+    if type(v) is GVar:
         v = v.x
-    if isinstance(v, Complex):
+    if type(v) is Complex:
         return complex(float(to_real(v.re)), float(to_real(v.im)))
     return to_real(v)
 
@@ -316,27 +330,27 @@ def _fn_value(fname, argvals):
         raise KindError(f"unknown instruction function {fname!r}")
     if not spec.min_arity <= len(argvals) <= spec.max_arity:
         raise KindError(f"{fname} expects {spec.min_arity} arguments")
-    vals = [a.x if isinstance(a, GVar) else a for a in argvals]
+    vals = [a.x if type(a) is GVar else a for a in argvals]
     for v in vals:
         if type(v) not in _PLAIN_REALS:
             break
     else:
         if spec.apply is not None:
             return spec.apply(*vals)
-    if fname in _COMPLEX_FNS and isinstance(vals[0], Complex):
+    kinds = [_KINDS[type(v)].name for v in vals]
+    if fname in _COMPLEX_FNS and kinds[0] == "complex":
         c = vals[0]
         return _COMPLEX_FNS[fname][0](to_real(c.re), to_real(c.im))
     if fname == "angle":
         raise KindError("angle takes a complex argument")
     if fname == "convert":
         return to_real(vals[0])
-    if fname == "identity" and isinstance(vals[0],
-                                          (bool, Fixed, ULog, Complex)):
+    if fname == "identity" and kinds[0] in ("bool", "fixed", "ulog",
+                                            "complex"):
         return vals[0]
-    if fname in ("add", "sub", "neg") and \
-            all(isinstance(v, Fixed) for v in vals):
+    if fname in ("add", "sub", "neg") and set(kinds) == {"fixed"}:
         return spec.apply(*vals)
-    if any(isinstance(v, Complex) for v in vals):
+    if "complex" in kinds:
         if fname not in _COMPLEX_ARITH:
             raise KindError(f"{fname} is undefined on complex values")
         r = spec.apply(*(complex(_arg_real(v)) for v in vals))
@@ -353,44 +367,22 @@ _COMPLEX_ARITH = ("add", "sub", "mul", "div", "pow", "neg")
 
 def strip_gvar(v):
     """The primal value of a GVar; any other value as it is."""
-    return v.x if isinstance(v, GVar) else v
+    return v.x if type(v) is GVar else v
 
 
 def _plus_minus_plain(op, fname, vals):
     target = vals[0]
     fv = _fn_value(fname, vals[1:])
-    sign = 1 if op == "+=" else -1
-    if isinstance(target, Fixed):
-        inc = Fixed.from_real(fv)
-        new = target + inc if sign > 0 else target - inc
-    elif isinstance(target, Complex):
-        if isinstance(fv, Complex):
-            fre, fim = to_real(fv.re), to_real(fv.im)
-        else:
-            fre, fim = to_real(fv), type(to_real(target.re))(0.0) \
-                if isinstance(to_real(target.re), np.floating) else 0.0
-        new = Complex(to_real(target.re) + sign * fre,
-                      to_real(target.im) + sign * fim)
-    elif is_bool(target):
-        raise KindError("+=/-= target cannot be Bool (use xor=)")
-    elif is_int(target):
-        if isinstance(fv, (Fixed, ULog, Complex)):
-            raise KindError(f"Int target updated with {kind_name(fv)}")
-        if is_float(fv):
-            f = float(fv)
-            if not f.is_integer():
-                raise KindError(f"Int target updated with non-integer {fv}")
-            fv = int(f)
-        new = target + sign * fv
-    elif is_float(target):
-        if isinstance(fv, Complex):
-            raise KindError("Float target updated with a complex value")
-        fv = to_real(fv)
-        if isinstance(target, np.floating) and not isinstance(fv, Dual):
-            fv = type(target)(fv)   # rounded to the target's precision
-        new = target + fv if sign > 0 else target - fv
-    else:
+    kind = _KINDS[type(target)]
+    if kind.cast is None:
         raise KindError(f"cannot apply {op} to {kind_name(target)}")
+    d = kind.cast(target, fv)
+    if kind.parts is None:
+        new = target + d if op == "+=" else target - d
+    else:   # a Complex target, part by part
+        sign = 1 if op == "+=" else -1
+        new = Complex(*(to_real(t) + sign * x
+                        for t, x in zip(kind.parts(target), kind.parts(d))))
     return [new] + list(vals[1:])
 
 
@@ -398,12 +390,12 @@ def _log_contribution(fname, argvals):
     """Exponent-space contribution of the single *=//= argument: convert
     keeps a logarithmic argument's exponent, as identity does."""
     fv = _fn_value("identity" if fname == "convert" else fname, argvals)
-    return fv.log_x if isinstance(fv, ULog) else s_log(to_real(fv))
+    return fv.log_x if type(fv) is ULog else s_log(to_real(fv))
 
 
 def _mul_div_plain(op, fname, vals):
     target = vals[0]
-    if not isinstance(target, ULog):
+    if type(target) is not ULog:
         raise KindError(f"{op} target must be a logarithmic number, "
                         f"got {kind_name(target)}")
     contrib = _log_contribution(fname, vals[1:])
@@ -414,17 +406,14 @@ def _mul_div_plain(op, fname, vals):
 def _xor_plain(fname, vals):
     target = vals[0]
     fv = _fn_value(fname, vals[1:])
-    if is_bool(target):
-        if not is_bool(fv):
-            raise KindError("xor= on a Bool target needs a Bool value")
-        return [target ^ fv] + list(vals[1:])
-    if is_int(target):
-        if is_bool(fv):
-            fv = int(fv)
-        if not is_int(fv):
-            raise KindError("xor= on an Int target needs an Int value")
-        return [target ^ fv] + list(vals[1:])
-    raise KindError(f"xor= target must be Int or Bool, got {kind_name(target)}")
+    name = _KINDS[type(target)].name
+    if name not in ("int", "bool"):
+        raise KindError(f"xor= target must be Int or Bool, got "
+                        f"{kind_name(target)}")
+    if _KINDS[type(fv)].name not in (name, "bool"):   # an Int takes a Bool
+        named = "an Int" if name == "int" else "a Bool"
+        raise KindError(f"xor= on {named} target needs {named} value")
+    return [target ^ fv] + list(vals[1:])
 
 
 def _rotate(a, b, theta):
@@ -434,32 +423,25 @@ def _rotate(a, b, theta):
 
 def _prim_plain(kind, vals):
     if kind == "NEG":
-        (x,) = vals
-        if isinstance(x, (Fixed,)) or is_int(x) or is_float(x):
-            return [-x]
-        raise KindError(f"NEG on {kind_name(x)}")
+        (x,) = _cells(kind, *vals)
+        return [-x]
     if kind in ("INC", "DEC"):
-        (x,) = vals
-        d = 1 if kind == "INC" else -1
-        if is_int(x):
-            return [x + d]
-        if isinstance(x, Fixed):
-            return [x + Fixed.from_real(d)] if d > 0 else [x - Fixed.from_real(1)]
-        raise KindError(f"{kind} on {kind_name(x)}")
+        (x,) = _cells(kind, *vals)
+        return [x + _KINDS[type(x)].cast(x, 1 if kind == "INC" else -1)]
     if kind in ("ROT", "IROT"):
-        a, b = _rotated(kind, vals[0], vals[1])
+        a, b = _cells(kind, vals[0], vals[1])
         theta = to_real(vals[2])
         na, nb = _rotate(a, b, theta if kind == "ROT" else -theta)
         return [na, nb, vals[2]]
     raise KindError(f"unknown primitive {kind}")
 
 
-def _rotated(kind, a, b):
-    """The two cells a rotation turns, which must be Float cells."""
-    for x in (a, b):
-        if not is_float(x):
+def _cells(kind, *cells):
+    """The cells a statement primitive turns, of the kinds it takes."""
+    for x in cells:
+        if _KINDS[type(x)].name not in _CELLS[kind]:
             raise KindError(f"{kind} on {kind_name(x)}")
-    return a, b
+    return cells
 
 
 # --- gradient rules ---
@@ -469,7 +451,7 @@ def _rotated(kind, a, b):
 
 def _plus_minus_adjoint(op, fname, vals):
     y = vals[0]
-    if not isinstance(y, GVar):
+    if type(y) is not GVar:
         raise MissingAdjoint(
             f"gradient pass reached a {op} whose target is not tracked")
     args = vals[1:]
@@ -481,33 +463,28 @@ def _plus_minus_adjoint(op, fname, vals):
 
     if fname == "convert":
         (a,) = args
-        if isinstance(a, GVar):
-            inner = a.x
-            if isinstance(inner, ULog):
-                # d value / d exponent = value
-                a.g += coerce_to_kind(a.g, sign * gy * s_exp(inner.log_x))
-            else:
-                a.g += coerce_to_kind(a.g, sign * gy)
+        if type(a) is GVar:   # d value / d exponent = value
+            a.g += coerce_to_kind(a.g, sign * gy * s_exp(a.x.log_x)
+                                  if type(a.x) is ULog else sign * gy)
         return vals
 
     spec = INSTR_FNS[fname]
     # the primal update above checked the arity
-    if fname in _COMPLEX_FNS and isinstance(strip_gvar(args[0]), Complex):
+    if fname in _COMPLEX_FNS and type(strip_gvar(args[0])) is Complex:
         c = strip_gvar(args[0])
         a_re, a_im = to_real(c.re), to_real(c.im)
         r = _COMPLEX_FNS[fname][0](a_re, a_im)
         dre, dim = _COMPLEX_FNS[fname][1](a_re, a_im, r)
-        if isinstance(c.re, GVar):
-            c.re.g += coerce_to_kind(c.re.g, sign * gy * dre)
-        if isinstance(c.im, GVar):
-            c.im.g += coerce_to_kind(c.im.g, sign * gy * dim)
+        for part, d in ((c.re, dre), (c.im, dim)):
+            if type(part) is GVar:
+                part.g += coerce_to_kind(part.g, sign * gy * d)
         return vals
 
-    if any(isinstance(strip_gvar(a), Complex) and _is_gvar_bearing(a)
+    if any(type(strip_gvar(a)) is Complex and _is_gvar_bearing(a)
            for a in args):
         raise MissingAdjoint(f"no complex-argument gradient rule for {fname!r}")
     if spec.partials is None:
-        if any(isinstance(a, GVar) for a in args):
+        if any(type(a) is GVar for a in args):
             raise MissingAdjoint(f"no gradient rule for {fname!r}")
         return vals
     xs = [_arg_real(a) for a in args]
@@ -520,7 +497,7 @@ def adjoint_accumulate(fname, args, parts, c):
     argument `a` and its partial `p`, in order, where `c` is the signed
     cotangent of the target; a GVar whose partial is None raises."""
     for a, p in zip(args, parts):
-        if isinstance(a, GVar):
+        if type(a) is GVar:
             if p is None:
                 raise RevDomainError(
                     f"gradient of {fname!r} undefined at this point")
@@ -529,7 +506,7 @@ def adjoint_accumulate(fname, args, parts, c):
 
 def _mul_div_adjoint(op, fname, vals):
     y = vals[0]
-    if not isinstance(y, GVar) or not isinstance(y.x, ULog):
+    if type(y) is not GVar or type(y.x) is not ULog:
         raise MissingAdjoint(f"gradient pass reached an untracked {op}")
     args = vals[1:]
     contrib = _log_contribution(fname, args)
@@ -537,20 +514,17 @@ def _mul_div_adjoint(op, fname, vals):
     y.x = ULog(y.x.log_x - contrib if op == "/=" else y.x.log_x + contrib)
     gy = to_real(y.g)   # exponent-space cotangent
     (a,) = args
-    if isinstance(a, GVar):
-        if isinstance(a.x, ULog):
-            a.g += coerce_to_kind(a.g, sign * gy)
-        else:
-            # exponent contribution is log(value(a))
-            a.g += coerce_to_kind(a.g, sign * gy / to_real(a.x))
+    if type(a) is GVar:   # a real `a` contributes log(a) to the exponent
+        a.g += coerce_to_kind(a.g, sign * gy if type(a.x) is ULog
+                              else sign * gy / to_real(a.x))
     return vals
 
 
 def _rot_adjoint(kind, vals):
     a, b, theta = vals
-    if not (isinstance(a, GVar) and isinstance(b, GVar)):
+    if not (type(a) is GVar and type(b) is GVar):
         raise MissingAdjoint("gradient pass reached a rotation on untracked cells")
-    ax, bx = _rotated(kind, a.x, b.x)
+    ax, bx = _cells(kind, a.x, b.x)
     ga, gb = to_real(a.g), to_real(b.g)
     if kind == "IROT":
         # reverse of a forward rotation by theta
@@ -560,9 +534,9 @@ def _rot_adjoint(kind, vals):
         # reverse of a forward rotation by -theta
         th_delta = bx * ga - ax * gb
         back = 1
-    if isinstance(theta, GVar):
+    if type(theta) is GVar:
         theta.g += coerce_to_kind(theta.g, th_delta)
-    th = to_real(theta.x if isinstance(theta, GVar) else theta)
+    th = to_real(theta.x if type(theta) is GVar else theta)
     na, nb = _rotate(ax, bx, back * th)
     nga, ngb = _rotate(ga, gb, back * th)
     a.x, b.x = coerce_to_kind(a.x, na), coerce_to_kind(b.x, nb)

@@ -11,9 +11,12 @@ Each kind lives in one record of `_KINDS`, found by a value's exact type:
 `kind_name`, `to_real`, `zero_like`, `is_differentiable`, `is_int`,
 `is_float`, the leaf copy and `coerce_to_kind` read it, and `deviation`
 and `values_close` walk the `parts` it gives composites and GVars, with
-one rule for a pair of leaves. A type with no record of its own (np.float64,
-np.int32, a subclass) takes the record of its nearest base in its MRO,
-once; `object` holds the record of a value the table does not know.
+one rule for a pair of leaves. The instructions and bijectors in
+`numerics` read how a kind takes an update (`cast`) and the CLI a kind's
+JSON encoding and `check` sample. A type with no record of its own
+(np.float64, np.int32, a subclass) takes the record of its nearest base
+in its MRO, once; `object` holds the record of a value the table does
+not know.
 
 Leaf traversal lives here (`map_leaves`, `leaves`, `get_leaf`,
 `set_leaf`); `deep_copy`, the GVar wrappers in `numerics` and autodiff's
@@ -151,25 +154,22 @@ class Complex:
         return {"re": self.re, "im": self.im}
 
     def get(self, name):
-        if name == "re":
-            return self.re
-        if name == "im":
-            return self.im
-        raise KindError(f"complex values have fields re/im, not {name!r}")
+        return getattr(self, _complex_field(name))
 
     def set(self, name, v):
-        if name == "re":
-            self.re = v
-        elif name == "im":
-            self.im = v
-        else:
-            raise KindError(f"complex values have fields re/im, not {name!r}")
+        setattr(self, _complex_field(name), v)
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self.re == other.re and self.im == other.im
 
     def __repr__(self):
         return f"Complex({self.re!r}, {self.im!r})"
+
+
+def _complex_field(name):
+    if name not in ("re", "im"):
+        raise KindError(f"complex values have fields re/im, not {name!r}")
+    return name
 
 
 class Array:
@@ -462,10 +462,15 @@ class _Kind:
     it has none); whether it carries a gradient (`diff`). Composites and
     GVars are made of `parts`, compared pairwise when their `layout`
     agrees; two leaves compare when they share a `gap` (their distance),
-    within a tolerance when both are `tolerant`, by == otherwise."""
+    within a tolerance when both are `tolerant`, by == otherwise. A cell
+    `t` takes a computed `x` as `cast(t, x)` in an update (None where none
+    applies); `encode(v, enc)` is v's JSON value and `sample(v, rng,
+    again)` a random value like v (None: a copy), `enc` and `again`
+    serving v's parts."""
 
     __slots__ = ("name", "diff", "tolerant", "real", "zero", "copy",
-                 "coerce", "gap", "parts", "layout")
+                 "coerce", "gap", "parts", "layout", "cast", "encode",
+                 "sample")
 
     def __init__(self, name, diff=False, tolerant=False, **fields):
         self.name, self.diff, self.tolerant = name, diff, tolerant
@@ -481,7 +486,10 @@ class _Table(dict):
 
 def _float_distance(a, b):
     """|a - b| as a float; 0 for equal values, infinities included. The gap
-    of real kinds, and of values the table does not know (read by float())."""
+    of real kinds, and of values the table does not know (read by float());
+    two Ints' is their exact difference, converted once."""
+    if _KINDS[type(a)] is _INT is _KINDS[type(b)]:
+        return float(abs(int(a) - int(b)))
     try:
         fa, fb = float(_prim(a)), float(_prim(b))
     except TypeError:
@@ -490,13 +498,56 @@ def _float_distance(a, b):
     return 0.0 if fa == fb else abs(fa - fb)
 
 
+def _int_cast(t, x):   # exact: an Int, or a Float's integral value
+    kind = _KINDS[type(x)]
+    if kind is _INT or kind is _BOOL:
+        return x
+    if kind.name != "float":
+        raise KindError(f"Int target updated with {kind_name(x)}")
+    f = float(x)
+    if not f.is_integer():
+        raise KindError(f"Int target updated with non-integer {x}")
+    return int(f)
+
+
+def _bool_cast(t, x):
+    raise KindError("+=/-= target cannot be Bool (use xor=)")
+
+
+def _float_cast(t, x):
+    if type(x) is Complex:
+        raise KindError("Float target updated with a complex value")
+    x = to_real(x)
+    return x if type(x) is Dual else _KINDS[type(t)].coerce(t, x)
+
+
+def _complex_cast(t, x):   # a real x has a zero of t.re's kind for im
+    if type(x) is Complex:
+        return Complex(to_real(x.re), to_real(x.im))
+    re = to_real(t.re)
+    return Complex(to_real(x), _KINDS[type(re)].zero(re))
+
+
+def _encode_array(v, enc):
+    if len(v.shape) == 1:
+        return [enc(e) for e in v.data]
+    rows, cols = v.shape
+    return [[enc(e) for e in v.data[i * cols:(i + 1) * cols]]
+            for i in range(rows)]
+
+
 _INT = _Kind("int", real=lambda v: v, zero=lambda v: 0,
              coerce=lambda t, x: x if is_int(x) else round(float(x)),
-             gap=_float_distance)
+             gap=_float_distance, cast=_int_cast,
+             encode=lambda v, enc: int(v),
+             sample=lambda v, rng, again: rng.randint(0, 6))
 _BOOL = _Kind("bool", real=int, coerce=lambda t, x: bool(x),
-              gap=lambda a, b: 0.0 if a == b else 1.0)
+              gap=lambda a, b: 0.0 if a == b else 1.0, cast=_bool_cast,
+              encode=lambda v, enc: bool(v), sample=lambda v, rng, again: v)
 _FLOAT_FIELDS = dict(real=lambda v: v, diff=True, gap=_float_distance,
-                     tolerant=True)
+                     tolerant=True, cast=_float_cast,
+                     encode=lambda v, enc: float(v),
+                     sample=lambda v, rng, again: rng.uniform(-2.0, 2.0))
 
 _KINDS = _Table({
     int: _INT,
@@ -512,20 +563,41 @@ _KINDS = _Table({
                 coerce=lambda t, x: Dual(x, 0.0), **_FLOAT_FIELDS),
     Fixed: _Kind("fixed", real=Fixed.to_float, zero=lambda v: Fixed(0),
                  coerce=lambda t, x: Fixed.from_real(float(_prim(x))),
-                 diff=True, gap=lambda a, b: abs(a.raw - b.raw) / _SCALE),
+                 diff=True, gap=lambda a, b: abs(a.raw - b.raw) / _SCALE,
+                 cast=lambda t, x: Fixed.from_real(x),
+                 encode=lambda v, enc: {"kind": "fixed",
+                                        "value": v.decimal_str()},
+                 sample=lambda v, rng, again: Fixed.from_real(
+                     rng.uniform(0.25, 2.0))),
     # the zero is an exponent-space cotangent, which must hold zero
     ULog: _Kind("ulog", real=ULog.to_float, zero=lambda v: zero_like(v.log_x),
                 diff=True, gap=lambda a, b: _float_distance(a.log_x, b.log_x),
-                tolerant=True),
-    Complex: _Kind("complex", parts=lambda v: (v.re, v.im)),
-    Array: _Kind("array", parts=lambda v: v.data, layout=lambda v: v.shape),
+                tolerant=True,
+                encode=lambda v, enc: {"kind": "ulog", "log": float(v.log_x)},
+                sample=lambda v, rng, again: ULog.from_real(
+                    rng.uniform(0.25, 4.0))),
+    Complex: _Kind("complex", parts=lambda v: (v.re, v.im), cast=_complex_cast,
+                   encode=lambda v, enc: {"kind": "complex", "re": enc(v.re),
+                                          "im": enc(v.im)},
+                   sample=lambda v, rng, again: Complex(
+                       rng.uniform(0.3, 2.0) * rng.choice([-1, 1]),
+                       rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))),
+    Array: _Kind("array", parts=lambda v: v.data, layout=lambda v: v.shape,
+                 encode=_encode_array,
+                 sample=lambda v, rng, again: Array(
+                     [again(e, rng) for e in v.data], v.shape)),
     # fields pair up by name, whatever their order
     Record: _Kind("record", parts=lambda v: [v.fields()[k]
                                              for k in sorted(v.fields())],
-                  layout=lambda v: v.fields().keys()),
+                  layout=lambda v: v.fields().keys(),
+                  encode=lambda v, enc: {"kind": "record", **{
+                      k: enc(x) for k, x in sorted(v.fields().items())}},
+                  sample=lambda v, rng, again: Record(**{
+                      k: again(x, rng) for k, x in v.fields().items()})),
     GVar: _Kind("gvar", real=lambda v: to_real(v.x),
                 copy=lambda v: GVar(_copy_leaf(v.x), _copy_leaf(v.g)),
-                parts=lambda v: (v.x, v.g)),
+                parts=lambda v: (v.x, v.g), encode=lambda v, enc: enc(v.x)),
+    type(None): _Kind("", gap=_float_distance, encode=lambda v, enc: None),
     object: _Kind("", gap=_float_distance),
 })
 

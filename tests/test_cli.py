@@ -534,3 +534,15 @@ def test_rotation_of_a_cell_that_is_not_float(tmp_path, capsys, cmd, prim,
     else:
         assert out.err == error + "\n"
     assert "Traceback" not in out.out + out.err
+
+
+def test_a_bijector_write_back_keeps_an_int_cell(tmp_path, capsys):
+    """An Int cell under a bijector stays an Int: an integral write-back
+    is an Int, any other a KindError (exit 3)."""
+    f = tmp_path / "g.rnl"
+    f.write_text("fn g(x, y)\nx |> addconst(1.5) += identity(y)\nend\n")
+    assert main(["run", str(f), "-f", "g", "--args=1,1"]) == 0
+    assert capsys.readouterr().out == '{"args": [2, 1]}\n'
+    assert main(["run", str(f), "-f", "g", "--args=1,1.5"]) == 3
+    assert capsys.readouterr().err == \
+        f"KindError at {f}:2:1: Int target updated with non-integer 2.5\n"

@@ -25,8 +25,8 @@ from revlang.numerics import (INSTR_FNS, PrimitiveInstr, apply_instr, expr_fn,
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.stdlib import CATALOG, asset_text, load_example
-from revlang.values import (Array, Complex, Fixed, GVar, deep_copy, deviation,
-                            is_int, kind_name)
+from revlang.values import (Array, Complex, Dual, Fixed, GVar, deep_copy,
+                            deviation, is_int, kind_name)
 
 
 def prog(src):
@@ -584,6 +584,17 @@ end""")
                   ExecOptions(float_dtype=np.float32))
         assert isinstance(out[0], np.float32)
         assert out[0] == np.float32(3.0)
+
+
+    def test_a_binary64_target_keeps_its_type(self):
+        p = prog("fn f(y, x)\ny += x * 0.5\nend")
+        for opts, x in ((ExecOptions(float_dtype=np.float32), 3.0),
+                        (None, np.float32(3.0))):
+            out = run(p, "f", [1.0, x], opts)
+            assert type(out[0]) is float and out[0] == 2.5
+        # a Dual delta still makes a Dual
+        y, _ = run(p, "f", [1.0, Dual(3.0, 1.0)])
+        assert type(y) is Dual and (y.primal, y.tangent) == (2.5, 0.5)
 
 
 class TestMiscSurface:
@@ -1617,6 +1628,28 @@ class TestLessTravelledPaths:
         with pytest.raises(KindError) as err:
             run(p, "f", [1, 3])
         assert err.value.message == message and err.value.span.line == 2
+
+    def test_an_int_cell_divides_back_exactly(self):
+        p = prog("fn g(x, y)\nx |> mulconst(3) += identity(y)\nend")
+        big = 2**60 + 1
+        assert run(p, "g", [big, 3]) == [big + 1, 3]
+        assert uncall(p, "g", [big + 1, 3]) == [big, 3]
+        # 3 * big + 1 is not a multiple of 3, though its float quotient
+        # is an integer
+        with pytest.raises(KindError) as err:
+            run(p, "g", [big, 1])
+        assert err.value.message == \
+            "mulconst write-back needs an integer-divisible value"
+
+    def test_a_write_back_keeps_an_int_cell_an_int(self):
+        p = prog("fn g(x, y)\nx |> addconst(1.5) += identity(y)\nend")
+        out = run(p, "g", [1, 1])
+        assert out == [2, 1] and type(out[0]) is int
+        assert uncall(p, "g", [2, 1]) == [1, 1]
+        with pytest.raises(KindError) as err:
+            run(p, "g", [1, 1.5])
+        assert err.value.message == "Int target updated with non-integer 2.5"
+        assert err.value.span.line == 2
 
     def test_or_in_a_condition(self):
         p = prog("fn f(y, a, b)\nif (a > 1 || b > 1, ~)\ny += 1\nend\nend")

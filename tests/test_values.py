@@ -149,6 +149,17 @@ class TestComposites:
         assert deviation(x, x) == 0.0
         assert values_close(Array.vector([x]), Array.vector([x]), 0.0)
 
+    def test_two_ints_deviate_by_their_exact_difference(self):
+        big = 2**60
+        assert deviation(big, big + 1) == 1.0
+        assert not values_close(big, big + 1, 1e-9)
+        assert deviation(np.int64(big), big + 3) == 3.0
+        assert deviation(-big, big) == float(2**61)
+        assert deviation(10**400, 10**400) == 0.0   # beyond any float
+        # an Int and a Float share the float gap
+        assert deviation(big, float(big)) == 0.0
+        assert deviation(float(big), big + 1) == 0.0
+
     def test_nan_and_opposite_infinities_are_not_close(self):
         nan = float("nan")
         assert not values_close(nan, nan, 1e-9)
@@ -404,6 +415,15 @@ class TestKindMatrix:
                 d = deviation(a, b)
                 assert type(d) is float and d == float(want_dev)
 
+    def test_generic_rule(self):
+        """The instructions, comparisons, bijectors and the CLI's encoding
+        and sampling over SAMPLES, against kind_matrix.txt."""
+        want = dict(line.split(" => ", 1)
+                    for line in MATRIX.read_text().splitlines())
+        got = dict(_generic_cases())
+        assert list(got) == list(want)
+        assert [f"{c} => {got[c]}" for c in got if got[c] != want[c]] == []
+
 
 # --- the generic rule's kind matrix: instructions, comparisons, bijectors
 # and the CLI's encoding and sampling over SAMPLES; the outcomes are
@@ -452,17 +472,10 @@ def _generic_cases():
             view = f"{name}{args}".replace(",)", ")")
             yield f"{view}.fwd {x}", _result(
                 lambda: bij.fwd(fresh(x), args))
+            # the view's value written back to a cell of its own kind
             yield f"{view}.inv {x}", _result(
-                lambda: bij.inv(fresh(x), args))
+                lambda: bij.inv(fresh(x), args, fresh(x)))
     for x in SAMPLES:
         yield f"encode {x}", _result(lambda: encode_value(SAMPLES[x]))
         yield f"jitter {x}", _result(
             lambda: _jitter(SAMPLES[x], random.Random(0)))
-
-
-def test_generic_kind_matrix():
-    want = dict(line.split(" => ", 1)
-                for line in MATRIX.read_text().splitlines())
-    got = dict(_generic_cases())
-    assert list(got) == list(want)
-    assert [f"{c} => {got[c]}" for c in got if got[c] != want[c]] == []
