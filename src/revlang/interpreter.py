@@ -16,13 +16,25 @@ code, the others. Variables are Python locals, bound statically:
 bound name, or a read or release of an unbound one, is emitted as the
 error it raises. Check code runs when the flag `chk` is set: the
 interpreter's `invcheck`, passed on to callees, and False inside
-`@invcheckoff`, where none is emitted; alias checks always run. Every
-array cell is reached at the flat offset `_offset` computes, which raises
-what `Array.get` raises. A `+=`/`-=` gets an inline arm, emitted by
-`arm` for both variants: for operands of the run's exact float type
-(`float`, or `float_dtype`) in the forward variant, and for binary64
-GVars in the gradient variant; only its guard and update lines differ.
-`operands` decides which operands an arm can read. Every other case calls
+`@invcheckoff`, where none is emitted; alias checks always run.
+
+An array cell is at the flat offset `_offset` computes, which raises what
+`Array.get` raises. A cell of a bound array at Int literals and bound
+variables is covered by a bounds guard (`_Lowering.cover`): a local, set
+at function or region entry, or once before a loop for every value of its
+variable, that is true when `_offset` would find each cell it covers on
+its fast path. Its scope rebinds none of its variables. Under a true
+guard a cell is `a.data[k]`, its offset `k` computed where the guard is
+set, and two cells of one array alias when their offsets are equal; under
+a false guard the access calls `_offset`, `_get` or `_set` as any cell
+does, so errors, spans, fuel and `ExecStats` are those of that path.
+
+A `+=`/`-=` gets an inline arm, emitted by `arm` for both variants: for
+operands of the run's exact float type (`float`, or `float_dtype`) in
+the forward variant, and for binary64 GVars in the gradient variant, with
+the guards of its cells true; only its guard and update lines differ.
+`operands` decides which operands an arm can read. `INC`/`DEC` of an
+`int` variable is inline too. Every other case calls
 the generic rule, looked up as `numerics.apply_instr` when it runs, so
 each value kind keeps one semantics. Expressions call what
 `numerics.expr_fn` resolves, and `numerics.compare`. An error
@@ -173,11 +185,18 @@ def _set(v, a, *ixs):
     a.data[k] = v
 
 
+# the float types whose pairs `_release` decides itself
+_FLOATS = frozenset((float, np.float32, np.float64))
+
+
 def _release(cp, name, current, declared, tol, grad):
-    """The release check of ancilla `name` (two plain floats are decided
-    here as `values_close` decides them)."""
-    if grad or type(current) is not float or type(declared) is not float \
-            or not (current == declared or abs(current - declared) <= tol):
+    """The release check of ancilla `name` (two floats of one type are
+    decided here as `values_close` decides them: equal, or within `tol` in
+    binary64)."""
+    if grad or type(current) is not type(declared) \
+            or type(current) not in _FLOATS or not (
+                current == declared
+                or abs(float(current) - float(declared)) <= tol):
         residual = _ancilla_residual(current, declared, tol, grad)
         if residual is not None:
             raise DirtyAncilla(f"{name!r} released with residual {residual}",
@@ -294,6 +313,44 @@ def _alias_pairs(views, pairs):
     return checks
 
 
+def _rebound(view):
+    """The variable a write to `view` rebinds (through bijectors), or None
+    where it writes a cell or a field in place."""
+    while type(view) is BijView:
+        view = view.base
+    return view.name if type(view) is VarView else None
+
+
+def _rebinding(stmts, call):
+    """The variables the statements may rebind: those they write by an
+    instruction, a statement primitive, an allocation or a loop, and those
+    `call(fname, views)` says a call may rebind."""
+    out, todo = set(), list(stmts)
+    while todo:
+        s = todo.pop()
+        t = type(s)
+        if t is InstrCall:
+            out.add(_rebound(s.args[0]))
+        elif t is FnCall or t is UncallFn:
+            out |= set(map(_rebound, s.args)) if s.fname in PRIM_STATEMENTS \
+                else call(inverse_name(s.fname) if t is UncallFn else s.fname,
+                          s.args)
+        elif t is AncillaAlloc or t is AncillaDealloc:
+            out.add(s.name)
+        elif t is For:
+            out.add(s.var)
+            todo += s.body.stmts
+        elif t is If:
+            todo += s.then_block.stmts + s.else_block.stmts
+        elif t is While:
+            todo += s.body.stmts
+        elif t is Block:
+            todo += s.stmts
+        elif t is InvCheckOff:
+            todo.append(s.stmt)
+    return out
+
+
 def _is_int_lit(e):
     return isinstance(e, Lit) and type(e.value) is int
 
@@ -319,6 +376,26 @@ _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
 
 # --- the emitter ---------------------------------------------------------------
 
+class _Scope:
+    """A guard scope: the body of a function, of a region or (with `loop`:
+    the loop variable, the lowest and the highest value of its range, and
+    the facts that make it an Int) of a `for`. Its guard, the local named
+    `guard`, covers the `cells` whose variables are all `bound` at its
+    start and none `rebound` in it. It is set at line `start`, or, for a
+    loop, once at line `head`, before the loop."""
+
+    __slots__ = ("bound", "rebound", "start", "head", "guard", "loop",
+                 "cells", "rows", "vars")
+
+    def __init__(self, bound, stmts, start, guard, loop=None, head=None):
+        self.bound = bound
+        self.rebound = stmts   # the set of variables, once asked
+        self.start, self.head, self.guard, self.loop = start, head, guard, loop
+        self.cells = {}      # (array, indices) -> offset
+        self.rows = {}       # (array, first index) -> its offset's local
+        self.vars = set()    # the variables the cells read
+
+
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
@@ -333,7 +410,7 @@ class _Lowering:
         self.float = "float" if self.dtype is None else self.const(self.dtype)
         self.checks = unit is not None   # check code is emitted
         self.lines = []          # (indent, text, span)
-        self.depth = 0
+        self.depth = 3           # a body's lines: in `_make`, `def`, `try`
         self.span = NO_SPAN      # of the statement being emitted
         self.names = {}          # .rnl variable -> Python local
         self.bound = set()       # .rnl variables bound at this point
@@ -341,6 +418,11 @@ class _Lowering:
         self.counts = False      # the code counts passed checks
         self.loops = 0           # loops around the point of emission
         self.regions, self.nregions = [], 0   # see `region`
+        # the open guard scopes, outermost first, and the index of the
+        # function's or region's own
+        self.scopes, self.root = [], 0
+        self.plain = False       # no cell is covered (see `update`)
+        self.nguard = 0
 
     # --- bookkeeping ---
 
@@ -380,23 +462,22 @@ class _Lowering:
         lines = [(0, "def _make(" + ", ".join(
             [name for name, _ in self.consts.values()] + ["_LS"]) + "):",
                   NO_SPAN), *defs, (1, "return f", NO_SPAN)]
-        src = "\n".join(" " * d + t for d, t, _ in lines) + "\n"
-        spans = (NO_SPAN,) + tuple(s for _, _, s in lines)
+        src = "\n".join([" " * d + t for d, t, _ in lines])
+        spans = (NO_SPAN, *[s for _, _, s in lines])
         ns = {}
         exec(compile(src, "<revlang>", "exec"), globals(), ns)
         return ns["_make"](*[v for _, v in self.consts.values()], spans)
 
     def view(self, params):
         """`f(params)` running the emitted lines (the view helpers)."""
-        return self.build([(1, f"def f({params}):", NO_SPAN),
-                           *[(d + 2, t, s) for d, t, s in self.lines]])
+        return self.build([(1, f"def f({params}):", NO_SPAN), *self.lines])
 
     @staticmethod
     def wrapped(name, params, body, results):
         """`def name(params)` running the emitted lines `body` under the
         handler that calls `_fail`, then returning `results`."""
         return [(1, f"def {name}({', '.join(params)}):", NO_SPAN),
-                (2, "try:", NO_SPAN), *[(d + 3, t, s) for d, t, s in body],
+                (2, "try:", NO_SPAN), *body,
                 (2, "except BaseException as e:", NO_SPAN),
                 (3, "_fail(e, _LS, I)", NO_SPAN), (3, "raise", NO_SPAN),
                 (2, f"return ({''.join(r + ', ' for r in results)})",
@@ -411,8 +492,10 @@ class _Lowering:
         self.const(self.unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
+        self.open(fdef.body.stmts)
         self.body(fdef.body)
-        head = [(0, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
+        self.close()
+        head = [(3, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
         return self.build([
             *self.wrapped("f", ["I", "chk", "F", *params],
                           head + self.lines, params), *self.regions])
@@ -421,15 +504,18 @@ class _Lowering:
         """Emit the compound statement `s` as a function of its own, called
         here with the bound variables and returning them: CPython compiles
         at most 20 nested loop and try blocks, and 100 indentation levels,
-        in one function."""
+        in one function. Its body is a guard scope of its own."""
         name, names = f"_g{self.nregions}", \
             [self.names[n] for n in sorted(self.bound)]
         self.nregions += 1
-        outer = self.lines, self.depth, self.loops
-        self.lines, self.depth, self.loops = [], 0, 0
+        outer = self.lines, self.depth, self.loops, self.root
+        self.lines, self.depth, self.loops = [], 3, 0
+        self.root = len(self.scopes)
+        self.open([s])
         self.stmt(s, region=False)
+        self.close()
         body = self.lines
-        self.lines, self.depth, self.loops = outer
+        self.lines, self.depth, self.loops, self.root = outer
         self.regions += self.wrapped(
             name, ["I", "chk", "F", "cp", *names], body, names)
         self.counts = True
@@ -457,6 +543,118 @@ class _Lowering:
     def tick(self):
         self.emit("next(F)")
 
+    # --- bounds guards (see the module docstring) ---
+
+    def open(self, stmts, loop=None, head=None):
+        """Open the scope of the statements `stmts` here; a loop's guard is
+        set before its line `head`."""
+        self.nguard += 1
+        self.scopes.append(_Scope(frozenset(self.bound), stmts,
+                                  len(self.lines), f"_b{self.nguard}", loop,
+                                  head))
+
+    def cover(self, view):
+        """(guard, offset) of the cell `view` when a guard covers it, else
+        None: the guard of the outermost scope of the function (or region)
+        at whose start all the cell's variables are bound and which
+        rebinds none of them. Its offset is an expression, or a row's
+        local set with the guard."""
+        base = view.base
+        if type(base) is not VarView or len(view.indices) > 2 or self.plain:
+            return None
+        atoms, names = [], {base.name}   # an index: Int literal or name
+        for e in view.indices:
+            if type(e) is Lit and type(e.value) is int and e.value >= 1:
+                atoms.append(e.value)
+            elif type(e) is ViewRef and type(e.view) is VarView:
+                atoms.append(e.view.name)
+                names.add(e.view.name)
+            else:
+                return None
+        if not names <= self.bound:
+            return None
+        for k in range(self.root, len(self.scopes)):
+            scope = self.scopes[k]
+            if names <= scope.bound:
+                if type(scope.rebound) is not set:
+                    scope.rebound = _rebinding(scope.rebound,
+                                               self.unit.rebinds)
+                if names.isdisjoint(scope.rebound):
+                    break
+        else:
+            return None
+        scope.vars |= names
+        key = base.name, tuple(atoms)
+        off = scope.cells.get(key)
+        if off is None:
+            x = atoms[-1]
+            off = repr(x - 1) if type(x) is int else f"{self.names[x]} - 1"
+            x = atoms[0]
+            if len(atoms) == 2 and x != 1:   # a row's offset is a local
+                row = scope.rows.get((key[0], x))
+                if row is None:
+                    self.nguard += 1
+                    row = scope.rows[key[0], x] = f"_o{self.nguard}"
+                off = row if off == "0" else f"{row} + {off}"
+            scope.cells[key] = off
+        return scope.guard, off
+
+    def close(self):
+        """Set the guard of the innermost scope, and its rows' offsets: a
+        loop's before the loop, over the loop variable's range (the
+        offsets of its rows on each iteration)."""
+        scope = self.scopes.pop()
+        if not scope.cells:
+            return
+        g, loop = scope.guard, scope.loop
+        var = loop and loop[0]
+        rows = [(x == var, f"{o} = ({self.names[x] if type(x) is str else x}"
+                           f" - 1) * {self.names[array]}.shape[1]")
+                for (array, x), o in scope.rows.items()]
+
+        def put(k, test, rows):   # before line k
+            d, _, span = self.lines[k]
+            self.lines[k:k] = [(d, test, span),
+                               *[(d + 1, r, span) for r in rows]]
+        test = self.test(scope, var in scope.vars and loop)
+        if each := [r for each, r in rows if each]:
+            put(scope.start, f"if {g}:", each)
+        rows = [r for each, r in rows if not each]
+        put(scope.start if loop is None else scope.head,
+            f"if {g} := {test}:" if rows else f"{g} = {test}", rows)
+
+    def test(self, scope, loop=None):
+        """The test of a scope's guard: each of its cells is in bounds at
+        Int indices. With `loop` (the scope's), the loop variable's facts
+        hold for every value of its range: it is an Int, and its range
+        lies within the array's extent."""
+        var, lo, hi, facts = loop or (None, None, None, [])
+        facts = list(facts)
+        if var and not (lo.isdigit() and int(lo) >= 1):
+            facts.append(f"1 <= {lo}")
+        shapes = {}   # (array, rank) -> the indices of each dimension
+        for array, atoms in scope.cells:
+            for d, x in enumerate(atoms):
+                shapes.setdefault((array, len(atoms)), [set(), set()])[d].add(x)
+        ints = set()
+        for (array, rank), dims in shapes.items():
+            a = self.names[array]
+            facts += [f"type({a}) is Array", f"len({a}.shape) == {rank}"]
+            for d, atoms in enumerate(dims[:rank]):
+                n = f"{a}.shape[{d}]"
+                lits = [x for x in atoms if type(x) is int]
+                if lits:
+                    facts.append(f"{max(lits)} <= {n}")
+                for x in sorted(x for x in atoms if type(x) is str):
+                    if x == var:
+                        facts.append(f"{hi} <= {n}")
+                        continue
+                    if x not in ints:
+                        ints.add(x)
+                        facts.append(f"type({self.names[x]}) is int")
+                    facts.append(f"0 < {self.names[x]} <= {n}")
+        return " and ".join(facts)
+
     def raise_(self, cls, message):
         self.emit(f"raise {cls.__name__}({message!r})")
 
@@ -466,7 +664,7 @@ class _Lowering:
 
     def stmt(self, s, region=True):
         if region and isinstance(s, (If, While, For, Block)) and (
-                self.loops >= 16 or self.depth >= 64):
+                self.loops >= 16 or self.depth >= 3 + 64):
             self.region(s)
             return
         outer, self.span, ntemp = self.span, s.span, self.ntemp
@@ -573,7 +771,7 @@ class _Lowering:
                 t = self.temp()
                 self.emit(f"{t} = _int({self.expr(e)}, {what!r})")
                 bounds.append((t, e, what))
-        (a, _, _), (st, step_e, _), (b, _, _) = bounds
+        (a, start_e, _), (st, step_e, _), (b, _, _) = bounds
         if step_e is not None:
             self.emit(f"if {st} == 0: raise RevDomainError('loop step is "
                       f"zero')")
@@ -583,6 +781,15 @@ class _Lowering:
             self.raise_(DuplicateBinding, f"loop variable {s.var!r} shadows "
                                           f"an existing binding")
             return
+        # the loop variable is an Int when its start and step are, and
+        # takes values from `lo` to `hi`
+        ints = [f"type({t}) is int" for t, e in ((a, start_e), (st, step_e))
+                if e is not None]
+        if step_e is None:
+            lo, hi = (a, b) if s.step.value > 0 else (b, a)
+        else:
+            lo, hi = f"min({a}, {b})", f"max({a}, {b})"
+        head = len(self.lines)
         x, v = self.temp(), self.local(s.var)
         self.emit(f"{x} = {a}")
         if step_e is None:
@@ -594,7 +801,9 @@ class _Lowering:
         self.tick()
         self.emit(f"{v} = {x}")
         self.bound.add(s.var)
+        self.open(s.body.stmts, (s.var, lo, hi, ints), head)
         self.body(s.body)
+        self.close()
         if self.checks:
             self.emit(f"if chk and {v} != {x}: raise LoopIteratorMutated("
                       f"{f'loop variable {s.var!r} was modified in the body'!r}"
@@ -650,7 +859,10 @@ class _Lowering:
         primitive."""
         checks = _alias_pairs(views, [*pairs, *grad_pairs] if self.grad
                               else pairs)
-        arm = self.arm(instr, views, checks)
+        arm = self.arm(instr, views, checks) or self.step(instr, views)
+        # behind an arm the generic rule reaches its cells as uncovered
+        # cells, so a false guard runs the code it ran before guards
+        self.plain = arm
         reads = ", ".join(self.lit(v.value) if isinstance(v, Lit)
                           else self.read(v) for v in views)
         rule = f"numerics.apply_instr({self.const(instr)}, {{}})"
@@ -666,45 +878,71 @@ class _Lowering:
             for v, r in zip(updated, results):
                 self.write(v, r)
         self.depth -= arm
+        self.plain = False
+
+    def step(self, instr, views):
+        """Emit the inline arm of INC/DEC on a bound variable holding an
+        Int, and open its `else:`; returns whether it did."""
+        v = views[0]
+        if instr.kind not in ("INC", "DEC") or not isinstance(v, VarView) \
+                or v.name not in self.bound:
+            return False
+        y = self.names[v.name]
+        self.emit(f"if type({y}) is int: "
+                  f"{y} = {y} {'+' if instr.kind == 'INC' else '-'} 1")
+        self.emit("else:")
+        self.depth += 1
+        return True
 
     def operands(self, instr, views):
         """How an inline arm reads the operands of a +=/-=: per view
-        `(value, read, cell)`, or None when it cannot. A literal (int or
-        float, not the target) is its `value`; a bound local is read and
-        written by name; a cell of a bound local, indexed by at most two
-        Int literals and bound variables, is read by `read` into the
-        temporary `value` and written at `cell`. When it can, it emits the
-        statements that bind the cells' flat offsets, in order: a cell
-        that `Array.get` cannot read raises there."""
+        `(value, read, cell, offset)`, and the guards the arm needs; None
+        when it cannot. A literal (int or float, not the target) is its
+        `value`; a bound local is read and written by name; a cell of a
+        bound local, indexed by at most two Int literals and bound
+        variables, is read by `read` into the temporary `value` and
+        written at `cell`, at its flat `offset`. When guards cover every
+        cell, that is the offset they give; else it is a temporary, and,
+        when it can, it emits the statements that bind those, in order: a
+        cell that `Array.get` cannot read raises there."""
         if instr.kind not in ("+=", "-="):
             return None
-        ops, offsets = [], []
+        ops, cells = [], []
         for k, v in enumerate(views):
             if isinstance(v, Lit):
                 if k == 0 or type(v.value) not in (int, float):
                     return None
-                ops.append((self.lit(v.value), None, None))
+                ops.append((self.lit(v.value), None, None, None))
             elif isinstance(v, VarView) and v.name in self.bound:
                 name = self.names[v.name]
-                ops.append((name, name, name))
+                ops.append((name, name, name, None))
             elif isinstance(v, IndexView) and len(v.indices) <= 2 \
                     and isinstance(v.base, VarView) \
                     and v.base.name in self.bound \
                     and not (ixs := self.indices(v))[1]:
-                a, off, t = self.names[v.base.name], self.temp(), self.temp()
-                offsets.append(f"{off} = _offset({a}, {ixs[0]})")
-                ops.append((t, f"({t} := {a}.data[{off}])",
-                            f"{a}.data[{off}]"))
+                cells.append((len(ops), self.names[v.base.name], ixs[0],
+                              self.cover(v)))
+                ops.append(None)
             else:
                 return None
-        for offset in offsets:
-            self.emit(offset)
-        return ops
+        guards = []
+        covered = all(c for *_, c in cells)
+        for k, a, ixs, c in cells:
+            t = self.temp()
+            if covered:
+                guards += [c[0]] * (c[0] not in guards)
+                off = c[1]
+            else:
+                off = self.temp()
+                self.emit(f"{off} = _offset({a}, {ixs})")
+            ops[k] = t, f"({t} := {a}.data[{off}])", f"{a}.data[{off}]", off
+        return ops, guards
 
     def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
-        open its `else:`; returns whether it did. Forward: on operands of
-        the run's exact float type. Gradient, in a binary64 unit: for a
+        open its `else:`; returns whether it did. It is taken when the
+        guards of its cells are true and, forward, on operands of the
+        run's exact float type. Gradient, in a binary64 unit: for a
         function with `partials`, on a GVar target and arguments that are
         GVars, floats or Ints (a GVar's `x` and `g` being floats), as
         `numerics._plus_minus_adjoint` computes, calling its cotangent
@@ -722,8 +960,9 @@ class _Lowering:
         ops = self.operands(instr, views) if ok else None
         if ops is None:
             return False
+        ops, covered = ops
         guards, xs = [], []   # xs: the operands' (primal) values
-        for k, (o, read, _) in enumerate(ops):
+        for k, (o, read, *_) in enumerate(ops):
             x = self.temp() if read and self.grad else o
             xs.append(x)
             if read is None:   # a literal
@@ -744,19 +983,20 @@ class _Lowering:
             t = self.temp()
             guards.append(f"type({t} := {value})")
             value = t
-        self.emit(f"if {' and '.join(guards)}:" if self.grad
-                  else f"if {self.float} is {' is '.join(guards)}:")
+        test = " and ".join(guards) if self.grad \
+            else f"{self.float} is {' is '.join(guards)}"
+        self.emit(f"if {' and '.join([*covered, test])}:")
         self.depth += 1
-        self.alias_checks(views, checks)
+        self.alias_checks(views, checks, ops)
         sign = "+" if instr.kind == "+=" else "-"
-        y, _, cell = ops[0]
+        y, _, cell, _ = ops[0]
         if self.grad:
             self.emit(f"{y}.x = {xs[0]} {sign} ({value})")
             self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs[1:])})")
             # the rule's `sign * gy`, computed as it computes it
             self.emit(f"_c = {'1.0' if sign == '-' else '-1.0'} * {gy}")
-            args = [o for o, _, _ in ops[1:]]
-            tracked = [(i, o) for i, (o, read, _) in enumerate(ops[1:])
+            args = [o for o, *_ in ops[1:]]
+            tracked = [(i, o) for i, (o, read, *_) in enumerate(ops[1:])
                        if read]
             if tracked:
                 self.emit(f"if None in _p: adjoint_accumulate("
@@ -775,17 +1015,27 @@ class _Lowering:
         self.depth += 1
         return True
 
-    def alias_checks(self, views, pairs):
+    def alias_checks(self, views, pairs, ops=None):
+        """The alias checks of the (i, j, message) `pairs` of `views`; two
+        cells of one array among the `operands` `ops` overlap when their
+        offsets are equal."""
         if pairs is None:
             return
         for i, j, message in pairs:
             a, b = views[i], views[j]
-            if all(isinstance(v, IndexView) and isinstance(v.base, VarView)
-                   for v in (a, b)):
+            if ops and ops[i][3] and ops[j][3]:
+                test = f"{ops[i][3]} == {ops[j][3]}"
+            elif all(isinstance(v, IndexView) and isinstance(v.base, VarView)
+                     for v in (a, b)):
                 # one index step each on one root: their storage ids
-                # overlap when the index tuples are equal
+                # overlap when the index tuples are equal, which under
+                # their guards is when their offsets are
                 test = f"({self.indices(a, True)[0]},) == " \
                        f"({self.indices(b, True)[0]},)"
+                ca, cb = self.cover(a), self.cover(b)
+                if ca and cb:
+                    g = ca[0] if ca[0] == cb[0] else f"{ca[0]} and {cb[0]}"
+                    test = f"({ca[1]} == {cb[1]} if {g} else {test})"
             else:
                 test = f"ids_overlap({self.ident(a)}, {self.ident(b)})"
             self.emit(f"if {test}: raise AliasedArguments({message!r})")
@@ -836,7 +1086,11 @@ class _Lowering:
             return f"_fielded({self.read(view.base)}, 'field access')" \
                    f".get({view.field_name!r})"
         if isinstance(view, IndexView):
-            return f"_get({self.cell(view)})"
+            slow = f"_get({self.cell(view)})"
+            if (c := self.cover(view)) is None:
+                return slow
+            return f"({self.read(view.base)}.data[{c[1]}] if {c[0]} " \
+                   f"else {slow})"
         if isinstance(view, BijView):
             bij = BIJECTORS[view.bij]
             return f"{self.const(bij)}.fwd({self.read(view.base)}, " \
@@ -863,7 +1117,13 @@ class _Lowering:
             self.emit(f"_fielded({self.read(view.base)}, 'field write')"
                       f".set({view.field_name!r}, {value})")
         elif isinstance(view, IndexView):
-            self.emit(f"_set({value}, {self.cell(view)})")
+            slow = f"_set({value}, {self.cell(view)})"
+            if (c := self.cover(view)) is None:
+                self.emit(slow)
+            else:
+                self.emit(f"if {c[0]}: {self.read(view.base)}.data[{c[1]}] = "
+                          f"{value}")
+                self.emit(f"else: {slow}")
         else:
             raise KindError(f"not a view: {view!r}")
 
@@ -942,8 +1202,23 @@ class _Variant(dict):
     def __init__(self, defs, trace, dtype, grad=False):
         super().__init__()
         self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
+        self.assigned = {}   # see `rebinds`
         if not grad:
             self.gradient = _Variant(defs, trace, dtype, True)
+
+    def rebinds(self, fname, views):
+        """The variables a call of `fname` with arguments `views` may
+        rebind: one it passes whole for a parameter that the callee's body
+        writes or passes whole to a call, and one it writes back through a
+        bijector."""
+        fdef = self.defs.get(fname)
+        if fdef is None or len(fdef.params) != len(views):
+            return set(map(_rebound, views))
+        if fname not in self.assigned:
+            self.assigned[fname] = _rebinding(
+                fdef.body.stmts, lambda f, views: set(map(_rebound, views)))
+        return {_rebound(v) for v, p in zip(views, fdef.param_names())
+                if type(v) is not VarView or p in self.assigned[fname]}
 
     def __missing__(self, fname):
         fdef = self.defs.get(fname)

@@ -487,14 +487,17 @@ class _Table(dict):
 def _float_distance(a, b):
     """|a - b| as a float; 0 for equal values, infinities included. The gap
     of real kinds, and of values the table does not know (read by float());
-    two Ints' is their exact difference, converted once."""
-    if _KINDS[type(a)] is _INT is _KINDS[type(b)]:
-        return float(abs(int(a) - int(b)))
+    two Ints' is their exact difference, converted once. A gap beyond the
+    float range is inf."""
     try:
+        if _KINDS[type(a)] is _INT is _KINDS[type(b)]:
+            return float(abs(int(a) - int(b)))
         fa, fb = float(_prim(a)), float(_prim(b))
     except TypeError:
         raise KindError(f"deviation of {kind_name(a)} and "
                         f"{kind_name(b)}") from None
+    except OverflowError:
+        return math.inf
     return 0.0 if fa == fb else abs(fa - fb)
 
 

@@ -546,3 +546,13 @@ def test_a_bijector_write_back_keeps_an_int_cell(tmp_path, capsys):
     assert main(["run", str(f), "-f", "g", "--args=1,1.5"]) == 3
     assert capsys.readouterr().err == \
         f"KindError at {f}:2:1: Int target updated with non-integer 2.5\n"
+
+
+def test_a_release_gap_beyond_the_float_range_is_dirty(tmp_path, capsys):
+    """An Int ancilla too large for a float, released against a Float,
+    has an inf residual (it was a RevDomainError from the overflow)."""
+    f = tmp_path / "f.rnl"
+    f.write_text("fn f(y, x)\nn <- x\ny += n\nn -> 0.5\nend\n")
+    assert main(["run", str(f), "-f", "f", f"--args=0,{10**400}"]) == 3
+    assert capsys.readouterr().err == \
+        f"DirtyAncilla at {f}:4:1: 'n' released with residual inf\n"

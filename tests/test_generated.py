@@ -18,14 +18,18 @@ by 2.0 or 0.5 values that are multiples of 0.5, so their runs are exact
 too.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from revlang import interpreter
 from revlang.autodiff import GradRequest, finite_difference, gradient
 from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Program, validate
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
+from revlang.values import Array
 
 
 class _Gen:
@@ -207,6 +211,12 @@ def test_generated_calls_loops_and_floats(case):
     # what a fresh parse computes, with the same steps and checks
     assert _run(parse_program(src), entry, args) == (text, stats)
     assert text == repr(interp.run_function(entry, list(args)))
+    # np.int64 Ints are Ints: the same values, steps and checks
+    if all(type(a) is int for a in args):
+        wide = Interpreter(program)
+        out = wide.run_function(entry, [np.int64(a) for a in args])
+        assert out == interp.run_function(entry, list(args))
+        assert wide.stats == stats
 
 
 def test_called_programs_reach_calls_loops_and_floats():
@@ -252,3 +262,86 @@ def test_generated_gradients_match_finite_differences():
     check()
     assert outcomes.count("equal") >= len(outcomes) // 2 \
         and "rejected" in outcomes
+
+
+@st.composite
+def array_programs(draw):
+    """`fn f(y, a, i, j)` over a 2-by-3 Float array `a` and Int indices:
+    cells read and updated at the indices, at literals and at the
+    variables of loops up and down, in bounds or not, between SWAPs of the
+    indices and calls that swap them. Returns the text and the
+    arguments."""
+    def index(loops):
+        return draw(st.sampled_from(["i", "j", "1", "2", "3", *loops * 3]))
+
+    def block(depth, loops):
+        lines = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(
+                ["read", "read", "update", "swap", "call"]
+                + ["for", "for"] * (depth < 2)))
+            cell = f"a[{index(loops)}, {index(loops)}]"
+            if kind == "read":
+                lines.append(f"y {draw(st.sampled_from(['+=', '-=']))} {cell}")
+            elif kind == "update":
+                lines.append(f"{cell} += y * 0.5")
+            elif kind == "swap":
+                lines.append("SWAP(i, j)")
+            elif kind == "call":
+                lines.append(draw(st.sampled_from(["g(i, j)", "~g(j, i)"])))
+            else:
+                k, lo, hi = f"k{depth}", draw(st.integers(0, 1)), \
+                    draw(st.integers(0, 3))
+                lines += [draw(st.sampled_from([f"for {k} = {lo}:{hi}",
+                                                f"for {k} = {hi}:-1:{lo}",
+                                                f"for {k} = i:{hi}"])),
+                          *block(depth + 1, [*loops, k]), "end"]
+        return lines
+
+    src = "fn g(i, j)\nSWAP(i, j)\nend\nfn f(y, a, i, j)\n" + \
+        "\n".join(block(0, [])) + "\nend\n"
+    cells = draw(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+    args = [0.5, [c / 2 for c in cells], *draw(st.lists(
+        st.integers(0, 3), min_size=2, max_size=2))]
+    return src, args
+
+
+def _array_outcome(src, args, wide=False):
+    """The results (the array by its cells) or the error's type, message
+    and place, then the ExecStats of one run."""
+    y, cells, i, j = args
+    z = np.int64 if wide else int
+    interp = Interpreter(parse_program(src))
+    try:
+        out = interp.run_function(
+            "f", [y, Array(list(cells), (2, 3)), z(i), z(j)])
+        res = [out[0], out[1].data, int(out[2]), int(out[3])]
+    except RevLangError as err:
+        res = (type(err).__name__, err.message, err.span)
+    return res, interp.stats
+
+
+@settings(max_examples=150)
+@given(case=array_programs())
+def test_guarded_cells_match_the_path_every_cell_takes(case):
+    """The lowered code's bounds guards are observers: with np.int64
+    indices (no guard holds) and with no cell covered at all, a program
+    gives the same results, errors and ExecStats."""
+    src, args = case
+    outcome = _array_outcome(src, args)
+    assert _array_outcome(src, args, wide=True) == outcome
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter._Lowering, "cover", lambda self, view: None)
+        assert _array_outcome(src, args) == outcome
+
+
+def test_array_programs_reach_both_outcomes():
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(case=array_programs())
+    def collect(case):
+        seen.add(type(_array_outcome(*case)[0]).__name__)
+
+    collect()
+    assert seen == {"list", "tuple"}

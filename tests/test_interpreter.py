@@ -1712,3 +1712,216 @@ def test_every_bundled_function_lowers(dtype):
         assert set(unit.defs) == {*names, *map(inverse_name, names)}
         for fname in unit.defs:
             assert callable(unit[fname]) and callable(unit.gradient[fname])
+
+
+# --- bounds guards: a guard covers the cells of a scope; a false guard
+# takes the path every cell took before (`_offset`, `_get`, `_set`) ---
+
+_X = [[1.0, 0.5, -0.25], [-0.5, 0.75, 2.0]]
+_V = [[0.125, -0.5, 0.25], [0.5, 0.25, -1.0]]
+
+
+def _kick_args(i, j, x=None, m=None):
+    return [0.0, 0.0, 0.0, Array.matrix(_X) if x is None else x, i, j,
+            Array.vector([1.0, 0.01]) if m is None else m, 1.0, 0.001]
+
+
+def _guarded_outcome(fname, args):
+    """A run on a fresh parse of the leapfrog asset: the results (arrays
+    by their data) or the error's type, message and place; then the steps
+    and checks it counted."""
+    interp = Interpreter(prog(asset_text("leapfrog.rnl")))
+    try:
+        out = interp.run_function(fname, args)
+        res = [a.data if isinstance(a, Array) else a for a in out]
+    except RevLangError as err:
+        res = (type(err).__name__, err.message, err.span.line, err.span.col)
+    return res, interp.stats.steps, interp.stats.checks_passed
+
+
+def _checks(ancilla=0, iterator=0, alias=0):
+    return {"postcondition": 0, "ancilla": ancilla, "iterator": iterator,
+            "alias": alias}
+
+
+class TestBoundsGuards:
+    KICK = [-7.489420620189751e-07, 1.248236770031625e-07,
+            1.1234130930284625e-06]
+
+    @pytest.mark.parametrize("fname, sign, steps, checks", [
+        ("kick_pair_clean", 1, 43, _checks(ancilla=9)),
+        ("~kick_pair_clean", -1, 43, _checks(ancilla=9)),
+        ("kick_pair_cumulative", 1, 37, _checks(ancilla=6, alias=6))])
+    def test_int64_indices_take_the_slow_path_to_the_same_run(
+            self, fname, sign, steps, checks):
+        # np.int64 indices make the guard false; `_offset` takes them
+        for i, j in ((1, 2), (np.int64(1), np.int64(2))):
+            res, n, cp = _guarded_outcome(fname, _kick_args(i, j))
+            assert res[:3] == [sign * y for y in self.KICK]
+            assert res[3:] == [sum(_X, []), 1, 2, [1.0, 0.01], 1.0, 0.001]
+            assert type(res[4]) is type(i) and (n, cp) == (steps, checks)
+
+    @pytest.mark.parametrize("fname, case, error, steps, checks", [
+        ("kick_pair_clean", "out of bounds",
+         ("IndexOutOfBounds", "index 3 out of bounds 1..2", 29, 9), 10,
+         _checks()),
+        ("kick_pair_clean", "wrong rank",
+         ("IndexOutOfBounds", "2 indices for 1-d array", 29, 9), 10,
+         _checks()),
+        ("kick_pair_clean", "short m",
+         ("IndexOutOfBounds", "index 2 out of bounds 1..1", 37, 9), 18,
+         _checks()),
+        ("~kick_pair_clean", "out of bounds",
+         ("IndexOutOfBounds", "index 3 out of bounds 1..2", 29, 9), 10,
+         _checks()),
+        ("kick_pair_cumulative", "out of bounds",
+         ("IndexOutOfBounds", "index 3 out of bounds 1..2", 55, 9), 7,
+         _checks()),
+        ("kick_pair_cumulative", "wrong rank",
+         ("IndexOutOfBounds", "2 indices for 1-d array", 55, 9), 7,
+         _checks()),
+        ("kick_pair_cumulative", "short m",
+         ("IndexOutOfBounds", "index 2 out of bounds 1..1", 63, 9), 15,
+         _checks(alias=3))])
+    def test_a_false_guard_raises_where_the_cell_is_reached(
+            self, fname, case, error, steps, checks):
+        args = {"out of bounds": _kick_args(1, 3),
+                "wrong rank": _kick_args(1, 2, x=Array.vector([1.0] * 3)),
+                "short m": _kick_args(1, 2, m=Array.vector([1.0]))}[case]
+        assert _guarded_outcome(fname, args) == (error, steps, checks)
+
+    @pytest.mark.parametrize("fname, case, outcome", [
+        ("drift", "ints", ([[1.0625, 0.25, -0.125, -0.25, 0.875, 1.5],
+                            sum(_V, []), 0.5], 17, _checks(iterator=3))),
+        ("~drift", "ints", ([[0.9375, 0.75, -0.375, -0.75, 0.625, 2.5],
+                             sum(_V, []), 0.5], 17, _checks(iterator=3))),
+        ("drift", "wrong rank", (("IndexOutOfBounds",
+                                  "2 indices for 1-d array", 13, 13), 5,
+                                 _checks())),
+        ("drift", "range past extent", (("IndexOutOfBounds",
+                                         "index 3 out of bounds 1..2", 13,
+                                         13), 21, _checks(iterator=2))),
+        ("~drift", "range past extent", (("IndexOutOfBounds",
+                                          "index 3 out of bounds 1..2", 13,
+                                          13), 5, _checks()))])
+    def test_a_loop_range_the_array_cannot_hold(self, fname, case, outcome):
+        # drift's loop runs over size(x, 1) rows and reads v at each
+        x = _X + [[3.0, 3.0, 3.0]] if case == "range past extent" else _X
+        v = Array.vector([0.5] * 6) if case == "wrong rank" \
+            else Array.matrix(_V)
+        assert _guarded_outcome(fname, [Array.matrix(x), v, 0.5]) == outcome
+
+    def test_the_gradient_variant_reads_through_the_guard_too(self):
+        p = prog(asset_text("leapfrog.rnl"))
+        grads = [gradient(p, GradRequest("kick_pair_clean", _kick_args(i, j)))
+                 for i, j in ((1, 2), (np.int64(1), np.int64(2)))]
+        assert repr(grads[0][0][:4]) == repr(grads[1][0][:4])
+        assert repr(grads[0][1]) == repr(grads[1][1])
+
+    @pytest.mark.parametrize("variant", ["clean", "cumulative"])
+    @pytest.mark.parametrize("precision", ["binary64", "binary32"])
+    def test_leapfrog_reaches_no_cell_through_offset(
+            self, monkeypatch, variant, precision):
+        from revlang.stdlib import leapfrog_simulate, two_body_config
+        calls = []
+        offset = interpreter._offset
+        monkeypatch.setattr(interpreter, "_offset",
+                            lambda *a: calls.append(a) or offset(*a))
+        cfg = two_body_config(steps=20)
+        final, err = leapfrog_simulate(cfg, variant, precision)
+        assert calls == [] and err < 1e-5
+        # the counter sees the slow path: a cell at an np.int64 index
+        run(prog("fn f(y, a, i)\ny += a[i]\nend"), "f",
+            [0.0, Array.vector([1.0]), np.int64(1)])
+        assert len(calls) == 1
+
+    def test_unchecked_leapfrog_reaches_no_cell_through_offset(
+            self, monkeypatch):
+        from revlang.stdlib import _leapfrog_args, two_body_config
+        calls = []
+        offset = interpreter._offset
+        monkeypatch.setattr(interpreter, "_offset",
+                            lambda *a: calls.append(a) or offset(*a))
+        interp = Interpreter(load_example("leapfrog_clean"),
+                             ExecOptions(invcheck=False))
+        args = list(_leapfrog_args(two_body_config(steps=20), None))
+        x0 = list(args[0].data)
+        out = interp.run_function("leapfrog_clean", args)
+        back = interp.uncall_function("leapfrog_clean", out)
+        assert calls == [] and max(
+            abs(a - b) for a, b in zip(back[0].data, x0)) < 1e-12
+
+    def test_reads_after_a_call_or_swap_see_the_values_it_leaves(self):
+        # `inc` rebinds the index it takes whole; SWAP exchanges indices
+        # and arrays: no guard covers a variable either may rebind, and
+        # every read is of the cell the values name then
+        p = prog("fn inc(i)\nINC(i)\nend\n"
+                 "fn f(y, a, b, i, j)\ny += a[i]\ninc(i)\ny += a[i]\n"
+                 "SWAP(i, j)\ny += a[i]\nSWAP(a, b)\ny += a[i]\nend")
+        a, b = Array.vector([1.0, 2.0, 4.0]), Array.vector([8.0, 16.0])
+        interp = Interpreter(p)
+        out = interp.run_function("f", [0.0, a, b, 1, 2])
+        assert out[0] == 1.0 + 2.0 + 2.0 + 16.0 and out[3:] == [2, 2]
+        back = interp.uncall_function("f", out)
+        assert back[0] == 0.0 and back[3:] == [1, 2]
+        # the rebound index is out of bounds: the read after the call
+        # raises as `_offset` does
+        with pytest.raises(IndexOutOfBounds, match="index 4 out of bounds "
+                                                   "1..3") as err:
+            run(p, "f", [0.0, a, b, 3, 1])
+        assert (err.value.span.line, err.value.span.col) == (7, 1)
+
+    def test_a_written_index_is_read_through_offset(self, monkeypatch):
+        # a guard covers no variable its scope writes: INC(k) then a[k]
+        calls = []
+        offset = interpreter._offset
+        monkeypatch.setattr(interpreter, "_offset",
+                            lambda *a: calls.append(a) or offset(*a))
+        p = prog("fn f(y, a, k)\nfor i = 1:2\nINC(k)\ny += a[k]\nend\n"
+                 "y += a[1]\nend")
+        out = run(p, "f", [0.0, Array.vector([1.0, 2.0, 4.0]), 0])
+        assert out[0] == 1.0 + 2.0 + 1.0 and out[2] == 2
+        assert len(calls) == 2   # a[k], twice; a[1] is covered
+        with pytest.raises(IndexOutOfBounds, match="index 4 out of bounds"):
+            run(p, "f", [0.0, Array.vector([1.0, 2.0, 4.0]), 2])
+
+    def test_a_region_sets_its_own_guards(self, monkeypatch):
+        # 18 nested loops: the innermost ones are a function of their own,
+        # whose cell is covered; it swaps the index the cell after it reads
+        calls = []
+        offset = interpreter._offset
+        monkeypatch.setattr(interpreter, "_offset",
+                            lambda *a: calls.append(a) or offset(*a))
+        n = 18
+        src = "fn f(y, a, k, j)\n" + "".join(
+            f"for i{d} = 1:1\n" for d in range(n)) + \
+            f"y += a[2, i{n - 1}]\nSWAP(k, j)\n" + "end\n" * n + \
+            "y += a[k, 2]\nend"
+        a = Array.matrix([[1.0, 2.0], [4.0, 8.0]])
+        assert run(prog(src), "f", [0.0, a, 2, 1]) == [6.0, a, 1, 2]
+        assert calls == [(a, 1, 2)]
+        with pytest.raises(IndexOutOfBounds, match="index 3 out of bounds"):
+            run(prog(src), "f", [0.0, a, 1, 3])
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_release_of_two_floats_of_one_type_is_decided_inline(
+            self, monkeypatch, dtype):
+        from revlang.stdlib import leapfrog_simulate, two_body_config
+        calls = []
+        residual = interpreter._ancilla_residual
+        monkeypatch.setattr(interpreter, "_ancilla_residual",
+                            lambda *a: calls.append(a) or residual(*a))
+        precision = "binary32" if dtype else "binary64"
+        for variant in ("clean", "cumulative"):
+            leapfrog_simulate(two_body_config(steps=20), variant, precision)
+        assert calls == []
+        z = dtype or float
+        p = prog("fn f(y, x)\nn <- 0.0\nn += x\nn -> 0.0\nend")
+        opts = ExecOptions(float_dtype=dtype, float_tolerance=1e-3)
+        for x, text in ((0.5, "0.5"), (2e-3, repr(float(z(2e-3)))),
+                        (math.nan, "nan"), (math.inf, "inf")):
+            with pytest.raises(DirtyAncilla, match=f"residual {text}$") \
+                    as err:
+                run(p, "f", [z(0.0), z(x)], opts)
+            assert repr(err.value.residual) == text
+        assert run(p, "f", [z(0.0), z(1e-4)], opts)[1] == z(1e-4)

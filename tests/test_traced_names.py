@@ -9,9 +9,11 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from revlang import cli, interpreter, ir, numerics
 from revlang.autodiff import GradRequest, gradient, hessian
+from revlang.errors import KindError
 from revlang.interpreter import ExecOptions, Interpreter
 from revlang.parser import parse_program
 from revlang.values import Array, Complex, Fixed
@@ -103,3 +105,22 @@ def test_generic_dispatch_counts_only_the_generic_rule(monkeypatch):
         assert count(lambda: out.extend(
             Interpreter(q).run_function(fname, args))) == 1
         assert type(out[0]) is float and out[0] == 0.25 + math.sqrt(2.0)
+    # INC/DEC on an Int variable, forward and backward, in a gradient pass
+    # too; a Bool or Fixed cell takes the generic rule and keeps its
+    # result or error
+    r = parse_program("fn f(y, k)\nINC(k)\nINC(k)\nDEC(k)\n"
+                      "y += 1.5\nend")
+    out = []
+    assert count(lambda: out.extend(
+        Interpreter(r).run_function("f", [0.5, 3]))) == 0
+    assert out == [2.0, 4] and type(out[1]) is int
+    assert count(lambda: out.extend(
+        Interpreter(r).uncall_function("f", [2.0, 4]))) == 0
+    assert out[2:] == [0.5, 3] and type(out[3]) is int
+    assert count(lambda: gradient(r, GradRequest("f", [0.5, 3]))) == 0
+    assert count(lambda: out.append(Interpreter(r).run_function(
+        "f", [0.5, Fixed.from_real(1.5)]))) == 3
+    assert out[-1][1] == Fixed.from_real(2.5)
+    with pytest.raises(KindError, match="INC on bool$") as err:
+        Interpreter(r).run_function("f", [0.5, True])
+    assert (err.value.span.line, err.value.span.col) == (2, 1)

@@ -160,6 +160,14 @@ class TestComposites:
         assert deviation(big, float(big)) == 0.0
         assert deviation(float(big), big + 1) == 0.0
 
+    def test_a_gap_beyond_the_float_range_is_inf(self):
+        assert deviation(10**400, 0) == float("inf")
+        assert deviation(10**400, 1.0) == float("inf")
+        assert deviation(0.5, -10**400) == float("inf")
+        assert deviation(Array.vector([1, 10**400]), Array.vector([1, 0])) \
+            == float("inf")
+        assert not values_close(10**400, 0.5, 1e-9)
+
     def test_nan_and_opposite_infinities_are_not_close(self):
         nan = float("nan")
         assert not values_close(nan, nan, 1e-9)
