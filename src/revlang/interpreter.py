@@ -175,6 +175,12 @@ def _offset(a, *ixs):
     return _indexed(a)._offset(tuple([_ix(i) for i in ixs]))
 
 
+def _rule(instr, vals):
+    """The generic rule's new value of the first of `vals` (looked up as
+    `numerics.apply_instr` when it runs)."""
+    return numerics.apply_instr(instr, vals)[0]
+
+
 def _get(a, *ixs):
     k = _offset(a, *ixs)
     return a.data[k]
@@ -868,7 +874,7 @@ class _Lowering:
         rule = f"numerics.apply_instr({self.const(instr)}, {{}})"
         updated = views if instr.fname is None else views[:1]
         if checks is None and len(updated) == 1:
-            self.write(updated[0], rule.format(f"[{reads}]") + "[0]")
+            self.write(updated[0], f"_rule({self.const(instr)}, [{reads}])")
         else:
             self.emit(f"_v = [{reads}]")
             self.alias_checks(views, checks)
