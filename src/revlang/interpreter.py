@@ -7,11 +7,11 @@ there is one evaluator and no runtime stack. Reversibility checks
 alias rejection) are observers: on a passing program, disabling them
 changes nothing but speed.
 
-Each function and each inverse is lowered, on its first call, to one
-Python function (`_Lowering` emits its source; `compile` and `exec` make
-it), in two variants: the gradient variant serves the passes whose
-arguments carry a GVar, and the forward variant, which holds no gradient
-code, the others. Variables are Python locals, bound statically:
+Each function and each inverse is lowered, on its first call, to Python
+(`_Lowering` emits its source; `compile` and `exec` make it), in two
+variants: the gradient variant serves the passes whose arguments carry a
+GVar, and the forward variant, which holds no gradient code, the others.
+Variables are Python locals, bound statically:
 `validate` balances every allocation in its block, so an allocation of a
 bound name, or a read or release of an unbound one, is emitted as the
 error it raises. Check code runs when the flag `chk` is set: the
@@ -44,6 +44,34 @@ than CPython compiles in one function becomes a function of its own
 (`_Lowering.region`). The view helpers (`read_view`, `write_view`,
 `canonical_view_identity`) lower their view the same way, a Frame's
 bindings as locals; they and the gradient variant alone emit `strip_gvar`.
+
+A function of the forward variant has two bodies, both emitted by
+`_Lowering`: the generic body, the code above, and a specialised body
+behind one entry guard. The guard checks once per call the facts
+(`_wants`) the statements would re-test: a parameter a `+=`/`-=` reads
+or writes has the run's float type exactly; an index, a loop bound or an
+`INC`/`DEC` target is a plain `int`; an indexed Array has its rank, and
+only cells of the run's float type where a cell feeds a `+=`/`-=` (a
+scan of its cells); a parameter passed whole to a call has what the
+callee asks. `_Flow` carries the facts through the body before it is
+lowered: a `+=`/`-=` of a float value keeps a float target a float (a
+Dual value is the only one that changes it), an allocation from a float
+or Int literal has its type, a `for` with Int start and step binds an
+Int; a fact dies at a statement primitive, at a call that may rebind its
+variable (`_Variant.rebinds`), at any other write, and, for cells, at a
+write in place that is not a proven float. A call whose arguments prove
+the callee's guard goes straight to its specialised body (`_Bodies`),
+and its arguments take the facts the callee leaves. The specialised
+body drops every type test a fact proves, decides a release of a proven
+float inline (calling `_release` when that test fails), writes Int
+comparisons, Int arithmetic, `length` and `size` as Python, runs a `for`
+with Int start and step as a `range` loop, and drops the loop
+variable's and the range's checks where the body cannot trip them
+(counting them as passed); fuel and every count are the generic body's.
+A function's first call decides, before either body is lowered, which
+one it lowers (`_Unit`): the specialised body when the guard holds, and
+the generic body, which then serves every later call, when it does not.
+A failed guard runs the generic body.
 
 A Program keeps (`Program.compiled`, dropped by `Program.add`) the
 definitions its first unit validates, expands and inverts, once, and
@@ -380,6 +408,347 @@ _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
            "mul": "{0} * {1}", "neg": "-{0}", "abs2": "{0} * {0}"}
 
 
+# --- type facts (see the module docstring) -----------------------------------
+# A fact is what a specialised body knows of a variable's value over a stretch
+# of its code: "F", of the run's float type exactly; "I", a plain int; or
+# ("A", rank, cells), an Array of that rank (None: not known) whose cells are
+# all of the run's float type when `cells`.
+
+# the functions whose value on operands of the run's float type, and Int
+# literals beside one of them, has that type
+_FLOAT_FNS = frozenset(("identity", "add", "sub", "mul", "neg", "abs2", "abs",
+                        "div", "sqrt", "exp", "log", "sin", "cos", "atan2"))
+_INT_OPS = {"add": "+", "sub": "-", "mul": "*"}
+
+
+def _meet(a, b):
+    """The fact that both facts imply (None: none)."""
+    if a == b:
+        return a
+    if type(a) is tuple and type(b) is tuple:
+        return "A", a[1] if a[1] == b[1] else None, a[2] and b[2]
+    return None
+
+
+def _meet_all(x, y):
+    return {n: m for n, f in x.items() if (m := _meet(f, y.get(n)))}
+
+
+def _implies(have, want):
+    return want is None or have == want or (
+        type(have) is tuple and type(want) is tuple
+        and want[1] in (None, have[1]) and have[2] >= want[2])
+
+
+def _has(fact, v, t):
+    """Whether the value `v` has the fact (`t`: the run's float type); the
+    test `_Lowering.has` emits."""
+    if fact == "F":
+        return type(v) is t
+    if fact == "I":
+        return type(v) is int
+    return type(v) is Array and fact[1] in (None, len(v.shape)) and (
+        not fact[2] or {*map(type, v.data)} <= {t})
+
+
+def _holds(want, values, t):
+    """Whether a function's entry guard holds of its arguments."""
+    return all(w is None or _has(w, v, t) for w, v in zip(want, values))
+
+
+def _fact_of(view, facts):
+    """The fact of a view's value: a variable's, or "F" for a cell of an
+    Array of floats."""
+    if type(view) is VarView:
+        return facts.get(view.name)
+    if type(view) is IndexView and type(view.base) is VarView:
+        a = facts.get(view.base.name)
+        if type(a) is tuple and a[2]:
+            return "F"
+    return None
+
+
+def _float_value(fname, views, facts=None):
+    """Whether `fname` over the operands `views` has the run's float type:
+    a function of `_FLOAT_FNS` over proven floats (without `facts`: every
+    operand but the literals), float literals (lowered to that type) and
+    Int literals beside one of them."""
+    kinds = [{float: "F", int: "I"}.get(type(v.value)) if type(v) is Lit
+             else "F" if facts is None or _fact_of(v, facts) == "F" else None
+             for v in views]
+    return fname in _FLOAT_FNS and "F" in kinds and None not in kinds
+
+
+def _etype(e, facts):
+    """The fact of an expression's value: a literal's, a variable's or a
+    float cell's, or "I" for Int arithmetic, `length` and `size`."""
+    t = type(e)
+    if t is Lit:
+        return {int: "I", float: "F"}.get(type(e.value))
+    if t is ViewRef:
+        return _fact_of(e.view, facts)
+    if t is Un:
+        return "I" if _etype(e.operand, facts) == "I" else None
+    if t is Bin:
+        fname, args = INSTR_BIN_OPS.get(e.op), (e.left, e.right)
+    elif t is Call:
+        fname, args = e.fname, e.args
+    else:
+        return None
+    if fname in _INT_OPS:
+        return "I" if [_etype(a, facts) for a in args] == ["I", "I"] \
+            else None
+    if fname in ("length", "size") and args and type(args[0]) is ViewRef:
+        a = _fact_of(args[0].view, facts)
+        if fname == "length" and len(args) == 1 and type(a) is tuple:
+            return "I"
+        if len(args) == 2 and type(a) is tuple and a[1] and \
+                _is_int_lit(args[1]) and 1 <= args[1].value <= a[1]:
+            return "I"
+    return None
+
+
+def _reads(e):
+    """The views an expression reads."""
+    t = type(e)
+    if t is ViewRef:
+        yield e.view
+    elif t is Un:
+        yield from _reads(e.operand)
+    elif t is Bin:
+        yield from _reads(e.left)
+        yield from _reads(e.right)
+    elif t is Call:
+        for a in e.args:
+            yield from _reads(a)
+
+
+def _want(old, new):
+    """Two wishes for one parameter as one: Arrays merge, an index beats a
+    float, anything else conflicts ("X")."""
+    if old is None or old == new:
+        return new
+    if type(old) is tuple and type(new) is tuple:
+        ranks = {old[1], new[1]} - {None}
+        return "A", ranks.pop() if len(ranks) == 1 else None, old[2] or new[2]
+    return "I" if {old, new} == {"I", "F"} else "X"
+
+
+def _wants(fdef, want_of):
+    """The facts the specialised body of `fdef` asks of its parameters, in
+    order (None: none): a float for an operand or target of a +=/-=, an Int
+    for an index, a loop bound or an INC/DEC, an Array of the rank it is
+    indexed at for a base (of floats where a cell is a +=/-= operand), and
+    what a callee asks of a parameter passed to it (`want_of(fname)`: the
+    callee's list, or None)."""
+    found = {}
+
+    def put(name, fact):
+        found[name] = _want(found.get(name), fact)
+
+    def view(v, fact=None):
+        if type(v) is BijView:
+            view(v.base)
+        elif type(v) is VarView:
+            if fact:
+                put(v.name, fact)
+        elif type(v) is IndexView:
+            for e in v.indices:
+                if type(e) is ViewRef and type(e.view) is VarView:
+                    put(e.view.name, "I")
+                else:
+                    exprs(e)
+            if type(v.base) is VarView:
+                put(v.base.name, ("A", len(v.indices), fact == "F"))
+            else:
+                view(v.base)
+        elif type(v) is FieldView:
+            view(v.base)
+
+    def exprs(*es):
+        for e in es:
+            for v in _reads(e):
+                view(v)
+
+    def ints(e):   # an Int expression: its variables are Ints
+        t = type(e)
+        if t is ViewRef and type(e.view) is VarView:
+            put(e.view.name, "I")
+        elif t is Call and e.fname in ("length", "size") and e.args \
+                and type(e.args[0]) is ViewRef \
+                and type(e.args[0].view) is VarView:
+            put(e.args[0].view.name, ("A", None, False))
+            exprs(*e.args[1:])
+        elif t is Bin and INSTR_BIN_OPS.get(e.op) in _INT_OPS:
+            ints(e.left)
+            ints(e.right)
+        elif t is Un:
+            ints(e.operand)
+        else:
+            exprs(e)
+
+    todo = list(fdef.body.stmts)
+    while todo:
+        s = todo.pop()
+        t = type(s)
+        if t is InstrCall:
+            for v in s.args:
+                view(v, "F" if s.op in ("+=", "-=") else None)
+        elif (t is FnCall or t is UncallFn) and s.fname in PRIM_STATEMENTS:
+            for v in s.args:
+                view(v, "I" if s.fname in ("INC", "DEC") else None)
+        elif t is FnCall or t is UncallFn:
+            want = want_of(inverse_name(s.fname) if t is UncallFn
+                           else s.fname)
+            if want is None or len(want) != len(s.args):
+                want = [None] * len(s.args)
+            for v, w in zip(s.args, want):
+                view(v, w)
+        elif t is AncillaAlloc or t is AncillaDealloc:
+            exprs(s.expr)
+        elif t is For:
+            for e in (s.start, s.step, s.stop):
+                ints(e)
+            todo += s.body.stmts
+        elif t is If:
+            exprs(s.pre, *[s.post] * (s.post is not SAME_AS_PRE))
+            todo += s.then_block.stmts + s.else_block.stmts
+        elif t is While:
+            exprs(s.pre, s.post)
+            todo += s.body.stmts
+        elif t is Block:
+            todo += s.stmts
+        elif t is InvCheckOff:
+            todo.append(s.stmt)
+        elif t is Safe:
+            exprs(*s.exprs)
+    return [None if (f := found.get(p)) == "X" else f
+            for p in fdef.param_names()]
+
+
+class _Flow:
+    """The facts of the specialised body of `fname`: those its entry guard
+    checks of the parameters (`want`), those that hold before and, for a
+    compound statement, after each statement (`at`, by id; the meet where a
+    statement is reached twice), the calls that go straight to the callee's
+    specialised body because its `want` holds there (`direct`), and the
+    parameters' facts when the body returns (`exit`)."""
+
+    def __init__(self, unit, fname):
+        self.unit, fdef = unit, unit.defs[fname]
+        self.want = _wants(fdef,
+                           lambda f: (flow := unit.flow(f)) and flow.want)
+        self.at, self.direct = {}, set()
+        params = fdef.param_names()
+        end = self.block(fdef.body.stmts,
+                         {p: w for p, w in zip(params, self.want) if w})
+        self.exit = [end.get(p) for p in params]
+
+    def block(self, stmts, facts):
+        for s in stmts:
+            facts = self.stmt(s, facts)
+        return facts
+
+    def stmt(self, s, before):
+        out, t = dict(before), type(s)
+        if t is AncillaAlloc:
+            out.pop(s.name, None)
+            if (f := _etype(s.expr, before)) in ("F", "I"):
+                out[s.name] = f
+        elif t is AncillaDealloc:
+            out.pop(s.name, None)
+        elif t is InstrCall:
+            # a Dual value is the only one that changes a Float target
+            if not (s.op in ("+=", "-=") and _fact_of(s.args[0], before) == "F"
+                    and _float_value(s.fname, s.args[1:], before)):
+                self.kill(out, s.args[0])
+        elif (t is FnCall or t is UncallFn) and s.fname in PRIM_STATEMENTS:
+            for v in s.args:
+                if not (s.fname in ("INC", "DEC")
+                        and _fact_of(v, before) == "I"):
+                    self.kill(out, v)
+        elif t is FnCall or t is UncallFn:
+            self.call(s, before, out)
+        elif t is If:
+            out = _meet_all(self.block(s.then_block.stmts, before),
+                            self.block(s.else_block.stmts, before))
+        elif t is While or t is For:
+            out = self.loop(s, before)
+        elif t is Block:
+            out = self.block(s.stmts, before)
+        elif t is InvCheckOff:
+            out = self.stmt(s.stmt, before)
+        old = self.at.get(id(s))
+        self.at[id(s)] = (before, out) if old is None else \
+            (_meet_all(old[0], before), _meet_all(old[1], out))
+        return out
+
+    def loop(self, s, before):
+        """The facts at a loop's head: those before it that no iteration
+        undoes. The variable of a `for` with Int start and step is an Int
+        in its body."""
+        var = s.var if type(s) is For else None
+        ints = var and _etype(s.start, before) == _etype(s.step, before) == "I"
+        head = before
+        while True:
+            inner = dict(head)
+            inner.pop(var, None)
+            if ints:
+                inner[var] = "I"
+            end = dict(self.block(s.body.stmts, inner))
+            end.pop(var, None)
+            new = _meet_all(head, end)
+            if new == head:
+                return head
+            head = new
+
+    @staticmethod
+    def kill(facts, view):
+        """Drop what a write to `view` may make false: the facts of the
+        variable it rebinds or, written in place, every Array's cells (an
+        Array may be bound to two names)."""
+        name = _rebound(view)
+        if name is not None:
+            facts.pop(name, None)
+        else:
+            _Flow.dirty(facts)
+
+    @staticmethod
+    def dirty(facts):
+        for n, f in facts.items():
+            if type(f) is tuple and f[2]:
+                facts[n] = "A", f[1], False
+
+    def call(self, s, before, out):
+        """A call goes straight to the callee's specialised body when its
+        `want` holds, and its arguments then take the callee's `exit`
+        facts; a variable it may rebind otherwise loses its facts. Cells
+        keep theirs only when every argument is a scalar, or an Array or a
+        cell that the callee's body leaves holding floats."""
+        callee = inverse_name(s.fname) if type(s) is UncallFn else s.fname
+        views = s.args
+        flow = self.unit.flow(callee) if callee in self.unit.defs else None
+        direct = flow is not None and len(flow.want) == len(views) and all(
+            _implies(_fact_of(v, before), w) for v, w in zip(views, flow.want))
+        if direct:
+            self.direct.add(id(s))
+        rebound = self.unit.rebinds(callee, views)
+        for name in rebound:
+            out.pop(name, None)
+        clean = direct
+        for k, v in enumerate(views):
+            have, left = _fact_of(v, before), direct and flow.exit[k]
+            if type(v) is VarView and v.name in rebound and left:
+                out[v.name] = left
+            if type(v) is IndexView:
+                clean = clean and left == "F"
+            elif have not in ("F", "I"):
+                clean = clean and type(have) is tuple and _implies(
+                    left, ("A", None, True))
+        if not clean:
+            _Flow.dirty(out)
+
+
 # --- the emitter ---------------------------------------------------------------
 
 class _Scope:
@@ -388,13 +757,14 @@ class _Scope:
     the facts that make it an Int) of a `for`. Its guard, the local named
     `guard`, covers the `cells` whose variables are all `bound` at its
     start and none `rebound` in it. It is set at line `start`, or, for a
-    loop, once at line `head`, before the loop."""
+    loop, once at line `head`, before the loop; `known`: the facts there."""
 
     __slots__ = ("bound", "rebound", "start", "head", "guard", "loop",
-                 "cells", "rows", "vars")
+                 "cells", "rows", "vars", "known")
 
-    def __init__(self, bound, stmts, start, guard, loop=None, head=None):
-        self.bound = bound
+    def __init__(self, bound, stmts, start, guard, loop=None, head=None,
+                 known=None):
+        self.bound, self.known = bound, known
         self.rebound = stmts   # the set of variables, once asked
         self.start, self.head, self.guard, self.loop = start, head, guard, loop
         self.cells = {}      # (array, indices) -> offset
@@ -407,10 +777,12 @@ class _Lowering:
 
     `unit`, a `_Variant`, supplies the options the code depends on
     (`grad`: the gradient variant); without one (the view helpers) the
-    code has no checks, fuel or trace."""
+    code has no checks, fuel or trace. With `flow` (a `_Flow`) it emits
+    the specialised body, which reads the facts `known` at each point."""
 
-    def __init__(self, unit=None, float_dtype=None):
+    def __init__(self, unit=None, float_dtype=None, flow=None):
         self.unit, self.grad = unit, unit is not None and unit.grad
+        self.flow, self.known = flow, {}
         self.dtype = float_dtype if unit is None else unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -460,14 +832,14 @@ class _Lowering:
         self.counts = True
         self.emit(f"cp[{kind!r}] += 1")
 
-    def build(self, defs):
+    def build(self, defs, result="f"):
         """Compile the function definitions `defs` (lines at depth 1 and
         deeper) inside `_make`, which closes over the constants and the
         span of each line (that of the statement it was emitted for), and
-        return its `f`."""
+        return its `result`."""
         lines = [(0, "def _make(" + ", ".join(
             [name for name, _ in self.consts.values()] + ["_LS"]) + "):",
-                  NO_SPAN), *defs, (1, "return f", NO_SPAN)]
+                  NO_SPAN), *defs, (1, f"return {result}", NO_SPAN)]
         src = "\n".join([" " * d + t for d, t, _ in lines])
         spans = (NO_SPAN, *[s for _, _, s in lines])
         ns = {}
@@ -494,17 +866,53 @@ class _Lowering:
     def function(self, fdef):
         """`f(I, chk, F, *args) -> args`: `F` is the run's fuel, an
         iterator that each statement executed takes one item from. Calls
-        go to the callee's lowered function of the same variant."""
-        self.const(self.unit, "_fns")
+        go to the callee's entry in the unit (`_fns`) or, where the flow
+        proves its guard, straight to its specialised body (`_B`).
+
+        A specialised body returns as `(f, _s)`: `_s` the body and `f` its
+        entry, which runs `_s` when the guard holds of the arguments and
+        the generic body (`_G`) when not."""
+        self.const(self.unit.unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
+        guard = []
+        if self.flow:
+            self.known = {p: w for p, w in zip(fdef.param_names(),
+                                                self.flow.want) if w}
+            guard = [self.has(w, x) for w, x in zip(self.flow.want, params)
+                     if w]
         self.open(fdef.body.stmts)
         self.body(fdef.body)
         self.close()
         head = [(3, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
-        return self.build([
-            *self.wrapped("f", ["I", "chk", "F", *params],
-                          head + self.lines, params), *self.regions])
+        body = self.wrapped("_s" if self.flow else "f",
+                            ["I", "chk", "F", *params], head + self.lines,
+                            params)
+        if not self.flow:
+            return self.build([*body, *self.regions])
+        args = ", ".join(["I", "chk", "F", *params])
+        entry = [(1, f"def f({args}):", NO_SPAN),
+                 (2, f"if {' and '.join(guard)}: return _s({args})",
+                  NO_SPAN),
+                 (2, f"return {self.const(self.unit.generic, '_G')}"
+                     f"[{fdef.name!r}]({args})", NO_SPAN)] if guard \
+            else [(1, "f = _s", NO_SPAN)]
+        return self.build([*body, *self.regions, *entry], "f, _s")
+
+    def has(self, fact, x):
+        """The test that the value of `x` has the fact (see `_has`)."""
+        if fact == "F":
+            return f"type({x}) is {self.float}"
+        if fact == "I":
+            return f"type({x}) is int"
+        return " and ".join(
+            [f"type({x}) is Array"]
+            + [f"len({x}.shape) == {fact[1]}"] * (fact[1] is not None)
+            + [f"{{*map(type, {x}.data)}} <= {{{self.float}}}"] * fact[2])
+
+    def kind(self, e):
+        """The fact of an expression's value in the specialised body."""
+        return self.flow and _etype(e, self.known)
 
     def region(self, s):
         """Emit the compound statement `s` as a function of its own, called
@@ -557,7 +965,7 @@ class _Lowering:
         self.nguard += 1
         self.scopes.append(_Scope(frozenset(self.bound), stmts,
                                   len(self.lines), f"_b{self.nguard}", loop,
-                                  head))
+                                  head, self.known))
 
     def cover(self, view):
         """(guard, offset) of the cell `view` when a guard covers it, else
@@ -642,10 +1050,11 @@ class _Lowering:
         for array, atoms in scope.cells:
             for d, x in enumerate(atoms):
                 shapes.setdefault((array, len(atoms)), [set(), set()])[d].add(x)
-        ints = set()
+        ints = {x for x in scope.vars if scope.known.get(x) == "I"}
         for (array, rank), dims in shapes.items():
             a = self.names[array]
-            facts += [f"type({a}) is Array", f"len({a}.shape) == {rank}"]
+            if not _implies(scope.known.get(array), ("A", rank, False)):
+                facts += [f"type({a}) is Array", f"len({a}.shape) == {rank}"]
             for d, atoms in enumerate(dims[:rank]):
                 n = f"{a}.shape[{d}]"
                 lits = [x for x in atoms if type(x) is int]
@@ -669,9 +1078,13 @@ class _Lowering:
     # the line's statement.
 
     def stmt(self, s, region=True):
+        known = self.known
+        if self.flow:
+            self.known = self.flow.at[id(s)][0]
         if region and isinstance(s, (If, While, For, Block)) and (
                 self.loops >= 16 or self.depth >= 3 + 64):
             self.region(s)
+            self.known = known
             return
         outer, self.span, ntemp = self.span, s.span, self.ntemp
         self.tick()
@@ -703,15 +1116,12 @@ class _Lowering:
                 if name not in self.bound:
                     self.raise_(UnboundVariable, f"{name!r} is not bound")
                 elif self.checks:
-                    self.counts = True
-                    self.emit(f"if chk: _release(cp, {name!r}, "
-                              f"{self.names[name]}, {self.expr(e)}, "
-                              f"I.opts.float_tolerance, {self.grad})")
+                    self.release(name, e)
                 self.bound.discard(name)
             case FnCall(fname=fname, args=args):
-                self.call(fname, args, uncall=False)
+                self.call(fname, args, False, id(s))
             case UncallFn(fname=fname, args=args):
-                self.call(fname, args, uncall=True)
+                self.call(fname, args, True, id(s))
             case If():
                 self.if_(s)
             case While():
@@ -735,7 +1145,30 @@ class _Lowering:
                 raise KindError(f"cannot execute {type(s).__name__}", s.span)
         # a statement's temporaries are free again after it: fewer distinct
         # names make `compile` cheaper
-        self.span, self.ntemp = outer, ntemp
+        self.span, self.ntemp, self.known = outer, ntemp, known
+
+    def release(self, name, e):
+        """The release check of ancilla `name` against `e`; two proven
+        floats are decided inline, as `_release` decides them, which is
+        called when that test fails."""
+        self.counts = True
+        y, d = self.names[name], self.expr(e)
+        call = f"_release(cp, {name!r}, {y}, {d}, I.opts.float_tolerance, " \
+               f"{self.grad})"
+        if not (self.known.get(name) == self.kind(e) == "F"):
+            self.emit(f"if chk: {call}")
+            return
+        f = "{}" if self.dtype is None else "float({})"
+        self.emit("if chk:")
+        self.emit(f" if {y} == {d} or abs({f.format(y)} - {f.format(d)}) <= "
+                  f"I.opts.float_tolerance: cp['ancilla'] += 1")
+        self.emit(f" else: {call}")
+
+    def after(self, s):
+        """Make the facts after the compound statement `s` (at a loop's
+        head: before each iteration and at its exit) the known ones."""
+        if self.flow:
+            self.known = self.flow.at[id(s)][1]
 
     def if_(self, s):
         took = self.temp()
@@ -748,9 +1181,11 @@ class _Lowering:
         if self.checks:
             self.counts = True
             post = s.pre if s.post is SAME_AS_PRE else s.post
+            self.after(s)
             self.emit(f"if chk: _branch(cp, {self.cond(post)}, {took})")
 
     def while_(self, s):
+        self.after(s)
         pre, post = self.cond(s.pre), self.cond(s.post)
         if self.checks:
             self.counts = True
@@ -768,6 +1203,11 @@ class _Lowering:
         self.loops -= 1
 
     def for_(self, s):
+        """A `for`, as a `range` loop in the specialised body when its start
+        and step are Ints; there the loop variable's check is dropped when
+        no statement of the body may rebind it, and the range check when no
+        statement may rebind a variable an Int bound reads (it is counted
+        as passed)."""
         bounds = []    # (code, expression, what): an Int literal is code
         for e, what in ((s.start, "loop start"), (s.step, "loop step"),
                         (s.stop, "loop stop")):
@@ -775,7 +1215,8 @@ class _Lowering:
                 bounds.append((repr(e.value), None, what))
             else:
                 t = self.temp()
-                self.emit(f"{t} = _int({self.expr(e)}, {what!r})")
+                self.emit(f"{t} = {self.expr(e)}" if self.kind(e) == "I"
+                          else f"{t} = _int({self.expr(e)}, {what!r})")
                 bounds.append((t, e, what))
         (a, start_e, _), (st, step_e, _), (b, _, _) = bounds
         if step_e is not None:
@@ -790,38 +1231,59 @@ class _Lowering:
         # the loop variable is an Int when its start and step are, and
         # takes values from `lo` to `hi`
         ints = [f"type({t}) is int" for t, e in ((a, start_e), (st, step_e))
-                if e is not None]
+                if e is not None and self.kind(e) != "I"]
         if step_e is None:
             lo, hi = (a, b) if s.step.value > 0 else (b, a)
         else:
             lo, hi = f"min({a}, {b})", f"max({a}, {b})"
+        rebound = _rebinding(s.body.stmts, self.unit.rebinds) \
+            if self.flow else ()
+        ranged = self.flow and not ints
+        mutable = not ranged or s.var in rebound
         head = len(self.lines)
         x, v = self.temp(), self.local(s.var)
-        self.emit(f"{x} = {a}")
-        if step_e is None:
-            self.emit(f"while {x} {'<=' if s.step.value > 0 else '>='} {b}:")
+        if ranged:
+            stop = f"{b} + 1" if step_e is None and s.step.value > 0 else \
+                f"{b} - 1" if step_e is None else \
+                f"{b} + (1 if {st} > 0 else -1)"
+            self.emit(f"for {x if mutable else v} in range({a}, {stop}"
+                      f"{'' if st == '1' else ', ' + st}):")
         else:
-            self.emit(f"while ({x} <= {b} if {st} > 0 else {x} >= {b}):")
+            self.emit(f"{x} = {a}")
+            if step_e is None:
+                self.emit(f"while {x} {'<=' if s.step.value > 0 else '>='} "
+                          f"{b}:")
+            else:
+                self.emit(f"while ({x} <= {b} if {st} > 0 else {x} >= {b}):")
         self.depth += 1
         self.loops += 1
         self.tick()
-        self.emit(f"{v} = {x}")
+        if mutable:
+            self.emit(f"{v} = {x}")
         self.bound.add(s.var)
         self.open(s.body.stmts, (s.var, lo, hi, ints), head)
         self.body(s.body)
         self.close()
-        if self.checks:
+        if self.checks and mutable:
             self.emit(f"if chk and {v} != {x}: raise LoopIteratorMutated("
                       f"{f'loop variable {s.var!r} was modified in the body'!r}"
                       f")")
-        self.emit(f"{x} += {st}")
+        if not ranged:
+            self.emit(f"{x} += {st}")
         self.depth -= 1
         self.loops -= 1
         self.bound.discard(s.var)
         if self.checks:
-            # Int literal bounds cannot change; the others are evaluated again
+            # Int literal bounds cannot change, nor Int bounds whose
+            # variables the body cannot rebind; the others are evaluated
+            # again
+            fixed = self.known
+            self.after(s)
             changed = [f"_int({self.expr(e)}, {what!r}) != {t}"
-                       for t, e, what in bounds if e is not None]
+                       for t, e, what in bounds if e is not None and not (
+                           self.flow and _etype(e, fixed) == "I" and all(
+                               _rebound(w) not in rebound
+                               for w in _reads(e)))]
             if changed:
                 self.counts = True
                 self.emit(f"if chk: _loop_range(cp, {' or '.join(changed)})")
@@ -831,7 +1293,7 @@ class _Lowering:
                 self.count("iterator")
                 self.depth -= 1
 
-    def call(self, fname, views, uncall):
+    def call(self, fname, views, uncall, sid):
         if fname in PRIM_STATEMENTS:
             self.update(
                 PrimitiveInstr(PRIM_INVERSE[fname] if uncall else fname),
@@ -844,6 +1306,8 @@ class _Lowering:
             (i, j, "call arguments may not share memory")
             for i in range(len(views)) for j in range(i + 1, len(views))])
         fn = f"_fns[{callee!r}]"
+        if self.flow and sid in self.flow.direct:
+            fn = f"{self.const(self.unit.bodies, '_B')}[{callee!r}]"
         if checks is not None:   # the callee is found before the checks
             self.emit(f"_f = {fn}")
             fn = "_f"
@@ -865,7 +1329,11 @@ class _Lowering:
         primitive."""
         checks = _alias_pairs(views, [*pairs, *grad_pairs] if self.grad
                               else pairs)
-        arm = self.arm(instr, views, checks) or self.step(instr, views)
+        arm = self.arm(instr, views, checks)
+        if arm is False:
+            arm = self.step(instr, views)
+        if arm is None:   # an arm that the facts prove needs no generic rule
+            return
         # behind an arm the generic rule reaches its cells as uncovered
         # cells, so a false guard runs the code it ran before guards
         self.plain = arm
@@ -888,29 +1356,35 @@ class _Lowering:
 
     def step(self, instr, views):
         """Emit the inline arm of INC/DEC on a bound variable holding an
-        Int, and open its `else:`; returns whether it did."""
+        Int, and open its `else:`; returns whether it did, or None when a
+        fact proves the Int."""
         v = views[0]
         if instr.kind not in ("INC", "DEC") or not isinstance(v, VarView) \
                 or v.name not in self.bound:
             return False
         y = self.names[v.name]
-        self.emit(f"if type({y}) is int: "
-                  f"{y} = {y} {'+' if instr.kind == 'INC' else '-'} 1")
+        update = f"{y} = {y} {'+' if instr.kind == 'INC' else '-'} 1"
+        if self.known.get(v.name) == "I":
+            self.emit(update)
+            return None
+        self.emit(f"if type({y}) is int: {update}")
         self.emit("else:")
         self.depth += 1
         return True
 
     def operands(self, instr, views):
         """How an inline arm reads the operands of a +=/-=: per view
-        `(value, read, cell, offset)`, and the guards the arm needs; None
-        when it cannot. A literal (int or float, not the target) is its
+        `(value, read, cell, offset, sure)`, and the guards the arm needs;
+        None when it cannot. A literal (int or float, not the target) is its
         `value`; a bound local is read and written by name; a cell of a
         bound local, indexed by at most two Int literals and bound
         variables, is read by `read` into the temporary `value` and
         written at `cell`, at its flat `offset`. When guards cover every
         cell, that is the offset they give; else it is a temporary, and,
         when it can, it emits the statements that bind those, in order: a
-        cell that `Array.get` cannot read raises there."""
+        cell that `Array.get` cannot read raises there. `sure`: a fact
+        proves the operand a float of the run's type; such a cell's
+        `value` is the cell itself."""
         if instr.kind not in ("+=", "-="):
             return None
         ops, cells = [], []
@@ -918,10 +1392,11 @@ class _Lowering:
             if isinstance(v, Lit):
                 if k == 0 or type(v.value) not in (int, float):
                     return None
-                ops.append((self.lit(v.value), None, None, None))
+                ops.append((self.lit(v.value), None, None, None, True))
             elif isinstance(v, VarView) and v.name in self.bound:
                 name = self.names[v.name]
-                ops.append((name, name, name, None))
+                ops.append((name, name, name, None,
+                            self.known.get(v.name) == "F"))
             elif isinstance(v, IndexView) and len(v.indices) <= 2 \
                     and isinstance(v.base, VarView) \
                     and v.base.name in self.bound \
@@ -941,14 +1416,20 @@ class _Lowering:
             else:
                 off = self.temp()
                 self.emit(f"{off} = _offset({a}, {ixs})")
-            ops[k] = t, f"({t} := {a}.data[{off}])", f"{a}.data[{off}]", off
+            cell = f"{a}.data[{off}]"
+            ops[k] = (cell, cell, cell, off, True) \
+                if _fact_of(views[k], self.known) == "F" else \
+                (t, f"({t} := {cell})", cell, off, False)
         return ops, guards
 
     def arm(self, instr, views, checks):
         """Emit the inline arm of a +=/-= when its operands allow one, and
-        open its `else:`; returns whether it did. It is taken when the
-        guards of its cells are true and, forward, on operands of the
-        run's exact float type. Gradient, in a binary64 unit: for a
+        open its `else:`; returns whether it did, or None when it needs no
+        test and so no `else:`. It is taken when the guards of its cells
+        are true and, forward, on operands of the run's exact float type
+        (a fact proves an operand's; in the specialised body so do the
+        operands' types the value of a function of `_FLOAT_FNS`). Gradient,
+        in a binary64 unit: for a
         function with `partials`, on a GVar target and arguments that are
         GVars, floats or Ints (a GVar's `x` and `g` being floats), as
         `numerics._plus_minus_adjoint` computes, calling its cotangent
@@ -961,17 +1442,18 @@ class _Lowering:
             # value's too unless `fn` computes it from floats alone, but
             # that check would precede the alias checks
             exact = fn and all(type(v.value) is float for v in views
-                               if isinstance(v, Lit))
+                               if isinstance(v, Lit)) or self.flow and \
+                _float_value(instr.fname, views[1:])
             ok = spec and spec.apply and (exact or checks is None)
         ops = self.operands(instr, views) if ok else None
         if ops is None:
             return False
         ops, covered = ops
         guards, xs = [], []   # xs: the operands' (primal) values
-        for k, (o, read, *_) in enumerate(ops):
+        for k, (o, read, _, _, sure) in enumerate(ops):
             x = self.temp() if read and self.grad else o
             xs.append(x)
-            if read is None:   # a literal
+            if sure:   # a literal, or proven
                 continue
             if not self.grad:
                 guards.append(f"type({read})")
@@ -991,11 +1473,13 @@ class _Lowering:
             value = t
         test = " and ".join(guards) if self.grad \
             else f"{self.float} is {' is '.join(guards)}"
-        self.emit(f"if {' and '.join([*covered, test])}:")
-        self.depth += 1
+        conds = [*covered, *[test] * bool(guards)]
+        if conds:
+            self.emit(f"if {' and '.join(conds)}:")
+            self.depth += 1
         self.alias_checks(views, checks, ops)
         sign = "+" if instr.kind == "+=" else "-"
-        y, _, cell, _ = ops[0]
+        y, _, cell, *_ = ops[0]
         if self.grad:
             self.emit(f"{y}.x = {xs[0]} {sign} ({value})")
             self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs[1:])})")
@@ -1016,6 +1500,8 @@ class _Lowering:
                 self.depth -= 1
         else:
             self.emit(f"{cell} = {y} {sign} ({value})")
+        if not conds:
+            return None
         self.depth -= 1
         self.emit("else:")
         self.depth += 1
@@ -1166,6 +1652,8 @@ class _Lowering:
             read = self.read(e.view)
             return f"strip_gvar({read})" if self.unit is None or self.grad \
                 else read
+        if self.kind(e) == "I":   # Int arithmetic, `length`, `size`
+            return self.ints(e)
         if isinstance(e, Un):    # unary minus
             return self.apply("neg", (e.operand,), e.span)
         if isinstance(e, Bin):
@@ -1177,10 +1665,26 @@ class _Lowering:
                 return f"(_bool_of({left}) and _bool_of({right}))"
             if e.op == "||":
                 return f"(_bool_of({left}) or _bool_of({right}))"
+            if self.kind(e.left) == "I" == self.kind(e.right):
+                return f"({left} {e.op} {right})"
             return f"compare({e.op!r}, {left}, {right})"
         if isinstance(e, Call):
             return self.apply(e.fname, e.args, e.span)
         raise KindError(f"not an expression: {e!r}")
+
+    def ints(self, e):
+        """An expression of Int value (see `_etype`) as Python computes
+        it: as `numerics` does."""
+        if type(e) is Un:
+            return f"(-{self.expr(e.operand)})"
+        fname, args = (INSTR_BIN_OPS[e.op], (e.left, e.right)) \
+            if type(e) is Bin else (e.fname, e.args)
+        x = [self.expr(a) for a in args]
+        if fname in _INT_OPS:
+            return f"({x[0]} {_INT_OPS[fname]} {x[1]})"
+        if fname == "length":
+            return f"len({x[0]}.data)"
+        return f"{x[0]}.shape[{args[1].value - 1}]"
 
     def cond(self, e):
         """A condition: comparisons and &&/|| are Bool already."""
@@ -1201,28 +1705,28 @@ class _Lowering:
 
 class _Variant(dict):
     """Maps a function's name to its lowered function for one float type
-    and trace setting, in the forward variant or, when `grad`, the
-    gradient variant, lowering it on first lookup. A forward variant is a
-    unit: it holds its gradient twin as `gradient`."""
+    and trace setting, lowering it on first lookup: the gradient variant
+    (`grad`), or the generic bodies of the forward variant of `unit`.
+    Lowered calls look up `unit`'s functions."""
 
-    def __init__(self, defs, trace, dtype, grad=False):
+    def __init__(self, defs, trace, dtype, grad=False, unit=None):
         super().__init__()
         self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
-        self.assigned = {}   # see `rebinds`
-        if not grad:
-            self.gradient = _Variant(defs, trace, dtype, True)
+        self.unit = self if unit is None else unit
+        self.assigned = {} if unit is None else unit.assigned  # `rebinds`
 
     def rebinds(self, fname, views):
         """The variables a call of `fname` with arguments `views` may
         rebind: one it passes whole for a parameter that the callee's body
-        writes or passes whole to a call, and one it writes back through a
-        bijector."""
+        writes or passes whole for one that its callee may rebind, and one
+        it writes back through a bijector."""
         fdef = self.defs.get(fname)
         if fdef is None or len(fdef.params) != len(views):
             return set(map(_rebound, views))
         if fname not in self.assigned:
-            self.assigned[fname] = _rebinding(
-                fdef.body.stmts, lambda f, views: set(map(_rebound, views)))
+            # a call back into `fname` meanwhile may rebind any parameter
+            self.assigned[fname] = set(fdef.param_names())
+            self.assigned[fname] = _rebinding(fdef.body.stmts, self.rebinds)
         return {_rebound(v) for v, p in zip(views, fdef.param_names())
                 if type(v) is not VarView or p in self.assigned[fname]}
 
@@ -1232,6 +1736,61 @@ class _Variant(dict):
             raise UnknownFunction(f"no function named {fname!r}")
         fn = self[fname] = _Lowering(self).function(fdef)
         return fn
+
+
+class _Unit(_Variant):
+    """The forward variant of a Program for one float type and trace
+    setting: maps a function's name to its entry. A function's first call
+    decides its entry before any body is lowered: its specialised body's
+    (`bodies`), when the guard holds of the arguments, else its generic
+    body (`generic`) from then on. It holds the gradient twin as
+    `gradient`, and the `_Flow` of each function as it is needed."""
+
+    def __init__(self, defs, trace, dtype):
+        super().__init__(defs, trace, dtype)
+        self.gradient = _Variant(defs, trace, dtype, True)
+        self.generic = _Variant(defs, trace, dtype, unit=self)
+        self.bodies = _Bodies(self)
+        self.flows = {}
+
+    def flow(self, fname):
+        """`fname`'s flow: None for an unknown name, and while it is found
+        (to a recursive call)."""
+        if fname not in self.flows and fname in self.defs:
+            self.flows[fname] = None
+            self.flows[fname] = _Flow(self, fname)
+        return self.flows.get(fname)
+
+    def __missing__(self, fname):
+        flow = self.flow(fname)
+        if flow is None:
+            raise UnknownFunction(f"no function named {fname!r}")
+        t = self.dtype or float
+
+        def first(I, chk, F, *args):
+            if _holds(flow.want, args, t):
+                fn = self.bodies[fname]
+            else:
+                fn = self[fname] = self.generic[fname]
+            return fn(I, chk, F, *args)
+        self[fname] = first
+        return first
+
+
+class _Bodies(dict):
+    """A unit's specialised bodies by name, each lowered on first lookup
+    with the entry that guards it, which becomes the unit's."""
+
+    def __init__(self, unit):
+        super().__init__()
+        self.unit = unit
+
+    def __missing__(self, fname):
+        unit = self.unit
+        unit[fname], body = _Lowering(unit, flow=unit.flow(fname)).function(
+            unit.defs[fname])
+        self[fname] = body
+        return body
 
 
 def _unit(program, opts):
@@ -1248,7 +1807,7 @@ def _unit(program, opts):
             for fdef in compiled["expanded"].values():
                 inv = invert_function(fdef)
                 defs.setdefault(inv.name, inv)
-        compiled[key] = _Variant(defs, *key)
+        compiled[key] = _Unit(defs, *key)
     return compiled[key]
 
 

@@ -371,19 +371,21 @@ def strip_gvar(v):
 
 
 def _plus_minus_plain(op, fname, vals):
-    target = vals[0]
-    fv = _fn_value(fname, vals[1:])
+    return [_plus_minus(op, vals[0], _fn_value(fname, vals[1:]))] \
+        + list(vals[1:])
+
+
+def _plus_minus(op, target, fv):
+    """`target op fv`, `fv` taken as the target's kind `cast` takes it; a
+    Complex target part by part, each part as a target of its own kind."""
     kind = _KINDS[type(target)]
     if kind.cast is None:
         raise KindError(f"cannot apply {op} to {kind_name(target)}")
     d = kind.cast(target, fv)
     if kind.parts is None:
-        new = target + d if op == "+=" else target - d
-    else:   # a Complex target, part by part
-        sign = 1 if op == "+=" else -1
-        new = Complex(*(to_real(t) + sign * x
-                        for t, x in zip(kind.parts(target), kind.parts(d))))
-    return [new] + list(vals[1:])
+        return target + d if op == "+=" else target - d
+    return Complex(*(_plus_minus(op, t, x)
+                     for t, x in zip(kind.parts(target), kind.parts(d))))
 
 
 def _log_contribution(fname, argvals):

@@ -345,3 +345,67 @@ def test_array_programs_reach_both_outcomes():
 
     collect()
     assert seen == {"list", "tuple"}
+
+
+# --- the specialised body against the generic body -----------------------
+
+def _typed(v):
+    """A value by its type and repr, cell by cell: equal when the bits and
+    types are (a NaN as NaN)."""
+    if type(v) is Array:
+        return "Array", v.shape, [_typed(c) for c in v.data]
+    return type(v).__name__, repr(v)
+
+
+def _bodies_outcome(src, entry, args):
+    """The typed results (or the error's type, message and span) and the
+    ExecStats of a run on a fresh parse, and the functions whose
+    specialised body it lowered."""
+    interp = Interpreter(parse_program(src))
+    try:
+        res = [_typed(v) for v in interp.run_function(entry, args())]
+    except RevLangError as err:
+        res = (type(err).__name__, err.message, err.span)
+    return res, interp.stats, sorted(interp.unit.bodies)
+
+
+def _both_bodies(src, entry, args):
+    """The outcome on the specialised bodies, which must equal the outcome
+    on the generic bodies every failing guard reaches."""
+    outcome = _bodies_outcome(src, entry, args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter, "_holds", lambda *a: False)
+        generic = _bodies_outcome(src, entry, args)
+    assert generic[2] == [] and generic[:2] == outcome[:2]
+    return outcome
+
+
+@settings(max_examples=150)
+@given(case=array_programs())
+def test_array_programs_agree_on_both_bodies(case):
+    """Specialisation is an observer: with every guard failing, a program
+    gives the same bits and types, errors and ExecStats."""
+    src, (y, cells, i, j) = case
+    outcome = _both_bodies(
+        src, "f", lambda: [y, Array(list(cells), (2, 3)), i, j])
+    assert outcome[2][:1] == ["f"]
+
+
+@settings(max_examples=150)
+@given(case=called_programs())
+def test_called_programs_agree_on_both_bodies(case):
+    src, entry, args = case
+    _both_bodies(src, entry, lambda: list(args))
+
+
+def test_called_programs_reach_both_bodies():
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(case=called_programs())
+    def collect(case):
+        src, entry, args = case
+        seen.add(entry in _bodies_outcome(src, entry, lambda: list(args))[2])
+
+    collect()
+    assert seen == {True, False}

@@ -1704,7 +1704,8 @@ class TestLessTravelledPaths:
 @pytest.mark.parametrize("dtype", [None, np.float32])
 def test_every_bundled_function_lowers(dtype):
     """Each function of the bundled programs, and its inverse, lowers in
-    both variants for both float types."""
+    both variants for both float types: the forward variant's specialised
+    and generic bodies, and the gradient variant."""
     programs = {id(p): p for p in map(load_example, CATALOG)}.values()
     for p in programs:
         unit = Interpreter(p, ExecOptions(float_dtype=dtype)).unit
@@ -1712,6 +1713,8 @@ def test_every_bundled_function_lowers(dtype):
         assert set(unit.defs) == {*names, *map(inverse_name, names)}
         for fname in unit.defs:
             assert callable(unit[fname]) and callable(unit.gradient[fname])
+            assert callable(unit.bodies[fname]) and \
+                callable(unit.generic[fname])
 
 
 # --- bounds guards: a guard covers the cells of a scope; a false guard
@@ -1925,3 +1928,191 @@ class TestBoundsGuards:
                 run(p, "f", [z(0.0), z(x)], opts)
             assert repr(err.value.residual) == text
         assert run(p, "f", [z(0.0), z(1e-4)], opts)[1] == z(1e-4)
+
+
+# --- specialised bodies: one entry guard per function, facts from it ---
+
+def _typed(v):
+    """A value by its type and repr, cell by cell: equal when the bits and
+    types are (a NaN as NaN)."""
+    if type(v) is Array:
+        return "Array", v.shape, [_typed(c) for c in v.data]
+    return type(v).__name__, repr(v)
+
+
+def _typed_outcome(interp, fname, args):
+    try:
+        return [_typed(v) for v in interp.run_function(fname, args)]
+    except RevLangError as err:
+        return type(err).__name__, err.message, err.span
+
+
+class TestSpecialisedBodies:
+    # `a[i]`'s cells feed an arm, so the guard asks for an Array of floats
+    SRC = "fn f(y, a, i)\ny += a[i] * 2.0\ny += a[1]\nn <- 0.0\n" \
+          "n += y\nn -= y\nn -> 0.0\nend"
+
+    def warm(self, src, fname, args):
+        """An Interpreter whose unit holds `fname`'s specialised body, run
+        on `args` (floats that pass its guard)."""
+        interp = Interpreter(prog(src))
+        interp.run_function(fname, args)
+        assert fname in interp.unit.bodies and fname not in \
+            interp.unit.generic
+        return interp
+
+    def same_as_fresh_runs(self, interp, src, fname, args):
+        """The run on `interp`'s unit equals a fresh Program's, and one
+        whose every guard fails, with the same steps and checks."""
+        def outcome(interp):
+            steps, checks = interp.stats.steps, \
+                dict(interp.stats.checks_passed)
+            out = _typed_outcome(interp, fname, [deep_copy(a) for a in args])
+            return out, interp.stats.steps - steps, {
+                k: n - checks[k]
+                for k, n in interp.stats.checks_passed.items()}
+
+        runs = [outcome(interp), outcome(Interpreter(prog(src)))]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(interpreter, "_holds", lambda *a: False)
+            runs.append(outcome(Interpreter(prog(src))))
+        assert runs[0] == runs[1] == runs[2]
+        return runs[0][0]
+
+    @pytest.mark.parametrize("cells, y, ok", [
+        ([Dual(1.5, 1.0), 2.5], 0.0, True),     # a Dual cell
+        ([1.5, 2.5], Fixed.from_real(0.5), True),   # a Fixed scalar
+        ([1.5, 2], 0.0, True),                  # an Int cell
+        ([1.5, 2.5], np.float64(0.0), True)])   # a binary64 numpy scalar
+    def test_a_failed_guard_runs_the_generic_body(self, cells, y, ok):
+        interp = self.warm(self.SRC, "f", [0.0, Array.vector([1.5, 2.5]), 2])
+        out = self.same_as_fresh_runs(interp, self.SRC, "f",
+                                      [y, Array.vector(cells), 2])
+        assert type(out) is list and "f" in interp.unit.generic
+
+    def test_a_swap_of_an_int_into_a_float_variable(self):
+        # `n` is asked nothing: an Int passes the guard, and moves into `y`
+        src = "fn f(y, n, a)\ny += a[1]\nSWAP(y, n)\ny += a[2]\n" \
+              "y += a[1]\nend"
+        interp = self.warm(src, "f", [0.5, 1.5, Array.vector([1.0, 2.0])])
+        for n in (1, 1.5):
+            out = self.same_as_fresh_runs(interp, src, "f",
+                                          [0.5, n, Array.vector([1.0, 2.0])])
+            assert out[0][0] == type(n).__name__
+        assert "f" not in interp.unit.generic
+
+    @pytest.mark.parametrize("k", [4, np.float32(4.0)])
+    def test_a_callee_that_swaps_a_cell_with_an_int(self, k):
+        # an Int, or a binary32 value, which a binary64 float would take
+        # on if its cell were still taken for a float
+        src = "fn g(c, k)\nSWAP(c, k)\nend\n" \
+              "fn f(y, a, k)\ny += a[1]\ng(a[1], k)\ny += a[1]\n" \
+              "y += a[2]\nend"
+        interp = self.warm(src, "f", [0.0, Array.vector([1.0, 2.0]), 4.0])
+        out = self.same_as_fresh_runs(interp, src, "f",
+                                      [0.0, Array.vector([1.0, 2.0]), k])
+        assert out[1][2][0] == _typed(k) and out[0] == ("float", "7.0")
+        assert "f" not in interp.unit.generic
+
+    def test_an_iteration_sees_the_facts_the_last_one_left(self):
+        # the SWAP moves an Int into `y` for the next iteration's update
+        src = "fn f(y, n, a)\nfor i = 1:2\ny += a[1]\nSWAP(y, n)\nend\nend"
+        interp = self.warm(src, "f", [0.5, 1.5, Array.vector([2.0])])
+        out = self.same_as_fresh_runs(interp, src, "f",
+                                      [0.5, 1, Array.vector([2.0])])
+        assert out[:2] == [("float", "2.5"), ("int", "3")]
+
+    def test_after_an_if_hold_the_facts_of_both_branches(self):
+        src = "fn f(y, n, c)\nif (c > 0, ~)\ny += 1.0\nelse\nSWAP(y, n)\n" \
+              "end\ny += 2.0\nend"
+        interp = self.warm(src, "f", [0.5, 1, 1])
+        out = self.same_as_fresh_runs(interp, src, "f", [0.5, 1, 0])
+        assert out[:2] == [("int", "3"), ("float", "0.5")]
+
+    def test_a_loop_variable_the_body_rebinds_is_checked(self):
+        src = "fn f(y, n, k)\nfor i = 1:k\ny += 1.0\nSWAP(i, n)\nend\nend"
+        interp = self.warm(src, "f", [0.0, 5, 0])
+        out = self.same_as_fresh_runs(interp, src, "f", [0.0, 5, 2])
+        assert out[:2] == ("LoopIteratorMutated",
+                           "loop variable 'i' was modified in the body")
+
+    def test_a_call_rebinds_what_its_callees_rebind(self):
+        # g passes `p` whole to h, which swaps it: f's `i` is rebound
+        p = prog("fn h(a, b)\nSWAP(a, b)\nend\nfn g(p, q)\nh(p, q)\nend\n"
+                 "fn f(y, a, i, j)\ny += a[i]\ng(i, j)\ny += a[i]\nend")
+        a = Array.vector([1.0, 2.0, 4.0])
+        assert run(p, "f", [0.0, a, 1, 2]) == [3.0, a, 2, 1]
+        # the guard set at entry does not cover the `a[i]` after the call
+        with pytest.raises(IndexOutOfBounds, match="index 4 out of bounds"):
+            run(p, "f", [0.0, a, 1, 4])
+
+    def test_calls_go_straight_to_a_proven_body(self, monkeypatch):
+        # kick_clean proves kick_pair_clean's guard: only the entry of the
+        # first call tests it
+        tested = []
+        has = interpreter._has
+        monkeypatch.setattr(interpreter, "_has",
+                            lambda *a: tested.append(a[0]) or has(*a))
+        from revlang.stdlib import _leapfrog_args, two_body_config
+        interp = Interpreter(prog(asset_text("leapfrog.rnl")))
+        interp.run_function("leapfrog_clean", list(_leapfrog_args(
+            two_body_config(steps=3), None)))
+        assert len(tested) == 6 and sorted(interp.unit.bodies) == [
+            "drift", "kick_clean", "kick_pair_clean", "leapfrog_clean"]
+        assert interp.unit.generic == {}
+
+    @pytest.mark.parametrize("variant", ["clean", "cumulative"])
+    @pytest.mark.parametrize("precision", ["binary64", "binary32"])
+    def test_leapfrog_calls_no_release_compare_or_int_helper(
+            self, monkeypatch, variant, precision):
+        from revlang import numerics
+        from revlang.stdlib import (_leapfrog_args, leapfrog_simulate,
+                                    two_body_config)
+        calls = []
+        for module, name in ((interpreter, "_release"), (interpreter, "_int"),
+                             (interpreter, "compare"),
+                             (numerics, "compare")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        cfg = two_body_config(steps=20)
+        _, err = leapfrog_simulate(cfg, variant, precision)
+        assert calls == [] and err < 1e-5
+        if (variant, precision) == ("clean", "binary64"):   # checks off
+            interp = Interpreter(load_example("leapfrog_clean"),
+                                 ExecOptions(invcheck=False))
+            out = interp.run_function("leapfrog_clean",
+                                      list(_leapfrog_args(cfg, None)))
+            interp.uncall_function("leapfrog_clean", out)
+            assert calls == []
+        # the counters see the helpers: on `k`, an Int no fact proves (a
+        # +=/-= ends an Int's fact), a comparison, a loop bound, a release
+        run(prog("fn f(y, n)\nk <- 0\nk += n\nif (k > 0.5, ~)\ny += 1.0\n"
+                 "end\nfor i = 1:k\nend\nk -= n\nk -> 0\nend"), "f", [0.0, 1])
+        assert sorted(set(calls)) == ["_int", "_release", "compare"]
+
+
+def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
+    """The forward-variant code `check_reversibility` lowers over the
+    catalog, on fresh Programs, in binary64: at most 22,134 AST nodes (the
+    count before bodies were specialised)."""
+    import ast
+    import random
+    from revlang.stdlib import entry_function, sample_args
+    nodes = []
+    build = interpreter._Lowering.build
+
+    def counting(self, defs, *result):
+        if self.unit is not None and not self.grad:
+            src = "\n".join(" " * d + t for d, t, _ in [
+                (0, "def _make():", None), *defs, (1, "return f", None)])
+            nodes.append(sum(1 for _ in ast.walk(ast.parse(src))))
+        return build(self, defs, *result)
+    monkeypatch.setattr(interpreter._Lowering, "build", counting)
+    programs = {}
+    for name, (filename, _) in CATALOG.items():
+        if filename not in programs:
+            programs[filename] = prog(asset_text(filename))
+        check_reversibility(programs[filename], entry_function(name),
+                            sample_args(name, random.Random(0)))
+    assert len(nodes) == 30 and sum(nodes) <= 22_134
