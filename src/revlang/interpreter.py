@@ -59,9 +59,10 @@ Dual value is the only one that changes it), an allocation from a float
 or Int literal has its type, a `for` with Int start and step binds an
 Int; a fact dies at a statement primitive, at a call that may rebind its
 variable (`_Variant.rebinds`), at any other write, and, for cells, at a
-write in place that is not a proven float. A call whose arguments prove
-the callee's guard goes straight to its specialised body (`_Bodies`),
-and its arguments take the facts the callee leaves. The specialised
+write in place that is not a proven float. A call whose arguments the
+facts prove on every pass over the loops around it to pass the callee's
+guard goes straight to its specialised body (`_Bodies`), and its
+arguments take the facts the callee leaves. The specialised
 body drops every type test a fact proves, decides a release of a proven
 float inline (calling `_release` when that test fails), writes Int
 comparisons, Int arithmetic, `length` and `size` as Python, runs a `for`
@@ -630,15 +631,16 @@ class _Flow:
     """The facts of the specialised body of `fname`: those its entry guard
     checks of the parameters (`want`), those that hold before and, for a
     compound statement, after each statement (`at`, by id; the meet where a
-    statement is reached twice), the calls that go straight to the callee's
-    specialised body because its `want` holds there (`direct`), and the
-    parameters' facts when the body returns (`exit`)."""
+    statement is reached twice), and the parameters' facts when the body
+    returns (`exit`). The emitter makes a call `direct` only where the
+    facts met over every pass prove the callee's guard: a loop's first
+    pass runs with the facts before the loop, which later passes weaken."""
 
     def __init__(self, unit, fname):
         self.unit, fdef = unit, unit.defs[fname]
         self.want = _wants(fdef,
                            lambda f: (flow := unit.flow(f)) and flow.want)
-        self.at, self.direct = {}, set()
+        self.at = {}
         params = fdef.param_names()
         end = self.block(fdef.body.stmts,
                          {p: w for p, w in zip(params, self.want) if w})
@@ -719,6 +721,18 @@ class _Flow:
             if type(f) is tuple and f[2]:
                 facts[n] = "A", f[1], False
 
+    @staticmethod
+    def direct(unit, callee, views, facts):
+        """The callee's flow when the facts prove its `want` of the call's
+        arguments, so the call goes straight to its specialised body; else
+        None."""
+        flow = unit.flow(callee) if callee in unit.defs else None
+        if flow is not None and len(flow.want) == len(views) and all(
+                _implies(_fact_of(v, facts), w)
+                for v, w in zip(views, flow.want)):
+            return flow
+        return None
+
     def call(self, s, before, out):
         """A call goes straight to the callee's specialised body when its
         `want` holds, and its arguments then take the callee's `exit`
@@ -727,11 +741,8 @@ class _Flow:
         cell that the callee's body leaves holding floats."""
         callee = inverse_name(s.fname) if type(s) is UncallFn else s.fname
         views = s.args
-        flow = self.unit.flow(callee) if callee in self.unit.defs else None
-        direct = flow is not None and len(flow.want) == len(views) and all(
-            _implies(_fact_of(v, before), w) for v, w in zip(views, flow.want))
-        if direct:
-            self.direct.add(id(s))
+        flow = _Flow.direct(self.unit, callee, views, before)
+        direct = flow is not None
         rebound = self.unit.rebinds(callee, views)
         for name in rebound:
             out.pop(name, None)
@@ -765,7 +776,7 @@ class _Scope:
     def __init__(self, bound, stmts, start, guard, loop=None, head=None,
                  known=None):
         self.bound, self.known = bound, known
-        self.rebound = stmts   # the set of variables, once asked
+        self.rebound = stmts   # the variables they rebind, once asked
         self.start, self.head, self.guard, self.loop = start, head, guard, loop
         self.cells = {}      # (array, indices) -> offset
         self.rows = {}       # (array, first index) -> its offset's local
@@ -959,11 +970,13 @@ class _Lowering:
 
     # --- bounds guards (see the module docstring) ---
 
-    def open(self, stmts, loop=None, head=None):
+    def open(self, stmts, loop=None, head=None, rebound=None):
         """Open the scope of the statements `stmts` here; a loop's guard is
-        set before its line `head`."""
+        set before its line `head`. `rebound`: the variables the statements
+        may rebind, when already known."""
         self.nguard += 1
-        self.scopes.append(_Scope(frozenset(self.bound), stmts,
+        self.scopes.append(_Scope(frozenset(self.bound),
+                                  stmts if rebound is None else rebound,
                                   len(self.lines), f"_b{self.nguard}", loop,
                                   head, self.known))
 
@@ -1119,9 +1132,9 @@ class _Lowering:
                     self.release(name, e)
                 self.bound.discard(name)
             case FnCall(fname=fname, args=args):
-                self.call(fname, args, False, id(s))
+                self.call(fname, args, False)
             case UncallFn(fname=fname, args=args):
-                self.call(fname, args, True, id(s))
+                self.call(fname, args, True)
             case If():
                 self.if_(s)
             case While():
@@ -1237,7 +1250,7 @@ class _Lowering:
         else:
             lo, hi = f"min({a}, {b})", f"max({a}, {b})"
         rebound = _rebinding(s.body.stmts, self.unit.rebinds) \
-            if self.flow else ()
+            if self.flow else None
         ranged = self.flow and not ints
         mutable = not ranged or s.var in rebound
         head = len(self.lines)
@@ -1261,7 +1274,7 @@ class _Lowering:
         if mutable:
             self.emit(f"{v} = {x}")
         self.bound.add(s.var)
-        self.open(s.body.stmts, (s.var, lo, hi, ints), head)
+        self.open(s.body.stmts, (s.var, lo, hi, ints), head, rebound)
         self.body(s.body)
         self.close()
         if self.checks and mutable:
@@ -1293,7 +1306,7 @@ class _Lowering:
                 self.count("iterator")
                 self.depth -= 1
 
-    def call(self, fname, views, uncall, sid):
+    def call(self, fname, views, uncall):
         if fname in PRIM_STATEMENTS:
             self.update(
                 PrimitiveInstr(PRIM_INVERSE[fname] if uncall else fname),
@@ -1306,7 +1319,7 @@ class _Lowering:
             (i, j, "call arguments may not share memory")
             for i in range(len(views)) for j in range(i + 1, len(views))])
         fn = f"_fns[{callee!r}]"
-        if self.flow and sid in self.flow.direct:
+        if self.flow and _Flow.direct(self.unit, callee, views, self.known):
             fn = f"{self.const(self.unit.bodies, '_B')}[{callee!r}]"
         if checks is not None:   # the callee is found before the checks
             self.emit(f"_f = {fn}")
@@ -1718,15 +1731,14 @@ class _Variant(dict):
     def rebinds(self, fname, views):
         """The variables a call of `fname` with arguments `views` may
         rebind: one it passes whole for a parameter that the callee's body
-        writes or passes whole for one that its callee may rebind, and one
-        it writes back through a bijector."""
+        writes or passes whole to a call, and one it writes back through a
+        bijector."""
         fdef = self.defs.get(fname)
         if fdef is None or len(fdef.params) != len(views):
             return set(map(_rebound, views))
         if fname not in self.assigned:
-            # a call back into `fname` meanwhile may rebind any parameter
-            self.assigned[fname] = set(fdef.param_names())
-            self.assigned[fname] = _rebinding(fdef.body.stmts, self.rebinds)
+            self.assigned[fname] = _rebinding(
+                fdef.body.stmts, lambda f, views: set(map(_rebound, views)))
         return {_rebound(v) for v, p in zip(views, fdef.param_names())
                 if type(v) is not VarView or p in self.assigned[fname]}
 

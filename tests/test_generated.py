@@ -39,13 +39,15 @@ class _Gen:
     where an allocation would not be balanced by a replay)."""
 
     def __init__(self, draw, real=False, callees=(), valid=False,
-                 int_conds=False):
+                 int_conds=False, swaps=False):
         self.draw = draw
         self.count = 0
         self.real = real            # Float values instead of Int
         self.callees = callees      # functions a statement may (un)call
         self.valid = valid          # no stray statements; `while` loops
         self.int_conds = int_conds  # `if` reads loop variables only
+        self.swaps = swaps          # SWAPs of two of the names `mutable`
+                                    # and a parameter `w` nothing else reads
 
     def fresh(self, prefix):
         self.count += 1
@@ -66,7 +68,7 @@ class _Gen:
         if kinds is None:
             kinds = ["update"] * 4 + ["stray"] * (not self.valid) \
                 + ["own"] * 2 * (own is not None) + ["call"] * 2 * bool(
-                    self.callees)
+                    self.callees) + ["swap"] * 2 * self.swaps
             if depth < 3:
                 kinds += ["pair", "routine", "routine", "if", "for",
                           "invcheckoff"] + ["while"] * self.valid
@@ -83,7 +85,12 @@ class _Gen:
             y, z = self.draw(st.permutations(mutable))[:2]
             callee = self.pick(list(self.callees) +
                                ["~" + c for c in self.callees])
-            return [f"{callee}({y}, {z}, {self.pick(stable)})"]
+            return [f"{callee}({y}, {z}, {self.pick(stable)}"
+                    f"{', w' * self.swaps})"]
+        if kind == "swap" and len(mutable) >= 2:
+            names = [*mutable, *["w"] * ("y" in mutable)]
+            return ["SWAP({}, {})".format(*self.draw(
+                st.permutations(names))[:2])]
         if kind == "while":
             # k counts to n and back; its postcondition holds after each
             # iteration and not at entry, in both directions
@@ -170,22 +177,25 @@ def test_generator_reaches_both_verdicts():
 
 
 @st.composite
-def called_programs(draw, real=None, int_conds=False):
+def called_programs(draw, real=None, int_conds=False, swaps=False):
     """Functions g0..gn over Int or Float values (`real`, drawn when None),
     each of which may call or uncall the ones before it; gn is the entry
-    point. With `int_conds` no condition reads a Float variable."""
+    point. With `int_conds` no condition reads a Float variable; with
+    `swaps` each function takes a fourth argument `w`, and a statement may
+    SWAP two variables."""
     if real is None:
         real = draw(st.booleans())
     n = draw(st.integers(0, 3))
     fns = []
     for k in range(n + 1):
         gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
-                   int_conds=int_conds)
+                   int_conds=int_conds, swaps=swaps)
         body = gen.block((("x",), ["y", "z"], None), 0)
-        fns.append(f"fn g{k}(y, z, x)\n" + "\n".join(body) + "\nend\n")
+        fns.append(f"fn g{k}(y, z, x{', w' * swaps})\n" + "\n".join(body)
+                   + "\nend\n")
     values = st.integers(-6, 6).map(lambda v: v / 2) if real \
         else st.integers(-3, 3)
-    args = draw(st.lists(values, min_size=3, max_size=3))
+    args = draw(st.lists(values, min_size=3 + swaps, max_size=3 + swaps))
     return "".join(fns), f"g{n}", args
 
 
@@ -392,9 +402,15 @@ def test_array_programs_agree_on_both_bodies(case):
 
 
 @settings(max_examples=150)
-@given(case=called_programs())
-def test_called_programs_agree_on_both_bodies(case):
+@given(case=called_programs(swaps=True),
+       kind=st.sampled_from([None, int, np.float32]))
+def test_called_programs_agree_on_both_bodies(case, kind):
+    """Also where `w`, of another kind than the other arguments, which the
+    entry guard does not test, is SWAPped into a variable the body had
+    proven a float."""
     src, entry, args = case
+    if kind is not None:
+        args[3] = kind(args[3])
     _both_bodies(src, entry, lambda: list(args))
 
 

@@ -2022,6 +2022,21 @@ class TestSpecialisedBodies:
                                       [0.5, 1, Array.vector([2.0])])
         assert out[:2] == [("float", "2.5"), ("int", "3")]
 
+    @pytest.mark.parametrize("n", [np.float32(2.0),
+                                   Array.vector([2.0, 3.0])])
+    def test_a_call_in_a_loop_sees_the_facts_the_last_iteration_left(
+            self, n):
+        # the first iteration's call proves g's guard; the SWAP then moves
+        # `n` into `x`, so the second iteration's call must test it
+        src = "fn g(y, x)\ny += x\nend\n" \
+              "fn f(y, x, n)\nfor i = 1:2\ng(y, x)\nSWAP(x, n)\nend\nend"
+        interp = self.warm(src, "f", [0.0, 1.0, 2.0])
+        out = self.same_as_fresh_runs(interp, src, "f", [0.0, 1.0, n])
+        if type(n) is Array:
+            assert out[0] == "KindError"
+        else:
+            assert out[0] == ("float", "3.0")
+
     def test_after_an_if_hold_the_facts_of_both_branches(self):
         src = "fn f(y, n, c)\nif (c > 0, ~)\ny += 1.0\nelse\nSWAP(y, n)\n" \
               "end\ny += 2.0\nend"
