@@ -3,7 +3,7 @@
 The pipeline: run the function forward, wrap every differentiable leaf of
 the results in a GVar with a zero cotangent, seed the chosen outputs, and
 execute the mechanically inverted function. That pass carries GVars, so
-it runs the gradient variant of the lowered code, whose updates apply the
+it runs the gradient bodies of the lowered code, whose updates apply the
 gradient rules (inline for binary64 GVars): it both uncomputes the primal
 values (restoring the original arguments) and accumulates cotangents.
 Hessians come from running the same pipeline over Dual-number leaves
@@ -13,8 +13,8 @@ the independent oracle.
 Each public call builds one Interpreter under the caller's options and
 runs every pass of the call on it: a pass whose arguments carry GVar
 values is a gradient pass. The program is validated, expanded and
-inverted once, and lowered once per float type, trace setting and
-variant; it keeps that work, so repeated calls reuse it.
+inverted once, and each function lowered once per float type, trace
+setting and kind of body; it keeps that work, so repeated calls reuse it.
 A Jacobian shares a single forward pass among its rows. `jacobian`,
 `hessian` and `finite_difference` list their arguments' differentiable
 leaves once, as a table of (parameter index, name, path), and read every
@@ -132,7 +132,7 @@ def gradient(program, req, opts=None):
     tolerance, which is verified here.
     """
     interp, names = _interpreter(program, req.fname, opts)
-    outputs = interp.run_function(req.fname, [deep_copy(a) for a in req.args])
+    outputs = interp.run_function(req.fname, deep_copy(req.args))
     seeds = req.seeds if req.seeds is not None else default_seeds(outputs, names)
     grads = _gradient(interp, req.fname, names, req.args, outputs, seeds,
                       req.wrt)
@@ -161,7 +161,7 @@ def jacobian(program, fname, args, opts=None):
     every differentiable input leaf: one forward pass, then one backward
     pass per output row, all from that pass's results."""
     interp, names = _interpreter(program, fname, opts)
-    outputs = interp.run_function(fname, [deep_copy(a) for a in args])
+    outputs = interp.run_function(fname, deep_copy(args))
     # each leaf seeds a row and is a column of every row
     table = _leaf_table(names, args)
     rows = []
@@ -183,11 +183,11 @@ def hessian(program, fname, args, opts=None):
     n = len(table)
     H = np.zeros((n, n))
     for j in range(n):
-        dargs = [deep_copy(a) for a in args]
+        dargs = deep_copy(list(args))
         for k, (pi, _, path) in enumerate(table):
             dual = Dual(float(get_leaf(dargs[pi], path)), 1.0 if k == j else 0.0)
             dargs[pi] = set_leaf(dargs[pi], path, dual)
-        outputs = interp.run_function(fname, [deep_copy(a) for a in dargs])
+        outputs = interp.run_function(fname, deep_copy(dargs))
         grads = _gradient(interp, fname, names, dargs, outputs,
                           default_seeds(outputs, names), None)
         H[:, j] = [_leaf_float(grads[pname], path, tangent=True)
@@ -214,7 +214,7 @@ def finite_difference(program, fname, args, h, seeds=None, opts=None):
         raise KindError("finite differences need h > 0")
     interp, names = _interpreter(program, fname, opts)
     if seeds is None:
-        outs = interp.run_function(fname, [deep_copy(a) for a in args])
+        outs = interp.run_function(fname, deep_copy(args))
         seeds = default_seeds(outs, names)
 
     def run_at(pargs):
@@ -231,8 +231,7 @@ def finite_difference(program, fname, args, h, seeds=None, opts=None):
         x = to_real(leaf)
         up, dn = coerce_to_kind(leaf, x + h), coerce_to_kind(leaf, x - h)
         measured = to_real(up) - to_real(dn)
-        plus = [deep_copy(a) for a in args]
-        minus = [deep_copy(a) for a in args]
+        plus, minus = deep_copy(list(args)), deep_copy(list(args))
         plus[pi] = set_leaf(plus[pi], path, up)
         minus[pi] = set_leaf(minus[pi], path, dn)
         grad = (run_at(plus) - run_at(minus)) / measured

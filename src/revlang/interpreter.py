@@ -7,10 +7,12 @@ there is one evaluator and no runtime stack. Reversibility checks
 alias rejection) are observers: on a passing program, disabling them
 changes nothing but speed.
 
-Each function and each inverse is lowered, on its first call, to Python
-(`_Lowering` emits its source; `compile` and `exec` make it), in two
-variants: the gradient variant serves the passes whose arguments carry a
-GVar, and the forward variant, which holds no gradient code, the others.
+Each function and each inverse is lowered, on first use, to Python
+(`_Lowering` emits its source; `compile` and `exec` make it) by one
+emitter at two fact sets: its specialised body at the facts its entry
+guard checks, and its generic body and its gradient body at no entry
+facts. The gradient body serves the passes whose arguments carry a GVar,
+and the other two, which hold no gradient code, the others.
 Variables are Python locals, bound statically:
 `validate` balances every allocation in its block, so an allocation of a
 bound name, or a read or release of an unbound one, is emitted as the
@@ -29,50 +31,50 @@ set, and two cells of one array alias when their offsets are equal; under
 a false guard the access calls `_offset`, `_get` or `_set` as any cell
 does, so errors, spans, fuel and `ExecStats` are those of that path.
 
-A `+=`/`-=` gets an inline arm, emitted by `arm` for both variants: for
-operands of the run's exact float type (`float`, or `float_dtype`) in
-the forward variant, and for binary64 GVars in the gradient variant, with
-the guards of its cells true; only its guard and update lines differ.
-`operands` decides which operands an arm can read. `INC`/`DEC` of an
-`int` variable is inline too. Every other case calls
-the generic rule, looked up as `numerics.apply_instr` when it runs, so
-each value kind keeps one semantics. Expressions call what
-`numerics.expr_fn` resolves, and `numerics.compare`. An error
-carries the span of the statement whose line it escaped from; a host math
-error there becomes `RevDomainError`. A compound statement nested deeper
-than CPython compiles in one function becomes a function of its own
-(`_Lowering.region`). The view helpers (`read_view`, `write_view`,
-`canonical_view_identity`) lower their view the same way, a Frame's
-bindings as locals; they and the gradient variant alone emit `strip_gvar`.
+A `+=`/`-=` gets an inline arm, emitted by `arm` in every body: for
+operands of the run's exact float type (`float`, or `float_dtype`)
+forward, and for binary64 GVars in the gradient body, with the guards of
+its cells true; only its guard and update lines differ. `operands`
+decides which operands an arm can read. `INC`/`DEC` of an `int` variable
+is inline too. Every other case calls the generic rule, looked up as
+`numerics.apply_instr` when it runs, so each value kind keeps one
+semantics. Expressions call what `numerics.expr_fn` resolves, and
+`numerics.compare`. An error carries the span of the statement whose line
+it escaped from; a host math error there becomes `RevDomainError`. A
+compound statement nested deeper than CPython compiles in one function
+becomes a function of its own (`_Lowering.region`). The view helpers
+(`read_view`, `write_view`, `canonical_view_identity`) lower their view
+the same way, a Frame's bindings as locals; they and the gradient body
+alone emit `strip_gvar`.
 
-A function of the forward variant has two bodies, both emitted by
-`_Lowering`: the generic body, the code above, and a specialised body
-behind one entry guard. The guard checks once per call the facts
-(`_wants`) the statements would re-test: a parameter a `+=`/`-=` reads
-or writes has the run's float type exactly; an index, a loop bound or an
-`INC`/`DEC` target is a plain `int`; an indexed Array has its rank, and
-only cells of the run's float type where a cell feeds a `+=`/`-=` (a
-scan of its cells); a parameter passed whole to a call has what the
-callee asks. `_Flow` carries the facts through the body before it is
-lowered: a `+=`/`-=` of a float value keeps a float target a float (a
-Dual value is the only one that changes it), an allocation from a float
-or Int literal has its type, a `for` with Int start and step binds an
-Int; a fact dies at a statement primitive, at a call that may rebind its
-variable (`_Variant.rebinds`), at any other write, and, for cells, at a
-write in place that is not a proven float. A call whose arguments the
-facts prove on every pass over the loops around it to pass the callee's
-guard goes straight to its specialised body (`_Bodies`), and its
-arguments take the facts the callee leaves. The specialised
-body drops every type test a fact proves, decides a release of a proven
-float inline (calling `_release` when that test fails), writes Int
-comparisons, Int arithmetic, `length` and `size` as Python, runs a `for`
-with Int start and step as a `range` loop, and drops the loop
-variable's and the range's checks where the body cannot trip them
-(counting them as passed); fuel and every count are the generic body's.
-A function's first call decides, before either body is lowered, which
-one it lowers (`_Unit`): the specialised body when the guard holds, and
-the generic body, which then serves every later call, when it does not.
-A failed guard runs the generic body.
+A body is emitted from a `_Flow`, the facts that hold at each of its
+statements. The entry guard of a specialised body checks once per call
+the facts (`_wants`) of its parameters that the statements would
+re-test: a parameter a `+=`/`-=` reads or writes has the run's float type
+exactly; an index, a loop bound or an `INC`/`DEC` target is a plain
+`int`; an indexed Array has its rank, and only cells of the run's float
+type where a cell feeds a `+=`/`-=` (a scan of its cells); a parameter
+passed whole to a call has what the callee asks. `_Flow` carries the
+entry facts, if any, through the body: a `+=`/`-=` of a float value keeps
+a float target a float (a Dual value is the only one that changes it), an
+allocation from a float or Int literal has its type (a float only outside
+a gradient body, which wraps it in a GVar), a `for` with Int start and
+step binds an Int; a fact dies at a statement primitive, at a call that
+may rebind its variable (`_Unit.rebinds`), at any other write, and, for
+cells, at a write in place that is not a proven float. Outside a gradient
+body, a call whose arguments the facts prove on every pass over the loops
+around it to pass the callee's guard goes straight to its specialised
+body, and its arguments take the facts the callee leaves. A body drops
+every type test a fact proves, decides a release of a proven float inline
+(calling `_release` when that test fails), writes Int comparisons, Int
+arithmetic, `length` and `size` as Python, runs a `for` with Int start
+and step as a `range` loop, and drops the loop variable's and the range's
+checks where the body cannot trip them (counting them as passed); fuel
+and every count are the same at any facts. A function's first forward
+call decides from the guard's facts alone, before any body or flow is
+built, which body it lowers (`_Unit`): the specialised body when the
+guard holds, and the generic body, which then serves every later call,
+when it does not. A failed guard runs the generic body.
 
 A Program keeps (`Program.compiled`, dropped by `Program.add`) the
 definitions its first unit validates, expands and inverts, once, and
@@ -288,7 +290,7 @@ def _fail(err, spans, interp):
 def _ancilla_residual(current, declared, tol, grad):
     """None when the ancilla may be released; otherwise the residual.
 
-    Only primal content is compared: in the gradient variant (`grad`) a
+    Only primal content is compared: in a gradient body (`grad`) a
     tracked ancilla's cotangent at release is the sensitivity to its
     pinned initial value and is discarded with it. The release passes
     when the two are `values_close` (discrete kinds exactly, float-backed
@@ -410,8 +412,8 @@ _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
 
 
 # --- type facts (see the module docstring) -----------------------------------
-# A fact is what a specialised body knows of a variable's value over a stretch
-# of its code: "F", of the run's float type exactly; "I", a plain int; or
+# A fact is what a body knows of a variable's value over a stretch of its
+# code: "F", of the run's float type exactly; "I", a plain int; or
 # ("A", rank, cells), an Array of that rank (None: not known) whose cells are
 # all of the run's float type when `cells`.
 
@@ -628,20 +630,21 @@ def _wants(fdef, want_of):
 
 
 class _Flow:
-    """The facts of the specialised body of `fname`: those its entry guard
-    checks of the parameters (`want`), those that hold before and, for a
-    compound statement, after each statement (`at`, by id; the meet where a
-    statement is reached twice), and the parameters' facts when the body
-    returns (`exit`). The emitter makes a call `direct` only where the
-    facts met over every pass prove the callee's guard: a loop's first
-    pass runs with the facts before the loop, which later passes weaken."""
+    """The facts of one body of `fname`: the entry facts `want` (None: at
+    none), those that hold before and, for a compound statement, after
+    each statement (`at`, by id; the meet where a statement is reached
+    twice), and the parameters' facts when the body returns (`exit`). A
+    gradient flow (`grad`) derives no float fact, since an allocation
+    wraps its float in a GVar, and makes no call direct. The emitter makes
+    a call `direct` only where the facts met over every pass prove the
+    callee's guard: a loop's first pass runs with the facts before the
+    loop, which later passes weaken."""
 
-    def __init__(self, unit, fname):
-        self.unit, fdef = unit, unit.defs[fname]
-        self.want = _wants(fdef,
-                           lambda f: (flow := unit.flow(f)) and flow.want)
-        self.at = {}
+    def __init__(self, unit, fname, want=None, grad=False):
+        self.unit, self.grad, fdef = unit, grad, unit.defs[fname]
         params = fdef.param_names()
+        self.want = want or [None] * len(params)
+        self.at = {}
         end = self.block(fdef.body.stmts,
                          {p: w for p, w in zip(params, self.want) if w})
         self.exit = [end.get(p) for p in params]
@@ -655,7 +658,8 @@ class _Flow:
         out, t = dict(before), type(s)
         if t is AncillaAlloc:
             out.pop(s.name, None)
-            if (f := _etype(s.expr, before)) in ("F", "I"):
+            if (f := _etype(s.expr, before)) == "I" or f == "F" \
+                    and not self.grad:
                 out[s.name] = f
         elif t is AncillaDealloc:
             out.pop(s.name, None)
@@ -721,16 +725,14 @@ class _Flow:
             if type(f) is tuple and f[2]:
                 facts[n] = "A", f[1], False
 
-    @staticmethod
-    def direct(unit, callee, views, facts):
-        """The callee's flow when the facts prove its `want` of the call's
-        arguments, so the call goes straight to its specialised body; else
-        None."""
-        flow = unit.flow(callee) if callee in unit.defs else None
-        if flow is not None and len(flow.want) == len(views) and all(
-                _implies(_fact_of(v, facts), w)
-                for v, w in zip(views, flow.want)):
-            return flow
+    def direct(self, callee, views, facts):
+        """The callee's specialised flow when the facts prove its `want` of
+        the call's arguments, so the call goes straight to its specialised
+        body; else None, and always in a gradient flow."""
+        want = None if self.grad else self.unit.want(callee)
+        if want is not None and len(want) == len(views) and all(
+                _implies(_fact_of(v, facts), w) for v, w in zip(views, want)):
+            return self.unit.flow(callee)
         return None
 
     def call(self, s, before, out):
@@ -741,7 +743,7 @@ class _Flow:
         cell that the callee's body leaves holding floats."""
         callee = inverse_name(s.fname) if type(s) is UncallFn else s.fname
         views = s.args
-        flow = _Flow.direct(self.unit, callee, views, before)
+        flow = self.direct(callee, views, before)
         direct = flow is not None
         rebound = self.unit.rebinds(callee, views)
         for name in rebound:
@@ -786,14 +788,14 @@ class _Scope:
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
-    `unit`, a `_Variant`, supplies the options the code depends on
-    (`grad`: the gradient variant); without one (the view helpers) the
-    code has no checks, fuel or trace. With `flow` (a `_Flow`) it emits
-    the specialised body, which reads the facts `known` at each point."""
+    `unit`, a `_Unit`, supplies the options the code depends on, and
+    `flow`, a `_Flow`, the body's facts, which the code reads as `known`
+    at each point (`grad`: the flow's, of a gradient body); without them
+    (the view helpers) the code has no checks, fuel or trace."""
 
-    def __init__(self, unit=None, float_dtype=None, flow=None):
-        self.unit, self.grad = unit, unit is not None and unit.grad
-        self.flow, self.known = flow, {}
+    def __init__(self, unit=None, flow=None, float_dtype=None):
+        self.unit, self.flow, self.known = unit, flow, {}
+        self.grad = flow is not None and flow.grad
         self.dtype = float_dtype if unit is None else unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -875,37 +877,31 @@ class _Lowering:
     # --- functions ---
 
     def function(self, fdef):
-        """`f(I, chk, F, *args) -> args`: `F` is the run's fuel, an
-        iterator that each statement executed takes one item from. Calls
-        go to the callee's entry in the unit (`_fns`) or, where the flow
-        proves its guard, straight to its specialised body (`_B`).
-
-        A specialised body returns as `(f, _s)`: `_s` the body and `f` its
-        entry, which runs `_s` when the guard holds of the arguments and
-        the generic body (`_G`) when not."""
-        self.const(self.unit.unit, "_fns")
+        """`(f, _s)`: the body `_s(I, chk, F, *args) -> args` and its entry
+        `f`, which runs `_s` when the guard holds of the arguments and the
+        generic body (`_G`) when not; with no guard `f` is `_s`. `F` is the
+        run's fuel, an iterator that each statement executed takes one
+        item from. Calls go to the callee's entry (`_fns`: the unit's, or
+        in a gradient body the gradient bodies) or, where the flow proves
+        its guard, straight to its specialised body (`_B`)."""
+        unit = self.unit
+        self.const(unit.gradient if self.grad else unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
-        guard = []
-        if self.flow:
-            self.known = {p: w for p, w in zip(fdef.param_names(),
-                                                self.flow.want) if w}
-            guard = [self.has(w, x) for w, x in zip(self.flow.want, params)
-                     if w]
+        want = self.flow.want
+        self.known = {p: w for p, w in zip(fdef.param_names(), want) if w}
+        guard = [self.has(w, x) for w, x in zip(want, params) if w]
         self.open(fdef.body.stmts)
         self.body(fdef.body)
         self.close()
         head = [(3, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
-        body = self.wrapped("_s" if self.flow else "f",
-                            ["I", "chk", "F", *params], head + self.lines,
-                            params)
-        if not self.flow:
-            return self.build([*body, *self.regions])
+        body = self.wrapped("_s", ["I", "chk", "F", *params],
+                            head + self.lines, params)
         args = ", ".join(["I", "chk", "F", *params])
         entry = [(1, f"def f({args}):", NO_SPAN),
                  (2, f"if {' and '.join(guard)}: return _s({args})",
                   NO_SPAN),
-                 (2, f"return {self.const(self.unit.generic, '_G')}"
+                 (2, f"return {self.const(unit.generic, '_G')}"
                      f"[{fdef.name!r}]({args})", NO_SPAN)] if guard \
             else [(1, "f = _s", NO_SPAN)]
         return self.build([*body, *self.regions, *entry], "f, _s")
@@ -922,8 +918,8 @@ class _Lowering:
             + [f"{{*map(type, {x}.data)}} <= {{{self.float}}}"] * fact[2])
 
     def kind(self, e):
-        """The fact of an expression's value in the specialised body."""
-        return self.flow and _etype(e, self.known)
+        """The fact of an expression's value."""
+        return _etype(e, self.known)
 
     def region(self, s):
         """Emit the compound statement `s` as a function of its own, called
@@ -1091,9 +1087,7 @@ class _Lowering:
     # the line's statement.
 
     def stmt(self, s, region=True):
-        known = self.known
-        if self.flow:
-            self.known = self.flow.at[id(s)][0]
+        known, self.known = self.known, self.flow.at[id(s)][0]
         if region and isinstance(s, (If, While, For, Block)) and (
                 self.loops >= 16 or self.depth >= 3 + 64):
             self.region(s)
@@ -1112,7 +1106,7 @@ class _Lowering:
                     PrimitiveInstr(op, fname), args,
                     [(0, i, "an instruction's target may not alias its inputs")
                      for i in range(1, n)],
-                    # the gradient variant also rejects shared reads
+                    # a gradient body also rejects shared reads
                     [(i, j, "shared reads are rejected under differentiation: "
                             "their gradient update would be a shared write "
                             "(rewrite y += x * x as y += x ^ 2)")
@@ -1180,8 +1174,7 @@ class _Lowering:
     def after(self, s):
         """Make the facts after the compound statement `s` (at a loop's
         head: before each iteration and at its exit) the known ones."""
-        if self.flow:
-            self.known = self.flow.at[id(s)][1]
+        self.known = self.flow.at[id(s)][1]
 
     def if_(self, s):
         took = self.temp()
@@ -1216,11 +1209,10 @@ class _Lowering:
         self.loops -= 1
 
     def for_(self, s):
-        """A `for`, as a `range` loop in the specialised body when its start
-        and step are Ints; there the loop variable's check is dropped when
-        no statement of the body may rebind it, and the range check when no
-        statement may rebind a variable an Int bound reads (it is counted
-        as passed)."""
+        """A `for`, as a `range` loop when its start and step are Ints;
+        there the loop variable's check is dropped when no statement of the
+        body may rebind it, and the range check when no statement may
+        rebind a variable an Int bound reads (it is counted as passed)."""
         bounds = []    # (code, expression, what): an Int literal is code
         for e, what in ((s.start, "loop start"), (s.step, "loop step"),
                         (s.stop, "loop stop")):
@@ -1249,13 +1241,11 @@ class _Lowering:
             lo, hi = (a, b) if s.step.value > 0 else (b, a)
         else:
             lo, hi = f"min({a}, {b})", f"max({a}, {b})"
-        rebound = _rebinding(s.body.stmts, self.unit.rebinds) \
-            if self.flow else None
-        ranged = self.flow and not ints
-        mutable = not ranged or s.var in rebound
+        rebound = _rebinding(s.body.stmts, self.unit.rebinds)
+        mutable = bool(ints) or s.var in rebound
         head = len(self.lines)
         x, v = self.temp(), self.local(s.var)
-        if ranged:
+        if not ints:
             stop = f"{b} + 1" if step_e is None and s.step.value > 0 else \
                 f"{b} - 1" if step_e is None else \
                 f"{b} + (1 if {st} > 0 else -1)"
@@ -1281,7 +1271,7 @@ class _Lowering:
             self.emit(f"if chk and {v} != {x}: raise LoopIteratorMutated("
                       f"{f'loop variable {s.var!r} was modified in the body'!r}"
                       f")")
-        if not ranged:
+        if ints:
             self.emit(f"{x} += {st}")
         self.depth -= 1
         self.loops -= 1
@@ -1294,7 +1284,7 @@ class _Lowering:
             self.after(s)
             changed = [f"_int({self.expr(e)}, {what!r}) != {t}"
                        for t, e, what in bounds if e is not None and not (
-                           self.flow and _etype(e, fixed) == "I" and all(
+                           _etype(e, fixed) == "I" and all(
                                _rebound(w) not in rebound
                                for w in _reads(e)))]
             if changed:
@@ -1319,7 +1309,7 @@ class _Lowering:
             (i, j, "call arguments may not share memory")
             for i in range(len(views)) for j in range(i + 1, len(views))])
         fn = f"_fns[{callee!r}]"
-        if self.flow and _Flow.direct(self.unit, callee, views, self.known):
+        if self.flow.direct(callee, views, self.known):
             fn = f"{self.const(self.unit.bodies, '_B')}[{callee!r}]"
         if checks is not None:   # the callee is found before the checks
             self.emit(f"_f = {fn}")
@@ -1336,7 +1326,7 @@ class _Lowering:
 
     def update(self, instr, views, pairs, grad_pairs=()):
         """An instruction or a statement primitive: read the arguments,
-        check the alias `pairs` (in the gradient variant also
+        check the alias `pairs` (in a gradient body also
         `grad_pairs`), apply `numerics.apply_instr` and write back the
         updated views: an instruction's target, or every argument of a
         primitive."""
@@ -1440,9 +1430,8 @@ class _Lowering:
         open its `else:`; returns whether it did, or None when it needs no
         test and so no `else:`. It is taken when the guards of its cells
         are true and, forward, on operands of the run's exact float type
-        (a fact proves an operand's; in the specialised body so do the
-        operands' types the value of a function of `_FLOAT_FNS`). Gradient,
-        in a binary64 unit: for a
+        (a fact proves an operand's, and the operands' types the value of
+        a function of `_FLOAT_FNS`). Gradient, in a binary64 unit: for a
         function with `partials`, on a GVar target and arguments that are
         GVars, floats or Ints (a GVar's `x` and `g` being floats), as
         `numerics._plus_minus_adjoint` computes, calling its cotangent
@@ -1452,11 +1441,9 @@ class _Lowering:
             exact = ok = spec and spec.partials and self.dtype is None
         else:
             # the operands' types are checked, except the literals'; the
-            # value's too unless `fn` computes it from floats alone, but
-            # that check would precede the alias checks
-            exact = fn and all(type(v.value) is float for v in views
-                               if isinstance(v, Lit)) or self.flow and \
-                _float_value(instr.fname, views[1:])
+            # value's too unless it is a float of theirs, but that check
+            # would precede the alias checks
+            exact = _float_value(instr.fname, views[1:])
             ok = spec and spec.apply and (exact or checks is None)
         ops = self.operands(instr, views) if ok else None
         if ops is None:
@@ -1661,7 +1648,7 @@ class _Lowering:
     def expr(self, e):
         if isinstance(e, Lit):
             return self.lit(e.value)
-        if isinstance(e, ViewRef):   # a GVar reaches no forward variant
+        if isinstance(e, ViewRef):   # a GVar reaches no forward body
             read = self.read(e.view)
             return f"strip_gvar({read})" if self.unit is None or self.grad \
                 else read
@@ -1716,17 +1703,40 @@ class _Lowering:
 
 # --- compiled units --------------------------------------------------------------
 
-class _Variant(dict):
-    """Maps a function's name to its lowered function for one float type
-    and trace setting, lowering it on first lookup: the gradient variant
-    (`grad`), or the generic bodies of the forward variant of `unit`.
-    Lowered calls look up `unit`'s functions."""
+class _Unit(dict):
+    """A Program's lowered code for one float type and trace setting: maps
+    a function's name to its entry for forward passes. A function has
+    three tables of bodies (`_Bodies`), each lowered from a `_Flow` on
+    first lookup: its specialised body (`bodies`), at the facts its entry
+    guard checks (`want`), and its generic and gradient bodies (`generic`,
+    `gradient`), at none. Its first call decides its entry from `want`
+    alone, before any body is lowered: the specialised body's when the
+    guard holds of the arguments, else the generic body from then on.
+    Gradient passes call the gradient bodies."""
 
-    def __init__(self, defs, trace, dtype, grad=False, unit=None):
+    def __init__(self, defs, trace, dtype):
         super().__init__()
-        self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
-        self.unit = self if unit is None else unit
-        self.assigned = {} if unit is None else unit.assigned  # `rebinds`
+        self.defs, self.trace, self.dtype = defs, trace, dtype
+        self.wants, self.flows, self.assigned = {}, {}, {}
+        self.bodies, self.generic, self.gradient = (
+            _Bodies(self, kind)
+            for kind in ("specialised", "generic", "gradient"))
+
+    def want(self, fname):
+        """`fname`'s entry facts (`_wants`): None for an unknown name, and
+        while they are found (to a recursive call)."""
+        if fname not in self.wants and fname in self.defs:
+            self.wants[fname] = None
+            self.wants[fname] = _wants(self.defs[fname], self.want)
+        return self.wants.get(fname)
+
+    def flow(self, fname):
+        """The flow of `fname`'s specialised body: None while it is found
+        (to a recursive call)."""
+        if fname not in self.flows:
+            self.flows[fname] = None
+            self.flows[fname] = _Flow(self, fname, self.want(fname))
+        return self.flows[fname]
 
     def rebinds(self, fname, views):
         """The variables a call of `fname` with arguments `views` may
@@ -1743,44 +1753,13 @@ class _Variant(dict):
                 if type(v) is not VarView or p in self.assigned[fname]}
 
     def __missing__(self, fname):
-        fdef = self.defs.get(fname)
-        if fdef is None:
-            raise UnknownFunction(f"no function named {fname!r}")
-        fn = self[fname] = _Lowering(self).function(fdef)
-        return fn
-
-
-class _Unit(_Variant):
-    """The forward variant of a Program for one float type and trace
-    setting: maps a function's name to its entry. A function's first call
-    decides its entry before any body is lowered: its specialised body's
-    (`bodies`), when the guard holds of the arguments, else its generic
-    body (`generic`) from then on. It holds the gradient twin as
-    `gradient`, and the `_Flow` of each function as it is needed."""
-
-    def __init__(self, defs, trace, dtype):
-        super().__init__(defs, trace, dtype)
-        self.gradient = _Variant(defs, trace, dtype, True)
-        self.generic = _Variant(defs, trace, dtype, unit=self)
-        self.bodies = _Bodies(self)
-        self.flows = {}
-
-    def flow(self, fname):
-        """`fname`'s flow: None for an unknown name, and while it is found
-        (to a recursive call)."""
-        if fname not in self.flows and fname in self.defs:
-            self.flows[fname] = None
-            self.flows[fname] = _Flow(self, fname)
-        return self.flows.get(fname)
-
-    def __missing__(self, fname):
-        flow = self.flow(fname)
-        if flow is None:
+        want = self.want(fname)
+        if want is None:
             raise UnknownFunction(f"no function named {fname!r}")
         t = self.dtype or float
 
         def first(I, chk, F, *args):
-            if _holds(flow.want, args, t):
+            if _holds(want, args, t):
                 fn = self.bodies[fname]
             else:
                 fn = self[fname] = self.generic[fname]
@@ -1790,17 +1769,23 @@ class _Unit(_Variant):
 
 
 class _Bodies(dict):
-    """A unit's specialised bodies by name, each lowered on first lookup
-    with the entry that guards it, which becomes the unit's."""
+    """One `kind` of body of a unit's functions by name, each lowered on
+    first lookup: "specialised", whose entry, with its guard, becomes the
+    unit's, "generic" or "gradient"."""
 
-    def __init__(self, unit):
+    def __init__(self, unit, kind):
         super().__init__()
-        self.unit = unit
+        self.unit, self.kind = unit, kind
 
     def __missing__(self, fname):
         unit = self.unit
-        unit[fname], body = _Lowering(unit, flow=unit.flow(fname)).function(
-            unit.defs[fname])
+        if fname not in unit.defs:
+            raise UnknownFunction(f"no function named {fname!r}")
+        flow = unit.flow(fname) if self.kind == "specialised" else \
+            _Flow(unit, fname, grad=self.kind == "gradient")
+        entry, body = _Lowering(unit, flow).function(unit.defs[fname])
+        if self.kind == "specialised":
+            unit[fname] = entry
         self[fname] = body
         return body
 
@@ -1875,11 +1860,11 @@ class Interpreter:
     the same code share one validated and lowered unit.
 
     A pass whose arguments carry a GVar leaf is a gradient pass: it runs
-    the gradient variant of the unit, lowered on a function's first
-    gradient pass, which wraps new ancillas in GVars, rejects an
-    instruction that reads one cell twice, and updates binary64 GVars in
-    an inline adjoint arm. Other passes run the forward variant, which
-    holds no gradient code. One instance serves every pass of an autodiff
+    the unit's gradient bodies, each lowered on its function's first
+    gradient pass, which wrap new ancillas in GVars, reject an
+    instruction that reads one cell twice, and update binary64 GVars in
+    an inline adjoint arm. Other passes run the unit's entries, which
+    hold no gradient code. One instance serves every pass of an autodiff
     call."""
 
     def __init__(self, program, opts=None):
@@ -1947,10 +1932,10 @@ def check_reversibility(program, fname, args, opts=None):
     """Run f then ~f and report the componentwise deviation from the
     original arguments; runtime errors are embedded, not raised."""
     opts = opts or ExecOptions()
-    original = [deep_copy(a) for a in args]
+    original = deep_copy(args)
     interp = Interpreter(program, opts)
     try:
-        mid = interp.run_function(fname, [deep_copy(a) for a in args])
+        mid = interp.run_function(fname, deep_copy(args))
         back = interp.uncall_function(fname, mid)
         per_arg = [deviation(o, r) for o, r in zip(original, back)]
         ok = all(

@@ -193,7 +193,7 @@ def leapfrog_simulate(cfg, variant="clean", precision="binary64"):
     x, v, m, g, dt, steps = _leapfrog_args(cfg, dtype)
     initial_x = Array([float(c) for c in x.data], x.shape)
     out = interp.run_function(fname, [x, v, m, g, dt, steps])
-    final = [deep_copy(a) for a in out]
+    final = deep_copy(out)
     back = interp.uncall_function(fname, out)
     reversal_error = max(
         (abs(float(a) - b) for a, b in zip(back[0].data, initial_x.data)),

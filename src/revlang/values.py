@@ -702,6 +702,10 @@ def _copy_leaf(v):
 
 
 def deep_copy(v):
+    """`v` with each mutable part copied; a Python list or tuple (an
+    argument list) element by element."""
+    if type(v) is list or type(v) is tuple:
+        return type(v)(map(deep_copy, v))
     return map_leaves(v, _copy_leaf)
 
 

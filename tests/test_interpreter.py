@@ -1327,7 +1327,7 @@ class TestUnitCache:
     def test_second_gradient_call_lowers_nothing(self, counts):
         p = prog(self.SRC)
         first = gradient(p, GradRequest("f", [0.0, 1.5]))
-        # the forward pass runs f, the backward pass ~f's gradient variant
+        # the forward pass runs f, the backward pass ~f's gradient body
         assert counts["lower"] == ["f", "~f"]
         assert sorted(Interpreter(p).unit) == ["f"]
         assert sorted(Interpreter(p).unit.gradient) == ["~f"]
@@ -1335,14 +1335,16 @@ class TestUnitCache:
         assert counts == {"validate": 1, "lower": ["f", "~f"]}
 
     def test_gradient_variant_calls_gradient_variants(self):
-        p = prog("fn g(a, b)\na += b * 2.0\nend\nfn f(y, x)\ng(y, x)\n"
-                 "end")
+        # h asks nothing of its arguments, yet a gradient body calls its
+        # gradient body, never a forward one
+        p = prog("fn g(a, b)\na += b * 2.0\nend\nfn h(a, b)\nSWAP(a, b)\n"
+                 "end\nfn f(y, x)\ng(y, x)\nh(y, x)\nh(y, x)\nend")
         interp = Interpreter(p)
         y, x = GVar(0.0, 1.0), GVar(1.5, 0.0)
         assert interp.run_function("f", [y, x]) == [GVar(3.0, 1.0),
                                                     GVar(1.5, -2.0)]
-        assert sorted(interp.unit.gradient) == ["f", "g"]
-        assert interp.unit == {}
+        assert sorted(interp.unit.gradient) == ["f", "g", "h"]
+        assert interp.unit == {} and interp.unit.bodies == {}
 
     def test_the_front_end_runs_once_per_program(self, counts, monkeypatch):
         """Validation, routine expansion and the generated inverses are
@@ -1704,8 +1706,8 @@ class TestLessTravelledPaths:
 @pytest.mark.parametrize("dtype", [None, np.float32])
 def test_every_bundled_function_lowers(dtype):
     """Each function of the bundled programs, and its inverse, lowers in
-    both variants for both float types: the forward variant's specialised
-    and generic bodies, and the gradient variant."""
+    each of its unit's tables for both float types: its specialised,
+    generic and gradient bodies, and the entry of the first two."""
     programs = {id(p): p for p in map(load_example, CATALOG)}.values()
     for p in programs:
         unit = Interpreter(p, ExecOptions(float_dtype=dtype)).unit
@@ -1963,7 +1965,8 @@ class TestSpecialisedBodies:
 
     def same_as_fresh_runs(self, interp, src, fname, args):
         """The run on `interp`'s unit equals a fresh Program's, and one
-        whose every guard fails, with the same steps and checks."""
+        whose every guard fails and whose calls are never direct, with the
+        same steps and checks."""
         def outcome(interp):
             steps, checks = interp.stats.steps, \
                 dict(interp.stats.checks_passed)
@@ -1975,6 +1978,7 @@ class TestSpecialisedBodies:
         runs = [outcome(interp), outcome(Interpreter(prog(src)))]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(interpreter, "_holds", lambda *a: False)
+            m.setattr(interpreter._Flow, "direct", lambda *a: None)
             runs.append(outcome(Interpreter(prog(src))))
         assert runs[0] == runs[1] == runs[2]
         return runs[0][0]
@@ -1989,6 +1993,27 @@ class TestSpecialisedBodies:
         out = self.same_as_fresh_runs(interp, self.SRC, "f",
                                       [y, Array.vector(cells), 2])
         assert type(out) is list and "f" in interp.unit.generic
+
+    @pytest.mark.parametrize("cells, y", [
+        ([Dual(1.5, 1.0), 2.5], 0.0),           # a Dual cell
+        ([1.5, 2.5], Fixed.from_real(0.5))])    # a Fixed scalar
+    def test_a_failed_first_guard_builds_no_specialised_flow(self, cells, y):
+        """A first call decides on the entry facts alone: when they fail,
+        only the generic body is lowered, and `f`'s specialised flow is
+        not built until a caller whose facts prove f's guard calls its
+        specialised body."""
+        src = self.SRC + "\nfn h(y, a, i)\nf(y, a, i)\nend"
+        interp = Interpreter(prog(src))
+        interp.run_function("f", [y, Array.vector(cells), 2])
+        unit = interp.unit
+        assert sorted(unit.generic) == ["f"] and unit.bodies == {}
+        assert unit.flows == {} and unit["f"] is unit.generic["f"]
+        out = interp.run_function("h", [0.0, Array.vector([1.5, 2.5]), 2])
+        assert out[0] == 6.5 and sorted(unit.bodies) == ["f", "h"]
+        assert sorted(unit.flows) == ["f", "h"] and sorted(unit.generic) == [
+            "f"]
+        # from then on f's entry tests its guard
+        assert unit["f"] not in (unit.generic["f"], unit.bodies["f"])
 
     def test_a_swap_of_an_int_into_a_float_variable(self):
         # `n` is asked nothing: an Int passes the guard, and moves into `y`
@@ -2108,26 +2133,46 @@ class TestSpecialisedBodies:
 
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
-    """The forward-variant code `check_reversibility` lowers over the
-    catalog, on fresh Programs, in binary64: at most 22,134 AST nodes (the
-    count before bodies were specialised)."""
+    """The code the catalog lowers, on fresh Programs, in binary64, at no
+    more AST nodes than before every body was lowered from a `_Flow`: the
+    forward code `check_reversibility` lowers, at most 22,134 nodes (the
+    count before bodies were specialised), with the guards as they fall
+    and with every guard failing and no call direct (30 generic bodies);
+    and the gradient bodies of `autodiff.gradient` with default seeds, at
+    most 2,509."""
     import ast
     import random
     from revlang.stdlib import entry_function, sample_args
-    nodes = []
+    nodes = {False: [], True: []}
     build = interpreter._Lowering.build
 
     def counting(self, defs, *result):
-        if self.unit is not None and not self.grad:
+        if self.unit is not None:
             src = "\n".join(" " * d + t for d, t, _ in [
                 (0, "def _make():", None), *defs, (1, "return f", None)])
-            nodes.append(sum(1 for _ in ast.walk(ast.parse(src))))
+            nodes[self.grad].append(sum(1 for _ in ast.walk(ast.parse(src))))
         return build(self, defs, *result)
     monkeypatch.setattr(interpreter._Lowering, "build", counting)
-    programs = {}
-    for name, (filename, _) in CATALOG.items():
-        if filename not in programs:
-            programs[filename] = prog(asset_text(filename))
-        check_reversibility(programs[filename], entry_function(name),
-                            sample_args(name, random.Random(0)))
-    assert len(nodes) == 30 and sum(nodes) <= 22_134
+
+    def forward():
+        programs = {}
+        for name, (filename, _) in CATALOG.items():
+            if filename not in programs:
+                programs[filename] = prog(asset_text(filename))
+            check_reversibility(programs[filename], entry_function(name),
+                                sample_args(name, random.Random(0)))
+        found = nodes[False][:]
+        nodes[False].clear()
+        return found
+    found = forward()
+    assert len(found) == 30 and sum(found) <= 22_134
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter, "_holds", lambda *a: False)
+        m.setattr(interpreter._Flow, "direct", lambda *a: None)
+        found = forward()
+    assert len(found) == 30 and sum(found) <= 22_134
+    for name in ("multiplier", "complex_log", "complex_log_ccu",
+                 "mypower_log", "r_norm"):
+        gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
+            entry_function(name), sample_args(name, random.Random(0))))
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_509

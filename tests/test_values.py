@@ -134,6 +134,17 @@ class TestComposites:
         b.get((1,)).re = 9.0
         assert a.get((1,)).re == 1.0
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_deep_copy_copies_an_argument_list_element_by_element(self, seq):
+        args = seq([Array.vector([1.0]), Complex(1.0, 2.0), 3, [Dual(1.0)]])
+        copy = deep_copy(args)
+        assert type(copy) is seq and copy == args
+        assert copy is not args and copy[3] is not args[3]
+        assert not {id(x) for x in args} & {id(x) for x in copy[:2]}
+        copy[0].set((1,), 9.0)
+        copy[3][0].primal = 9.0
+        assert args[0].get((1,)) == 1.0 and args[3][0].primal == 1.0
+
     def test_deviation_and_closeness(self):
         a = Array.vector([1.0, 2.0])
         b = Array.vector([1.0, 2.0 + 1e-12])
