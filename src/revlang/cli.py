@@ -78,24 +78,40 @@ def parse_value(text):
 
 
 def _parse_array(s):
-    data = json.loads(s)
-    if data and isinstance(data[0], list):
-        if any(not isinstance(row, list) or len(row) != len(data[0])
-               for row in data):
+    items = _items(s)
+    if items and isinstance(items[0], list):
+        if any(not isinstance(row, list) or len(row) != len(items[0])
+               for row in items):
             raise ValueError(f"matrix literal rows must be lists of equal "
                              f"length: {s}")
-        return Array.matrix([[_coerce_num(v) for v in row] for row in data])
-    return Array.vector([_coerce_num(v) for v in data])
+        return Array.matrix([[_cell(t) for t in row] for row in items])
+    return Array.vector([_cell(t) for t in items])
 
 
-def _coerce_num(v):
+def _items(s):
+    """The items of a bracketed literal, a nested literal as a list."""
+    if not s.endswith("]"):
+        raise ValueError(f"bad array literal {s!r}")
+    inner = s[1:-1]
+    return [_items(t) if t.startswith("[") else t
+            for t in _split(inner)] if inner.strip() else []
+
+
+def _cell(t):
+    """An array cell: an Int, Float or Bool literal as `parse_value` reads
+    it."""
+    try:
+        v = parse_value(t) if isinstance(t, str) else t
+    except ValueError:
+        v = t
     if isinstance(v, (int, float)):   # a bool too
         return v
     raise ValueError(f"array literals hold numbers, got {v!r}")
 
 
-def split_args(text):
-    """Split a comma-separated -a string, honoring brackets."""
+def _split(text):
+    """Split at the commas outside brackets; parts are stripped, and empty
+    ones kept."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "[":
@@ -103,13 +119,16 @@ def split_args(text):
         elif ch == "]":
             depth -= 1
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
+            parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p]
+    return [*parts, "".join(cur).strip()]
+
+
+def split_args(text):
+    """Split a comma-separated -a string, honoring brackets."""
+    return [p for p in _split(text) if p]
 
 
 def encode_value(v):

@@ -44,17 +44,21 @@ it escaped from; a host math error there becomes `RevDomainError`. A
 compound statement nested deeper than CPython compiles in one function
 becomes a function of its own (`_Lowering.region`). The view helpers
 (`read_view`, `write_view`, `canonical_view_identity`) lower their view
-the same way, a Frame's bindings as locals; they and the gradient body
-alone emit `strip_gvar`.
+the same way, on a unit of their float type that holds no definitions, a
+Frame's bindings as locals; they and the gradient body alone emit
+`strip_gvar`. A statement that may rebind a variable an index of one of
+its arguments reads is emitted as the `AliasedArguments` it raises: its
+inverse would find another cell there.
 
 A body is emitted from a `_Flow`, the facts that hold at each of its
-statements. The entry guard of a specialised body checks once per call
-the facts (`_wants`) of its parameters that the statements would
-re-test: a parameter a `+=`/`-=` reads or writes has the run's float type
-exactly; an index, a loop bound or an `INC`/`DEC` target is a plain
-`int`; an indexed Array has its rank, and only cells of the run's float
-type where a cell feeds a `+=`/`-=` (a scan of its cells); a parameter
-passed whole to a call has what the callee asks. `_Flow` carries the
+statements. The entry guard of a specialised body checks once per call,
+in Python (`_holds`, from the function's entry in `_Unit`), the facts
+(`_wants`) of its parameters that the statements would re-test: a
+parameter a `+=`/`-=` reads or writes has the run's float type exactly;
+an index, a loop bound or an `INC`/`DEC` target is a plain `int`; an
+indexed Array has its rank, and only cells of the run's float type where
+a cell feeds a `+=`/`-=` (a scan of its cells); a parameter passed whole
+to a call has what the callee asks. `_Flow` carries the
 entry facts, if any, through the body: a `+=`/`-=` of a float value keeps
 a float target a float (a Dual value is the only one that changes it), an
 allocation from a float or Int literal has its type (a float only outside
@@ -70,11 +74,14 @@ every type test a fact proves, decides a release of a proven float inline
 arithmetic, `length` and `size` as Python, runs a `for` with Int start
 and step as a `range` loop, and drops the loop variable's and the range's
 checks where the body cannot trip them (counting them as passed); fuel
-and every count are the same at any facts. A function's first forward
-call decides from the guard's facts alone, before any body or flow is
-built, which body it lowers (`_Unit`): the specialised body when the
-guard holds, and the generic body, which then serves every later call,
-when it does not. A failed guard runs the generic body.
+and every count are the same at any facts. Every body is a function
+`f(I, chk, F, *args)` and tests no entry fact. A function's first
+forward call decides from the guard's facts alone, before any body or
+flow is built, which body it lowers (`_Unit`): the specialised body when
+the guard holds, and the generic body, which then serves every later
+call, when it does not. Once the specialised body exists, the entry
+tests the guard on each call and runs the generic body where it fails;
+an entry that asks nothing is the specialised body itself.
 
 A Program keeps (`Program.compiled`, dropped by `Program.add`) the
 definitions its first unit validates, expands and inverts, once, and
@@ -388,6 +395,17 @@ def _rebinding(stmts, call):
     return out
 
 
+def _index_reads(view):
+    """The variables that the indices of `view` read (`validate` admits
+    only affine indices, which read only variables)."""
+    names = set()
+    while type(view) is not VarView:
+        if type(view) is IndexView:
+            names |= {r.name for e in view.indices for r in _reads(e)}
+        view = view.base
+    return names
+
+
 def _is_int_lit(e):
     return isinstance(e, Lit) and type(e.value) is int
 
@@ -444,8 +462,7 @@ def _implies(have, want):
 
 
 def _has(fact, v, t):
-    """Whether the value `v` has the fact (`t`: the run's float type); the
-    test `_Lowering.has` emits."""
+    """Whether the value `v` has the fact (`t`: the run's float type)."""
     if fact == "F":
         return type(v) is t
     if fact == "I":
@@ -455,8 +472,12 @@ def _has(fact, v, t):
 
 
 def _holds(want, values, t):
-    """Whether a function's entry guard holds of its arguments."""
-    return all(w is None or _has(w, v, t) for w, v in zip(want, values))
+    """Whether a function's entry guard holds of its arguments: the one
+    test of a guard, made on each call of a guarded entry (`_Unit`)."""
+    for w, v in zip(want, values):
+        if w is not None and not _has(w, v, t):
+            return False
+    return True
 
 
 def _fact_of(view, facts):
@@ -790,16 +811,17 @@ class _Lowering:
 
     `unit`, a `_Unit`, supplies the options the code depends on, and
     `flow`, a `_Flow`, the body's facts, which the code reads as `known`
-    at each point (`grad`: the flow's, of a gradient body); without them
-    (the view helpers) the code has no checks, fuel or trace."""
+    at each point (`grad`: the flow's, of a gradient body). Without a flow
+    (the view helpers, on a unit that holds no definitions) values may
+    carry GVars, as in a gradient body."""
 
-    def __init__(self, unit=None, flow=None, float_dtype=None):
+    def __init__(self, unit, flow=None):
         self.unit, self.flow, self.known = unit, flow, {}
-        self.grad = flow is not None and flow.grad
-        self.dtype = float_dtype if unit is None else unit.dtype
+        self.grad = flow is None or flow.grad
+        self.dtype = unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
-        self.checks = unit is not None   # check code is emitted
+        self.checks = True       # check code is emitted
         self.lines = []          # (indent, text, span)
         self.depth = 3           # a body's lines: in `_make`, `def`, `try`
         self.span = NO_SPAN      # of the statement being emitted
@@ -845,14 +867,14 @@ class _Lowering:
         self.counts = True
         self.emit(f"cp[{kind!r}] += 1")
 
-    def build(self, defs, result="f"):
+    def build(self, defs):
         """Compile the function definitions `defs` (lines at depth 1 and
         deeper) inside `_make`, which closes over the constants and the
         span of each line (that of the statement it was emitted for), and
-        return its `result`."""
+        return their `f`."""
         lines = [(0, "def _make(" + ", ".join(
             [name for name, _ in self.consts.values()] + ["_LS"]) + "):",
-                  NO_SPAN), *defs, (1, f"return {result}", NO_SPAN)]
+                  NO_SPAN), *defs, (1, "return f", NO_SPAN)]
         src = "\n".join([" " * d + t for d, t, _ in lines])
         spans = (NO_SPAN, *[s for _, _, s in lines])
         ns = {}
@@ -877,45 +899,25 @@ class _Lowering:
     # --- functions ---
 
     def function(self, fdef):
-        """`(f, _s)`: the body `_s(I, chk, F, *args) -> args` and its entry
-        `f`, which runs `_s` when the guard holds of the arguments and the
-        generic body (`_G`) when not; with no guard `f` is `_s`. `F` is the
-        run's fuel, an iterator that each statement executed takes one
-        item from. Calls go to the callee's entry (`_fns`: the unit's, or
-        in a gradient body the gradient bodies) or, where the flow proves
-        its guard, straight to its specialised body (`_B`)."""
+        """The body `f(I, chk, F, *args) -> args`, which assumes its flow's
+        entry facts (`_Unit` tests them). `F` is the run's fuel, an
+        iterator that each statement executed takes one item from. Calls go
+        to the callee's entry (`_fns`: the unit's, or in a gradient body
+        the gradient bodies) or, where the flow proves its guard, straight
+        to its specialised body (`_B`)."""
         unit = self.unit
         self.const(unit.gradient if self.grad else unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
-        want = self.flow.want
-        self.known = {p: w for p, w in zip(fdef.param_names(), want) if w}
-        guard = [self.has(w, x) for w, x in zip(want, params) if w]
+        self.known = {p: w for p, w in zip(fdef.param_names(), self.flow.want)
+                      if w}
         self.open(fdef.body.stmts)
         self.body(fdef.body)
         self.close()
         head = [(3, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
-        body = self.wrapped("_s", ["I", "chk", "F", *params],
-                            head + self.lines, params)
-        args = ", ".join(["I", "chk", "F", *params])
-        entry = [(1, f"def f({args}):", NO_SPAN),
-                 (2, f"if {' and '.join(guard)}: return _s({args})",
-                  NO_SPAN),
-                 (2, f"return {self.const(unit.generic, '_G')}"
-                     f"[{fdef.name!r}]({args})", NO_SPAN)] if guard \
-            else [(1, "f = _s", NO_SPAN)]
-        return self.build([*body, *self.regions, *entry], "f, _s")
-
-    def has(self, fact, x):
-        """The test that the value of `x` has the fact (see `_has`)."""
-        if fact == "F":
-            return f"type({x}) is {self.float}"
-        if fact == "I":
-            return f"type({x}) is int"
-        return " and ".join(
-            [f"type({x}) is Array"]
-            + [f"len({x}.shape) == {fact[1]}"] * (fact[1] is not None)
-            + [f"{{*map(type, {x}.data)}} <= {{{self.float}}}"] * fact[2])
+        return self.build([*self.wrapped("f", ["I", "chk", "F", *params],
+                                         head + self.lines, params),
+                           *self.regions])
 
     def kind(self, e):
         """The fact of an expression's value."""
@@ -1100,6 +1102,11 @@ class _Lowering:
                    f"{_touched(s)}"
             self.emit(f"_trace(I, {line!r})")
         match s:
+            case InstrCall() | FnCall() | UncallFn() if (
+                    clash := self.rebinds_an_index(s)):
+                self.raise_(AliasedArguments,
+                            f"{', '.join(map(repr, clash))} indexes an "
+                            f"argument of a statement that may rebind it")
             case InstrCall(op=op, fname=fname, args=args):
                 n = len(args)
                 self.update(
@@ -1153,6 +1160,14 @@ class _Lowering:
         # a statement's temporaries are free again after it: fewer distinct
         # names make `compile` cheaper
         self.span, self.ntemp, self.known = outer, ntemp, known
+
+    def rebinds_an_index(self, s):
+        """The variables, sorted, that the statement `s` may rebind and an
+        index of one of its arguments reads: its inverse would find other
+        cells there."""
+        reads = set().union(*[_index_reads(v) for v in s.args
+                               if type(v) is not Lit])
+        return reads and sorted(reads & _rebinding([s], self.unit.rebinds))
 
     def release(self, name, e):
         """The release check of ancilla `name` against `e`; two proven
@@ -1650,8 +1665,7 @@ class _Lowering:
             return self.lit(e.value)
         if isinstance(e, ViewRef):   # a GVar reaches no forward body
             read = self.read(e.view)
-            return f"strip_gvar({read})" if self.unit is None or self.grad \
-                else read
+            return f"strip_gvar({read})" if self.grad else read
         if self.kind(e) == "I":   # Int arithmetic, `length`, `size`
             return self.ints(e)
         if isinstance(e, Un):    # unary minus
@@ -1709,10 +1723,8 @@ class _Unit(dict):
     three tables of bodies (`_Bodies`), each lowered from a `_Flow` on
     first lookup: its specialised body (`bodies`), at the facts its entry
     guard checks (`want`), and its generic and gradient bodies (`generic`,
-    `gradient`), at none. Its first call decides its entry from `want`
-    alone, before any body is lowered: the specialised body's when the
-    guard holds of the arguments, else the generic body from then on.
-    Gradient passes call the gradient bodies."""
+    `gradient`), at none. The unit holds the one test of each guard
+    (`make_entry`). Gradient passes call the gradient bodies."""
 
     def __init__(self, defs, trace, dtype):
         super().__init__()
@@ -1752,26 +1764,38 @@ class _Unit(dict):
         return {_rebound(v) for v, p in zip(views, fdef.param_names())
                 if type(v) is not VarView or p in self.assigned[fname]}
 
-    def __missing__(self, fname):
+    def make_entry(self, fname):
+        """Make `fname`'s entry: on its first lookup, and again once its
+        specialised body exists. The entry is the one test of its guard:
+        it runs the specialised body when the entry facts hold of the
+        arguments (`_holds`), else the generic body, which a failed test
+        before the specialised body exists makes the entry. An entry
+        that asks nothing is the specialised body, once that exists."""
         want = self.want(fname)
         if want is None:
             raise UnknownFunction(f"no function named {fname!r}")
-        t = self.dtype or float
+        if fname in self.bodies and not any(want):
+            entry = self.bodies[fname]
+        else:
+            t = self.dtype or float
 
-        def first(I, chk, F, *args):
-            if _holds(want, args, t):
-                fn = self.bodies[fname]
-            else:
-                fn = self[fname] = self.generic[fname]
-            return fn(I, chk, F, *args)
-        self[fname] = first
-        return first
+            def entry(I, chk, F, *args):
+                if _holds(want, args, t):
+                    fn = self.bodies[fname]
+                else:
+                    fn = self.generic[fname]
+                    if fname not in self.bodies:
+                        self[fname] = fn
+                return fn(I, chk, F, *args)
+        self[fname] = entry
+        return entry
+
+    __missing__ = make_entry
 
 
 class _Bodies(dict):
     """One `kind` of body of a unit's functions by name, each lowered on
-    first lookup: "specialised", whose entry, with its guard, becomes the
-    unit's, "generic" or "gradient"."""
+    first lookup: "specialised", "generic" or "gradient"."""
 
     def __init__(self, unit, kind):
         super().__init__()
@@ -1783,10 +1807,9 @@ class _Bodies(dict):
             raise UnknownFunction(f"no function named {fname!r}")
         flow = unit.flow(fname) if self.kind == "specialised" else \
             _Flow(unit, fname, grad=self.kind == "gradient")
-        entry, body = _Lowering(unit, flow).function(unit.defs[fname])
+        body = self[fname] = _Lowering(unit, flow).function(unit.defs[fname])
         if self.kind == "specialised":
-            unit[fname] = entry
-        self[fname] = body
+            unit.make_entry(fname)
         return body
 
 
@@ -1822,7 +1845,7 @@ def _check_root(env, view):
 def _view_lowering(env, opts):
     """A lowering with the environment's bindings bound, and the list of
     their locals, in binding order."""
-    low = _Lowering(float_dtype=opts and opts.float_dtype)
+    low = _Lowering(_Unit({}, False, opts and opts.float_dtype))
     low.bound = set(env.bindings)
     return low, ", ".join(low.local(name) for name in env.bindings)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,6 +33,23 @@ class TestLiterals:
     def test_arrays(self):
         assert parse_value("[1,2,3]") == Array.vector([1, 2, 3])
         assert parse_value("[[1.0,2.0],[3.0,4.0]]").shape == (2, 2)
+
+    def test_array_cells_read_as_value_literals(self, tmp_path, capsys):
+        # a cell reads as `-a nan` does, but holds only an Int, Float or Bool
+        a = parse_value("[1.0,nan]")
+        assert a.data[0] == 1.0 and math.isnan(a.data[1])
+        assert parse_value("[[true, 2], [inf, -0.5]]").data == [
+            True, 2, math.inf, -0.5]
+        for literal in ("[1,1fx]", "[1,1+2im]", "[1,null]", "[1,,2]",
+                        "[1,[2]]"):
+            with pytest.raises(ValueError, match="array literals hold "
+                                                 "numbers"):
+                parse_value(literal)
+        f = tmp_path / "a.rnl"
+        f.write_text("fn f(y, a)\ny += a[2]\nend\n")
+        assert main(["run", str(f), "-f", "f", "-a", "0.0,[1.0,nan]"]) == 0
+        assert capsys.readouterr().out == \
+            '{"args": [NaN, [1.0, NaN]]}\n'
 
     def test_split_honors_brackets(self):
         assert split_args("[1,2],3,[4,5]") == ["[1,2]", "3", "[4,5]"]

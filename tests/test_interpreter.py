@@ -291,6 +291,40 @@ end""")
         out = run(p, "f", [Array.vector([1.0, 2.0])])
         assert out[0].data == [1.0, 3.0]
 
+    @pytest.mark.parametrize("src, cells", [
+        ("fn f(i, a)\ni += a[i]\nend", [1.0, 5.0]),        # an instruction
+        ("fn f(i, a)\nSWAP(i, a[i])\nend", [2, 5]),        # a primitive
+        ("fn k(i, y)\nINC(i)\nend\nfn f(i, a)\nk(i, a[i])\nend",
+         [10, 20]),                                          # a call
+    ], ids=["instruction", "primitive", "call"])
+    @pytest.mark.parametrize("body", ["specialised", "generic", "gradient"])
+    @pytest.mark.parametrize("direction", ["run", "uncall"])
+    def test_a_statement_may_not_rebind_an_index_of_its_arguments(
+            self, src, cells, body, direction):
+        """The inverse would find another cell at that index: `i += a[i]`
+        on (1, [1.0, 5.0]) ran to i = 2, and its uncall gave i = -3."""
+        wrap = (lambda c: GVar(float(c), 0.0)) if body == "gradient" \
+            else (lambda c: c)
+        with pytest.MonkeyPatch.context() as m:
+            if body == "generic":
+                m.setattr(interpreter, "_holds", lambda *a: False)
+            interp = Interpreter(prog(src))
+            with pytest.raises(AliasedArguments,
+                               match="'i' indexes an argument") as err:
+                getattr(interp, f"{direction}_function")(
+                    "f", [1, Array.vector([wrap(c) for c in cells])])
+        assert err.value.span.line == src.count("\n")
+        lowered = {"specialised": interp.unit.bodies, "generic":
+                   interp.unit.generic, "gradient": interp.unit.gradient}
+        assert ("f" if direction == "run" else "~f") in lowered[body]
+
+    def test_a_call_may_take_an_index_its_callee_does_not_write(self):
+        # as kick_clean passes `i` and `j` to kick_pair_clean
+        p = prog("fn k(i, y)\ny += i\nend\nfn f(i, a)\nk(i, a[i])\nend")
+        out = run(p, "f", [2, Array.vector([10, 20])])
+        assert out[0] == 2 and out[1].data == [10, 22]
+        assert uncall(p, "f", out)[1].data == [10, 20]
+
     def test_shared_read_plain_ok_gradient_rejected(self):
         p = prog("fn f(y, x)\ny += x * x\nend")
         assert run(p, "f", [0.0, 3.0]) == [9.0, 3.0]
@@ -1016,6 +1050,23 @@ class TestStaticAliasDischarge:
         out = interp.run_function("f", [Array.matrix([[1.0], [2.0]]), 1, 2])
         assert out[0].data == [3.0, 2.0]
         assert interp.stats.checks_passed["alias"] == 1
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_a_zero_constant_offset_is_compared_at_run_time(self, generic):
+        """`a[i]` and `a[i + 0]` are one cell, so the pair is checked when
+        it runs, on either body; distinct literals stay discharged."""
+        with pytest.MonkeyPatch.context() as m:
+            if generic:
+                m.setattr(interpreter, "_holds", lambda *a: False)
+            interp = Interpreter(prog("fn f(a, i)\nSWAP(a[i], a[i + 0])\n"
+                                      "end"))
+            with pytest.raises(AliasedArguments):
+                interp.run_function("f", [Array.vector([1.0, 2.0]), 1])
+            assert ("f" in interp.unit.generic) is generic
+            interp = Interpreter(prog("fn f(a, i)\nSWAP(a[1], a[2])\nend"))
+            out = interp.run_function("f", [Array.vector([1.0, 2.0]), 1])
+            assert out[0].data == [2.0, 1.0]
+            assert interp.stats.checks_passed["alias"] == 1
 
     @pytest.mark.parametrize("text, disjoint", [
         ("g(v[i, 1], v[i, 2])", True),
@@ -2134,24 +2185,23 @@ class TestSpecialisedBodies:
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than before every body was lowered from a `_Flow`: the
-    forward code `check_reversibility` lowers, at most 22,134 nodes (the
-    count before bodies were specialised), with the guards as they fall
-    and with every guard failing and no call direct (30 generic bodies);
-    and the gradient bodies of `autodiff.gradient` with default seeds, at
-    most 2,509."""
+    more AST nodes than once every body was emitted without an entry
+    function of its own: the forward code `check_reversibility` lowers,
+    at most 17,421 nodes with the guards as they fall, and 21,103 with
+    every guard failing and no call direct (30 generic bodies); and the
+    gradient bodies of `autodiff.gradient` with default seeds, at most
+    2,484."""
     import ast
     import random
     from revlang.stdlib import entry_function, sample_args
     nodes = {False: [], True: []}
     build = interpreter._Lowering.build
 
-    def counting(self, defs, *result):
-        if self.unit is not None:
-            src = "\n".join(" " * d + t for d, t, _ in [
-                (0, "def _make():", None), *defs, (1, "return f", None)])
-            nodes[self.grad].append(sum(1 for _ in ast.walk(ast.parse(src))))
-        return build(self, defs, *result)
+    def counting(self, defs):
+        src = "\n".join(" " * d + t for d, t, _ in [
+            (0, "def _make():", None), *defs, (1, "return f", None)])
+        nodes[self.grad].append(sum(1 for _ in ast.walk(ast.parse(src))))
+        return build(self, defs)
     monkeypatch.setattr(interpreter._Lowering, "build", counting)
 
     def forward():
@@ -2165,14 +2215,77 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
         nodes[False].clear()
         return found
     found = forward()
-    assert len(found) == 30 and sum(found) <= 22_134
+    assert len(found) == 30 and sum(found) <= 17_421
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 22_134
+    assert len(found) == 30 and sum(found) <= 21_103
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_509
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_484
+
+
+# --- fuel, pinned per statement -------------------------------------------
+
+FUEL_BUDGETS = (1, 7, 50, 333)
+
+
+def _fuel_outcomes(name):
+    """For the forward run of a catalog entry on its first sample, then for
+    the uncall of that run's result, and for each budget of
+    `FUEL_BUDGETS`: the line and column of the `FuelExhausted` span (None
+    when the run completes), and `ExecStats.steps`."""
+    import random
+    from revlang.stdlib import entry_function, sample_args
+    program, fname = load_example(name), entry_function(name)
+    args = sample_args(name, random.Random(0))
+    out = Interpreter(program).run_function(fname, deep_copy(args))
+    found = []
+    for method, values in (("run_function", args), ("uncall_function", out)):
+        for budget in FUEL_BUDGETS:
+            interp = Interpreter(program, ExecOptions(max_steps=budget))
+            span = None
+            try:
+                getattr(interp, method)(fname, deep_copy(values))
+            except FuelExhausted as err:
+                span = err.span.line, err.span.col
+            found.append((span, interp.stats.steps))
+    return found
+
+
+# per entry, `_fuel_outcomes` as recorded while fuel was one `next(F)` per
+# executed statement: a change to how fuel is charged must keep them
+FUEL = {
+    "multiplier": [(None, 1)] * 8,
+    "complex_log": [((5, 5), 2), (None, 6), (None, 6), (None, 6),
+                    ((8, 5), 2), (None, 6), (None, 6), (None, 6)],
+    "complex_log_ccu": [((17, 9), 2), (None, 6), (None, 6), (None, 6),
+                        ((17, 9), 2), (None, 6), (None, 6), (None, 6)],
+    "i_affine": [((4, 5), 2), ((6, 13), 8), (None, 33), (None, 33),
+                 ((9, 5), 2), ((4, 5), 8), (None, 33), (None, 33)],
+    "i_umm": [((8, 5), 2), ((12, 9), 8), (None, 44), (None, 44),
+              ((20, 5), 2), ((13, 13), 8), (None, 44), (None, 44)],
+    "mypower_log": [((9, 13), 2), ((12, 13), 8), (None, 38), (None, 38),
+                    ((9, 13), 2), ((12, 13), 8), (None, 38), (None, 38)],
+    "rrfib_corrected": [((14, 9), 2), ((14, 9), 8), ((24, 9), 51),
+                        (None, 164), ((13, 5), 2), ((20, 9), 8),
+                        ((24, 9), 51), (None, 164)],
+    "r_norm": [((4, 5), 2), ((4, 5), 8), (None, 20), (None, 20),
+               ((4, 5), 2), ((5, 9), 8), (None, 20), (None, 20)],
+    "leapfrog_clean": [((97, 9), 2), ((77, 9), 8), ((24, 9), 51),
+                       ((32, 9), 334), ((107, 9), 2), ((77, 9), 8),
+                       ((24, 9), 51), ((32, 9), 334)],
+    "leapfrog_cumulative": [((113, 9), 2), ((87, 9), 8), ((87, 9), 51),
+                            ((86, 5), 334), ((123, 9), 2), ((87, 9), 8),
+                            ((87, 9), 51), ((86, 5), 334)],
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_fuel_at_fixed_budgets(name):
+    """`max_steps` of 1, 7, 50 and 333 stop each catalog entry, forward
+    and backward, at the statement and step count they always did."""
+    assert _fuel_outcomes(name) == FUEL[name]
