@@ -127,8 +127,14 @@ def _split(text):
 
 
 def split_args(text):
-    """Split a comma-separated -a string, honoring brackets."""
-    return [p for p in _split(text) if p]
+    """Split a comma-separated -a string, honoring brackets; a blank
+    string is no argument, and an empty part a usage error."""
+    if not text.strip():
+        return []
+    parts = _split(text)
+    if "" in parts:
+        raise ValueError(f"empty argument in {text!r}")
+    return parts
 
 
 def encode_value(v):

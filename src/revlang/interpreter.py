@@ -83,6 +83,22 @@ call, when it does not. Once the specialised body exists, the entry
 tests the guard on each call and runs the generic body where it fails;
 an entry that asks nothing is the specialised body itself.
 
+Fuel is charged by the run. Each executed statement takes one step, and
+each iteration of a loop one more. A run is a maximal sequence of steps
+with no call inside: it ends with the step of a call, an `if` or a loop,
+or at the end of its block; a loop iteration's step starts its body's
+first run, and a region's steps are its own. The first step of a run
+charges all n of its steps, `F(n)` (`_Fuel.charge`), and the others emit
+no code. A charge that finds fewer than n steps left raises `_Short` and
+spends none; `_fail` then runs the run's per-statement code, compiled
+from its lines at its first shortage, over the frame's locals
+(`_Lines.shortage`). That code takes one step per statement, and ends in
+the `FuelExhausted` of the statement that finds none left, or in the
+error an earlier statement raises; it never returns. An error that
+escapes statement j of a run gives back the n - j steps the run charged
+and did not take. So `ExecStats.steps`, spans and checks are those of
+fuel taken per statement.
+
 A Program keeps (`Program.compiled`, dropped by `Program.add`) the
 definitions its first unit validates, expands and inverts, once, and
 its units, one per float type and trace setting, which lower them (the
@@ -275,19 +291,81 @@ def _trace(interp, line):
         print(line)
 
 
-def _fail(err, spans, interp):
-    """Called in the except clause of a lowered function: gives a
-    RevLangError without a span the span of the statement it escaped from
-    (found by its line), and raises there a `FuelExhausted` for the fuel
-    iterator's StopIteration and a `RevDomainError` for a host math
-    error."""
-    span = spans[err.__traceback__.tb_lineno]
+class _Short(Exception):
+    """A run's charge found fewer steps left than the run takes."""
+
+
+class _Fuel:
+    """The steps a pass may still take (`left`). The lowered code gets
+    `charge` as `F`: the head of a run of n steps charges them all, `F(n)`,
+    which raises `_Short`, and spends nothing, when fewer are left."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, left):
+        self.left = left
+
+    def charge(self, n):
+        if n > self.left:
+            raise _Short
+        self.left -= n
+
+
+class _Lines:
+    """What `_fail` reads of one compiled `_make`, by line number: the span
+    of the statement a line was emitted for (`spans`), the steps of the
+    line's run after its own (`back`: a line that has some), and the
+    per-statement code of each run, at the line of its charge (`runs`:
+    its lines, compiled at its first shortage)."""
+
+    __slots__ = ("spans", "back", "runs")
+
+    def __init__(self, spans, back, runs):
+        self.spans, self.back, self.runs = spans, back, runs
+
+    def shortage(self, k, frame, fuel):
+        """Run the run charged at line `k` statement by statement, each
+        taking one step of `fuel`, over the locals of `frame`, where its
+        charge found too few: it raises the `FuelExhausted` of the
+        statement that finds none left, or the error an earlier one
+        raises."""
+        run = self.runs[k]
+        if type(run) is list:   # its first shortage
+            body = "".join(f" {' ' * d}{t}\n" for d, t, _ in run)
+            run = self.runs[k] = (
+                _Lines((NO_SPAN, NO_SPAN, *[s for _, _, s in run]), {}, {}),
+                compile(f"try:\n{body}except BaseException as e:\n"
+                        " _fail(e, _LS, I, F)\n raise", "<revlang>", "exec"))
+        lines, code = run
+        steps = iter(range(fuel.left))
+        try:
+            exec(code, globals(), {**frame.f_locals, "_LS": lines, "F": steps})
+        finally:
+            fuel.left = length_hint(steps)
+
+
+def _fail(err, lines, I, F):
+    """Called in the except clause of a lowered function (`lines`, its
+    `_Lines`; `F`, the pass's fuel): gives back the steps that the run of
+    the line the error escaped from charged and did not take; gives a
+    RevLangError without a span the span of that line's statement; and
+    raises there a `FuelExhausted` for a `StopIteration` of the
+    per-statement code and a `RevDomainError` for a host math error. A
+    `_Short` runs the run's per-statement code (`_Lines.shortage`), which
+    raises."""
+    tb = err.__traceback__
+    k = tb.tb_lineno
+    if type(err) is _Short:
+        lines.shortage(k, tb.tb_frame, F.__self__)
+    if back := lines.back.get(k):
+        F.__self__.left += back
+    span = lines.spans[k]
     if isinstance(err, RevLangError):
         if err.span is NO_SPAN:
             err.span = span
     elif type(err) is StopIteration:   # this statement found no fuel left
-        interp.stats.steps += 1
-        raise FuelExhausted(f"exceeded {interp.opts.max_steps} statement "
+        I.stats.steps += 1
+        raise FuelExhausted(f"exceeded {I.opts.max_steps} statement "
                             f"executions", span) from None
     elif isinstance(err, (ArithmeticError, ValueError)):
         # a host math error: an overflow, or math.sin(inf)
@@ -806,6 +884,17 @@ class _Scope:
         self.vars = set()    # the variables the cells read
 
 
+class _Step(str):
+    """The text of a step's line: a run's first step is its charge, `F(n)`
+    for its `n` steps; a later step is "", and is no line of the compiled
+    code."""
+
+    def __new__(cls, n=0):
+        step = super().__new__(cls, f"F({n})" if n else "")
+        step.n = n
+        return step
+
+
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
@@ -836,6 +925,7 @@ class _Lowering:
         self.scopes, self.root = [], 0
         self.plain = False       # no cell is covered (see `update`)
         self.nguard = 0
+        self.run = None          # the open run: [its charge's line, steps]
 
     # --- bookkeeping ---
 
@@ -870,16 +960,34 @@ class _Lowering:
     def build(self, defs):
         """Compile the function definitions `defs` (lines at depth 1 and
         deeper) inside `_make`, which closes over the constants and the
-        span of each line (that of the statement it was emitted for), and
-        return their `f`."""
+        `_Lines` of the code, and return their `f`. A line's span is that
+        of the statement it was emitted for. A run's steps (`_Step`) are
+        its charge; its per-statement code is its lines up to its last
+        step, with each step taking one item of an iterator `F`."""
         lines = [(0, "def _make(" + ", ".join(
             [name for name, _ in self.consts.values()] + ["_LS"]) + "):",
                   NO_SPAN), *defs, (1, "return f", NO_SPAN)]
-        src = "\n".join([" " * d + t for d, t, _ in lines])
-        spans = (NO_SPAN, *[s for _, _, s in lines])
+        src, spans, back, runs = [], [NO_SPAN], {}, {}
+        left = 0   # the steps of the current run after the last one passed
+        for d, t, s in lines:
+            k = len(spans)
+            if type(t) is _Step:
+                if t:
+                    run = runs[k] = []
+                    top, left = d, t.n
+                left -= 1
+                run.append((d - top, "next(F)", s))
+                if not t:
+                    continue
+            elif left:
+                back[k] = left
+                run.append((d - top, t, s))
+            src.append(" " * d + t)
+            spans.append(s)
         ns = {}
-        exec(compile(src, "<revlang>", "exec"), globals(), ns)
-        return ns["_make"](*[v for _, v in self.consts.values()], spans)
+        exec(compile("\n".join(src), "<revlang>", "exec"), globals(), ns)
+        return ns["_make"](*[v for _, v in self.consts.values()],
+                           _Lines(tuple(spans), back, runs))
 
     def view(self, params):
         """`f(params)` running the emitted lines (the view helpers)."""
@@ -892,7 +1000,7 @@ class _Lowering:
         return [(1, f"def {name}({', '.join(params)}):", NO_SPAN),
                 (2, "try:", NO_SPAN), *body,
                 (2, "except BaseException as e:", NO_SPAN),
-                (3, "_fail(e, _LS, I)", NO_SPAN), (3, "raise", NO_SPAN),
+                (3, "_fail(e, _LS, I, F)", NO_SPAN), (3, "raise", NO_SPAN),
                 (2, f"return ({''.join(r + ', ' for r in results)})",
                  NO_SPAN)]
 
@@ -900,11 +1008,13 @@ class _Lowering:
 
     def function(self, fdef):
         """The body `f(I, chk, F, *args) -> args`, which assumes its flow's
-        entry facts (`_Unit` tests them). `F` is the run's fuel, an
-        iterator that each statement executed takes one item from. Calls go
-        to the callee's entry (`_fns`: the unit's, or in a gradient body
-        the gradient bodies) or, where the flow proves its guard, straight
-        to its specialised body (`_B`)."""
+        entry facts (`_Unit` tests them). `F` is the pass's fuel,
+        `_Fuel.charge`: the first step of each run charges all its steps,
+        `F(n)`; the per-statement code of a run that finds fewer left
+        takes them one by one (see the module docstring). Calls go to the
+        callee's entry (`_fns`: the unit's, or in a gradient body the
+        gradient bodies) or, where the flow proves its guard, straight to
+        its specialised body (`_B`)."""
         unit = self.unit
         self.const(unit.gradient if self.grad else unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
@@ -928,6 +1038,7 @@ class _Lowering:
         here with the bound variables and returning them: CPython compiles
         at most 20 nested loop and try blocks, and 100 indentation levels,
         in one function. Its body is a guard scope of its own."""
+        self.end()   # the region takes its own steps
         name, names = f"_g{self.nregions}", \
             [self.names[n] for n in sorted(self.bound)]
         self.nregions += 1
@@ -956,6 +1067,7 @@ class _Lowering:
             self.emit("pass")
         for s in block.stmts:
             self.stmt(s)
+        self.end()
         self.bound = saved
 
     def indented(self, block):
@@ -964,7 +1076,19 @@ class _Lowering:
         self.depth -= 1
 
     def tick(self):
-        self.emit("next(F)")
+        """A step: the first opens a run (see the module docstring)."""
+        if self.run is None:
+            self.run = [len(self.lines), 0]
+        self.run[1] += 1
+        self.emit(_Step())
+
+    def end(self):
+        """Close the open run: its first step charges all its steps."""
+        if self.run is not None:
+            k, n = self.run
+            d, _, span = self.lines[k]
+            self.lines[k] = (d, _Step(n), span)
+            self.run = None
 
     # --- bounds guards (see the module docstring) ---
 
@@ -1097,6 +1221,9 @@ class _Lowering:
             return
         outer, self.span, ntemp = self.span, s.span, self.ntemp
         self.tick()
+        if isinstance(s, (If, While, For)) or isinstance(
+                s, (FnCall, UncallFn)) and s.fname not in PRIM_STATEMENTS:
+            self.end()   # a call, an `if` or a loop ends its run
         if self.unit.trace:
             line = f"{s.span.line}:{s.span.col}\t{type(s).__name__}\t" \
                    f"{_touched(s)}"
@@ -1904,16 +2031,16 @@ class Interpreter:
         if len(args) != len(fdef.params):
             raise KindError(f"{fname} takes {len(fdef.params)} arguments, "
                             f"got {len(args)}")
-        # the fuel left: max_steps counts over every run of this instance
+        # the fuel left: max_steps counts over every pass of this instance
         budget = max(0, self.opts.max_steps - self.stats.steps)
-        fuel = iter(range(budget))
+        fuel = _Fuel(budget)
         try:
-            return list(fn(self, self.opts.invcheck, fuel, *args))
+            return list(fn(self, self.opts.invcheck, fuel.charge, *args))
         except RecursionError:
             raise FuelExhausted(f"call depth exceeded in {fname}",
                                 fdef.span) from None
         finally:
-            self.stats.steps += budget - length_hint(fuel)
+            self.stats.steps += budget - fuel.left
 
     def uncall_function(self, fname, args):
         return self.run_function(inverse_name(fname), args)

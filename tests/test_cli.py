@@ -54,6 +54,24 @@ class TestLiterals:
     def test_split_honors_brackets(self):
         assert split_args("[1,2],3,[4,5]") == ["[1,2]", "3", "[4,5]"]
 
+    @pytest.mark.parametrize("text", ["2,,3,5", "2,3,5,", ",2,3,5",
+                                      "2, ,3,5", "[1,2],,3"])
+    def test_an_empty_argument_is_a_usage_error(self, asset, capsys, text):
+        # as an empty array cell is: a stray comma is not dropped
+        assert main(["run", asset("multiplier"), "-f", "multiplier",
+                     "-a", text]) == 1
+        assert capsys.readouterr().err == \
+            f"empty argument in {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["", " "])
+    def test_a_blank_argument_string_is_no_argument(self, tmp_path, capsys,
+                                                    text):
+        assert split_args(text) == []
+        f = tmp_path / "g.rnl"
+        f.write_text("fn g()\nend\n")
+        assert main(["run", str(f), "-f", "g", "-a", text]) == 0
+        assert json.loads(capsys.readouterr().out) == {"args": []}
+
     @pytest.mark.parametrize("text", [
         "\u0663", "1\u0663", "\u0663.5", "\u0663fx", "\u0663ul",
         "\u0663+2im", "[\u0663]", "\u00b2"])

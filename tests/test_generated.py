@@ -428,3 +428,64 @@ def test_called_programs_reach_both_bodies():
 
     collect()
     assert seen == {True, False}
+
+
+# --- fuel by the run against fuel by the statement -------------------------
+
+def _budget_outcomes(src, entry, args):
+    """For each `max_steps` from 1 to the steps of an unbounded run, on a
+    fresh parse: the results and arguments after the run (an Array's
+    cells as it left them), or the error's type, message and span; then
+    `ExecStats.steps` and `checks_passed`."""
+    program = parse_program(src)
+    unbounded = Interpreter(program)
+    try:
+        unbounded.run_function(entry, args())
+    except RevLangError:
+        pass
+    outcomes = []
+    for budget in range(1, unbounded.stats.steps + 1):
+        interp = Interpreter(program, ExecOptions(max_steps=budget))
+        values = args()
+        try:
+            res = repr(interp.run_function(entry, values))
+        except RevLangError as err:
+            res = (type(err).__name__, err.message, err.span)
+        outcomes.append((res, repr(values), interp.stats.steps,
+                         interp.stats.checks_passed))
+    return outcomes
+
+
+def _charged_by_the_statement(src, entry, args):
+    """`_budget_outcomes` with every run closed after one step, so that
+    each statement charges its own step, as fuel was charged before runs;
+    they must equal the outcomes of fuel charged by the run."""
+    outcomes = _budget_outcomes(src, entry, args)
+    tick = interpreter._Lowering.tick
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter._Lowering, "tick",
+                  lambda self: (tick(self), self.end()))
+        assert _budget_outcomes(src, entry, args) == outcomes
+
+
+@settings(max_examples=150)
+@given(src=routine_programs(),
+       args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_routine_programs_spend_fuel_by_the_statement(src, args):
+    if not validate(parse_program(src)):
+        _charged_by_the_statement(src, "f", lambda: list(args))
+
+
+@settings(max_examples=150)
+@given(case=called_programs(swaps=True))
+def test_called_programs_spend_fuel_by_the_statement(case):
+    src, entry, args = case
+    _charged_by_the_statement(src, entry, lambda: list(args))
+
+
+@settings(max_examples=150)
+@given(case=array_programs())
+def test_array_programs_spend_fuel_by_the_statement(case):
+    src, (y, cells, i, j) = case
+    _charged_by_the_statement(
+        src, "f", lambda: [y, Array(list(cells), (2, 3)), i, j])

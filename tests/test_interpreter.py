@@ -2185,17 +2185,19 @@ class TestSpecialisedBodies:
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than once every body was emitted without an entry
-    function of its own: the forward code `check_reversibility` lowers,
-    at most 17,421 nodes with the guards as they fall, and 21,103 with
-    every guard failing and no call direct (30 generic bodies); and the
-    gradient bodies of `autodiff.gradient` with default seeds, at most
-    2,484."""
+    more AST nodes than once fuel was charged once per run: the forward
+    code `check_reversibility` lowers, at most 15,803 nodes with the
+    guards as they fall, and 19,485 with every guard failing and no call
+    direct (30 generic bodies); and the gradient bodies of
+    `autodiff.gradient` with default seeds, at most 2,363. A run with
+    fuel to spare compiles no per-statement code."""
     import ast
     import random
     from revlang.stdlib import entry_function, sample_args
-    nodes = {False: [], True: []}
+    nodes, shortages = {False: [], True: []}, []
     build = interpreter._Lowering.build
+    monkeypatch.setattr(interpreter._Lines, "shortage",
+                        lambda *a: shortages.append(a))
 
     def counting(self, defs):
         src = "\n".join(" " * d + t for d, t, _ in [
@@ -2215,17 +2217,18 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
         nodes[False].clear()
         return found
     found = forward()
-    assert len(found) == 30 and sum(found) <= 17_421
+    assert len(found) == 30 and sum(found) <= 15_803
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 21_103
+    assert len(found) == 30 and sum(found) <= 19_485
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_484
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_363
+    assert shortages == []
 
 
 # --- fuel, pinned per statement -------------------------------------------
@@ -2289,3 +2292,111 @@ def test_catalog_fuel_at_fixed_budgets(name):
     """`max_steps` of 1, 7, 50 and 333 stop each catalog entry, forward
     and backward, at the statement and step count they always did."""
     assert _fuel_outcomes(name) == FUEL[name]
+
+
+# --- fuel, charged by the run ----------------------------------------------
+
+def _stopped(src, method, args, opts=None, runs=0):
+    """After `runs` passes that complete, the error of one more pass: its
+    type, message and line; then `ExecStats.steps` and `checks_passed`."""
+    interp = Interpreter(prog(src), opts)
+    for _ in range(runs):
+        getattr(interp, method)("f", list(args))
+    with pytest.raises(RevLangError) as err:
+        getattr(interp, method)("f", list(args))
+    e = err.value
+    return (type(e).__name__, e.message, e.span.line, interp.stats.steps,
+            interp.stats.checks_passed)
+
+
+def _passed(ancilla=0, iterator=0, postcondition=0):
+    return {"postcondition": postcondition, "ancilla": ancilla,
+            "iterator": iterator, "alias": 0}
+
+
+class TestFuelByTheRun:
+    """An error that escapes a statement in the middle of a straight-line
+    run leaves the steps and checks that fuel charged per statement left
+    (each expected value was recorded while it was): the run gives back
+    the steps it charged and did not take."""
+
+    DIRTY = "fn f(y, x)\ny += 1.0\nm <- 0.0\nm -> 0.0\nn <- 0.0\n" \
+            "n += x\nn -> 0.0\nk <- 0.0\nk -> 0.0\nend"
+    ASSERT = "fn f(y, x)\ny += 1.0\nm <- 0.0\nm -> 0.0\n" \
+             "@safe assert(x > 0.0)\nk <- 0.0\nk -> 0.0\ny += 2.0\n" \
+             "y += 3.0\nend"
+    KIND = "fn f(y, z, x)\nz += 1.0\nm <- 0.0\nm -> 0.0\ny += x\n" \
+           "n <- 0.0\nn -> 0.0\nend"
+
+    @pytest.mark.parametrize("method, line, steps", [
+        ("run_function", 7, 6), ("uncall_function", 5, 5)])
+    def test_a_dirty_release_mid_run(self, method, line, steps):
+        assert _stopped(self.DIRTY, method, [0.0, 1.0]) == (
+            "DirtyAncilla", "'n' released with residual 1.0", line, steps,
+            _passed(ancilla=1))
+
+    @pytest.mark.parametrize("method, steps", [
+        ("run_function", 4), ("uncall_function", 5)])
+    def test_a_failed_assertion_mid_run(self, method, steps):
+        assert _stopped(self.ASSERT, method, [0.0, -1.0]) == (
+            "AssertFailed", "assertion failed: x > 0.0", 5, steps,
+            _passed(ancilla=1))
+
+    @pytest.mark.parametrize("method, steps", [
+        ("run_function", 4), ("uncall_function", 3)])
+    def test_a_kind_error_of_the_generic_rule_mid_run(self, method, steps):
+        assert _stopped(self.KIND, method, [1, 0.0, Complex(1.0, 2.0)]) == (
+            "KindError", "Int target updated with complex", 5, steps,
+            _passed(ancilla=1))
+
+    @pytest.mark.parametrize("header, depth, budget, runs, line, passed", [
+        ("for i{k} = 1:1", 25, 40, 0, 22, _passed()),
+        ("for i{k} = 1:1", 25, 91, 1, 22, _passed(iterator=25)),
+        ("if (x < 5.0, ~)", 120, 63, 0, 65, _passed()),
+        ("if (x < 5.0, ~)", 120, 100, 0, 102, _passed()),
+        ("if (x < 5.0, ~)", 120, 221, 1, 102, _passed(postcondition=120))])
+    def test_fuel_runs_out_inside_a_region(self, header, depth, budget, runs,
+                                           line, passed):
+        """The shape of `test_deep_nesting`: the statements nested deepest
+        are functions of their own, and a budget stops one of them."""
+        src = "fn f(y, x)\n" + "\n".join(
+            header.format(k=k) for k in range(depth)) + \
+            "\ny += log(x)\n" + "end\n" * depth + "end"
+        assert _stopped(src, "run_function", [0.0, 1.0],
+                        ExecOptions(max_steps=budget), runs) == (
+            "FuelExhausted", f"exceeded {budget} statement executions", line,
+            budget + 1, passed)
+
+    def test_a_leapfrog_run_charges_once_per_run(self, monkeypatch):
+        """Four leapfrog steps forward and back take the steps they always
+        took (`LEAPFROG_STATS`) in 206 charges: each of the 20
+        `kick_pair_clean` calls is one charge of its 43 steps."""
+        from revlang.stdlib import _leapfrog_args, two_body_config
+        charges, charge = [], interpreter._Fuel.charge
+        monkeypatch.setattr(interpreter._Fuel, "charge",
+                            lambda fuel, n: charges.append(n)
+                            or charge(fuel, n))
+        interp = Interpreter(load_example("leapfrog_clean"))
+        out = interp.run_function("leapfrog_clean", list(
+            _leapfrog_args(two_body_config(steps=4), None)))
+        interp.uncall_function("leapfrog_clean", out)
+        assert len(charges) == 206
+        assert sum(charges) == interp.stats.steps == \
+            TestStaticAliasDischarge.LEAPFROG_STATS["clean"][0]
+        assert charges.count(43) == 20
+
+    def test_a_shortage_compiles_its_run_once(self, monkeypatch):
+        """The per-statement code of a run is compiled at its first
+        shortage, and serves every later one."""
+        compiled, shortage = [], interpreter._Lines.shortage
+        monkeypatch.setattr(interpreter._Lines, "shortage",
+                            lambda lines, k, *a: compiled.append(
+                                type(lines.runs[k]) is list)
+                            or shortage(lines, k, *a))
+        p = prog(TestUnitCache.SRC)
+        for budget in (3, 4, 3):
+            with pytest.raises(FuelExhausted) as err:
+                Interpreter(p, ExecOptions(max_steps=budget)).run_function(
+                    "f", [0.0, 1.0])
+            assert err.value.span.line == budget + 2
+        assert compiled == [True, False, False]
