@@ -35,12 +35,20 @@ A `+=`/`-=` gets an inline arm, emitted by `arm` in every body: for
 operands of the run's exact float type (`float`, or `float_dtype`)
 forward, and for binary64 GVars in the gradient body, with the guards of
 its cells true; only its guard and update lines differ. `operands`
-decides which operands an arm can read. `INC`/`DEC` of an `int` variable
-is inline too. Every other case calls the generic rule, looked up as
+decides which operands an arm can read. Forward, `_INLINE`'s functions
+are operators, and the other float functions host calls (`_HOST`): `a /
+b`, the `math` function in binary64 and the numpy ufunc of its
+`values.s_*` function in binary32, made where its precondition holds
+(`x >= 0` for `sqrt`, `x > 0` for `log`, a nonzero divisor; a literal
+settles it when emitted), the generic function where it fails, so that
+values, types and errors are the generic function's. Gradient arms call
+the generic functions. `INC`/`DEC` of an `int` variable is inline too.
+Every other case calls the generic rule, looked up as
 `numerics.apply_instr` when it runs, so each value kind keeps one
-semantics. Expressions call what `numerics.expr_fn` resolves, and
-`numerics.compare`. An error carries the span of the statement whose line
-it escaped from; a host math error there becomes `RevDomainError`. A
+semantics. Expressions call what `numerics.expr_fn` resolves (a host
+call over literals and variables proven floats), and `numerics.compare`.
+An error carries the span of the statement whose line it escaped from; a
+host math error there becomes `RevDomainError`. A
 compound statement nested deeper than CPython compiles in one function
 becomes a function of its own (`_Lowering.region`). The view helpers
 (`read_view`, `write_view`, `canonical_view_identity`) lower their view
@@ -73,13 +81,13 @@ every type test a fact proves, decides a release of a proven float inline
 (calling `_release` when that test fails), writes Int comparisons, Int
 arithmetic, `length` and `size` as Python, runs a `for` with Int start
 and step as a `range` loop, and drops the loop variable's and the range's
-checks where the body cannot trip them (counting them as passed); fuel
-and every count are the same at any facts. Every body is a function
-`f(I, chk, F, *args)` and tests no entry fact. A function's first
-forward call decides from the guard's facts alone, before any body or
-flow is built, which body it lowers (`_Unit`): the specialised body when
-the guard holds, and the generic body, which then serves every later
-call, when it does not. Once the specialised body exists, the entry
+checks, and an `if (c, ~)`'s over Ints, where the body cannot trip them
+(counting them as passed); fuel and every count are the same at any
+facts. Every body is a function `f(I, chk, F, *args)` and tests no entry
+fact. A function's first forward call decides from the guard's facts
+alone, before any body or flow is built, which body it lowers (`_Unit`):
+the specialised body when the guard holds, and the generic body, which
+then serves every later call, when it does not. Once the specialised body exists, the entry
 tests the guard on each call and runs the generic body where it fails;
 an entry that asks nothing is the specialised body itself.
 
@@ -111,6 +119,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from numbers import Integral
 from operator import length_hint
 
 import numpy as np
@@ -147,10 +156,11 @@ class ExecOptions:
     trace_sink: object = None       # list to append trace lines to
 
     def __post_init__(self):
-        if self.float_tolerance < 0:
+        if not self.float_tolerance >= 0:   # NaN too
             raise ValueError("float_tolerance must be non-negative")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        if not isinstance(self.max_steps, Integral) or self.max_steps <= 0:
+            raise ValueError("max_steps must be a positive integer")
+        self.max_steps = int(self.max_steps)   # np.int64 too
 
 
 @dataclass
@@ -505,6 +515,21 @@ def _touched(s):
 # operands of one float type their value has that type
 _INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
            "mul": "{0} * {1}", "neg": "-{0}", "abs2": "{0} * {0}"}
+
+# the other functions of `_FLOAT_FNS`, by their host call on operands of
+# the run's float type, in binary64 and in binary32 (a format, or the
+# function called), and the precondition under which it returns what the
+# generic function (`INSTR_FNS[f].apply`) returns: the same value and
+# type, or the same error (None: always). A precondition is the operand it
+# tests and the comparison with 0 that test makes.
+_HOST = {"div": ("{0} / {1}", "{0} / {1}", (1, "!=")),
+         "sqrt": (math.sqrt, np.sqrt, (0, ">=")),
+         "log": (math.log, np.log, (0, ">")),
+         "exp": (math.exp, np.exp, None),
+         "sin": (math.sin, np.sin, None),
+         "cos": (math.cos, np.cos, None),
+         "atan2": (math.atan2, np.arctan2, None),
+         "abs": (abs, abs, None)}
 
 
 # --- type facts (see the module docstring) -----------------------------------
@@ -1319,8 +1344,18 @@ class _Lowering:
         self.known = self.flow.at[id(s)][1]
 
     def if_(self, s):
-        took = self.temp()
-        self.emit(f"{took} = {self.cond(s.pre)}")
+        """An `if`; its postcondition check is dropped, and counted as
+        passed, where it cannot trip: the postcondition is the condition,
+        which compares Int expressions of variables that no statement of
+        either branch may rebind."""
+        post = s.pre if s.post is SAME_AS_PRE else s.post
+        fixed = post == s.pre and self.fixed(s.pre, s.then_block.stmts
+                                             + s.else_block.stmts)
+        took = self.cond(s.pre)
+        if not fixed:   # its value is kept for `_branch`
+            t = self.temp()
+            self.emit(f"{t} = {took}")
+            took = t
         self.emit(f"if {took}:")
         self.indented(s.then_block)
         if s.else_block.stmts:
@@ -1328,9 +1363,26 @@ class _Lowering:
             self.indented(s.else_block)
         if self.checks:
             self.counts = True
-            post = s.pre if s.post is SAME_AS_PRE else s.post
             self.after(s)
-            self.emit(f"if chk: _branch(cp, {self.cond(post)}, {took})")
+            if fixed:
+                self.emit("if chk:")
+                self.depth += 1
+                self.count("postcondition")
+                self.depth -= 1
+            else:
+                self.emit(f"if chk: _branch(cp, {self.cond(post)}, {took})")
+
+    def fixed(self, e, stmts):
+        """Whether the condition `e` compares Int expressions that read
+        only variables, none of which the statements `stmts` may rebind
+        (any other operator on Ints fails as a condition)."""
+        if type(e) is not Bin or {self.kind(e.left),
+                                  self.kind(e.right)} != {"I"}:
+            return False
+        views = [*_reads(e)]
+        return all(type(v) is VarView for v in views) and {
+            v.name for v in views}.isdisjoint(
+                _rebinding(stmts, self.unit.rebinds))
 
     def while_(self, s):
         self.after(s)
@@ -1607,8 +1659,12 @@ class _Lowering:
                 guards.append(f"(type({read}) is GVar and type({x} := {o}.x) "
                               f"is float and type({o}.g) is float or type("
                               f"{x} := {o}) is float or type({x}) is int)")
-        value = fn.format(*xs[1:]) if fn else \
-            f"{self.const(spec.apply)}({', '.join(xs[1:])})"
+        if fn:
+            value = fn.format(*xs[1:])
+        elif exact and not self.grad and instr.fname in _HOST:
+            value = self.host(instr.fname, xs[1:], views[1:])
+        else:
+            value = f"{self.const(spec.apply)}({', '.join(xs[1:])})"
         if not exact:
             t = self.temp()
             guards.append(f"type({t} := {value})")
@@ -1834,12 +1890,38 @@ class _Lowering:
         return f"_bool_of({self.expr(e)})"
 
     def apply(self, fname, args, span):
-        """A function application, resolved by `numerics.expr_fn`."""
+        """A function application, resolved by `numerics.expr_fn`; a host
+        call (`host`) where its operands are literals and variables that
+        the facts prove of the run's float type."""
         spec = expr_fn(fname)
         if spec is None:
             raise UnknownFunction(
                 f"{fname!r} is not a registered pure function", span)
-        return f"{self.const(spec.apply)}({', '.join(map(self.expr, args))})"
+        xs = [*map(self.expr, args)]
+        views = [a.view if type(a) is ViewRef else a for a in args]
+        if fname in _HOST and _float_value(fname, views, self.known) and all(
+                type(v) is Lit or type(v) is VarView for v in views):
+            return self.host(fname, xs, args)
+        return f"{self.const(spec.apply)}({', '.join(xs)})"
+
+    def host(self, fname, xs, args):
+        """The value of the `_HOST` function `fname` over operands of the
+        run's float type, `xs` (from the views or expressions `args`): its
+        host call where its precondition holds, else the generic
+        function's; a literal operand settles the precondition here."""
+        *calls, pre = _HOST[fname]
+        call = calls[self.dtype is not None]
+        call = call.format(*xs) if type(call) is str else \
+            f"{self.const(call)}({', '.join(xs)})"
+        if pre is None:
+            return call
+        k, op = pre
+        generic = f"{self.const(INSTR_FNS[fname].apply)}({', '.join(xs)})"
+        if type(args[k]) is Lit:   # as lowered: 1e-50 is 0 in binary32
+            x = args[k].value
+            x = self.dtype(x) if type(x) is float and self.dtype else x
+            return call if compare(op, x, 0) else generic
+        return f"({call} if {xs[k]} {op} 0 else {generic})"
 
 
 # --- compiled units --------------------------------------------------------------

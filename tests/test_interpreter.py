@@ -20,8 +20,8 @@ from revlang.interpreter import (ExecOptions, Frame, Interpreter,
 from revlang.ir import (Bin, Block, FunctionDef, IndexView, InstrCall, Lit,
                         Param, Program, VarView, ViewRef, inverse_name,
                         validate)
-from revlang.numerics import (INSTR_FNS, PrimitiveInstr, apply_instr, expr_fn,
-                              wrap_gvar)
+from revlang.numerics import (INSTR_FNS, FnSpec, PrimitiveInstr, apply_instr,
+                              expr_fn, wrap_gvar)
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.stdlib import CATALOG, asset_text, load_example
@@ -125,6 +125,31 @@ end
 end""")
         with pytest.raises(PostconditionMismatch):
             run(p2, "f", [0.5])  # post 1.5 > 2 is false, branch was taken
+
+    # an `if (c, ~)` whose condition compares Ints that neither branch may
+    # rebind has its postcondition counted, not evaluated again
+    def test_a_branch_over_ints_it_cannot_rebind_is_counted(
+            self, monkeypatch):
+        p = prog("fn f(y, i)\nINC(i)\nif (i == 1, ~)\ny += 1.0\nend\n"
+                 "DEC(i)\nend")
+        calls = []
+        monkeypatch.setattr(interpreter, "_branch",
+                            lambda *a: calls.append(a))
+        interp = Interpreter(p)
+        assert interp.run_function("f", [0.0, 0]) == [1.0, 0]
+        assert calls == [] and interp.stats.checks_passed["postcondition"] == 1
+
+    def test_a_branch_that_rebinds_its_condition_variable_is_checked(self):
+        p = prog("fn f(i)\nINC(i)\nif (i == 1, ~)\nINC(i)\nend\nend")
+        assert Interpreter(p).unit.want("f") == ["I"]   # `i` is an Int
+        with pytest.raises(PostconditionMismatch):
+            run(p, "f", [0])
+
+    def test_a_branch_with_a_call_that_may_rebind_it_is_checked(self):
+        p = prog("fn g(n)\nINC(n)\nend\nfn f(i)\nINC(i)\n"
+                 "if (i == 1, ~)\ng(i)\nend\nend")
+        with pytest.raises(PostconditionMismatch):
+            run(p, "f", [0])
 
     def test_dirty_ancilla(self):
         p = prog("""fn f(x)
@@ -660,6 +685,22 @@ end""")
             ExecOptions(float_tolerance=-1.0)
         with pytest.raises(ValueError):
             ExecOptions(max_steps=0)
+
+    # a fractional or NaN budget used to fail only once fuel ran short, and
+    # a NaN tolerance released nothing
+    @pytest.mark.parametrize("option, value", [
+        ("max_steps", 2.5), ("max_steps", math.nan), ("max_steps", "7"),
+        ("float_tolerance", math.nan)])
+    def test_exec_options_reject_what_no_run_can_use(self, option, value):
+        with pytest.raises(ValueError):
+            ExecOptions(**{option: value})
+
+    def test_exec_options_take_a_numpy_step_budget(self):
+        opts = ExecOptions(max_steps=np.int64(1))
+        interp = Interpreter(prog("fn f(y)\ny += 1\ny += 1\nend"), opts)
+        with pytest.raises(FuelExhausted, match="exceeded 1 statement"):
+            interp.run_function("f", [0])
+        assert type(interp.stats.steps) is int and interp.stats.steps == 2
 
     def test_explicit_inverse_must_match_arity(self):
         # ~g(x, y) and the uncall of h both run the explicit ~g
@@ -2182,13 +2223,114 @@ class TestSpecialisedBodies:
                  "end\nfor i = 1:k\nend\nk -= n\nk -> 0\nend"), "f", [0.0, 1])
         assert sorted(set(calls)) == ["_int", "_release", "compare"]
 
+    @pytest.mark.parametrize("precision", ["binary64", "binary32"])
+    def test_leapfrog_calls_no_generic_sqrt_div_or_branch(
+            self, monkeypatch, precision):
+        """On a fresh Program, a leapfrog job's square roots and divisions
+        are host calls and its branch postconditions are discharged, where
+        a 200-step job made 3,220 `s_sqrt`/`s_div` calls and 1,610
+        `_branch` calls before."""
+        from revlang import stdlib
+        calls = []
+        for name in ("sqrt", "div"):   # wrapped before anything lowers
+            spec = INSTR_FNS[name]
+            monkeypatch.setitem(INSTR_FNS, name, FnSpec(
+                spec.min_arity, spec.max_arity,
+                lambda *a, fn=spec.apply, name=name:
+                    calls.append(name) or fn(*a), spec.partials))
+        branch = interpreter._branch
+        monkeypatch.setattr(interpreter, "_branch",
+                            lambda *a: calls.append("_branch") or branch(*a))
+        monkeypatch.setattr(stdlib, "_cache", {})
+        cfg = stdlib.two_body_config(steps=20)
+        for variant in ("clean", "cumulative"):
+            _, err = stdlib.leapfrog_simulate(cfg, variant, precision)
+            assert err < 1e-5
+        assert calls == []
+        # the counters see the generic calls: a negative root, a zero
+        # divisor, and a branch whose condition reads a float
+        p = prog("fn f(y, a)\nif (a < 0.0, ~)\ny += sqrt(a)\nend\n"
+                 "y += a / 0.0\nend")
+        for a in (-1.0, 1.0):
+            with pytest.raises(RevDomainError):
+                run(p, "f", [0.0, a])
+        assert calls == ["sqrt", "_branch", "div"]
+
+
+# --- host calls: the fast-path table against the generic functions ---------
+
+HOST_VALUES = (0.0, -0.0, 5e-324, 1.0, 4.0, -1.0, 1e308, math.inf, -math.inf,
+               math.nan)
+
+
+def _host_sources(fname):
+    """Programs `f(y, a, b, z)` over the `_HOST` function `fname`, whose
+    `z += a` and `z += b` make `a` and `b` floats by its entry facts: the
+    update `y += f(a)` or `y += f(a, b)`, the same with literal operands
+    (which settle a precondition where it tests one, at their value in
+    the run's float type: 1e-50 is 0.0 in binary32), and `f` in an
+    ancilla's initialiser (`_Lowering.apply`)."""
+    head = "fn f(y, a, b, z)\nz += a\nz += b\n"
+    operands = ["a, b", "a, 2", "a, 0.0", "a, 1e-50", "2.0, b", "-1.0, b"] \
+        if INSTR_FNS[fname].min_arity == 2 else \
+        ["a", "4.0", "0.0", "-1.0", "1e-50"]
+    call = f"{fname}({operands[0]})"
+    return [*[f"{head}y += {fname}({ops})\nend" for ops in operands],
+            f"{head}t <- {call}\ny += t\nt -> {call}\nend"]
+
+
+def _host_outcomes(src, dtype, generic, bs):
+    """Per value of `HOST_VALUES` for `a` and of `bs` for `b`, on a fresh
+    parse: the typed results or error of `f` with `y` at -0.0 (so that
+    `y += v` gives v's bits), and the ExecStats; on the specialised body,
+    or on the generic body (`generic`)."""
+    program, z = prog(src), dtype or float
+    outcomes = []
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        if generic:
+            m.setattr(interpreter, "_holds", lambda *a: False)
+        for a, b in itertools.product(HOST_VALUES, bs):
+            interp = Interpreter(program, ExecOptions(float_dtype=dtype))
+            outcomes.append((_typed_outcome(interp, "f", [
+                z(-0.0), z(a), z(b), z(0.0)]), interp.stats))
+    assert ("f" in interp.unit.bodies) is not generic
+    return outcomes
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32],
+                         ids=["binary64", "binary32"])
+@pytest.mark.parametrize("fname", sorted(interpreter._HOST))
+def test_host_calls_give_what_the_generic_functions_give(
+        monkeypatch, fname, dtype):
+    """Each function of the fast-path table, over signed zeros, the least
+    subnormal, ordinary values, a negative, the largest decade, the
+    infinities and NaN, in binary64 and binary32, on specialised and
+    generic bodies: the same bits and types, errors and spans, and
+    ExecStats as the same programs lowered with the table emptied, which
+    call the generic function on every run and so more often."""
+    spec, calls = INSTR_FNS[fname], []
+    bs = HOST_VALUES if spec.min_arity == 2 else [1.0]
+    monkeypatch.setitem(INSTR_FNS, fname, FnSpec(
+        spec.min_arity, spec.max_arity,
+        lambda *a: calls.append(1) or spec.apply(*a), spec.partials))
+    host_calls = generic_calls = 0
+    for src in _host_sources(fname):
+        for generic in (False, True):
+            host = _host_outcomes(src, dtype, generic, bs)
+            host_calls, calls[:] = host_calls + len(calls), []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(interpreter, "_HOST", {})
+                assert _host_outcomes(src, dtype, generic, bs) == host
+            generic_calls, calls[:] = generic_calls + len(calls), []
+    assert host_calls < generic_calls
+
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than once fuel was charged once per run: the forward
-    code `check_reversibility` lowers, at most 15,803 nodes with the
-    guards as they fall, and 19,485 with every guard failing and no call
-    direct (30 generic bodies); and the gradient bodies of
+    more AST nodes than once the float functions got host calls: the
+    forward code `check_reversibility` lowers, at most 15,917 nodes with
+    the guards as they fall, and 19,661 with every guard failing and no
+    call direct (30 generic bodies); and the gradient bodies of
     `autodiff.gradient` with default seeds, at most 2,363. A run with
     fuel to spare compiles no per-statement code."""
     import ast
@@ -2217,12 +2359,12 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
         nodes[False].clear()
         return found
     found = forward()
-    assert len(found) == 30 and sum(found) <= 15_803
+    assert len(found) == 30 and sum(found) <= 15_917
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 19_485
+    assert len(found) == 30 and sum(found) <= 19_661
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
