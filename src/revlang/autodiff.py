@@ -6,9 +6,10 @@ execute the mechanically inverted function. That pass carries GVars, so
 it runs the gradient bodies of the lowered code, whose updates apply the
 gradient rules (inline for binary64 GVars): it both uncomputes the primal
 values (restoring the original arguments) and accumulates cotangents.
-Hessians come from running the same pipeline over Dual-number leaves
-(forward over reverse). A central finite-difference estimator serves as
-the independent oracle.
+A Hessian comes from running the same pipeline once over Dual-number
+leaves whose tangents are vectors, one entry per column (forward over
+reverse, in vector forward mode). A central finite-difference estimator
+serves as the independent oracle.
 
 Each public call builds one Interpreter under the caller's options and
 runs every pass of the call on it: a pass whose arguments carry GVar
@@ -17,9 +18,10 @@ inverted once, and each function lowered once per float type, trace
 setting and kind of body; it keeps that work, so repeated calls reuse it.
 A Jacobian shares a single forward pass among its rows. `jacobian`,
 `hessian` and `finite_difference` list their arguments' differentiable
-leaves once, as a table of (parameter index, name, path), and read every
-leaf out as a float through `_leaf_float`. Leaves and their paths are the
-ones `values` defines; `get_leaf` and `set_leaf` are re-exported here.
+leaves once, as a table of (parameter index, name, path); `jacobian`
+and `seeded_scalar` read a leaf out as a float through `_leaf_float`.
+Leaves and their paths are the ones `values` defines; `get_leaf` and
+`set_leaf` are re-exported here.
 """
 
 from dataclasses import dataclass
@@ -146,13 +148,10 @@ def _leaf_table(names, args):
             for path in leaf_paths(args[pi])]
 
 
-def _leaf_float(value, path, tangent=False):
-    """The float at `path` of `value`: its real content (a Dual's primal),
-    or with `tangent` a Dual's tangent. A gradient-free (None) leaf, and
-    the tangent of any other leaf, read 0.0."""
+def _leaf_float(value, path):
+    """The float at `path` of `value`: its real content (a Dual's primal).
+    A gradient-free (None) leaf reads 0.0."""
     leaf = get_leaf(value, path)
-    if tangent:
-        return float(leaf.tangent) if type(leaf) is Dual else 0.0
     return 0.0 if leaf is None else float(to_real(leaf))
 
 
@@ -173,27 +172,33 @@ def jacobian(program, fname, args, opts=None):
 
 
 def hessian(program, fname, args, opts=None):
-    """Forward-over-reverse: gradient passes over Dual-number leaves, one
-    unit tangent per input column, each with its own forward pass. Returns
-    the raw matrix and its asymmetry max |H - H^T|."""
+    """Forward-over-reverse in one forward and one backward pass: input
+    leaf k becomes Dual(x_k, e_k), e_k row k of the identity, so each Dual
+    carries every column's tangent (vector forward mode), and row i of H
+    is the tangent of leaf i's cotangent. Returns the raw matrix and its
+    asymmetry max |H - H^T|."""
     interp, names = _interpreter(program, fname, opts)
     table = _leaf_table(names, args)
     if not all(is_float(get_leaf(args[pi], path)) for pi, _, path in table):
         raise KindError("Hessians need Float inputs")
     n = len(table)
     H = np.zeros((n, n))
-    for j in range(n):
-        dargs = deep_copy(list(args))
-        for k, (pi, _, path) in enumerate(table):
-            dual = Dual(float(get_leaf(dargs[pi], path)), 1.0 if k == j else 0.0)
-            dargs[pi] = set_leaf(dargs[pi], path, dual)
+    if not n:
+        return HessianResult(H, 0.0)
+    dargs = deep_copy(list(args))
+    for (pi, _, path), e in zip(table, np.eye(n)):
+        dual = Dual(float(get_leaf(dargs[pi], path)), e)
+        dargs[pi] = set_leaf(dargs[pi], path, dual)
+    # a tangent vector's inf and NaN arise as quietly as a float's
+    with np.errstate(over="ignore", invalid="ignore"):
         outputs = interp.run_function(fname, deep_copy(dargs))
         grads = _gradient(interp, fname, names, dargs, outputs,
                           default_seeds(outputs, names), None)
-        H[:, j] = [_leaf_float(grads[pname], path, tangent=True)
-                   for _, pname, path in table]
-    sym_err = float(np.max(np.abs(H - H.T))) if n else 0.0
-    return HessianResult(H, sym_err)
+    for i, (_, pname, path) in enumerate(table):
+        leaf = get_leaf(grads[pname], path)
+        if type(leaf) is Dual:
+            H[i] = leaf.tangent
+    return HessianResult(H, float(np.max(np.abs(H - H.T))))
 
 
 def seeded_scalar(outputs, seeds, param_names):

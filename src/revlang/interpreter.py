@@ -42,7 +42,8 @@ b`, the `math` function in binary64 and the numpy ufunc of its
 (`x >= 0` for `sqrt`, `x > 0` for `log`, a nonzero divisor; a literal
 settles it when emitted), the generic function where it fails, so that
 values, types and errors are the generic function's. Gradient arms call
-the generic functions. `INC`/`DEC` of an `int` variable is inline too.
+the generic functions. `INC`/`DEC` of an `int` variable is inline too,
+and so, in the gradient body, is `ROT`/`IROT` on binary64 GVars (`rot`).
 Every other case calls the generic rule, looked up as
 `numerics.apply_instr` when it runs, so each value kind keeps one
 semantics. Expressions call what `numerics.expr_fn` resolves (a host
@@ -1543,13 +1544,49 @@ class _Lowering:
         else:
             self.emit(f"_v = [{reads}]")
             self.alias_checks(views, checks)
+            rot = self.rot(instr)
             results = [self.temp() for _ in updated]
             self.emit(f"{''.join(r + ', ' for r in results)}*_ = "
                       f"{rule.format('_v')}")
             for v, r in zip(updated, results):
                 self.write(v, r)
+            self.depth -= rot
         self.depth -= arm
         self.plain = False
+
+    def rot(self, instr):
+        """In a gradient body, emit the inline arm of ROT/IROT over the
+        values `_v` and open its `else:`; returns whether it did. It is
+        taken on two GVar cells and an angle that is a GVar or a float,
+        each GVar's `x` and `g` floats, and computes what
+        `numerics._rot_adjoint` computes, in its order. The GVars change in
+        place, so no cell is written back."""
+        if not self.grad or instr.kind not in ("ROT", "IROT"):
+            return False
+        a, ax, ga, b, bx, gb, th, x, c, s = (self.temp() for _ in range(10))
+        self.emit(
+            f"if type({a} := _v[0]) is GVar and type({ax} := {a}.x) is float "
+            f"and type({ga} := {a}.g) is float and type({b} := _v[1]) is "
+            f"GVar and type({bx} := {b}.x) is float and type({gb} := {b}.g) "
+            f"is float and (type({th} := _v[2]) is GVar and type({x} := "
+            f"{th}.x) is float and type({th}.g) is float or type({x} := "
+            f"{th}) is float):")
+        # IROT undoes a rotation by theta, ROT one by -theta
+        delta, back = (f"-{bx} * {ga} + {ax} * {gb}", -1) \
+            if instr.kind == "IROT" else (f"{bx} * {ga} - {ax} * {gb}", 1)
+        self.depth += 1
+        for line in (f"if type({th}) is GVar: {th}.g = {th}.g + ({delta})",
+                     f"{x} = {back} * {x}",
+                     f"{c}, {s} = math.cos({x}), math.sin({x})",
+                     f"{a}.x, {b}.x = {ax} * {c} - {bx} * {s}, "
+                     f"{ax} * {s} + {bx} * {c}",
+                     f"{a}.g, {b}.g = {ga} * {c} - {gb} * {s}, "
+                     f"{ga} * {s} + {gb} * {c}"):
+            self.emit(line)
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        return True
 
     def step(self, instr, views):
         """Emit the inline arm of INC/DEC on a bound variable holding an

@@ -282,7 +282,14 @@ class GVar:
 
 
 class Dual:
-    """Forward-mode scalar: value plus tangent, with operator overloading."""
+    """Forward-mode scalar: value plus tangent, with operator overloading.
+
+    The tangent is a float, or a float64 vector of one tangent per column
+    (vector forward mode, as `autodiff.hessian` seeds it). A vector column
+    gets what a float tangent of its value gets: each rule that skips a
+    zero tangent skips it per column, a tangent divided by a zero primal
+    raises ZeroDivisionError, as a float's does, and no rule changes a
+    tangent vector in place, so copies share it."""
 
     __slots__ = ("primal", "tangent")
 
@@ -314,7 +321,7 @@ class Dual:
     def __truediv__(self, other):
         o = _as_dual(other)
         p = self.primal / o.primal
-        return Dual(p, (self.tangent - p * o.tangent) / o.primal)
+        return Dual(p, _over(self.tangent - p * o.tangent, o.primal))
 
     def __rtruediv__(self, other):
         return _as_dual(other).__truediv__(self)
@@ -364,14 +371,38 @@ def _prim(v):
     return v.primal if isinstance(v, Dual) else v
 
 
+def _over(t, d):
+    """A tangent over a scalar primal `d`; a zero `d` raises for a tangent
+    vector too, where numpy would give inf or NaN."""
+    if d == 0:
+        raise ZeroDivisionError("float division by zero")
+    return t / d
+
+
+def _live(t):
+    """Where a tangent is nonzero: None in no column, True in every
+    column, else the mask of the columns."""
+    live = t != 0
+    if type(live) is not np.ndarray:
+        return True if live else None
+    return True if live.all() else live if live.any() else None
+
+
+def _masked(live, new, old):
+    """`new` in the columns `_live` found, `old` in the others."""
+    return new if live is True else np.where(live, new, old)
+
+
 # --- scalar math that is generic over float / np.float32 / int / Dual ---
 
 def s_sqrt(x):
     if isinstance(x, Dual):
-        if _prim(x.primal) <= 0 and x.tangent != 0:
+        # at <= 0 every column raises; the first column's error is the
+        # one a pass per column meets first
+        if _prim(x.primal) <= 0 and np.ravel(x.tangent)[0] != 0:
             raise RevDomainError("sqrt tangent undefined at <= 0")
         r = s_sqrt(x.primal)
-        return Dual(r, x.tangent / (2.0 * r))
+        return Dual(r, _over(x.tangent, 2.0 * r))
     if x < 0:
         raise RevDomainError(f"sqrt of negative value {x}")
     return np.sqrt(x) if isinstance(x, np.floating) else math.sqrt(x)
@@ -386,7 +417,7 @@ def s_exp(x):
 
 def s_log(x):
     if isinstance(x, Dual):
-        return Dual(s_log(x.primal), x.tangent / x.primal)
+        return Dual(s_log(x.primal), _over(x.tangent, x.primal))
     if not x > 0:
         raise RevDomainError(f"log of non-positive value {x}")
     return np.log(x) if isinstance(x, np.floating) else math.log(x)
@@ -409,7 +440,7 @@ def s_atan2(y, x):
         yd, xd = _as_dual(y), _as_dual(x)
         r2 = yd.primal * yd.primal + xd.primal * xd.primal
         return Dual(s_atan2(yd.primal, xd.primal),
-                    (xd.primal * yd.tangent - yd.primal * xd.tangent) / r2)
+                    _over(xd.primal * yd.tangent - yd.primal * xd.tangent, r2))
     if isinstance(y, np.floating) or isinstance(x, np.floating):
         return np.arctan2(y, x)
     return math.atan2(y, x)
@@ -417,7 +448,7 @@ def s_atan2(y, x):
 
 def s_abs(x):
     if isinstance(x, Dual):
-        if x.primal == 0 and x.tangent != 0:
+        if x.primal == 0 and np.any(x.tangent != 0):
             raise RevDomainError("abs tangent undefined at 0")
         return Dual(abs(x.primal), x.tangent if x.primal >= 0 else -x.tangent)
     return abs(x)
@@ -427,11 +458,14 @@ def s_pow(a, b):
     if isinstance(a, Dual) or isinstance(b, Dual):
         ad, bd = _as_dual(a), _as_dual(b)
         r = s_pow(ad.primal, bd.primal)
+        # each term only in the columns whose tangent is nonzero: there its
+        # partial may be undefined, or infinite (and inf * 0.0 is NaN)
         t = 0.0
-        if ad.tangent != 0:
-            t = t + bd.primal * s_pow(ad.primal, bd.primal - 1) * ad.tangent
-        if bd.tangent != 0:
-            t = t + r * s_log(ad.primal) * bd.tangent
+        if (live := _live(ad.tangent)) is not None:
+            t = _masked(live, t + bd.primal * s_pow(ad.primal, bd.primal - 1)
+                        * ad.tangent, t)
+        if (live := _live(bd.tangent)) is not None:
+            t = _masked(live, t + r * s_log(ad.primal) * bd.tangent, t)
         return Dual(r, t)
     try:
         r = a ** b

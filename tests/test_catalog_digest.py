@@ -20,6 +20,7 @@ import hashlib
 import random
 
 import numpy as np
+import pytest
 
 from revlang.autodiff import hessian, jacobian
 from revlang.interpreter import ExecOptions, Interpreter
@@ -111,6 +112,7 @@ def catalog_digest():
     return h.hexdigest()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_catalog_digest_is_pinned():
     assert catalog_digest() == DIGEST
 

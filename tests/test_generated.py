@@ -23,13 +23,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revlang import interpreter
-from revlang.autodiff import GradRequest, finite_difference, gradient
+from revlang.autodiff import (GradRequest, finite_difference, gradient,
+                              hessian)
 from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Program, validate
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.values import Array
+
+from hessian_oracle import hessian_by_columns, outcome, same_outcome
 
 
 class _Gen:
@@ -278,13 +281,21 @@ def test_generated_gradients_match_finite_differences():
 def array_programs(draw):
     """`fn f(y, a, i, j)` over a 2-by-3 Float array `a` and Int indices:
     cells read and updated at the indices, at literals and at the
-    variables of loops up and down, in bounds or not, between SWAPs of the
-    indices and calls that swap them. Cells also feed square roots and
-    divisions, whose negative and zero operands (cells start at multiples
-    of 0.5 in [-2, 2]) fail their host calls' preconditions. Returns the
-    text and the arguments."""
-    def index(loops):
-        return draw(st.sampled_from(["i", "j", "1", "2", "3", *loops * 3]))
+    variables of loops up and down, between SWAPs of the indices and calls
+    that swap them. Cells also feed square roots and divisions, whose
+    negative and zero operands (cells start at multiples of 0.5 in
+    [-2, 2]) fail their host calls' preconditions. An index, a loop's
+    start and end and the arguments `i` and `j` are in bounds (1-based)
+    but for one draw in sixteen, which is out of bounds by one, so most
+    programs run past their first cell. Returns the text and the
+    arguments."""
+    def pick(inside, outside):
+        return draw(st.sampled_from(
+            inside if draw(st.integers(0, 15)) < 15 else outside))
+
+    def index(loops, n):   # of a dimension of n cells
+        return pick(["i", "j", *map(str, range(1, n + 1)), *loops * 3],
+                    ["0", str(n + 1)])
 
     def block(depth, loops):
         lines = []
@@ -292,14 +303,14 @@ def array_programs(draw):
             kind = draw(st.sampled_from(
                 ["read", "read", "update", "swap", "call", "sqrt", "div"]
                 + ["for", "for"] * (depth < 2)))
-            cell = f"a[{index(loops)}, {index(loops)}]"
+            cell = f"a[{index(loops, 2)}, {index(loops, 3)}]"
             if kind == "read":
                 lines.append(f"y {draw(st.sampled_from(['+=', '-=']))} {cell}")
             elif kind == "sqrt":
                 lines.append(f"y += sqrt({cell})")
             elif kind == "div":
-                lines.append(f"y += {cell} / a[{index(loops)}, "
-                             f"{index(loops)}]")
+                lines.append(f"y += {cell} / a[{index(loops, 2)}, "
+                             f"{index(loops, 3)}]")
             elif kind == "update":
                 lines.append(f"{cell} += y * 0.5")
             elif kind == "swap":
@@ -307,8 +318,7 @@ def array_programs(draw):
             elif kind == "call":
                 lines.append(draw(st.sampled_from(["g(i, j)", "~g(j, i)"])))
             else:
-                k, lo, hi = f"k{depth}", draw(st.integers(0, 1)), \
-                    draw(st.integers(0, 3))
+                k, lo, hi = f"k{depth}", pick([1], [0]), pick([0, 1, 2], [3])
                 lines += [draw(st.sampled_from([f"for {k} = {lo}:{hi}",
                                                 f"for {k} = {hi}:-1:{lo}",
                                                 f"for {k} = i:{hi}"])),
@@ -318,8 +328,8 @@ def array_programs(draw):
     src = "fn g(i, j)\nSWAP(i, j)\nend\nfn f(y, a, i, j)\n" + \
         "\n".join(block(0, [])) + "\nend\n"
     cells = draw(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
-    args = [0.5, [c / 2 for c in cells], *draw(st.lists(
-        st.integers(0, 3), min_size=2, max_size=2))]
+    args = [0.5, [c / 2 for c in cells], pick([1, 2], [0, 3]),
+            pick([1, 2], [0, 3])]
     return src, args
 
 
@@ -363,6 +373,42 @@ def test_array_programs_reach_both_outcomes():
 
     collect()
     assert "list" in seen and "RevDomainError" in seen and len(seen) > 2
+
+
+# --- the one-pass Hessian against the per-column oracle -------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generated_hessians_equal_the_per_column_oracle():
+    """`hessian`'s one pass over tangent vectors gives the per-column
+    oracle's matrix bit for bit (NaN as NaN) on generated Float programs:
+    the linear ones of `called_programs`, and `array_programs`, whose
+    square roots and divisions have second derivatives and whose
+    negative, zero and out-of-bounds operands fail. Where the oracle
+    raises, `hessian` raises the same type of error at the same span."""
+    outcomes = []
+
+    def check(program, entry, args):
+        want = outcome(hessian_by_columns, program, entry, args)
+        assert same_outcome(outcome(hessian, program, entry, args), want)
+        outcomes.append(want[0] if type(want) is tuple else
+                        "nonzero" if want.any() else "zero")
+
+    @settings(max_examples=150)
+    @given(case=array_programs())
+    def arrays(case):
+        src, (y, cells, i, j) = case
+        check(parse_program(src), "f", [y, Array(list(cells), (2, 3)), i, j])
+
+    @settings(max_examples=100)
+    @given(case=called_programs(real=True, swaps=True))
+    def calls(case):
+        src, entry, args = case
+        check(parse_program(src), entry, args)
+
+    arrays()
+    calls()
+    assert {"nonzero", "zero", "RevDomainError",
+            "IndexOutOfBounds"} <= set(outcomes)
 
 
 # --- the specialised body against the generic body -----------------------

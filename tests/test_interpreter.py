@@ -1676,6 +1676,67 @@ class TestAdjointArm:
             [GVar(-8.0, 1.0), Array([GVar(3.0, 6.0)], (1,)), 1, 2]))
 
 
+def _rotation_outcomes(kind, cells, args):
+    """(lowered, generic): `kind(a, b, t)` on the parameters `a`, `b` (or
+    the cells `x[1]`, `x[2]` with `cells`) and `t`, run on one copy of
+    `args` (a, b, t) and by `apply_instr` on another: the values
+    afterwards, or the error's type and message with the values it
+    left."""
+    params, ab = ("x", "x[1], x[2]") if cells else ("a, b", "a, b")
+    p = prog(f"fn f({params}, t)\n{kind}({ab}, t)\nend")
+    mine = [deep_copy(a) for a in args]
+    try:
+        out = Interpreter(p).run_function(
+            "f", [Array(mine[:2], (2,)), mine[2]] if cells else mine)
+        got = ("ok", _state([*out[0].data, out[1]] if cells else out))
+    except RevLangError as err:
+        got = ("error", type(err), err.message, _state(mine))
+    theirs = [deep_copy(a) for a in args]
+    try:
+        want = ("ok", _state(apply_instr(PrimitiveInstr(kind), theirs)))
+    except RevLangError as err:
+        want = ("error", type(err), err.message, _state(theirs))
+    except (ArithmeticError, ValueError) as err:
+        want = ("error", RevDomainError, str(err), _state(theirs))
+    return got, want
+
+
+class TestRotationArm:
+    """A gradient pass of one ROT or IROT computes what the generic rule
+    `apply_instr` computes, bit for bit and error for error, whether it
+    takes the inline arm (two binary64 GVars, an angle that is one or a
+    float) or falls back to the rule."""
+
+    @pytest.mark.parametrize("kind", ["ROT", "IROT"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_generic_rule(self, kind, data):
+        floats = st.sampled_from(EDGE_FLOATS)
+        gvar = st.builds(GVar, floats, floats)
+        cell = st.one_of(gvar, gvar, gvar, gvar, floats,
+                         st.builds(GVar, st.sampled_from(EDGE_INTS), floats))
+        angle = st.one_of(st.builds(GVar, floats, floats), floats,
+                          st.sampled_from(EDGE_INTS))
+        args = [data.draw(cell), data.draw(cell), data.draw(angle)]
+        got, want = _rotation_outcomes(kind, data.draw(st.booleans()), args)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["ROT", "IROT"])
+    @pytest.mark.parametrize("angle", [GVar(0.3, -1.5), 0.3, 2])
+    def test_the_arm_takes_binary64_gvars(self, monkeypatch, kind, angle):
+        """An Int angle is the generic rule's: only GVar and float angles
+        take the arm."""
+        from revlang import numerics
+        calls = []
+        rule = numerics.apply_instr
+        monkeypatch.setattr(numerics, "apply_instr",
+                            lambda i, v: calls.append(i) or rule(i, v))
+        args = [GVar(1.25, 0.5), GVar(-0.75, 2.0), angle]
+        got, want = _rotation_outcomes(kind, True, args)
+        assert got == want and got[0] == "ok"
+        assert len(calls) == (type(angle) is int)
+
+
 # --- paths that the other tests do not run ---------------------------------
 
 class TestLessTravelledPaths:

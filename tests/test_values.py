@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,9 @@ from revlang.numerics import (BIJECTORS, PrimitiveInstr, apply_instr,
 from revlang.values import (Array, Complex, Dual, Fixed, GVar, Record, ULog,
                             coerce_to_kind, deep_copy, deviation, get_leaf,
                             is_differentiable, is_float, is_int, kind_name,
-                            leaves, map_leaves, s_atan2, s_exp, s_log, s_pow,
-                            s_sqrt, set_leaf, to_real, values_close,
-                            zero_like)
+                            leaves, map_leaves, s_abs, s_atan2, s_cos, s_exp,
+                            s_log, s_pow, s_sin, s_sqrt, set_leaf, to_real,
+                            values_close, zero_like)
 
 fixeds = st.integers(min_value=-(2**63), max_value=2**63 - 1).map(Fixed)
 
@@ -85,6 +87,55 @@ class TestULog:
         assert abs(x - 0.1) <= 1e-9
 
 
+DUAL_EDGES = (0.0, -0.0, 1.5, -2.0, 0.5, 3.0, math.inf, -math.inf,
+              math.nan, 1e308, 5e-324)
+DUAL_TANGENTS = (0.0, -0.0, 1.0, -2.5, math.inf, math.nan)
+_DUAL_RULES = {"add": (operator.add, 2), "sub": (operator.sub, 2),
+               "mul": (operator.mul, 2), "div": (operator.truediv, 2),
+               "pow": (s_pow, 2), "atan2": (s_atan2, 2),
+               "sqrt": (s_sqrt, 1), "exp": (s_exp, 1), "log": (s_log, 1),
+               "sin": (s_sin, 1), "cos": (s_cos, 1), "abs": (s_abs, 1),
+               "neg": (operator.neg, 1)}
+
+
+def _same_float(a, b):
+    a, b = float(a), float(b)
+    return a != a and b != b or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _check_columns(fname, ops):
+    """A rule given a tangent vector gives each column, bit for bit (NaN
+    as NaN), what it gives that column's float tangent, and raises when a
+    column raises. An operand (primal, kind, tangents) is a float, a Dual
+    with the float tangent 0.0 (a constant), or a Dual with a vector."""
+    rule = _DUAL_RULES[fname][0]
+
+    def operand(p, kind, ts, col=None):
+        if kind == "float":
+            return p
+        if kind == "const":
+            return Dual(p, 0.0)
+        return Dual(p, ts[col] if col is not None else np.array(ts))
+
+    def outcome(col=None):
+        try:
+            # as `autodiff.hessian` runs its pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = rule(*(operand(*o, col) for o in ops))
+        except (RevDomainError, ArithmeticError, ValueError):
+            return "error"
+        return r if type(r) is Dual else Dual(r, 0.0)
+
+    columns = [outcome(col) for col in range(3)]
+    got = outcome()
+    if "error" in columns:
+        assert got == "error"
+        return
+    assert got != "error" and _same_float(got.primal, columns[0].primal)
+    for t, col in zip(np.broadcast_to(got.tangent, (3,)), columns):
+        assert _same_float(t, col.tangent)
+
+
 class TestDual:
     def test_arithmetic_tangents(self):
         x = Dual(2.0, 1.0)
@@ -113,6 +164,51 @@ class TestDual:
     def test_comparisons_on_primal(self):
         assert Dual(1.0, 99.0) < 2.0
         assert Dual(2.0, 0.0) == 2.0
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_a_tangent_vector_is_its_columns(self, data):
+        fname = data.draw(st.sampled_from(sorted(_DUAL_RULES)))
+        ops = [(data.draw(st.sampled_from(DUAL_EDGES)),
+                data.draw(st.sampled_from(("float", "const", "vector"))),
+                data.draw(st.lists(st.sampled_from(DUAL_TANGENTS),
+                                   min_size=3, max_size=3)))
+               for _ in range(_DUAL_RULES[fname][1])]
+        _check_columns(fname, ops)
+
+    @pytest.mark.parametrize("fname, ops", [
+        # pow's base partial b a^(b-1) is inf, and NaN: a zero column
+        # skips it, where inf * 0.0 would be NaN
+        ("pow", [(math.inf, "vector", [1.0, 0.0, -0.0]), (3.0, "float", [])]),
+        ("pow", [(math.nan, "vector", [0.0, 1.0, 0.0]), (2.0, "float", [])]),
+        # its exponent partial a^b log(a) is inf
+        ("pow", [(math.inf, "const", []), (2.0, "vector", [1.0, 0.0, 0.0])]),
+        # a^(b-1) and log(a) are undefined at a = 0, where no column needs
+        # them
+        ("pow", [(0.0, "vector", [0.0, -0.0, 0.0]), (0.5, "float", [])]),
+        ("pow", [(0.0, "const", []), (2.0, "vector", [0.0, 0.0, 0.0])]),
+        ("pow", [(0.0, "vector", [0.0, 1.0, 0.0]), (0.5, "float", [])]),
+        # sqrt and abs need every column's tangent to be zero at 0
+        ("sqrt", [(0.0, "vector", [0.0, 0.0, 0.0])]),
+        ("sqrt", [(-0.0, "vector", [0.0, 1.0, 0.0])]),
+        ("abs", [(0.0, "vector", [0.0, -0.0, 0.0])]),
+        ("abs", [(-0.0, "vector", [0.0, 2.0, 0.0])]),
+        # a tangent over a zero primal raises, where numpy gives inf or NaN
+        ("div", [(1.0, "vector", [1.0, 0.0, 0.0]), (0.0, "const", [])]),
+        ("log", [(0.0, "vector", [0.0, 0.0, 0.0])]),
+        ("atan2", [(0.0, "vector", [1.0, 0.0, 0.0]), (5e-324, "float", [])]),
+    ])
+    def test_a_zero_tangent_column_gets_what_a_zero_float_gets(self, fname,
+                                                              ops):
+        _check_columns(fname, ops)
+
+    def test_copies_share_a_tangent_vector_and_rules_make_new_ones(self):
+        t = np.array([1.0, 0.0])
+        x = Dual(2.0, t)
+        assert deep_copy(x).tangent is t
+        for y in (x + x, x * 3.0, -x, s_sqrt(x), s_pow(x, 2.0), x / 2.0):
+            assert y.tangent is not t
+        assert t.tolist() == [1.0, 0.0]
 
 
 class TestComposites:
