@@ -10,15 +10,14 @@ changes nothing but speed.
 Each function and each inverse is lowered, on first use, to Python
 (`_Lowering` emits its source; `compile` and `exec` make it) by one
 emitter at two fact sets: its specialised body at the facts its entry
-guard checks, and its generic body and its gradient body at no entry
-facts. The gradient body serves the passes whose arguments carry a GVar,
-and the other two, which hold no gradient code, the others.
-Variables are Python locals, bound statically:
-`validate` balances every allocation in its block, so an allocation of a
-bound name, or a read or release of an unbound one, is emitted as the
-error it raises. Check code runs when the flag `chk` is set: the
-interpreter's `invcheck`, passed on to callees, and False inside
-`@invcheckoff`, where none is emitted; alias checks always run.
+guard checks, and its generic body at no entry facts, in a forward unit
+without gradient code or in the gradient unit, which serves the passes
+whose arguments carry a GVar. Variables are Python locals, bound
+statically: `validate` balances every allocation in its block, so an
+allocation of a bound name, or a read or release of an unbound one, is
+emitted as the error it raises. Check code runs when the flag `chk` is
+set: the interpreter's `invcheck`, passed on to callees, and False
+inside `@invcheckoff`, where none is emitted; alias checks always run.
 
 An array cell is at the flat offset `_offset` computes, which raises what
 `Array.get` raises. A cell of a bound array at Int literals and bound
@@ -49,12 +48,12 @@ Every other case calls the generic rule, looked up as
 semantics. Expressions call what `numerics.expr_fn` resolves (a host
 call over literals and variables proven floats), and `numerics.compare`.
 An error carries the span of the statement whose line it escaped from; a
-host math error there becomes `RevDomainError`. A
-compound statement nested deeper than CPython compiles in one function
-becomes a function of its own (`_Lowering.region`). The view helpers
-(`read_view`, `write_view`, `canonical_view_identity`) lower their view
-the same way, on a unit of their float type that holds no definitions, a
-Frame's bindings as locals; they and the gradient body alone emit
+host math error there becomes `RevDomainError`. A compound statement
+nested deeper than CPython compiles in one function becomes a function
+of its own (`_Lowering.region`). The view helpers (`read_view`,
+`write_view`, `canonical_view_identity`) lower their view the same way,
+on a gradient unit of their float type that holds no definitions, a
+Frame's bindings as locals; they and the gradient bodies alone emit
 `strip_gvar`. A statement that may rebind a variable an index of one of
 its arguments reads is emitted as the `AliasedArguments` it raises: its
 inverse would find another cell there.
@@ -67,30 +66,32 @@ parameter a `+=`/`-=` reads or writes has the run's float type exactly;
 an index, a loop bound or an `INC`/`DEC` target is a plain `int`; an
 indexed Array has its rank, and only cells of the run's float type where
 a cell feeds a `+=`/`-=` (a scan of its cells); a parameter passed whole
-to a call has what the callee asks. `_Flow` carries the
-entry facts, if any, through the body: a `+=`/`-=` of a float value keeps
-a float target a float (a Dual value is the only one that changes it), an
-allocation from a float or Int literal has its type (a float only outside
-a gradient body, which wraps it in a GVar), a `for` with Int start and
-step binds an Int; a fact dies at a statement primitive, at a call that
-may rebind its variable (`_Unit.rebinds`), at any other write, and, for
-cells, at a write in place that is not a proven float. Outside a gradient
-body, a call whose arguments the facts prove on every pass over the loops
-around it to pass the callee's guard goes straight to its specialised
-body, and its arguments take the facts the callee leaves. A body drops
-every type test a fact proves, decides a release of a proven float inline
-(calling `_release` when that test fails), writes Int comparisons, Int
-arithmetic, `length` and `size` as Python, runs a `for` with Int start
-and step as a `range` loop, and drops the loop variable's and the range's
-checks, and an `if (c, ~)`'s over Ints, where the body cannot trip them
-(counting them as passed); fuel and every count are the same at any
-facts. Every body is a function `f(I, chk, F, *args)` and tests no entry
-fact. A function's first forward call decides from the guard's facts
-alone, before any body or flow is built, which body it lowers (`_Unit`):
-the specialised body when the guard holds, and the generic body, which
-then serves every later call, when it does not. Once the specialised body exists, the entry
-tests the guard on each call and runs the generic body where it fails;
-an entry that asks nothing is the specialised body itself.
+to a call has what the callee asks. A gradient unit's guard asks no
+float (no GVar is one). `_Flow` carries the entry facts, if any, through
+the body: a `+=`/`-=` of a float value keeps a float target a float (a
+Dual value is the only one that changes it), an allocation from a float
+or Int literal, or from a function of `_FLOAT_FNS` over proven floats,
+has its type (a float only outside a gradient body, which wraps it in a
+GVar), a `for` with Int start and step binds an Int; a fact dies at a
+statement primitive, at a call that may rebind its variable
+(`_Unit.rebinds`), at any other write, and, for cells, at a write in
+place that is not a proven float. A call whose arguments the facts prove
+on every pass over the loops around it to pass the callee's guard goes
+straight to its specialised body, and its arguments take the facts the
+callee leaves. A body drops every type test a fact proves, decides a
+release of a proven float inline (calling `_release` when that test
+fails), writes Int comparisons, Int arithmetic, `length` and `size` as
+Python, runs a `for` with Int start and step as a `range` loop, and
+drops the loop variable's and the range's checks, and an `if (c, ~)`'s
+over Ints, where the body cannot trip them (counting them as passed);
+fuel and every count are the same at any facts. Every body is a function
+`f(I, chk, F, *args)` and tests no entry fact. A function's first call
+in a unit decides from the guard's facts alone, before any body or flow
+is built, which body it lowers (`_Unit`): the specialised body when the
+guard holds, and the generic body, which then serves every later call,
+when it does not. Once the specialised body exists, the entry tests the
+guard on each call and runs the generic body where it fails; an entry
+that asks nothing is the specialised body itself.
 
 Fuel is charged by the run. Each executed statement takes one step, and
 each iteration of a loop one more. A run is a maximal sequence of steps
@@ -541,8 +542,7 @@ _HOST = {"div": ("{0} / {1}", "{0} / {1}", (1, "!=")),
 
 # the functions whose value on operands of the run's float type, and Int
 # literals beside one of them, has that type
-_FLOAT_FNS = frozenset(("identity", "add", "sub", "mul", "neg", "abs2", "abs",
-                        "div", "sqrt", "exp", "log", "sin", "cos", "atan2"))
+_FLOAT_FNS = frozenset(_INLINE).union(_HOST)
 _INT_OPS = {"add": "+", "sub": "-", "mul": "*"}
 
 
@@ -609,23 +609,28 @@ def _float_value(fname, views, facts=None):
 
 def _etype(e, facts):
     """The fact of an expression's value: a literal's, a variable's or a
-    float cell's, or "I" for Int arithmetic, `length` and `size`."""
+    float cell's, "I" for Int arithmetic, `length` and `size`, or "F"
+    where `_float_value` proves a function's (or operator's) operands."""
     t = type(e)
     if t is Lit:
         return {int: "I", float: "F"}.get(type(e.value))
     if t is ViewRef:
         return _fact_of(e.view, facts)
     if t is Un:
-        return "I" if _etype(e.operand, facts) == "I" else None
-    if t is Bin:
+        if _etype(e.operand, facts) == "I":
+            return "I"
+        fname, args = "neg", (e.operand,)
+    elif t is Bin:
         fname, args = INSTR_BIN_OPS.get(e.op), (e.left, e.right)
     elif t is Call:
         fname, args = e.fname, e.args
     else:
         return None
-    if fname in _INT_OPS:
-        return "I" if [_etype(a, facts) for a in args] == ["I", "I"] \
-            else None
+    if fname in _INT_OPS and [_etype(a, facts) for a in args] == ["I", "I"]:
+        return "I"
+    if fname in _FLOAT_FNS and _float_value(
+            fname, [a.view if type(a) is ViewRef else a for a in args], facts):
+        return "F"
     if fname in ("length", "size") and args and type(args[0]) is ViewRef:
         a = _fact_of(args[0].view, facts)
         if fname == "length" and len(args) == 1 and type(a) is tuple:
@@ -662,13 +667,13 @@ def _want(old, new):
     return "I" if {old, new} == {"I", "F"} else "X"
 
 
-def _wants(fdef, want_of):
+def _wants(fdef, want_of, grad):
     """The facts the specialised body of `fdef` asks of its parameters, in
     order (None: none): a float for an operand or target of a +=/-=, an Int
     for an index, a loop bound or an INC/DEC, an Array of the rank it is
     indexed at for a base (of floats where a cell is a +=/-= operand), and
     what a callee asks of a parameter passed to it (`want_of(fname)`: the
-    callee's list, or None)."""
+    callee's list, or None); with `grad`, no float, which no GVar is."""
     found = {}
 
     def put(name, fact):
@@ -721,7 +726,7 @@ def _wants(fdef, want_of):
         t = type(s)
         if t is InstrCall:
             for v in s.args:
-                view(v, "F" if s.op in ("+=", "-=") else None)
+                view(v, "F" if s.op in ("+=", "-=") and not grad else None)
         elif (t is FnCall or t is UncallFn) and s.fname in PRIM_STATEMENTS:
             for v in s.args:
                 view(v, "I" if s.fname in ("INC", "DEC") else None)
@@ -758,15 +763,14 @@ class _Flow:
     """The facts of one body of `fname`: the entry facts `want` (None: at
     none), those that hold before and, for a compound statement, after
     each statement (`at`, by id; the meet where a statement is reached
-    twice), and the parameters' facts when the body returns (`exit`). A
-    gradient flow (`grad`) derives no float fact, since an allocation
-    wraps its float in a GVar, and makes no call direct. The emitter makes
-    a call `direct` only where the facts met over every pass prove the
-    callee's guard: a loop's first pass runs with the facts before the
-    loop, which later passes weaken."""
+    twice), and the parameters' facts when the body returns (`exit`); no
+    float fact in a gradient unit, whose allocations wrap floats in GVars.
+    The emitter makes a call `direct` only where the facts met over every
+    pass prove the callee's guard: a loop's first pass runs with the facts
+    before the loop, which later passes weaken."""
 
-    def __init__(self, unit, fname, want=None, grad=False):
-        self.unit, self.grad, fdef = unit, grad, unit.defs[fname]
+    def __init__(self, unit, fname, want=None):
+        self.unit, fdef = unit, unit.defs[fname]
         params = fdef.param_names()
         self.want = want or [None] * len(params)
         self.at = {}
@@ -784,7 +788,7 @@ class _Flow:
         if t is AncillaAlloc:
             out.pop(s.name, None)
             if (f := _etype(s.expr, before)) == "I" or f == "F" \
-                    and not self.grad:
+                    and not self.unit.grad:
                 out[s.name] = f
         elif t is AncillaDealloc:
             out.pop(s.name, None)
@@ -853,8 +857,8 @@ class _Flow:
     def direct(self, callee, views, facts):
         """The callee's specialised flow when the facts prove its `want` of
         the call's arguments, so the call goes straight to its specialised
-        body; else None, and always in a gradient flow."""
-        want = None if self.grad else self.unit.want(callee)
+        body; else None."""
+        want = self.unit.want(callee)
         if want is not None and len(want) == len(views) and all(
                 _implies(_fact_of(v, facts), w) for v, w in zip(views, want)):
             return self.unit.flow(callee)
@@ -893,16 +897,16 @@ class _Scope:
     """A guard scope: the body of a function, of a region or (with `loop`:
     the loop variable, the lowest and the highest value of its range, and
     the facts that make it an Int) of a `for`. Its guard, the local named
-    `guard`, covers the `cells` whose variables are all `bound` at its
-    start and none `rebound` in it. It is set at line `start`, or, for a
-    loop, once at line `head`, before the loop; `known`: the facts there."""
+    `guard`, covers the `cells` none of whose variables it may rebind
+    (`rebound`, which holds each variable it binds, by an allocation or a
+    `for`). It is set at line `start`, or, for a loop, once at line
+    `head`, before the loop; `known`: the facts there."""
 
-    __slots__ = ("bound", "rebound", "start", "head", "guard", "loop",
-                 "cells", "rows", "vars", "known")
+    __slots__ = ("rebound", "start", "head", "guard", "loop", "cells",
+                 "rows", "vars", "known")
 
-    def __init__(self, bound, stmts, start, guard, loop=None, head=None,
-                 known=None):
-        self.bound, self.known = bound, known
+    def __init__(self, stmts, start, guard, loop=None, head=None, known=None):
+        self.known = known
         self.rebound = stmts   # the variables they rebind, once asked
         self.start, self.head, self.guard, self.loop = start, head, guard, loop
         self.cells = {}      # (array, indices) -> offset
@@ -924,15 +928,15 @@ class _Step(str):
 class _Lowering:
     """Emits the Python source of one lowered function and compiles it.
 
-    `unit`, a `_Unit`, supplies the options the code depends on, and
-    `flow`, a `_Flow`, the body's facts, which the code reads as `known`
-    at each point (`grad`: the flow's, of a gradient body). Without a flow
-    (the view helpers, on a unit that holds no definitions) values may
-    carry GVars, as in a gradient body."""
+    `unit`, a `_Unit`, supplies the options the code depends on (`grad`:
+    a gradient unit's), and `flow`, a `_Flow`, the body's facts, which the
+    code reads as `known` at each point. The view helpers lower without a
+    flow, on a gradient unit that holds no definitions, so their values
+    may carry GVars."""
 
     def __init__(self, unit, flow=None):
         self.unit, self.flow, self.known = unit, flow, {}
-        self.grad = flow is None or flow.grad
+        self.grad = unit.grad
         self.dtype = unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -1038,11 +1042,9 @@ class _Lowering:
         `_Fuel.charge`: the first step of each run charges all its steps,
         `F(n)`; the per-statement code of a run that finds fewer left
         takes them one by one (see the module docstring). Calls go to the
-        callee's entry (`_fns`: the unit's, or in a gradient body the
-        gradient bodies) or, where the flow proves its guard, straight to
-        its specialised body (`_B`)."""
-        unit = self.unit
-        self.const(unit.gradient if self.grad else unit, "_fns")
+        callee's entry in the unit (`_fns`) or, where the flow proves its
+        guard, straight to its specialised body (`_B`)."""
+        self.const(self.unit, "_fns")
         params = [self.local(p) for p in fdef.param_names()]
         self.bound = set(fdef.param_names())
         self.known = {p: w for p, w in zip(fdef.param_names(), self.flow.want)
@@ -1123,17 +1125,15 @@ class _Lowering:
         set before its line `head`. `rebound`: the variables the statements
         may rebind, when already known."""
         self.nguard += 1
-        self.scopes.append(_Scope(frozenset(self.bound),
-                                  stmts if rebound is None else rebound,
+        self.scopes.append(_Scope(stmts if rebound is None else rebound,
                                   len(self.lines), f"_b{self.nguard}", loop,
                                   head, self.known))
 
     def cover(self, view):
         """(guard, offset) of the cell `view` when a guard covers it, else
         None: the guard of the outermost scope of the function (or region)
-        at whose start all the cell's variables are bound and which
-        rebinds none of them. Its offset is an expression, or a row's
-        local set with the guard."""
+        that rebinds none of the cell's variables. Its offset is an
+        expression, or a row's local set with the guard."""
         base = view.base
         if type(base) is not VarView or len(view.indices) > 2 or self.plain:
             return None
@@ -1150,12 +1150,10 @@ class _Lowering:
             return None
         for k in range(self.root, len(self.scopes)):
             scope = self.scopes[k]
-            if names <= scope.bound:
-                if type(scope.rebound) is not set:
-                    scope.rebound = _rebinding(scope.rebound,
-                                               self.unit.rebinds)
-                if names.isdisjoint(scope.rebound):
-                    break
+            if type(scope.rebound) is not set:
+                scope.rebound = _rebinding(scope.rebound, self.unit.rebinds)
+            if names.isdisjoint(scope.rebound):
+                break
         else:
             return None
         scope.vars |= names
@@ -1325,19 +1323,21 @@ class _Lowering:
     def release(self, name, e):
         """The release check of ancilla `name` against `e`; two proven
         floats are decided inline, as `_release` decides them, which is
-        called when that test fails."""
+        called when that test fails (a computed `e` is evaluated once)."""
         self.counts = True
         y, d = self.names[name], self.expr(e)
-        call = f"_release(cp, {name!r}, {y}, {d}, I.opts.float_tolerance, " \
-               f"{self.grad})"
+        call = f"_release(cp, {name!r}, {y}, {{}}, " \
+               f"I.opts.float_tolerance, {self.grad})"
         if not (self.known.get(name) == self.kind(e) == "F"):
-            self.emit(f"if chk: {call}")
+            self.emit(f"if chk: {call.format(d)}")
             return
+        t = d if type(e) is Lit or type(e) is ViewRef else self.temp()
+        first = d if t == d else f"({t} := {d})"
         f = "{}" if self.dtype is None else "float({})"
         self.emit("if chk:")
-        self.emit(f" if {y} == {d} or abs({f.format(y)} - {f.format(d)}) <= "
-                  f"I.opts.float_tolerance: cp['ancilla'] += 1")
-        self.emit(f" else: {call}")
+        self.emit(f" if {y} == {first} or abs({f.format(y)} - {f.format(t)}) "
+                  f"<= I.opts.float_tolerance: cp['ancilla'] += 1")
+        self.emit(f" else: {call.format(t)}")
 
     def after(self, s):
         """Make the facts after the compound statement `s` (at a loop's
@@ -1964,28 +1964,28 @@ class _Lowering:
 # --- compiled units --------------------------------------------------------------
 
 class _Unit(dict):
-    """A Program's lowered code for one float type and trace setting: maps
-    a function's name to its entry for forward passes. A function has
-    three tables of bodies (`_Bodies`), each lowered from a `_Flow` on
-    first lookup: its specialised body (`bodies`), at the facts its entry
-    guard checks (`want`), and its generic and gradient bodies (`generic`,
-    `gradient`), at none. The unit holds the one test of each guard
-    (`make_entry`). Gradient passes call the gradient bodies."""
+    """A Program's lowered code for one float type and trace setting, for
+    forward or (`grad`) gradient passes: maps a function's name to its
+    entry. A function has two tables of bodies (`_Bodies`), each lowered
+    from a `_Flow` on first lookup: its specialised body (`bodies`), at
+    the facts its entry guard checks (`want`), and its generic body
+    (`generic`), at none. The unit holds the one test of each guard
+    (`make_entry`). `gradient`: the gradient unit of the same definitions
+    (a gradient unit's is itself)."""
 
-    def __init__(self, defs, trace, dtype):
+    def __init__(self, defs, trace, dtype, grad=False):
         super().__init__()
-        self.defs, self.trace, self.dtype = defs, trace, dtype
+        self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
         self.wants, self.flows, self.assigned = {}, {}, {}
-        self.bodies, self.generic, self.gradient = (
-            _Bodies(self, kind)
-            for kind in ("specialised", "generic", "gradient"))
+        self.bodies, self.generic = _Bodies(self, True), _Bodies(self, False)
+        self.gradient = self if grad else _Unit(defs, trace, dtype, True)
 
     def want(self, fname):
         """`fname`'s entry facts (`_wants`): None for an unknown name, and
         while they are found (to a recursive call)."""
         if fname not in self.wants and fname in self.defs:
             self.wants[fname] = None
-            self.wants[fname] = _wants(self.defs[fname], self.want)
+            self.wants[fname] = _wants(self.defs[fname], self.want, self.grad)
         return self.wants.get(fname)
 
     def flow(self, fname):
@@ -2040,21 +2040,20 @@ class _Unit(dict):
 
 
 class _Bodies(dict):
-    """One `kind` of body of a unit's functions by name, each lowered on
-    first lookup: "specialised", "generic" or "gradient"."""
+    """The specialised (`specialised`) or the generic bodies of a unit's
+    functions by name, each lowered on first lookup."""
 
-    def __init__(self, unit, kind):
+    def __init__(self, unit, specialised):
         super().__init__()
-        self.unit, self.kind = unit, kind
+        self.unit, self.specialised = unit, specialised
 
     def __missing__(self, fname):
         unit = self.unit
         if fname not in unit.defs:
             raise UnknownFunction(f"no function named {fname!r}")
-        flow = unit.flow(fname) if self.kind == "specialised" else \
-            _Flow(unit, fname, grad=self.kind == "gradient")
+        flow = unit.flow(fname) if self.specialised else _Flow(unit, fname)
         body = self[fname] = _Lowering(unit, flow).function(unit.defs[fname])
-        if self.kind == "specialised":
+        if self.specialised:
             unit.make_entry(fname)
         return body
 
@@ -2091,7 +2090,7 @@ def _check_root(env, view):
 def _view_lowering(env, opts):
     """A lowering with the environment's bindings bound, and the list of
     their locals, in binding order."""
-    low = _Lowering(_Unit({}, False, opts and opts.float_dtype))
+    low = _Lowering(_Unit({}, False, opts and opts.float_dtype, True))
     low.bound = set(env.bindings)
     return low, ", ".join(low.local(name) for name in env.bindings)
 
@@ -2128,12 +2127,12 @@ class Interpreter:
     `stats`. Instances built on one Program with options that lower to
     the same code share one validated and lowered unit.
 
-    A pass whose arguments carry a GVar leaf is a gradient pass: it runs
-    the unit's gradient bodies, each lowered on its function's first
-    gradient pass, which wrap new ancillas in GVars, reject an
-    instruction that reads one cell twice, and update binary64 GVars in
-    an inline adjoint arm. Other passes run the unit's entries, which
-    hold no gradient code. One instance serves every pass of an autodiff
+    A pass whose arguments carry a GVar leaf is a gradient pass: it
+    enters its function through the gradient unit (`unit.gradient`),
+    whose bodies wrap new ancillas in GVars, reject an instruction that
+    reads one cell twice, and update binary64 GVars in an inline adjoint
+    arm. Other passes enter through the forward unit, whose bodies hold
+    no gradient code. One instance serves every pass of an autodiff
     call."""
 
     def __init__(self, program, opts=None):
@@ -2144,9 +2143,9 @@ class Interpreter:
         self.defs = self.unit.defs
 
     def run_function(self, fname, args):
-        grad = any(carries_gvar(a) for a in args)
-        fn = (self.unit.gradient if grad else self.unit)[fname]
-        fdef = self.unit.defs[fname]
+        grad = any(map(carries_gvar, args))
+        unit = self.unit.gradient if grad else self.unit
+        fn, fdef = unit[fname], unit.defs[fname]
         if len(args) != len(fdef.params):
             raise KindError(f"{fname} takes {len(fdef.params)} arguments, "
                             f"got {len(args)}")

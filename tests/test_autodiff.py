@@ -84,6 +84,23 @@ class TestGradient:
                                        wrt=["a"]))
         assert list(g) == ["a"]
 
+    def test_an_ancilla_initial_value_is_a_constant_of_the_gradient(self):
+        """An ancilla starts as a new GVar with a zero cotangent, and its
+        cotangent is dropped at its release, so no gradient flows through
+        its initial value to the variables it reads: here `y` depends on
+        `x` through `p`, which finite differences see and `gradient`
+        does not. (Found by `called_programs` once its entry bodies
+        opened with two updates; an ancilla that starts at zero and takes
+        `p += x` carries the gradient.)"""
+        for init, want in (("p <- x", 0.0), ("p <- 0.0\np += x", 2.0)):
+            undo = "p -> x" if init == "p <- x" else "p -= x\np -> 0.0"
+            p = parse_program(f"fn f(y, x)\n{init}\ny += p * 2.0\n{undo}\n"
+                              f"end")
+            _, g = gradient(p, GradRequest("f", [0.5, 1.5]))
+            assert g == {"y": 1.0, "x": want}
+            assert finite_difference(p, "f", [0.5, 1.5], 0.5) == {
+                "y": 1.0, "x": 2.0}
+
 
 class TestJacobian:
     def test_multiplier_rows(self):

@@ -2,7 +2,8 @@
 expansion, validation and execution agree with one another.
 
 The generator writes `fn f(y, z, x)` over Int values, so every run is
-exact. `x` is never written; `y` and `z` are. Routines nest in compute
+exact. `x` is never written; `y` and `z` are. The body opens with two
+updates, a straight-line run of two steps. Routines nest in compute
 blocks and bodies, next to balanced alloc/release pairs, updates, `if`
 and `for` blocks and `@invcheckoff`. A routine's compute block writes only
 the ancillas it allocates and reads only what its body cannot change, so
@@ -13,18 +14,18 @@ balance).
 
 A second generator writes valid programs of several such functions over
 Int or Float values, where a function may call or uncall the ones before
-it, and adds counted `while` loops. Float programs add, subtract and scale
-by 2.0 or 0.5 values that are multiples of 0.5, so their runs are exact
-too.
+it, and adds counted `while` loops; the entry point's body opens with two
+updates too. Float programs add, subtract and scale by 2.0 or 0.5 values
+that are multiples of 0.5, so their runs are exact too.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revlang import interpreter
+from revlang import autodiff, interpreter
 from revlang.autodiff import (GradRequest, finite_difference, gradient,
-                              hessian)
+                              hessian, jacobian)
 from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Program, validate
@@ -42,7 +43,7 @@ class _Gen:
     where an allocation would not be balanced by a replay)."""
 
     def __init__(self, draw, real=False, callees=(), valid=False,
-                 int_conds=False, swaps=False):
+                 int_conds=False, swaps=False, zeros=False):
         self.draw = draw
         self.count = 0
         self.real = real            # Float values instead of Int
@@ -51,6 +52,7 @@ class _Gen:
         self.int_conds = int_conds  # `if` reads loop variables only
         self.swaps = swaps          # SWAPs of two of the names `mutable`
                                     # and a parameter `w` nothing else reads
+        self.zeros = zeros          # every ancilla starts at zero
 
     def fresh(self, prefix):
         self.count += 1
@@ -67,7 +69,6 @@ class _Gen:
 
     def stmt(self, ctx, depth, kinds=None):
         stable, mutable, own = ctx
-        zero = "0.0" if self.real else "0"
         if kinds is None:
             kinds = ["update"] * 4 + ["stray"] * (not self.valid) \
                 + ["own"] * 2 * (own is not None) + ["call"] * 2 * bool(
@@ -104,12 +105,12 @@ class _Gen:
         if kind == "own":
             c = self.fresh("c")
             own.append(c)
-            return [f"{c} <- {self.pick([zero, *stable])}"]
+            return [f"{c} <- {self.start(stable)}"]
         if kind == "stray":
             return [f"{self.fresh('q')} {self.pick(['<-', '->'])} 0"]
         if kind == "pair":
             p = self.fresh("p")
-            value = self.pick([zero, *stable])
+            value = self.start(stable)
             inner = self.block(((*stable, p), mutable, own), depth + 1)
             return [f"{p} <- {value}", *inner, f"{p} -> {value}"]
         if kind == "routine":
@@ -139,10 +140,21 @@ class _Gen:
                     "end"]
         return []
 
+    def start(self, stable):
+        """An ancilla's initial value: zero or a name of `stable`."""
+        zero = "0.0" if self.real else "0"
+        return zero if self.zeros else self.pick([zero, *stable])
+
+    def entry(self, ctx):
+        """An entry body: two updates, a straight-line run of two steps
+        at least, then a block."""
+        return [*self.stmt(ctx, 0, ["update"]), *self.stmt(ctx, 0, ["update"]),
+                *self.block(ctx, 0)]
+
 
 @st.composite
 def routine_programs(draw):
-    body = _Gen(draw).block((("x",), ["y", "z"], None), 0)
+    body = _Gen(draw).entry((("x",), ["y", "z"], None))
     return "fn f(y, z, x)\n" + "\n".join(body) + "\nend\n"
 
 
@@ -180,20 +192,22 @@ def test_generator_reaches_both_verdicts():
 
 
 @st.composite
-def called_programs(draw, real=None, int_conds=False, swaps=False):
+def called_programs(draw, real=None, int_conds=False, swaps=False,
+                    zeros=False):
     """Functions g0..gn over Int or Float values (`real`, drawn when None),
     each of which may call or uncall the ones before it; gn is the entry
     point. With `int_conds` no condition reads a Float variable; with
     `swaps` each function takes a fourth argument `w`, and a statement may
-    SWAP two variables."""
+    SWAP two variables; with `zeros` every ancilla starts at zero."""
     if real is None:
         real = draw(st.booleans())
     n = draw(st.integers(0, 3))
     fns = []
     for k in range(n + 1):
         gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
-                   int_conds=int_conds, swaps=swaps)
-        body = gen.block((("x",), ["y", "z"], None), 0)
+                   int_conds=int_conds, swaps=swaps, zeros=zeros)
+        ctx = (("x",), ["y", "z"], None)
+        body = gen.entry(ctx) if k == n else gen.block(ctx, 0)
         fns.append(f"fn g{k}(y, z, x{', w' * swaps})\n" + "\n".join(body)
                    + "\nend\n")
     values = st.integers(-6, 6).map(lambda v: v / 2) if real \
@@ -247,8 +261,11 @@ def test_called_programs_reach_calls_loops_and_floats():
 
 
 def test_generated_gradients_match_finite_differences():
-    """On Float programs whose conditions read no Float variable,
-    `gradient` equals `finite_difference` on every float leaf, exactly.
+    """On Float programs whose conditions read no Float variable and whose
+    ancillas start at zero, `gradient` equals `finite_difference` on every
+    float leaf, exactly. (An ancilla's initial value is a constant of the
+    gradient: `tests/test_autodiff.py::
+    test_an_ancilla_initial_value_is_a_constant_of_the_gradient`.)
     Such a program is linear in its arguments: its updates add, subtract
     and scale by 2.0 or 0.5, and its branches and loop counts do not
     depend on them. Its arguments are multiples of 0.5 and the step is
@@ -260,7 +277,7 @@ def test_generated_gradients_match_finite_differences():
     outcomes = []
 
     @settings(max_examples=120)
-    @given(case=called_programs(real=True, int_conds=True))
+    @given(case=called_programs(real=True, int_conds=True, zeros=True))
     def check(case):
         src, entry, args = case
         program = parse_program(src)
@@ -411,6 +428,91 @@ def test_generated_hessians_equal_the_per_column_oracle():
             "IndexOutOfBounds"} <= set(outcomes)
 
 
+# --- gradient bodies are observers ----------------------------------------
+
+def _autodiff_outcome(src, entry, args, seeds):
+    """What `jacobian`, `hessian` and a `gradient` seeded with `seeds`
+    give on a fresh parse: each result by its bits (NaN as NaN), or the
+    error's type and span, with the ExecStats of the Interpreter it ran
+    on; and the functions whose gradient unit's specialised body they
+    lowered."""
+    program, made = parse_program(src), []
+    make = autodiff._interpreter
+
+    def interpreter_of(*a):
+        made.append(make(*a))
+        return made[-1]
+
+    def bits(f):
+        try:
+            res = f()
+        except RevLangError as err:
+            return type(err).__name__, err.span
+        return repr(res.tolist() if isinstance(res, np.ndarray) else res)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(autodiff, "_interpreter", interpreter_of)
+        res = [bits(lambda: jacobian(program, entry, args())),
+               bits(lambda: hessian(program, entry, args()).matrix),
+               bits(lambda: gradient(program, GradRequest(entry, args(),
+                                                          seeds)))]
+    stats = [interp.stats for interp, _ in made]
+    return res, stats, sorted({f for interp, _ in made
+                               for f in interp.unit.gradient.bodies})
+
+
+def _gradient_observed(src, entry, args, seeds):
+    """The outcome of `_autodiff_outcome`, which must equal the outcome
+    on bodies lowered at no entry facts, forward and gradient, which every
+    call reaches when every guard fails and no call is direct."""
+    outcome = _autodiff_outcome(src, entry, args, seeds)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter, "_holds", lambda *a: False)
+        m.setattr(interpreter._Flow, "direct", lambda *a: None)
+        generic = _autodiff_outcome(src, entry, args, seeds)
+    assert generic[2] == [] and generic[:2] == outcome[:2]
+    return outcome
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gradient_bodies_are_observers():
+    """The gradient unit's specialised bodies, behind guards that ask only
+    Int scalars and Array ranks, and its direct calls give what the
+    generic bodies give: on `array_programs` and on Float
+    `called_programs` with SWAPs, `jacobian`, `hessian` and a seeded
+    `gradient` give the same bits, errors and ExecStats."""
+    outcomes = []
+
+    def check(src, entry, args, seeds):
+        res, _, lowered = _gradient_observed(src, entry, args, seeds)
+        outcomes.append((bool(lowered), *[r[0] if type(r) is tuple
+                                          else "result" for r in res]))
+
+    @settings(max_examples=150)
+    @given(case=array_programs(), cell=st.integers(0, 5))
+    def arrays(case, cell):
+        src, (y, cells, i, j) = case
+        check(src, "f", lambda: [y, Array(list(cells), (2, 3)), i, j],
+              [("y", (), 1.0), ("a", (("idx", (cell // 3 + 1,
+                                                cell % 3 + 1)),), -0.5)])
+
+    @settings(max_examples=150)
+    @given(case=called_programs(real=True, swaps=True),
+           name=st.sampled_from(["y", "z", "x", "w"]))
+    def calls(case, name):
+        src, entry, args = case
+        check(src, entry, lambda: list(args),
+              [("y", (), 0.5), (name, (), -1.5)])
+
+    arrays()
+    calls()
+    assert len(outcomes) == 300
+    # most runs lower specialised gradient bodies; results and errors
+    assert sum(o[0] for o in outcomes) >= 200
+    kinds = {k for o in outcomes for k in o[1:]}
+    assert {"result", "IndexOutOfBounds", "RevDomainError"} <= kinds
+
+
 # --- the specialised body against the generic body -----------------------
 
 def _typed(v):
@@ -524,6 +626,56 @@ def _charged_by_the_statement(src, entry, args):
         m.setattr(interpreter._Lowering, "tick",
                   lambda self: (tick(self), self.end()))
         assert _budget_outcomes(src, entry, args) == outcomes
+
+
+def _longest_run(src, entry, args):
+    """The most steps that one charge of a run without a step limit
+    takes (0: none)."""
+    charged, charge = [], interpreter._Fuel.charge
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter._Fuel, "charge",
+                  lambda self, n: charged.append(n) or charge(self, n))
+        try:
+            Interpreter(parse_program(src)).run_function(entry, args)
+        except RevLangError:
+            pass
+    return max(charged, default=0)
+
+
+def test_generated_programs_run_straight_line_runs():
+    """Most examples of each generator run a straight-line run of two or
+    more steps, which a shortage can cut in the middle: the entry bodies
+    of `routine_programs` and `called_programs` open with two updates."""
+    longest = {"routine": [], "called": [], "array": []}
+
+    @settings(max_examples=100)
+    @given(src=routine_programs(),
+           args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    def routines(src, args):
+        if not validate(parse_program(src)):
+            longest["routine"].append(_longest_run(src, "f", list(args)))
+
+    @settings(max_examples=100)
+    @given(case=called_programs(swaps=True))
+    def calls(case):
+        src, entry, args = case
+        longest["called"].append(_longest_run(src, entry, list(args)))
+
+    @settings(max_examples=100)
+    @given(case=array_programs())
+    def arrays(case):
+        src, (y, cells, i, j) = case
+        longest["array"].append(_longest_run(
+            src, "f", [y, Array(list(cells), (2, 3)), i, j]))
+
+    routines()
+    calls()
+    arrays()
+    share = {k: sum(n >= 2 for n in runs) / len(runs)
+             for k, runs in longest.items()}
+    assert len(longest["routine"]) >= 50
+    assert share["routine"] >= 0.75 and share["called"] >= 0.75
+    assert share["array"] >= 0.5
 
 
 @settings(max_examples=150)

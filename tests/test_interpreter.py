@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,7 +14,7 @@ from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
                             KindError, LoopIteratorMutated,
                             PostconditionMismatch, RevDomainError,
                             RevLangError, UnknownFunction, ValidationFailed)
-from revlang.autodiff import GradRequest, gradient
+from revlang.autodiff import GradRequest, gradient, jacobian
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  canonical_view_identity, check_reversibility,
                                  read_view, run, uncall, write_view)
@@ -339,8 +340,9 @@ end""")
                 getattr(interp, f"{direction}_function")(
                     "f", [1, Array.vector([wrap(c) for c in cells])])
         assert err.value.span.line == src.count("\n")
-        lowered = {"specialised": interp.unit.bodies, "generic":
-                   interp.unit.generic, "gradient": interp.unit.gradient}
+        unit = interp.unit
+        lowered = {"specialised": unit.bodies, "generic": unit.generic,
+                   "gradient": unit.gradient.bodies}
         assert ("f" if direction == "run" else "~f") in lowered[body]
 
     def test_a_call_may_take_an_index_its_callee_does_not_write(self):
@@ -1414,7 +1416,8 @@ class TestUnitCache:
         assert interp.run_function("f", [0.0, 1.5]) == [3.0, 1.5]
         assert interp.uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
         assert counts["lower"] == ["f", "~f"]
-        assert interp.unit.gradient == {}
+        grad = interp.unit.gradient
+        assert grad == {} and grad.bodies == grad.generic == {}
 
     def test_second_gradient_call_lowers_nothing(self, counts):
         p = prog(self.SRC)
@@ -1422,20 +1425,22 @@ class TestUnitCache:
         # the forward pass runs f, the backward pass ~f's gradient body
         assert counts["lower"] == ["f", "~f"]
         assert sorted(Interpreter(p).unit) == ["f"]
-        assert sorted(Interpreter(p).unit.gradient) == ["~f"]
+        assert sorted(Interpreter(p).unit.gradient.bodies) == ["~f"]
         assert gradient(p, GradRequest("f", [0.0, 1.5])) == first
         assert counts == {"validate": 1, "lower": ["f", "~f"]}
 
     def test_gradient_variant_calls_gradient_variants(self):
         # h asks nothing of its arguments, yet a gradient body calls its
-        # gradient body, never a forward one
+        # gradient body, never a forward one: the gradient unit's
+        # specialised bodies, whose guards ask no float
         p = prog("fn g(a, b)\na += b * 2.0\nend\nfn h(a, b)\nSWAP(a, b)\n"
                  "end\nfn f(y, x)\ng(y, x)\nh(y, x)\nh(y, x)\nend")
         interp = Interpreter(p)
         y, x = GVar(0.0, 1.0), GVar(1.5, 0.0)
         assert interp.run_function("f", [y, x]) == [GVar(3.0, 1.0),
                                                     GVar(1.5, -2.0)]
-        assert sorted(interp.unit.gradient) == ["f", "g", "h"]
+        assert sorted(interp.unit.gradient.bodies) == ["f", "g", "h"]
+        assert interp.unit.gradient.generic == {}
         assert interp.unit == {} and interp.unit.bodies == {}
 
     def test_the_front_end_runs_once_per_program(self, counts, monkeypatch):
@@ -1859,17 +1864,17 @@ class TestLessTravelledPaths:
 @pytest.mark.parametrize("dtype", [None, np.float32])
 def test_every_bundled_function_lowers(dtype):
     """Each function of the bundled programs, and its inverse, lowers in
-    each of its unit's tables for both float types: its specialised,
-    generic and gradient bodies, and the entry of the first two."""
+    each table of its forward and gradient units for both float types:
+    its specialised and generic bodies, and has an entry in each unit."""
     programs = {id(p): p for p in map(load_example, CATALOG)}.values()
     for p in programs:
         unit = Interpreter(p, ExecOptions(float_dtype=dtype)).unit
         names = [f.name for f in p]
         assert set(unit.defs) == {*names, *map(inverse_name, names)}
         for fname in unit.defs:
-            assert callable(unit[fname]) and callable(unit.gradient[fname])
-            assert callable(unit.bodies[fname]) and \
-                callable(unit.generic[fname])
+            for u in (unit, unit.gradient):
+                assert callable(u[fname]) and callable(u.bodies[fname]) \
+                    and callable(u.generic[fname])
 
 
 # --- bounds guards: a guard covers the cells of a scope; a false guard
@@ -2215,6 +2220,33 @@ class TestSpecialisedBodies:
         else:
             assert out[0] == ("float", "3.0")
 
+    @pytest.mark.parametrize("n, kind", [
+        (1, None), (GVar(1.0, 0.0), "float"),
+        (Array.vector([GVar(2.0, 0.0)]), "array")])
+    def test_a_gradient_call_in_a_loop_sees_the_facts_the_last_iteration_left(
+            self, n, kind):
+        """The gradient twin: gradient bodies make direct calls too. The
+        first iteration's call proves g's gradient guard, an Int index
+        into an Array of rank 1; the SWAP then moves `n` into `i`, so the
+        second iteration's call must test it."""
+        src = "fn g(y, a, i)\ny += a[i]\nend\n" \
+              "fn f(y, a, i, n)\nfor k = 1:2\ng(y, a, i)\nSWAP(i, n)\nend\nend"
+
+        def args(n):
+            return [GVar(0.5, 1.0), Array.vector([GVar(2.0, 0.0)]), 1, n]
+        interp = Interpreter(prog(src))
+        interp.run_function("f", args(1))
+        unit = interp.unit.gradient
+        assert sorted(unit.bodies) == ["f", "g"] and unit.generic == {}
+        out = self.same_as_fresh_runs(interp, src, "f", args(n))
+        if kind is None:
+            assert out[0] == ("GVar", "GVar(4.5, 1.0)")
+            assert out[1][2] == [("GVar", "GVar(2.0, -2.0)")]
+        else:
+            assert out[:2] == ("KindError",
+                               f"array index must be an Int, got {kind}")
+            assert "g" in unit.generic
+
     def test_after_an_if_hold_the_facts_of_both_branches(self):
         src = "fn f(y, n, c)\nif (c > 0, ~)\ny += 1.0\nelse\nSWAP(y, n)\n" \
               "end\ny += 2.0\nend"
@@ -2386,14 +2418,55 @@ def test_host_calls_give_what_the_generic_functions_give(
     assert host_calls < generic_calls
 
 
+@pytest.mark.parametrize("dtype", [None, np.float32],
+                         ids=["binary64", "binary32"])
+@pytest.mark.parametrize("call", ["sqrt(a)", "a / b", "-a", "atan2(a, 2)"])
+def test_a_float_function_of_proven_floats_binds_a_proven_float(
+        monkeypatch, call, dtype):
+    """After `t <- sqrt(a)`, with `a` a float by the entry facts, `t` is a
+    float too: the lowered code makes no type test of `t`, and decides
+    `t -> sqrt(a)` inline, reading a temporary bound to its declared
+    value, so a passing run calls no `_release`. Its outcomes equal
+    those with the fast-path table emptied, on both bodies."""
+    src = f"fn f(y, a, b, z)\nz += a\nz += b\nt <- {call}\ny += t\n" \
+          f"t -> {call}\nend"
+    sources, build = [], interpreter._Lowering.build
+
+    def building(self, defs):
+        sources.append("\n".join(t for _, t, _ in defs))
+        return build(self, defs)
+    monkeypatch.setattr(interpreter._Lowering, "build", building)
+    released = []
+    release = interpreter._release
+    monkeypatch.setattr(interpreter, "_release",
+                        lambda *a: released.append(a) or release(*a))
+    z = dtype or float
+    for a in (0.0, 4.0, 1e30):
+        interp = Interpreter(prog(src), ExecOptions(float_dtype=dtype))
+        interp.run_function("f", [z(0.0), z(a), z(2.0), z(0.0)])
+        assert interp.stats.checks_passed["ancilla"] == 1
+    assert released == [] and len(sources) == 3
+    t = re.search(r"\b(v\d+_t) = ", sources[0]).group(1)
+    assert f"type({t})" not in sources[0]
+    bs = HOST_VALUES if "b" in call else [1.0]
+    for generic in (False, True):
+        outcomes = _host_outcomes(src, dtype, generic, bs)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(interpreter, "_HOST", {})
+            assert _host_outcomes(src, dtype, generic, bs) == outcomes
+
+
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
     more AST nodes than once the float functions got host calls: the
     forward code `check_reversibility` lowers, at most 15,917 nodes with
     the guards as they fall, and 19,661 with every guard failing and no
     call direct (30 generic bodies); and the gradient bodies of
-    `autodiff.gradient` with default seeds, at most 2,363. A run with
-    fuel to spare compiles no per-statement code."""
+    `autodiff.gradient` with default seeds, at most 2,239 (2,363 while
+    they were lowered at no entry facts), and of `autodiff.jacobian` over
+    the whole catalog, the calls `grad-catalog` makes, at most 22,251
+    (23,499).
+    A run with fuel to spare compiles no per-statement code."""
     import ast
     import random
     from revlang.stdlib import entry_function, sample_args
@@ -2430,7 +2503,12 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_363
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_239
+    nodes[True].clear()
+    for name, (filename, fname) in CATALOG.items():
+        jacobian(prog(asset_text(filename)), fname,
+                 sample_args(name, random.Random(0)))
+    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 22_251
     assert shortages == []
 
 
