@@ -18,6 +18,9 @@ allocation of a bound name, or a read or release of an unbound one, is
 emitted as the error it raises. Check code runs when the flag `chk` is
 set: the interpreter's `invcheck`, passed on to callees, and False
 inside `@invcheckoff`, where none is emitted; alias checks always run.
+A release in a gradient body undoes an allocation, so it also carries
+the ancilla's cotangent to the variables its initialiser reads
+(`_Lowering.carry`), checks on or off.
 
 An array cell is at the flat offset `_offset` computes, which raises what
 `Array.get` raises. A cell of a bound array at Int literals and bound
@@ -141,8 +144,8 @@ from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
                  ViewRef, While, inverse_name, validate, view_root)
 from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, adjoint_accumulate,
-                       carries_gvar, compare, expr_fn, strip_gvar,
-                       unwrap_gvar, wrap_gvar)
+                       carries_gvar, compare, expr_fn, release_adjoint,
+                       strip_gvar, unwrap_gvar, wrap_gvar)
 from .reverser import invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
                      is_bool, is_int, kind_name, values_close, worst_deviation)
@@ -389,7 +392,8 @@ def _ancilla_residual(current, declared, tol, grad):
 
     Only primal content is compared: in a gradient body (`grad`) a
     tracked ancilla's cotangent at release is the sensitivity to its
-    pinned initial value and is discarded with it. The release passes
+    initial value, which `release_adjoint` carries on to the variables
+    that value was computed from. The release passes
     when the two are `values_close` (discrete kinds exactly, float-backed
     kinds within the tolerance, NaN never); the residual is their
     `deviation`, inf when `deviation` cannot compare their kinds."""
@@ -1280,8 +1284,11 @@ class _Lowering:
             case AncillaDealloc(name=name, expr=e):
                 if name not in self.bound:
                     self.raise_(UnboundVariable, f"{name!r} is not bound")
-                elif self.checks:
-                    self.release(name, e)
+                else:
+                    if self.checks:
+                        self.release(name, e)
+                    if self.grad:
+                        self.carry(self.names[name], e)
                 self.bound.discard(name)
             case FnCall(fname=fname, args=args):
                 self.call(fname, args, False)
@@ -1326,18 +1333,46 @@ class _Lowering:
         called when that test fails (a computed `e` is evaluated once)."""
         self.counts = True
         y, d = self.names[name], self.expr(e)
-        call = f"_release(cp, {name!r}, {y}, {{}}, " \
-               f"I.opts.float_tolerance, {self.grad})"
-        if not (self.known.get(name) == self.kind(e) == "F"):
-            self.emit(f"if chk: {call.format(d)}")
+        inline = self.known.get(name) == self.kind(e) == "F"
+        t = self.temp() if inline and type(e) is not Lit \
+            and type(e) is not ViewRef else d
+        call = f"_release(cp, {name!r}, {y}, {t}, I.opts.float_tolerance, " \
+               f"{self.grad})"
+        if not inline:
+            self.emit(f"if chk: {call}")
             return
-        t = d if type(e) is Lit or type(e) is ViewRef else self.temp()
         first = d if t == d else f"({t} := {d})"
         f = "{}" if self.dtype is None else "float({})"
         self.emit("if chk:")
         self.emit(f" if {y} == {first} or abs({f.format(y)} - {f.format(t)}) "
                   f"<= I.opts.float_tolerance: cp['ancilla'] += 1")
-        self.emit(f" else: {call.format(t)}")
+        self.emit(f" else: {call}")
+
+    def carry(self, c, e):
+        """In a gradient body, the cotangent step (`release_adjoint`) of
+        releasing `c`, an ancilla or a GVar temporary of a nested operand,
+        against `e`, where `e` reads a variable and is not a proven Int:
+        the release undoes an allocation, so the cotangent of the initial
+        value reaches what that value was computed from."""
+        if not any(_reads(e)) or self.kind(e) == "I":
+            return
+        fname, args = ("identity", (e,)) if type(e) is ViewRef else \
+            ("neg", (e.operand,)) if type(e) is Un else \
+            (INSTR_BIN_OPS.get(e.op, e.op), (e.left, e.right)) \
+            if type(e) is Bin else (e.fname, e.args)
+        xs, nested = [], []
+        for a in args:
+            if type(a) is ViewRef:
+                xs.append(self.read(a.view))
+            elif not any(_reads(a)):
+                xs.append(self.expr(a))
+            else:
+                xs.append(self.temp())
+                self.emit(f"{xs[-1]} = wrap_gvar({self.expr(a)})")
+                nested.append((xs[-1], a))
+        self.emit(f"release_adjoint({fname!r}, [{c}, {', '.join(xs)}])")
+        for t, a in nested:
+            self.carry(t, a)
 
     def after(self, s):
         """Make the facts after the compound statement `s` (at a loop's

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import KindError, MissingAdjoint, RevDomainError
 from .values import (_KINDS, Array, Complex, Dual, Fixed, GVar, ULog,
                      coerce_to_kind, is_differentiable, is_int, kind_name,
-                     map_leaves, s_abs, s_atan2, s_cos, s_div, s_exp, s_log,
-                     s_pow, s_sin, s_sqrt, to_real, zero_like)
+                     leaves, map_leaves, s_abs, s_atan2, s_cos, s_div, s_exp,
+                     s_log, s_pow, s_sin, s_sqrt, to_real, zero_like)
 
 OP_INVERSE = {"+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=", "xor=": "xor="}
 
@@ -504,6 +504,24 @@ def adjoint_accumulate(fname, args, parts, c):
                 raise RevDomainError(
                     f"gradient of {fname!r} undefined at this point")
             a.g += coerce_to_kind(a.g, c * p)
+
+
+def release_adjoint(fname, vals):
+    """The cotangent step of releasing the ancilla `vals[0]` against
+    `fname(*vals[1:])` in a gradient pass: the adjoint of `vals[0] -=
+    fname(*vals[1:])` on a copy of the ancilla, and for `identity` leaf by
+    leaf of a composite; without such a rule it raises where a cotangent
+    would pass."""
+    p, args = vals[0], vals[1:]
+    if fname == "identity":
+        for (_, a), (_, b) in zip(leaves(p), leaves(args[0])):
+            if type(a) is GVar:
+                adjoint_accumulate(fname, [b], [1.0], to_real(a.g))
+    elif type(p) is GVar and fname in INSTR_FNS:
+        _plus_minus_adjoint("-=", fname, [GVar(p.x, p.g), *args])
+    elif carries_gvar(p) and any(map(carries_gvar, args)):
+        raise MissingAdjoint(f"no gradient rule carries a {kind_name(p)} "
+                             f"ancilla's cotangent through {fname!r}")
 
 
 def _mul_div_adjoint(op, fname, vals):

@@ -8,8 +8,8 @@ import pytest
 from revlang.autodiff import (GradRequest, finite_difference, get_leaf,
                               gradient, hessian, jacobian, leaf_paths,
                               set_leaf)
-from revlang.errors import (AliasedArguments, KindError, RevDomainError,
-                            RevError)
+from revlang.errors import (AliasedArguments, KindError, MissingAdjoint,
+                            RevDomainError, RevError)
 from revlang.interpreter import Interpreter
 from revlang.parser import parse_program
 from revlang.stdlib import CATALOG, entry_function, load_example, sample_args
@@ -84,22 +84,42 @@ class TestGradient:
                                        wrt=["a"]))
         assert list(g) == ["a"]
 
-    def test_an_ancilla_initial_value_is_a_constant_of_the_gradient(self):
-        """An ancilla starts as a new GVar with a zero cotangent, and its
-        cotangent is dropped at its release, so no gradient flows through
-        its initial value to the variables it reads: here `y` depends on
-        `x` through `p`, which finite differences see and `gradient`
-        does not. (Found by `called_programs` once its entry bodies
-        opened with two updates; an ancilla that starts at zero and takes
-        `p += x` carries the gradient.)"""
-        for init, want in (("p <- x", 0.0), ("p <- 0.0\np += x", 2.0)):
-            undo = "p -> x" if init == "p <- x" else "p -= x\np -> 0.0"
-            p = parse_program(f"fn f(y, x)\n{init}\ny += p * 2.0\n{undo}\n"
-                              f"end")
-            _, g = gradient(p, GradRequest("f", [0.5, 1.5]))
-            assert g == {"y": 1.0, "x": want}
-            assert finite_difference(p, "f", [0.5, 1.5], 0.5) == {
-                "y": 1.0, "x": 2.0}
+    def test_an_ancilla_carries_its_cotangent_to_its_initialiser(self):
+        """A release in the backward pass undoes an allocation, so the
+        ancilla's cotangent reaches the variables its initial value read,
+        through nested operands too: `gradient` equals finite differences
+        here, and the Hessian of `y + 2 p(x)` is 2 p''(x). (Found by
+        `called_programs` once its entry bodies opened with two updates:
+        `p <- x` gave 0.0 in `x` while the ancilla's cotangent was dropped
+        at its release.)"""
+        x = 1.5
+        for init, d1, d2 in (
+                ("x", 2.0, 0.0), ("x * x", 4 * x, 4.0),
+                ("sin(x) * 2.0", 4 * math.cos(x), -4 * math.sin(x)),
+                ("sin(x * x)", 4 * x * math.cos(x * x),
+                 4 * math.cos(x * x) - 8 * x * x * math.sin(x * x))):
+            p = parse_program(f"fn f(y, x)\np <- {init}\ny += p * 2.0\n"
+                              f"p -> {init}\nend")
+            _, g = gradient(p, GradRequest("f", [0.5, x]))
+            assert g["y"] == 1.0 and g["x"] == pytest.approx(d1, rel=1e-12)
+            fd = finite_difference(p, "f", [0.5, x], 1e-6)
+            assert fd["x"] == pytest.approx(d1, rel=1e-6)
+            H = hessian(p, "f", [0.5, x]).matrix
+            assert H[1, 1] == pytest.approx(d2, rel=1e-12)
+            assert H[0].tolist() == [0.0, 0.0]
+
+    def test_an_ancilla_cotangent_without_a_rule_raises(self):
+        """An expression-only function has no gradient rule, so a release
+        whose cotangent would pass through one raises MissingAdjoint
+        rather than drop it; an Int initialiser carries none."""
+        p = parse_program("fn f(y, x)\np <- max(x, 0.0)\ny += p\n"
+                          "p -> max(x, 0.0)\nend")
+        with pytest.raises(MissingAdjoint):
+            gradient(p, GradRequest("f", [0.5, 1.5]))
+        p = parse_program("fn f(y, x, n)\nk <- n + 1\ny += x * 2.0\n"
+                          "k -> n + 1\nend")
+        assert gradient(p, GradRequest("f", [0.5, 1.5, 2]))[1] == {
+            "y": 1.0, "x": 2.0, "n": None}
 
 
 class TestJacobian:

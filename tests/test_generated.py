@@ -43,7 +43,7 @@ class _Gen:
     where an allocation would not be balanced by a replay)."""
 
     def __init__(self, draw, real=False, callees=(), valid=False,
-                 int_conds=False, swaps=False, zeros=False):
+                 int_conds=False, swaps=False):
         self.draw = draw
         self.count = 0
         self.real = real            # Float values instead of Int
@@ -52,7 +52,6 @@ class _Gen:
         self.int_conds = int_conds  # `if` reads loop variables only
         self.swaps = swaps          # SWAPs of two of the names `mutable`
                                     # and a parameter `w` nothing else reads
-        self.zeros = zeros          # every ancilla starts at zero
 
     def fresh(self, prefix):
         self.count += 1
@@ -69,6 +68,7 @@ class _Gen:
 
     def stmt(self, ctx, depth, kinds=None):
         stable, mutable, own = ctx
+        zero = "0.0" if self.real else "0"
         if kinds is None:
             kinds = ["update"] * 4 + ["stray"] * (not self.valid) \
                 + ["own"] * 2 * (own is not None) + ["call"] * 2 * bool(
@@ -105,12 +105,12 @@ class _Gen:
         if kind == "own":
             c = self.fresh("c")
             own.append(c)
-            return [f"{c} <- {self.start(stable)}"]
+            return [f"{c} <- {self.pick([zero, *stable])}"]
         if kind == "stray":
             return [f"{self.fresh('q')} {self.pick(['<-', '->'])} 0"]
         if kind == "pair":
             p = self.fresh("p")
-            value = self.start(stable)
+            value = self.pick([zero, *stable])
             inner = self.block(((*stable, p), mutable, own), depth + 1)
             return [f"{p} <- {value}", *inner, f"{p} -> {value}"]
         if kind == "routine":
@@ -139,11 +139,6 @@ class _Gen:
             return ["begin", *self.block((stable, mutable, None), depth + 1),
                     "end"]
         return []
-
-    def start(self, stable):
-        """An ancilla's initial value: zero or a name of `stable`."""
-        zero = "0.0" if self.real else "0"
-        return zero if self.zeros else self.pick([zero, *stable])
 
     def entry(self, ctx):
         """An entry body: two updates, a straight-line run of two steps
@@ -192,20 +187,19 @@ def test_generator_reaches_both_verdicts():
 
 
 @st.composite
-def called_programs(draw, real=None, int_conds=False, swaps=False,
-                    zeros=False):
+def called_programs(draw, real=None, int_conds=False, swaps=False):
     """Functions g0..gn over Int or Float values (`real`, drawn when None),
     each of which may call or uncall the ones before it; gn is the entry
     point. With `int_conds` no condition reads a Float variable; with
     `swaps` each function takes a fourth argument `w`, and a statement may
-    SWAP two variables; with `zeros` every ancilla starts at zero."""
+    SWAP two variables."""
     if real is None:
         real = draw(st.booleans())
     n = draw(st.integers(0, 3))
     fns = []
     for k in range(n + 1):
         gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
-                   int_conds=int_conds, swaps=swaps, zeros=zeros)
+                   int_conds=int_conds, swaps=swaps)
         ctx = (("x",), ["y", "z"], None)
         body = gen.entry(ctx) if k == n else gen.block(ctx, 0)
         fns.append(f"fn g{k}(y, z, x{', w' * swaps})\n" + "\n".join(body)
@@ -261,11 +255,8 @@ def test_called_programs_reach_calls_loops_and_floats():
 
 
 def test_generated_gradients_match_finite_differences():
-    """On Float programs whose conditions read no Float variable and whose
-    ancillas start at zero, `gradient` equals `finite_difference` on every
-    float leaf, exactly. (An ancilla's initial value is a constant of the
-    gradient: `tests/test_autodiff.py::
-    test_an_ancilla_initial_value_is_a_constant_of_the_gradient`.)
+    """On Float programs whose conditions read no Float variable,
+    `gradient` equals `finite_difference` on every float leaf, exactly.
     Such a program is linear in its arguments: its updates add, subtract
     and scale by 2.0 or 0.5, and its branches and loop counts do not
     depend on them. Its arguments are multiples of 0.5 and the step is
@@ -277,7 +268,7 @@ def test_generated_gradients_match_finite_differences():
     outcomes = []
 
     @settings(max_examples=120)
-    @given(case=called_programs(real=True, int_conds=True, zeros=True))
+    @given(case=called_programs(real=True, int_conds=True))
     def check(case):
         src, entry, args = case
         program = parse_program(src)
