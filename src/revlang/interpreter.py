@@ -37,64 +37,79 @@ A `+=`/`-=` gets an inline arm, emitted by `arm` in every body: for
 operands of the run's exact float type (`float`, or `float_dtype`)
 forward, and for binary64 GVars in the gradient body, with the guards of
 its cells true; only its guard and update lines differ. `operands`
-decides which operands an arm can read. Forward, `_INLINE`'s functions
-are operators, and the other float functions host calls (`_HOST`): `a /
-b`, the `math` function in binary64 and the numpy ufunc of its
-`values.s_*` function in binary32, made where its precondition holds
-(`x >= 0` for `sqrt`, `x > 0` for `log`, a nonzero divisor; a literal
-settles it when emitted), the generic function where it fails, so that
-values, types and errors are the generic function's. Gradient arms call
-the generic functions. `INC`/`DEC` of an `int` variable is inline too,
-and so, in the gradient body, is `ROT`/`IROT` on binary64 GVars (`rot`).
-Every other case calls the generic rule, looked up as
+decides which operands an arm can read. `_INLINE`'s functions are
+operators, and the other float functions host calls (`_HOST`): `a / b`,
+the `math` function in binary64 and the numpy ufunc of its `values.s_*`
+function in binary32, made where its precondition holds (`x >= 0` for
+`sqrt`, `x > 0` for `log`, a nonzero divisor; a literal settles it when
+emitted), the generic function where it fails, so that values, types and
+errors are the generic function's. A gradient arm whose kinds the facts
+prove (`adjoint`) emits each partial inline from `_PARTIALS`, under the
+conditions that template states, and calls the partials and
+`adjoint_accumulate` where one fails; a gradient arm that tests its
+operands' types calls the partials. `INC`/`DEC` of an `int` variable is
+inline too, and so is `ROT`/`IROT` on proven floats forward and on
+binary64 GVars in the gradient body (`turn`, and `rot` where it tests
+them). Every other case calls the generic rule, looked up as
 `numerics.apply_instr` when it runs, so each value kind keeps one
 semantics. Expressions call what `numerics.expr_fn` resolves (a host
-call over literals and variables proven floats), and `numerics.compare`.
-An error carries the span of the statement whose line it escaped from; a
-host math error there becomes `RevDomainError`. A compound statement
-nested deeper than CPython compiles in one function becomes a function
-of its own (`_Lowering.region`). The view helpers (`read_view`,
-`write_view`, `canonical_view_identity`) lower their view the same way,
-on a gradient unit of their float type that holds no definitions, a
-Frame's bindings as locals; they and the gradient bodies alone emit
-`strip_gvar`. A statement that may rebind a variable an index of one of
-its arguments reads is emitted as the `AliasedArguments` it raises: its
-inverse would find another cell there.
+call over literals and variables proven floats, or a GVar's value), and
+`numerics.compare`. An error carries the span of the statement whose
+line it escaped from; a host math error there becomes `RevDomainError`.
+A compound statement nested deeper than CPython compiles in one function
+becomes a function of its own (`_Lowering.region`). The view helpers
+(`read_view`, `write_view`, `canonical_view_identity`) lower their view
+the same way, on a gradient unit of their float type that holds no
+definitions, a Frame's bindings as locals; they and the gradient bodies
+alone emit `strip_gvar`, around a value no fact proves. A statement that
+may rebind a variable an index of one of its arguments reads is emitted
+as the `AliasedArguments` it raises: its inverse would find another cell
+there.
 
 A body is emitted from a `_Flow`, the facts that hold at each of its
-statements. The entry guard of a specialised body checks once per call,
-in Python (`_holds`, from the function's entry in `_Unit`), the facts
-(`_wants`) of its parameters that the statements would re-test: a
-parameter a `+=`/`-=` reads or writes has the run's float type exactly;
-an index, a loop bound or an `INC`/`DEC` target is a plain `int`; an
-indexed Array has its rank, and only cells of the run's float type where
-a cell feeds a `+=`/`-=` (a scan of its cells); a parameter passed whole
-to a call has what the callee asks. A gradient unit's guard asks no
-float (no GVar is one). `_Flow` carries the entry facts, if any, through
-the body: a `+=`/`-=` of a float value keeps a float target a float (a
-Dual value is the only one that changes it), an allocation from a float
-or Int literal, or from a function of `_FLOAT_FNS` over proven floats,
-has its type (a float only outside a gradient body, which wraps it in a
-GVar), a `for` with Int start and step binds an Int; a fact dies at a
-statement primitive, at a call that may rebind its variable
+statements (the static analysis is in `analysis`). The entry guard of a
+specialised body checks once per call, in Python (`_holds`, from the
+function's entry in `_Unit`), the facts (`_wants`) of its parameters that
+the statements would re-test: a parameter a `+=`/`-=` or a `ROT`/`IROT`
+reads or writes has the unit's float fact, the run's float type exactly
+forward and, in a binary64 gradient unit, "G", a GVar whose `x` and `g`
+are `float`s; an index, a loop bound or an `INC`/`DEC` target is a plain
+`int`; an indexed Array has its rank, and only cells with the float fact
+where a cell is such an operand (a scan of its cells); a parameter passed
+whole to a call has what the callee asks. A binary32 gradient unit asks
+no float fact. `_Flow` carries the entry facts, if any, through the
+body: a `+=`/`-=` of a float value keeps a float target a float (a Dual
+value is the only one that changes it), and in a gradient unit one over
+G, Int and literal operands keeps every G a G; an allocation from a
+float or Int literal, or from a function of `_FLOAT_FNS` over proven
+floats or GVar values, has its type (a G in a binary64 gradient body,
+which makes it as `GVar(v, 0.0)`), a `for` with Int start and step
+binds an Int; a fact dies at a statement primitive other than a proven
+`INC`/`DEC` or `ROT`/`IROT`, at a call that may rebind its variable
 (`_Unit.rebinds`), at any other write, and, for cells, at a write in
-place that is not a proven float. A call whose arguments the facts prove
-on every pass over the loops around it to pass the callee's guard goes
-straight to its specialised body, and its arguments take the facts the
-callee leaves. A body drops every type test a fact proves, decides a
-release of a proven float inline (calling `_release` when that test
-fails), writes Int comparisons, Int arithmetic, `length` and `size` as
-Python, runs a `for` with Int start and step as a `range` loop, and
-drops the loop variable's and the range's checks, and an `if (c, ~)`'s
-over Ints, where the body cannot trip them (counting them as passed);
-fuel and every count are the same at any facts. Every body is a function
-`f(I, chk, F, *args)` and tests no entry fact. A function's first call
-in a unit decides from the guard's facts alone, before any body or flow
-is built, which body it lowers (`_Unit`): the specialised body when the
-guard holds, and the generic body, which then serves every later call,
-when it does not. Once the specialised body exists, the entry tests the
-guard on each call and runs the generic body where it fails; an entry
-that asks nothing is the specialised body itself.
+place that is not a proven float. Two names, or a name and a cell, may
+share a GVar, so in a gradient unit every G fact dies where a statement
+may change a GVar's kinds in place: an update or a rotation the facts do
+not prove, a release whose cotangent carry they do not, and a call that
+is not direct or passes an argument they do not prove. A call whose
+arguments the facts prove on every pass over the loops around it to pass
+the callee's guard goes straight to its specialised body, and its
+arguments take the facts the callee leaves. A body drops every type test
+a fact proves, decides a release of a proven float (a G's value) inline,
+and in a gradient body one of a proven Int (calling `_release` when that
+test fails), writes Int comparisons, Int arithmetic, `length` and `size`
+as Python, reads a G's value as `.x` and an Int or an Array with no
+`strip_gvar`, runs a `for` with Int start and step as a `range` loop,
+and drops the loop variable's and the range's checks, and an `if (c,
+~)`'s over Ints, where the body cannot trip them (counting them as
+passed); fuel and every count are the same at any facts. Every body is a
+function `f(I, chk, F, *args)` and tests no entry fact. A function's
+first call in a unit decides from the guard's facts alone, before any
+body or flow is built, which body it lowers (`_Unit`). The entry tests
+the guard on every call, and lowers each body on the first call that
+needs it: a failed guard fixes no body, since one program's passes may
+carry different kinds (a Jacobian's binary64 GVars, a Hessian's GVars of
+Duals). An entry that asks nothing is the specialised body itself.
 
 Fuel is charged by the run. Each executed statement takes one step, and
 each iteration of a loop one more. A run is a maximal sequence of steps
@@ -133,6 +148,11 @@ import numpy as np
 # imports (errors it raises, `compare`, `Complex`, `numerics`) and the
 # helpers below
 from . import numerics
+from .analysis import (_HOST, _INLINE, _INT_OPS, _PARTIALS, _Flow,
+                       _alias_pairs, _etype, _fact_of, _float_value, _id_path,
+                       _implies, _index_reads, _is_int_lit, _reads, _rebinding,
+                       _rebound, _touched, _typed_rotation, _typed_update,
+                       _wants)
 from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
                      DuplicateBinding, FuelExhausted, KindError,
                      LoopIteratorMutated, PostconditionMismatch,
@@ -260,18 +280,20 @@ def _set(v, a, *ixs):
     a.data[k] = v
 
 
-# the float types whose pairs `_release` decides itself
+# the float types whose pairs `_release` decides itself, and with them
+# `int`, whose pairs it decides by ==
 _FLOATS = frozenset((float, np.float32, np.float64))
+_DECIDED = _FLOATS | {int}
 
 
 def _release(cp, name, current, declared, tol, grad):
-    """The release check of ancilla `name` (two floats of one type are
-    decided here as `values_close` decides them: equal, or within `tol` in
-    binary64)."""
-    if grad or type(current) is not type(declared) \
-            or type(current) not in _FLOATS or not (
-                current == declared
-                or abs(float(current) - float(declared)) <= tol):
+    """The release check of ancilla `name` (two floats of one type, or two
+    ints, are decided here as `values_close` decides them: equal, or for
+    floats within `tol` in binary64)."""
+    if grad or type(current) is not type(declared) or not (
+            current == declared and type(current) in _DECIDED
+            or type(current) in _FLOATS
+            and abs(float(current) - float(declared)) <= tol):
         residual = _ancilla_residual(current, declared, tol, grad)
         if residual is not None:
             raise DirtyAncilla(f"{name!r} released with residual {residual}",
@@ -407,494 +429,6 @@ def _ancilla_residual(current, declared, tol, grad):
         return float("inf")
 
 
-# --- static view analysis ------------------------------------------------------
-
-def _id_path(view):
-    """Root name and the non-bijector steps of a view, root first."""
-    steps = []
-    while not isinstance(view, VarView):
-        if not isinstance(view, BijView):   # bijectors keep identity
-            steps.append(view)
-        view = view.base
-    return view.name, steps[::-1]
-
-
-def _disjoint(view_a, view_b):
-    """True when two views of one root can never overlap: at some depth
-    both paths take an index step with distinct Int literals at the same
-    position, so their storage ids differ for every runtime value."""
-    steps_a, steps_b = _id_path(view_a)[1], _id_path(view_b)[1]
-    for sa, sb in zip(steps_a, steps_b):
-        if isinstance(sa, IndexView) and isinstance(sb, IndexView):
-            for ea, eb in zip(sa.indices, sb.indices):
-                if (isinstance(ea, Lit) and isinstance(eb, Lit)
-                        and is_int(ea.value) and is_int(eb.value)
-                        and ea.value != eb.value):
-                    return True
-    return False
-
-
-def _alias_pairs(views, pairs):
-    """The (i, j, message) pairs of argument views that need a run-time
-    alias check; None when no pair shares a root name. Only views rooted
-    at the same name can ever overlap, and a same-root pair that is
-    `_disjoint` is discharged here: it is counted as a passed check with
-    the others."""
-    roots = [None if isinstance(v, Lit) else view_root(v) for v in views]
-    checks = None
-    for (i, j, message) in pairs:
-        if roots[i] is None or roots[i] != roots[j]:
-            continue
-        checks = checks or []
-        if not _disjoint(views[i], views[j]):
-            checks.append((i, j, message))
-    return checks
-
-
-def _rebound(view):
-    """The variable a write to `view` rebinds (through bijectors), or None
-    where it writes a cell or a field in place."""
-    while type(view) is BijView:
-        view = view.base
-    return view.name if type(view) is VarView else None
-
-
-def _rebinding(stmts, call):
-    """The variables the statements may rebind: those they write by an
-    instruction, a statement primitive, an allocation or a loop, and those
-    `call(fname, views)` says a call may rebind."""
-    out, todo = set(), list(stmts)
-    while todo:
-        s = todo.pop()
-        t = type(s)
-        if t is InstrCall:
-            out.add(_rebound(s.args[0]))
-        elif t is FnCall or t is UncallFn:
-            out |= set(map(_rebound, s.args)) if s.fname in PRIM_STATEMENTS \
-                else call(inverse_name(s.fname) if t is UncallFn else s.fname,
-                          s.args)
-        elif t is AncillaAlloc or t is AncillaDealloc:
-            out.add(s.name)
-        elif t is For:
-            out.add(s.var)
-            todo += s.body.stmts
-        elif t is If:
-            todo += s.then_block.stmts + s.else_block.stmts
-        elif t is While:
-            todo += s.body.stmts
-        elif t is Block:
-            todo += s.stmts
-        elif t is InvCheckOff:
-            todo.append(s.stmt)
-    return out
-
-
-def _index_reads(view):
-    """The variables that the indices of `view` read (`validate` admits
-    only affine indices, which read only variables)."""
-    names = set()
-    while type(view) is not VarView:
-        if type(view) is IndexView:
-            names |= {r.name for e in view.indices for r in _reads(e)}
-        view = view.base
-    return names
-
-
-def _is_int_lit(e):
-    return isinstance(e, Lit) and type(e.value) is int
-
-
-def _touched(s):
-    from .parser import fmt_view
-    if isinstance(s, InstrCall):
-        return ",".join(fmt_view(a) for a in s.args if not isinstance(a, Lit))
-    if isinstance(s, (FnCall, UncallFn)):
-        return ",".join(fmt_view(a) for a in s.args)
-    if isinstance(s, (AncillaAlloc, AncillaDealloc)):
-        return s.name
-    if isinstance(s, For):
-        return s.var
-    return ""
-
-
-# the instruction functions the inline arm computes with operators: on
-# operands of one float type their value has that type
-_INLINE = {"identity": "{0}", "add": "{0} + {1}", "sub": "{0} - {1}",
-           "mul": "{0} * {1}", "neg": "-{0}", "abs2": "{0} * {0}"}
-
-# the other functions of `_FLOAT_FNS`, by their host call on operands of
-# the run's float type, in binary64 and in binary32 (a format, or the
-# function called), and the precondition under which it returns what the
-# generic function (`INSTR_FNS[f].apply`) returns: the same value and
-# type, or the same error (None: always). A precondition is the operand it
-# tests and the comparison with 0 that test makes.
-_HOST = {"div": ("{0} / {1}", "{0} / {1}", (1, "!=")),
-         "sqrt": (math.sqrt, np.sqrt, (0, ">=")),
-         "log": (math.log, np.log, (0, ">")),
-         "exp": (math.exp, np.exp, None),
-         "sin": (math.sin, np.sin, None),
-         "cos": (math.cos, np.cos, None),
-         "atan2": (math.atan2, np.arctan2, None),
-         "abs": (abs, abs, None)}
-
-
-# --- type facts (see the module docstring) -----------------------------------
-# A fact is what a body knows of a variable's value over a stretch of its
-# code: "F", of the run's float type exactly; "I", a plain int; or
-# ("A", rank, cells), an Array of that rank (None: not known) whose cells are
-# all of the run's float type when `cells`.
-
-# the functions whose value on operands of the run's float type, and Int
-# literals beside one of them, has that type
-_FLOAT_FNS = frozenset(_INLINE).union(_HOST)
-_INT_OPS = {"add": "+", "sub": "-", "mul": "*"}
-
-
-def _meet(a, b):
-    """The fact that both facts imply (None: none)."""
-    if a == b:
-        return a
-    if type(a) is tuple and type(b) is tuple:
-        return "A", a[1] if a[1] == b[1] else None, a[2] and b[2]
-    return None
-
-
-def _meet_all(x, y):
-    return {n: m for n, f in x.items() if (m := _meet(f, y.get(n)))}
-
-
-def _implies(have, want):
-    return want is None or have == want or (
-        type(have) is tuple and type(want) is tuple
-        and want[1] in (None, have[1]) and have[2] >= want[2])
-
-
-def _has(fact, v, t):
-    """Whether the value `v` has the fact (`t`: the run's float type)."""
-    if fact == "F":
-        return type(v) is t
-    if fact == "I":
-        return type(v) is int
-    return type(v) is Array and fact[1] in (None, len(v.shape)) and (
-        not fact[2] or {*map(type, v.data)} <= {t})
-
-
-def _holds(want, values, t):
-    """Whether a function's entry guard holds of its arguments: the one
-    test of a guard, made on each call of a guarded entry (`_Unit`)."""
-    for w, v in zip(want, values):
-        if w is not None and not _has(w, v, t):
-            return False
-    return True
-
-
-def _fact_of(view, facts):
-    """The fact of a view's value: a variable's, or "F" for a cell of an
-    Array of floats."""
-    if type(view) is VarView:
-        return facts.get(view.name)
-    if type(view) is IndexView and type(view.base) is VarView:
-        a = facts.get(view.base.name)
-        if type(a) is tuple and a[2]:
-            return "F"
-    return None
-
-
-def _float_value(fname, views, facts=None):
-    """Whether `fname` over the operands `views` has the run's float type:
-    a function of `_FLOAT_FNS` over proven floats (without `facts`: every
-    operand but the literals), float literals (lowered to that type) and
-    Int literals beside one of them."""
-    kinds = [{float: "F", int: "I"}.get(type(v.value)) if type(v) is Lit
-             else "F" if facts is None or _fact_of(v, facts) == "F" else None
-             for v in views]
-    return fname in _FLOAT_FNS and "F" in kinds and None not in kinds
-
-
-def _etype(e, facts):
-    """The fact of an expression's value: a literal's, a variable's or a
-    float cell's, "I" for Int arithmetic, `length` and `size`, or "F"
-    where `_float_value` proves a function's (or operator's) operands."""
-    t = type(e)
-    if t is Lit:
-        return {int: "I", float: "F"}.get(type(e.value))
-    if t is ViewRef:
-        return _fact_of(e.view, facts)
-    if t is Un:
-        if _etype(e.operand, facts) == "I":
-            return "I"
-        fname, args = "neg", (e.operand,)
-    elif t is Bin:
-        fname, args = INSTR_BIN_OPS.get(e.op), (e.left, e.right)
-    elif t is Call:
-        fname, args = e.fname, e.args
-    else:
-        return None
-    if fname in _INT_OPS and [_etype(a, facts) for a in args] == ["I", "I"]:
-        return "I"
-    if fname in _FLOAT_FNS and _float_value(
-            fname, [a.view if type(a) is ViewRef else a for a in args], facts):
-        return "F"
-    if fname in ("length", "size") and args and type(args[0]) is ViewRef:
-        a = _fact_of(args[0].view, facts)
-        if fname == "length" and len(args) == 1 and type(a) is tuple:
-            return "I"
-        if len(args) == 2 and type(a) is tuple and a[1] and \
-                _is_int_lit(args[1]) and 1 <= args[1].value <= a[1]:
-            return "I"
-    return None
-
-
-def _reads(e):
-    """The views an expression reads."""
-    t = type(e)
-    if t is ViewRef:
-        yield e.view
-    elif t is Un:
-        yield from _reads(e.operand)
-    elif t is Bin:
-        yield from _reads(e.left)
-        yield from _reads(e.right)
-    elif t is Call:
-        for a in e.args:
-            yield from _reads(a)
-
-
-def _want(old, new):
-    """Two wishes for one parameter as one: Arrays merge, an index beats a
-    float, anything else conflicts ("X")."""
-    if old is None or old == new:
-        return new
-    if type(old) is tuple and type(new) is tuple:
-        ranks = {old[1], new[1]} - {None}
-        return "A", ranks.pop() if len(ranks) == 1 else None, old[2] or new[2]
-    return "I" if {old, new} == {"I", "F"} else "X"
-
-
-def _wants(fdef, want_of, grad):
-    """The facts the specialised body of `fdef` asks of its parameters, in
-    order (None: none): a float for an operand or target of a +=/-=, an Int
-    for an index, a loop bound or an INC/DEC, an Array of the rank it is
-    indexed at for a base (of floats where a cell is a +=/-= operand), and
-    what a callee asks of a parameter passed to it (`want_of(fname)`: the
-    callee's list, or None); with `grad`, no float, which no GVar is."""
-    found = {}
-
-    def put(name, fact):
-        found[name] = _want(found.get(name), fact)
-
-    def view(v, fact=None):
-        if type(v) is BijView:
-            view(v.base)
-        elif type(v) is VarView:
-            if fact:
-                put(v.name, fact)
-        elif type(v) is IndexView:
-            for e in v.indices:
-                if type(e) is ViewRef and type(e.view) is VarView:
-                    put(e.view.name, "I")
-                else:
-                    exprs(e)
-            if type(v.base) is VarView:
-                put(v.base.name, ("A", len(v.indices), fact == "F"))
-            else:
-                view(v.base)
-        elif type(v) is FieldView:
-            view(v.base)
-
-    def exprs(*es):
-        for e in es:
-            for v in _reads(e):
-                view(v)
-
-    def ints(e):   # an Int expression: its variables are Ints
-        t = type(e)
-        if t is ViewRef and type(e.view) is VarView:
-            put(e.view.name, "I")
-        elif t is Call and e.fname in ("length", "size") and e.args \
-                and type(e.args[0]) is ViewRef \
-                and type(e.args[0].view) is VarView:
-            put(e.args[0].view.name, ("A", None, False))
-            exprs(*e.args[1:])
-        elif t is Bin and INSTR_BIN_OPS.get(e.op) in _INT_OPS:
-            ints(e.left)
-            ints(e.right)
-        elif t is Un:
-            ints(e.operand)
-        else:
-            exprs(e)
-
-    todo = list(fdef.body.stmts)
-    while todo:
-        s = todo.pop()
-        t = type(s)
-        if t is InstrCall:
-            for v in s.args:
-                view(v, "F" if s.op in ("+=", "-=") and not grad else None)
-        elif (t is FnCall or t is UncallFn) and s.fname in PRIM_STATEMENTS:
-            for v in s.args:
-                view(v, "I" if s.fname in ("INC", "DEC") else None)
-        elif t is FnCall or t is UncallFn:
-            want = want_of(inverse_name(s.fname) if t is UncallFn
-                           else s.fname)
-            if want is None or len(want) != len(s.args):
-                want = [None] * len(s.args)
-            for v, w in zip(s.args, want):
-                view(v, w)
-        elif t is AncillaAlloc or t is AncillaDealloc:
-            exprs(s.expr)
-        elif t is For:
-            for e in (s.start, s.step, s.stop):
-                ints(e)
-            todo += s.body.stmts
-        elif t is If:
-            exprs(s.pre, *[s.post] * (s.post is not SAME_AS_PRE))
-            todo += s.then_block.stmts + s.else_block.stmts
-        elif t is While:
-            exprs(s.pre, s.post)
-            todo += s.body.stmts
-        elif t is Block:
-            todo += s.stmts
-        elif t is InvCheckOff:
-            todo.append(s.stmt)
-        elif t is Safe:
-            exprs(*s.exprs)
-    return [None if (f := found.get(p)) == "X" else f
-            for p in fdef.param_names()]
-
-
-class _Flow:
-    """The facts of one body of `fname`: the entry facts `want` (None: at
-    none), those that hold before and, for a compound statement, after
-    each statement (`at`, by id; the meet where a statement is reached
-    twice), and the parameters' facts when the body returns (`exit`); no
-    float fact in a gradient unit, whose allocations wrap floats in GVars.
-    The emitter makes a call `direct` only where the facts met over every
-    pass prove the callee's guard: a loop's first pass runs with the facts
-    before the loop, which later passes weaken."""
-
-    def __init__(self, unit, fname, want=None):
-        self.unit, fdef = unit, unit.defs[fname]
-        params = fdef.param_names()
-        self.want = want or [None] * len(params)
-        self.at = {}
-        end = self.block(fdef.body.stmts,
-                         {p: w for p, w in zip(params, self.want) if w})
-        self.exit = [end.get(p) for p in params]
-
-    def block(self, stmts, facts):
-        for s in stmts:
-            facts = self.stmt(s, facts)
-        return facts
-
-    def stmt(self, s, before):
-        out, t = dict(before), type(s)
-        if t is AncillaAlloc:
-            out.pop(s.name, None)
-            if (f := _etype(s.expr, before)) == "I" or f == "F" \
-                    and not self.unit.grad:
-                out[s.name] = f
-        elif t is AncillaDealloc:
-            out.pop(s.name, None)
-        elif t is InstrCall:
-            # a Dual value is the only one that changes a Float target
-            if not (s.op in ("+=", "-=") and _fact_of(s.args[0], before) == "F"
-                    and _float_value(s.fname, s.args[1:], before)):
-                self.kill(out, s.args[0])
-        elif (t is FnCall or t is UncallFn) and s.fname in PRIM_STATEMENTS:
-            for v in s.args:
-                if not (s.fname in ("INC", "DEC")
-                        and _fact_of(v, before) == "I"):
-                    self.kill(out, v)
-        elif t is FnCall or t is UncallFn:
-            self.call(s, before, out)
-        elif t is If:
-            out = _meet_all(self.block(s.then_block.stmts, before),
-                            self.block(s.else_block.stmts, before))
-        elif t is While or t is For:
-            out = self.loop(s, before)
-        elif t is Block:
-            out = self.block(s.stmts, before)
-        elif t is InvCheckOff:
-            out = self.stmt(s.stmt, before)
-        old = self.at.get(id(s))
-        self.at[id(s)] = (before, out) if old is None else \
-            (_meet_all(old[0], before), _meet_all(old[1], out))
-        return out
-
-    def loop(self, s, before):
-        """The facts at a loop's head: those before it that no iteration
-        undoes. The variable of a `for` with Int start and step is an Int
-        in its body."""
-        var = s.var if type(s) is For else None
-        ints = var and _etype(s.start, before) == _etype(s.step, before) == "I"
-        head = before
-        while True:
-            inner = dict(head)
-            inner.pop(var, None)
-            if ints:
-                inner[var] = "I"
-            end = dict(self.block(s.body.stmts, inner))
-            end.pop(var, None)
-            new = _meet_all(head, end)
-            if new == head:
-                return head
-            head = new
-
-    @staticmethod
-    def kill(facts, view):
-        """Drop what a write to `view` may make false: the facts of the
-        variable it rebinds or, written in place, every Array's cells (an
-        Array may be bound to two names)."""
-        name = _rebound(view)
-        if name is not None:
-            facts.pop(name, None)
-        else:
-            _Flow.dirty(facts)
-
-    @staticmethod
-    def dirty(facts):
-        for n, f in facts.items():
-            if type(f) is tuple and f[2]:
-                facts[n] = "A", f[1], False
-
-    def direct(self, callee, views, facts):
-        """The callee's specialised flow when the facts prove its `want` of
-        the call's arguments, so the call goes straight to its specialised
-        body; else None."""
-        want = self.unit.want(callee)
-        if want is not None and len(want) == len(views) and all(
-                _implies(_fact_of(v, facts), w) for v, w in zip(views, want)):
-            return self.unit.flow(callee)
-        return None
-
-    def call(self, s, before, out):
-        """A call goes straight to the callee's specialised body when its
-        `want` holds, and its arguments then take the callee's `exit`
-        facts; a variable it may rebind otherwise loses its facts. Cells
-        keep theirs only when every argument is a scalar, or an Array or a
-        cell that the callee's body leaves holding floats."""
-        callee = inverse_name(s.fname) if type(s) is UncallFn else s.fname
-        views = s.args
-        flow = self.direct(callee, views, before)
-        direct = flow is not None
-        rebound = self.unit.rebinds(callee, views)
-        for name in rebound:
-            out.pop(name, None)
-        clean = direct
-        for k, v in enumerate(views):
-            have, left = _fact_of(v, before), direct and flow.exit[k]
-            if type(v) is VarView and v.name in rebound and left:
-                out[v.name] = left
-            if type(v) is IndexView:
-                clean = clean and left == "F"
-            elif have not in ("F", "I"):
-                clean = clean and type(have) is tuple and _implies(
-                    left, ("A", None, True))
-        if not clean:
-            _Flow.dirty(out)
-
-
 # --- the emitter ---------------------------------------------------------------
 
 class _Scope:
@@ -940,7 +474,7 @@ class _Lowering:
 
     def __init__(self, unit, flow=None):
         self.unit, self.flow, self.known = unit, flow, {}
-        self.grad = unit.grad
+        self.grad, self.real = unit.grad, unit.real
         self.dtype = unit.dtype
         self.consts = {}         # id(value) -> (name, value)
         self.float = "float" if self.dtype is None else self.const(self.dtype)
@@ -1216,7 +750,7 @@ class _Lowering:
         ints = {x for x in scope.vars if scope.known.get(x) == "I"}
         for (array, rank), dims in shapes.items():
             a = self.names[array]
-            if not _implies(scope.known.get(array), ("A", rank, False)):
+            if not _implies(scope.known.get(array), ("A", rank, None)):
                 facts += [f"type({a}) is Array", f"len({a}.shape) == {rank}"]
             for d, atoms in enumerate(dims[:rank]):
                 n = f"{a}.shape[{d}]"
@@ -1277,10 +811,13 @@ class _Lowering:
                 if name in self.bound:
                     self.raise_(DuplicateBinding, f"{name!r} is already bound")
                 else:
-                    value = self.expr(e)
+                    value, kind = self.expr(e), self.kind(e)
+                    if self.real == "G" and kind == "F":
+                        value = f"GVar({value}, 0.0)"
+                    elif self.grad and kind != "I":
+                        value = f"wrap_gvar({value})"
                     self.bound.add(name)
-                    self.emit(f"{self.local(name)} = " + (
-                        f"wrap_gvar({value})" if self.grad else value))
+                    self.emit(f"{self.local(name)} = {value}")
             case AncillaDealloc(name=name, expr=e):
                 if name not in self.bound:
                     self.raise_(UnboundVariable, f"{name!r} is not bound")
@@ -1329,23 +866,29 @@ class _Lowering:
 
     def release(self, name, e):
         """The release check of ancilla `name` against `e`; two proven
-        floats are decided inline, as `_release` decides them, which is
-        called when that test fails (a computed `e` is evaluated once)."""
+        floats (a G's value in a gradient body) are decided inline, and in
+        a gradient body two proven Ints, as `_release` decides them, which
+        is called when that test fails (a computed `e` is evaluated
+        once)."""
         self.counts = True
         y, d = self.names[name], self.expr(e)
-        inline = self.known.get(name) == self.kind(e) == "F"
-        t = self.temp() if inline and type(e) is not Lit \
+        have, kind = self.known.get(name), self.kind(e)
+        x = f"{y}.x" if have == "G" and kind == "F" else y if have == kind \
+            and (kind == "F" or kind == "I" and self.grad) else None
+        t = self.temp() if x and type(e) is not Lit \
             and type(e) is not ViewRef else d
         call = f"_release(cp, {name!r}, {y}, {t}, I.opts.float_tolerance, " \
                f"{self.grad})"
-        if not inline:
+        if x is None:
             self.emit(f"if chk: {call}")
             return
         first = d if t == d else f"({t} := {d})"
         f = "{}" if self.dtype is None else "float({})"
+        test = f"{x} == {first}" if kind == "I" else \
+            f"{x} == {first} or abs({f.format(x)} - {f.format(t)}) <= " \
+            f"I.opts.float_tolerance"
         self.emit("if chk:")
-        self.emit(f" if {y} == {first} or abs({f.format(y)} - {f.format(t)}) "
-                  f"<= I.opts.float_tolerance: cp['ancilla'] += 1")
+        self.emit(f" if {test}: cp['ancilla'] += 1")
         self.emit(f" else: {call}")
 
     def carry(self, c, e):
@@ -1565,6 +1108,8 @@ class _Lowering:
         arm = self.arm(instr, views, checks)
         if arm is False:
             arm = self.step(instr, views)
+        if arm is False:
+            arm = self.turn(instr, views, checks)
         if arm is None:   # an arm that the facts prove needs no generic rule
             return
         # behind an arm the generic rule reaches its cells as uncovered
@@ -1593,12 +1138,11 @@ class _Lowering:
         """In a gradient body, emit the inline arm of ROT/IROT over the
         values `_v` and open its `else:`; returns whether it did. It is
         taken on two GVar cells and an angle that is a GVar or a float,
-        each GVar's `x` and `g` floats, and computes what
-        `numerics._rot_adjoint` computes, in its order. The GVars change in
-        place, so no cell is written back."""
+        each GVar's `x` and `g` floats, and makes the updates of `spin`.
+        The GVars change in place, so no cell is written back."""
         if not self.grad or instr.kind not in ("ROT", "IROT"):
             return False
-        a, ax, ga, b, bx, gb, th, x, c, s = (self.temp() for _ in range(10))
+        a, ax, ga, b, bx, gb, th, x = (self.temp() for _ in range(8))
         self.emit(
             f"if type({a} := _v[0]) is GVar and type({ax} := {a}.x) is float "
             f"and type({ga} := {a}.g) is float and type({b} := _v[1]) is "
@@ -1606,22 +1150,66 @@ class _Lowering:
             f"is float and (type({th} := _v[2]) is GVar and type({x} := "
             f"{th}.x) is float and type({th}.g) is float or type({x} := "
             f"{th}) is float):")
+        self.depth += 1
+        self.spin(instr.kind, (a, ax, ga), (b, bx, gb), x,
+                  f"if type({th}) is GVar: {th}.g = {th}.g + ({{}})")
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+        return True
+
+    def spin(self, kind, a, b, x, angle):
+        """Emit what `numerics._rot_adjoint` computes, in its order, on the
+        GVars `a` and `b`, each (GVar, its value, its cotangent), by the
+        angle of value `x`: `angle`, the line of the angle's cotangent step
+        with a slot for it, then the rotations of the values and of the
+        cotangents, in place."""
+        (a, ax, ga), (b, bx, gb) = a, b
+        t, c, s = self.temp(), self.temp(), self.temp()
         # IROT undoes a rotation by theta, ROT one by -theta
         delta, back = (f"-{bx} * {ga} + {ax} * {gb}", -1) \
-            if instr.kind == "IROT" else (f"{bx} * {ga} - {ax} * {gb}", 1)
-        self.depth += 1
-        for line in (f"if type({th}) is GVar: {th}.g = {th}.g + ({delta})",
-                     f"{x} = {back} * {x}",
-                     f"{c}, {s} = math.cos({x}), math.sin({x})",
+            if kind == "IROT" else (f"{bx} * {ga} - {ax} * {gb}", 1)
+        for line in (angle.format(delta), f"{t} = {back} * {x}",
+                     f"{c}, {s} = math.cos({t}), math.sin({t})",
                      f"{a}.x, {b}.x = {ax} * {c} - {bx} * {s}, "
                      f"{ax} * {s} + {bx} * {c}",
                      f"{a}.g, {b}.g = {ga} * {c} - {gb} * {s}, "
                      f"{ga} * {s} + {gb} * {c}"):
             self.emit(line)
-        self.depth -= 1
-        self.emit("else:")
-        self.depth += 1
-        return True
+
+    def turn(self, instr, views, checks):
+        """Emit the arm of a ROT/IROT whose operands the facts prove of the
+        unit's float fact (`_typed_rotation`); returns None when it did,
+        else False. It reads the operands in order and checks their
+        aliases, as the generic rule's path does, then computes what the
+        rule computes, in its order, with no type test: forward the
+        rotation of `numerics._rotate` by theta (by -theta for IROT),
+        written back to the two cells; in a gradient body the updates of
+        `spin`, in place."""
+        if instr.kind not in ("ROT", "IROT") or not _typed_rotation(
+                self.real, views, self.known):
+            return False
+        a, b, th = (self.temp() for _ in views)
+        for t, v in zip((a, b, th), views):
+            self.emit(f"{t} = {self.read(v)}")
+        self.alias_checks(views, checks)
+        if self.grad:
+            ax, ga, bx, gb = (self.temp() for _ in range(4))
+            self.emit(f"{ax}, {ga}, {bx}, {gb} = {a}.x, {a}.g, {b}.x, {b}.g")
+            self.spin(instr.kind, (a, ax, ga), (b, bx, gb), f"{th}.x",
+                      f"{th}.g = {th}.g + ({{}})")
+            return None
+        x, c, s = self.temp(), self.temp(), self.temp()
+        cos, sin = map(self.const, (math.cos, math.sin) if self.dtype is None
+                       else (np.cos, np.sin))
+        if instr.kind == "IROT":
+            self.emit(f"{x} = -{th}")
+        else:
+            x = th
+        self.emit(f"{c}, {s} = {cos}({x}), {sin}({x})")
+        self.write(views[0], f"{a} * {c} - {b} * {s}")
+        self.write(views[1], f"{a} * {s} + {b} * {c}")
+        return None
 
     def step(self, instr, views):
         """Emit the inline arm of INC/DEC on a bound variable holding an
@@ -1665,7 +1253,7 @@ class _Lowering:
             elif isinstance(v, VarView) and v.name in self.bound:
                 name = self.names[v.name]
                 ops.append((name, name, name, None,
-                            self.known.get(v.name) == "F"))
+                            self.known.get(v.name) == self.real))
             elif isinstance(v, IndexView) and len(v.indices) <= 2 \
                     and isinstance(v.base, VarView) \
                     and v.base.name in self.bound \
@@ -1687,7 +1275,7 @@ class _Lowering:
                 self.emit(f"{off} = _offset({a}, {ixs})")
             cell = f"{a}.data[{off}]"
             ops[k] = (cell, cell, cell, off, True) \
-                if _fact_of(views[k], self.known) == "F" else \
+                if _fact_of(views[k], self.known) == self.real else \
                 (t, f"({t} := {cell})", cell, off, False)
         return ops, guards
 
@@ -1698,11 +1286,15 @@ class _Lowering:
         are true and, forward, on operands of the run's exact float type
         (a fact proves an operand's, and the operands' types the value of
         a function of `_FLOAT_FNS`). Gradient, in a binary64 unit: for a
-        function with `partials`, on a GVar target and arguments that are
-        GVars, floats or Ints (a GVar's `x` and `g` being floats), as
-        `numerics._plus_minus_adjoint` computes, calling its cotangent
-        step `adjoint_accumulate` when a partial is None."""
+        function with `partials`, where the facts prove its kinds
+        (`_typed_update`), the typed arm (`adjoint`); elsewhere on a GVar
+        target and arguments that are GVars, floats or Ints (a GVar's `x`
+        and `g` being floats), as `numerics._plus_minus_adjoint` computes,
+        calling its cotangent step `adjoint_accumulate` when a partial is
+        None."""
         spec, fn = INSTR_FNS.get(instr.fname), _INLINE.get(instr.fname)
+        typed = self.grad and _typed_update(self.real, instr.kind,
+                                            instr.fname, views, self.known)
         if self.grad:
             exact = ok = spec and spec.partials and self.dtype is None
         else:
@@ -1716,31 +1308,35 @@ class _Lowering:
             return False
         ops, covered = ops
         guards, xs = [], []   # xs: the operands' (primal) values
-        for k, (o, read, _, _, sure) in enumerate(ops):
-            x = self.temp() if read and self.grad else o
-            xs.append(x)
-            if sure:   # a literal, or proven
-                continue
-            if not self.grad:
-                guards.append(f"type({read})")
-            elif k == 0:   # the target, with its cotangent `gy`
-                gy = self.temp()
-                guards.append(f"type({read}) is GVar and type({x} := {o}.x) "
-                              f"is float and type({gy} := {o}.g) is float")
+        if not typed:
+            for k, (o, read, _, _, sure) in enumerate(ops):
+                x = self.temp() if read and self.grad else o
+                xs.append(x)
+                # a literal, or proven; a GVar's parts are read in the test
+                if sure and not (self.grad and read):
+                    continue
+                if not self.grad:
+                    guards.append(f"type({read})")
+                elif k == 0:   # the target, with its cotangent `gy`
+                    gy = self.temp()
+                    guards.append(f"type({read}) is GVar and type({x} := "
+                                  f"{o}.x) is float and type({gy} := {o}.g) "
+                                  f"is float")
+                else:
+                    guards.append(f"(type({read}) is GVar and type({x} := "
+                                  f"{o}.x) is float and type({o}.g) is float "
+                                  f"or type({x} := {o}) is float or type({x}) "
+                                  f"is int)")
+            if fn:
+                value = fn.format(*xs[1:])
+            elif exact and not self.grad and instr.fname in _HOST:
+                value = self.host(instr.fname, xs[1:], views[1:])
             else:
-                guards.append(f"(type({read}) is GVar and type({x} := {o}.x) "
-                              f"is float and type({o}.g) is float or type("
-                              f"{x} := {o}) is float or type({x}) is int)")
-        if fn:
-            value = fn.format(*xs[1:])
-        elif exact and not self.grad and instr.fname in _HOST:
-            value = self.host(instr.fname, xs[1:], views[1:])
-        else:
-            value = f"{self.const(spec.apply)}({', '.join(xs[1:])})"
-        if not exact:
-            t = self.temp()
-            guards.append(f"type({t} := {value})")
-            value = t
+                value = f"{self.const(spec.apply)}({', '.join(xs[1:])})"
+            if not exact:
+                t = self.temp()
+                guards.append(f"type({t} := {value})")
+                value = t
         test = " and ".join(guards) if self.grad \
             else f"{self.float} is {' is '.join(guards)}"
         conds = [*covered, *[test] * bool(guards)]
@@ -1750,7 +1346,9 @@ class _Lowering:
         self.alias_checks(views, checks, ops)
         sign = "+" if instr.kind == "+=" else "-"
         y, _, cell, *_ = ops[0]
-        if self.grad:
+        if typed:
+            self.adjoint(instr, views, ops)
+        elif self.grad:
             self.emit(f"{y}.x = {xs[0]} {sign} ({value})")
             self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs[1:])})")
             # the rule's `sign * gy`, computed as it computes it
@@ -1776,6 +1374,94 @@ class _Lowering:
         self.emit("else:")
         self.depth += 1
         return True
+
+    def adjoint(self, instr, views, ops):
+        """The typed adjoint arm of a +=/-= (`_typed_update`) over the
+        `operands` `ops`: what `numerics._plus_minus_adjoint` computes, in
+        its order, with no type test. The target's value takes the update;
+        then each G operand's cotangent takes `sign * cotangent * partial`
+        (as `a.g - gy * p` for a `+=`, the same bits), its partial from
+        `_PARTIALS`, inline where the conditions it needs hold. Where one
+        fails, or an operand is an Int variable or an Int literal beyond
+        2^53, it calls the partials and `adjoint_accumulate`, as the rule
+        does."""
+        fname = instr.fname
+        spec, (cond, parts) = INSTR_FNS[fname], _PARTIALS[fname]
+        objs, xs, gvars = [], [], []   # as the rule takes them, values
+        inline = True
+        for k, (v, (o, *_)) in enumerate(zip(views, ops)):
+            if type(v) is Lit:
+                inline = inline and (type(v.value) is float
+                                     or abs(v.value) <= 2 ** 53)
+                objs.append(o)
+                xs.append(f"({o})" if o.startswith("-") else o)
+                continue
+            if type(v) is IndexView:   # the cell's GVar, read once
+                t = self.temp()
+                self.emit(f"{t} = {o}")
+                o = t
+            objs.append(o)
+            if _fact_of(v, self.known) == "G":
+                gvars.append(k)
+                xs.append(f"{o}.x")
+            else:   # an Int
+                inline = False
+                xs.append(o)
+        tracked = gvars[1:]
+        conds, steps = [cond] * (inline and cond is not None), []
+        for k in tracked * inline:
+            p = parts[k - 1]
+            if type(p) is tuple:
+                p, c = p
+                conds.append(c)
+            steps.append((k, p))
+        later = "".join(conds) + "".join(p for _, p in steps)
+        fallback = not inline or bool(conds)
+        for k in tracked:   # a value read after the update is read before
+            if f"{{{k - 1}}}" in later or fallback:
+                t = self.temp()
+                self.emit(f"{t} = {xs[k]}")
+                xs[k] = t
+        if fn := _INLINE.get(fname):
+            value = fn.format(*xs[1:])
+        elif fname in _HOST and _float_value(fname, views[1:], self.known):
+            value = self.host(fname, xs[1:], views[1:])
+        else:
+            value = f"{self.const(spec.apply)}({', '.join(xs[1:])})"
+        v = self.temp() if "{v}" in later else None
+        y = objs[0]
+        self.emit(f"{y}.x = {y}.x {instr.kind[0]} "
+                  f"({value if v is None else f'({v} := {value})'})")
+        gy = f"{y}.g"
+        if len(steps) + bool(fallback) > 1:
+            gy = self.temp()
+            self.emit(f"{gy} = {y}.g")
+        # the rule's cotangent `sign * gy` (-gy for a +=) and its steps
+        sign, other = ("-", "+") if instr.kind == "+=" else ("+", "-")
+        accumulate = f"adjoint_accumulate({fname!r}, " \
+                     f"({''.join(o + ', ' for o in objs[1:])}), " \
+                     f"{self.const(spec.partials)}({', '.join(xs[1:])}), " \
+                     f"{'-' * (sign == '-')}{gy})"
+        if not inline:
+            self.emit(accumulate)
+            return
+        test = " and ".join(f"({c})" for c in conds).format(*xs[1:], v=v)
+        if not steps:
+            if conds:
+                self.emit(f"if not ({test}): {accumulate}")
+            return
+        if conds:
+            self.emit(f"if {test}:")
+            self.depth += 1
+        for k, p in steps:
+            a = objs[k]
+            p = p.format(*xs[1:], v=v)
+            self.emit(f"{a}.g = {a}.g " + (
+                f"{sign} {gy}" if p == "1.0" else f"{other} {gy}"
+                if p == "-1.0" else f"{sign} {gy} * ({p})"))
+        if conds:
+            self.depth -= 1
+            self.emit(f"else: {accumulate}")
 
     def alias_checks(self, views, pairs, ops=None):
         """The alias checks of the (i, j, message) `pairs` of `views`; two
@@ -1813,18 +1499,19 @@ class _Lowering:
     def indices(self, view, strict=False):
         """The index arguments of the cell `view`, comma-separated, and
         whether evaluating one can fail: each is an Int literal, a
-        variable as it is read, or an expression that `_int` checks. Where
-        one can fail (one not an Int literal or a bound variable), and
-        with `strict`, `_ix` checks each variable as it is read, so the
-        first index at fault raises."""
+        variable as it is read, an Int expression the facts prove, or an
+        expression that `_int` checks. Where one can fail (another
+        expression, or a variable that is not bound), and with `strict`,
+        `_ix` checks each variable the facts do not prove an Int as it is
+        read, so the first index at fault raises."""
         strict = strict or not all(
-            _is_int_lit(e) or isinstance(e, ViewRef) and isinstance(
+            self.kind(e) == "I" or isinstance(e, ViewRef) and isinstance(
                 e.view, VarView) and e.view.name in self.bound
             for e in view.indices)
         args = []
         for e in view.indices:
-            if _is_int_lit(e):
-                args.append(repr(e.value))
+            if self.kind(e) == "I":
+                args.append(self.expr(e))
             elif isinstance(e, ViewRef) and isinstance(e.view, VarView):
                 read = self.read(e.view)
                 args.append(f"_ix({read})" if strict else read)
@@ -1919,8 +1606,11 @@ class _Lowering:
         if isinstance(e, Lit):
             return self.lit(e.value)
         if isinstance(e, ViewRef):   # a GVar reaches no forward body
-            read = self.read(e.view)
-            return f"strip_gvar({read})" if self.grad else read
+            read, fact = self.read(e.view), _fact_of(e.view, self.known)
+            if fact == "G":
+                return f"{read}.x"
+            return f"strip_gvar({read})" if self.grad and fact is None \
+                else read
         if self.kind(e) == "I":   # Int arithmetic, `length`, `size`
             return self.ints(e)
         if isinstance(e, Un):    # unary minus
@@ -1996,6 +1686,37 @@ class _Lowering:
         return f"({call} if {xs[k]} {op} 0 else {generic})"
 
 
+# --- entry guards (see the module docstring) ---------------------------------
+
+def _gvar(v):
+    """Whether `v` has the fact "G"."""
+    return type(v) is GVar and type(v.x) is float and type(v.g) is float
+
+
+def _has(fact, v, t):
+    """Whether the value `v` has the fact (`t`: the run's float type)."""
+    if fact == "F":
+        return type(v) is t
+    if fact == "I":
+        return type(v) is int
+    if fact == "G":
+        return _gvar(v)
+    cells = fact[2]
+    return type(v) is Array and fact[1] in (None, len(v.shape)) and (
+        cells is None or ({*map(type, v.data)} <= {t} if cells == "F"
+                          else all(map(_gvar, v.data))))
+
+
+def _holds(want, values, t):
+    """Whether a function's entry guard holds of its arguments: the one
+    test of a guard, made on each call of a guarded entry (`_Unit`)."""
+    for w, v in zip(want, values):
+        if w is not None and not _has(w, v, t):
+            return False
+    return True
+
+
+
 # --- compiled units --------------------------------------------------------------
 
 class _Unit(dict):
@@ -2011,6 +1732,7 @@ class _Unit(dict):
     def __init__(self, defs, trace, dtype, grad=False):
         super().__init__()
         self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
+        self.real = "F" if not grad else "G" if dtype is None else None
         self.wants, self.flows, self.assigned = {}, {}, {}
         self.bodies, self.generic = _Bodies(self, True), _Bodies(self, False)
         self.gradient = self if grad else _Unit(defs, trace, dtype, True)
@@ -2020,7 +1742,7 @@ class _Unit(dict):
         while they are found (to a recursive call)."""
         if fname not in self.wants and fname in self.defs:
             self.wants[fname] = None
-            self.wants[fname] = _wants(self.defs[fname], self.want, self.grad)
+            self.wants[fname] = _wants(self.defs[fname], self.want, self.real)
         return self.wants.get(fname)
 
     def flow(self, fname):
@@ -2047,11 +1769,11 @@ class _Unit(dict):
 
     def make_entry(self, fname):
         """Make `fname`'s entry: on its first lookup, and again once its
-        specialised body exists. The entry is the one test of its guard:
-        it runs the specialised body when the entry facts hold of the
-        arguments (`_holds`), else the generic body, which a failed test
-        before the specialised body exists makes the entry. An entry
-        that asks nothing is the specialised body, once that exists."""
+        specialised body exists. The entry is the one test of its guard,
+        on every call: it runs the specialised body when the entry facts
+        hold of the arguments (`_holds`), else the generic body, each
+        lowered on the first call that needs it. An entry that asks
+        nothing is the specialised body, once that exists."""
         want = self.want(fname)
         if want is None:
             raise UnknownFunction(f"no function named {fname!r}")
@@ -2061,12 +1783,8 @@ class _Unit(dict):
             t = self.dtype or float
 
             def entry(I, chk, F, *args):
-                if _holds(want, args, t):
-                    fn = self.bodies[fname]
-                else:
-                    fn = self.generic[fname]
-                    if fname not in self.bodies:
-                        self[fname] = fn
+                fn = self.bodies[fname] if _holds(want, args, t) \
+                    else self.generic[fname]
                 return fn(I, chk, F, *args)
         self[fname] = entry
         return entry

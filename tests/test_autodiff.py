@@ -156,6 +156,29 @@ class TestJacobian:
             assert np.allclose(J[row], flat, rtol=1e-5, atol=1e-7)
 
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_a_jacobian_reaches_the_typed_body_in_either_order(self, seed):
+        """One Program serves a Jacobian, whose gradient passes carry
+        binary64 GVars that pass the gradient guard, and a Hessian, whose
+        GVars hold Duals and fail it. A failed guard fixes no body: in
+        either order the Jacobian's passes reach the specialised (typed)
+        body, which only a passing call lowers here, and both results are
+        the same bits."""
+        args = sample_args("r_norm", random.Random(seed))
+
+        def run(order):
+            p, out = load_example("r_norm"), {}
+            for kind in order:
+                out[kind] = (jacobian(p, "r_norm", deep_copy(args))
+                             if kind == "jacobian" else
+                             hessian(p, "r_norm", deep_copy(args)).matrix)
+            unit = Interpreter(p).unit.gradient
+            assert "G" in unit.want("~r_norm")
+            assert "~r_norm" in unit.bodies and "~r_norm" in unit.generic
+            return {k: v.tobytes() for k, v in out.items()}
+        assert run(["jacobian", "hessian"]) == run(["hessian", "jacobian"])
+
+
 # a NaN or inf that numpy makes quietly, where a float's division raises,
 # fails these tests
 @pytest.mark.filterwarnings("error::RuntimeWarning")

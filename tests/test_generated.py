@@ -426,7 +426,8 @@ def _autodiff_outcome(src, entry, args, seeds):
     give on a fresh parse: each result by its bits (NaN as NaN), or the
     error's type and span, with the ExecStats of the Interpreter it ran
     on; and the functions whose gradient unit's specialised body they
-    lowered."""
+    lowered, each with whether that body is typed: its guard asks a G
+    fact, a binary64 GVar of scalar or cells."""
     program, made = parse_program(src), []
     make = autodiff._interpreter
 
@@ -448,8 +449,10 @@ def _autodiff_outcome(src, entry, args, seeds):
                bits(lambda: gradient(program, GradRequest(entry, args(),
                                                           seeds)))]
     stats = [interp.stats for interp, _ in made]
-    return res, stats, sorted({f for interp, _ in made
-                               for f in interp.unit.gradient.bodies})
+    return res, stats, sorted({
+        (f, any(w == "G" or type(w) is tuple and w[2] == "G"
+                for w in interp.unit.gradient.want(f)))
+        for interp, _ in made for f in interp.unit.gradient.bodies})
 
 
 def _gradient_observed(src, entry, args, seeds):
@@ -467,17 +470,19 @@ def _gradient_observed(src, entry, args, seeds):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gradient_bodies_are_observers():
-    """The gradient unit's specialised bodies, behind guards that ask only
-    Int scalars and Array ranks, and its direct calls give what the
-    generic bodies give: on `array_programs` and on Float
-    `called_programs` with SWAPs, `jacobian`, `hessian` and a seeded
-    `gradient` give the same bits, errors and ExecStats."""
+    """The gradient unit's specialised bodies, behind guards that ask G
+    facts (binary64 GVars), Int scalars and Array ranks, and its direct
+    calls give what the generic bodies give: on `array_programs` and on
+    Float `called_programs` with SWAPs, `jacobian`, `hessian` and a seeded
+    `gradient` give the same bits, errors and ExecStats. Most examples
+    reach a typed body, whose arms take no type test."""
     outcomes = []
 
     def check(src, entry, args, seeds):
         res, _, lowered = _gradient_observed(src, entry, args, seeds)
-        outcomes.append((bool(lowered), *[r[0] if type(r) is tuple
-                                          else "result" for r in res]))
+        outcomes.append((bool(lowered), any(t for _, t in lowered),
+                         *[r[0] if type(r) is tuple else "result"
+                           for r in res]))
 
     @settings(max_examples=150)
     @given(case=array_programs(), cell=st.integers(0, 5))
@@ -498,9 +503,12 @@ def test_gradient_bodies_are_observers():
     arrays()
     calls()
     assert len(outcomes) == 300
-    # most runs lower specialised gradient bodies; results and errors
+    # most runs lower specialised gradient bodies, and nearly all of those
+    # a typed one (244 and 242 of the 300 under the derandomized profile);
+    # results and errors
     assert sum(o[0] for o in outcomes) >= 200
-    kinds = {k for o in outcomes for k in o[1:]}
+    assert sum(o[1] for o in outcomes) >= 200
+    kinds = {k for o in outcomes for k in o[2:]}
     assert {"result", "IndexOutOfBounds", "RevDomainError"} <= kinds
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from revlang import interpreter, reverser
+from revlang import analysis, interpreter, reverser
 from revlang.errors import (AliasedArguments, AssertFailed, DirtyAncilla,
                             DuplicateBinding, FuelExhausted, IndexOutOfBounds,
                             KindError, LoopIteratorMutated,
@@ -219,13 +219,19 @@ end""")
             return unwrap(v)
         unwrap = interpreter.unwrap_gvar
         monkeypatch.setattr(interpreter, "unwrap_gvar", counting)
-        p = prog("fn f(y, x)\nn <- 0.0\nn += x\ny += n * x\n"
-                 "n -= x\nn -> 0.0\nend")
+        src = "fn f(y, x)\nn <- 0.0\nn += x\ny += n * x\nn -= x\n" \
+              "n -> 0.0\nend"
+        p = prog(src)
         assert run(p, "f", [0.0, 3.0]) == [9.0, 3.0]
         assert calls == []
         # n has cotangent 3.0 at its release in the backward pass, which
-        # passes because a gradient frame compares primal values only
+        # passes because a gradient frame compares primal values only: the
+        # specialised body decides it on `n.x`, inline, and the generic
+        # body's `_release` unwraps both sides
         _, grads = gradient(p, GradRequest("f", [0.0, 3.0]))
+        assert grads["x"] == 6.0 and calls == []
+        monkeypatch.setattr(interpreter, "_holds", lambda *a: False)
+        _, grads = gradient(prog(src), GradRequest("f", [0.0, 3.0]))
         assert grads["x"] == 6.0
         assert calls
 
@@ -1123,7 +1129,7 @@ class TestStaticAliasDischarge:
     ])
     def test_disjoint_needs_distinct_literals(self, text, disjoint):
         a, b = _arg_views(text)[:2]
-        assert interpreter._disjoint(a, b) is disjoint
+        assert analysis._disjoint(a, b) is disjoint
 
     # ExecStats of four leapfrog steps forward and back, as recorded before
     # the static discharge: no check count may move
@@ -1665,6 +1671,62 @@ class TestAdjointArm:
         assert got == want
         assert got[0] == "error" and got[2].startswith(error)
 
+    @pytest.mark.parametrize("fname, layout, args, error", [
+        # abs at 0 and -0.0: the partial is None
+        ("abs", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "gradient of 'abs' undefined"),
+        ("abs", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(-0.0, 0.0)], "gradient of 'abs' undefined"),
+        # pow with base -2.0 and 0.0: the exponent's partial is None
+        ("pow", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(-2.0, 0.0), GVar(2.0, 0.0)],
+         "gradient of 'pow' undefined"),
+        ("pow", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0), GVar(2.0, 0.0)],
+         "gradient of 'pow' undefined"),
+        # the base's partial raises though the power does not
+        ("pow", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0), GVar(0.5, 0.0)], "power 0.0 ^"),
+        ("pow", (("local", 0), ("local", 1), ("lit", 0.5)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "power 0.0 ^"),
+        ("pow", (("local", 0), ("lit", 0.5), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(-1100.0, 0.0)], "power 0.5 ^"),
+        # and a literal exponent's partial is None at base -2.0: unused
+        ("pow", (("local", 0), ("local", 1), ("lit", 2)),
+         [GVar(1.0, 1.0), GVar(-2.0, 0.0)], None),
+        # sqrt's partial divides by sqrt(0); log at 0 fails its value
+        ("sqrt", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "division by zero"),
+        ("sqrt", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(-0.0, 0.0)], "division by zero"),
+        ("log", (("local", 0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0)], "log of non-positive value"),
+        # a divisor whose square underflows, and atan2 at the origin
+        ("div", (("local", 0), ("lit", 1.0), ("local", 1)),
+         [GVar(1.0, 1.0), GVar(1e-200, 0.0)], "division by zero"),
+        ("atan2", (("local", 0), ("local", 1), ("local", 2)),
+         [GVar(1.0, 1.0), GVar(0.0, 0.0), GVar(-0.0, 0.0)],
+         "division by zero"),
+    ])
+    @pytest.mark.parametrize("op", ["+=", "-="])
+    def test_a_typed_body_leaves_the_generic_rules_state(
+            self, fname, layout, args, error, op):
+        """Where a partial's condition fails inside a typed body (its
+        guard holds: every operand a binary64 GVar), the arm's fallback
+        raises what the generic rule raises and leaves the state it
+        leaves: the target's value updated, no cotangent changed."""
+        interp = _lower_adjoint(fname, op, layout, len(args))
+        mine = [deep_copy(a) for a in args]
+        try:
+            got = ("ok", _state(interp.run_function("f", mine)))
+        except RevLangError as err:
+            got = ("error", type(err), err.message, _state(mine))
+        unit = interp.unit.gradient
+        assert list(unit.bodies) == ["f"] and unit.generic == {}
+        assert got == _reference_adjoint(fname, op, layout,
+                                         [deep_copy(a) for a in args])
+        assert got[0] == "ok" if error is None else got[2].startswith(error)
+
     @pytest.mark.parametrize("exponent", [("lit", 2), ("lit", 2.0),
                                           ("local", 3)])
     def test_the_arm_takes_binary64_gvars(self, monkeypatch, exponent):
@@ -1679,6 +1741,54 @@ class TestAdjointArm:
         got, _ = _adjoint_outcomes("pow", "-=", layout, args)
         assert calls == [] and got == ("ok", _state(
             [GVar(-8.0, 1.0), Array([GVar(3.0, 6.0)], (1,)), 1, 2]))
+
+
+# the operands of the partial templates' oracle: binary64 edge values and
+# small Ints
+TEMPLATE_OPERANDS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 1e308, -1e308, 1e-200, 0.5, -2.0, 3.7, 0, 1,
+                     2, -1, -3)
+
+
+@pytest.mark.parametrize("fname", sorted(analysis._PARTIALS))
+def test_partial_templates_match_the_partials(fname):
+    """Each partial the typed adjoint arm emits (`_PARTIALS`) against
+    `INSTR_FNS[f].partials`, on every tuple of `TEMPLATE_OPERANDS` whose
+    value `apply` computes (else the primal update raises first): where
+    the function's condition holds, the callable raises nothing, so an arm
+    may skip the partials of operands that carry no cotangent; there each
+    partial equals the callable's, bits and type (NaN as NaN), where its
+    own condition holds, and the callable's is None where it fails. Where
+    the function's condition fails the arm calls the callable, so errors
+    are its own (see `TestAdjointArm`). Over Int operands alone no
+    partial is used, and only the first claim is made."""
+    spec = INSTR_FNS[fname]
+    cond, parts = analysis._PARTIALS[fname]
+    inline = 0
+    for xs in itertools.product(TEMPLATE_OPERANDS, repeat=spec.min_arity):
+        try:
+            value = spec.apply(*xs)
+        except (RevLangError, ArithmeticError, ValueError):
+            continue
+
+        def emitted(template):
+            return eval(template.format(*[f"x{k}" for k in range(len(xs))],
+                                        v="v"),
+                        {"math": math}, {"v": value, **{
+                            f"x{k}": x for k, x in enumerate(xs)}})
+        if cond is not None and not emitted(cond):
+            continue
+        want = spec.partials(*xs)
+        if all(type(x) is int for x in xs):
+            continue
+        for part, w in zip(parts, want):
+            expr, defined = (part, None) if type(part) is str else part
+            if defined is not None and not emitted(defined):
+                assert w is None, (xs, part)
+            else:
+                assert _state(emitted(expr)) == _state(w), (xs, part)
+                inline += 1
+    assert inline >= len(parts) * 5
 
 
 def _rotation_outcomes(kind, cells, args):
@@ -1740,6 +1850,39 @@ class TestRotationArm:
         got, want = _rotation_outcomes(kind, True, args)
         assert got == want and got[0] == "ok"
         assert len(calls) == (type(angle) is int)
+
+
+    @pytest.mark.parametrize("kind", ["ROT", "IROT"])
+    @pytest.mark.parametrize("cells", [False, True])
+    @pytest.mark.parametrize("args", [
+        [1.25, -0.75, 0.3], [0.0, -0.0, 5e-324], [math.nan, 1e308, -2.0],
+        [1e308, -1e308, 2.5], [1.0, 2.0, math.inf], [1.0, 2.0, math.nan]])
+    def test_the_forward_arm_takes_binary64_floats(
+            self, monkeypatch, kind, cells, args):
+        """Forward, on floats the entry guard proves (cells by its scan),
+        the arm rotates as the generic rule does, with no generic rule:
+        the same bits, and at an infinite angle the same error."""
+        from revlang import numerics
+        calls = []
+        monkeypatch.setattr(numerics, "apply_instr",
+                            lambda i, v: calls.append(i))
+        got, want = _rotation_outcomes(kind, cells, args)
+        assert got == want and calls == []
+
+    @pytest.mark.parametrize("kind", ["ROT", "IROT"])
+    def test_the_forward_arm_takes_binary32_floats(self, monkeypatch, kind):
+        from revlang import numerics
+        calls = []
+        rule = numerics.apply_instr
+        monkeypatch.setattr(numerics, "apply_instr",
+                            lambda i, v: calls.append(i) or rule(i, v))
+        p = prog(f"fn f(x, t)\n{kind}(x[1], x[2], t)\nend")
+        args = [np.float32(1.25), np.float32(-0.75), np.float32(0.3)]
+        out = Interpreter(p, ExecOptions(float_dtype=np.float32)) \
+            .run_function("f", [Array(list(args[:2]), (2,)), args[2]])
+        assert calls == []
+        assert _typed([*out[0].data, out[1]]) == _typed(
+            rule(PrimitiveInstr(kind), args))
 
 
 # --- paths that the other tests do not run ---------------------------------
@@ -2159,19 +2302,25 @@ class TestSpecialisedBodies:
         """A first call decides on the entry facts alone: when they fail,
         only the generic body is lowered, and `f`'s specialised flow is
         not built until a caller whose facts prove f's guard calls its
-        specialised body."""
+        specialised body, or a call passes f's guard. The entry keeps
+        testing the guard: a failed guard fixes no body."""
         src = self.SRC + "\nfn h(y, a, i)\nf(y, a, i)\nend"
         interp = Interpreter(prog(src))
         interp.run_function("f", [y, Array.vector(cells), 2])
         unit = interp.unit
         assert sorted(unit.generic) == ["f"] and unit.bodies == {}
-        assert unit.flows == {} and unit["f"] is unit.generic["f"]
+        assert unit.flows == {} and unit["f"] is not unit.generic["f"]
         out = interp.run_function("h", [0.0, Array.vector([1.5, 2.5]), 2])
         assert out[0] == 6.5 and sorted(unit.bodies) == ["f", "h"]
         assert sorted(unit.flows) == ["f", "h"] and sorted(unit.generic) == [
             "f"]
-        # from then on f's entry tests its guard
+        # f's entry tests its guard on every call
         assert unit["f"] not in (unit.generic["f"], unit.bodies["f"])
+        fresh = Interpreter(prog(src))
+        fresh.run_function("f", [y, Array.vector(cells), 2])
+        fresh.run_function("f", [0.0, Array.vector([1.5, 2.5]), 2])
+        assert sorted(fresh.unit.bodies) == sorted(fresh.unit.generic) == [
+            "f"]
 
     def test_a_swap_of_an_int_into_a_float_variable(self):
         # `n` is asked nothing: an Int passes the guard, and moves into `y`
@@ -2246,6 +2395,40 @@ class TestSpecialisedBodies:
             assert out[:2] == ("KindError",
                                f"array index must be an Int, got {kind}")
             assert "g" in unit.generic
+
+    def test_a_gvar_two_names_share_loses_its_fact(self):
+        """Two names may share a GVar: `b <- a` in a gradient body makes `b`
+        an Array of `a`'s GVars, so `g`'s `t` (`a[1]`) is `b[1]`. Updating
+        `b[1]` by a GVar of a Dual, which no guard asks of `d`, makes `t`
+        one, so its G fact dies there and `sqrt(t)` takes the generic rule
+        in the typed body too; were `t` still taken for a G, the arm would
+        drop `y`'s tangent."""
+        src = "fn g(y, t, b, d)\nr <- d\nb[1] += r\ny += sqrt(t)\n" \
+              "b[1] -= r\nr -> d\nend\n" \
+              "fn f(y, a, d)\nb <- a\ng(y, a[1], b, d)\nb -> a\nend"
+        args = [GVar(0.5, 1.0), Array.vector([GVar(4.0, 0.0), GVar(9.0, 0.0)]),
+                GVar(Dual(1.0, 1.0), Dual(0.0, 0.0))]
+        interp = Interpreter(prog(src))
+        out = self.same_as_fresh_runs(interp, src, "f", args)
+        unit = interp.unit.gradient
+        assert sorted(unit.bodies) == ["f", "g"] and unit.generic == {}
+        assert out[0][1].startswith("GVar(Dual(")
+
+    def test_a_g_whose_cotangent_turns_dual_loses_its_fact(self):
+        """`t` is a G at `f`'s entry; the cotangent carry of `p`'s release,
+        `p` being no G, makes `t`'s cotangent a Dual in place, so after it
+        `t` has no fact and its last update is tested as the generic
+        body's is."""
+        src = "fn f(y, t, d)\np <- t + d\ny += t\np -> t + d\n" \
+              "y += sqrt(t)\nend"
+        args = [GVar(0.5, 1.0), GVar(4.0, 0.0),
+                GVar(Dual(1.0, 1.0), Dual(0.0, 0.0))]
+        interp = Interpreter(prog(src))
+        out = self.same_as_fresh_runs(interp, src, "f", args)
+        assert out[1][1].startswith("GVar(4.0, Dual(")
+        flow = interp.unit.gradient.flows["f"]
+        last = interp.unit.defs["f"].body.stmts[-1]
+        assert flow.want[1] == "G" and "t" not in flow.at[id(last)][0]
 
     def test_after_an_if_hold_the_facts_of_both_branches(self):
         src = "fn f(y, n, c)\nif (c > 0, ~)\ny += 1.0\nelse\nSWAP(y, n)\n" \
@@ -2458,14 +2641,15 @@ def test_a_float_function_of_proven_floats_binds_a_proven_float(
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than once the float functions got host calls: the
-    forward code `check_reversibility` lowers, at most 15,917 nodes with
-    the guards as they fall, and 19,661 with every guard failing and no
-    call direct (30 generic bodies); and the gradient bodies of
-    `autodiff.gradient` with default seeds, at most 2,239 (2,363 while
+    more AST nodes than once gradient bodies got G facts and inline
+    partials: the forward code `check_reversibility` lowers, at most
+    15,836 nodes with the guards as they fall (15,917 before), and 19,649
+    with every guard failing and no call direct (30 generic bodies;
+    19,661); and the gradient bodies of `autodiff.gradient` with default
+    seeds, at most 1,882 (2,239 with Int and rank facts only, 2,363 while
     they were lowered at no entry facts), and of `autodiff.jacobian` over
-    the whole catalog, the calls `grad-catalog` makes, at most 22,251
-    (23,499).
+    the whole catalog, the calls `grad-catalog` makes, at most 12,301
+    (22,251 and 23,499).
     A run with fuel to spare compiles no per-statement code."""
     import ast
     import random
@@ -2493,22 +2677,22 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
         nodes[False].clear()
         return found
     found = forward()
-    assert len(found) == 30 and sum(found) <= 15_917
+    assert len(found) == 30 and sum(found) <= 15_836
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 19_661
+    assert len(found) == 30 and sum(found) <= 19_649
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_239
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 1_882
     nodes[True].clear()
     for name, (filename, fname) in CATALOG.items():
         jacobian(prog(asset_text(filename)), fname,
                  sample_args(name, random.Random(0)))
-    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 22_251
+    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 12_301
     assert shortages == []
 
 
