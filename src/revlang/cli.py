@@ -147,7 +147,7 @@ def encode_value(v):
 
 def _load(path):
     """Parse only: `Interpreter` validates the programs it runs."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         text = f.read()
     return parse_program(text, path)
 

@@ -1811,9 +1811,33 @@ class _Bodies(dict):
         return body
 
 
+class _Defs(dict):
+    """A valid program's definitions by name: the expansions `validate`
+    checked, and the generated inverse `~f` of each one that has no
+    definition of that name, made on its first lookup. Every unit of the
+    program reads the same table, so each function is inverted at most
+    once."""
+
+    def __missing__(self, name):
+        primal = dict.get(self, inverse_name(name))
+        if primal is None or inverse_name(primal.name) != name:
+            raise KeyError(name)
+        inv = self[name] = invert_function(primal)
+        return inv
+
+    def get(self, name, default=None):
+        try:
+            return self[name]
+        except KeyError:
+            return default
+
+    def __contains__(self, name):
+        return self.get(name) is not None
+
+
 def _unit(program, opts):
-    """`program`'s unit for `opts`; the first one also generates the inverse
-    of each expansion `validate` checked, for every unit to lower."""
+    """`program`'s unit for `opts`; the first one validates the program
+    and holds its definitions (`_Defs`) for every unit to lower."""
     compiled, key = program.compiled, (opts.trace, opts.float_dtype)
     if key not in compiled:
         defs = compiled.get("defs")
@@ -1821,10 +1845,7 @@ def _unit(program, opts):
             diags = validate(program)
             if diags:
                 raise ValidationFailed(diags)
-            defs = compiled["defs"] = dict(compiled["expanded"])
-            for fdef in compiled["expanded"].values():
-                inv = invert_function(fdef)
-                defs.setdefault(inv.name, inv)
+            defs = compiled["defs"] = _Defs(compiled["expanded"])
         compiled[key] = _Unit(defs, *key)
     return compiled[key]
 

@@ -6,9 +6,9 @@ round-trip compares equal. Runtime view identity (which needs an
 environment to evaluate index expressions) lives with the interpreter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
-from .errors import NO_SPAN, Diagnostic, SourceSpan
+from .errors import NO_SPAN, Diagnostic, SourceSpan, frozen
 
 
 def _span_field():
@@ -17,26 +17,26 @@ def _span_field():
 
 # --- expressions ---
 
-@dataclass(frozen=True)
+@frozen
 class Lit:
     value: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class ViewRef:
     view: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Un:
     op: str  # '-'
     operand: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Bin:
     op: str  # + - * / ^ % == != < <= > >= && ||
     left: object
@@ -44,7 +44,7 @@ class Bin:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Call:
     fname: str
     args: tuple
@@ -53,27 +53,27 @@ class Call:
 
 # --- data views ---
 
-@dataclass(frozen=True)
+@frozen
 class VarView:
     name: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldView:
     base: object
     field_name: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexView:
     base: object
     indices: tuple  # expressions
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class BijView:
     base: object
     bij: str
@@ -92,21 +92,21 @@ def view_root(view):
 
 # --- statements ---
 
-@dataclass(frozen=True)
+@frozen
 class AncillaAlloc:
     name: str
     expr: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class AncillaDealloc:
     name: str
     expr: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class InstrCall:
     op: str        # '+=' | '-=' | '*=' | '/=' | 'xor='
     fname: str     # registered scalar function; 'identity' for a bare atom
@@ -114,14 +114,14 @@ class InstrCall:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class FnCall:
     fname: str
     args: tuple    # data views
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class UncallFn:
     fname: str
     args: tuple
@@ -145,7 +145,7 @@ class _SameAsPre:
 SAME_AS_PRE = _SameAsPre()
 
 
-@dataclass(frozen=True)
+@frozen
 class If:
     pre: object
     post: object   # expression or SAME_AS_PRE
@@ -154,7 +154,7 @@ class If:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class While:
     pre: object
     post: object
@@ -162,7 +162,7 @@ class While:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class For:
     var: str
     start: object
@@ -172,7 +172,7 @@ class For:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Routine:
     """`@routine compute` ... `~@routine`: runs `compute`, then `body` (the
     statements between the markers), then `compute` inverted."""
@@ -181,20 +181,20 @@ class Routine:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class InvCheckOff:
     stmt: object
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Safe:
     kind: str      # 'assert' | 'print'
     exprs: tuple
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Block:
     stmts: tuple
     span: SourceSpan = _span_field()
@@ -202,14 +202,14 @@ class Block:
 
 # --- functions and programs ---
 
-@dataclass(frozen=True)
+@frozen
 class Param:
     name: str
     kind: str = "any"    # "scalar", "array" or "any"
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class FunctionDef:
     name: str
     params: tuple

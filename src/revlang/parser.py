@@ -17,10 +17,16 @@ right-hand side is a single application of a registered function to atoms
 (views or literals), written as a call or with one infix operator; richer
 expressions belong in conditions, loop bounds, and allocation values.
 
-The scanner is one regular expression of named alternatives. Expressions
-parse by precedence climbing over one operator table (BINARY and UNARY),
-and the printer reads the same table to place parentheses, so printed
-text parses back to an equal Program.
+The scanner (`tokenize`) is one regular expression run by `findall`, one
+match per token with its leading blanks, and it yields plain
+`(kind, value, line, col)` tuples. The parser is recursive descent over
+them, keeping the current token's kind and value in attributes; spans
+are made only for the tokens that start an IR node. Expressions parse by
+precedence climbing over one operator table (BINARY and UNARY), and the
+printer reads the same table to place parentheses, so printed text
+parses back to an equal Program. Statements and expressions nest at most
+MAX_NESTING levels; one more is an RnlSyntaxError at the token that
+passes the limit, so that no later pass recurses out of the stack.
 """
 
 import itertools
@@ -41,64 +47,65 @@ ASSIGN_OPS = {"+=", "-=", "*=", "/=", "xor="}
 
 MACROS = {"@routine", "~@routine", "@invcheckoff", "@safe"}
 
-# One alternative per token kind, tried in order; a match with no group is
-# a blank or a comment. Digits are ASCII only (`\d` and str.isdigit also
-# take '٣' and other scripts). A name may end in '!'s that mark it mutated,
-# but a '!' before '=' is the start of '!='. `[^\W\d]` is a letter, '_' or
-# a digit such as '²' that is not decimal; `tokenize` rejects the last.
+# One match per token: its leading blanks and comment, taken whole, then one
+# alternative per token kind, tried in order, or the end of the text.
+# Matches are contiguous, so a token's offset is the sum of the lengths
+# before it. Digits are ASCII only (`\d` and str.isdigit also
+# take '٣' and other scripts). A name may end in '!'s that mark it
+# mutated, but a '!' before '=' is the start of '!='. `[^\W\d]` is a
+# letter, '_' or a digit such as '²' that is not decimal; `tokenize`
+# rejects the last.
 _TOKEN = re.compile(r"""
-    (?P<nl>\n) | [ \t\r]+ | \#[^\n]*
-  | (?P<macro>~?@\w*)
-  | (?P<num>(?P<body>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-            (?P<suffix>[^\W\d_]*))
-  | (?P<punct>xor=(?!=) | ⊻= | [←→▷] | <- | -> | [-+*/=!<>]= | && | \|\| | \|>
-            | :: | [()\[\],.:+\-*/^%<>=~])
-  | (?P<name>[^\W\d]\w*(?:!(?!=))*)
-  | (?P<bad>.)
+    ((?:[ \t\r]++ | \#[^\n]*+)*+)
+    (?: (\n)
+      | (~?@\w*)
+      | ((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)([^\W\d_]*)
+      | (xor=(?!=) | ⊻= | [←→▷] | <- | -> | [-+*/=!<>]= | && | \|\| | \|>
+         | :: | [()\[\],.:+\-*/^%<>=~])
+      | ([^\W\d]\w*(?:!(?!=))*)
+      | (.) | \Z )
 """, re.VERBOSE)
 
 _ALIASES = {"⊻=": "xor=", "←": "<-", "→": "->", "▷": "|>"}
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col", "span")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind      # 'name' | 'num' | 'punct' | 'macro' | 'eof'
-        self.value = value
-        self.line = line
-        self.col = col
-        self.span = None      # its SourceSpan, made when first asked for
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
-
-
 def tokenize(text, filename="<string>"):
+    """The tokens of `text` as `(kind, value, line, col)` tuples, the last
+    of kind 'eof'. A kind is 'name', 'num', 'punct' or 'macro'; a number's
+    value is the literal's value, a punctuator's its ASCII spelling."""
     toks = []
-    line, line_start = 1, 0     # line_start: the offset of column 1
+    append = toks.append
+    line, base, off = 1, -1, 0      # base: the offset of column 0
 
     def err(msg, offset):
-        col = offset - line_start + 1
+        col = offset - base
         raise RnlSyntaxError(msg, SourceSpan(filename, line, col, line, col))
 
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "nl":
-            line, line_start = line + 1, m.end()
-            continue
-        word, start = m.group(), m.start()
-        if kind == "num":
-            body, suffix = m.group("body", "suffix")
+    for blank, nl, macro, body, suffix, punct, name, bad in \
+            _TOKEN.findall(text):
+        if blank:
+            off += len(blank)
+        if name:
+            if not (name[0].isalpha() or name[0] == "_"):
+                err(f"unexpected character {name[0]!r}", off)
+            append(("name", name, line, off - base))
+            off += len(name)
+        elif punct:
+            append(("punct", _ALIASES.get(punct, punct), line,
+                    off - base))
+            off += len(punct)
+        elif nl:
+            off += 1
+            line, base = line + 1, off - 1
+        elif body:
             if suffix == "":
                 value = int(body) if body.isdigit() else float(body)
             elif suffix == "fx":
                 try:
                     value = Fixed.from_real(float(body))
                 except RevDomainError:
-                    err(f"fixed-point literal {word!r} is out of range", start)
+                    err(f"fixed-point literal {body + suffix!r} is out of "
+                        f"range", off)
             elif suffix == "im":
                 value = complex(0.0, float(body))
             else:
@@ -107,23 +114,20 @@ def tokenize(text, filename="<string>"):
                 letters = "".join(itertools.takewhile(str.isalpha, suffix))
                 if letters in ("", "fx", "im"):
                     err(f"unexpected character {suffix[len(letters)]!r}",
-                        m.start("suffix") + len(letters))
-                err(f"unknown numeric suffix {letters!r}", start)
-            word = value
-        elif kind == "name":
-            if not (word[0].isalpha() or word[0] == "_"):
-                err(f"unexpected character {word[0]!r}", start)
-        elif kind == "punct":
-            word = _ALIASES.get(word, word)
-        elif kind == "macro":
-            if word not in MACROS:
-                err(f"unknown macro {word!r}", start)
-        elif word == "⊻":
-            err("expected '=' after the xor sign", start)
-        else:
-            err(f"unexpected character {word!r}", start)
-        toks.append(Token(kind, word, line, start - line_start + 1))
-    toks.append(Token("eof", None, line, len(text) - line_start + 1))
+                        off + len(body) + len(letters))
+                err(f"unknown numeric suffix {letters!r}", off)
+            append(("num", value, line, off - base))
+            off += len(body) + len(suffix)
+        elif macro:
+            if macro not in MACROS:
+                err(f"unknown macro {macro!r}", off)
+            append(("macro", macro, line, off - base))
+            off += len(macro)
+        elif bad == "⊻":
+            err("expected '=' after the xor sign", off)
+        elif bad:
+            err(f"unexpected character {bad!r}", off)
+    append(("eof", None, line, len(text) - base))
     return toks
 
 
@@ -140,179 +144,212 @@ BINARY = {"||": (1, 1, 2), "&&": (2, 2, 3),
           "^": (7, PRIMARY, UNARY)}
 
 
+# How deep a statement or an expression may nest (README "Command line").
+# A function body's statements are at depth 1, and each statement inside
+# one, `@routine` and `@invcheckoff` included, is one deeper. An
+# expression's depth is that of its tree as written: a literal or a name
+# is 1, and each operator, parenthesis, call, index, field and bijector
+# adds 1 to the deepest of its operands.
+MAX_NESTING = 128
+
+
 class _Parser:
+    """Recursive descent over `tokenize`'s tuples. The current token is
+    `tok`, with its kind and value in `kind` and `val`; `depth` is the
+    statement nesting, `level` the expressions open, and `height` the
+    depth of the expression or view parsed last."""
+
     def __init__(self, text, filename="<string>"):
         self.filename = filename
+        # a second end token, so that a look one token ahead stays in the list
         self.toks = tokenize(text, filename)
+        self.toks.append(self.toks[-1])
         self.pos = 0
-        self.cur = self.toks[0]     # the token at `pos`
+        self.tok = t = self.toks[0]
+        self.kind, self.val = t[0], t[1]
+        self.depth = self.level = self.height = 0
 
     # --- token plumbing ---
 
-    def peek(self, k=1):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
     def span(self, tok=None):
-        t = tok or self.cur
-        if t.span is None:
-            t.span = SourceSpan(self.filename, t.line, t.col, t.line, t.col)
-        return t.span
+        t = tok or self.tok
+        return SourceSpan(self.filename, t[2], t[3], t[2], t[3])
 
     def err(self, msg, tok=None):
         raise RnlSyntaxError(msg, self.span(tok))
 
     def found(self, tok=None):
-        t = tok or self.cur
-        return "end of input" if t.kind == "eof" else repr(t.value)
+        t = tok or self.tok
+        return "end of input" if t[0] == "eof" else repr(t[1])
 
     def advance(self):
-        t = self.cur
-        if t.kind != "eof":
-            self.pos += 1
-            self.cur = self.toks[self.pos]
+        """Move to the next token; returns the current one. Every caller
+        has checked that the current token is not the end."""
+        t = self.tok
+        self.pos += 1
+        self.tok = n = self.toks[self.pos]
+        self.kind, self.val = n[0], n[1]
         return t
 
-    def at_punct(self, *vals):
-        t = self.cur
-        return t.kind == "punct" and t.value in vals
-
-    def at_name(self, *vals):
-        t = self.cur
-        return t.kind == "name" and (not vals or t.value in vals)
+    def next_is_open(self):
+        """Whether the token after the current one is '('."""
+        n = self.toks[self.pos + 1]
+        return n[0] == "punct" and n[1] == "("
 
     def expect_punct(self, val):
-        if not self.at_punct(val):
+        if self.kind != "punct" or self.val != val:
             self.err(f"expected {val!r}, found {self.found()}")
         return self.advance()
 
     def expect_name(self):
-        if self.cur.kind != "name" or self.cur.value in KEYWORDS:
+        if self.kind != "name" or self.val in KEYWORDS:
             self.err(f"expected a name, found {self.found()}")
         return self.advance()
 
+    def expect_keyword(self, kw):
+        if self.kind != "name" or self.val != kw:
+            self.err(f"expected {kw!r}, found {self.found()}")
+        return self.advance()
+
     def comma_list(self, item, what):
-        """`( item, item, ... )` as a tuple; a trailing comma is allowed."""
+        """`( item, item, ... )` as a tuple; a trailing comma is allowed.
+        `height` is left at the deepest item's."""
         self.expect_punct("(")
-        items = []
-        while not self.at_punct(")"):
+        items, deepest = [], 0
+        while self.kind != "punct" or self.val != ")":
             items.append(item())
-            if self.at_punct(","):
+            if self.height > deepest:
+                deepest = self.height
+            if self.kind == "punct" and self.val == ",":
                 self.advance()
-            elif not self.at_punct(")"):
+            elif self.kind != "punct" or self.val != ")":
                 self.err(f"expected ',' or ')' in {what}, found {self.found()}")
         self.advance()
+        self.height = deepest
         return tuple(items)
+
+    def deeper(self, height, tok):
+        """`height` as the current depth, unless it passes the limit."""
+        if height > MAX_NESTING:
+            self.err(f"expression nested deeper than {MAX_NESTING} levels",
+                     tok)
+        self.height = height
 
     # --- grammar ---
 
     def program(self):
         fns = []
-        while self.cur.kind != "eof":
+        while self.kind != "eof":
             fns.append(self.fndef())
         return Program(fns)
 
     def fndef(self):
-        t0 = self.cur
-        if not self.at_name("fn"):
+        t0 = self.tok
+        if self.kind != "name" or self.val != "fn":
             self.err(f"expected 'fn', found {self.found()}")
         self.advance()
         name = ""
-        if self.at_punct("~"):
+        if self.kind == "punct" and self.val == "~":
             self.advance()
             name = "~"
-        name += self.expect_name().value
+        name += self.expect_name()[1]
         params = self.comma_list(self.param, "parameter list")
         body = self.stmt_block(("end",))
         self.expect_keyword("end")
         return FunctionDef(name, params, body, self.span(t0))
 
     def param(self):
-        pt = self.cur
-        pname = self.expect_name().value
+        pt = self.tok
+        pname = self.expect_name()[1]
         kind = "any"
-        if self.at_punct("::"):
+        if self.kind == "punct" and self.val == "::":
             self.advance()
             kt = self.expect_name()
-            if kt.value not in ("scalar", "array", "any"):
-                self.err(f"unknown parameter kind {kt.value!r}", kt)
-            kind = kt.value
+            if kt[1] not in ("scalar", "array", "any"):
+                self.err(f"unknown parameter kind {kt[1]!r}", kt)
+            kind = kt[1]
         return Param(pname, kind, self.span(pt))
-
-    def expect_keyword(self, kw):
-        if not self.at_name(kw):
-            self.err(f"expected {kw!r}, found {self.found()}")
-        return self.advance()
 
     def stmt_block(self, stop_keywords, in_routine=False):
         """Statements up to one of `stop_keywords` or, in a routine body,
         up to the `~@routine` that closes it: a close marker pairs with the
         innermost open routine of the same statement list."""
         stmts = []
-        while not (self.cur.kind == "eof"
-                   or (self.cur.kind == "name" and self.cur.value in stop_keywords)
-                   or (in_routine and self.cur.kind == "macro"
-                       and self.cur.value == "~@routine")):
+        while not (self.kind == "eof"
+                   or (self.kind == "name" and self.val in stop_keywords)
+                   or (in_routine and self.kind == "macro"
+                       and self.val == "~@routine")):
             stmts.append(self.stmt(stop_keywords))
         return Block(tuple(stmts))
 
     def stmt(self, stop_keywords):
-        """One statement of a block that ends at one of `stop_keywords`."""
-        t0 = self.cur
+        """One statement of a block that ends at one of `stop_keywords`,
+        one level deeper than the statement around it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.err(f"statement nested deeper than {MAX_NESTING} levels")
+        s = self.statement(stop_keywords)
+        self.depth -= 1
+        return s
+
+    def statement(self, stop_keywords):
+        t0 = self.tok
         sp = self.span(t0)
-        if t0.kind == "macro":
+        kind, val = t0[0], t0[1]
+        if kind == "macro":
             self.advance()
-            if t0.value == "@routine":
+            if val == "@routine":
                 inner = self.stmt(stop_keywords)
                 compute = inner if isinstance(inner, Block) else Block((inner,))
                 body = self.stmt_block(stop_keywords, in_routine=True)
-                if self.cur.value != "~@routine":
+                if self.val != "~@routine":
                     self.err("routine block is never closed", t0)
                 self.advance()
                 return Routine(compute, body, sp)
-            if t0.value == "~@routine":
+            if val == "~@routine":
                 self.err("routine close without a matching open", t0)
-            if t0.value == "@invcheckoff":
+            if val == "@invcheckoff":
                 return InvCheckOff(self.stmt(stop_keywords), sp)
-            if t0.value == "@safe":
+            if val == "@safe":
                 kt = self.expect_name()
-                if kt.value not in ("assert", "print"):
+                if kt[1] not in ("assert", "print"):
                     self.err("@safe takes assert(...) or print(...)", kt)
-                return Safe(kt.value, self.comma_list(self.expr, "@safe list"),
+                return Safe(kt[1], self.comma_list(self.expr, "@safe list"),
                             sp)
-        if self.at_name("if"):
-            return self.if_stmt()
-        if self.at_name("while"):
-            return self.while_stmt()
-        if self.at_name("for"):
-            return self.for_stmt()
-        if self.at_name("begin"):
+        if kind == "name":
+            if val not in KEYWORDS:
+                return self.simple_stmt(t0, sp)
+            if val == "if":
+                return self.if_stmt(sp)
+            if val == "while":
+                return self.while_stmt(sp)
+            if val == "for":
+                return self.for_stmt(sp)
+            if val == "begin":
+                self.advance()
+                body = self.stmt_block(("end",))
+                self.expect_keyword("end")
+                return Block(body.stmts, sp)
+        elif kind == "punct" and val == "~":
             self.advance()
-            body = self.stmt_block(("end",))
-            self.expect_keyword("end")
-            return Block(body.stmts, sp)
-        if self.at_punct("~"):
-            self.advance()
-            fname = self.expect_name().value
+            fname = self.expect_name()[1]
             views = self.comma_list(self.view, "call arguments")
             return UncallFn(fname, views, sp)
-        if t0.kind == "name" and t0.value not in KEYWORDS:
-            return self.simple_stmt()
         self.err(f"unexpected token {self.found(t0)}")
 
-    def if_stmt(self):
-        sp = self.span()
+    def if_stmt(self, sp):
         self.advance()
         self.expect_punct("(")
         pre = self.expr()
         self.expect_punct(",")
-        if self.at_punct("~"):
+        if self.kind == "punct" and self.val == "~":
             self.advance()
             post = SAME_AS_PRE
         else:
             post = self.expr()
         self.expect_punct(")")
         then_block = self.stmt_block(("else", "end"))
-        if self.at_name("else"):
+        if self.kind == "name" and self.val == "else":
             self.advance()
             else_block = self.stmt_block(("end",))
         else:
@@ -320,13 +357,12 @@ class _Parser:
         self.expect_keyword("end")
         return If(pre, post, then_block, else_block, sp)
 
-    def while_stmt(self):
-        sp = self.span()
+    def while_stmt(self, sp):
         self.advance()
         self.expect_punct("(")
         pre = self.expr()
         self.expect_punct(",")
-        if self.at_punct("~"):
+        if self.kind == "punct" and self.val == "~":
             self.err("a while loop needs an explicit postcondition")
         post = self.expr()
         self.expect_punct(")")
@@ -334,15 +370,14 @@ class _Parser:
         self.expect_keyword("end")
         return While(pre, post, body, sp)
 
-    def for_stmt(self):
-        sp = self.span()
+    def for_stmt(self, sp):
         self.advance()
-        var = self.expect_name().value
+        var = self.expect_name()[1]
         self.expect_punct("=")
         start = self.expr()
         self.expect_punct(":")
         second = self.expr()
-        if self.at_punct(":"):
+        if self.kind == "punct" and self.val == ":":
             self.advance()
             step, stop = second, self.expr()
         else:
@@ -351,108 +386,119 @@ class _Parser:
         self.expect_keyword("end")
         return For(var, start, step, stop, body, sp)
 
-    def simple_stmt(self):
-        t0 = self.cur
-        sp = self.span(t0)
+    def simple_stmt(self, t0, sp):
         # function or primitive statement call
-        if self.peek().kind == "punct" and self.peek().value == "(":
-            fname = self.advance().value
+        if self.next_is_open():
+            fname = self.advance()[1]
             views = self.comma_list(self.view, "call arguments")
             if fname == "XOR":
                 if len(views) != 2:
                     self.err("XOR takes two arguments", t0)
                 return InstrCall("xor=", "identity", views, sp)
             return FnCall(fname, views, sp)
-        view = self.view()
-        if self.at_punct("<-"):
-            self.advance()
-            if not isinstance(view, VarView):
-                self.err("only a plain name can be allocated", t0)
-            return AncillaAlloc(view.name, self.expr(), sp)
-        if self.at_punct("->"):
-            self.advance()
-            if not isinstance(view, VarView):
-                self.err("only a plain name can be released", t0)
-            return AncillaDealloc(view.name, self.expr(), sp)
-        if self.cur.kind == "punct" and self.cur.value in ASSIGN_OPS:
-            op = self.advance().value
-            fname, args = self.instr_rhs()
-            return InstrCall(op, fname, (view,) + args, sp)
+        view = self.view(sp)
+        if self.kind == "punct":
+            op = self.val
+            if op == "<-" or op == "->":
+                self.advance()
+                if type(view) is not VarView:
+                    self.err("only a plain name can be "
+                             + ("allocated" if op == "<-" else "released"), t0)
+                cls = AncillaAlloc if op == "<-" else AncillaDealloc
+                return cls(view.name, self.expr(), sp)
+            if op in ASSIGN_OPS:
+                self.advance()
+                fname, args = self.instr_rhs()
+                return InstrCall(op, fname, (view,) + args, sp)
         self.err(f"expected an update operator after the view", t0)
 
     def instr_rhs(self):
         """One function application over atoms: call form, one infix
         operator, a unary minus, or a bare atom."""
-        if self.cur.kind == "name" and self.cur.value not in KEYWORDS \
-                and self.peek().kind == "punct" and self.peek().value == "(":
-            fname = self.advance().value
+        if self.kind == "name" and self.val not in KEYWORDS \
+                and self.next_is_open():
+            fname = self.advance()[1]
             return fname, self.comma_list(self.atom, "call arguments")
-        if self.at_punct("-"):
+        if self.kind == "punct" and self.val == "-":
             self.advance()
             a = self.atom()
             if isinstance(a, Lit) and isinstance(a.value, (int, float)):
                 return "identity", (Lit(-a.value, a.span),)
             return "neg", (a,)
         first = self.atom()
-        if self.cur.kind == "punct" and self.cur.value in INSTR_BIN_OPS:
-            op = self.advance().value
+        if self.kind == "punct" and self.val in INSTR_BIN_OPS:
+            op = self.advance()[1]
             second = self.atom()
             return INSTR_BIN_OPS[op], (first, second)
         return "identity", (first,)
 
     def atom(self):
-        t = self.cur
-        if t.kind == "num":
+        t = self.tok
+        kind, val = t[0], t[1]
+        if kind == "num":
             self.advance()
-            return Lit(t.value, self.span(t))
-        if self.at_punct("-") and self.peek().kind == "num":
+            return Lit(val, self.span(t))
+        if kind == "name":
+            if val not in KEYWORDS:
+                return self.view()
+            if val == "true" or val == "false":
+                self.advance()
+                return Lit(val == "true", self.span(t))
+        elif kind == "punct" and val == "-" \
+                and self.toks[self.pos + 1][0] == "num":
             self.advance()
             t = self.advance()
-            return Lit(-t.value, self.span(t))
-        if self.at_name("true"):
-            self.advance()
-            return Lit(True, self.span(t))
-        if self.at_name("false"):
-            self.advance()
-            return Lit(False, self.span(t))
-        if t.kind == "name" and t.value not in KEYWORDS:
-            return self.view()
+            return Lit(-t[1], self.span(t))
         self.err(f"expected a view or literal, found {self.found(t)}")
 
-    def view(self):
-        t0 = self.cur
-        name = self.expect_name().value
-        v = VarView(name, self.span(t0))
-        while True:
-            if self.at_punct("."):
+    def view(self, sp=None):
+        """A view; `sp` is the span of its first token when the caller has
+        made it."""
+        t0 = self.tok
+        if self.kind != "name" or self.val in KEYWORDS:
+            self.err(f"expected a name, found {self.found()}")
+        self.advance()
+        sp = sp or self.span(t0)
+        v, height = VarView(t0[1], sp), 1
+        while self.kind == "punct":
+            t = self.tok
+            if self.val == ".":
                 self.advance()
                 f = self.expect_name()
-                v = FieldView(v, f.value, self.span(f))
-            elif self.at_punct("["):
+                v = FieldView(v, f[1], self.span(f))
+            elif self.val == "[":
                 self.advance()
                 idx = [self.expr()]
-                while self.at_punct(","):
+                if self.height > height:
+                    height = self.height
+                while self.kind == "punct" and self.val == ",":
                     self.advance()
                     idx.append(self.expr())
+                    if self.height > height:
+                        height = self.height
                 self.expect_punct("]")
-                v = IndexView(v, tuple(idx), self.span(t0))
-            elif self.at_punct("|>"):
+                v = IndexView(v, tuple(idx), sp)
+            elif self.val == "|>":
                 self.advance()
                 bt = self.expect_name()
                 args = ()
-                if self.at_punct("("):
+                if self.kind == "punct" and self.val == "(":
                     args = self.comma_list(self.bij_arg, "bijector arguments")
-                v = BijView(v, bt.value, args, self.span(bt))
+                v = BijView(v, bt[1], args, self.span(bt))
             else:
-                return v
+                break
+            height += 1
+            self.deeper(height, t)
+        self.height = height
+        return v
 
     def bij_arg(self):
-        neg = self.at_punct("-")
+        neg = self.kind == "punct" and self.val == "-"
         if neg:
             self.advance()
-        if self.cur.kind != "num":
+        if self.kind != "num":
             self.err("bijector arguments are numeric constants")
-        value = self.advance().value
+        value = self.advance()[1]
         return -value if neg else value
 
     # --- expressions (conditions, bounds, allocation values) ---
@@ -460,8 +506,11 @@ class _Parser:
     def expr(self, min_prec=0):
         """An expression whose operators bind at least as tightly as
         `min_prec`, by precedence climbing over BINARY and UNARY."""
-        t = self.cur
-        if self.at_punct("-"):
+        t = self.tok
+        level = self.level = self.level + 1
+        if level > MAX_NESTING:
+            self.err(f"expression nested deeper than {MAX_NESTING} levels")
+        if t[0] == "punct" and t[1] == "-":
             self.advance()
             e, prec = self.expr(UNARY), UNARY
             if isinstance(e, Lit) and isinstance(e.value, (int, float)) \
@@ -469,35 +518,46 @@ class _Parser:
                 e = Lit(-e.value, self.span(t))
             else:
                 e = Un("-", e, self.span(t))
+            self.deeper(self.height + 1, t)
         else:
-            e, prec = self.primary(), PRIMARY
-        while self.cur.kind == "punct" and self.cur.value in BINARY:
-            p, left_min, right_min = BINARY[self.cur.value]
+            e, prec = self.primary(t), PRIMARY
+        while self.kind == "punct" and self.val in BINARY:
+            p, left_min, right_min = BINARY[self.val]
             if p < min_prec or prec < left_min:
                 break
             t = self.advance()
-            e, prec = Bin(t.value, e, self.expr(right_min), self.span(t)), p
+            left = self.height
+            right = self.expr(right_min)
+            e, prec = Bin(t[1], e, right, self.span(t)), p
+            self.deeper(max(left, self.height) + 1, t)
+        self.level = level - 1
         return e
 
-    def primary(self):
-        t = self.cur
-        if t.kind == "num":
+    def primary(self, t):
+        kind, val = t[0], t[1]
+        if kind == "num":
             self.advance()
-            return Lit(t.value, self.span(t))
-        if self.at_name("true") or self.at_name("false"):
-            self.advance()
-            return Lit(t.value == "true", self.span(t))
-        if self.at_punct("("):
+            self.height = 1
+            return Lit(val, self.span(t))
+        if kind == "name":
+            if val not in KEYWORDS:
+                sp = self.span(t)
+                if self.next_is_open():
+                    fname = self.advance()[1]
+                    args = self.comma_list(self.expr, "call arguments")
+                    self.deeper(self.height + 1, t)
+                    return Call(fname, args, sp)
+                return ViewRef(self.view(sp), sp)
+            if val == "true" or val == "false":
+                self.advance()
+                self.height = 1
+                return Lit(val == "true", self.span(t))
+        elif kind == "punct" and val == "(":
             self.advance()
             e = self.expr()
             self.expect_punct(")")
+            self.deeper(self.height + 1, t)
             return e
-        if t.kind == "name" and t.value not in KEYWORDS:
-            if self.peek().kind == "punct" and self.peek().value == "(":
-                fname = self.advance().value
-                return Call(fname, self.comma_list(self.expr, "call arguments"),
-                            self.span(t))
-            return ViewRef(self.view(), self.span(t))
         self.err(f"unexpected token {self.found(t)} in expression")
 
 

@@ -10,7 +10,7 @@ scanner under test. For each input the data holds either the
 digest of every IR node's span, the `validate` diagnostics and, for a
 valid program, the pretty-printed inverse of each function.
 
-    python tests/frontend_golden.py     # rewrites tests/frontend_golden.json
+    PYTHONPATH=src python tests/frontend_golden.py   # rewrites the .json
 
 `tests/test_frontend_golden.py` checks the front end against the file.
 """
@@ -19,7 +19,6 @@ import hashlib
 import json
 import random
 import re
-import sys
 from pathlib import Path
 
 from revlang.errors import RnlSyntaxError
@@ -149,4 +148,3 @@ def build():
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(build(), indent=0, ensure_ascii=False,
                                  sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from revlang.cli import encode_value, main, parse_value, split_args
-from revlang.parser import parse_program
+from revlang.parser import MAX_NESTING, parse_program
 from revlang.reverser import invert_function
 from revlang.values import Array, Complex, Fixed, ULog
 
@@ -592,3 +592,105 @@ def test_a_release_gap_beyond_the_float_range_is_dirty(tmp_path, capsys):
     assert main(["run", str(f), "-f", "f", f"--args=0,{10**400}"]) == 3
     assert capsys.readouterr().err == \
         f"DirtyAncilla at {f}:4:1: 'n' released with residual inf\n"
+
+
+class TestNestingLimit:
+    """A statement or an expression may nest MAX_NESTING levels deep; one
+    level more is a syntax error at the token that passes the limit."""
+
+    EXPRS = {"parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+             "unary minus": lambda n: "-" * (n - 1) + "x",
+             "sum": lambda n: "x" + " + x" * (n - 1),
+             "power": lambda n: "x ^ " * (n - 1) + "1.0",
+             "call": lambda n: "abs(" * (n - 1) + "x" + ")" * (n - 1)}
+    BLOCKS = {"if": ("if (x > 0.0, ~)", "end"),
+              "for": ("for i{k} = 1:1", "end"),
+              "while": ("while (y < 0.0, y < 0.0)", "end"),
+              "begin": ("begin", "end")}
+
+    def program(self, tmp_path, depth, block, expr):
+        # `depth` statements deep, the innermost ones holding `expr`
+        head, tail = self.BLOCKS[block]
+        lines = ["fn f(y, x)", *[head.format(k=k) for k in range(depth - 1)],
+                 f"n <- {expr}",
+                 "y += n", f"n -> {expr}", *[tail] * (depth - 1), "end"]
+        f = tmp_path / "deep.rnl"
+        f.write_text("\n".join(lines) + "\n")
+        return str(f)
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("expr", sorted(EXPRS))
+    def test_a_program_at_the_limit_runs(self, tmp_path, capsys, block, expr):
+        path = self.program(tmp_path, MAX_NESTING, block,
+                            self.EXPRS[expr](MAX_NESTING))
+        for argv in (["run", path, "-f", "f", "-a", "0.0,1.0"],
+                     ["check", path, "-f", "f", "-a", "0.0,1.0"],
+                     ["invert", path]):
+            assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_a_statement_past_the_limit_is_a_syntax_error(
+            self, tmp_path, capsys, block):
+        path = self.program(tmp_path, MAX_NESTING + 1, block, "x")
+        for cmd in ("run", "check", "invert"):
+            argv = [cmd, path] + (["-f", "f", "-a", "0.0,1.0"]
+                                  if cmd != "invert" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"deep.rnl:{MAX_NESTING + 2}:1: statement nested " \
+                   f"deeper than {MAX_NESTING} levels" in err
+
+    @pytest.mark.parametrize("expr, col", [
+        ("parentheses", MAX_NESTING + 6), ("unary minus", MAX_NESTING + 6),
+        ("sum", 4 * MAX_NESTING + 4), ("power", 4 * MAX_NESTING + 6),
+        ("call", 4 * MAX_NESTING + 6)])
+    def test_an_expression_past_the_limit_is_a_syntax_error(
+            self, tmp_path, capsys, expr, col):
+        path = self.program(tmp_path, 1, "if",
+                            self.EXPRS[expr](MAX_NESTING + 1))
+        for cmd in ("run", "check", "invert"):
+            argv = [cmd, path] + (["-f", "f", "-a", "0.0,1.0"]
+                                  if cmd != "invert" else [])
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"deep.rnl:2:{col}: expression nested deeper than " \
+                   f"{MAX_NESTING} levels" in err
+
+    def test_a_macro_opens_a_level(self, tmp_path, capsys):
+        f = tmp_path / "deep.rnl"
+        for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+            f.write_text("fn f(y, x)\n" + "@invcheckoff " * (depth - 1)
+                         + "y += x\nend\n")
+            assert main(["check", str(f), "-f", "f", "-a", "0.0,1.0"]) == code
+        col = len("@invcheckoff ") * MAX_NESTING + 1
+        assert f"deep.rnl:2:{col}: statement nested deeper" in \
+            capsys.readouterr().err
+
+    def test_thousands_of_levels_are_a_syntax_error(self, tmp_path, capsys):
+        for expr in self.EXPRS.values():
+            path = self.program(tmp_path, 1, "if", expr(3000))
+            assert main(["invert", path]) == 2
+        path = self.program(tmp_path, 300, "if", "x")
+        assert main(["invert", path]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    # a file saved with a UTF-8 BOM runs as the same file without one, and
+    # every span is the same
+    text = "fn f(y, x)\n    y += x\nend\nfn g(y, x)\n    y += q\nend\n"
+    outputs = []
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).mkdir()
+        f = tmp_path / name / "p.rnl"
+        f.write_bytes(data)
+        runs = [main(["run", str(f), "-f", "f", "-a", "1.0,2.0"]),
+                main(["run", str(f), "-f", "g", "-a", "1.0,2.0"]),
+                main(["invert", str(f)])]
+        out = capsys.readouterr()
+        outputs.append((runs, out.out, out.err.replace(str(f), "p.rnl")))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == [0, 3, 0]
+    assert "p.rnl:5:" in outputs[0][2]

@@ -157,6 +157,21 @@ def _diags(program):
     return [(d.rule, d.message, d.span) for d in validate(program)]
 
 
+# What the property tests saw of their generators, by key: a coverage test
+# reads it after its property has run, instead of drawing the generator
+# again (`_observed`).
+_SEEN = {}
+
+
+def _observed(key, prop):
+    """What the property test `prop` recorded under `key`; it runs first
+    when it has not run in this session (a coverage test selected
+    alone)."""
+    if key not in _SEEN:
+        prop()
+    return _SEEN[key]
+
+
 @settings(max_examples=300)
 @given(src=routine_programs(),
        args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
@@ -169,20 +184,14 @@ def test_generated_routine_programs(src, args):
         invert_function(expand_routines(f))
     diags = _diags(program)
     assert diags == _diags(Program([expand_routines(f)]))
+    _SEEN.setdefault("verdicts", set()).add(not diags)
     if not diags:
         out = run(program, "f", list(args))
         assert uncall(program, "f", out) == args
 
 
 def test_generator_reaches_both_verdicts():
-    verdicts = set()
-
-    @settings(max_examples=100)
-    @given(src=routine_programs())
-    def collect(src):
-        verdicts.add(not validate(parse_program(src)))
-
-    collect()
+    verdicts = _observed("verdicts", test_generated_routine_programs)
     assert verdicts == {True, False}
 
 
@@ -220,6 +229,9 @@ def _run(program, fname, args, opts=None):
 @given(case=called_programs())
 def test_generated_calls_loops_and_floats(case):
     src, entry, args = case
+    _SEEN.setdefault("called", set()).update(
+        w for w in ("(y, z", "(z, y", "~g", "while", "0.5", "@invcheckoff")
+        if w in src)
     program = parse_program(src)
     assert not validate(program)
     interp = Interpreter(program)
@@ -241,16 +253,7 @@ def test_generated_calls_loops_and_floats(case):
 
 
 def test_called_programs_reach_calls_loops_and_floats():
-    seen = set()
-
-    @settings(max_examples=150)
-    @given(case=called_programs())
-    def collect(case):
-        src = case[0]
-        seen.update(w for w in ("(y, z", "(z, y", "~g", "while", "0.5",
-                                "@invcheckoff") if w in src)
-
-    collect()
+    seen = _observed("called", test_generated_calls_loops_and_floats)
     assert seen == {"(y, z", "(z, y", "~g", "while", "0.5", "@invcheckoff"}
 
 
@@ -364,6 +367,9 @@ def test_guarded_cells_match_the_path_every_cell_takes(case):
     gives the same results, errors and ExecStats."""
     src, args = case
     outcome = _array_outcome(src, args)
+    res = outcome[0]
+    _SEEN.setdefault("array outcomes", set()).add(
+        "list" if type(res) is list else res[0])
     assert _array_outcome(src, args, wide=True) == outcome
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter._Lowering, "cover", lambda self, view: None)
@@ -371,15 +377,8 @@ def test_guarded_cells_match_the_path_every_cell_takes(case):
 
 
 def test_array_programs_reach_both_outcomes():
-    seen = set()
-
-    @settings(max_examples=150)
-    @given(case=array_programs())
-    def collect(case):
-        res = _array_outcome(*case)[0]
-        seen.add("list" if type(res) is list else res[0])
-
-    collect()
+    seen = _observed("array outcomes",
+                     test_guarded_cells_match_the_path_every_cell_takes)
     assert "list" in seen and "RevDomainError" in seen and len(seen) > 2
 
 
@@ -573,19 +572,12 @@ def test_called_programs_agree_on_both_bodies(case, kind):
     src, entry, args = case
     if kind is not None:
         args[3] = kind(args[3])
-    _both_bodies(src, entry, lambda: list(args))
+    outcome = _both_bodies(src, entry, lambda: list(args))
+    _SEEN.setdefault("bodies", set()).add(entry in outcome[2])
 
 
 def test_called_programs_reach_both_bodies():
-    seen = set()
-
-    @settings(max_examples=150)
-    @given(case=called_programs())
-    def collect(case):
-        src, entry, args = case
-        seen.add(entry in _bodies_outcome(src, entry, lambda: list(args))[2])
-
-    collect()
+    seen = _observed("bodies", test_called_programs_agree_on_both_bodies)
     assert seen == {True, False}
 
 
@@ -595,13 +587,18 @@ def _budget_outcomes(src, entry, args):
     """For each `max_steps` from 1 to the steps of an unbounded run, on a
     fresh parse: the results and arguments after the run (an Array's
     cells as it left them), or the error's type, message and span; then
-    `ExecStats.steps` and `checks_passed`."""
+    `ExecStats.steps` and `checks_passed`; and the most steps that one
+    charge of the unbounded run took (0: none)."""
     program = parse_program(src)
     unbounded = Interpreter(program)
-    try:
-        unbounded.run_function(entry, args())
-    except RevLangError:
-        pass
+    charged, charge = [], interpreter._Fuel.charge
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(interpreter._Fuel, "charge",
+                  lambda self, n: charged.append(n) or charge(self, n))
+        try:
+            unbounded.run_function(entry, args())
+        except RevLangError:
+            pass
     outcomes = []
     for budget in range(1, unbounded.stats.steps + 1):
         interp = Interpreter(program, ExecOptions(max_steps=budget))
@@ -612,69 +609,21 @@ def _budget_outcomes(src, entry, args):
             res = (type(err).__name__, err.message, err.span)
         outcomes.append((res, repr(values), interp.stats.steps,
                          interp.stats.checks_passed))
-    return outcomes
+    return outcomes, max(charged, default=0)
 
 
 def _charged_by_the_statement(src, entry, args):
     """`_budget_outcomes` with every run closed after one step, so that
     each statement charges its own step, as fuel was charged before runs;
-    they must equal the outcomes of fuel charged by the run."""
-    outcomes = _budget_outcomes(src, entry, args)
+    they must equal the outcomes of fuel charged by the run. Returns the
+    longest run's steps."""
+    outcomes, longest = _budget_outcomes(src, entry, args)
     tick = interpreter._Lowering.tick
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter._Lowering, "tick",
                   lambda self: (tick(self), self.end()))
-        assert _budget_outcomes(src, entry, args) == outcomes
-
-
-def _longest_run(src, entry, args):
-    """The most steps that one charge of a run without a step limit
-    takes (0: none)."""
-    charged, charge = [], interpreter._Fuel.charge
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(interpreter._Fuel, "charge",
-                  lambda self, n: charged.append(n) or charge(self, n))
-        try:
-            Interpreter(parse_program(src)).run_function(entry, args)
-        except RevLangError:
-            pass
-    return max(charged, default=0)
-
-
-def test_generated_programs_run_straight_line_runs():
-    """Most examples of each generator run a straight-line run of two or
-    more steps, which a shortage can cut in the middle: the entry bodies
-    of `routine_programs` and `called_programs` open with two updates."""
-    longest = {"routine": [], "called": [], "array": []}
-
-    @settings(max_examples=100)
-    @given(src=routine_programs(),
-           args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
-    def routines(src, args):
-        if not validate(parse_program(src)):
-            longest["routine"].append(_longest_run(src, "f", list(args)))
-
-    @settings(max_examples=100)
-    @given(case=called_programs(swaps=True))
-    def calls(case):
-        src, entry, args = case
-        longest["called"].append(_longest_run(src, entry, list(args)))
-
-    @settings(max_examples=100)
-    @given(case=array_programs())
-    def arrays(case):
-        src, (y, cells, i, j) = case
-        longest["array"].append(_longest_run(
-            src, "f", [y, Array(list(cells), (2, 3)), i, j]))
-
-    routines()
-    calls()
-    arrays()
-    share = {k: sum(n >= 2 for n in runs) / len(runs)
-             for k, runs in longest.items()}
-    assert len(longest["routine"]) >= 50
-    assert share["routine"] >= 0.75 and share["called"] >= 0.75
-    assert share["array"] >= 0.5
+        assert _budget_outcomes(src, entry, args)[0] == outcomes
+    return longest
 
 
 @settings(max_examples=150)
@@ -682,19 +631,39 @@ def test_generated_programs_run_straight_line_runs():
        args=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
 def test_routine_programs_spend_fuel_by_the_statement(src, args):
     if not validate(parse_program(src)):
-        _charged_by_the_statement(src, "f", lambda: list(args))
+        _SEEN.setdefault("routine", []).append(
+            _charged_by_the_statement(src, "f", lambda: list(args)))
 
 
 @settings(max_examples=150)
 @given(case=called_programs(swaps=True))
 def test_called_programs_spend_fuel_by_the_statement(case):
     src, entry, args = case
-    _charged_by_the_statement(src, entry, lambda: list(args))
+    _SEEN.setdefault("called runs", []).append(
+        _charged_by_the_statement(src, entry, lambda: list(args)))
 
 
 @settings(max_examples=150)
 @given(case=array_programs())
 def test_array_programs_spend_fuel_by_the_statement(case):
     src, (y, cells, i, j) = case
-    _charged_by_the_statement(
-        src, "f", lambda: [y, Array(list(cells), (2, 3)), i, j])
+    _SEEN.setdefault("array runs", []).append(_charged_by_the_statement(
+        src, "f", lambda: [y, Array(list(cells), (2, 3)), i, j]))
+
+
+def test_generated_programs_run_straight_line_runs():
+    """Most examples of each generator run a straight-line run of two or
+    more steps, which a shortage can cut in the middle: the entry bodies
+    of `routine_programs` and `called_programs` open with two updates."""
+    longest = {
+        "routine": _observed(
+            "routine", test_routine_programs_spend_fuel_by_the_statement),
+        "called": _observed(
+            "called runs", test_called_programs_spend_fuel_by_the_statement),
+        "array": _observed(
+            "array runs", test_array_programs_spend_fuel_by_the_statement)}
+    share = {k: sum(n >= 2 for n in runs) / len(runs)
+             for k, runs in longest.items()}
+    assert len(longest["routine"]) >= 50
+    assert share["routine"] >= 0.75 and share["called"] >= 0.75
+    assert share["array"] >= 0.5

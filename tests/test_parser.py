@@ -181,9 +181,9 @@ class TestScanner:
     ])
     def test_token_streams(self, text, tokens):
         toks = tokenize(text)
-        assert [(t.kind, repr(t.value)) for t in toks[:-1]] == \
+        assert [(kind, repr(value)) for kind, value, _, _ in toks[:-1]] == \
             [(k, repr(v)) for k, v in tokens]
-        assert toks[-1].kind == "eof"
+        assert toks[-1][0] == "eof"
 
     @pytest.mark.parametrize("text, message, col", [
         ("\u22bb y", "expected '=' after the xor sign", 1),
