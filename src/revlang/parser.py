@@ -24,9 +24,11 @@ them, keeping the current token's kind and value in attributes; spans
 are made only for the tokens that start an IR node. Expressions parse by
 precedence climbing over one operator table (BINARY and UNARY), and the
 printer reads the same table to place parentheses, so printed text
-parses back to an equal Program. Statements and expressions nest at most
-MAX_NESTING levels; one more is an RnlSyntaxError at the token that
-passes the limit, so that no later pass recurses out of the stack.
+parses back to an equal Program. Statements nest at most
+MAX_STMT_NESTING levels and expressions MAX_EXPR_NESTING; one more is an
+RnlSyntaxError at the token that passes the limit, so that no later pass
+recurses out of the stack and every lowered expression stays within
+CPython's 200 nested parentheses.
 """
 
 import itertools
@@ -47,7 +49,8 @@ ASSIGN_OPS = {"+=", "-=", "*=", "/=", "xor="}
 
 MACROS = {"@routine", "~@routine", "@invcheckoff", "@safe"}
 
-# One match per token: its leading blanks and comment, taken whole, then one
+# One match per token: its leading blanks and comment (a comment runs to the
+# end of its line, so at most one comes before a token), then one
 # alternative per token kind, tried in order, or the end of the text.
 # Matches are contiguous, so a token's offset is the sum of the lengths
 # before it. Digits are ASCII only (`\d` and str.isdigit also
@@ -56,7 +59,7 @@ MACROS = {"@routine", "~@routine", "@invcheckoff", "@safe"}
 # letter, '_' or a digit such as '²' that is not decimal; `tokenize`
 # rejects the last.
 _TOKEN = re.compile(r"""
-    ((?:[ \t\r]++ | \#[^\n]*+)*+)
+    ([ \t\r]* (?:\#[^\n]*)?)
     (?: (\n)
       | (~?@\w*)
       | ((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)([^\W\d_]*)
@@ -149,8 +152,14 @@ BINARY = {"||": (1, 1, 2), "&&": (2, 2, 3),
 # one, `@routine` and `@invcheckoff` included, is one deeper. An
 # expression's depth is that of its tree as written: a literal or a name
 # is 1, and each operator, parenthesis, call, index, field and bijector
-# adds 1 to the deepest of its operands.
-MAX_NESTING = 128
+# adds 1 to the deepest of its operands. The lowering opens up to two
+# parentheses per expression level (`a && b` is `(_bool_of(a) and
+# _bool_of(b))`) and CPython compiles at most 200 nested, so a chain of
+# about 100 `&&`s is the deepest that lowers; MAX_EXPR_NESTING keeps well
+# below it. Statements need no such margin: the lowering makes the ones
+# nested deepest functions of their own.
+MAX_STMT_NESTING = 128
+MAX_EXPR_NESTING = 64
 
 
 class _Parser:
@@ -230,9 +239,9 @@ class _Parser:
 
     def deeper(self, height, tok):
         """`height` as the current depth, unless it passes the limit."""
-        if height > MAX_NESTING:
-            self.err(f"expression nested deeper than {MAX_NESTING} levels",
-                     tok)
+        if height > MAX_EXPR_NESTING:
+            self.err(f"expression nested deeper than {MAX_EXPR_NESTING} "
+                     f"levels", tok)
         self.height = height
 
     # --- grammar ---
@@ -286,8 +295,9 @@ class _Parser:
         """One statement of a block that ends at one of `stop_keywords`,
         one level deeper than the statement around it."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.err(f"statement nested deeper than {MAX_NESTING} levels")
+        if self.depth > MAX_STMT_NESTING:
+            self.err(f"statement nested deeper than {MAX_STMT_NESTING} "
+                     f"levels")
         s = self.statement(stop_keywords)
         self.depth -= 1
         return s
@@ -508,8 +518,9 @@ class _Parser:
         `min_prec`, by precedence climbing over BINARY and UNARY."""
         t = self.tok
         level = self.level = self.level + 1
-        if level > MAX_NESTING:
-            self.err(f"expression nested deeper than {MAX_NESTING} levels")
+        if level > MAX_EXPR_NESTING:
+            self.err(f"expression nested deeper than {MAX_EXPR_NESTING} "
+                     f"levels")
         if t[0] == "punct" and t[1] == "-":
             self.advance()
             e, prec = self.expr(UNARY), UNARY

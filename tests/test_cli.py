@@ -4,7 +4,7 @@ import math
 import pytest
 
 from revlang.cli import encode_value, main, parse_value, split_args
-from revlang.parser import MAX_NESTING, parse_program
+from revlang.parser import MAX_EXPR_NESTING, MAX_STMT_NESTING, parse_program
 from revlang.reverser import invert_function
 from revlang.values import Array, Complex, Fixed, ULog
 
@@ -595,14 +595,18 @@ def test_a_release_gap_beyond_the_float_range_is_dirty(tmp_path, capsys):
 
 
 class TestNestingLimit:
-    """A statement or an expression may nest MAX_NESTING levels deep; one
-    level more is a syntax error at the token that passes the limit."""
+    """A statement may nest MAX_STMT_NESTING levels deep and an expression
+    MAX_EXPR_NESTING; one level more is a syntax error at the token that
+    passes the limit."""
 
     EXPRS = {"parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
              "unary minus": lambda n: "-" * (n - 1) + "x",
              "sum": lambda n: "x" + " + x" * (n - 1),
              "power": lambda n: "x ^ " * (n - 1) + "1.0",
-             "call": lambda n: "abs(" * (n - 1) + "x" + ")" * (n - 1)}
+             "call": lambda n: "abs(" * (n - 1) + "x" + ")" * (n - 1),
+             # two parentheses a level as lowered
+             "and": lambda n: "true" + " && true" * (n - 1),
+             "or": lambda n: "false" + " || false" * (n - 1)}
     BLOCKS = {"if": ("if (x > 0.0, ~)", "end"),
               "for": ("for i{k} = 1:1", "end"),
               "while": ("while (y < 0.0, y < 0.0)", "end"),
@@ -613,7 +617,7 @@ class TestNestingLimit:
         head, tail = self.BLOCKS[block]
         lines = ["fn f(y, x)", *[head.format(k=k) for k in range(depth - 1)],
                  f"n <- {expr}",
-                 "y += n", f"n -> {expr}", *[tail] * (depth - 1), "end"]
+                 "y += x", f"n -> {expr}", *[tail] * (depth - 1), "end"]
         f = tmp_path / "deep.rnl"
         f.write_text("\n".join(lines) + "\n")
         return str(f)
@@ -621,8 +625,8 @@ class TestNestingLimit:
     @pytest.mark.parametrize("block", sorted(BLOCKS))
     @pytest.mark.parametrize("expr", sorted(EXPRS))
     def test_a_program_at_the_limit_runs(self, tmp_path, capsys, block, expr):
-        path = self.program(tmp_path, MAX_NESTING, block,
-                            self.EXPRS[expr](MAX_NESTING))
+        path = self.program(tmp_path, MAX_STMT_NESTING, block,
+                            self.EXPRS[expr](MAX_EXPR_NESTING))
         for argv in (["run", path, "-f", "f", "-a", "0.0,1.0"],
                      ["check", path, "-f", "f", "-a", "0.0,1.0"],
                      ["invert", path]):
@@ -632,38 +636,56 @@ class TestNestingLimit:
     @pytest.mark.parametrize("block", sorted(BLOCKS))
     def test_a_statement_past_the_limit_is_a_syntax_error(
             self, tmp_path, capsys, block):
-        path = self.program(tmp_path, MAX_NESTING + 1, block, "x")
+        path = self.program(tmp_path, MAX_STMT_NESTING + 1, block, "x")
         for cmd in ("run", "check", "invert"):
             argv = [cmd, path] + (["-f", "f", "-a", "0.0,1.0"]
                                   if cmd != "invert" else [])
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert f"deep.rnl:{MAX_NESTING + 2}:1: statement nested " \
-                   f"deeper than {MAX_NESTING} levels" in err
+            assert f"deep.rnl:{MAX_STMT_NESTING + 2}:1: statement nested " \
+                   f"deeper than {MAX_STMT_NESTING} levels" in err
 
     @pytest.mark.parametrize("expr, col", [
-        ("parentheses", MAX_NESTING + 6), ("unary minus", MAX_NESTING + 6),
-        ("sum", 4 * MAX_NESTING + 4), ("power", 4 * MAX_NESTING + 6),
-        ("call", 4 * MAX_NESTING + 6)])
+        ("parentheses", MAX_EXPR_NESTING + 6),
+        ("unary minus", MAX_EXPR_NESTING + 6),
+        ("sum", 4 * MAX_EXPR_NESTING + 4), ("power", 4 * MAX_EXPR_NESTING + 6),
+        ("call", 4 * MAX_EXPR_NESTING + 6), ("and", 8 * MAX_EXPR_NESTING + 3),
+        ("or", 9 * MAX_EXPR_NESTING + 3)])
     def test_an_expression_past_the_limit_is_a_syntax_error(
             self, tmp_path, capsys, expr, col):
         path = self.program(tmp_path, 1, "if",
-                            self.EXPRS[expr](MAX_NESTING + 1))
+                            self.EXPRS[expr](MAX_EXPR_NESTING + 1))
         for cmd in ("run", "check", "invert"):
             argv = [cmd, path] + (["-f", "f", "-a", "0.0,1.0"]
                                   if cmd != "invert" else [])
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert f"deep.rnl:2:{col}: expression nested deeper than " \
-                   f"{MAX_NESTING} levels" in err
+                   f"{MAX_EXPR_NESTING} levels" in err
+
+    def test_nested_index_reads_at_the_limit(self, tmp_path, capsys):
+        # an index inside an index fails validation; an index of an index
+        # lowers (two parentheses a level with Float indices) and fails on
+        # its Float index when run
+        f, n = tmp_path / "deep.rnl", MAX_EXPR_NESTING
+        for read, code, msg in (
+                ("a[" * (n - 1) + "1" + "]" * (n - 1), 2, "[NonAffineIndex]"),
+                ("a" + "[x]" * (n - 1), 3, "array index must be an Int")):
+            f.write_text(f"fn f(y, x, a)\nn <- {read}\ny += x\nn -> {read}\n"
+                         f"end\n")
+            for cmd in ("run", "check", "grad"):
+                assert main([cmd, str(f), "-f", "f", "-a",
+                             "0.0,1.0,[1.0]"]) == code
+                out = capsys.readouterr()
+                assert msg in out.out + out.err
 
     def test_a_macro_opens_a_level(self, tmp_path, capsys):
         f = tmp_path / "deep.rnl"
-        for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        for depth, code in ((MAX_STMT_NESTING, 0), (MAX_STMT_NESTING + 1, 2)):
             f.write_text("fn f(y, x)\n" + "@invcheckoff " * (depth - 1)
                          + "y += x\nend\n")
             assert main(["check", str(f), "-f", "f", "-a", "0.0,1.0"]) == code
-        col = len("@invcheckoff ") * MAX_NESTING + 1
+        col = len("@invcheckoff ") * MAX_STMT_NESTING + 1
         assert f"deep.rnl:2:{col}: statement nested deeper" in \
             capsys.readouterr().err
 

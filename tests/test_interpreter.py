@@ -2026,6 +2026,7 @@ def test_every_bundled_function_lowers(dtype):
             for u in (unit, unit.gradient):
                 assert callable(u[fname]) and callable(u.bodies[fname]) \
                     and callable(u.generic[fname])
+        assert set(unit.defs) == {*names, *map(inverse_name, names)}
 
 
 # --- bounds guards: a guard covers the cells of a scope; a false guard

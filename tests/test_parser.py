@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,6 +207,34 @@ class TestScanner:
             tokenize("# line 1\n" + text, "s.rnl")
         assert ei.value.message == message
         assert str(ei.value.span) == f"s.rnl:2:{col}"
+
+    def test_the_pattern_compiles_before_python_3_11(self):
+        # possessive repeats and atomic groups came in Python 3.11, and
+        # pyproject.toml allows 3.10
+        from revlang.parser import _TOKEN
+        sre = getattr(re, "_parser", None)
+        if sre is None:
+            import sre_parse as sre
+
+        def ops(items):
+            for op, av in items:
+                yield str(op)
+                for a in av if isinstance(av, (tuple, list)) else (av,):
+                    if isinstance(a, sre.SubPattern):
+                        yield from ops(a)
+                    elif isinstance(a, (tuple, list)):
+                        for b in a:
+                            if isinstance(b, sre.SubPattern):
+                                yield from ops(b)
+
+        used = set(ops(sre.parse(_TOKEN.pattern, _TOKEN.flags)))
+        assert "MAX_REPEAT" in used
+        assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+    def test_blanks_and_comments_before_a_token(self):
+        toks = tokenize("x \t# a # b\n\r  # c\n# d\n\t y # e")
+        assert [(k, v, line, col) for k, v, line, col in toks] == [
+            ("name", "x", 1, 1), ("name", "y", 4, 3), ("eof", None, 4, 8)]
 
     def test_end_of_input_is_named_and_placed(self):
         with pytest.raises(RnlSyntaxError) as ei:
