@@ -2874,3 +2874,174 @@ class TestFuelByTheRun:
                     "f", [0.0, 1.0])
             assert err.value.span.line == budget + 2
         assert compiled == [True, False, False]
+
+
+# --- checks and steps on every exit path -------------------------------------
+
+def _counts(postcondition=0, ancilla=0, iterator=0, alias=0):
+    return {"postcondition": postcondition, "ancilla": ancilla,
+            "iterator": iterator, "alias": alias}
+
+
+def _exit(src, args, opts=None, method="run_function"):
+    """A pass of `f` on `args()`: its results, or its error's type,
+    message and line; then `ExecStats.steps` and `checks_passed`; then the
+    `checks_passed` and error of `check_reversibility` on fresh `args()`."""
+    p = prog(src)
+    interp = Interpreter(p, opts)
+    try:
+        res = repr(getattr(interp, method)("f", args()))
+    except RevLangError as err:
+        res = type(err).__name__, err.message, err.span.line
+    report = check_reversibility(p, "f", args(), opts)
+    return (res, interp.stats.steps, interp.stats.checks_passed,
+            report.checks_passed, report.error)
+
+
+def _nested(inner, depth=17):
+    """`inner` in the innermost of `depth` nested loops, past the 16 that
+    one Python function holds: the innermost loop, of 4 iterations, is a
+    region of its own (`_Lowering.region`)."""
+    return "fn f(y, x)\n" + "".join(
+        f"for i{k} = 1:1\n" for k in range(depth - 1)) + \
+        f"for i{depth - 1} = 1:4\n" + inner + "end\n" * depth + "end"
+
+
+class TestExitPaths:
+    """`ExecStats.steps`, every kind of `checks_passed` and the
+    `checks_passed` of `check_reversibility`, on the ways out of a body
+    other than a plain return (each expected value was recorded before
+    passed checks were counted in locals)."""
+
+    DIRTY = "fn f(y, x)\ny += 1.0\na <- 0.0\na -> 0.0\nb <- 0.0\n" \
+            "b -> 0.0\nc <- 0.0\nc += x\nc -> 0.0\ny += 2.0\nend"
+    CALLEE = """fn g(y, x)
+a <- 0.0
+a -> 0.0
+y += x
+@safe assert(y < 2.5)
+end
+fn f(z, x)
+m <- 0.0
+m -> 0.0
+for i = 1:5
+    for j = 1:2
+        z[j] += 0.0
+    end
+    if (i > 2, ~)
+        n <- 0.0
+        n -> 0.0
+    end
+    g(z[i], z[6])
+end
+end"""
+    REGION = _nested("""for j = 1:2
+    y += 0.0
+end
+a <- 0.0
+a -> 0.0
+y += x
+@safe assert(y < 2.5)
+if (i16 > 1, ~)
+    b <- 0.0
+    b -> 0.0
+end
+""")
+    OFF = """fn g(y, x)
+a <- 0.0
+a -> 0.0
+y += x
+end
+fn f(z, k)
+b <- 0.0
+b -> 0.0
+@invcheckoff g(z[1], z[k])
+g(z[1], z[k])
+@invcheckoff for i = 1:2
+    c <- 0.0
+    c -> 0.0
+end
+end"""
+    DOWN = """fn f(a, k)
+if (k > 0, ~)
+    a[1] += 1
+    m <- 0
+    m -> 0
+    f(a, k |> addconst(-1))
+end
+end"""
+
+    @pytest.mark.parametrize("method, out", [
+        ("run_function", ("DirtyAncilla", "'c' released with residual 1.0",
+                          9, 8, _counts(ancilla=2))),
+        ("uncall_function", ("DirtyAncilla",
+                             "'c' released with residual 1.0", 7, 4,
+                             _counts()))])
+    def test_a_dirty_release_after_passing_ones(self, method, out):
+        error, message, line, steps, passed = out
+        assert _exit(self.DIRTY, lambda: [0.0, 1.0], method=method) == (
+            (error, message, line), steps, passed, _counts(ancilla=2),
+            "DirtyAncilla at <string>:9:1: 'c' released with residual 1.0")
+
+    def test_an_error_in_a_callee_called_in_a_loop(self):
+        assert _exit(self.CALLEE, lambda: [
+            Array([0.0, 0.0, 2.0, 0.0, 0.0, 1.0], (6,)), 1.0]) == (
+            ("AssertFailed", "assertion failed: y < 2.5", 5), 41,
+            _counts(3, 5, 3, 3), _counts(3, 5, 3, 3),
+            "AssertFailed at <string>:5:1: assertion failed: y < 2.5")
+
+    def test_an_error_inside_a_region(self):
+        assert _exit(self.REGION, lambda: [0.0, 1.0]) == (
+            ("AssertFailed", "assertion failed: y < 2.5", 25), 67,
+            _counts(2, 4, 3), _counts(2, 4, 3),
+            "AssertFailed at <string>:25:1: assertion failed: y < 2.5")
+
+    @pytest.mark.parametrize("budget, line, passed", [
+        (41, 24, _counts(0, 1, 1)), (56, 28, _counts(1, 2, 2)),
+        (65, 24, _counts(2, 4, 3))])
+    def test_a_shortage_inside_a_region(self, budget, line, passed):
+        """Each budget runs out in a run of the region; at 41 and 65 its
+        per-statement code passes a release before the statement that
+        finds no step left."""
+        col = 5 if line == 28 else 1
+        assert _exit(self.REGION, lambda: [0.0, 0.0],
+                     ExecOptions(max_steps=budget)) == (
+            ("FuelExhausted", f"exceeded {budget} statement executions",
+             line), budget + 1, passed, passed,
+            f"FuelExhausted at <string>:{line}:{col}: exceeded {budget} "
+            f"statement executions")
+
+    @pytest.mark.parametrize("invcheck, k, out", [
+        (True, 2, ("[Array([2.0, 1.0], shape=(2,)), 2]", 19,
+                   _counts(ancilla=2, alias=2), _counts(ancilla=4, alias=4),
+                   None)),
+        (False, 2, ("[Array([2.0, 1.0], shape=(2,)), 2]", 19,
+                    _counts(alias=2), _counts(alias=4), None)),
+        (True, 1, (("AliasedArguments", "call arguments may not share "
+                    "memory", 9), 4, _counts(ancilla=1), _counts(ancilla=1),
+                   "AliasedArguments at <string>:9:14: call arguments may "
+                   "not share memory"))])
+    def test_a_callee_called_under_invcheckoff(self, invcheck, k, out):
+        assert _exit(self.OFF, lambda: [Array([0.0, 1.0], (2,)), k],
+                     ExecOptions(invcheck=invcheck)) == out
+
+    def test_call_depth_exceeded(self):
+        """A recursion past Python's limit stops in the generic rule of
+        `a[1] += 1` (its cell is not a proven Int), called deeper than any
+        other code of a level: the deepest level took the step of its
+        `if` and of that update, and gave back the rest of its run."""
+        arrays = []
+
+        def args():
+            arrays.append(Array([0], (1,)))
+            return [arrays[-1], 10**6]
+        res, steps, passed, report, error = _exit(self.DOWN, args)
+        levels = arrays[0].data[0]
+        assert levels > 100
+        assert res == ("FuelExhausted", "call depth exceeded in f", 1)
+        assert (steps, passed) == (5 * levels + 2, _counts(ancilla=levels))
+        assert report.keys() == passed.keys()
+        assert report["ancilla"] - levels in (-1, 0, 1) and \
+            report == _counts(ancilla=report["ancilla"])
+        assert error == "FuelExhausted at <string>:1:1: call depth " \
+                        "exceeded in f"
