@@ -116,16 +116,22 @@ each iteration of a loop one more. A run is a maximal sequence of steps
 with no call inside: it ends with the step of a call, an `if` or a loop,
 or at the end of its block; a loop iteration's step starts its body's
 first run, and a region's steps are its own. The first step of a run
-charges all n of its steps, `F(n)` (`_Fuel.charge`), and the others emit
-no code. A charge that finds fewer than n steps left raises `_Short` and
-spends none; `_fail` then runs the run's per-statement code, compiled
-from its lines at its first shortage, over the frame's locals
-(`_Lines.shortage`). That code takes one step per statement, and ends in
-the `FuelExhausted` of the statement that finds none left, or in the
-error an earlier statement raises; it never returns. An error that
+charges all n of its steps inline, a test and a subtraction on the
+pass's `_Fuel` (`F.left -= n if F.left >= n else _short()`), and the
+others emit no code. A charge that finds fewer than n steps left raises
+`_Short` and spends none; `_fail` then runs the run's per-statement
+code, compiled from its lines at its first shortage, over the frame's
+locals (`_Lines.shortage`). That code takes one step per statement, and
+ends in the `FuelExhausted` of the statement that finds none left, or in
+the error an earlier statement raises; it never returns. An error that
 escapes statement j of a run gives back the n - j steps the run charged
-and did not take. So `ExecStats.steps`, spans and checks are those of
-fuel taken per statement.
+and did not take. A body, and a region, counts the checks it passes in
+local ints, one for each kind it counts (`_COUNTERS`), and adds them
+into `ExecStats.checks_passed` once, in the `finally` clause around its
+statements, as it returns or raises; the per-statement code of a run
+counts and adds the checks it passes itself. So `ExecStats.steps`,
+spans and checks are those of fuel taken and checks counted per
+statement.
 
 A Program keeps (`Program.compiled`, dropped by `Program.add`) the
 definitions its first unit validates, expands and inverts, once, and
@@ -286,10 +292,11 @@ _FLOATS = frozenset((float, np.float32, np.float64))
 _DECIDED = _FLOATS | {int}
 
 
-def _release(cp, name, current, declared, tol, grad):
+def _release(name, current, declared, tol, grad):
     """The release check of ancilla `name` (two floats of one type, or two
     ints, are decided here as `values_close` decides them: equal, or for
-    floats within `tol` in binary64)."""
+    floats within `tol` in binary64). Like the other checks here, it
+    returns 1, the check passed, for the body to count."""
     if grad or type(current) is not type(declared) or not (
             current == declared and type(current) in _DECIDED
             or type(current) in _FLOATS
@@ -298,26 +305,26 @@ def _release(cp, name, current, declared, tol, grad):
         if residual is not None:
             raise DirtyAncilla(f"{name!r} released with residual {residual}",
                                name=name, residual=residual)
-    cp["ancilla"] += 1
+    return 1
 
 
-def _branch(cp, after, took):
+def _branch(after, took):
     if after != took:
         raise PostconditionMismatch(
             f"branch postcondition is {after}, expected {took}")
-    cp["postcondition"] += 1
+    return 1
 
 
-def _loop_post(cp, ok, when):
+def _loop_post(ok, when):
     if not ok:
         raise PostconditionMismatch(f"loop postcondition {when}")
-    cp["postcondition"] += 1
+    return 1
 
 
-def _loop_range(cp, changed):
+def _loop_range(changed):
     if changed:
         raise LoopIteratorMutated("loop range changed while the loop ran")
-    cp["iterator"] += 1
+    return 1
 
 
 def _trace(interp, line):
@@ -332,20 +339,37 @@ class _Short(Exception):
     """A run's charge found fewer steps left than the run takes."""
 
 
+def _short():
+    raise _Short
+
+
 class _Fuel:
-    """The steps a pass may still take (`left`). The lowered code gets
-    `charge` as `F`: the head of a run of n steps charges them all, `F(n)`,
-    which raises `_Short`, and spends nothing, when fewer are left."""
+    """The steps a pass may still take (`left`). The lowered code gets it
+    as `F`: the head of a run of n steps charges them all inline, `F.left
+    -= n if F.left >= n else _short()`, which raises `_Short`, and spends
+    nothing, when fewer are left."""
 
     __slots__ = ("left",)
 
     def __init__(self, left):
         self.left = left
 
-    def charge(self, n):
-        if n > self.left:
-            raise _Short
-        self.left -= n
+
+# the kinds of passed checks, and the local that counts each in a body
+_COUNTERS = {"postcondition": "_post", "ancilla": "_anc",
+             "iterator": "_iter", "alias": "_alias"}
+
+
+def _flush(kinds):
+    """The line that adds a body's counters of `kinds` into its pass's
+    `checks_passed`: where `chk` is false only alias checks count."""
+    if len(kinds) == 1:
+        kind, = kinds
+        line = f"I.stats.checks_passed[{kind!r}] += {_COUNTERS[kind]}"
+    else:
+        line = "cp = I.stats.checks_passed" + "".join(
+            f"; cp[{k!r}] += {n}" for k, n in _COUNTERS.items() if k in kinds)
+    return line if "alias" in kinds else "if chk: " + line
 
 
 class _Lines:
@@ -353,7 +377,8 @@ class _Lines:
     of the statement a line was emitted for (`spans`), the steps of the
     line's run after its own (`back`: a line that has some), and the
     per-statement code of each run, at the line of its charge (`runs`:
-    its lines, compiled at its first shortage)."""
+    its lines, compiled at its first shortage, with the flush of every
+    counter)."""
 
     __slots__ = ("spans", "back", "runs")
 
@@ -365,26 +390,30 @@ class _Lines:
         taking one step of `fuel`, over the locals of `frame`, where its
         charge found too few: it raises the `FuelExhausted` of the
         statement that finds none left, or the error an earlier one
-        raises."""
+        raises. Its counters start at 0, and it adds the checks it passes
+        into `checks_passed` itself (the frame adds its own)."""
         run = self.runs[k]
         if type(run) is list:   # its first shortage
             body = "".join(f" {' ' * d}{t}\n" for d, t, _ in run)
             run = self.runs[k] = (
                 _Lines((NO_SPAN, NO_SPAN, *[s for _, _, s in run]), {}, {}),
                 compile(f"try:\n{body}except BaseException as e:\n"
-                        " _fail(e, _LS, I, F)\n raise", "<revlang>", "exec"))
+                        f" _fail(e, _LS, I, F)\n raise\nfinally:\n"
+                        f" {_flush(_COUNTERS)}", "<revlang>", "exec"))
         lines, code = run
         steps = iter(range(fuel.left))
         try:
-            exec(code, globals(), {**frame.f_locals, "_LS": lines, "F": steps})
+            exec(code, globals(), {**frame.f_locals, "_LS": lines, "F": steps,
+                                   **dict.fromkeys(_COUNTERS.values(), 0)})
         finally:
             fuel.left = length_hint(steps)
 
 
 def _fail(err, lines, I, F):
     """Called in the except clause of a lowered function (`lines`, its
-    `_Lines`; `F`, the pass's fuel): gives back the steps that the run of
-    the line the error escaped from charged and did not take; gives a
+    `_Lines`; `F`, the pass's `_Fuel`), before its `finally` clause adds
+    its counters into `checks_passed`: gives back the steps that the run
+    of the line the error escaped from charged and did not take; gives a
     RevLangError without a span the span of that line's statement; and
     raises there a `FuelExhausted` for a `StopIteration` of the
     per-statement code and a `RevDomainError` for a host math error. A
@@ -393,9 +422,9 @@ def _fail(err, lines, I, F):
     tb = err.__traceback__
     k = tb.tb_lineno
     if type(err) is _Short:
-        lines.shortage(k, tb.tb_frame, F.__self__)
+        lines.shortage(k, tb.tb_frame, F)
     if back := lines.back.get(k):
-        F.__self__.left += back
+        F.left += back
     span = lines.spans[k]
     if isinstance(err, RevLangError):
         if err.span is NO_SPAN:
@@ -453,12 +482,13 @@ class _Scope:
 
 
 class _Step(str):
-    """The text of a step's line: a run's first step is its charge, `F(n)`
-    for its `n` steps; a later step is "", and is no line of the compiled
-    code."""
+    """The text of a step's line: a run's first step is its charge of its
+    `n` steps (see `_Fuel`); a later step is "", and is no line of the
+    compiled code."""
 
     def __new__(cls, n=0):
-        step = super().__new__(cls, f"F({n})" if n else "")
+        step = super().__new__(
+            cls, f"F.left -= {n} if F.left >= {n} else _short()" if n else "")
         step.n = n
         return step
 
@@ -485,7 +515,7 @@ class _Lowering:
         self.names = {}          # .rnl variable -> Python local
         self.bound = set()       # .rnl variables bound at this point
         self.ntemp = 0
-        self.counts = False      # the code counts passed checks
+        self.counted = set()     # the kinds of passed checks it counts
         self.loops = 0           # loops around the point of emission
         self.regions, self.nregions = [], 0   # see `region`
         # the open guard scopes, outermost first, and the index of the
@@ -521,9 +551,10 @@ class _Lowering:
                 f"v{len(self.names)}_" + re.sub(r"[^A-Za-z0-9_]", "_", name)
         return self.names[name]
 
-    def count(self, kind):
-        self.counts = True
-        self.emit(f"cp[{kind!r}] += 1")
+    def counter(self, kind):
+        """The local that counts the passed checks of `kind`."""
+        self.counted.add(kind)
+        return _COUNTERS[kind]
 
     def build(self, defs):
         """Compile the function definitions `defs` (lines at depth 1 and
@@ -561,14 +592,20 @@ class _Lowering:
         """`f(params)` running the emitted lines (the view helpers)."""
         return self.build([(1, f"def f({params}):", NO_SPAN), *self.lines])
 
-    @staticmethod
-    def wrapped(name, params, body, results):
+    def wrapped(self, name, params, body, results):
         """`def name(params)` running the emitted lines `body` under the
-        handler that calls `_fail`, then returning `results`."""
+        handler that calls `_fail`, then returning `results`. The checks
+        it passes are counted in locals, which start at 0 and are added
+        into `checks_passed` once, as it returns or raises."""
+        kinds = self.counted
         return [(1, f"def {name}({', '.join(params)}):", NO_SPAN),
+                *[(2, "".join(_COUNTERS[k] + " = " for k in _COUNTERS
+                              if k in kinds) + "0", NO_SPAN)] * bool(kinds),
                 (2, "try:", NO_SPAN), *body,
                 (2, "except BaseException as e:", NO_SPAN),
                 (3, "_fail(e, _LS, I, F)", NO_SPAN), (3, "raise", NO_SPAN),
+                *[(2, "finally:", NO_SPAN),
+                  (3, _flush(kinds), NO_SPAN)] * bool(kinds),
                 (2, f"return ({''.join(r + ', ' for r in results)})",
                  NO_SPAN)]
 
@@ -576,10 +613,10 @@ class _Lowering:
 
     def function(self, fdef):
         """The body `f(I, chk, F, *args) -> args`, which assumes its flow's
-        entry facts (`_Unit` tests them). `F` is the pass's fuel,
-        `_Fuel.charge`: the first step of each run charges all its steps,
-        `F(n)`; the per-statement code of a run that finds fewer left
-        takes them one by one (see the module docstring). Calls go to the
+        entry facts (`_Unit` tests them). `F` is the pass's `_Fuel`: the
+        first step of each run charges all its steps; the per-statement
+        code of a run that finds fewer left takes them one by one (see
+        the module docstring). Calls go to the
         callee's entry in the unit (`_fns`) or, where the flow proves its
         guard, straight to its specialised body (`_B`)."""
         self.const(self.unit, "_fns")
@@ -590,10 +627,8 @@ class _Lowering:
         self.open(fdef.body.stmts)
         self.body(fdef.body)
         self.close()
-        head = [(3, "cp = I.stats.checks_passed", NO_SPAN)] * self.counts
         return self.build([*self.wrapped("f", ["I", "chk", "F", *params],
-                                         head + self.lines, params),
-                           *self.regions])
+                                         self.lines, params), *self.regions])
 
     def kind(self, e):
         """The fact of an expression's value."""
@@ -603,24 +638,23 @@ class _Lowering:
         """Emit the compound statement `s` as a function of its own, called
         here with the bound variables and returning them: CPython compiles
         at most 20 nested loop and try blocks, and 100 indentation levels,
-        in one function. Its body is a guard scope of its own."""
+        in one function. Its body is a guard scope of its own, and it
+        counts the checks it passes in its own locals."""
         self.end()   # the region takes its own steps
         name, names = f"_g{self.nregions}", \
             [self.names[n] for n in sorted(self.bound)]
         self.nregions += 1
-        outer = self.lines, self.depth, self.loops, self.root
+        outer = self.lines, self.depth, self.loops, self.root, self.counted
         self.lines, self.depth, self.loops = [], 3, 0
-        self.root = len(self.scopes)
+        self.root, self.counted = len(self.scopes), set()
         self.open([s])
         self.stmt(s, region=False)
         self.close()
-        body = self.lines
-        self.lines, self.depth, self.loops, self.root = outer
-        self.regions += self.wrapped(
-            name, ["I", "chk", "F", "cp", *names], body, names)
-        self.counts = True
+        self.regions += self.wrapped(name, ["I", "chk", "F", *names],
+                                     self.lines, names)
+        self.lines, self.depth, self.loops, self.root, self.counted = outer
         outer, self.span = self.span, s.span
-        call = f"{name}(I, chk, F, cp{''.join(', ' + n for n in names)})"
+        call = f"{name}(I, chk, F{''.join(', ' + n for n in names)})"
         self.emit(f"{''.join(n + ', ' for n in names)}= {call}" if names
                   else call)
         self.span = outer
@@ -870,15 +904,15 @@ class _Lowering:
         a gradient body two proven Ints, as `_release` decides them, which
         is called when that test fails (a computed `e` is evaluated
         once)."""
-        self.counts = True
         y, d = self.names[name], self.expr(e)
         have, kind = self.known.get(name), self.kind(e)
         x = f"{y}.x" if have == "G" and kind == "F" else y if have == kind \
             and (kind == "F" or kind == "I" and self.grad) else None
         t = self.temp() if x and type(e) is not Lit \
             and type(e) is not ViewRef else d
-        call = f"_release(cp, {name!r}, {y}, {t}, I.opts.float_tolerance, " \
-               f"{self.grad})"
+        n = self.counter("ancilla")
+        call = f"{n} += _release({name!r}, {y}, {t}, " \
+               f"I.opts.float_tolerance, {self.grad})"
         if x is None:
             self.emit(f"if chk: {call}")
             return
@@ -888,7 +922,7 @@ class _Lowering:
             f"{x} == {first} or abs({f.format(x)} - {f.format(t)}) <= " \
             f"I.opts.float_tolerance"
         self.emit("if chk:")
-        self.emit(f" if {test}: cp['ancilla'] += 1")
+        self.emit(f" if {test}: {n} += 1")
         self.emit(f" else: {call}")
 
     def carry(self, c, e):
@@ -941,15 +975,12 @@ class _Lowering:
             self.emit("else:")
             self.indented(s.else_block)
         if self.checks:
-            self.counts = True
             self.after(s)
             if fixed:
-                self.emit("if chk:")
-                self.depth += 1
-                self.count("postcondition")
-                self.depth -= 1
+                self.emit(f"if chk: {self.counter('postcondition')} += 1")
             else:
-                self.emit(f"if chk: _branch(cp, {self.cond(post)}, {took})")
+                self.emit(f"if chk: {self.counter('postcondition')} += "
+                          f"_branch({self.cond(post)}, {took})")
 
     def fixed(self, e, stmts):
         """Whether the condition `e` compares Int expressions that read
@@ -967,17 +998,16 @@ class _Lowering:
         self.after(s)
         pre, post = self.cond(s.pre), self.cond(s.post)
         if self.checks:
-            self.counts = True
-            self.emit(f"if chk: _loop_post(cp, not {post}, "
-                      f"'already true at entry')")
+            self.emit(f"if chk: {self.counter('postcondition')} += "
+                      f"_loop_post(not {post}, 'already true at entry')")
         self.emit(f"while {pre}:")
         self.depth += 1
         self.loops += 1
         self.tick()
         self.body(s.body)
         if self.checks:
-            self.emit(f"if chk: _loop_post(cp, {post}, "
-                      f"'false after an iteration')")
+            self.emit(f"if chk: {self.counter('postcondition')} += "
+                      f"_loop_post({post}, 'false after an iteration')")
         self.depth -= 1
         self.loops -= 1
 
@@ -1060,14 +1090,9 @@ class _Lowering:
                            _etype(e, fixed) == "I" and all(
                                _rebound(w) not in rebound
                                for w in _reads(e)))]
-            if changed:
-                self.counts = True
-                self.emit(f"if chk: _loop_range(cp, {' or '.join(changed)})")
-            else:
-                self.emit("if chk:")
-                self.depth += 1
-                self.count("iterator")
-                self.depth -= 1
+            n = self.counter("iterator")
+            self.emit(f"if chk: {n} += _loop_range({' or '.join(changed)})"
+                      if changed else f"if chk: {n} += 1")
 
     def call(self, fname, views, uncall):
         if fname in PRIM_STATEMENTS:
@@ -1487,7 +1512,7 @@ class _Lowering:
             else:
                 test = f"ids_overlap({self.ident(a)}, {self.ident(b)})"
             self.emit(f"if {test}: raise AliasedArguments({message!r})")
-        self.count("alias")
+        self.emit(f"{self.counter('alias')} += 1")
 
     # --- views ---
 
@@ -1927,7 +1952,7 @@ class Interpreter:
         budget = max(0, self.opts.max_steps - self.stats.steps)
         fuel = _Fuel(budget)
         try:
-            return list(fn(self, self.opts.invcheck, fuel.charge, *args))
+            return list(fn(self, self.opts.invcheck, fuel, *args))
         except RecursionError:
             raise FuelExhausted(f"call depth exceeded in {fname}",
                                 fdef.span) from None

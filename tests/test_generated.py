@@ -33,6 +33,7 @@ from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.values import Array
 
+from fuel_charges import recording_fuel
 from hessian_oracle import hessian_by_columns, outcome, same_outcome
 
 
@@ -591,10 +592,9 @@ def _budget_outcomes(src, entry, args):
     charge of the unbounded run took (0: none)."""
     program = parse_program(src)
     unbounded = Interpreter(program)
-    charged, charge = [], interpreter._Fuel.charge
+    charged = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(interpreter._Fuel, "charge",
-                  lambda self, n: charged.append(n) or charge(self, n))
+        m.setattr(interpreter, "_Fuel", recording_fuel(charged))
         try:
             unbounded.run_function(entry, args())
         except RevLangError:
