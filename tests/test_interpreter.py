@@ -2787,9 +2787,9 @@ def _stopped(src, method, args, opts=None, runs=0):
             interp.stats.checks_passed)
 
 
-def _passed(ancilla=0, iterator=0, postcondition=0):
+def _passed(ancilla=0, iterator=0, postcondition=0, alias=0):
     return {"postcondition": postcondition, "ancilla": ancilla,
-            "iterator": iterator, "alias": 0}
+            "iterator": iterator, "alias": alias}
 
 
 class TestFuelByTheRun:
@@ -2880,11 +2880,6 @@ class TestFuelByTheRun:
 
 # --- checks and steps on every exit path -------------------------------------
 
-def _counts(postcondition=0, ancilla=0, iterator=0, alias=0):
-    return {"postcondition": postcondition, "ancilla": ancilla,
-            "iterator": iterator, "alias": alias}
-
-
 def _exit(src, args, opts=None, method="run_function"):
     """A pass of `f` on `args()`: its results, or its error's type,
     message and line; then `ExecStats.steps` and `checks_passed`; then the
@@ -2901,9 +2896,9 @@ def _exit(src, args, opts=None, method="run_function"):
 
 
 def _nested(inner, depth=17):
-    """`inner` in the innermost of `depth` nested loops, past the 16 that
-    one Python function holds: the innermost loop, of 4 iterations, is a
-    region of its own (`_Lowering.region`)."""
+    """`inner` in the innermost of `depth` nested loops: past 16, the
+    innermost loop, of 4 iterations, is a region, a Python function of
+    its own (`_Lowering.region`)."""
     return "fn f(y, x)\n" + "".join(
         f"for i{k} = 1:1\n" for k in range(depth - 1)) + \
         f"for i{depth - 1} = 1:4\n" + inner + "end\n" * depth + "end"
@@ -2975,32 +2970,34 @@ end"""
 
     @pytest.mark.parametrize("method, out", [
         ("run_function", ("DirtyAncilla", "'c' released with residual 1.0",
-                          9, 8, _counts(ancilla=2))),
+                          9, 8, _passed(ancilla=2))),
         ("uncall_function", ("DirtyAncilla",
                              "'c' released with residual 1.0", 7, 4,
-                             _counts()))])
+                             _passed()))])
     def test_a_dirty_release_after_passing_ones(self, method, out):
         error, message, line, steps, passed = out
         assert _exit(self.DIRTY, lambda: [0.0, 1.0], method=method) == (
-            (error, message, line), steps, passed, _counts(ancilla=2),
+            (error, message, line), steps, passed, _passed(ancilla=2),
             "DirtyAncilla at <string>:9:1: 'c' released with residual 1.0")
 
     def test_an_error_in_a_callee_called_in_a_loop(self):
+        passed = _passed(ancilla=5, iterator=3, postcondition=3, alias=3)
         assert _exit(self.CALLEE, lambda: [
             Array([0.0, 0.0, 2.0, 0.0, 0.0, 1.0], (6,)), 1.0]) == (
-            ("AssertFailed", "assertion failed: y < 2.5", 5), 41,
-            _counts(3, 5, 3, 3), _counts(3, 5, 3, 3),
-            "AssertFailed at <string>:5:1: assertion failed: y < 2.5")
+            ("AssertFailed", "assertion failed: y < 2.5", 5), 41, passed,
+            passed, "AssertFailed at <string>:5:1: assertion failed: y < 2.5")
 
     def test_an_error_inside_a_region(self):
+        passed = _passed(ancilla=4, iterator=3, postcondition=2)
         assert _exit(self.REGION, lambda: [0.0, 1.0]) == (
-            ("AssertFailed", "assertion failed: y < 2.5", 25), 67,
-            _counts(2, 4, 3), _counts(2, 4, 3),
-            "AssertFailed at <string>:25:1: assertion failed: y < 2.5")
+            ("AssertFailed", "assertion failed: y < 2.5", 25), 67, passed,
+            passed, "AssertFailed at <string>:25:1: assertion failed: "
+                    "y < 2.5")
 
     @pytest.mark.parametrize("budget, line, passed", [
-        (41, 24, _counts(0, 1, 1)), (56, 28, _counts(1, 2, 2)),
-        (65, 24, _counts(2, 4, 3))])
+        (41, 24, _passed(ancilla=1, iterator=1)),
+        (56, 28, _passed(ancilla=2, iterator=2, postcondition=1)),
+        (65, 24, _passed(ancilla=4, iterator=3, postcondition=2))])
     def test_a_shortage_inside_a_region(self, budget, line, passed):
         """Each budget runs out in a run of the region; at 41 and 65 its
         per-statement code passes a release before the statement that
@@ -3015,12 +3012,12 @@ end"""
 
     @pytest.mark.parametrize("invcheck, k, out", [
         (True, 2, ("[Array([2.0, 1.0], shape=(2,)), 2]", 19,
-                   _counts(ancilla=2, alias=2), _counts(ancilla=4, alias=4),
+                   _passed(ancilla=2, alias=2), _passed(ancilla=4, alias=4),
                    None)),
         (False, 2, ("[Array([2.0, 1.0], shape=(2,)), 2]", 19,
-                    _counts(alias=2), _counts(alias=4), None)),
+                    _passed(alias=2), _passed(alias=4), None)),
         (True, 1, (("AliasedArguments", "call arguments may not share "
-                    "memory", 9), 4, _counts(ancilla=1), _counts(ancilla=1),
+                    "memory", 9), 4, _passed(ancilla=1), _passed(ancilla=1),
                    "AliasedArguments at <string>:9:14: call arguments may "
                    "not share memory"))])
     def test_a_callee_called_under_invcheckoff(self, invcheck, k, out):
@@ -3041,9 +3038,9 @@ end"""
         levels = arrays[0].data[0]
         assert levels > 100
         assert res == ("FuelExhausted", "call depth exceeded in f", 1)
-        assert (steps, passed) == (5 * levels + 2, _counts(ancilla=levels))
+        assert (steps, passed) == (5 * levels + 2, _passed(ancilla=levels))
         assert report.keys() == passed.keys()
         assert report["ancilla"] - levels in (-1, 0, 1) and \
-            report == _counts(ancilla=report["ancilla"])
+            report == _passed(ancilla=report["ancilla"])
         assert error == "FuelExhausted at <string>:1:1: call depth " \
                         "exceeded in f"
