@@ -314,11 +314,12 @@ def _dispatch(ns):
 
     if ns.cmd == "bench":
         if ns.scheme == "bennett":
+            # the closed forms reject k < 2 and n < 0 before k ** n is taken
+            steps, peak = bennett_counts(ns.k, ns.n)
             length = ns.k ** ns.n
             prog = StepProgram(length=length, step=lambda i, s: 2.0 * s,
                                initial=1.0)
             final, counters = bennett_run(prog, k=ns.k)
-            steps, peak = bennett_counts(ns.k, ns.n)
             print(json.dumps({
                 "scheme": "bennett", "k": ns.k, "n": ns.n, "length": length,
                 "measured": counters.to_dict(),
@@ -341,8 +342,9 @@ def _dispatch(ns):
         precision = "binary32" if ns.precision == "32" else "binary64"
         ladder = [10, 100, 1000, 10_000]
         counts = sorted({c for c in ladder if c <= ns.steps} | {ns.steps})
+        rows = roundoff_table(counts, precision)   # may raise: print after
         print("steps,error_clean,error_cumulative,precision")
-        for steps, e_clean, e_cum, prec in roundoff_table(counts, precision):
+        for steps, e_clean, e_cum, prec in rows:
             print(f"{steps},{e_clean!r},{e_cum!r},{prec}")
         return 0
 

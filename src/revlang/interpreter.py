@@ -33,29 +33,29 @@ set, and two cells of one array alias when their offsets are equal; under
 a false guard the access calls `_offset`, `_get` or `_set` as any cell
 does, so errors, spans, fuel and `ExecStats` are those of that path.
 
-A `+=`/`-=` gets an inline arm, emitted by `arm` in every body: for
-operands of the run's exact float type (`float`, or `float_dtype`)
-forward, and for binary64 GVars in the gradient body, with the guards of
-its cells true; only its guard and update lines differ. `operands`
-decides which operands an arm can read. `_INLINE`'s functions are
-operators, and the other float functions host calls (`_HOST`): `a / b`,
-the `math` function in binary64 and the numpy ufunc of its `values.s_*`
-function in binary32, made where its precondition holds (`x >= 0` for
-`sqrt`, `x > 0` for `log`, a nonzero divisor; a literal settles it when
-emitted), the generic function where it fails, so that values, types and
-errors are the generic function's. A gradient arm whose kinds the facts
-prove (`adjoint`) emits each partial inline from `_PARTIALS`, under the
+A `+=`/`-=` gets an inline arm, emitted by `arm`, with the guards of
+its cells true: forward, on operands of the run's exact float type
+(`float`, or `float_dtype`), the one arm that tests kinds when it runs;
+in a binary64 gradient body, only where the facts prove its kinds
+(`adjoint`). `operands` decides which operands an arm can read.
+`_INLINE`'s functions are operators, and the other float functions host
+calls (`_HOST`): `a / b`, the `math` function in binary64 and the numpy
+ufunc of its `values.s_*` function in binary32, made where its
+precondition holds (`x >= 0` for `sqrt`, `x > 0` for `log`, a nonzero
+divisor; a literal settles it when emitted), the generic function where
+it fails, so that values, types and errors are the generic function's.
+The gradient arm emits each partial inline from `_PARTIALS`, under the
 conditions that template states, and calls the partials and
-`adjoint_accumulate` where one fails; a gradient arm that tests its
-operands' types calls the partials. `INC`/`DEC` of an `int` variable is
-inline too, and so is `ROT`/`IROT` on proven floats forward and on
-binary64 GVars in the gradient body (`turn`, and `rot` where it tests
-them). Every other case calls the generic rule, looked up as
-`numerics.apply_instr` when it runs, so each value kind keeps one
-semantics. Expressions call what `numerics.expr_fn` resolves (a host
-call over literals and variables proven floats, or a GVar's value), and
-`numerics.compare`. An error carries the span of the statement whose
-line it escaped from; a host math error there becomes `RevDomainError`.
+`adjoint_accumulate` where one fails. `INC`/`DEC` of a proven Int is
+inline too (`step`), and so is `ROT`/`IROT` on proven floats forward and
+on proven G values in the gradient body (`turn`). Every other case, a
+gradient update the facts do not prove included, calls the generic rule,
+looked up as `numerics.apply_instr` when it runs, so each value kind
+keeps one semantics. Expressions call what `numerics.expr_fn` resolves
+(a host call over literals and variables proven floats, or a GVar's
+value), and `numerics.compare`. An error carries the span of the
+statement whose line it escaped from; a host math error there becomes
+`RevDomainError`.
 A compound statement nested deeper than CPython compiles in one function
 becomes a function of its own (`_Lowering.region`). The view helpers
 (`read_view`, `write_view`, `canonical_view_identity`) lower their view
@@ -1149,58 +1149,13 @@ class _Lowering:
         else:
             self.emit(f"_v = [{reads}]")
             self.alias_checks(views, checks)
-            rot = self.rot(instr)
             results = [self.temp() for _ in updated]
             self.emit(f"{''.join(r + ', ' for r in results)}*_ = "
                       f"{rule.format('_v')}")
             for v, r in zip(updated, results):
                 self.write(v, r)
-            self.depth -= rot
         self.depth -= arm
         self.plain = False
-
-    def rot(self, instr):
-        """In a gradient body, emit the inline arm of ROT/IROT over the
-        values `_v` and open its `else:`; returns whether it did. It is
-        taken on two GVar cells and an angle that is a GVar or a float,
-        each GVar's `x` and `g` floats, and makes the updates of `spin`.
-        The GVars change in place, so no cell is written back."""
-        if not self.grad or instr.kind not in ("ROT", "IROT"):
-            return False
-        a, ax, ga, b, bx, gb, th, x = (self.temp() for _ in range(8))
-        self.emit(
-            f"if type({a} := _v[0]) is GVar and type({ax} := {a}.x) is float "
-            f"and type({ga} := {a}.g) is float and type({b} := _v[1]) is "
-            f"GVar and type({bx} := {b}.x) is float and type({gb} := {b}.g) "
-            f"is float and (type({th} := _v[2]) is GVar and type({x} := "
-            f"{th}.x) is float and type({th}.g) is float or type({x} := "
-            f"{th}) is float):")
-        self.depth += 1
-        self.spin(instr.kind, (a, ax, ga), (b, bx, gb), x,
-                  f"if type({th}) is GVar: {th}.g = {th}.g + ({{}})")
-        self.depth -= 1
-        self.emit("else:")
-        self.depth += 1
-        return True
-
-    def spin(self, kind, a, b, x, angle):
-        """Emit what `numerics._rot_adjoint` computes, in its order, on the
-        GVars `a` and `b`, each (GVar, its value, its cotangent), by the
-        angle of value `x`: `angle`, the line of the angle's cotangent step
-        with a slot for it, then the rotations of the values and of the
-        cotangents, in place."""
-        (a, ax, ga), (b, bx, gb) = a, b
-        t, c, s = self.temp(), self.temp(), self.temp()
-        # IROT undoes a rotation by theta, ROT one by -theta
-        delta, back = (f"-{bx} * {ga} + {ax} * {gb}", -1) \
-            if kind == "IROT" else (f"{bx} * {ga} - {ax} * {gb}", 1)
-        for line in (angle.format(delta), f"{t} = {back} * {x}",
-                     f"{c}, {s} = math.cos({t}), math.sin({t})",
-                     f"{a}.x, {b}.x = {ax} * {c} - {bx} * {s}, "
-                     f"{ax} * {s} + {bx} * {c}",
-                     f"{a}.g, {b}.g = {ga} * {c} - {gb} * {s}, "
-                     f"{ga} * {s} + {gb} * {c}"):
-            self.emit(line)
 
     def turn(self, instr, views, checks):
         """Emit the arm of a ROT/IROT whose operands the facts prove of the
@@ -1209,8 +1164,10 @@ class _Lowering:
         aliases, as the generic rule's path does, then computes what the
         rule computes, in its order, with no type test: forward the
         rotation of `numerics._rotate` by theta (by -theta for IROT),
-        written back to the two cells; in a gradient body the updates of
-        `spin`, in place."""
+        written back to the two cells; in a gradient body what
+        `numerics._rot_adjoint` computes on the two G cells `a` and `b`
+        by the G angle: the angle's cotangent step, then the rotations of
+        the values and of the cotangents, in place."""
         if instr.kind not in ("ROT", "IROT") or not _typed_rotation(
                 self.real, views, self.known):
             return False
@@ -1219,10 +1176,19 @@ class _Lowering:
             self.emit(f"{t} = {self.read(v)}")
         self.alias_checks(views, checks)
         if self.grad:
-            ax, ga, bx, gb = (self.temp() for _ in range(4))
+            ax, ga, bx, gb, t, c, s = (self.temp() for _ in range(7))
+            # IROT undoes a rotation by theta, ROT one by -theta
+            delta, back = (f"-{bx} * {ga} + {ax} * {gb}", -1) \
+                if instr.kind == "IROT" else (f"{bx} * {ga} - {ax} * {gb}", 1)
             self.emit(f"{ax}, {ga}, {bx}, {gb} = {a}.x, {a}.g, {b}.x, {b}.g")
-            self.spin(instr.kind, (a, ax, ga), (b, bx, gb), f"{th}.x",
-                      f"{th}.g = {th}.g + ({{}})")
+            for line in (f"{th}.g = {th}.g + ({delta})",
+                         f"{t} = {back} * {th}.x",
+                         f"{c}, {s} = math.cos({t}), math.sin({t})",
+                         f"{a}.x, {b}.x = {ax} * {c} - {bx} * {s}, "
+                         f"{ax} * {s} + {bx} * {c}",
+                         f"{a}.g, {b}.g = {ga} * {c} - {gb} * {s}, "
+                         f"{ga} * {s} + {gb} * {c}"):
+                self.emit(line)
             return None
         x, c, s = self.temp(), self.temp(), self.temp()
         cos, sin = map(self.const, (math.cos, math.sin) if self.dtype is None
@@ -1237,22 +1203,15 @@ class _Lowering:
         return None
 
     def step(self, instr, views):
-        """Emit the inline arm of INC/DEC on a bound variable holding an
-        Int, and open its `else:`; returns whether it did, or None when a
-        fact proves the Int."""
+        """Emit INC/DEC of a bound variable that a fact proves an Int as
+        Python; returns None when it did, else False."""
         v = views[0]
         if instr.kind not in ("INC", "DEC") or not isinstance(v, VarView) \
-                or v.name not in self.bound:
+                or v.name not in self.bound or self.known.get(v.name) != "I":
             return False
         y = self.names[v.name]
-        update = f"{y} = {y} {'+' if instr.kind == 'INC' else '-'} 1"
-        if self.known.get(v.name) == "I":
-            self.emit(update)
-            return None
-        self.emit(f"if type({y}) is int: {update}")
-        self.emit("else:")
-        self.depth += 1
-        return True
+        self.emit(f"{y} = {y} {'+' if instr.kind == 'INC' else '-'} 1")
+        return None
 
     def operands(self, instr, views):
         """How an inline arm reads the operands of a +=/-=: per view
@@ -1310,18 +1269,14 @@ class _Lowering:
         test and so no `else:`. It is taken when the guards of its cells
         are true and, forward, on operands of the run's exact float type
         (a fact proves an operand's, and the operands' types the value of
-        a function of `_FLOAT_FNS`). Gradient, in a binary64 unit: for a
-        function with `partials`, where the facts prove its kinds
-        (`_typed_update`), the typed arm (`adjoint`); elsewhere on a GVar
-        target and arguments that are GVars, floats or Ints (a GVar's `x`
-        and `g` being floats), as `numerics._plus_minus_adjoint` computes,
-        calling its cotangent step `adjoint_accumulate` when a partial is
-        None."""
-        spec, fn = INSTR_FNS.get(instr.fname), _INLINE.get(instr.fname)
-        typed = self.grad and _typed_update(self.real, instr.kind,
-                                            instr.fname, views, self.known)
+        a function of `_FLOAT_FNS`); this is the one arm that tests kinds
+        when it runs. In a gradient body it is the typed arm (`adjoint`),
+        emitted only where the facts prove its kinds (`_typed_update`);
+        every other gradient update takes the generic rule."""
+        spec = INSTR_FNS.get(instr.fname)
         if self.grad:
-            exact = ok = spec and spec.partials and self.dtype is None
+            ok = _typed_update(self.real, instr.kind, instr.fname, views,
+                               self.known)
         else:
             # the operands' types are checked, except the literals'; the
             # value's too unless it is a float of theirs, but that check
@@ -1332,67 +1287,34 @@ class _Lowering:
         if ops is None:
             return False
         ops, covered = ops
-        guards, xs = [], []   # xs: the operands' (primal) values
-        if not typed:
-            for k, (o, read, _, _, sure) in enumerate(ops):
-                x = self.temp() if read and self.grad else o
-                xs.append(x)
-                # a literal, or proven; a GVar's parts are read in the test
-                if sure and not (self.grad and read):
-                    continue
-                if not self.grad:
-                    guards.append(f"type({read})")
-                elif k == 0:   # the target, with its cotangent `gy`
-                    gy = self.temp()
-                    guards.append(f"type({read}) is GVar and type({x} := "
-                                  f"{o}.x) is float and type({gy} := {o}.g) "
-                                  f"is float")
-                else:
-                    guards.append(f"(type({read}) is GVar and type({x} := "
-                                  f"{o}.x) is float and type({o}.g) is float "
-                                  f"or type({x} := {o}) is float or type({x}) "
-                                  f"is int)")
-            if fn:
-                value = fn.format(*xs[1:])
-            elif exact and not self.grad and instr.fname in _HOST:
-                value = self.host(instr.fname, xs[1:], views[1:])
+        guards = []
+        if not self.grad:
+            # a literal or a proven float is not tested
+            guards = [f"type({read})" for _, read, _, _, sure in ops
+                      if not sure]
+            args = [o for o, *_ in ops[1:]]
+            if fn := _INLINE.get(instr.fname):
+                value = fn.format(*args)
+            elif exact and instr.fname in _HOST:
+                value = self.host(instr.fname, args, views[1:])
             else:
-                value = f"{self.const(spec.apply)}({', '.join(xs[1:])})"
+                value = f"{self.const(spec.apply)}({', '.join(args)})"
             if not exact:
                 t = self.temp()
                 guards.append(f"type({t} := {value})")
                 value = t
-        test = " and ".join(guards) if self.grad \
-            else f"{self.float} is {' is '.join(guards)}"
-        conds = [*covered, *[test] * bool(guards)]
+        conds = [*covered,
+                 *[f"{self.float} is {' is '.join(guards)}"] * bool(guards)]
         if conds:
             self.emit(f"if {' and '.join(conds)}:")
             self.depth += 1
         self.alias_checks(views, checks, ops)
-        sign = "+" if instr.kind == "+=" else "-"
-        y, _, cell, *_ = ops[0]
-        if typed:
+        if self.grad:
             self.adjoint(instr, views, ops)
-        elif self.grad:
-            self.emit(f"{y}.x = {xs[0]} {sign} ({value})")
-            self.emit(f"_p = {self.const(spec.partials)}({', '.join(xs[1:])})")
-            # the rule's `sign * gy`, computed as it computes it
-            self.emit(f"_c = {'1.0' if sign == '-' else '-1.0'} * {gy}")
-            args = [o for o, *_ in ops[1:]]
-            tracked = [(i, o) for i, (o, read, *_) in enumerate(ops[1:])
-                       if read]
-            if tracked:
-                self.emit(f"if None in _p: adjoint_accumulate("
-                          f"{instr.fname!r}, "
-                          f"({''.join(a + ', ' for a in args)}), _p, _c)")
-                self.emit("else:")
-                self.depth += 1
-                for i, a in tracked:
-                    self.emit(f"if type({a}) is GVar: {a}.g = {a}.g + _c * "
-                              f"_p[{i}]")
-                self.depth -= 1
         else:
-            self.emit(f"{cell} = {y} {sign} ({value})")
+            y, _, cell, *_ = ops[0]
+            self.emit(f"{cell} = {y} {'+' if instr.kind == '+=' else '-'} "
+                      f"({value})")
         if not conds:
             return None
         self.depth -= 1

@@ -17,14 +17,17 @@ at call time, for every instruction its inline arms do not take.
 Expressions share the function table: `expr_fn` resolves an operator or a
 call to an expression-only function (`EXPR_FNS`) or to the primal value
 of the instruction function, as `y += f(args)` computes it. The
-interpreter's adjoint arm (binary64 GVars) computes the +=/-= gradient
-rule with the partials of `INSTR_FNS`, or their inline expressions
-(`analysis._PARTIALS`, tested against them), and, where a partial is
-None or would raise, the rule's own cotangent step, `adjoint_accumulate`,
-which rounds each step to the kind of the cotangent with
-`values.coerce_to_kind`. `wrap_gvar`
-and `unwrap_gvar` act on a value's leaves as `values.map_leaves` finds
-them; `carries_gvar` walks the parts of composites in `values._KINDS`.
+interpreter's adjoint arm, taken only where its facts prove binary64
+GVars (a `float` value and cotangent each) and Int or literal operands,
+computes the +=/-= gradient rule with the inline expressions of the
+partials of `INSTR_FNS` (`analysis._PARTIALS`, tested against them),
+and, where a partial is None or would raise or an Int operand has no
+template, with the partials and the rule's own cotangent step,
+`adjoint_accumulate`, which rounds each step to the kind of the cotangent
+with `values.coerce_to_kind`; every other gradient update runs the rule
+here. `wrap_gvar` and `unwrap_gvar` act on a value's leaves as
+`values.map_leaves` finds them; `carries_gvar` walks the parts of
+composites in `values._KINDS`.
 
 Exactness contract:
   * Int and Fixed targets update exactly under += and -= (Fixed wraps mod

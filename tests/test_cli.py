@@ -455,6 +455,28 @@ end
         assert lines[0] == "steps,error_clean,error_cumulative,precision"
         assert lines[1].startswith("10,")
 
+    def test_roundoff_negative_steps_prints_nothing(self, capsys):
+        """The rows are computed before the header is printed, so a
+        rejected step count leaves stdout empty."""
+        rc = main(["roundoff", "--steps", "-5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "steps must be non-negative\n"
+
+    @pytest.mark.parametrize("k, n, message", [
+        ("2", "-1", "ScheduleError: need n >= 0, got -1\n"),
+        ("3", "-2", "ScheduleError: need n >= 0, got -2\n"),
+        ("1", "-1", "InvalidPartition: need k >= 2, got 1\n"),
+    ], ids=["n=-1", "n=-2", "k=1"])
+    def test_bench_bennett_rejects_its_parameters(self, capsys, k, n,
+                                                  message):
+        """A negative n is rejected by name (it made the chain length
+        k ** n a fraction), as a k below 2 is: exit 3, nothing on
+        stdout."""
+        rc = main(["bench", "bennett", "-k", k, "-n", n])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "" and captured.err == message
+
 
 class TestLiteralsTheirKindCannotHold:
     """A literal that its kind cannot hold is a typed error: a usage error

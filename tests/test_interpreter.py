@@ -1740,16 +1740,21 @@ class TestAdjointArm:
     @pytest.mark.parametrize("exponent", [("lit", 2), ("lit", 2.0),
                                           ("local", 3)])
     def test_the_arm_takes_binary64_gvars(self, monkeypatch, exponent):
-        """A GVar cell at a variable index, to an Int or float power
-        (a literal, or the Int parameter `p3`), with no generic rule."""
+        """A GVar cell at a variable index, to an Int or float power: a
+        literal exponent takes the typed arm, with no generic rule; the
+        Int parameter `p3` fails the entry guard (it asks a G of every
+        operand), so the generic body runs the generic rule once, with
+        the same bits."""
         from revlang import numerics
         calls = []
+        rule = numerics.apply_instr
         monkeypatch.setattr(numerics, "apply_instr",
-                            lambda i, v: calls.append(i))
+                            lambda i, v: calls.append(i) or rule(i, v))
         layout = (("local", 0), ("cell", 1, (("var", 2),)), exponent)
         args = [GVar(1.0, 1.0), Array([GVar(3.0, 0.0)], (1,)), 1, 2]
-        got, _ = _adjoint_outcomes("pow", "-=", layout, args)
-        assert calls == [] and got == ("ok", _state(
+        got, want = _adjoint_outcomes("pow", "-=", layout, args)
+        assert len(calls) == (exponent[0] == "local")
+        assert got == want == ("ok", _state(
             [GVar(-8.0, 1.0), Array([GVar(3.0, 6.0)], (1,)), 1, 2]))
 
 
@@ -1829,8 +1834,8 @@ def _rotation_outcomes(kind, cells, args):
 class TestRotationArm:
     """A gradient pass of one ROT or IROT computes what the generic rule
     `apply_instr` computes, bit for bit and error for error, whether it
-    takes the inline arm (two binary64 GVars, an angle that is one or a
-    float) or falls back to the rule."""
+    takes the inline arm (two binary64 GVars and a GVar angle, each a G
+    by the entry guard) or the rule."""
 
     @pytest.mark.parametrize("kind", ["ROT", "IROT"])
     @settings(max_examples=60)
@@ -1849,8 +1854,8 @@ class TestRotationArm:
     @pytest.mark.parametrize("kind", ["ROT", "IROT"])
     @pytest.mark.parametrize("angle", [GVar(0.3, -1.5), 0.3, 2])
     def test_the_arm_takes_binary64_gvars(self, monkeypatch, kind, angle):
-        """An Int angle is the generic rule's: only GVar and float angles
-        take the arm."""
+        """Only a GVar angle takes the arm: a float or Int angle fails the
+        entry guard, and the generic body calls the generic rule once."""
         from revlang import numerics
         calls = []
         rule = numerics.apply_instr
@@ -1859,7 +1864,7 @@ class TestRotationArm:
         args = [GVar(1.25, 0.5), GVar(-0.75, 2.0), angle]
         got, want = _rotation_outcomes(kind, True, args)
         assert got == want and got[0] == "ok"
-        assert len(calls) == (type(angle) is int)
+        assert len(calls) == (type(angle) is not GVar)
 
 
     @pytest.mark.parametrize("kind", ["ROT", "IROT"])
@@ -2652,17 +2657,18 @@ def test_a_float_function_of_proven_floats_binds_a_proven_float(
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than once runs charged fuel inline and bodies counted
-    passed checks in locals: the forward code `check_reversibility`
-    lowers, at most 17,802 nodes with the guards as they fall (15,836
-    while a charge was a call, 15,917 before inline partials), and 21,853
-    with every guard failing and no call direct (30 generic bodies;
-    19,649 and 19,661); and the gradient bodies of `autodiff.gradient`
-    with default seeds, at most 2,100 (1,882 while a charge was a call,
-    2,239 with Int and rank facts only, 2,363 while they were lowered at
-    no entry facts), and of `autodiff.jacobian` over the whole catalog,
-    the calls `grad-catalog` makes, at most 13,172 (12,301, 22,251 and
-    23,499).
+    more AST nodes than once gradient updates took the typed arm or the
+    generic rule, with no arm that tests GVars: the forward code
+    `check_reversibility` lowers, at most 17,802 nodes with the guards as
+    they fall (15,836 while a charge was a call, 15,917 before inline
+    partials), and 21,835 with every guard failing and no call direct (30
+    generic bodies; 21,853 with an INC/DEC arm that tested its Int, 19,649
+    and 19,661); and the gradient bodies of `autodiff.gradient` with
+    default seeds, at most 1,384 (2,100 with the GVar-testing arms, 1,882
+    while a charge was a call, 2,239 with Int and rank facts only, 2,363
+    while they were lowered at no entry facts), and of `autodiff.jacobian`
+    over the whole catalog, the calls `grad-catalog` makes, at most 12,456
+    (13,172, 12,301, 22,251 and 23,499).
     A run with fuel to spare compiles no per-statement code."""
     import ast
     import random
@@ -2695,18 +2701,49 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 21_853
+    assert len(found) == 30 and sum(found) <= 21_835
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 2_100
+    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 1_384
     nodes[True].clear()
     for name, (filename, fname) in CATALOG.items():
         jacobian(prog(asset_text(filename)), fname,
                  sample_args(name, random.Random(0)))
-    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 13_172
+    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 12_456
     assert shortages == []
+
+
+def test_gradient_bodies_test_no_gvar(monkeypatch):
+    """A gradient `+=`/`-=` takes the typed arm where the facts prove its
+    kinds and the generic rule everywhere else, and a gradient `ROT`/`IROT`
+    likewise: no gradient body that `gradient`, `jacobian` or `hessian`
+    lowers over the catalog, each entry on a fresh Program at its first
+    sample, tests a GVar or calls a partial function for `_p`. A default
+    seed on a non-scalar first argument, and a Hessian of Int inputs, are
+    the `KindError`s the calls may raise."""
+    import random
+    from revlang.autodiff import hessian
+    from revlang.stdlib import sample_args
+    sources, build = [], interpreter._Lowering.build
+
+    def building(self, defs):
+        if self.grad:
+            sources.append("\n".join(t for _, t, _ in defs))
+        return build(self, defs)
+    monkeypatch.setattr(interpreter._Lowering, "build", building)
+    for name, (filename, fname) in CATALOG.items():
+        for how in (lambda p, a: gradient(p, GradRequest(fname, a)),
+                    lambda p, a: jacobian(p, fname, a),
+                    lambda p, a: hessian(p, fname, a)):
+            try:
+                how(prog(asset_text(filename)),
+                    sample_args(name, random.Random(0)))
+            except KindError:
+                pass
+    assert len(sources) == 24
+    assert [s for s in sources if "is GVar" in s or "_p = " in s] == []
 
 
 # --- fuel, pinned per statement -------------------------------------------
