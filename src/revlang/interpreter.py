@@ -1165,7 +1165,7 @@ class _Lowering:
         rule computes, in its order, with no type test: forward the
         rotation of `numerics._rotate` by theta (by -theta for IROT),
         written back to the two cells; in a gradient body what
-        `numerics._rot_adjoint` computes on the two G cells `a` and `b`
+        `numerics._rot_adjoint` computes on the two G cells or variables
         by the G angle: the angle's cotangent step, then the rotations of
         the values and of the cotangents, in place."""
         if instr.kind not in ("ROT", "IROT") or not _typed_rotation(
