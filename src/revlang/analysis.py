@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
-                 Block, Call, FieldView, FnCall, For, If, IndexView,
+                 Block, Call, FieldView, FnCall, For, If, IndexView, Inlined,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
                  ViewRef, While, inverse_name, view_root)
 from .numerics import INSTR_BIN_OPS, PRIM_STATEMENTS
@@ -69,13 +69,30 @@ def _rebound(view):
     return view.name if type(view) is VarView else None
 
 
+def _statements(stmts):
+    """The statements among `stmts` and, at any depth, in their blocks (an
+    `Inlined` call's: its callee's statements)."""
+    todo = list(stmts)
+    while todo:
+        s = todo.pop()
+        yield s
+        t = type(s)
+        if t is If:
+            todo += s.then_block.stmts + s.else_block.stmts
+        elif t is While or t is For or t is Inlined:
+            todo += s.body.stmts
+        elif t is Block:
+            todo += s.stmts
+        elif t is InvCheckOff:
+            todo.append(s.stmt)
+
+
 def _rebinding(stmts, call):
     """The variables the statements may rebind: those they write by an
     instruction, a statement primitive, an allocation or a loop, and those
     `call(fname, views)` says a call may rebind."""
-    out, todo = set(), list(stmts)
-    while todo:
-        s = todo.pop()
+    out = set()
+    for s in _statements(stmts):
         t = type(s)
         if t is InstrCall:
             out.add(_rebound(s.args[0]))
@@ -87,15 +104,6 @@ def _rebinding(stmts, call):
             out.add(s.name)
         elif t is For:
             out.add(s.var)
-            todo += s.body.stmts
-        elif t is If:
-            todo += s.then_block.stmts + s.else_block.stmts
-        elif t is While:
-            todo += s.body.stmts
-        elif t is Block:
-            todo += s.stmts
-        elif t is InvCheckOff:
-            todo.append(s.stmt)
     return out
 
 
@@ -108,6 +116,15 @@ def _index_reads(view):
             names |= {r.name for e in view.indices for r in _reads(e)}
         view = view.base
     return names
+
+
+def _clash(s, call):
+    """The variables, sorted, that the instruction or call `s` may rebind
+    (`call` as `_rebinding` takes it) and an index of one of its
+    arguments reads: its inverse would find other cells there."""
+    reads = set().union(*[_index_reads(v) for v in s.args
+                           if type(v) is not Lit])
+    return reads and sorted(reads & _rebinding([s], call))
 
 
 def _is_int_lit(e):
@@ -355,9 +372,7 @@ def _wants(fdef, want_of, real):
         else:
             exprs(e)
 
-    todo = list(fdef.body.stmts)
-    while todo:
-        s = todo.pop()
+    for s in _statements(fdef.body.stmts):
         t = type(s)
         if t is InstrCall:
             for v in s.args:
@@ -378,17 +393,10 @@ def _wants(fdef, want_of, real):
         elif t is For:
             for e in (s.start, s.step, s.stop):
                 ints(e)
-            todo += s.body.stmts
         elif t is If:
             exprs(s.pre, *[s.post] * (s.post is not SAME_AS_PRE))
-            todo += s.then_block.stmts + s.else_block.stmts
         elif t is While:
             exprs(s.pre, s.post)
-            todo += s.body.stmts
-        elif t is Block:
-            todo += s.stmts
-        elif t is InvCheckOff:
-            todo.append(s.stmt)
         elif t is Safe:
             exprs(*s.exprs)
     return [None if (f := found.get(p)) == "X" else f
@@ -431,7 +439,7 @@ class _Flow:
     before the loop, which later passes weaken."""
 
     def __init__(self, unit, fname, want=None):
-        self.unit, fdef = unit, unit.defs[fname]
+        self.unit, fdef = unit, unit.ir[fname]
         params = fdef.param_names()
         self.want = want or [None] * len(params)
         self.at = {}
@@ -471,8 +479,8 @@ class _Flow:
                             self.block(s.else_block.stmts, before))
         elif t is While or t is For:
             out = self.loop(s, before)
-        elif t is Block:
-            out = self.block(s.stmts, before)
+        elif t is Block or t is Inlined:
+            out = self.block(s.stmts if t is Block else s.body.stmts, before)
         elif t is InvCheckOff:
             out = self.stmt(s.stmt, before)
         old = self.at.get(id(s))
@@ -555,7 +563,7 @@ class _Flow:
         views, real = s.args, self.unit.real
         flow = self.direct(callee, views, before)
         direct = flow is not None
-        rebound = self.unit.rebinds(callee, views)
+        rebound = self.unit.defs.rebinds(callee, views)
         for name in rebound:
             out.pop(name, None)
         clean = direct

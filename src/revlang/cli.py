@@ -8,10 +8,12 @@
     revlang bench bennett -k K -n N | bench treeverse -T T -d D
     revlang roundoff --steps N --precision 32|64
 
-Argument literals carry kind suffixes: `5` Int, `2.0` Float, `3fx` Fixed,
-`1+2im` Complex, `2.5ul` positive log-domain, `true`/`false` Bool, and
-`[..]`/`[[..],..]` arrays. Exit codes: 0 ok, 1 usage, 2 parse/validate,
-3 runtime reversibility error.
+`run`, `grad`, `hessian` and `check` also take `--no-invcheck` and
+`--max-steps N`, the statement budget. Argument literals carry kind
+suffixes: `5` Int, `2.0` Float, `3fx` Fixed, `1+2im` Complex, `2.5ul`
+positive log-domain, `true`/`false` Bool, and `[..]`/`[[..],..]` arrays.
+Exit codes: 0 ok, 1 usage, 2 parse/validate, 3 runtime reversibility
+error.
 """
 
 import argparse
@@ -153,7 +155,10 @@ def _load(path):
 
 
 def _exec_options(ns):
-    return ExecOptions(invcheck=not getattr(ns, "no_invcheck", False))
+    """The options of `run`, `grad`, `hessian` and `check`: a bad
+    `--max-steps` raises `ValueError` (exit 1)."""
+    budget = {} if ns.max_steps is None else {"max_steps": ns.max_steps}
+    return ExecOptions(invcheck=not ns.no_invcheck, **budget)
 
 
 def _parse_seed(spec):
@@ -194,6 +199,9 @@ def _parser():
                            help="comma-separated value literals")
         p.add_argument("--no-invcheck", action="store_true",
                        help="disable reversibility checks")
+        p.add_argument("--max-steps", type=int, metavar="N",
+                       help="statement executions before FuelExhausted "
+                            "(default 500000000)")
 
     p_run = sub.add_parser("run", help="execute a function forward")
     common(p_run)

@@ -8,8 +8,10 @@ alias rejection) are observers: on a passing program, disabling them
 changes nothing but speed.
 
 Each function and each inverse is lowered, on first use, to Python
-(`_Lowering` emits its source; `compile` and `exec` make it) by one
-emitter at two fact sets: its specialised body at the facts its entry
+(`_Lowering` emits its source; `compile` and `exec` make it), from its
+definition with each call of a function called at no other site inlined
+(`reverser.Inliner`; a traced unit lowers the definitions as written), by
+one emitter at two fact sets: its specialised body at the facts its entry
 guard checks, and its generic body at no entry facts, in a forward unit
 without gradient code or in the gradient unit, which serves the passes
 whose arguments carry a GVar. Variables are Python locals, bound
@@ -111,11 +113,17 @@ needs it: a failed guard fixes no body, since one program's passes may
 carry different kinds (a Jacobian's binary64 GVars, a Hessian's GVars of
 Duals). An entry that asks nothing is the specialised body itself.
 
+An inlined call (`Inlined`) takes the call's step, checks the call's
+argument aliases and makes the reads of its arguments that can fail, at
+the call's span, then runs the callee's statements, whose variables are
+renamed (`ir.shown` gives the name an error message prints).
+
 Fuel is charged by the run. Each executed statement takes one step, and
 each iteration of a loop one more. A run is a maximal sequence of steps
-with no call inside: it ends with the step of a call, an `if` or a loop,
-or at the end of its block; a loop iteration's step starts its body's
-first run, and a region's steps are its own. The first step of a run
+with no call inside: it ends with the step of a call that is not
+inlined, an `if` or a loop, or at the end of its block; a loop
+iteration's step starts its body's first run, and a region's steps are
+its own. The first step of a run
 charges all n of its steps inline, a test and a subtraction on the
 pass's `_Fuel` (`F.left -= n if F.left >= n else _short()`), and the
 others emit no code. A charge that finds fewer than n steps left raises
@@ -145,6 +153,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from numbers import Integral
 from operator import length_hint
 
@@ -155,8 +164,8 @@ import numpy as np
 # helpers below
 from . import numerics
 from .analysis import (_HOST, _INLINE, _INT_OPS, _PARTIALS, _Flow,
-                       _alias_pairs, _etype, _fact_of, _float_value, _id_path,
-                       _implies, _index_reads, _is_int_lit, _reads, _rebinding,
+                       _alias_pairs, _clash, _etype, _fact_of, _float_value,
+                       _id_path, _implies, _is_int_lit, _reads, _rebinding,
                        _rebound, _touched, _typed_rotation, _typed_update,
                        _wants)
 from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
@@ -165,14 +174,14 @@ from .errors import (NO_SPAN, AliasedArguments, AssertFailed, DirtyAncilla,
                      RevDomainError, RevLangError, UnboundVariable,
                      UnknownFunction, ValidationFailed)
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Bin, BijView,
-                 Block, Call, FieldView, FnCall, For, If, IndexView,
+                 Block, Call, FieldView, FnCall, For, If, IndexView, Inlined,
                  InstrCall, InvCheckOff, Lit, Safe, Un, UncallFn, VarView,
-                 ViewRef, While, inverse_name, validate, view_root)
+                 ViewRef, While, inverse_name, shown, validate, view_root)
 from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        PRIM_STATEMENTS, PrimitiveInstr, adjoint_accumulate,
                        carries_gvar, compare, expr_fn, release_adjoint,
                        strip_gvar, unwrap_gvar, wrap_gvar)
-from .reverser import invert_function
+from .reverser import Inliner, invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
                      is_bool, is_int, kind_name, values_close, worst_deviation)
 
@@ -460,6 +469,13 @@ def _ancilla_residual(current, declared, tol, grad):
 
 # --- the emitter ---------------------------------------------------------------
 
+def _call_pairs(views):
+    """The alias checks of a call's arguments (`_alias_pairs`)."""
+    return _alias_pairs(views, [
+        (i, j, "call arguments may not share memory")
+        for i in range(len(views)) for j in range(i + 1, len(views))])
+
+
 class _Scope:
     """A guard scope: the body of a function, of a region or (with `loop`:
     the loop variable, the lowest and the highest value of its range, and
@@ -723,7 +739,8 @@ class _Lowering:
         for k in range(self.root, len(self.scopes)):
             scope = self.scopes[k]
             if type(scope.rebound) is not set:
-                scope.rebound = _rebinding(scope.rebound, self.unit.rebinds)
+                scope.rebound = _rebinding(scope.rebound,
+                                           self.unit.defs.rebinds)
             if names.isdisjoint(scope.rebound):
                 break
         else:
@@ -826,7 +843,7 @@ class _Lowering:
             self.emit(f"_trace(I, {line!r})")
         match s:
             case InstrCall() | FnCall() | UncallFn() if (
-                    clash := self.rebinds_an_index(s)):
+                    clash := _clash(s, self.unit.defs.rebinds)):
                 self.raise_(AliasedArguments,
                             f"{', '.join(map(repr, clash))} indexes an "
                             f"argument of a statement that may rebind it")
@@ -843,7 +860,8 @@ class _Lowering:
                      for i in range(1, n) for j in range(i + 1, n)])
             case AncillaAlloc(name=name, expr=e):
                 if name in self.bound:
-                    self.raise_(DuplicateBinding, f"{name!r} is already bound")
+                    self.raise_(DuplicateBinding,
+                                f"{shown(name)!r} is already bound")
                 else:
                     value, kind = self.expr(e), self.kind(e)
                     if self.real == "G" and kind == "F":
@@ -854,7 +872,8 @@ class _Lowering:
                     self.emit(f"{self.local(name)} = {value}")
             case AncillaDealloc(name=name, expr=e):
                 if name not in self.bound:
-                    self.raise_(UnboundVariable, f"{name!r} is not bound")
+                    self.raise_(UnboundVariable,
+                                f"{shown(name)!r} is not bound")
                 else:
                     if self.checks:
                         self.release(name, e)
@@ -865,6 +884,8 @@ class _Lowering:
                 self.call(fname, args, False)
             case UncallFn(fname=fname, args=args):
                 self.call(fname, args, True)
+            case Inlined():
+                self.inline(s)
             case If():
                 self.if_(s)
             case While():
@@ -890,14 +911,6 @@ class _Lowering:
         # names make `compile` cheaper
         self.span, self.ntemp, self.known = outer, ntemp, known
 
-    def rebinds_an_index(self, s):
-        """The variables, sorted, that the statement `s` may rebind and an
-        index of one of its arguments reads: its inverse would find other
-        cells there."""
-        reads = set().union(*[_index_reads(v) for v in s.args
-                               if type(v) is not Lit])
-        return reads and sorted(reads & _rebinding([s], self.unit.rebinds))
-
     def release(self, name, e):
         """The release check of ancilla `name` against `e`; two proven
         floats (a G's value in a gradient body) are decided inline, and in
@@ -911,7 +924,7 @@ class _Lowering:
         t = self.temp() if x and type(e) is not Lit \
             and type(e) is not ViewRef else d
         n = self.counter("ancilla")
-        call = f"{n} += _release({name!r}, {y}, {t}, " \
+        call = f"{n} += _release({shown(name)!r}, {y}, {t}, " \
                f"I.opts.float_tolerance, {self.grad})"
         if x is None:
             self.emit(f"if chk: {call}")
@@ -992,7 +1005,7 @@ class _Lowering:
         views = [*_reads(e)]
         return all(type(v) is VarView for v in views) and {
             v.name for v in views}.isdisjoint(
-                _rebinding(stmts, self.unit.rebinds))
+                _rebinding(stmts, self.unit.defs.rebinds))
 
     def while_(self, s):
         self.after(s)
@@ -1033,8 +1046,8 @@ class _Lowering:
         elif s.step.value == 0:
             self.raise_(RevDomainError, "loop step is zero")
         if s.var in self.bound:
-            self.raise_(DuplicateBinding, f"loop variable {s.var!r} shadows "
-                                          f"an existing binding")
+            self.raise_(DuplicateBinding, f"loop variable {shown(s.var)!r} "
+                                          f"shadows an existing binding")
             return
         # the loop variable is an Int when its start and step are, and
         # takes values from `lo` to `hi`
@@ -1044,7 +1057,7 @@ class _Lowering:
             lo, hi = (a, b) if s.step.value > 0 else (b, a)
         else:
             lo, hi = f"min({a}, {b})", f"max({a}, {b})"
-        rebound = _rebinding(s.body.stmts, self.unit.rebinds)
+        rebound = _rebinding(s.body.stmts, self.unit.defs.rebinds)
         mutable = bool(ints) or s.var in rebound
         head = len(self.lines)
         x, v = self.temp(), self.local(s.var)
@@ -1071,9 +1084,10 @@ class _Lowering:
         self.body(s.body)
         self.close()
         if self.checks and mutable:
+            message = f"loop variable {shown(s.var)!r} was modified in " \
+                      f"the body"
             self.emit(f"if chk and {v} != {x}: raise LoopIteratorMutated("
-                      f"{f'loop variable {s.var!r} was modified in the body'!r}"
-                      f")")
+                      f"{message!r})")
         if ints:
             self.emit(f"{x} += {st}")
         self.depth -= 1
@@ -1103,9 +1117,7 @@ class _Lowering:
                         for j in range(i + 1, len(views))])
             return
         callee = inverse_name(fname) if uncall else fname
-        checks = _alias_pairs(views, [
-            (i, j, "call arguments may not share memory")
-            for i in range(len(views)) for j in range(i + 1, len(views))])
+        checks = _call_pairs(views)
         fn = f"_fns[{callee!r}]"
         if self.flow.direct(callee, views, self.known):
             fn = f"{self.const(self.unit.bodies, '_B')}[{callee!r}]"
@@ -1121,6 +1133,25 @@ class _Lowering:
         for v, r in zip(views, results):
             if not isinstance(v, VarView):
                 self.write(v, r)
+
+    def inline(self, s):
+        """An `Inlined` call: at the call's span, its alias check and the
+        reads of its arguments that may fail, in order, as the call makes
+        them (a cell under a true guard is in bounds); then the callee's
+        statements, in the run that the call's step is in."""
+        views, reads = s.call.args, []   # reads: (guard or None, read)
+        self.alias_checks(views, _call_pairs(views))
+        for v in views:
+            if type(v) is IndexView:
+                c = self.cover(v)
+                reads.append((c and c[0], f"_offset({self.cell(v)})"))
+            elif v.name not in self.bound:   # raises UnboundVariable
+                reads.append((None, self.read(v)))
+        for guard, run in groupby(reads, lambda read: read[0]):
+            line = "; ".join(read for _, read in run)
+            self.emit(line if guard is None else f"if not {guard}: {line}")
+        for t in s.body.stmts:
+            self.stmt(t)
 
     def update(self, instr, views, pairs, grad_pairs=()):
         """An instruction or a statement primitive: read the arguments,
@@ -1441,7 +1472,7 @@ class _Lowering:
     def var(self, name, span):
         if name in self.bound:
             return self.names[name]
-        return f"_unbound({name!r}, {self.const(span)})"
+        return f"_unbound({shown(name)!r}, {self.const(span)})"
 
     def indices(self, view, strict=False):
         """The index arguments of the cell `view`, comma-separated, and
@@ -1663,7 +1694,6 @@ def _holds(want, values, t):
     return True
 
 
-
 # --- compiled units --------------------------------------------------------------
 
 class _Unit(dict):
@@ -1674,13 +1704,17 @@ class _Unit(dict):
     the facts its entry guard checks (`want`), and its generic body
     (`generic`), at none. The unit holds the one test of each guard
     (`make_entry`). `gradient`: the gradient unit of the same definitions
-    (a gradient unit's is itself)."""
+    (a gradient unit's is itself). It lowers `ir`, the definitions
+    (`_Defs`) with their calls of one site inlined, or in a traced unit
+    as written, so that its trace lines name each callee's own
+    variables."""
 
     def __init__(self, defs, trace, dtype, grad=False):
         super().__init__()
         self.defs, self.trace, self.dtype, self.grad = defs, trace, dtype, grad
+        self.ir = defs if trace else defs.inlined
         self.real = "F" if not grad else "G" if dtype is None else None
-        self.wants, self.flows, self.assigned = {}, {}, {}
+        self.wants, self.flows = {}, {}
         self.bodies, self.generic = _Bodies(self, True), _Bodies(self, False)
         self.gradient = self if grad else _Unit(defs, trace, dtype, True)
 
@@ -1689,7 +1723,7 @@ class _Unit(dict):
         while they are found (to a recursive call)."""
         if fname not in self.wants and fname in self.defs:
             self.wants[fname] = None
-            self.wants[fname] = _wants(self.defs[fname], self.want, self.real)
+            self.wants[fname] = _wants(self.ir[fname], self.want, self.real)
         return self.wants.get(fname)
 
     def flow(self, fname):
@@ -1699,20 +1733,6 @@ class _Unit(dict):
             self.flows[fname] = None
             self.flows[fname] = _Flow(self, fname, self.want(fname))
         return self.flows[fname]
-
-    def rebinds(self, fname, views):
-        """The variables a call of `fname` with arguments `views` may
-        rebind: one it passes whole for a parameter that the callee's body
-        writes or passes whole to a call, and one it writes back through a
-        bijector."""
-        fdef = self.defs.get(fname)
-        if fdef is None or len(fdef.params) != len(views):
-            return set(map(_rebound, views))
-        if fname not in self.assigned:
-            self.assigned[fname] = _rebinding(
-                fdef.body.stmts, lambda f, views: set(map(_rebound, views)))
-        return {_rebound(v) for v, p in zip(views, fdef.param_names())
-                if type(v) is not VarView or p in self.assigned[fname]}
 
     def make_entry(self, fname):
         """Make `fname`'s entry: on its first lookup, and again once its
@@ -1752,7 +1772,7 @@ class _Bodies(dict):
         if fname not in unit.defs:
             raise UnknownFunction(f"no function named {fname!r}")
         flow = unit.flow(fname) if self.specialised else _Flow(unit, fname)
-        body = self[fname] = _Lowering(unit, flow).function(unit.defs[fname])
+        body = self[fname] = _Lowering(unit, flow).function(unit.ir[fname])
         if self.specialised:
             unit.make_entry(fname)
         return body
@@ -1763,7 +1783,12 @@ class _Defs(dict):
     checked, and the generated inverse `~f` of each one that has no
     definition of that name, made on its first lookup. Every unit of the
     program reads the same table, so each function is inverted at most
-    once."""
+    once, and the same `inlined` table (`reverser.Inliner`)."""
+
+    def __init__(self, written):
+        super().__init__(written)
+        self.assigned = {}
+        self.inlined = Inliner(self)
 
     def __missing__(self, name):
         primal = dict.get(self, inverse_name(name))
@@ -1780,6 +1805,20 @@ class _Defs(dict):
 
     def __contains__(self, name):
         return self.get(name) is not None
+
+    def rebinds(self, fname, views):
+        """The variables a call of `fname` with arguments `views` may
+        rebind, by its definition as written: one it passes whole for a
+        parameter that the callee's body writes or passes whole to a call,
+        and one it writes back through a bijector."""
+        fdef = self.get(fname)
+        if fdef is None or len(fdef.params) != len(views):
+            return set(map(_rebound, views))
+        if fname not in self.assigned:
+            self.assigned[fname] = _rebinding(
+                fdef.body.stmts, lambda f, views: set(map(_rebound, views)))
+        return {_rebound(v) for v, p in zip(views, fdef.param_names())
+                if type(v) is not VarView or p in self.assigned[fname]}
 
 
 def _unit(program, opts):
@@ -1811,7 +1850,7 @@ def _check_root(env, view):
 def _view_lowering(env, opts):
     """A lowering with the environment's bindings bound, and the list of
     their locals, in binding order."""
-    low = _Lowering(_Unit({}, False, opts and opts.float_dtype, True))
+    low = _Lowering(_Unit(_Defs({}), False, opts and opts.float_dtype, True))
     low.bound = set(env.bindings)
     return low, ", ".join(low.local(name) for name in env.bindings)
 

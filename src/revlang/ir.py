@@ -200,6 +200,25 @@ class Block:
     span: SourceSpan = _span_field()
 
 
+@frozen
+class Inlined:
+    """A call or uncall (`call`) with its callee's body in its place
+    (`reverser.Inliner`): the statements of `body` read and write the
+    call's argument views for the callee's parameters, and name each
+    other variable of the callee as `shown` reads it. Only the
+    definitions the interpreter lowers hold one: `validate` and the
+    printer never meet one."""
+    call: object
+    body: Block
+    span: SourceSpan = _span_field()
+
+
+def shown(name):
+    """The name a variable is written with: `Inliner` renames a callee's
+    variable `r` to `r@g` (g: the callee, without its `~`)."""
+    return name.partition("@")[0]
+
+
 # --- functions and programs ---
 
 @frozen

@@ -1,4 +1,4 @@
-"""Compilation passes that symmetrize and invert reversible IR.
+"""Compilation passes that symmetrize, invert and inline reversible IR.
 
 `expand_routines` replaces every `Routine` (compute-copy-uncompute) with
 its compute block, its body and the compute block inverted, leaving
@@ -6,14 +6,18 @@ routine-free IR. `invert_statement` / `invert_function` then produce the
 mechanical inverse: blocks reverse order, updates flip operator,
 allocations swap with releases, calls swap with uncalls, branch
 conditions swap with their postconditions, and loop ranges run
-backwards; a routine keeps its compute block and inverts its body. Both
-passes are pure IR-to-IR transforms; no runtime stack is ever introduced.
+backwards; a routine keeps its compute block and inverts its body.
+`Inliner` puts the body of a function called at one site in place of
+that call, for the interpreter to lower. All are pure IR-to-IR
+transforms; no runtime stack is ever introduced.
 """
 
+from .analysis import _clash, _index_reads, _reads, _statements
 from .ir import (SAME_AS_PRE, AncillaAlloc, AncillaDealloc, Block, FnCall,
-                 For, FunctionDef, If, InstrCall, InvCheckOff, Lit, Routine,
-                 Safe, Un, UncallFn, While, inverse_name)
-from .numerics import OP_INVERSE, PRIM_INVERSE
+                 For, FunctionDef, If, IndexView, Inlined, InstrCall,
+                 InvCheckOff, Lit, Routine, Safe, Un, UncallFn, VarView,
+                 While, inverse_name, view_root)
+from .numerics import OP_INVERSE, PRIM_INVERSE, PRIM_STATEMENTS
 
 
 def expand_routines(fdef):
@@ -99,6 +103,8 @@ def invert_statement(s):
             return invert_block(s)
         case Routine(compute=compute, body=body, span=span):
             return Routine(compute, invert_block(body), span)
+        case Inlined(call=call, body=body, span=span):
+            return Inlined(invert_statement(call), invert_block(body), span)
         case _:
             raise TypeError(f"not a statement: {s!r}")
 
@@ -117,3 +123,170 @@ def invert_function(fdef):
     definition)."""
     return FunctionDef(inverse_name(fdef.name), fdef.params,
                        invert_block(fdef.body), fdef.span)
+
+
+# --- inlining ---------------------------------------------------------------
+
+def _primal(name):
+    return name[1:] if name.startswith("~") else name
+
+
+def _views(s):
+    """The views the statement `s` itself names: its arguments, or those
+    its expressions read (not those of the statements in its blocks)."""
+    t = type(s)
+    if t is InstrCall or t is FnCall or t is UncallFn:
+        return [v for v in s.args if type(v) is not Lit]
+    exprs = (s.expr,) if t is AncillaAlloc or t is AncillaDealloc else \
+        (s.pre, s.post) if t is If or t is While else \
+        (s.start, s.step, s.stop) if t is For else \
+        s.exprs if t is Safe else ()
+    return [v for e in exprs for v in _reads(e)]
+
+
+def _renamed(node, args, suffix):
+    """`node` with each variable that `args` maps replaced by its view there,
+    and every other name of a variable with `suffix` appended."""
+    t = type(node)
+    if t is VarView:
+        return args.get(node.name) or VarView(node.name + suffix, node.span)
+    if t is tuple:
+        return tuple([_renamed(n, args, suffix) for n in node])
+    fields = getattr(t, "__dataclass_fields__", None)
+    if fields is None or t is Lit:
+        return node
+    parts = [node.span if f == "span" else _renamed(getattr(node, f), args,
+                                                     suffix) for f in fields]
+    if t is AncillaAlloc or t is AncillaDealloc or t is For:
+        parts[0] += suffix   # the name it binds
+    return t(*parts)
+
+
+class Inliner(dict):
+    """A valid program's definitions by name, with calls inlined, each made
+    on its first lookup from `defs` (the interpreter's `_Defs`, which
+    makes each missing inverse and knows what a call `rebinds`).
+
+    A call or an uncall of a function that is not recursive and has
+    exactly one site, a call `g(...)` or an uncall `~g(...)`, among the
+    program's written definitions becomes an `Inlined` block, where
+    `takes` allows: the body of g, or of its inverse `~g` as `defs` has
+    it, as this table makes it, with the call's argument views put for
+    its parameters and its other variables renamed (`ir.shown`). So g is
+    no longer lowered on its own, and inlining it grows no code
+    (Scheifler, CACM 1977). Every other call stays a call. Inlining
+    commutes with inversion, so where no definition is an explicit
+    inverse (`mirrored`), a generated inverse `~f` is made as `f` with its
+    calls inlined, inverted."""
+
+    def __init__(self, defs):
+        super().__init__()
+        self.defs, self.written = defs, list(defs.values())
+        self.sites = None   # by callee without its `~`, once a call is met
+        self.mirrored = all(f.name[:1] != "~" for f in self.written)
+
+    def __missing__(self, name):
+        fdef = self.defs[name]
+        if self.mirrored and name[:1] == "~":
+            primal = self[name[1:]]
+            self[name] = fdef if primal is self.defs[name[1:]] else \
+                invert_function(primal)
+        else:
+            body = self.stmt(fdef.body)
+            self[name] = fdef if body is fdef.body else \
+                FunctionDef(fdef.name, fdef.params, body, fdef.span)
+        return self[name]
+
+    def stmt(self, s):
+        """`s` with the calls within it inlined (`s` itself when none is)."""
+        t = type(s)
+        if t is FnCall or t is UncallFn:
+            if s.fname in PRIM_STATEMENTS or not self.takes(s):
+                return s
+            callee = self[inverse_name(s.fname) if t is UncallFn else s.fname]
+            return Inlined(s, _renamed(
+                callee.body, dict(zip(callee.param_names(), s.args)),
+                "@" + _primal(s.fname)), s.span)
+        if t is Block:
+            stmts = tuple([self.stmt(x) for x in s.stmts])
+            return s if all(a is b for a, b in zip(stmts, s.stmts)) else \
+                Block(stmts, s.span)
+        if t is If:
+            tb, eb = self.stmt(s.then_block), self.stmt(s.else_block)
+            return s if tb is s.then_block and eb is s.else_block else \
+                If(s.pre, s.post, tb, eb, s.span)
+        if t is While or t is For:
+            body = self.stmt(s.body)
+            return s if body is s.body else \
+                While(s.pre, s.post, body, s.span) if t is While else \
+                For(s.var, s.start, s.step, s.stop, body, s.span)
+        if t is InvCheckOff:
+            inner = self.stmt(s.stmt)
+            return s if inner is s.stmt else InvCheckOff(inner, s.span)
+        return s
+
+    def count(self):
+        """Count each callee's sites among the written definitions, by
+        name without the `~`; a callee that may reach a call of itself
+        counts none."""
+        sites, calls = {}, {}
+        for fdef in self.written:
+            for s in _statements(fdef.body.stmts):
+                if type(s) in (FnCall, UncallFn) \
+                        and s.fname not in PRIM_STATEMENTS:
+                    callee = _primal(s.fname)
+                    sites[callee] = sites.get(callee, 0) + 1
+                    calls.setdefault(_primal(fdef.name), set()).add(callee)
+        for key in calls:
+            seen, todo = set(), list(calls[key])
+            while todo and key not in seen:
+                k = todo.pop()
+                if k not in seen:
+                    seen.add(k)
+                    todo += calls.get(k, ())
+            if key in seen:
+                sites[key] = 0   # recursive: never inlined
+        self.sites = sites
+
+    def takes(self, s):
+        """Whether the call or uncall `s` is inlined. Its callee must be
+        the one of a single site, and not recursive. Each argument must be
+        a variable or a cell of one (not a literal, a bijector or a field
+        view), and `s` must rebind no variable that an index of its
+        arguments reads (then it raises `AliasedArguments`). And the
+        callee's body must make the same checks and messages on the views
+        as on its parameters: it binds no parameter's name and asserts
+        nothing (a message quotes it); no statement of it rebinds an
+        index of its own arguments; none passes two parameters for which
+        the call passes views of one variable (their alias check would
+        count); and a parameter for which the call passes a cell is read
+        and written whole, neither indexed nor read by an index."""
+        if self.sites is None:
+            self.count()
+        if self.sites.get(_primal(s.fname)) != 1 or not all(
+                type(v) is VarView or type(v) is IndexView
+                and type(v.base) is VarView for v in s.args) \
+                or _clash(s, self.defs.rebinds):
+            return False
+        callee = self[inverse_name(s.fname) if type(s) is UncallFn
+                      else s.fname]
+        roots = {p: view_root(v)
+                 for p, v in zip(callee.param_names(), s.args)}
+        cells = {p for p, v in zip(roots, s.args) if type(v) is IndexView}
+        for t in _statements(callee.body.stmts):
+            if type(t) is Inlined:   # its alias check is the call's
+                t = t.call
+            k, views = type(t), _views(t)
+            if k is Safe and t.kind == "assert" or k is AncillaAlloc \
+                    and t.name in roots or k is For and t.var in roots \
+                    or cells and any(
+                        type(v) is not VarView and view_root(v) in cells
+                        or not cells.isdisjoint(_index_reads(v))
+                        for v in views):
+                return False
+            if k is InstrCall or k is FnCall or k is UncallFn:
+                params = {*map(view_root, views)} & roots.keys()
+                if len({roots[p] for p in params}) < len(params) \
+                        or _clash(t, self.defs.rebinds):
+                    return False
+        return True

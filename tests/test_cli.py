@@ -8,6 +8,8 @@ from revlang.parser import MAX_EXPR_NESTING, MAX_STMT_NESTING, parse_program
 from revlang.reverser import invert_function
 from revlang.values import Array, Complex, Fixed, ULog
 
+from lowered import keep_calls
+
 
 @pytest.fixture
 def asset(tmp_path):
@@ -738,3 +740,48 @@ def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == [0, 3, 0]
     assert "p.rnl:5:" in outputs[0][2]
+
+
+class TestMaxSteps:
+    """`--max-steps N` sets the statement budget (`ExecOptions.max_steps`)
+    of `run`, `check`, `grad` and `hessian`."""
+
+    LEAPFROG = "[[0.0,0.0,0.0],[1.0,0.0,0.0]],[[0.0,0.0,0.0],[0.0,1.0,0.0]]," \
+               "[1.0,1.0],1.0,0.01,2"
+
+    @staticmethod
+    def output(capsys):
+        captured = capsys.readouterr()
+        return captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["run", "check", "grad"])
+    def test_a_budget_stops_a_long_loop(self, asset, capsys, command):
+        """`mypower` at n = 10^20 takes 10^20 loop trips, far past the
+        default budget; 1,000 steps stop it in its loop."""
+        assert main([command, asset("mypower_log"), "-f", "mypower", "-a",
+                     "0.0fx,2.0fx,100000000000000000000",
+                     "--max-steps", "1000"]) == 3
+        assert "FuelExhausted at " in self.output(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "check", "grad", "hessian"])
+    def test_a_budget_runs_out_inside_an_inlined_callee(
+            self, asset, capsys, monkeypatch, command):
+        """`kick_pair_clean`, called at one site, runs inlined in
+        `kick_clean`: the budget runs out at its statement (`d +=
+        abs2(r3)`) as it does when the call stays a call."""
+        argv = [command, asset("leapfrog_clean"), "-f", "leapfrog_clean",
+                "-a", self.LEAPFROG, "--max-steps", "40"]
+        assert main(argv) == 3
+        out = self.output(capsys)
+        assert "FuelExhausted at " in out and \
+            "leapfrog.rnl:34:9: exceeded 40 statement executions" in out
+        keep_calls(monkeypatch)
+        assert main(argv) == 3 and self.output(capsys) == out
+
+    @pytest.mark.parametrize("command", ["run", "check", "grad", "hessian"])
+    @pytest.mark.parametrize("budget", ["0", "-5", "x", "1.5"])
+    def test_a_bad_budget_is_a_usage_error(self, asset, capsys, command,
+                                           budget):
+        assert main([command, asset("multiplier"), "-f", "multiplier", "-a",
+                     "2.0,3.0,5.0", f"--max-steps={budget}"]) == 1
+        assert "Traceback" not in self.output(capsys)

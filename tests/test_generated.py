@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revlang import autodiff, interpreter
+from revlang import autodiff, interpreter, reverser
 from revlang.autodiff import (GradRequest, finite_difference, gradient,
                               hessian, jacobian)
 from revlang.errors import RevLangError
@@ -35,6 +35,7 @@ from revlang.values import Array
 
 from fuel_charges import recording_fuel
 from hessian_oracle import hessian_by_columns, outcome, same_outcome
+from lowered import keep_calls
 
 
 class _Gen:
@@ -256,6 +257,74 @@ def test_generated_calls_loops_and_floats(case):
 def test_called_programs_reach_calls_loops_and_floats():
     seen = _observed("called", test_generated_calls_loops_and_floats)
     assert seen == {"(y, z", "(z, y", "~g", "while", "0.5", "@invcheckoff"}
+
+
+# --- calls of one site inlined against every call kept ---------------------
+
+def _pass_outcome(run):
+    """The repr of `run()`'s result, or its error's type, message and
+    span."""
+    try:
+        return repr(run())
+    except RevLangError as err:
+        return type(err).__name__, err.message, err.span
+
+
+def _inlining_outcome(src, entry, args):
+    """On a fresh parse: `run_function` and `uncall_function` of `entry`
+    on `args`, and on a Float program `gradient` at the default seed, each
+    with the ExecStats of the Interpreters it ran on."""
+    program, outcomes = parse_program(src), []
+    for method in ("run_function", "uncall_function"):
+        interp = Interpreter(program)
+        outcomes.append((_pass_outcome(
+            lambda: getattr(interp, method)(entry, list(args))),
+            interp.stats))
+    if type(args[0]) is float:
+        made, make = [], autodiff._interpreter
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(autodiff, "_interpreter",
+                      lambda *a: made.append(make(*a)) or made[-1])
+            res = _pass_outcome(
+                lambda: gradient(program, GradRequest(entry, list(args))))
+        outcomes.append((res, [interp.stats for interp, _ in made]))
+    return outcomes
+
+
+def _inlining_is_an_observer(case):
+    """Inlining the calls of one site changes no output, error or
+    ExecStats; records which calls it took and which it kept."""
+    src, entry, args = case
+    verdicts, takes = set(), reverser.Inliner.takes
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(reverser.Inliner, "takes",
+                  lambda self, s: verdicts.add(v := takes(self, s)) or v)
+        inlined = _inlining_outcome(src, entry, args)
+    with pytest.MonkeyPatch.context() as m:
+        keep_calls(m)
+        assert _inlining_outcome(src, entry, args) == inlined
+    _SEEN.setdefault("inlining", set()).update(
+        {True: "inlined", False: "kept"}[v] for v in verdicts)
+
+
+@settings(max_examples=150)
+@given(case=called_programs())
+def test_inlined_calls_equal_the_calls(case):
+    _inlining_is_an_observer(case)
+
+
+@settings(max_examples=150)
+@given(case=called_programs(swaps=True))
+def test_inlined_calls_equal_the_calls_with_swaps(case):
+    _inlining_is_an_observer(case)
+
+
+def test_called_programs_inline_some_calls_and_keep_others():
+    """Some examples have a call that is inlined, and some a call of a
+    function called twice, or from a routine's compute block, that stays
+    a call."""
+    seen = _observed("inlining", test_inlined_calls_equal_the_calls)
+    assert seen == {"inlined", "kept"}
 
 
 def test_generated_gradients_match_finite_differences():

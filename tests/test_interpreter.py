@@ -18,9 +18,9 @@ from revlang.autodiff import GradRequest, gradient, jacobian
 from revlang.interpreter import (ExecOptions, Frame, Interpreter,
                                  canonical_view_identity, check_reversibility,
                                  read_view, run, uncall, write_view)
-from revlang.ir import (Bin, Block, FunctionDef, IndexView, InstrCall, Lit,
-                        Param, Program, VarView, ViewRef, inverse_name,
-                        validate)
+from revlang.ir import (Bin, Block, FnCall, FunctionDef, IndexView, Inlined,
+                        InstrCall, Lit, Param, Program, VarView, ViewRef,
+                        inverse_name, validate)
 from revlang.numerics import (INSTR_FNS, FnSpec, PrimitiveInstr, apply_instr,
                               expr_fn, wrap_gvar)
 from revlang.parser import parse_program, pretty_print
@@ -30,6 +30,7 @@ from revlang.values import (Array, Complex, Dual, Fixed, GVar, deep_copy,
                             deviation, is_int, kind_name)
 
 from fuel_charges import recording_fuel
+from lowered import keep_calls, record_lowering
 
 
 def prog(src):
@@ -148,7 +149,8 @@ end""")
         with pytest.raises(PostconditionMismatch):
             run(p, "f", [0])
 
-    def test_a_branch_with_a_call_that_may_rebind_it_is_checked(self):
+    def test_a_branch_with_a_call_that_may_rebind_it_is_checked(
+            self, inlining):
         p = prog("fn g(n)\nINC(n)\nend\nfn f(i)\nINC(i)\n"
                  "if (i == 1, ~)\ng(i)\nend\nend")
         with pytest.raises(PostconditionMismatch):
@@ -353,7 +355,8 @@ end""")
                    "gradient": unit.gradient.bodies}
         assert ("f" if direction == "run" else "~f") in lowered[body]
 
-    def test_a_call_may_take_an_index_its_callee_does_not_write(self):
+    def test_a_call_may_take_an_index_its_callee_does_not_write(
+            self, inlining):
         # as kick_clean passes `i` and `j` to kick_pair_clean
         p = prog("fn k(i, y)\ny += i\nend\nfn f(i, a)\nk(i, a[i])\nend")
         out = run(p, "f", [2, Array.vector([10, 20])])
@@ -366,7 +369,7 @@ end""")
         with pytest.raises(AliasedArguments):
             run(p, "f", [wrap_gvar(0.0), wrap_gvar(3.0)])
 
-    def test_gvar_arguments_make_a_gradient_pass(self):
+    def test_gvar_arguments_make_a_gradient_pass(self, inlining):
         # one Interpreter: plain values run forward, GVar values backward
         interp = Interpreter(prog("""fn sq(y, x)
 y += x * x
@@ -389,7 +392,7 @@ end"""))
         y, x = interp.uncall_function("f", [GVar(3.0, 1.0), GVar(3.0, 0.0)])
         assert (y.x, y.g, x.x, x.g) == (0.0, 1.0, 3.0, 1.0)
 
-    def test_call_inside_invcheckoff_runs_unchecked(self):
+    def test_call_inside_invcheckoff_runs_unchecked(self, inlining):
         # the callee's release is dirty: unchecked, it neither raises nor
         # counts, and neither do the checks of a call from inside it
         p = prog("""fn h(y, x)
@@ -559,7 +562,7 @@ class TestViews:
 
 
 class TestEnvironmentHygiene:
-    def test_binding_keyset_restored(self):
+    def test_binding_keyset_restored(self, inlining):
         p = prog("""fn g(a)
 t <- 0.0
 t += a
@@ -1440,7 +1443,7 @@ class TestUnitCache:
         assert gradient(p, GradRequest("f", [0.0, 1.5])) == first
         assert counts == {"validate": 1, "lower": ["f", "~f"]}
 
-    def test_gradient_variant_calls_gradient_variants(self):
+    def test_gradient_variant_calls_gradient_variants(self, no_inlining):
         # h asks nothing of its arguments, yet a gradient body calls its
         # gradient body, never a forward one: the gradient unit's
         # specialised bodies, whose guards ask no float
@@ -1486,8 +1489,10 @@ class TestUnitCache:
         assert made["expand"] == ["g", "f"] * 2 + ["h"]
         assert sorted(made["invert"]) == ["f", "g"]
         assert Interpreter(p).uncall_function("h", [2.0]) == [1.0]
+        # g, called at one site, is inlined into f, whose inverse is then
+        # f's inlined definition inverted: no ~g is made
         assert Interpreter(p).uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
-        assert sorted(made["invert"]) == ["f", "f", "g", "g", "h"]
+        assert sorted(made["invert"]) == ["f", "f", "g", "h"]
 
     def test_invalid_program_is_never_cached(self, counts):
         p = prog("fn f(x)\nn <- 0\nend")
@@ -2173,7 +2178,8 @@ class TestBoundsGuards:
         assert calls == [] and max(
             abs(a - b) for a, b in zip(back[0].data, x0)) < 1e-12
 
-    def test_reads_after_a_call_or_swap_see_the_values_it_leaves(self):
+    def test_reads_after_a_call_or_swap_see_the_values_it_leaves(
+            self, inlining):
         # `inc` rebinds the index it takes whole; SWAP exchanges indices
         # and arrays: no guard covers a variable either may rebind, and
         # every read is of the cell the values name then
@@ -2314,7 +2320,8 @@ class TestSpecialisedBodies:
     @pytest.mark.parametrize("cells, y", [
         ([Dual(1.5, 1.0), 2.5], 0.0),           # a Dual cell
         ([1.5, 2.5], Fixed.from_real(0.5))])    # a Fixed scalar
-    def test_a_failed_first_guard_builds_no_specialised_flow(self, cells, y):
+    def test_a_failed_first_guard_builds_no_specialised_flow(
+            self, cells, y, no_inlining):
         """A first call decides on the entry facts alone: when they fail,
         only the generic body is lowered, and `f`'s specialised flow is
         not built until a caller whose facts prove f's guard calls its
@@ -2350,7 +2357,7 @@ class TestSpecialisedBodies:
         assert "f" not in interp.unit.generic
 
     @pytest.mark.parametrize("k", [4, np.float32(4.0)])
-    def test_a_callee_that_swaps_a_cell_with_an_int(self, k):
+    def test_a_callee_that_swaps_a_cell_with_an_int(self, k, inlining):
         # an Int, or a binary32 value, which a binary64 float would take
         # on if its cell were still taken for a float
         src = "fn g(c, k)\nSWAP(c, k)\nend\n" \
@@ -2373,7 +2380,7 @@ class TestSpecialisedBodies:
     @pytest.mark.parametrize("n", [np.float32(2.0),
                                    Array.vector([2.0, 3.0])])
     def test_a_call_in_a_loop_sees_the_facts_the_last_iteration_left(
-            self, n):
+            self, n, inlining):
         # the first iteration's call proves g's guard; the SWAP then moves
         # `n` into `x`, so the second iteration's call must test it
         src = "fn g(y, x)\ny += x\nend\n" \
@@ -2389,7 +2396,7 @@ class TestSpecialisedBodies:
         (1, None), (GVar(1.0, 0.0), "float"),
         (Array.vector([GVar(2.0, 0.0)]), "array")])
     def test_a_gradient_call_in_a_loop_sees_the_facts_the_last_iteration_left(
-            self, n, kind):
+            self, n, kind, no_inlining):
         """The gradient twin: gradient bodies make direct calls too. The
         first iteration's call proves g's gradient guard, an Int index
         into an Array of rank 1; the SWAP then moves `n` into `i`, so the
@@ -2412,13 +2419,13 @@ class TestSpecialisedBodies:
                                f"array index must be an Int, got {kind}")
             assert "g" in unit.generic
 
-    def test_a_gvar_two_names_share_loses_its_fact(self):
+    def test_a_gvar_two_names_share_loses_its_fact(self, inlining):
         """Two names may share a GVar: `b <- a` in a gradient body makes `b`
         an Array of `a`'s GVars, so `g`'s `t` (`a[1]`) is `b[1]`. Updating
         `b[1]` by a GVar of a Dual, which no guard asks of `d`, makes `t`
         one, so its G fact dies there and `sqrt(t)` takes the generic rule
         in the typed body too; were `t` still taken for a G, the arm would
-        drop `y`'s tangent."""
+        drop `y`'s tangent. So too where g is inlined into f."""
         src = "fn g(y, t, b, d)\nr <- d\nb[1] += r\ny += sqrt(t)\n" \
               "b[1] -= r\nr -> d\nend\n" \
               "fn f(y, a, d)\nb <- a\ng(y, a[1], b, d)\nb -> a\nend"
@@ -2427,8 +2434,8 @@ class TestSpecialisedBodies:
         interp = Interpreter(prog(src))
         out = self.same_as_fresh_runs(interp, src, "f", args)
         unit = interp.unit.gradient
-        assert sorted(unit.bodies) == ["f", "g"] and unit.generic == {}
-        assert out[0][1].startswith("GVar(Dual(")
+        assert sorted(unit.bodies) == ["f", "g"][:2 - inlining]
+        assert unit.generic == {} and out[0][1].startswith("GVar(Dual(")
 
     def test_a_g_whose_cotangent_turns_dual_loses_its_fact(self):
         """`t` is a G at `f`'s entry; the cotangent carry of `p`'s release,
@@ -2460,7 +2467,7 @@ class TestSpecialisedBodies:
         assert out[:2] == ("LoopIteratorMutated",
                            "loop variable 'i' was modified in the body")
 
-    def test_a_call_rebinds_what_its_callees_rebind(self):
+    def test_a_call_rebinds_what_its_callees_rebind(self, inlining):
         # g passes `p` whole to h, which swaps it: f's `i` is rebound
         p = prog("fn h(a, b)\nSWAP(a, b)\nend\nfn g(p, q)\nh(p, q)\nend\n"
                  "fn f(y, a, i, j)\ny += a[i]\ng(i, j)\ny += a[i]\nend")
@@ -2470,7 +2477,8 @@ class TestSpecialisedBodies:
         with pytest.raises(IndexOutOfBounds, match="index 4 out of bounds"):
             run(p, "f", [0.0, a, 1, 4])
 
-    def test_calls_go_straight_to_a_proven_body(self, monkeypatch):
+    def test_calls_go_straight_to_a_proven_body(self, monkeypatch,
+                                                no_inlining):
         # kick_clean proves kick_pair_clean's guard: only the entry of the
         # first call tests it
         tested = []
@@ -2629,12 +2637,7 @@ def test_a_float_function_of_proven_floats_binds_a_proven_float(
     those with the fast-path table emptied, on both bodies."""
     src = f"fn f(y, a, b, z)\nz += a\nz += b\nt <- {call}\ny += t\n" \
           f"t -> {call}\nend"
-    sources, build = [], interpreter._Lowering.build
-
-    def building(self, defs):
-        sources.append("\n".join(t for _, t, _ in defs))
-        return build(self, defs)
-    monkeypatch.setattr(interpreter._Lowering, "build", building)
+    lowered = record_lowering(monkeypatch)
     released = []
     release = interpreter._release
     monkeypatch.setattr(interpreter, "_release",
@@ -2644,9 +2647,9 @@ def test_a_float_function_of_proven_floats_binds_a_proven_float(
         interp = Interpreter(prog(src), ExecOptions(float_dtype=dtype))
         interp.run_function("f", [z(0.0), z(a), z(2.0), z(0.0)])
         assert interp.stats.checks_passed["ancilla"] == 1
-    assert released == [] and len(sources) == 3
-    t = re.search(r"\b(v\d+_t) = ", sources[0]).group(1)
-    assert f"type({t})" not in sources[0]
+    assert released == [] and len(lowered) == 3
+    t = re.search(r"\b(v\d+_t) = ", lowered[0].text).group(1)
+    assert f"type({t})" not in lowered[0].text
     bs = HOST_VALUES if "b" in call else [1.0]
     for generic in (False, True):
         outcomes = _host_outcomes(src, dtype, generic, bs)
@@ -2657,33 +2660,32 @@ def test_a_float_function_of_proven_floats_binds_a_proven_float(
 
 def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
     """The code the catalog lowers, on fresh Programs, in binary64, at no
-    more AST nodes than once gradient updates took the typed arm or the
-    generic rule, with no arm that tests GVars: the forward code
-    `check_reversibility` lowers, at most 17,802 nodes with the guards as
-    they fall (15,836 while a charge was a call, 15,917 before inline
-    partials), and 21,835 with every guard failing and no call direct (30
-    generic bodies; 21,853 with an INC/DEC arm that tested its Int, 19,649
-    and 19,661); and the gradient bodies of `autodiff.gradient` with
-    default seeds, at most 1,384 (2,100 with the GVar-testing arms, 1,882
-    while a charge was a call, 2,239 with Int and rank facts only, 2,363
-    while they were lowered at no entry facts), and of `autodiff.jacobian`
-    over the whole catalog, the calls `grad-catalog` makes, at most 12,456
-    (13,172, 12,301, 22,251 and 23,499).
+    more AST nodes than once calls of one site were inlined: the forward
+    code `check_reversibility` lowers, 26 bodies of at most 17,482 nodes
+    with the guards as they fall (30 and 17,802 before inlining, when
+    gradient updates took the typed arm or the generic rule; 15,836 while
+    a charge was a call, 15,917 before inline partials), and 21,387 with
+    every guard failing and no call direct (26 generic bodies; 21,835
+    before inlining, 21,853 with an INC/DEC arm that tested its Int,
+    19,649 and 19,661); and the gradient bodies of `autodiff.gradient`
+    with default seeds, at most 1,384 (2,100 with the GVar-testing arms,
+    1,882 while a charge was a call, 2,239 with Int and rank facts only,
+    2,363 while they were lowered at no entry facts), and of
+    `autodiff.jacobian` over the whole catalog, the calls `grad-catalog`
+    makes, 13 bodies of at most 12,265 (15 and 12,456 before inlining;
+    13,172, 12,301, 22,251 and 23,499).
     A run with fuel to spare compiles no per-statement code."""
-    import ast
     import random
     from revlang.stdlib import entry_function, sample_args
-    nodes, shortages = {False: [], True: []}, []
-    build = interpreter._Lowering.build
+    shortages = []
     monkeypatch.setattr(interpreter._Lines, "shortage",
                         lambda *a: shortages.append(a))
+    lowered = record_lowering(monkeypatch)
 
-    def counting(self, defs):
-        src = "\n".join(" " * d + t for d, t, _ in [
-            (0, "def _make():", None), *defs, (1, "return f", None)])
-        nodes[self.grad].append(sum(1 for _ in ast.walk(ast.parse(src))))
-        return build(self, defs)
-    monkeypatch.setattr(interpreter._Lowering, "build", counting)
+    def nodes(grad):
+        found = [body.nodes() for body in lowered if body.grad == grad]
+        lowered[:] = [body for body in lowered if body.grad != grad]
+        return found
 
     def forward():
         programs = {}
@@ -2692,26 +2694,25 @@ def test_the_catalog_lowers_within_its_compile_budget(monkeypatch):
                 programs[filename] = prog(asset_text(filename))
             check_reversibility(programs[filename], entry_function(name),
                                 sample_args(name, random.Random(0)))
-        found = nodes[False][:]
-        nodes[False].clear()
-        return found
+        return nodes(False)
     found = forward()
-    assert len(found) == 30 and sum(found) <= 17_802
+    assert len(found) == 26 and sum(found) <= 17_482
     with pytest.MonkeyPatch.context() as m:
         m.setattr(interpreter, "_holds", lambda *a: False)
         m.setattr(interpreter._Flow, "direct", lambda *a: None)
         found = forward()
-    assert len(found) == 30 and sum(found) <= 21_835
+    assert len(found) == 26 and sum(found) <= 21_387
     for name in ("multiplier", "complex_log", "complex_log_ccu",
                  "mypower_log", "r_norm"):
         gradient(prog(asset_text(CATALOG[name][0])), GradRequest(
             entry_function(name), sample_args(name, random.Random(0))))
-    assert len(nodes[True]) == 5 and sum(nodes[True]) <= 1_384
-    nodes[True].clear()
+    found = nodes(True)
+    assert len(found) == 5 and sum(found) <= 1_384
     for name, (filename, fname) in CATALOG.items():
         jacobian(prog(asset_text(filename)), fname,
                  sample_args(name, random.Random(0)))
-    assert len(nodes[True]) == 15 and sum(nodes[True]) <= 12_456
+    found = nodes(True)
+    assert len(found) == 13 and sum(found) <= 12_265
     assert shortages == []
 
 
@@ -2726,13 +2727,7 @@ def test_gradient_bodies_test_no_gvar(monkeypatch):
     import random
     from revlang.autodiff import hessian
     from revlang.stdlib import sample_args
-    sources, build = [], interpreter._Lowering.build
-
-    def building(self, defs):
-        if self.grad:
-            sources.append("\n".join(t for _, t, _ in defs))
-        return build(self, defs)
-    monkeypatch.setattr(interpreter._Lowering, "build", building)
+    lowered = record_lowering(monkeypatch)
     for name, (filename, fname) in CATALOG.items():
         for how in (lambda p, a: gradient(p, GradRequest(fname, a)),
                     lambda p, a: jacobian(p, fname, a),
@@ -2742,8 +2737,34 @@ def test_gradient_bodies_test_no_gvar(monkeypatch):
                     sample_args(name, random.Random(0)))
             except KindError:
                 pass
-    assert len(sources) == 24
+    sources = [body.text for body in lowered if body.grad]
+    assert len(sources) == 22   # 24 before calls of one site were inlined
     assert [s for s in sources if "is GVar" in s or "_p = " in s] == []
+
+
+@pytest.mark.parametrize("variant", ["clean", "cumulative"])
+def test_a_leapfrog_round_trip_inlines_its_pair_kick(monkeypatch, variant):
+    """`kick_pair_*` has one call site, in `kick_*`: a round trip lowers no
+    body of `kick_pair_*` or `~kick_pair_*` of its own, two fewer than
+    with every call kept a call, and `kick_*` calls neither."""
+    from revlang.stdlib import _leapfrog_args, two_body_config
+    args = _leapfrog_args(two_body_config(steps=2), None)
+
+    def round_trip():
+        lowered = record_lowering(monkeypatch)
+        interp = Interpreter(prog(asset_text("leapfrog.rnl")))
+        out = interp.run_function(f"leapfrog_{variant}", deep_copy(args))
+        interp.uncall_function(f"leapfrog_{variant}", out)
+        return {body.name: body.text for body in lowered}
+    lowered = round_trip()
+    assert sorted(lowered) == sorted(
+        f"{inv}{f}" for inv in ("", "~")
+        for f in (f"leapfrog_{variant}", f"kick_{variant}", "drift"))
+    for kick in (f"kick_{variant}", f"~kick_{variant}"):   # no call
+        assert re.search(r"\['~?kick_pair", lowered[kick]) is None
+    with pytest.MonkeyPatch.context() as m:
+        keep_calls(m)
+        assert len(round_trip()) == len(lowered) + 2
 
 
 # --- fuel, pinned per statement -------------------------------------------
@@ -2884,8 +2905,10 @@ class TestFuelByTheRun:
 
     def test_a_leapfrog_run_charges_once_per_run(self, monkeypatch):
         """Four leapfrog steps forward and back take the steps they always
-        took (`LEAPFROG_STATS`) in 206 charges: each of the 20
-        `kick_pair_clean` calls is one charge of its 43 steps."""
+        took (`LEAPFROG_STATS`) in 186 charges: each of the 20
+        `kick_pair_clean` calls, inlined, is one charge of 44 steps, the
+        call's step and its 43 (206 charges, and a charge of 43, while it
+        stayed a call)."""
         from revlang.stdlib import _leapfrog_args, two_body_config
         charges = []
         monkeypatch.setattr(interpreter, "_Fuel", recording_fuel(charges))
@@ -2893,10 +2916,10 @@ class TestFuelByTheRun:
         out = interp.run_function("leapfrog_clean", list(
             _leapfrog_args(two_body_config(steps=4), None)))
         interp.uncall_function("leapfrog_clean", out)
-        assert len(charges) == 206
+        assert len(charges) == 186
         assert sum(charges) == interp.stats.steps == \
             TestStaticAliasDischarge.LEAPFROG_STATS["clean"][0]
-        assert charges.count(43) == 20
+        assert charges.count(44) == 20
 
     def test_a_shortage_compiles_its_run_once(self, monkeypatch):
         """The per-statement code of a run is compiled at its first
@@ -3081,3 +3104,167 @@ end"""
             report == _passed(ancilla=report["ancilla"])
         assert error == "FuelExhausted at <string>:1:1: call depth " \
                         "exceeded in f"
+
+
+# --- exit paths of inlined calls ---------------------------------------------
+
+class TestInlinedExitPaths:
+    """A call of a function called nowhere else is inlined: its callee's
+    statements run in the caller's body. Each way out of them gives what
+    the call gives: the same error, message and span, `ExecStats.steps`
+    and `checks_passed`, with inlining on and off."""
+
+    KICK = """fn g(y, x)
+@routine begin
+    t <- 0.0
+    t += x * 2.0
+end
+y += t
+~@routine
+end
+fn f(y, a, x)
+y += 1.0
+for i = 1:2
+    g(a[i], x)
+end
+y += 2.0
+end"""
+    DIRTY = """fn g(y, x)
+u <- 0.0
+u -> 0.0
+@routine begin
+    t <- 0.0
+    t += x
+end
+y += t
+t += 1.0
+~@routine
+end
+fn f(a, x)
+m <- 0.0
+m -> 0.0
+g(a[2], x)
+end"""
+    ALIAS = "fn g(y, x)\ny += 1.0\nx += 2.0\nend\n" \
+            "fn f(a, i, j)\na[1] += 1.0\ng(a[i], a[j])\nend"
+    REBIND = "fn g(y, k)\nINC(k)\nend\nfn f(a, i)\na[1] += 1.0\n" \
+             "g(a[i], i)\nend"
+
+    @staticmethod
+    def outcome(src, args, opts=None):
+        """`_stopped`'s outcome of a pass of `f`, and whether `g` has a
+        body of its own."""
+        interp = Interpreter(prog(src), opts)
+        with pytest.raises(RevLangError) as err:
+            interp.run_function("f", args)
+        e = err.value
+        return (type(e).__name__, e.message, (e.span.line, e.span.col),
+                interp.stats.steps, interp.stats.checks_passed), \
+            "g" in interp.unit.bodies
+
+    def test_fuel_runs_out_at_every_step(self, monkeypatch):
+        """Every budget short of a run's 17 steps stops it at the statement
+        the call would stop it at, inside the callee too."""
+        def stops(budget):
+            return self.outcome(self.KICK, [0.0, Array([0.0, 0.0], (2,)), 1.5],
+                                ExecOptions(max_steps=budget))
+        inlined = [stops(budget) for budget in range(1, 17)]
+        keep_calls(monkeypatch)
+        called = [stops(budget) for budget in range(1, 17)]
+        assert [out for out, _ in inlined] == [out for out, _ in called]
+        assert {own for _, own in inlined} == {False}
+        assert {own for _, own in called} == {False, True}
+        # the lines of g's allocation, update and `y += t`, and of f's
+        # loop, call and last update
+        assert {out[2][0] for out, _ in inlined} == {3, 4, 6, 11, 12, 14}
+
+    def test_a_dirty_release_in_the_callees_routine(self, inlining):
+        """The release of the callee's ancilla names it as written, at the
+        span of its allocation, which its uncompute releases."""
+        assert self.outcome(self.DIRTY, [Array([0.0, 0.0], (2,)), 1.0]) == (
+            ("DirtyAncilla", "'t' released with residual 1.0", (5, 5), 11,
+             _passed(ancilla=2)), not inlining)
+
+    def test_aliased_arguments_at_the_call(self, inlining):
+        assert self.outcome(self.ALIAS, [Array([0.0, 0.0], (2,)), 2, 2]) == (
+            ("AliasedArguments", "call arguments may not share memory",
+             (7, 1), 2, _passed()), not inlining)
+        p = prog(self.ALIAS)
+        interp = Interpreter(p)
+        assert interp.run_function("f", [Array([0.0, 0.0], (2,)), 2, 1]) \
+            == [Array([3.0, 1.0], (2,)), 2, 1]
+        assert ("g" in interp.unit.bodies) != inlining
+        assert (type(p.compiled["defs"].inlined["f"].body.stmts[-1])
+                is Inlined) == inlining
+
+    def test_a_call_that_rebinds_an_index_of_its_arguments(self, inlining):
+        """`g(a[i], i)` may rebind `i`: it stays the call that raises."""
+        p = prog(self.REBIND)
+        assert self.outcome(self.REBIND, [Array([0.0, 0.0], (2,)), 1]) == (
+            ("AliasedArguments", "'i' indexes an argument of a statement "
+             "that may rebind it", (6, 1), 2, _passed()), False)
+        Interpreter(p)
+        assert type(p.compiled["defs"].inlined["f"].body.stmts[-1]) is FnCall
+
+    def test_a_cell_argument_out_of_bounds(self, inlining):
+        """The call reads its arguments before the callee's statements
+        run: `a[3]` raises at the call, with `x` not yet updated."""
+        src = "fn g(y, x)\nx += 1.0\ny += x\nend\nfn f(a, x)\ng(a[3], x)\nend"
+        assert self.outcome(src, [Array([0.0, 0.0], (2,)), 1.0]) == (
+            ("IndexOutOfBounds", "index 3 out of bounds 1..2", (6, 1), 1,
+             _passed()), not inlining)
+
+    def test_the_callees_assertion_quotes_it(self, inlining):
+        src = "fn g(y, x)\ny += x\n@safe assert(y < 2.5)\nend\n" \
+              "fn f(a, x)\ng(a[1], x)\nend"
+        assert self.outcome(src, [Array([2.0], (1,)), 1.0]) == (
+            ("AssertFailed", "assertion failed: y < 2.5", (3, 1), 3,
+             _passed()), True)
+
+    def test_two_cells_of_one_array_for_parameters_one_statement_reads(
+            self, inlining):
+        """Inlined, `y += x` would read and write cells of one array, and
+        count an alias check the call's body does not make: the call
+        stays a call."""
+        src = "fn g(y, x)\ny += x\nend\nfn f(a)\ng(a[1], a[2])\nend"
+        interp = Interpreter(prog(src))
+        assert interp.run_function("f", [Array([1.0, 2.0], (2,))]) == [
+            Array([3.0, 2.0], (2,))]
+        assert interp.stats.checks_passed == _passed(alias=1)
+        assert "g" in interp.unit.bodies
+
+    def test_a_cell_for_a_parameter_that_indexes(self, inlining):
+        """Inlined, `a[k]` would index by the cell `b[1]`, which no index
+        may read: the call stays a call, and raises where it did."""
+        src = "fn g(y, a, k)\ny += a[k]\nend\n" \
+              "fn f(y, a, b)\ng(y, a, b[1])\nend"
+        a = Array([1.0, 2.0], (2,))
+        interp = Interpreter(prog(src))
+        assert interp.run_function("f", [0.0, a, Array([2], (1,))])[0] == 2.0
+        assert "g" in interp.unit.bodies
+        assert self.outcome(src, [0.0, a, Array([1.5], (1,))])[0] == (
+            "KindError", "array index must be an Int, got float", (2, 1), 2,
+            _passed())
+
+    @pytest.mark.parametrize("binding", ["x <- 0.0\nx -> 0.0",
+                                         "for x = 1:2\nend"])
+    def test_a_callee_that_binds_a_parameters_name(self, inlining, binding):
+        """Inlined, the binding would take a renamed name and raise
+        nothing: the call stays a call, and raises as it did."""
+        src = f"fn g(y, x)\ny += 1.0\n{binding}\nend\n" \
+              "fn f(a, x)\ng(a[1], x)\nend"
+        out, own = self.outcome(src, [Array([0.0], (1,)), 1.0])
+        assert out[:2] == ("DuplicateBinding", "'x' is already bound") \
+            or out[:2] == ("DuplicateBinding", "loop variable 'x' shadows "
+                                               "an existing binding")
+        assert out[2:] == ((3, 1), 3, _passed()) and own
+
+    def test_mutually_recursive_functions_stay_calls(self, inlining):
+        """f and g each have one site, in the other: both are recursive,
+        and neither is inlined."""
+        src = "fn f(y, n)\nif (n > 0, ~)\nDEC(n)\ng(y, n)\nINC(n)\nend\n" \
+              "end\nfn g(y, n)\ny += 1.0\nf(y, n)\nend"
+        interp = Interpreter(prog(src))
+        assert interp.run_function("f", [0.0, 3]) == [3.0, 3]
+        assert sorted(interp.unit.bodies) == ["f", "g"]
+        assert interp.stats.steps == 19

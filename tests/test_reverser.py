@@ -1,12 +1,13 @@
 import pytest
 
+from revlang.analysis import _statements
 from revlang.errors import RnlSyntaxError
-from revlang.ir import (Block, For, If, InstrCall, InvCheckOff, Lit, UncallFn,
-                        Un)
+from revlang.ir import (Block, For, If, Inlined, InstrCall, InvCheckOff, Lit,
+                        UncallFn, Un, inverse_name)
 from revlang.parser import parse_program, pretty_print
-from revlang.reverser import (expand_routines, invert_function,
+from revlang.reverser import (Inliner, expand_routines, invert_function,
                               invert_statement, negate_expr)
-from revlang.stdlib import CATALOG, entry_function, load_example
+from revlang.stdlib import CATALOG, asset_text, entry_function, load_example
 
 
 def fn_of(src, name="t"):
@@ -141,3 +142,33 @@ class TestInvertFunction:
         a = expand_routines(invert_function(f))
         b = invert_function(expand_routines(f))
         assert a.body == b.body
+
+
+class TestInliner:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_inverting_inlined_equals_inlining_inverted(self, name):
+        """Inlining commutes with inversion: a generated inverse with its
+        uncalls inlined equals the inverse of its definition with its
+        calls inlined, as a program with no explicit inverse makes it
+        (the leapfrog kicks inline their pair kick)."""
+        from revlang.interpreter import Interpreter, _Defs
+        program = parse_program(asset_text(CATALOG[name][0]))
+        mirrored = Interpreter(program).unit.ir
+        inlined = Inliner(_Defs(program.compiled["expanded"]))
+        inlined.mirrored = False
+        for f in list(program.functions):
+            assert inlined[inverse_name(f)] == mirrored[inverse_name(f)] \
+                == invert_function(inlined[f])
+        assert any(type(s) is Inlined for f in program.functions
+                   for s in _statements(mirrored[f].body.stmts)) == \
+            name.startswith("leapfrog")
+
+    def test_a_callee_of_two_sites_stays_a_call(self):
+        p = parse_program("fn g(y)\ny += 1.0\nend\nfn h(y)\ny += 2.0\nend\n"
+                          "fn f(y)\ng(y)\n~g(y)\nh(y)\nend")
+        from revlang.interpreter import Interpreter
+        f = Interpreter(p).unit.ir["f"]
+        assert [type(s).__name__ for s in f.body.stmts] == [
+            "FnCall", "UncallFn", "Inlined"]
+        assert f.body.stmts[2].body == parse_program(
+            "fn h(y)\ny += 2.0\nend").get("h").body
