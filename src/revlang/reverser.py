@@ -174,27 +174,18 @@ class Inliner(dict):
     it, as this table makes it, with the call's argument views put for
     its parameters and its other variables renamed (`ir.shown`). So g is
     no longer lowered on its own, and inlining it grows no code
-    (Scheifler, CACM 1977). Every other call stays a call. Inlining
-    commutes with inversion, so where no definition is an explicit
-    inverse (`mirrored`), a generated inverse `~f` is made as `f` with its
-    calls inlined, inverted."""
+    (Scheifler, CACM 1977). Every other call stays a call."""
 
     def __init__(self, defs):
         super().__init__()
         self.defs, self.written = defs, list(defs.values())
         self.sites = None   # by callee without its `~`, once a call is met
-        self.mirrored = all(f.name[:1] != "~" for f in self.written)
 
     def __missing__(self, name):
         fdef = self.defs[name]
-        if self.mirrored and name[:1] == "~":
-            primal = self[name[1:]]
-            self[name] = fdef if primal is self.defs[name[1:]] else \
-                invert_function(primal)
-        else:
-            body = self.stmt(fdef.body)
-            self[name] = fdef if body is fdef.body else \
-                FunctionDef(fdef.name, fdef.params, body, fdef.span)
+        body = self.stmt(fdef.body)
+        self[name] = fdef if body is fdef.body else \
+            FunctionDef(fdef.name, fdef.params, body, fdef.span)
         return self[name]
 
     def stmt(self, s):

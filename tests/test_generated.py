@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revlang import autodiff, interpreter, reverser
+from revlang.analysis import _statements
 from revlang.autodiff import (GradRequest, finite_difference, gradient,
                               hessian, jacobian)
 from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
-from revlang.ir import Program, validate
+from revlang.ir import Inlined, Program, UncallFn, inverse_name, validate
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
 from revlang.values import Array
@@ -198,23 +199,28 @@ def test_generator_reaches_both_verdicts():
 
 
 @st.composite
-def called_programs(draw, real=None, int_conds=False, swaps=False):
+def called_programs(draw, real=None, int_conds=False, swaps=False,
+                    written=False):
     """Functions g0..gn over Int or Float values (`real`, drawn when None),
     each of which may call or uncall the ones before it; gn is the entry
     point. With `int_conds` no condition reads a Float variable; with
     `swaps` each function takes a fourth argument `w`, and a statement may
-    SWAP two variables."""
+    SWAP two variables. With `written` each gk but the entry point, and
+    the entry point when drawn, also has a written inverse `~gk`, of a
+    body drawn as gk's is (no inverse of gk's)."""
     if real is None:
         real = draw(st.booleans())
     n = draw(st.integers(0, 3))
     fns = []
     for k in range(n + 1):
-        gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
-                   int_conds=int_conds, swaps=swaps)
-        ctx = (("x",), ["y", "z"], None)
-        body = gen.entry(ctx) if k == n else gen.block(ctx, 0)
-        fns.append(f"fn g{k}(y, z, x{', w' * swaps})\n" + "\n".join(body)
-                   + "\nend\n")
+        for name in ["g", "~g"][:1 + (written and (
+                k < n or draw(st.booleans())))]:
+            gen = _Gen(draw, real, [f"g{i}" for i in range(k)], valid=True,
+                       int_conds=int_conds, swaps=swaps)
+            ctx = (("x",), ["y", "z"], None)
+            body = gen.entry(ctx) if k == n else gen.block(ctx, 0)
+            fns.append(f"fn {name}{k}(y, z, x{', w' * swaps})\n"
+                       + "\n".join(body) + "\nend\n")
     values = st.integers(-6, 6).map(lambda v: v / 2) if real \
         else st.integers(-3, 3)
     args = draw(st.lists(values, min_size=3 + swaps, max_size=3 + swaps))
@@ -291,20 +297,38 @@ def _inlining_outcome(src, entry, args):
     return outcomes
 
 
-def _inlining_is_an_observer(case):
+def _inlining_is_an_observer(case, key="inlining"):
     """Inlining the calls of one site changes no output, error or
-    ExecStats; records which calls it took and which it kept."""
+    ExecStats; records under `key` which calls it took and which it
+    kept, and whether it took an uncall of a written inverse or a call
+    within one."""
     src, entry, args = case
-    verdicts, takes = set(), reverser.Inliner.takes
+    seen, takes, made = set(), reverser.Inliner.takes, \
+        reverser.Inliner.__missing__
+
+    def taking(self, s):
+        verdict = takes(self, s)
+        seen.add("inlined" if verdict else "kept")
+        if verdict and type(s) is UncallFn and any(
+                f.name == inverse_name(s.fname) for f in self.written):
+            seen.add("a written inverse inlined")
+        return verdict
+
+    def making(self, name):
+        fdef = made(self, name)
+        if name[:1] == "~" and any(f.name == name for f in self.written) \
+                and any(type(s) is Inlined
+                        for s in _statements(fdef.body.stmts)):
+            seen.add("inlined into a written inverse")
+        return fdef
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(reverser.Inliner, "takes",
-                  lambda self, s: verdicts.add(v := takes(self, s)) or v)
+        m.setattr(reverser.Inliner, "takes", taking)
+        m.setattr(reverser.Inliner, "__missing__", making)
         inlined = _inlining_outcome(src, entry, args)
     with pytest.MonkeyPatch.context() as m:
         keep_calls(m)
         assert _inlining_outcome(src, entry, args) == inlined
-    _SEEN.setdefault("inlining", set()).update(
-        {True: "inlined", False: "kept"}[v] for v in verdicts)
+    _SEEN.setdefault(key, set()).update(seen)
 
 
 @settings(max_examples=150)
@@ -319,12 +343,27 @@ def test_inlined_calls_equal_the_calls_with_swaps(case):
     _inlining_is_an_observer(case)
 
 
+@settings(max_examples=100)
+@given(case=called_programs(written=True))
+def test_inlined_calls_equal_the_calls_with_written_inverses(case):
+    _inlining_is_an_observer(case, "written")
+
+
 def test_called_programs_inline_some_calls_and_keep_others():
     """Some examples have a call that is inlined, and some a call of a
     function called twice, or from a routine's compute block, that stays
     a call."""
     seen = _observed("inlining", test_inlined_calls_equal_the_calls)
     assert seen == {"inlined", "kept"}
+
+
+def test_written_inverses_are_inlined_and_inline_calls():
+    """Some examples inline an uncall of a written inverse, and some a
+    call within a written inverse."""
+    seen = _observed("written",
+                     test_inlined_calls_equal_the_calls_with_written_inverses)
+    assert seen == {"inlined", "kept", "a written inverse inlined",
+                    "inlined into a written inverse"}
 
 
 def test_generated_gradients_match_finite_differences():

@@ -1489,10 +1489,8 @@ class TestUnitCache:
         assert made["expand"] == ["g", "f"] * 2 + ["h"]
         assert sorted(made["invert"]) == ["f", "g"]
         assert Interpreter(p).uncall_function("h", [2.0]) == [1.0]
-        # g, called at one site, is inlined into f, whose inverse is then
-        # f's inlined definition inverted: no ~g is made
         assert Interpreter(p).uncall_function("f", [3.0, 1.5]) == [0.0, 1.5]
-        assert sorted(made["invert"]) == ["f", "f", "g", "h"]
+        assert sorted(made["invert"]) == ["f", "f", "g", "g", "h"]
 
     def test_invalid_program_is_never_cached(self, counts):
         p = prog("fn f(x)\nn <- 0\nend")
@@ -3150,6 +3148,30 @@ end"""
     REBIND = "fn g(y, k)\nINC(k)\nend\nfn f(a, i)\na[1] += 1.0\n" \
              "g(a[i], i)\nend"
 
+    # `~g` is written: the uncall inlines it, and `h`, called only there,
+    # is inlined into it
+    WRITTEN = """fn h(y, x)
+y += x * 3.0
+end
+fn g(y, x)
+y -= x
+end
+fn ~g(y, x)
+@routine begin
+    t <- 0.0
+    t += x * 2.0
+end
+h(y, t)
+~@routine
+end
+fn f(y, a, x)
+y += 1.0
+for i = 1:2
+    ~g(a[i], x)
+end
+y += 2.0
+end"""
+
     @staticmethod
     def outcome(src, args, opts=None):
         """`_stopped`'s outcome of a pass of `f`, and whether `g` has a
@@ -3177,6 +3199,50 @@ end"""
         # the lines of g's allocation, update and `y += t`, and of f's
         # loop, call and last update
         assert {out[2][0] for out, _ in inlined} == {3, 4, 6, 11, 12, 14}
+
+    def test_fuel_runs_out_at_every_step_of_a_written_inverse(
+            self, monkeypatch):
+        """Every budget short of the pass stops it, inside the written
+        `~g` and the `h` inlined into it too, where the calls stop it."""
+        args = [0.0, Array([0.0, 0.0], (2,)), 1.5]
+        interp = Interpreter(prog(self.WRITTEN))
+        assert interp.run_function("f", list(args)) == [
+            3.0, Array([9.0, 9.0], (2,)), 1.5]
+        steps = interp.stats.steps
+        assert sorted(interp.unit.bodies) == ["f"]
+
+        def stops(budget):
+            return self.outcome(self.WRITTEN, list(args),
+                                ExecOptions(max_steps=budget))[0]
+        inlined = [stops(budget) for budget in range(1, steps)]
+        keep_calls(monkeypatch)
+        assert [stops(budget) for budget in range(1, steps)] == inlined
+        # the lines of h's update, ~g's allocation, update and call, and
+        # of f's loop, uncall and last update
+        assert {out[2][0] for out in inlined} == {2, 9, 10, 12, 17, 18, 20}
+
+    def test_a_dirty_release_in_a_written_inverse(self, inlining):
+        src = self.WRITTEN.replace("h(y, t)\n", "h(y, t)\nt += 1.0\n")
+        assert self.outcome(src, [0.0, Array([0.0, 0.0], (2,)), 1.0])[0] \
+            == ("DirtyAncilla", "'t' released with residual 1.0", (9, 5), 11,
+                _passed())
+        interp = Interpreter(prog(src))
+        with pytest.raises(DirtyAncilla):
+            interp.run_function("f", [0.0, Array([0.0, 0.0], (2,)), 1.0])
+        assert ("~g" in interp.unit.bodies) != inlining
+
+    def test_aliased_arguments_at_an_uncall_of_a_written_inverse(
+            self, inlining):
+        src = self.WRITTEN.split("fn f")[0] + \
+            "fn f(a, i, j)\na[1] += 1.0\n~g(a[i], a[j])\nend"
+        assert self.outcome(src, [Array([0.0, 0.0], (2,)), 2, 2])[0] == (
+            "AliasedArguments", "call arguments may not share memory",
+            (17, 1), 2, _passed())
+        interp = Interpreter(prog(src))
+        assert interp.run_function("f", [Array([0.0, 2.0], (2,)), 1, 2]) \
+            == [Array([13.0, 2.0], (2,)), 1, 2]
+        assert interp.stats.checks_passed == _passed(ancilla=1, alias=1)
+        assert ("~g" in interp.unit.bodies) != inlining
 
     def test_a_dirty_release_in_the_callees_routine(self, inlining):
         """The release of the callee's ancilla names it as written, at the

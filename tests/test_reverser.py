@@ -5,7 +5,7 @@ from revlang.errors import RnlSyntaxError
 from revlang.ir import (Block, For, If, Inlined, InstrCall, InvCheckOff, Lit,
                         UncallFn, Un, inverse_name)
 from revlang.parser import parse_program, pretty_print
-from revlang.reverser import (Inliner, expand_routines, invert_function,
+from revlang.reverser import (expand_routines, invert_function,
                               invert_statement, negate_expr)
 from revlang.stdlib import CATALOG, asset_text, entry_function, load_example
 
@@ -149,18 +149,14 @@ class TestInliner:
     def test_inverting_inlined_equals_inlining_inverted(self, name):
         """Inlining commutes with inversion: a generated inverse with its
         uncalls inlined equals the inverse of its definition with its
-        calls inlined, as a program with no explicit inverse makes it
-        (the leapfrog kicks inline their pair kick)."""
-        from revlang.interpreter import Interpreter, _Defs
+        calls inlined (the leapfrog kicks inline their pair kick)."""
+        from revlang.interpreter import Interpreter
         program = parse_program(asset_text(CATALOG[name][0]))
-        mirrored = Interpreter(program).unit.ir
-        inlined = Inliner(_Defs(program.compiled["expanded"]))
-        inlined.mirrored = False
+        inlined = Interpreter(program).unit.ir
         for f in list(program.functions):
-            assert inlined[inverse_name(f)] == mirrored[inverse_name(f)] \
-                == invert_function(inlined[f])
+            assert inlined[inverse_name(f)] == invert_function(inlined[f])
         assert any(type(s) is Inlined for f in program.functions
-                   for s in _statements(mirrored[f].body.stmts)) == \
+                   for s in _statements(inlined[f].body.stmts)) == \
             name.startswith("leapfrog")
 
     def test_a_callee_of_two_sites_stays_a_call(self):
