@@ -123,7 +123,7 @@ def _clash(s, call):
     (`call` as `_rebinding` takes it) and an index of one of its
     arguments reads: its inverse would find other cells there."""
     reads = set().union(*[_index_reads(v) for v in s.args
-                           if type(v) is not Lit])
+                           if type(v) is not Lit and type(v) is not VarView])
     return reads and sorted(reads & _rebinding([s], call))
 
 

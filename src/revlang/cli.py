@@ -13,7 +13,8 @@
 suffixes: `5` Int, `2.0` Float, `3fx` Fixed, `1+2im` Complex, `2.5ul`
 positive log-domain, `true`/`false` Bool, and `[..]`/`[[..],..]` arrays.
 Exit codes: 0 ok, 1 usage, 2 parse/validate, 3 runtime reversibility
-error.
+error. JSON outputs are strict (RFC 8259): a non-finite float prints as
+the literal that reads it back, "nan", "inf" or "-inf".
 """
 
 import argparse
@@ -33,7 +34,7 @@ from .reverser import invert_function
 from .stdlib import roundoff_table
 from .tradeoff import (StepProgram, bennett_counts, bennett_run, eta,
                        treeverse_run, treeverse_time_bound)
-from .values import _KINDS, Array, Complex, Fixed, ULog, deep_copy
+from .values import _KINDS, Array, Complex, Fixed, ULog, deep_copy, json_float
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?([+-]\d*(?:\.\d+)?(?:[eE][+-]?\d+)?)?im$")
@@ -291,8 +292,8 @@ def _dispatch(ns):
     if ns.cmd == "hessian":
         res = hessian(program, ns.function, args, opts=_exec_options(ns))
         print(json.dumps({
-            "hessian": [[float(x) for x in row] for row in res.matrix],
-            "symmetry_error": res.symmetry_error,
+            "hessian": [[json_float(x) for x in row] for row in res.matrix],
+            "symmetry_error": json_float(res.symmetry_error),
         }, sort_keys=True))
         return 0
 

@@ -183,7 +183,8 @@ from .numerics import (BIJECTORS, INSTR_BIN_OPS, INSTR_FNS, PRIM_INVERSE,
                        strip_gvar, unwrap_gvar, wrap_gvar)
 from .reverser import Inliner, invert_function
 from .values import (Array, Complex, GVar, Record, deep_copy, deviation,
-                     is_bool, is_int, kind_name, values_close, worst_deviation)
+                     is_bool, is_int, json_float, kind_name, values_close,
+                     worst_deviation)
 
 
 @dataclass
@@ -1949,9 +1950,10 @@ class CheckReport:
         return json.dumps({
             "function": self.fname,
             "ok": self.ok,
-            "max_deviation": self.max_deviation,
+            "max_deviation": json_float(self.max_deviation),
             "error": self.error,
-            "per_arg_deviation": self.per_arg_deviation,
+            "per_arg_deviation": self.per_arg_deviation and [
+                json_float(d) for d in self.per_arg_deviation],
             "checks_passed": self.checks_passed,
         }, sort_keys=True)
 

@@ -152,14 +152,31 @@ def _renamed(node, args, suffix):
         return args.get(node.name) or VarView(node.name + suffix, node.span)
     if t is tuple:
         return tuple([_renamed(n, args, suffix) for n in node])
-    fields = getattr(t, "__dataclass_fields__", None)
-    if fields is None or t is Lit:
-        return node
-    parts = [node.span if f == "span" else _renamed(getattr(node, f), args,
-                                                     suffix) for f in fields]
-    if t is AncillaAlloc or t is AncillaDealloc or t is For:
-        parts[0] += suffix   # the name it binds
-    return t(*parts)
+    plan = _PLANS[t]
+    return node if plan is None else plan(node, args, suffix)
+
+
+class _RenamePlans(dict):
+    """Per IR node type, the function `(node, args, suffix) -> node` that
+    `_renamed` rebuilds a node of that type with, made on first use from
+    its fields: a string and the span are kept, the name an allocation, a
+    release or a loop binds (its first field) gets the suffix, and every
+    other field is renamed within. A type without fields, and a literal,
+    map to None: the node is kept."""
+
+    def __missing__(self, t):
+        fields = getattr(t, "__dataclass_fields__", {})
+        parts = [f"n.{f} + s" if i == 0 and t in _BINDS else
+                 f"n.{f}" if fields[f].type is str or f == "span" else
+                 f"_renamed(n.{f}, a, s)" for i, f in enumerate(fields)]
+        self[t] = None if not fields or t is Lit else eval(
+            f"lambda n, a, s: t({', '.join(parts)})",
+            {"t": t, "_renamed": _renamed})
+        return self[t]
+
+
+_BINDS = (AncillaAlloc, AncillaDealloc, For)
+_PLANS = _RenamePlans()
 
 
 class Inliner(dict):
@@ -271,8 +288,9 @@ class Inliner(dict):
             if k is Safe and t.kind == "assert" or k is AncillaAlloc \
                     and t.name in roots or k is For and t.var in roots \
                     or cells and any(
-                        type(v) is not VarView and view_root(v) in cells
-                        or not cells.isdisjoint(_index_reads(v))
+                        type(v) is not VarView and (
+                            view_root(v) in cells
+                            or not cells.isdisjoint(_index_reads(v)))
                         for v in views):
                 return False
             if k is InstrCall or k is FnCall or k is UncallFn:

@@ -565,6 +565,16 @@ def _complex_cast(t, x):   # a real x has a zero of t.re's kind for im
     return Complex(to_real(x), _KINDS[type(re)].zero(re))
 
 
+def json_float(x):
+    """`x` as a float for JSON: a finite one as itself, a non-finite one as
+    the value literal the CLI reads back ("nan", "inf" or "-inf"), since
+    RFC 8259 has no number for it."""
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "nan" if x != x else "inf" if x > 0 else "-inf"
+
+
 def _encode_array(v, enc):
     if len(v.shape) == 1:
         return [enc(e) for e in v.data]
@@ -583,7 +593,7 @@ _BOOL = _Kind("bool", real=int, coerce=lambda t, x: bool(x),
               encode=lambda v, enc: bool(v), sample=lambda v, rng, again: v)
 _FLOAT_FIELDS = dict(real=lambda v: v, diff=True, gap=_float_distance,
                      tolerant=True, cast=_float_cast,
-                     encode=lambda v, enc: float(v),
+                     encode=lambda v, enc: json_float(v),
                      sample=lambda v, rng, again: rng.uniform(-2.0, 2.0))
 
 _KINDS = _Table({
@@ -610,7 +620,8 @@ _KINDS = _Table({
     ULog: _Kind("ulog", real=ULog.to_float, zero=lambda v: zero_like(v.log_x),
                 diff=True, gap=lambda a, b: _float_distance(a.log_x, b.log_x),
                 tolerant=True,
-                encode=lambda v, enc: {"kind": "ulog", "log": float(v.log_x)},
+                encode=lambda v, enc: {"kind": "ulog",
+                                       "log": json_float(v.log_x)},
                 sample=lambda v, rng, again: ULog.from_real(
                     rng.uniform(0.25, 4.0))),
     Complex: _Kind("complex", parts=lambda v: (v.re, v.im), cast=_complex_cast,
@@ -730,6 +741,16 @@ def set_leaf(v, path, new):
     return v
 
 
+def leaf_list(v):
+    """The leaves of `v` in `leaves` order, without their paths: the k-th
+    is the leaf at the k-th path `leaves` gives."""
+    if not isinstance(v, _COMPOSITES):
+        return [v]
+    parts = v.data if isinstance(v, Array) else v.fields().values()
+    return [x for p in parts for x in (
+        leaf_list(p) if isinstance(p, _COMPOSITES) else (p,))]
+
+
 def _copy_leaf(v):
     copy = _KINDS[type(v)].copy
     return v if copy is None else copy(v)   # other scalars are immutable
@@ -741,6 +762,19 @@ def deep_copy(v):
     if type(v) is list or type(v) is tuple:
         return type(v)(map(deep_copy, v))
     return map_leaves(v, _copy_leaf)
+
+
+def gvar_copy(v):
+    """`numerics.wrap_gvar(deep_copy(v))` in one walk: a copy of `v` with
+    each differentiable leaf in a GVar with a zero cotangent."""
+    return map_leaves(v, _gvar_copy_leaf)
+
+
+def _gvar_copy_leaf(x):
+    if type(x) is float:   # the common leaf, wrapped without a lookup
+        return GVar(x, 0.0)
+    x = _copy_leaf(x)
+    return GVar(x, zero_like(x)) if _KINDS[type(x)].diff else x
 
 
 def zero_like(v):

@@ -10,14 +10,17 @@ raises the same type of error at the same span.
 import numpy as np
 
 from revlang.autodiff import (HessianResult, _gradient, _interpreter,
-                              _leaf_table, default_seeds)
+                              default_seeds, leaf_paths)
 from revlang.errors import KindError, RevLangError
 from revlang.values import Dual, deep_copy, get_leaf, is_float, set_leaf
 
 
 def hessian_by_columns(program, fname, args, opts=None):
     interp, names = _interpreter(program, fname, opts)
-    table = _leaf_table(names, args)
+    # by path, apart from the leaf table that `hessian` reads by position
+    table = [(pi, pname, path)
+             for pi, (pname, a) in enumerate(zip(names, args))
+             for path in leaf_paths(a)]
     if not all(is_float(get_leaf(args[pi], path)) for pi, _, path in table):
         raise KindError("Hessians need Float inputs")
     n = len(table)

@@ -8,11 +8,13 @@ import pytest
 from revlang.autodiff import (GradRequest, finite_difference, get_leaf,
                               gradient, hessian, jacobian, leaf_paths,
                               set_leaf)
+from revlang import interpreter
 from revlang.errors import (AliasedArguments, KindError, MissingAdjoint,
                             RevDomainError, RevError)
-from revlang.interpreter import Interpreter
+from revlang.interpreter import ExecOptions, Interpreter
 from revlang.parser import parse_program
-from revlang.stdlib import CATALOG, entry_function, load_example, sample_args
+from revlang.stdlib import (CATALOG, asset_text, entry_function, load_example,
+                            sample_args)
 from revlang.values import (Array, Complex, Dual, Fixed, deep_copy,
                             deviation, to_real)
 
@@ -339,6 +341,130 @@ class TestSharedForwardPass:
         p = parse_program("fn f(y, x)\ny += x\nx += 1e20\nend")
         with pytest.raises(RevError, match="restore"):
             jacobian(p, "f", [0.0, 1.0])
+
+
+@pytest.fixture
+def orchestration(pass_counter, monkeypatch):
+    """`pass_counter`, which also counts the runs of `ir.validate` that
+    Interpreters make (through the binding `interpreter` calls)."""
+    validate = interpreter.validate
+
+    def counting(program):
+        pass_counter["validations"] += 1
+        return validate(program)
+
+    monkeypatch.setattr(interpreter, "validate", counting)
+    pass_counter["validations"] = 0
+    return pass_counter
+
+
+class TestOrchestrationCounts:
+    """Per call: one Interpreter; one validation of a fresh Program and
+    none once its front end has run; `jacobian` over L leaves one forward
+    and L backward passes, `gradient` and `hessian` one of each.
+    (`perfbench/selftest.py` still expects the counts of an earlier
+    orchestration.)"""
+
+    @pytest.mark.parametrize("req, name", [
+        ("gradient", "multiplier"), ("jacobian", "i_affine"),
+        ("jacobian", "r_norm"), ("jacobian", "leapfrog_clean"),
+        ("hessian", "r_norm")])
+    def test_counts_per_call(self, orchestration, req, name):
+        program = parse_program(asset_text(CATALOG[name][0]))
+        fname = entry_function(name)
+        args = sample_args(name, random.Random(0))
+        n_leaves = sum(len(leaf_paths(a)) for a in args)
+        call = {
+            "gradient": lambda: gradient(program, GradRequest(fname, args)),
+            "jacobian": lambda: jacobian(program, fname, args),
+            "hessian": lambda: hessian(program, fname, args),
+        }[req]
+        for validations in (1, 0):   # a fresh Program, then the same one
+            orchestration.update(interpreters=0, validations=0, forward=0,
+                                 backward=0)
+            call()
+            assert orchestration == {
+                "interpreters": 1, "validations": validations, "forward": 1,
+                "backward": n_leaves if req == "jacobian" else 1}
+
+
+class TestLeafTable:
+    """`jacobian`, `hessian` and `finite_difference` address an argument's
+    differentiable leaves by their positions among its leaves, and seed a
+    Jacobian row at the leaf's path. These pin the kinds where positions
+    and paths part, and the errors the calls raise."""
+
+    MIXED = "fn f(y, a)\ny += a[2] * 2.0\ny += a[1]\nend"
+
+    @pytest.mark.parametrize("name", ["complex_log", "complex_log_ccu"])
+    def test_complex_arguments(self, name):
+        p, fname = load_example(name), entry_function(name)
+        args = sample_args(name, random.Random(2))
+        names = _param_names(p, fname)
+        rows = [(n, path) for n, a in zip(names, args)
+                for path in leaf_paths(a)]
+        assert rows[:2] == [(names[0], (("field", "re"),)),
+                            (names[0], (("field", "im"),))]
+        J = jacobian(p, fname, args)
+        for row, (n, path) in zip(J, rows):
+            _, g = gradient(p, GradRequest(fname, args,
+                                           seeds=[(n, path, 1.0)]))
+            assert row.tolist() == [float(to_real(get_leaf(g[m], q)))
+                                    for m, q in rows]
+        fd = finite_difference(p, fname, args, 1e-6)
+        assert [type(fd[n]) for n in names] == [Complex] * len(names)
+
+    def test_an_array_mixing_int_and_float_cells(self):
+        """The Int cell is a leaf of the array but no column: the Float
+        cell is the array's one column, at position 1."""
+        p = parse_program(self.MIXED)
+        args = [0.5, Array.vector([1, 2.0])]
+        assert leaf_paths(args[1]) == [(("idx", (2,)),)]
+        assert jacobian(p, "f", args).tolist() == [[1.0, 2.0], [0.0, 1.0]]
+        assert hessian(p, "f", args).matrix.tolist() == [[0.0, 0.0],
+                                                         [0.0, 0.0]]
+        fd = finite_difference(p, "f", args, 1e-6)
+        assert fd["a"].data[0] == 1 and type(fd["a"].data[0]) is int
+        assert fd["a"].data[1] == pytest.approx(2.0, rel=1e-9)
+        assert args[1].data == [1, 2.0]   # the arguments are not touched
+
+    def test_fixed_leaves_in_finite_differences(self):
+        p = parse_program("fn f(y, a, n)\ny += a[2]\ny += a[1]\nend")
+        args = [Fixed.from_real(0.5),
+                Array.vector([Fixed.from_real(1.25), Fixed.from_real(2.0)]),
+                3]
+        fd = finite_difference(p, "f", args, 1e-6)
+        assert fd == {"y": 1.0, "a": Array.vector([1.0, 1.0]), "n": None}
+        assert jacobian(p, "f", args).tolist() == [
+            [1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("seeds, wrt, message", [
+        ([("a", (("idx", (1,)),), 1.0)], None,
+         "seed target is not a differentiable leaf"),
+        ([("q", (), 1.0)], None, "seed names unknown parameter 'q'"),
+        (None, ["q"], "wrt names unknown parameter 'q'"),
+    ])
+    def test_seed_and_wrt_errors(self, seeds, wrt, message):
+        p = parse_program(self.MIXED)
+        with pytest.raises(KindError) as err:
+            gradient(p, GradRequest("f", [0.5, Array.vector([1, 2.0])],
+                                    seeds=seeds, wrt=wrt))
+        assert str(err.value) == "KindError: " + message
+
+    @pytest.mark.parametrize("call", [
+        lambda p, a, o: gradient(p, GradRequest("f", a), o),
+        lambda p, a, o: jacobian(p, "f", a, o),
+        lambda p, a, o: hessian(p, "f", a, o),
+    ])
+    def test_the_restore_error(self, call):
+        """(0.1 + x^2) - x^2 is not 0.1 in binary64 at x = sqrt(0.7), and
+        a zero tolerance takes no round-off."""
+        p = parse_program("fn f(y, x)\ny += x ^ 2\nend", "f.rnl")
+        with pytest.raises(RevError) as err:
+            call(p, [0.1, math.sqrt(0.7)], ExecOptions(float_tolerance=0.0))
+        assert str(err.value) == ("RevError at f.rnl:1:1: backward pass "
+                                  "failed to restore the primal value of "
+                                  "'y'")
 
 
 class TestFiniteDifference:

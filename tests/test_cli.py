@@ -51,7 +51,7 @@ class TestLiterals:
         f.write_text("fn f(y, a)\ny += a[2]\nend\n")
         assert main(["run", str(f), "-f", "f", "-a", "0.0,[1.0,nan]"]) == 0
         assert capsys.readouterr().out == \
-            '{"args": [NaN, [1.0, NaN]]}\n'
+            '{"args": ["nan", [1.0, "nan"]]}\n'
 
     def test_split_honors_brackets(self):
         assert split_args("[1,2],3,[4,5]") == ["[1,2]", "3", "[4,5]"]
@@ -405,6 +405,8 @@ end
     @pytest.mark.parametrize("argv, message", [
         (["run", "-f", "f", "--args=0.0,1.5"],
          "KindError: f takes 3 arguments, got 2"),
+        (["hessian", "-f", "f", "--args=0.0,1.5"],
+         "KindError: f takes 3 arguments, got 2"),
         (["run", "-f", "zz", "--args=0.0,1.5,2.0"],
          "UnknownFunction: no function named 'zz'"),
         (["grad", "-f", "f", "--args=0.0,1.5,2.0", "--seed", "q"],
@@ -478,6 +480,72 @@ end
         rc = main(["bench", "bennett", "-k", k, "-n", n])
         captured = capsys.readouterr()
         assert rc == 3 and captured.out == "" and captured.err == message
+
+
+def _strict(out):
+    """`out` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise AssertionError(f"non-strict JSON token {token} in {out!r}")
+    return json.loads(out, parse_constant=reject)
+
+
+class TestStrictJson:
+    """A non-finite float prints as the literal `parse_value` reads back,
+    so every JSON output parses strictly; finite floats keep their text."""
+
+    CASES = [
+        (["run", "fn f(y, a)\ny += a[2]\nend\n", "-a", "0.0,[1.0,nan]"], 0,
+         {"args": ["nan", [1.0, "nan"]]}),
+        (["run", "fn f(y, a)\ny += a[2]\nend\n", "-a", "0.0,[-inf,1.5]"],
+         0, {"args": [1.5, ["-inf", 1.5]]}),
+        (["grad", "fn f(y, a, b)\ny += a * b\nend\n", "-a", "0.0,1.0,2.0",
+          "--seed", "y=inf"], 0,
+         {"grads": {"a": "inf", "b": "inf", "y": "inf"},
+          "primal": [2.0, 1.0, 2.0]}),
+        (["grad", "fn f(y, a, b)\ny += a * b\nend\n", "-a", "0.0,1.0,2.0",
+          "--seed", "y=nan"], 0,
+         {"grads": {"a": "nan", "b": "nan", "y": "nan"},
+          "primal": [2.0, 1.0, 2.0]}),
+        # sqrt's second derivative overflows at a subnormal x
+        (["hessian", "fn f(y, x)\ny += sqrt(x)\nend\n", "-a", "0.0,1e-320"],
+         0, {"hessian": [[0.0, 0.0], [0.0, "-inf"]],
+             "symmetry_error": "nan"}),
+        (["check", "fn f(a, b)\na += 1.0\nend\n", "-a", "1.0,nan",
+          "--json"], 3, {"max_deviation": "nan",
+                         "per_arg_deviation": [0.0, "nan"]}),
+        # a trial that raises reports an infinite deviation
+        (["check", "fn f(x)\nn <- 0.0\nn += x\nn -> 0.0\nend\n", "-a",
+          "1.0", "--json"], 3, {"max_deviation": "inf",
+                                "per_arg_deviation": None}),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv, rc, want", CASES)
+    def test_non_finite_floats_print_as_literals(self, tmp_path, capsys,
+                                                 argv, rc, want):
+        f = tmp_path / "a.rnl"
+        f.write_text(argv[1])
+        assert main([argv[0], str(f), "-f", "f", *argv[2:]]) == rc
+        got = _strict(capsys.readouterr().out)
+        if argv[0] == "check":
+            got = got["trials"][0]
+            want = {**want, "ok": False}
+            got = {k: got[k] for k in want}
+        assert got == want
+
+    def test_the_literals_read_back(self):
+        for text in ("nan", "inf", "-inf"):
+            assert parse_value(text) == float(text) or \
+                math.isnan(parse_value(text))
+
+    def test_finite_outputs_keep_their_text(self, asset, capsys):
+        for argv in (["run", asset("multiplier"), "-f", "multiplier", "-a",
+                      "0.1,3.0,5.0"],
+                     ["hessian", asset("r_norm"), "-f", "r_norm", "-a",
+                      "0.0,0.0,[0.3,-0.4]"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert json.dumps(_strict(out), sort_keys=True) + "\n" == out
 
 
 class TestLiteralsTheirKindCannotHold:

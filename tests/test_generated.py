@@ -25,14 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from revlang import autodiff, interpreter, reverser
 from revlang.analysis import _statements
-from revlang.autodiff import (GradRequest, finite_difference, gradient,
-                              hessian, jacobian)
+from revlang.autodiff import (GradRequest, finite_difference, get_leaf,
+                              gradient, hessian, jacobian, leaf_paths)
 from revlang.errors import RevLangError
 from revlang.interpreter import ExecOptions, Interpreter, run, uncall
 from revlang.ir import Inlined, Program, UncallFn, inverse_name, validate
 from revlang.parser import parse_program, pretty_print
 from revlang.reverser import expand_routines, invert_function
-from revlang.values import Array
+from revlang.values import Array, to_real
 
 from fuel_charges import recording_fuel
 from hessian_oracle import hessian_by_columns, outcome, same_outcome
@@ -525,6 +525,63 @@ def test_generated_hessians_equal_the_per_column_oracle():
     calls()
     assert {"nonzero", "zero", "RevDomainError",
             "IndexOutOfBounds"} <= set(outcomes)
+
+
+# --- a Jacobian is the stack of its rows' gradients -----------------------
+
+def _gradient_rows(program, entry, args):
+    """The Jacobian as `gradient` gives it: one call per differentiable
+    input leaf, seeded there with 1.0, whose cotangents are read by path
+    at every such leaf (0.0 where a result carries none)."""
+    names = program.get(entry).param_names()
+    cols = [(n, p) for n, a in zip(names, args) for p in leaf_paths(a)]
+    rows = []
+    for n, p in cols:
+        _, g = gradient(program,
+                        GradRequest(entry, args, seeds=[(n, p, 1.0)]))
+        rows.append([0.0 if (x := get_leaf(g[m], q)) is None else
+                     float(to_real(x)) for m, q in cols])
+    return np.array(rows, dtype=float)
+
+
+def _matrix_outcome(f):
+    try:
+        return f()
+    except RevLangError as err:
+        return type(err).__name__, err.span
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generated_jacobians_are_their_gradient_rows():
+    """`jacobian` reads its rows by leaf position from one forward pass;
+    a `gradient` call per row, seeded by path, gives the same matrix bit
+    for bit (NaN as NaN), or the same error at the same span, on
+    `array_programs` (whose Int indices are leaves but no columns) and on
+    Float `called_programs` with SWAPs."""
+    outcomes = []
+
+    def check(program, entry, args):
+        want = _matrix_outcome(lambda: _gradient_rows(program, entry, args))
+        assert same_outcome(
+            _matrix_outcome(lambda: jacobian(program, entry, args)), want)
+        outcomes.append(want[0] if type(want) is tuple else
+                        "nan" if np.isnan(want).any() else "numbers")
+
+    @settings(max_examples=150)
+    @given(case=array_programs())
+    def arrays(case):
+        src, (y, cells, i, j) = case
+        check(parse_program(src), "f", [y, Array(list(cells), (2, 3)), i, j])
+
+    @settings(max_examples=100)
+    @given(case=called_programs(real=True, swaps=True))
+    def calls(case):
+        src, entry, args = case
+        check(parse_program(src), entry, args)
+
+    arrays()
+    calls()
+    assert {"numbers", "RevDomainError", "IndexOutOfBounds"} <= set(outcomes)
 
 
 # --- gradient bodies are observers ----------------------------------------
